@@ -56,7 +56,7 @@ from .rayleigh import (
     estimate_constant,
     strip_proxy,
 )
-from .specfun import HypParams, NonConvergenceError, gamma, hyp2f1
+from .specfun import NonConvergenceError, gamma, hyp2f1
 
 __version__ = "0.1.0"
 
@@ -70,7 +70,6 @@ __all__ = [
     "GridProblem",
     "HProfile",
     "HardySolution",
-    "HypParams",
     "OneReflexPolygon",
     "RayleighEstimate",
     "Sector",

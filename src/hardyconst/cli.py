@@ -17,7 +17,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import angles as angles_mod
@@ -25,19 +24,12 @@ from . import certify as certify_mod
 from . import hardycore, odeengine, rayleigh, specfun
 from .certify import Dbeta, Ebg, OneReflexPolygon, Sector, SectorCapConvex
 
-__all__ = ["RunConfig", "main", "parse_angle", "parse_domain_file"]
+__all__ = ["main", "parse_angle", "parse_domain_file"]
 
 PI = math.pi
 
 _WORKER_ENV = "HARDY_WORKERS"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One command invocation: everything the output document depends on."""
-
-    command: str
-    params: dict = field(default_factory=dict)
+_MAX_SWEEP_COUNT = 100_000  # a sweep's rows are all held in memory
 
 
 def parse_angle(text: str) -> float:
@@ -60,6 +52,8 @@ def _parse_sweep(text: str) -> list:
     count = int(parts[2])
     if count < 2 or not hi > lo:
         raise ValueError(f"sweep {text!r} needs an increasing range and count >= 2")
+    if count > _MAX_SWEEP_COUNT:
+        raise ValueError(f"sweep {text!r} asks for more than {_MAX_SWEEP_COUNT} rows")
     return [lo + (hi - lo) * k / (count - 1) for k in range(count)]
 
 
@@ -112,11 +106,13 @@ def _print_table(rows: list) -> None:
         print("  ".join(cells))
 
 
-def _workers() -> int:
+def _workers(count: int) -> int:
+    """Worker processes for count items: HARDY_WORKERS, capped by the CPUs and by count."""
     try:
-        return max(1, int(os.environ.get(_WORKER_ENV, "1")))
+        wanted = int(os.environ.get(_WORKER_ENV, "1"))
     except ValueError:
-        return 1
+        wanted = 1
+    return max(1, min(wanted, os.cpu_count() or 1, count))
 
 
 def _cbeta_row(args) -> dict:
@@ -149,8 +145,9 @@ def _gamma_row(beta: float) -> dict:
 
 
 def _map_ordered(fn, items):
-    if _workers() > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=_workers()) as pool:
+    workers = _workers(len(items))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(item) for item in items]
 
@@ -207,9 +204,9 @@ def _cmd_cbeta(args) -> int:
         raise ValueError("provide exactly one of --beta or --sweep")
     betas = [parse_angle(args.beta)] if args.beta else _parse_sweep(args.sweep)
     rows = _map_ordered(_cbeta_row, [(b, args.check) for b in betas])
-    config = RunConfig("cbeta", {"betas_pi": [b / PI for b in betas], "check": args.check})
+    params = {"betas_pi": [b / PI for b in betas], "check": args.check}
     _print_table(rows)
-    _emit({"command": config.command, "params": config.params, "rows": rows}, rows, args.output, args.format)
+    _emit({"command": "cbeta", "params": params, "rows": rows}, rows, args.output, args.format)
     return 0
 
 
@@ -270,10 +267,11 @@ def _cmd_validate(args) -> int:
         "command": "validate",
         "input": _domain_to_dict(domain),
         "n": args.n,
+        "grid": grid.kind,
         "estimate": est.to_dict(),
     }
     print(
-        f"lambda_min = {est.lam:.6g}  (n={args.n}, h={est.h:.4g}, "
+        f"lambda_min = {est.lam:.6g}  (n={args.n}, {grid.kind} grid, h={est.h:.4g}, "
         f"{est.iterations} iterations, {grid.interior_count} nodes)"
     )
     _emit(doc, None, args.output, "json" if args.format == "csv" else args.format)

@@ -1,17 +1,20 @@
 """Independent ODE layer: shooting oracle and comparison machinery.
 
-Three problems share one embedded Runge-Kutta integrator:
+Two problems are integrated with scipy's DOP853 (solve_ivp):
 
 * the eigenvalue shooting solve that recovers the sector Hardy constant
   from the angular boundary value problem alone (the anti-bug gate against
-  the closed-form route in hardycore),
+  the closed-form route in hardycore); a batched scan brackets the root
+  and brentq solves the Neumann condition,
 * the singular initial value problem behind the monotone comparison family
-  h(alpha, .) on (0, pi/2],
-* nothing else; the integrator is deliberately not a general-purpose API.
+  h(alpha, .) on (0, pi/2].
+
+Nothing here calls the closed form for c(beta): the shot sees only the
+potential V and the series start at the vertex.
 
 The critical-exponent case alpha = 1/2 has a one-parameter continuum of
 solutions with an explicit hypergeometric representation; h_family_half
-evaluates it in closed form with numeric quadrature for the inner integral.
+evaluates it in closed form with quad for the inner integral.
 A quartic upper bound g_upper_bound dominates the Riccati variable g and
 certifies the comparison inequalities without any ODE solve.
 """
@@ -20,9 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
+from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from .hardycore import potential_v, series_a2
 from .specfun import hyp2f1
@@ -51,113 +56,15 @@ class BracketError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """Adaptive step size collapsed or the step budget ran out."""
+    """The integrator failed (step size collapsed) or the tolerance is unreachable."""
 
 
-# ---------------------------------------------------------------------------
-# Dormand-Prince 5(4) with PI step-size control.
-
-_A21 = 1.0 / 5.0
-_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
-_A41, _A42, _A43 = 44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0
-_A51, _A52, _A53, _A54 = 19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0
-_A61, _A62, _A63, _A64, _A65 = (
-    9017.0 / 3168.0,
-    -355.0 / 33.0,
-    46732.0 / 5247.0,
-    49.0 / 176.0,
-    -5103.0 / 18656.0,
-)
-_B1, _B3, _B4, _B5, _B6 = 35.0 / 384.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0
-_E1, _E3, _E4, _E5, _E6, _E7 = (
-    71.0 / 57600.0,
-    -71.0 / 16695.0,
-    71.0 / 1920.0,
-    -17253.0 / 339200.0,
-    22.0 / 525.0,
-    -1.0 / 40.0,
-)
-
-_MAX_STEPS = 500_000
-
-
-def _rk45(
-    rhs: Callable[[float, np.ndarray], np.ndarray],
-    t0: float,
-    t1: float,
-    y0: np.ndarray,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    t_out: Optional[np.ndarray] = None,
-):
-    """Integrate y' = rhs(t, y) forward from t0 to t1.
-
-    y0 may carry a trailing batch axis; the error norm couples the batch,
-    which is exactly what the vectorized c-scans in shoot_c want.  When
-    t_out (sorted, within [t0, t1]) is given, steps land on those abscissae
-    and the sampled states are returned stacked along a new leading axis.
-    Returns (y_end_or_samples, accepted_steps).
-    """
-    t = t0
-    y = np.array(y0, dtype=float)
-    out = None
-    iout = 0
-    if t_out is not None:
-        t_out = np.asarray(t_out, dtype=float)
-        out = np.empty((len(t_out),) + y.shape)
-
-    def record() -> None:
-        nonlocal iout
-        while iout < len(t_out) and t >= t_out[iout] - 1e-13 * max(abs(t), 1.0):
-            out[iout] = y
-            iout += 1
-
-    if t_out is not None:
-        record()
-
-    h_ctrl = (t1 - t0) * 1e-4
-    k1 = rhs(t, y)
-    err_prev = 1.0
-    nsteps = 0
-    for _ in range(_MAX_STEPS):
-        if t >= t1 - 1e-14 * max(abs(t1), 1.0):
-            break
-        if h_ctrl < 1e-14 * max(abs(t), 1.0):
-            raise IntegrationError(f"step size collapsed at t={t}")
-        h = min(h_ctrl, t1 - t)
-        if t_out is not None and iout < len(t_out):
-            h = min(h, t_out[iout] - t)
-        k2 = rhs(t + h / 5.0, y + h * (_A21 * k1))
-        k3 = rhs(t + 3.0 * h / 10.0, y + h * (_A31 * k1 + _A32 * k2))
-        k4 = rhs(t + 4.0 * h / 5.0, y + h * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = rhs(t + 8.0 * h / 9.0, y + h * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-        k6 = rhs(t + h, y + h * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4 + _A65 * k5))
-        y_new = y + h * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-        k7 = rhs(t + h, y_new)
-        err = h * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6 + _E7 * k7)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        enorm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if enorm <= 1.0:
-            t += h
-            y = y_new
-            k1 = k7
-            nsteps += 1
-            if t_out is not None:
-                record()
-            factor = 5.0 if enorm == 0.0 else 0.9 * enorm**-0.14 * err_prev**0.08
-            err_prev = max(enorm, 1e-10)
-            h_ctrl *= min(5.0, max(0.2, factor))
-        else:
-            # shrink from the step actually attempted (it may have been capped)
-            h_ctrl = h * max(0.2, 0.9 * enorm**-0.2)
-    else:
-        raise IntegrationError("step budget exhausted")
-    if t_out is not None:
-        while iout < len(t_out):
-            out[iout] = y
-            iout += 1
-        return out, nsteps
-    return y, nsteps
+def _solve(rhs, t0: float, t1: float, y0: np.ndarray, rtol: float, atol: float, **kwargs):
+    """One DOP853 run of y' = rhs(t, y) from t0 to t1; IntegrationError if it fails."""
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol, **kwargs)
+    if sol.status < 0:
+        raise IntegrationError(f"integration failed on [{t0}, {t1}]: {sol.message}")
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -173,85 +80,66 @@ class ShootingResult:
     steps: int
 
 
-def _shoot_terminal(
-    beta: float,
-    cs: np.ndarray,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    t_out: Optional[np.ndarray] = None,
-):
+def _shoot(beta: float, cs: np.ndarray, rtol: float, atol: float, dense_output: bool = False):
     """Integrate -psi'' = c V psi for a batch of trial constants.
 
     Launches at theta = 1e-6 from the three-term series
-    psi = theta^alpha (1 + a2 theta^2) and returns psi'(beta/2) per trial
-    (plus sampled states when t_out is given).
+    psi = theta^alpha (1 + a2 theta^2).  The batch is one flat state
+    [psi_1..psi_m, psi'_1..psi'_m], so a single error norm covers every
+    trial.  The run is split at theta = pi/2, where V changes from
+    1/sin^2(theta) to 1 and its second derivative jumps; one run across the
+    junction loses about two digits of c.  Returns the solve_ivp results of
+    both pieces.
     """
-    cs = np.atleast_1d(np.asarray(cs, dtype=float))
     alpha = 0.5 * (1.0 + np.sqrt(1.0 - 4.0 * cs))
     a2 = series_a2(alpha)
     th0 = _LAUNCH_BVP
-    y0 = np.vstack(
+    y = np.concatenate(
         [
             th0**alpha * (1.0 + a2 * th0**2),
             th0 ** (alpha - 1.0) * (alpha + (alpha + 2.0) * a2 * th0**2),
         ]
     )
+    m = len(cs)
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        out = np.empty_like(y)
-        out[0] = y[1]
-        out[1] = -cs * potential_v(t, beta) * y[0]
-        return out
+        return np.concatenate([y[m:], -cs * potential_v(t, beta) * y[:m]])
 
-    res, steps = _rk45(rhs, th0, 0.5 * beta, y0, rtol=rtol, atol=atol, t_out=t_out)
-    if t_out is not None:
-        return res, steps
-    return res[1], steps
+    pieces = []
+    for t0, t1 in ((th0, 0.5 * PI), (0.5 * PI, 0.5 * beta)):
+        pieces.append(_solve(rhs, t0, t1, y, rtol, atol, dense_output=dense_output))
+        y = pieces[-1].y[:, -1]
+    return pieces
+
+
+def _shoot_terminal(beta: float, cs, rtol: float, atol: float) -> tuple[np.ndarray, int]:
+    """psi'(beta/2) per trial constant, and the accepted steps of the run."""
+    cs = np.atleast_1d(np.asarray(cs, dtype=float))
+    pieces = _shoot(beta, cs, rtol, atol)
+    return pieces[-1].y[len(cs):, -1], sum(p.t.size - 1 for p in pieces)
 
 
 def shoot_c(beta: float, rtol: float = 1e-10, atol: float = 1e-12) -> ShootingResult:
     """Largest c in (0, 1/4] for which the shot satisfies psi'(beta/2) = 0.
 
-    Bisection over batches of trial constants (18 per round, integrated
-    together) narrows the rightmost sign change of the terminal derivative
-    to width 1e-13; a secant step inside the final cell polishes the root.
-    Raises BracketError when the terminal derivative never changes sign,
-    which is the subcritical regime where the series-started shot cannot
-    meet the Neumann condition.
+    One batched scan of 18 trial constants (integrated together) finds the
+    rightmost sign change of the terminal derivative; brentq then solves
+    psi'(beta/2) = 0 inside that cell.  Raises BracketError when the
+    terminal derivative never changes sign, which is the subcritical regime
+    where the series-started shot cannot meet the Neumann condition.
     """
     if not PI < beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside (pi, 2pi]")
-    lo, hi = 1e-6, 0.25
-    m = 18
-    d_lo = d_hi = None
-    for round_idx in range(12):
-        cs = np.linspace(lo, hi, m)
-        d_vals, _ = _shoot_terminal(beta, cs, rtol=rtol, atol=atol)
-        cell = None
-        for i in range(m - 2, -1, -1):
-            if d_vals[i] == 0.0:
-                cell = (i, i)
-                break
-            if d_vals[i] * d_vals[i + 1] < 0.0:
-                cell = (i, i + 1)
-                break
-        if cell is None:
-            if round_idx == 0:
-                raise BracketError(
-                    f"terminal derivative has no sign change in (0, 1/4] at beta={beta}"
-                )
-            break
-        i, j = cell
-        lo, hi = cs[i], cs[j]
-        d_lo, d_hi = d_vals[i], d_vals[j]
-        if hi - lo < 1e-13:
-            break
-    if d_lo is not None and d_hi is not None and d_hi != d_lo:
-        c_root = lo - d_lo * (hi - lo) / (d_hi - d_lo)
-        c_root = min(max(c_root, lo), hi)
-    else:
-        c_root = 0.5 * (lo + hi)
-    d_fin, steps = _shoot_terminal(beta, np.array([c_root]), rtol=rtol, atol=atol)
+    cs = np.linspace(1e-6, 0.25, 18)
+    d_vals, _ = _shoot_terminal(beta, cs, rtol, atol)
+    cells = np.flatnonzero(d_vals[:-1] * d_vals[1:] <= 0.0)
+    if cells.size == 0:
+        raise BracketError(f"terminal derivative has no sign change in (0, 1/4] at beta={beta}")
+    i = cells[-1]
+    c_root = brentq(
+        lambda c: _shoot_terminal(beta, c, rtol, atol)[0][0], cs[i], cs[i + 1], xtol=1e-15
+    )
+    d_fin, steps = _shoot_terminal(beta, c_root, rtol, atol)
     return ShootingResult(
         beta=beta,
         c_estimate=float(c_root),
@@ -263,8 +151,9 @@ def shoot_c(beta: float, rtol: float = 1e-10, atol: float = 1e-12) -> ShootingRe
 def shot_profile(beta: float, c: float, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sampled (psi, psi') of the shot at a fixed trial constant."""
     grid = np.asarray(grid, dtype=float)
-    samples, _ = _shoot_terminal(beta, np.array([c]), t_out=grid)
-    return samples[:, 0, 0], samples[:, 1, 0]
+    first, second = _shoot(beta, np.array([c]), 1e-10, 1e-12, dense_output=True)
+    samples = np.where(grid <= 0.5 * PI, first.sol(grid), second.sol(grid))
+    return samples[0], samples[1]
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +188,15 @@ def solve_h(
     Launch at theta = 1e-4 from the local expansion
     h = 1 - theta^2 / (2 (2 alpha + 1)) + O(theta^4); the forward direction
     contracts perturbations like theta^(2 alpha - 1), so the launch error is
-    damped.  Tolerances below ~1e-13 make the controller collapse the step
-    near the singular end (IntegrationError).
+    damped.  The grid must lie in [1e-4, pi/2].  Tolerances below ~1e-13
+    cannot be met against the 1/sin singularity at the launch and raise
+    IntegrationError.
     """
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (1/2, 1)")
     if rtol < 1e-13 or atol < 1e-16:
-        # below this the controller cannot certify steps against the 1/sin
-        # singularity at the launch; refuse instead of looping
+        # below this the step size collapses near the singular launch;
+        # refuse instead of looping
         raise IntegrationError(
             f"tolerance rtol={rtol}, atol={atol} collapses the step near theta = 0"
         )
@@ -320,36 +210,12 @@ def solve_h(
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return -(alpha * y * y - math.cos(t) * y + 1.0 - alpha) / math.sin(t)
 
-    samples, _ = _rk45(
-        rhs, _LAUNCH_IVP, 0.5 * PI, np.array([h0]), rtol=rtol, atol=atol, t_out=grid
-    )
-    return HProfile(alpha=alpha, grid=grid, h=samples[:, 0], lam=None)
+    sol = _solve(rhs, _LAUNCH_IVP, 0.5 * PI, np.array([h0]), rtol, atol, t_eval=grid)
+    return HProfile(alpha=alpha, grid=grid, h=sol.y[0], lam=None)
 
 
 # ---------------------------------------------------------------------------
 # Critical exponent alpha = 1/2: explicit solution family.
-
-def _adaptive_simpson(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Recursive adaptive Simpson quadrature with Richardson correction."""
-    fa, fb = f(a), f(b)
-    mid = 0.5 * (a + b)
-    fm = f(mid)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, b, fa, fm, fb, whole, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth > 60 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, m, fa, flm, fm, left, 0.5 * tol, depth + 1) + recurse(
-            m, b, fm, frm, fb, right, 0.5 * tol, depth + 1
-        )
-
-    return recurse(a, b, fa, fm, fb, whole, tol, 0)
-
 
 def _f_half(z: float) -> float:
     return hyp2f1(0.5, 0.5, 1.0, z)
@@ -363,6 +229,11 @@ def _kernel(t: float) -> float:
     return 1.0 / (t * (1.0 - t) * _f_half(t) ** 2)
 
 
+def _j_segment(a: float, b: float, tol: float) -> float:
+    """Integral of the J kernel over [a, b] to absolute tolerance tol."""
+    return quad(_kernel, a, b, epsabs=tol, epsrel=0.0)[0]
+
+
 def _h_half_base(theta: float) -> float:
     z = math.sin(0.5 * theta) ** 2
     return math.cos(theta) + math.sin(theta) ** 2 * _f_half_2(z) / (4.0 * _f_half(z))
@@ -374,8 +245,8 @@ def h_family_half(lam: float, grid: Optional[np.ndarray] = None, quad_tol: float
     Members are h0(theta) - 4 lam / (F^2 (1 + lam J(z))) with
     h0 = cos(theta) + sin^2(theta) F2/(4F), F = 2F1(1/2,1/2,1; z),
     F2 = 2F1(3/2,3/2,2; z), z = sin^2(theta/2), and
-    J(z) = int_z^{1/2} dt / (t (1-t) F(t)^2), computed by adaptive Simpson
-    segments accumulated along the grid.  All members satisfy h(0+) = 1;
+    J(z) = int_z^{1/2} dt / (t (1-t) F(t)^2), computed by quad over the
+    grid's segments and accumulated.  All members satisfy h(0+) = 1;
     they decrease pointwise as lam grows, lam = 0 being the maximal one.
     """
     if lam < 0.0:
@@ -388,10 +259,10 @@ def h_family_half(lam: float, grid: Optional[np.ndarray] = None, quad_tol: float
         return HProfile(alpha=0.5, grid=grid, h=base, lam=0.0)
     z = np.sin(0.5 * grid) ** 2
     j_vals = np.empty_like(z)
-    acc = _adaptive_simpson(_kernel, z[-1], 0.5, quad_tol) if z[-1] < 0.5 else 0.0
+    acc = _j_segment(z[-1], 0.5, quad_tol) if z[-1] < 0.5 else 0.0
     j_vals[-1] = acc
     for k in range(len(z) - 2, -1, -1):
-        acc += _adaptive_simpson(_kernel, z[k], z[k + 1], quad_tol)
+        acc += _j_segment(z[k], z[k + 1], quad_tol)
         j_vals[k] = acc
     f_sq = np.array([_f_half(zz) for zz in z]) ** 2
     h = base - 4.0 * lam / (f_sq * (1.0 + lam * j_vals))
@@ -421,7 +292,7 @@ def h_family_half_point(theta: float, lam: float, quad_tol: float = 1e-12) -> tu
     dh0 = -sin_t + 0.5 * sin_t * cos_t * q + 0.25 * sin_t**2 * dq * zdot
     if lam == 0.0:
         return h0, dh0
-    j = _adaptive_simpson(_kernel, z, 0.5, quad_tol) if z < 0.5 else 0.0
+    j = _j_segment(z, 0.5, quad_tol) if z < 0.5 else 0.0
     denom = f1 * f1 * (1.0 + lam * j)
     term = 4.0 * lam / denom
     # d/dtheta [F^2 (1 + lam J)] = 2 F F' zdot (1 + lam J) - 2 lam / sin(theta)

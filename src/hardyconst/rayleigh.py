@@ -76,8 +76,11 @@ class NumericalError(RuntimeError):
 class GridProblem:
     """Assembled discrete Hardy quotient on a lattice of nodes.
 
-    xs and ys are the node positions along the two lattice axes, boundary
-    nodes included: x and y, or t = log r and the angle when polar is set.
+    kind names the discretization: "log-polar" (sector tensor grid),
+    "graded" (Cartesian tensor grid with a graded y axis) or "lattice"
+    (uniform square lattice).  xs and ys are the node positions along the
+    two lattice axes, boundary nodes included: x and y, or t = log r and
+    the angle on a log-polar grid.
     mask marks the unknowns on that lattice and nodes lists their (i, j)
     indices; dist holds each unknown's distance to the weighted boundary
     part (all of the boundary, or the Dirichlet part only for mixed
@@ -91,7 +94,7 @@ class GridProblem:
 
     xs: np.ndarray
     ys: np.ndarray
-    polar: bool
+    kind: str
     h: float
     mask: np.ndarray
     dist: np.ndarray
@@ -108,7 +111,7 @@ class GridProblem:
     def node_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
         """Physical (x, y) of the unknowns."""
         u, v = self.xs[self.nodes[:, 0]], self.ys[self.nodes[:, 1]]
-        if self.polar:
+        if self.kind == "log-polar":
             r = np.exp(u)
             return r * np.cos(v), r * np.sin(v)
         return u, v
@@ -302,7 +305,7 @@ def _assemble(
     return GridProblem(
         xs=xs,
         ys=ys,
-        polar=False,
+        kind="lattice",
         h=h,
         mask=mask,
         dist=dist,
@@ -568,7 +571,7 @@ def _tensor_grid(
     weight: Callable,
     dist: Callable,
     elem_in: Optional[np.ndarray] = None,
-    polar: bool = False,
+    kind: str = "graded",
 ) -> GridProblem:
     """Q1 pencil on the tensor grid xs by ys (xs uniform).
 
@@ -613,7 +616,7 @@ def _tensor_grid(
     mask = np.zeros((len(xs), len(ys)), dtype=bool)
     mask[1:-1, 1:-1] = keep
     nodes = np.column_stack(np.nonzero(mask))
-    if polar:  # innermost ring: radial step or smallest arc step
+    if kind == "log-polar":  # innermost ring: radial step or smallest arc step
         h = math.exp(xs[0]) * min(math.expm1(hx), float(dy.min()))
     else:
         h = min(hx, float(dy.min()))
@@ -621,7 +624,7 @@ def _tensor_grid(
     return GridProblem(
         xs=xs,
         ys=ys,
-        polar=polar,
+        kind=kind,
         h=h,
         mask=mask,
         dist=dist(u, v),
@@ -664,7 +667,7 @@ def _sector_tensor_grid(beta: float, radius: float, n: int) -> GridProblem:
         thetas,
         weight=lambda t, theta: scaled_dist(t, theta) ** -2.0,
         dist=lambda t, theta: np.exp(t) * scaled_dist(t, theta),
-        polar=True,
+        kind="log-polar",
     )
 
 

@@ -10,10 +10,8 @@ and quickly.  No analytic continuation, no complex arguments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
-    "HypParams",
     "NonConvergenceError",
     "gamma",
     "hyp2f1",
@@ -61,29 +59,6 @@ def gamma(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (xa + 0.5) * math.exp(-t) * acc
 
 
-def _validate_hyp(c: float, z: float) -> None:
-    if c <= 0.0 and c == round(c):
-        raise ValueError(f"hypergeometric parameter c={c} is a pole of the series")
-    if not 0.0 <= z <= 0.5:
-        raise ValueError(f"hypergeometric argument z={z} outside [0, 1/2]")
-
-
-@dataclass(frozen=True)
-class HypParams:
-    """Validated parameter tuple (a, b, c; z) for the Gauss series."""
-
-    a: float
-    b: float
-    c: float
-    z: float
-
-    def __post_init__(self) -> None:
-        _validate_hyp(self.c, self.z)
-
-    def value(self) -> float:
-        return hyp2f1(self.a, self.b, self.c, self.z)
-
-
 def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     """Partial sum of sum_n (a)_n (b)_n / ((c)_n n!) z^n.
 
@@ -92,7 +67,10 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     after 10,000 terms, which signals invalid parameters rather than a
     tolerance problem.
     """
-    _validate_hyp(c, z)
+    if c <= 0.0 and c == round(c):
+        raise ValueError(f"hypergeometric parameter c={c} is a pole of the series")
+    if not 0.0 <= z <= 0.5:
+        raise ValueError(f"hypergeometric argument z={z} outside [0, 1/2]")
     total = 1.0
     term = 1.0
     for n in range(MAX_TERMS):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from hardyconst import cli
 from hardyconst.cli import main, parse_angle
 
 PI = math.pi
@@ -68,6 +69,46 @@ def test_worker_fanout_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv("HARDY_WORKERS", "2")
     run(["cbeta", "--sweep", "1.6pi:2pi:4", "-o", str(parallel)])
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("HARDY_WORKERS", "100000")
+    assert cli._workers(1000) == 4
+    assert cli._workers(3) == 3
+    assert cli._workers(1) == 1
+    monkeypatch.setenv("HARDY_WORKERS", "not a number")
+    assert cli._workers(1000) == 1
+    monkeypatch.setenv("HARDY_WORKERS", "-3")
+    assert cli._workers(1000) == 1
+
+    class RecordingPool:
+        # stands in for the process pool so no worker is started
+        sizes = []
+
+        def __init__(self, max_workers):
+            self.sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("HARDY_WORKERS", "100000")
+    assert cli._map_ordered(abs, list(range(-10, 0))) == list(range(10, 0, -1))
+    assert cli._map_ordered(abs, [-2, -1]) == [2, 1]
+    assert RecordingPool.sizes == [4, 2]
+
+
+def test_sweep_count_is_bounded(capsys):
+    assert run(["cbeta", "--sweep", "1.6pi:2pi:100001"]) == 2
+    assert run(["gamma-star", "--sweep", "1.6pi:2pi:1000000000000"]) == 2
+    assert "more than 100000 rows" in capsys.readouterr().err
 
 
 def test_json_round_trip(tmp_path):
@@ -150,6 +191,19 @@ def test_validate_strip_like_polygon(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["estimate"]["lambda"] > 0.25
     assert doc["estimate"]["iterations"] >= 1
+
+
+@pytest.mark.parametrize("x_notch, kind", [(0.5, "graded"), (0.437, "lattice")])
+def test_validate_names_its_grid(tmp_path, capsys, x_notch, kind):
+    # an L-shape is graded; a notch at x = 0.437 fits no uniform x spacing
+    # of n/2..n elements, so it falls back to the lattice
+    vertices = [[0, 0], [1, 0], [1, 0.5], [x_notch, 0.5], [x_notch, 1], [0, 1]]
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps({"type": "polygon", "vertices": vertices}))
+    out = tmp_path / "est.json"
+    assert run(["validate", str(f), "--n", "48", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["grid"] == kind
+    assert f"{kind} grid" in capsys.readouterr().out
 
 
 def test_exit_code_domain_error(capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from hardyconst import beta_for_constant, g_func, solve_c_beta
+from hardyconst import beta_for_constant, g_func, hardycore, odeengine, solve_c_beta
 from hardyconst.odeengine import (
     BracketError,
     IntegrationError,
@@ -38,6 +38,38 @@ def test_shoot_near_critical():
 def test_shoot_cross_oracle_18pi():
     res = shoot_c(1.8 * PI)
     assert abs(res.c_estimate - solve_c_beta(1.8 * PI).c) < 1e-6
+
+
+def test_shoot_matches_closed_form_tightly():
+    factors = np.append(np.linspace(1.546, 2.0, 21), [1.55, 1.6, 1.7, 1.8, 1.9])
+    gaps = [abs(shoot_c(f * PI).c_estimate - solve_c_beta(f * PI).c) for f in factors]
+    assert max(gaps) <= 1e-10
+
+
+_CLOSED_FORM = ("solve_c_beta", "equation_residual", "beta_for_constant", "beta_critical")
+
+
+def test_shoot_is_independent_of_closed_form(monkeypatch):
+    expected = solve_c_beta(1.8 * PI).c
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("shooting called the closed form")
+
+    for name in _CLOSED_FORM:
+        monkeypatch.setattr(hardycore, name, forbidden)
+    assert abs(shoot_c(1.8 * PI).c_estimate - expected) < 1e-10
+    assert not set(vars(odeengine)) & set(_CLOSED_FORM)
+    assert not any(getattr(hardycore, name) in vars(odeengine).values() for name in _CLOSED_FORM)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_failed_integration_raises(monkeypatch):
+    # an infinite potential beyond theta = 1 makes the step size collapse there
+    monkeypatch.setattr(
+        odeengine, "potential_v", lambda theta, beta: math.inf if theta >= 1.0 else 1.0
+    )
+    with pytest.raises(IntegrationError):
+        shoot_c(1.8 * PI)
 
 
 @pytest.mark.parametrize("beta_factor", [1.6, 1.7, 1.9])

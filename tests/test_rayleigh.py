@@ -96,8 +96,8 @@ def test_refinement_decreases_slit_estimate():
 
 
 def test_refinement_trend_even_family():
-    # the slit is lattice-aligned for odd n and mid-cell for even n; within
-    # one parity family the discrete minimum decreases under refinement
+    # on the log-polar grid n sets both the decades of radius (n/16) and the
+    # angular elements; the discrete minimum decreases as n doubles
     vals = [estimate_constant(build_grid(Sector(2.0 * PI), n)).lam for n in (64, 128, 256)]
     assert vals[0] >= vals[1] >= vals[2] - 1e-3
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hardyconst.specfun import HypParams, gamma, hyp2f1, hyp2f1_dz
+from hardyconst.specfun import gamma, hyp2f1, hyp2f1_dz
 
 # Frozen oracle values (mpmath at 40 digits).
 GAMMA_RATIO_3Q_1Q = 0.3379891200336424  # Gamma(3/4) / Gamma(1/4)
@@ -89,15 +89,6 @@ def test_invalid_parameters_rejected():
         hyp2f1(0.5, 0.5, 1.0, 0.6)
     with pytest.raises(ValueError):
         hyp2f1(0.5, 0.5, 1.0, -0.1)
-
-
-def test_params_dataclass_validates_and_evaluates():
-    p = HypParams(0.5, 0.5, 1.0, 0.5)
-    assert p.value() == hyp2f1(0.5, 0.5, 1.0, 0.5)
-    with pytest.raises(ValueError):
-        HypParams(0.5, 0.5, -1.0, 0.3)
-    with pytest.raises(ValueError):
-        HypParams(0.5, 0.5, 1.0, 0.75)
 
 
 @pytest.mark.parametrize("c", [1.0, 1.21, 1.5])
