@@ -152,26 +152,63 @@ def _map_ordered(fn, items):
     return [fn(item) for item in items]
 
 
+def _finite(text: str) -> float:
+    """A JSON number literal as a finite float; literals such as 1e999 overflow."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} is out of range")
+    return value
+
+
+def _non_finite(name: str):
+    raise ValueError(f"non-finite number {name} in domain file")
+
+
+def _number(doc: dict, key: str) -> float:
+    value = doc[key]
+    if type(value) is not float:  # every JSON number was parsed by _finite
+        raise ValueError(f"{key!r} must be a number, not {value!r}")
+    return value
+
+
+def _pairs(doc: dict, key: str) -> list:
+    value = doc[key]
+    if not isinstance(value, list) or not all(
+        isinstance(p, list) and len(p) == 2 and all(type(c) is float for c in p) for p in value
+    ):
+        raise ValueError(f"{key!r} must be a list of [number, number] pairs")
+    return value
+
+
 def parse_domain_file(path: str):
-    """Domain description from a JSON document; angles are in pi-units."""
+    """Domain description from a JSON document; angles are in pi-units.
+
+    Every number must be finite, bounded a boolean, and vertices and
+    r_samples lists of number pairs.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_float=_finite, parse_int=_finite, parse_constant=_non_finite)
+    if not isinstance(doc, dict):
+        raise ValueError("a domain file holds one JSON object")
     kind = doc.get("type")
     if kind == "sector":
-        return Sector(beta=doc["beta"] * PI)
+        return Sector(beta=_number(doc, "beta") * PI)
     if kind == "sector_cap":
+        bounded = doc.get("bounded", True)
+        if not isinstance(bounded, bool):
+            raise ValueError(f"'bounded' must be true or false, not {bounded!r}")
         return SectorCapConvex(
-            beta=doc["beta"] * PI,
-            gamma_plus=doc["gamma_plus"] * PI,
-            gamma_minus=doc["gamma_minus"] * PI,
-            bounded=bool(doc.get("bounded", True)),
+            beta=_number(doc, "beta") * PI,
+            gamma_plus=_number(doc, "gamma_plus") * PI,
+            gamma_minus=_number(doc, "gamma_minus") * PI,
+            bounded=bounded,
         )
     if kind == "polygon":
-        return OneReflexPolygon(doc["vertices"])
+        return OneReflexPolygon(_pairs(doc, "vertices"))
     if kind == "ebg":
-        return Ebg(beta=doc["beta"] * PI, gamma=doc["gamma"] * PI)
+        return Ebg(beta=_number(doc, "beta") * PI, gamma=_number(doc, "gamma") * PI)
     if kind == "dbeta":
-        return Dbeta(doc["beta"] * PI, [(t * PI, r) for t, r in doc["r_samples"]])
+        return Dbeta(_number(doc, "beta") * PI, [(t * PI, r) for t, r in _pairs(doc, "r_samples")])
     raise ValueError(f"unknown domain type {kind!r}")
 
 

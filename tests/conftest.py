@@ -46,3 +46,21 @@ def slitlike_vertices():
     b = (a[0] + 1.2 * math.cos(d_out), a[1] + 1.2 * math.sin(d_out))
     cap = [(3 * math.cos(t), 3 * math.sin(t)) for t in np.deg2rad([60, 120, 180, 240, 300])]
     return [(0.0, 0.0), a, b] + cap + [(b[0], -b[1]), (a[0], -a[1])]
+
+
+@pytest.fixture
+def break_solver(monkeypatch):
+    """Make one scipy solver fail: "eigsh" stops without converging, "cg" reports info 1."""
+    import numpy as np
+    import scipy.sparse.linalg as spla
+
+    def eigsh(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK stopped", np.empty(0), np.empty((0, 0)))
+
+    def cg(matrix, rhs, **kwargs):
+        return np.zeros_like(rhs), 1
+
+    def apply(name):
+        monkeypatch.setattr(spla, name, {"eigsh": eigsh, "cg": cg}[name])
+
+    return apply

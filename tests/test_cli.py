@@ -226,6 +226,47 @@ def test_exit_code_bad_file(tmp_path):
     assert run(["certify", str(f)]) == 2
 
 
+BAD_DOMAIN_FILES = {
+    "ebg-nan-gamma": '{"type": "ebg", "beta": 1.5, "gamma": NaN}',
+    "dbeta-nan-radius": '{"type": "dbeta", "beta": 1.5, "r_samples": [%s]}'
+    % ", ".join(f"[{0.075 * k}, {'NaN' if k == 10 else 1}]" for k in range(21)),
+    "sector_cap-nan-angle":
+        '{"type": "sector_cap", "beta": 1.5, "gamma_plus": NaN, "gamma_minus": 0.5}',
+    "string-bounded": '{"type": "sector_cap", "beta": 1.3, "gamma_plus": 0.65, '
+    '"gamma_minus": 0.65, "bounded": "false"}',
+    "infinity": '{"type": "sector", "beta": Infinity}',
+    "minus-infinity": '{"type": "sector", "beta": -Infinity}',
+    "overflowing-literal": '{"type": "sector", "beta": 1e999}',
+    "string-angle": '{"type": "sector", "beta": "2"}',
+    "top-level-list": '[{"type": "sector", "beta": 2}]',
+    "flat-vertices": '{"type": "polygon", "vertices": [0, 0, 1, 0, 1, 1, 0, 1]}',
+    "vertex-triple": '{"type": "polygon", "vertices": [[0, 0], [1, 0, 2], [1, 1], [0, 1]]}',
+    "flat-r_samples": '{"type": "dbeta", "beta": 1.5, "r_samples": [0, 1, 1.5, 1]}',
+}
+
+
+@pytest.mark.parametrize("case", BAD_DOMAIN_FILES)
+def test_exit_code_malformed_domain_file(tmp_path, capsys, case):
+    # non-finite or overflowing numbers and misshapen lists are input errors,
+    # reported without a traceback, never computed with
+    f = tmp_path / "bad.json"
+    f.write_text(BAD_DOMAIN_FILES[case])
+    for command in ("certify", "validate"):
+        assert run([command, str(f)]) == 2  # an uncaught exception would raise here
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("failure", ["eigsh", "cg"])
+def test_validate_exit_code_solver_failure(tmp_path, capsys, break_solver, failure):
+    # the x = 0.437 notch falls back to the lattice, whose solves run through cg
+    vertices = [[0, 0], [1, 0], [1, 0.5], [0.437, 0.5], [0.437, 1], [0, 1]]
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps({"type": "polygon", "vertices": vertices}))
+    break_solver(failure)
+    assert run(["validate", str(f), "--n", "48"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
 def test_mutually_exclusive_inputs():
     assert run(["cbeta"]) == 2
     assert run(["cbeta", "--beta", "1.5pi", "--sweep", "pi:2pi:3"]) == 2

@@ -6,7 +6,7 @@ import scipy.linalg as la
 
 from hardyconst.certify import Dbeta, Ebg, OneReflexPolygon, Sector, SectorCapConvex
 from hardyconst.hardycore import solve_c_beta
-from hardyconst.rayleigh import build_grid, estimate_constant, strip_proxy
+from hardyconst.rayleigh import NumericalError, build_grid, estimate_constant, strip_proxy
 
 PI = math.pi
 
@@ -70,8 +70,23 @@ def test_degenerate_ebg_not_griddable():
 # ---------------------------------------------------------------------------
 # Eigenvalue machinery.
 
-def test_matches_dense_eigensolver():
-    grid = build_grid(Sector(2.0 * PI), 33)
+DENSE_CASES = {
+    "slit-disk": lambda: build_grid(Sector(2.0 * PI), 33),
+    "L-shape": lambda: build_grid(lshape(), 33),
+    "3x2-with-2x1-notch": lambda: build_grid(
+        OneReflexPolygon([(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (0, 2)]), 33
+    ),
+    "strip": lambda: strip_proxy(33),
+    "ebg-lattice": lambda: build_grid(Ebg(1.5 * PI, 1.5 * PI), 48, radius=8.0),
+    "dbeta-lattice": lambda: build_grid(Dbeta.from_function(1.5 * PI, lambda t: 1.0), 48),
+}
+
+
+@pytest.mark.parametrize("case", DENSE_CASES)
+def test_matches_dense_eigensolver(case):
+    # every solve path: log-polar, graded with and without capacitance
+    # correction, and the lattice's conjugate gradients
+    grid = DENSE_CASES[case]()
     est = estimate_constant(grid)
     dense = la.eigh(
         grid.matrix.toarray(),
@@ -79,7 +94,15 @@ def test_matches_dense_eigensolver():
         eigvals_only=True,
         subset_by_index=[0, 0],
     )[0]
-    assert est.lam == pytest.approx(dense, abs=1e-9)
+    assert est.lam == pytest.approx(dense, abs=1e-10)
+
+
+@pytest.mark.parametrize("failure", ["eigsh", "cg"])
+def test_solver_failure_raises_numerical_error(break_solver, failure):
+    grid = build_grid(Ebg(1.5 * PI, 1.5 * PI), 48, radius=8.0)  # a lattice: solves by cg
+    break_solver(failure)
+    with pytest.raises(NumericalError):
+        estimate_constant(grid)
 
 
 def test_deterministic_repeat():
