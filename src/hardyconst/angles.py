@@ -9,6 +9,12 @@ beta without lowering the Hardy constant as long as
 so the critical angle gamma*(beta) is pi - 2 arctan of that maximum.
 Replacing g by its quartic upper bound gives the slightly smaller
 gamma**(beta), available without any backward integration.
+
+The maximum is found by a dense scan of 400 angles, evaluated as one array
+call of g (array 2F1 series, or one spline evaluation for subcritical
+openings), then refined by golden section on the scalar path.  The array
+path gives the scalar path's floats bit for bit, so the scan picks the
+same cell either way.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .hardycore import beta_critical, g_func, solve_c_beta
+from .hardycore import SEAM_SLACK, _each, beta_critical, g_func, is_subcritical, solve_c_beta
 from .odeengine import g_upper_bound
 
 __all__ = ["CriticalAngles", "gamma_star", "gamma_star_star"]
@@ -48,10 +54,14 @@ def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float = 1e
     return x, f(x)
 
 
-def _maximize(f: Callable[[float], float]):
-    """Dense scan of [0, pi/2] refined by golden section around the best cell."""
+def _maximize(f: Callable):
+    """Dense scan of [0, pi/2] refined by golden section around the best cell.
+
+    f takes a float or an array of angles: the scan is one array call, the
+    refinement scalar calls.
+    """
     grid = np.linspace(0.0, 0.5 * PI, _SCAN_POINTS)
-    vals = [f(t) for t in grid]
+    vals = f(grid)
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, _SCAN_POINTS - 1)]
@@ -62,15 +72,29 @@ def _maximize(f: Callable[[float], float]):
 
 
 def _alpha_for(beta: float) -> float:
-    if beta <= PI + 1e-15 or beta <= beta_critical():
-        return 0.5
-    return solve_c_beta(beta).alpha
+    """Exponent alpha of the opening: 1/2 up to beta_cr, so no seam slack is needed."""
+    return solve_c_beta(max(beta, beta_critical())).alpha
 
 
-def _objective(alpha: float, g_of_theta: Callable[[float], float]) -> Callable[[float], float]:
-    def obj(theta: float) -> float:
+def _objective(alpha: float, g_of_theta: Callable) -> Callable:
+    """theta -> sin(theta) / (cos(theta) + alpha / g(theta)), for a float or an array.
+
+    0 where theta < 1e-12 (the limit: the numerator tends to 0, the
+    denominator to 2) and where g <= 0.  The array path calls g once on the
+    remaining angles and takes sin and cos from math, as the scalar path.
+    """
+
+    def obj(theta):
+        if np.ndim(theta):
+            vals = np.zeros(theta.shape)
+            idx = np.flatnonzero(theta >= 1e-12)
+            g = g_of_theta(theta[idx])
+            pos = g > 0.0
+            t = theta[idx[pos]]
+            vals[idx[pos]] = _each(math.sin, t) / (_each(math.cos, t) + alpha / g[pos])
+            return vals
         if theta < 1e-12:
-            return 0.0  # limit: numerator -> 0 while the denominator -> 2
+            return 0.0
         g = g_of_theta(theta)
         if g <= 0.0:
             return 0.0
@@ -107,7 +131,7 @@ def gamma_star(beta: float) -> CriticalAngles:
     obj = _objective(alpha, lambda t: g_func(t, beta))
     argmax, m = _maximize(obj)
     gs = PI - 2.0 * math.atan(m)
-    gss = gamma_star_star(beta) if beta >= beta_critical() - 1e-12 else None
+    gss = None if is_subcritical(beta) else gamma_star_star(beta)
     return CriticalAngles(beta=beta, gamma_star=gs, gamma_star_star=gss, argmax_theta=argmax)
 
 
@@ -117,10 +141,9 @@ def gamma_star_star(beta: float) -> float:
     Uses the quartic upper bound in place of g, so no integration or
     hypergeometric evaluation is involved; gamma** <= gamma* pointwise.
     """
-    if not beta_critical() - 1e-9 <= beta <= 2.0 * PI + 1e-12:
+    if not beta_critical() - SEAM_SLACK <= beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside [beta_cr, 2pi]")
-    beta = min(beta, 2.0 * PI)
-    alpha = _alpha_for(max(beta, beta_critical()))
-    obj = _objective(alpha, lambda t: g_upper_bound(min(t, 0.5 * PI), alpha))
+    alpha = _alpha_for(min(beta, 2.0 * PI))
+    obj = _objective(alpha, lambda t: g_upper_bound(np.minimum(t, 0.5 * PI), alpha))
     _, m = _maximize(obj)
     return PI - 2.0 * math.atan(m)

@@ -434,7 +434,7 @@ def boundary_form_samples(
     theta = np.asarray(theta_grid, dtype=float)
     if not PI - 1e-12 <= beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside [pi, 2pi]")
-    alpha = 0.5 if beta <= beta_critical() else solve_c_beta(beta).alpha
+    alpha = solve_c_beta(max(beta, beta_critical())).alpha  # 1/2 up to beta_cr
 
     def g_or_limit(t: float) -> float:
         return alpha if t < 1e-9 else g_func(t, beta)

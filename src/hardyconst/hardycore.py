@@ -31,7 +31,9 @@ from .specfun import gamma, hyp2f1, hyp2f1_dz
 __all__ = [
     "HardySolution",
     "EigenProfile",
+    "SEAM_SLACK",
     "beta_critical",
+    "is_subcritical",
     "solve_c_beta",
     "beta_for_constant",
     "equation_residual",
@@ -54,6 +56,14 @@ _SERIES_SWITCH = 1e-3
 # Backward Riccati table (subcritical openings): fixed log-spaced grid.
 _G_TABLE_STEPS = 2000
 _G_THETA_MIN = 1e-8
+
+# Openings this close below beta_critical() count as critical.  Every branch
+# choice at the regime seam compares with beta_cr - SEAM_SLACK: which branch
+# f and g take, and whether psi and gamma** are available.  On the critical
+# side the closed form is evaluated at max(beta, beta_cr).  The constant and
+# the exponent need no slack: c = 1/4 and alpha = 1/2 hold exactly up to
+# beta_cr, so solve_c_beta compares with beta_cr itself.
+SEAM_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -99,6 +109,15 @@ def beta_critical() -> float:
     )
 
 
+def is_subcritical(beta: float) -> bool:
+    """True for openings below the regime seam beta_cr - SEAM_SLACK.
+
+    Those are served by the backward-Riccati table of g; every other
+    opening by the closed form.
+    """
+    return beta < beta_critical() - SEAM_SLACK
+
+
 def equation_residual(beta: float, c: float) -> float:
     """Signed mismatch of the supercritical defining equation at (beta, c)."""
     s = math.sqrt(max(1.0 - 4.0 * c, 0.0))
@@ -111,8 +130,9 @@ def equation_residual(beta: float, c: float) -> float:
 def solve_c_beta(beta: float) -> HardySolution:
     """Hardy constant of the sector of opening beta, pi < beta <= 2pi.
 
-    Subcritical openings return c = 1/4 exactly; otherwise the constant is
-    bracketed in (0, 1/4) and solved to 1e-12.
+    Openings up to beta_cr return c = 1/4 exactly, so this needs no seam
+    slack: both sides of beta_cr - SEAM_SLACK get the same answer.  Beyond
+    beta_cr the constant is bracketed in (0, 1/4) and solved to 1e-12.
     """
     if not PI < beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside (pi, 2pi]")
@@ -176,7 +196,7 @@ def series_coefficients(sol: HardySolution) -> tuple[float, float, float]:
 
 
 def _require_closed_form(sol: HardySolution) -> None:
-    if sol.beta < beta_critical() - 1e-9:
+    if is_subcritical(sol.beta):
         raise ValueError(
             "closed-form eigenfunction needs beta >= the critical opening; "
             "use g_func for subcritical openings"
@@ -224,17 +244,29 @@ def dpsi(theta: float, sol: HardySolution) -> float:
     return psi(theta, sol) * _f_hyper(theta, sol.alpha)
 
 
-def _f_hyper(theta: float, alpha: float) -> float:
-    """psi'/psi on the hypergeometric branch, fully analytic.
+def _each(fn, x):
+    """fn(x) for a float; for an array, fn on every element.
+
+    The array paths take their transcendentals from the same libm calls as
+    the scalar paths (numpy's tan, log and pow differ from math's in the
+    last bit), so both give identical floats.
+    """
+    if np.ndim(x):
+        return np.fromiter(map(fn, x.ravel()), dtype=float, count=x.size).reshape(x.shape)
+    return fn(x)
+
+
+def _f_hyper(theta, alpha: float):
+    """psi'/psi on the hypergeometric branch, fully analytic; theta a float or an array.
 
     d/dtheta log psi = (alpha cot(theta/2) - (1-alpha) tan(theta/2))/2
                        + (sin theta / 2) F'(z)/F(z),  z = sin^2(theta/2).
     """
-    z = math.sin(0.5 * theta) ** 2
+    z = _each(lambda t: math.sin(0.5 * t) ** 2, theta)
     f_val = hyp2f1(0.5, 0.5, alpha + 0.5, z)
     df_val = hyp2f1_dz(0.5, 0.5, alpha + 0.5, z)
-    t2 = math.tan(0.5 * theta)
-    return 0.5 * (alpha / t2 - (1.0 - alpha) * t2) + 0.5 * math.sin(theta) * df_val / f_val
+    t2 = _each(lambda t: math.tan(0.5 * t), theta)
+    return 0.5 * (alpha / t2 - (1.0 - alpha) * t2) + 0.5 * _each(math.sin, theta) * df_val / f_val
 
 
 def f_func(theta: float, sol: HardySolution) -> float:
@@ -253,11 +285,32 @@ def f_func(theta: float, sol: HardySolution) -> float:
         return rc * math.tan(rc * (0.5 * beta - theta))
     if theta > beta - 0.5 * PI:
         return -f_func(beta - theta, sol)
-    if sol.beta < beta_critical() - 1e-9:
+    if is_subcritical(sol.beta):
         return g_func(theta, sol.beta) / math.sin(theta)
     if theta < _SERIES_SWITCH:
         return sol.alpha / theta + 2.0 * series_a2(sol.alpha) * theta
     return _f_hyper(theta, sol.alpha)
+
+
+@lru_cache(maxsize=1)
+def _g_table_steps() -> tuple[np.ndarray, tuple]:
+    """The log-theta grid of the backward table and its RK4 stage data.
+
+    One entry per step, from theta = pi/2 down: the step h in s = log(theta)
+    and (t, cos t, sin t) at the step's start, midpoint and end.  None of it
+    depends on beta, so every table shares it.
+    """
+    s_grid = np.linspace(math.log(_G_THETA_MIN), math.log(0.5 * PI), _G_TABLE_STEPS + 1)
+    s_grid.flags.writeable = False
+    steps = []
+    for i in range(_G_TABLE_STEPS, 0, -1):
+        h = s_grid[i - 1] - s_grid[i]
+        stages = []
+        for s in (s_grid[i], s_grid[i] + 0.5 * h, s_grid[i] + h):
+            t = math.exp(s)
+            stages.append((t, math.cos(t), math.sin(t)))
+        steps.append((float(h), *stages))
+    return s_grid, tuple(steps)
 
 
 @lru_cache(maxsize=256)
@@ -269,25 +322,27 @@ def _g_subcritical_table(beta: float) -> tuple[np.ndarray, np.ndarray]:
     with fixed RK4 steps on s = log(theta), where the equation has bounded
     derivatives.  The forward problem from the singular endpoint is
     non-unique at this critical exponent; the backward problem selects the
-    branch with g(0+) = 1/2.  Returned arrays are cached and must be
-    treated as immutable.
+    branch with g(0+) = 1/2.  beta enters only through the terminal value,
+    so the stage points come precomputed from _g_table_steps.  Returned
+    arrays are cached and shared, and must be treated as immutable.
     """
-    s_grid = np.linspace(math.log(_G_THETA_MIN), math.log(0.5 * PI), _G_TABLE_STEPS + 1)
-    g = np.empty_like(s_grid)
-    g[-1] = 0.5 * math.tan(0.25 * (beta - PI))
-
-    def dgds(s: float, gv: float) -> float:
-        t = math.exp(s)
-        return -(gv * gv - gv * math.cos(t) + 0.25) / math.sin(t) * t
-
-    for i in range(_G_TABLE_STEPS, 0, -1):
-        h = s_grid[i - 1] - s_grid[i]
-        k1 = dgds(s_grid[i], g[i])
-        k2 = dgds(s_grid[i] + 0.5 * h, g[i] + 0.5 * h * k1)
-        k3 = dgds(s_grid[i] + 0.5 * h, g[i] + 0.5 * h * k2)
-        k4 = dgds(s_grid[i] + h, g[i] + h * k3)
-        g[i - 1] = g[i] + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return s_grid, g
+    s_grid, steps = _g_table_steps()
+    gv = 0.5 * math.tan(0.25 * (beta - PI))
+    g = [gv]
+    for h, (t1, c1, s1), (t2, c2, s2), (t4, c4, s4) in steps:
+        # dg/ds = -(g^2 - g cos t + 1/4) / sin t * t at the four RK4 stages
+        k1 = -(gv * gv - gv * c1 + 0.25) / s1 * t1
+        y = gv + 0.5 * h * k1
+        k2 = -(y * y - y * c2 + 0.25) / s2 * t2
+        y = gv + 0.5 * h * k2
+        k3 = -(y * y - y * c2 + 0.25) / s2 * t2
+        y = gv + h * k3
+        k4 = -(y * y - y * c4 + 0.25) / s4 * t4
+        gv = gv + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        g.append(gv)
+    table = np.array(g[::-1])
+    table.flags.writeable = False
+    return s_grid, table
 
 
 @lru_cache(maxsize=256)
@@ -296,19 +351,28 @@ def _g_subcritical_spline(beta: float) -> CubicSpline:
     return CubicSpline(s_grid, g)
 
 
-def g_func(theta: float, beta: float) -> float:
+def g_func(theta, beta: float):
     """Riccati variable g = (psi'/psi) sin(theta) on (0, pi/2], pi <= beta <= 2pi.
 
     Supercritical openings use the closed-form branch; subcritical ones the
     cached backward integration.  g(0+) equals alpha, reached quadratically
     for alpha > 1/2 and only logarithmically at the critical exponent 1/2.
+
+    theta may also be an array, which costs one pass per branch instead of
+    one call per point: the middle-region value at theta = pi/2, the power
+    series below 1e-3, the hypergeometric branch with array 2F1 series, and
+    for subcritical openings one evaluation of the cached spline.  Each
+    element takes the same branch and the same float operations as the
+    scalar call and equals it bit for bit.
     """
     if not PI - 1e-12 <= beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside [pi, 2pi]")
+    if np.ndim(theta):
+        return _g_array(np.asarray(theta, dtype=float), beta)
     if not 0.0 < theta <= 0.5 * PI + 1e-12:
         raise ValueError(f"theta={theta} outside (0, pi/2]")
     theta = min(theta, 0.5 * PI)
-    if beta >= beta_critical() - 1e-12:
+    if not is_subcritical(beta):
         sol = solve_c_beta(min(max(beta, beta_critical()), 2.0 * PI))
         return f_func(theta, sol) * math.sin(theta)
     s_grid, g = _g_subcritical_table(beta)
@@ -316,6 +380,31 @@ def g_func(theta: float, beta: float) -> float:
     if s <= s_grid[0]:
         return float(g[0])
     return float(_g_subcritical_spline(beta)(s))
+
+
+def _g_array(theta: np.ndarray, beta: float) -> np.ndarray:
+    """g_func for an array of theta, branch by branch."""
+    inside = (theta > 0.0) & (theta <= 0.5 * PI + 1e-12)
+    if not inside.all():
+        raise ValueError(f"theta={theta[~inside].flat[0]} outside (0, pi/2]")
+    theta = np.minimum(theta, 0.5 * PI)
+    if is_subcritical(beta):
+        s_grid, g = _g_subcritical_table(beta)
+        s = _each(math.log, theta)
+        out = np.full(theta.shape, g[0])
+        on_table = s > s_grid[0]
+        out[on_table] = _g_subcritical_spline(beta)(s[on_table])
+        return out
+    sol = solve_c_beta(min(max(beta, beta_critical()), 2.0 * PI))
+    f = np.empty(theta.shape)
+    middle = theta == 0.5 * PI
+    series = theta < _SERIES_SWITCH
+    hyper = ~(middle | series)
+    if middle.any():
+        f[middle] = f_func(0.5 * PI, sol)
+    f[series] = sol.alpha / theta[series] + 2.0 * series_a2(sol.alpha) * theta[series]
+    f[hyper] = _f_hyper(theta[hyper], sol.alpha)
+    return f * _each(math.sin, theta)
 
 
 def eigen_profile(sol: HardySolution, n: int = 400) -> EigenProfile:

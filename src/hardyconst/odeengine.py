@@ -60,7 +60,14 @@ class IntegrationError(RuntimeError):
 
 
 def _solve(rhs, t0: float, t1: float, y0: np.ndarray, rtol: float, atol: float, **kwargs):
-    """One DOP853 run of y' = rhs(t, y) from t0 to t1; IntegrationError if it fails."""
+    """One DOP853 run of y' = rhs(t, y) from t0 to t1; IntegrationError if it fails.
+
+    A right-hand side that is not finite at the launch point raises at once:
+    solve_ivp would start from a NaN step size, reject every step and never
+    return.
+    """
+    if not np.all(np.isfinite(rhs(t0, y0))):
+        raise IntegrationError(f"right-hand side not finite at the launch point t={t0}")
     sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol, **kwargs)
     if sol.status < 0:
         raise IntegrationError(f"integration failed on [{t0}, {t1}]: {sol.message}")

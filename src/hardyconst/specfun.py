@@ -5,11 +5,18 @@ Everything downstream needs exactly two primitives: Gamma(x) for x > 0
 Gamma(3/4)/Gamma(1/4)) and the hypergeometric function 2F1(a, b, c; z)
 for z in [0, 1/2], where the defining power series converges absolutely
 and quickly.  No analytic continuation, no complex arguments.
+
+2F1 also takes an array of z, so a dense scan costs one call instead of
+one per point.  The array path runs the same recurrence with the same
+float operations element by element; each entry equals the scalar call
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 __all__ = [
     "NonConvergenceError",
@@ -59,16 +66,22 @@ def gamma(x: float) -> float:
     return math.sqrt(2.0 * math.pi) * t ** (xa + 0.5) * math.exp(-t) * acc
 
 
-def hyp2f1(a: float, b: float, c: float, z: float) -> float:
+def hyp2f1(a: float, b: float, c: float, z):
     """Partial sum of sum_n (a)_n (b)_n / ((c)_n n!) z^n.
 
     Terms are accumulated until one drops below 1e-15 of the running sum;
     for z <= 1/2 this takes a few dozen terms.  Raises NonConvergenceError
     after 10,000 terms, which signals invalid parameters rather than a
     tolerance problem.
+
+    z may also be an array: every element then follows the same recurrence
+    with the same float operations and stops adding terms once it has
+    converged, so each entry equals the scalar call bit for bit.
     """
     if c <= 0.0 and c == round(c):
         raise ValueError(f"hypergeometric parameter c={c} is a pole of the series")
+    if np.ndim(z):
+        return _hyp2f1_array(a, b, c, np.asarray(z, dtype=float))
     if not 0.0 <= z <= 0.5:
         raise ValueError(f"hypergeometric argument z={z} outside [0, 1/2]")
     total = 1.0
@@ -84,10 +97,35 @@ def hyp2f1(a: float, b: float, c: float, z: float) -> float:
     )
 
 
+def _hyp2f1_array(a: float, b: float, c: float, z: np.ndarray) -> np.ndarray:
+    """hyp2f1's series for every element of z; `live` indexes those still adding terms."""
+    inside = (z >= 0.0) & (z <= 0.5)
+    if not inside.all():
+        raise ValueError(f"hypergeometric argument z={z[~inside].flat[0]} outside [0, 1/2]")
+    zs = z.ravel()
+    total = np.ones(zs.size)
+    live = np.arange(zs.size)
+    term, acc = np.ones(zs.size), np.ones(zs.size)
+    for n in range(MAX_TERMS):
+        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0)) * zs)
+        acc = acc + term
+        done = np.abs(term) <= _REL_TOL * np.abs(acc)
+        total[live[done]] = acc[done]
+        keep = ~done
+        live, zs, term, acc = live[keep], zs[keep], term[keep], acc[keep]
+        if not live.size:
+            return total.reshape(z.shape)
+    raise NonConvergenceError(
+        f"2F1 series did not converge in {MAX_TERMS} terms "
+        f"(a={a}, b={b}, c={c}, z={zs[0]})"
+    )
+
+
 def hyp2f1_dz(a: float, b: float, c: float, z: float) -> float:
     """d/dz 2F1(a, b, c; z) via the contiguous identity (ab/c) 2F1(a+1, b+1, c+1; z).
 
     Used instead of finite differences: the logarithmic derivative of the
     sector eigenfunction must stay accurate to ~1e-10 near the branch joint.
+    Like hyp2f1, it takes a scalar or an array z.
     """
     return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)

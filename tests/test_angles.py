@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from hardyconst import g_func, solve_c_beta
+from hardyconst import angles, g_func, solve_c_beta
 from hardyconst.angles import gamma_star, gamma_star_star
+from hardyconst.odeengine import g_upper_bound
 
 PI = math.pi
 
@@ -91,3 +92,18 @@ def test_continuity_across_the_regime_seam(bcr):
     below = gamma_star(bcr - 1e-7).gamma_star
     above = gamma_star(bcr + 1e-7).gamma_star
     assert abs(below - above) < 1e-4
+
+
+@pytest.mark.parametrize("beta_factor", [1.0, 1.3, 1.5457304165079484, 1.8, 2.0])
+def test_scan_matches_scalar_objective(beta_factor):
+    # the dense scan is one array call; it must see the scalar path's floats
+    beta = beta_factor * PI
+    grid = np.linspace(0.0, 0.5 * PI, 400)
+    alpha = angles._alpha_for(beta)
+    objectives = [angles._objective(alpha, lambda t: g_func(t, beta))]
+    if beta_factor > 1.5:
+        objectives.append(
+            angles._objective(alpha, lambda t: g_upper_bound(np.minimum(t, 0.5 * PI), alpha))
+        )
+    for obj in objectives:
+        assert np.array_equal(obj(grid), [obj(float(t)) for t in grid])

@@ -323,3 +323,78 @@ def test_series_residual_order(sol_2pi):
         ) * a2 * theta**alpha
         res = psi_s2 + c / math.sin(theta) ** 2 * psi_s
         assert abs(res) <= theta ** (alpha + 1.0)
+
+
+# ---------------------------------------------------------------------------
+# Array evaluation of g and the backward table.
+
+# theta = pi/2 (and the 1e-12 slack above it), the series/hypergeometric
+# switch at 1e-3, the table start 1e-8 and angles below it, and a dense grid
+G_THETAS = np.concatenate(
+    [
+        [1e-12, 1e-9, 1e-8, 1.0000001e-8, 1e-5, 9.99e-4, 1e-3, 1.001e-3, 0.3],
+        [0.5 * PI - 1e-12, 0.5 * PI, 0.5 * PI + 5e-13],
+        np.linspace(0.0, 0.5 * PI, 400)[1:],
+        np.geomspace(1e-10, 1.5, 200),
+    ]
+)
+
+
+@pytest.mark.parametrize("beta_factor", [1.0, 1.2, 1.5, 1.7, 2.0])
+def test_g_array_matches_scalar_calls(beta_factor):
+    beta = beta_factor * PI
+    arr = g_func(G_THETAS, beta)
+    assert np.array_equal(arr, [g_func(float(t), beta) for t in G_THETAS])
+
+
+def test_g_array_matches_scalar_calls_at_the_seam(bcr):
+    for beta in (bcr - 1e-8, bcr - 0.5 * hardycore.SEAM_SLACK, bcr, bcr + 1e-9):
+        arr = g_func(G_THETAS, beta)
+        assert np.array_equal(arr, [g_func(float(t), beta) for t in G_THETAS])
+
+
+def test_g_array_keeps_shape():
+    theta = np.array([[0.1, 0.2], [0.3, 0.5 * PI]])
+    assert g_func(theta, 1.8 * PI).shape == (2, 2)
+    assert g_func(theta, 1.2 * PI).shape == (2, 2)
+
+
+@pytest.mark.parametrize("theta", [[0.0, 0.3], [-0.1, 0.3], [0.3, 0.5 * PI + 1e-9], [0.3, math.nan]])
+@pytest.mark.parametrize("beta_factor", [1.2, 1.8])
+def test_g_array_out_of_range_rejected(theta, beta_factor):
+    with pytest.raises(ValueError):
+        g_func(np.array(theta), beta_factor * PI)
+
+
+def test_g_array_opening_out_of_range_rejected():
+    with pytest.raises(ValueError):
+        g_func(np.array([0.1, 0.2]), 0.9 * PI)
+
+
+def _straight_rk4_table(beta: float) -> np.ndarray:
+    # the backward table as one plain RK4 loop, every stage recomputed
+    s_grid = np.linspace(math.log(1e-8), math.log(0.5 * PI), 2001)
+    g = np.empty_like(s_grid)
+    g[-1] = 0.5 * math.tan(0.25 * (beta - PI))
+
+    def dgds(s, gv):
+        t = math.exp(s)
+        return -(gv * gv - gv * math.cos(t) + 0.25) / math.sin(t) * t
+
+    for i in range(2000, 0, -1):
+        h = s_grid[i - 1] - s_grid[i]
+        k1 = dgds(s_grid[i], g[i])
+        k2 = dgds(s_grid[i] + 0.5 * h, g[i] + 0.5 * h * k1)
+        k3 = dgds(s_grid[i] + 0.5 * h, g[i] + 0.5 * h * k2)
+        k4 = dgds(s_grid[i] + h, g[i] + h * k3)
+        g[i - 1] = g[i] + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return s_grid, g
+
+
+@pytest.mark.parametrize("beta_factor", [1.0, 1.2, 1.45, 1.5457])
+def test_subcritical_table_matches_straight_rk4(beta_factor):
+    s_grid, g = hardycore._g_subcritical_table(beta_factor * PI)
+    s_ref, g_ref = _straight_rk4_table(beta_factor * PI)
+    assert np.array_equal(s_grid, s_ref)
+    assert np.array_equal(g, g_ref)
+    assert not g.flags.writeable

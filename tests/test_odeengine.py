@@ -1,4 +1,5 @@
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -70,6 +71,25 @@ def test_failed_integration_raises(monkeypatch):
     )
     with pytest.raises(IntegrationError):
         shoot_c(1.8 * PI)
+
+
+def test_nan_at_launch_raises_instead_of_hanging(monkeypatch):
+    # solve_ivp alone never returns here: the first step size comes out NaN
+    # and every trial step is rejected; the alarm fails a regression
+    # instead of letting it hang the suite
+    monkeypatch.setattr(odeengine, "potential_v", lambda theta, beta: math.nan)
+
+    def hung(signum, frame):
+        raise TimeoutError("shoot_c did not return within 20 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(IntegrationError, match="not finite"):
+            shoot_c(1.8 * PI)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("beta_factor", [1.6, 1.7, 1.9])

@@ -111,3 +111,28 @@ def test_contiguous_derivative_identity(c):
 def test_series_converges_and_positive(a, b, c, z):
     val = hyp2f1(a, b, c, z)
     assert val >= 1.0  # positive parameters: every term is non-negative
+
+
+@pytest.mark.parametrize("a,b,c", [(0.5, 0.5, 1.0), (0.5, 0.5, 1.21), (1.5, 1.5, 2.21), (0.3, 1.7, 0.6)])
+def test_array_series_matches_scalar_calls(a, b, c):
+    # same recurrence, same float operations: equal bit for bit, element by element
+    z = np.concatenate([[0.0, 1e-300, 1e-8, 0.5], np.random.default_rng(3).uniform(0.0, 0.5, 200)])
+    assert np.array_equal(hyp2f1(a, b, c, z), [hyp2f1(a, b, c, float(v)) for v in z])
+    assert np.array_equal(hyp2f1_dz(a, b, c, z), [hyp2f1_dz(a, b, c, float(v)) for v in z])
+
+
+def test_array_series_keeps_shape():
+    z = np.array([[0.1, 0.2], [0.3, 0.4]])
+    assert hyp2f1(0.5, 0.5, 1.0, z).shape == (2, 2)
+    assert hyp2f1(0.5, 0.5, 1.0, np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("z", [[0.1, 0.6], [-0.1, 0.2], [0.3, math.nan]])
+def test_array_out_of_range_rejected(z):
+    with pytest.raises(ValueError):
+        hyp2f1(0.5, 0.5, 1.0, np.array(z))
+
+
+def test_array_pole_rejected():
+    with pytest.raises(ValueError):
+        hyp2f1(0.5, 0.5, -2.0, np.array([0.1, 0.2]))
