@@ -1,6 +1,6 @@
 """Hardy constants of non-convex planar sectors and domains built from them.
 
-Layers: specfun (Gamma, 2F1 series), hardycore (closed-form constants and
+Layers: specfun (Gamma, 2F1 on [0, 1/2]), hardycore (closed-form constants and
 the angular eigenfunction), odeengine (independent shooting oracle and the
 comparison families), angles (critical adjacent angles), certify (domain
 checks and boundary-form certificates), rayleigh (grid-based

@@ -11,10 +11,8 @@ Replacing g by its quartic upper bound gives the slightly smaller
 gamma**(beta), available without any backward integration.
 
 The maximum is found by a dense scan of 400 angles, evaluated as one array
-call of g (array 2F1 series, or one spline evaluation for subcritical
-openings), then refined by golden section on the scalar path.  The array
-path gives the scalar path's floats bit for bit, so the scan picks the
-same cell either way.
+call of g, then refined by scipy's bounded Brent minimizer on the cell
+around the best scan point.
 """
 
 from __future__ import annotations
@@ -24,51 +22,35 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
-from .hardycore import SEAM_SLACK, _each, beta_critical, g_func, is_subcritical, solve_c_beta
+from .hardycore import SEAM_SLACK, beta_critical, g_func, is_subcritical, solve_c_beta
 from .odeengine import g_upper_bound
 
 __all__ = ["CriticalAngles", "gamma_star", "gamma_star_star"]
 
 PI = math.pi
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _SCAN_POINTS = 400
 
 
-def _golden_max(f: Callable[[float], float], a: float, b: float, tol: float = 1e-10):
-    """Golden-section maximization on [a, b]; derivative-free on purpose."""
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def _maximize(f: Callable):
-    """Dense scan of [0, pi/2] refined by golden section around the best cell.
+    """Dense scan of [0, pi/2] refined by bounded Brent around the best cell.
 
     f takes a float or an array of angles: the scan is one array call, the
-    refinement scalar calls.
+    refinement scalar calls.  The scan point is kept if it is the larger.
     """
     grid = np.linspace(0.0, 0.5 * PI, _SCAN_POINTS)
     vals = f(grid)
     i = int(np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, _SCAN_POINTS - 1)]
-    x, fx = _golden_max(f, lo, hi)
-    if vals[i] > fx:
-        return grid[i], vals[i]
-    return x, fx
+    res = minimize_scalar(
+        lambda t: -f(t), bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}
+    )
+    if vals[i] > -res.fun:
+        return float(grid[i]), float(vals[i])
+    return float(res.x), float(-res.fun)
 
 
 def _alpha_for(beta: float) -> float:
@@ -80,25 +62,19 @@ def _objective(alpha: float, g_of_theta: Callable) -> Callable:
     """theta -> sin(theta) / (cos(theta) + alpha / g(theta)), for a float or an array.
 
     0 where theta < 1e-12 (the limit: the numerator tends to 0, the
-    denominator to 2) and where g <= 0.  The array path calls g once on the
-    remaining angles and takes sin and cos from math, as the scalar path.
+    denominator to 2) and where g <= 0.  g is called once, on an array of
+    the remaining angles.
     """
 
     def obj(theta):
-        if np.ndim(theta):
-            vals = np.zeros(theta.shape)
-            idx = np.flatnonzero(theta >= 1e-12)
-            g = g_of_theta(theta[idx])
-            pos = g > 0.0
-            t = theta[idx[pos]]
-            vals[idx[pos]] = _each(math.sin, t) / (_each(math.cos, t) + alpha / g[pos])
-            return vals
-        if theta < 1e-12:
-            return 0.0
-        g = g_of_theta(theta)
-        if g <= 0.0:
-            return 0.0
-        return math.sin(theta) / (math.cos(theta) + alpha / g)
+        t = np.ravel(theta).astype(float)
+        vals = np.zeros(t.shape)
+        idx = np.flatnonzero(t >= 1e-12)
+        g = g_of_theta(t[idx])
+        pos = g > 0.0
+        t_pos = t[idx[pos]]
+        vals[idx[pos]] = np.sin(t_pos) / (np.cos(t_pos) + alpha / g[pos])
+        return vals.reshape(np.shape(theta)) if np.ndim(theta) else float(vals[0])
 
     return obj
 

@@ -118,12 +118,19 @@ def is_subcritical(beta: float) -> bool:
     return beta < beta_critical() - SEAM_SLACK
 
 
+def _gamma_ratio_rhs(s: float) -> float:
+    """Right-hand side 2 (Gamma((3+s)/4) / Gamma((1+s)/4))^2 of the defining equation."""
+    return 2.0 * (gamma(0.25 * (3.0 + s)) / gamma(0.25 * (1.0 + s))) ** 2
+
+
+def _residual(beta: float, c: float, s: float) -> float:
+    """The defining equation's mismatch, given both c and s = sqrt(1 - 4c)."""
+    return math.sqrt(c) * math.tan(math.sqrt(c) * 0.5 * (beta - PI)) - _gamma_ratio_rhs(s)
+
+
 def equation_residual(beta: float, c: float) -> float:
     """Signed mismatch of the supercritical defining equation at (beta, c)."""
-    s = math.sqrt(max(1.0 - 4.0 * c, 0.0))
-    lhs = math.sqrt(c) * math.tan(math.sqrt(c) * 0.5 * (beta - PI))
-    rhs = 2.0 * (gamma(0.25 * (3.0 + s)) / gamma(0.25 * (1.0 + s))) ** 2
-    return lhs - rhs
+    return _residual(beta, c, math.sqrt(max(1.0 - 4.0 * c, 0.0)))
 
 
 @lru_cache(maxsize=4096)
@@ -132,22 +139,28 @@ def solve_c_beta(beta: float) -> HardySolution:
 
     Openings up to beta_cr return c = 1/4 exactly, so this needs no seam
     slack: both sides of beta_cr - SEAM_SLACK get the same answer.  Beyond
-    beta_cr the constant is bracketed in (0, 1/4) and solved to 1e-12.
+    beta_cr the equation is solved for s = 2 alpha - 1 = sqrt(1 - 4c) in
+    [0, 1) to full precision.  s grows linearly with beta - beta_cr, and c
+    = (1 - s^2)/4 only quadratically, so just above beta_cr a root in c
+    would round to 1/4 and lose alpha's digits.
     """
     if not PI < beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside (pi, 2pi]")
     if beta <= beta_critical():
         return HardySolution(beta=beta, c=0.25, alpha=0.5, method="closed-form", residual=0.0)
-    # upper bracket must be 1/4 itself: just past the critical opening the
-    # root sits closer to 1/4 than any fixed offset
-    c = brentq(lambda cc: equation_residual(beta, cc), 1e-6, 0.25, xtol=1e-13)
-    alpha = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * c))
+    s = brentq(
+        lambda ss: _residual(beta, 0.25 * (1.0 - ss) * (1.0 + ss), ss),
+        0.0,
+        math.sqrt(1.0 - 4e-6),
+        xtol=1e-16,
+    )
+    c = 0.25 * (1.0 - s) * (1.0 + s)
     return HardySolution(
         beta=beta,
         c=c,
-        alpha=alpha,
+        alpha=0.5 * (1.0 + s),
         method="closed-form",
-        residual=abs(equation_residual(beta, c)),
+        residual=abs(_residual(beta, c, s)),
     )
 
 
@@ -162,8 +175,7 @@ def beta_for_constant(c: float) -> float:
         raise ValueError(f"constant {c} outside (0, 1/4]")
     if c == 0.25:
         return beta_critical()
-    s = math.sqrt(1.0 - 4.0 * c)
-    rhs = 2.0 * (gamma(0.25 * (3.0 + s)) / gamma(0.25 * (1.0 + s))) ** 2
+    rhs = _gamma_ratio_rhs(math.sqrt(1.0 - 4.0 * c))
     return PI + 2.0 / math.sqrt(c) * math.atan(rhs / math.sqrt(c))
 
 
@@ -241,19 +253,7 @@ def dpsi(theta: float, sol: HardySolution) -> float:
         raise ValueError(f"theta={theta} outside (0, beta/2]")
     if theta >= 0.5 * PI:
         return math.sqrt(sol.c) * math.sin(math.sqrt(sol.c) * (half - min(theta, half)))
-    return psi(theta, sol) * _f_hyper(theta, sol.alpha)
-
-
-def _each(fn, x):
-    """fn(x) for a float; for an array, fn on every element.
-
-    The array paths take their transcendentals from the same libm calls as
-    the scalar paths (numpy's tan, log and pow differ from math's in the
-    last bit), so both give identical floats.
-    """
-    if np.ndim(x):
-        return np.fromiter(map(fn, x.ravel()), dtype=float, count=x.size).reshape(x.shape)
-    return fn(x)
+    return psi(theta, sol) * float(_f_hyper(theta, sol.alpha))
 
 
 def _f_hyper(theta, alpha: float):
@@ -262,11 +262,12 @@ def _f_hyper(theta, alpha: float):
     d/dtheta log psi = (alpha cot(theta/2) - (1-alpha) tan(theta/2))/2
                        + (sin theta / 2) F'(z)/F(z),  z = sin^2(theta/2).
     """
-    z = _each(lambda t: math.sin(0.5 * t) ** 2, theta)
+    s2 = np.sin(0.5 * theta)
+    z = s2 * s2
     f_val = hyp2f1(0.5, 0.5, alpha + 0.5, z)
     df_val = hyp2f1_dz(0.5, 0.5, alpha + 0.5, z)
-    t2 = _each(lambda t: math.tan(0.5 * t), theta)
-    return 0.5 * (alpha / t2 - (1.0 - alpha) * t2) + 0.5 * _each(math.sin, theta) * df_val / f_val
+    t2 = np.tan(0.5 * theta)
+    return 0.5 * (alpha / t2 - (1.0 - alpha) * t2) + 0.5 * np.sin(theta) * df_val / f_val
 
 
 def f_func(theta: float, sol: HardySolution) -> float:
@@ -289,7 +290,7 @@ def f_func(theta: float, sol: HardySolution) -> float:
         return g_func(theta, sol.beta) / math.sin(theta)
     if theta < _SERIES_SWITCH:
         return sol.alpha / theta + 2.0 * series_a2(sol.alpha) * theta
-    return _f_hyper(theta, sol.alpha)
+    return float(_f_hyper(theta, sol.alpha))
 
 
 @lru_cache(maxsize=1)
@@ -358,53 +359,37 @@ def g_func(theta, beta: float):
     cached backward integration.  g(0+) equals alpha, reached quadratically
     for alpha > 1/2 and only logarithmically at the critical exponent 1/2.
 
-    theta may also be an array, which costs one pass per branch instead of
-    one call per point: the middle-region value at theta = pi/2, the power
-    series below 1e-3, the hypergeometric branch with array 2F1 series, and
-    for subcritical openings one evaluation of the cached spline.  Each
-    element takes the same branch and the same float operations as the
-    scalar call and equals it bit for bit.
+    theta is a float or an array, and the result is of the same kind.  Each
+    angle takes f_func's branch: the middle-region value at theta = pi/2,
+    the power series below 1e-3 and the hypergeometric branch otherwise;
+    for subcritical openings, the cached spline on log(theta).  An array
+    costs one pass per branch, and each entry equals the call on that
+    angle alone.
     """
     if not PI - 1e-12 <= beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside [pi, 2pi]")
-    if np.ndim(theta):
-        return _g_array(np.asarray(theta, dtype=float), beta)
-    if not 0.0 < theta <= 0.5 * PI + 1e-12:
-        raise ValueError(f"theta={theta} outside (0, pi/2]")
-    theta = min(theta, 0.5 * PI)
-    if not is_subcritical(beta):
-        sol = solve_c_beta(min(max(beta, beta_critical()), 2.0 * PI))
-        return f_func(theta, sol) * math.sin(theta)
-    s_grid, g = _g_subcritical_table(beta)
-    s = math.log(theta)
-    if s <= s_grid[0]:
-        return float(g[0])
-    return float(_g_subcritical_spline(beta)(s))
-
-
-def _g_array(theta: np.ndarray, beta: float) -> np.ndarray:
-    """g_func for an array of theta, branch by branch."""
-    inside = (theta > 0.0) & (theta <= 0.5 * PI + 1e-12)
+    t = np.asarray(theta, dtype=float)
+    inside = (t > 0.0) & (t <= 0.5 * PI + 1e-12)
     if not inside.all():
-        raise ValueError(f"theta={theta[~inside].flat[0]} outside (0, pi/2]")
-    theta = np.minimum(theta, 0.5 * PI)
+        raise ValueError(f"theta={t[~inside].flat[0]} outside (0, pi/2]")
+    t = np.minimum(t, 0.5 * PI)
     if is_subcritical(beta):
-        s_grid, g = _g_subcritical_table(beta)
-        s = _each(math.log, theta)
-        out = np.full(theta.shape, g[0])
+        s_grid, table = _g_subcritical_table(beta)
+        s = np.log(t)
+        g = np.full(t.shape, table[0])
         on_table = s > s_grid[0]
-        out[on_table] = _g_subcritical_spline(beta)(s[on_table])
-        return out
-    sol = solve_c_beta(min(max(beta, beta_critical()), 2.0 * PI))
-    f = np.empty(theta.shape)
-    middle = theta == 0.5 * PI
-    series = theta < _SERIES_SWITCH
-    hyper = ~(middle | series)
-    if middle.any():
+        g[on_table] = _g_subcritical_spline(beta)(s[on_table])
+    else:
+        sol = solve_c_beta(min(max(beta, beta_critical()), 2.0 * PI))
+        f = np.empty(t.shape)
+        middle = t == 0.5 * PI
+        series = t < _SERIES_SWITCH
+        hyper = ~(middle | series)
         f[middle] = f_func(0.5 * PI, sol)
-    f[series] = sol.alpha / theta[series] + 2.0 * series_a2(sol.alpha) * theta[series]
-    f[hyper] = _f_hyper(theta[hyper], sol.alpha)
-    return f * _each(math.sin, theta)
+        f[series] = sol.alpha / t[series] + 2.0 * series_a2(sol.alpha) * t[series]
+        f[hyper] = _f_hyper(t[hyper], sol.alpha)
+        g = f * np.sin(t)
+    return g if np.ndim(theta) else float(g)
 
 
 def eigen_profile(sol: HardySolution, n: int = 400) -> EigenProfile:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hardyconst import angles, g_func, solve_c_beta
 from hardyconst.angles import gamma_star, gamma_star_star
@@ -107,3 +108,28 @@ def test_scan_matches_scalar_objective(beta_factor):
         )
     for obj in objectives:
         assert np.array_equal(obj(grid), [obj(float(t)) for t in grid])
+
+
+def test_argmax_meets_the_first_order_condition(bcr):
+    # with g' = -(g^2 - g cos(theta) + c)/sin(theta), the derivative of
+    # sin(theta)/(cos(theta) + alpha/g) vanishes where
+    # N(theta) = (1 - alpha) + 2 alpha cos(theta)/g - alpha c/g^2 = 0
+    theta_gaps, gamma_gaps = [], []
+    for beta in np.linspace(PI, 2.0 * PI, 61):
+        beta = float(beta)
+        crit = gamma_star(beta)
+        sol = solve_c_beta(max(beta, bcr))
+        alpha, c = sol.alpha, sol.c
+
+        def n_of(theta):
+            g = g_func(theta, beta)
+            return (1.0 - alpha) + 2.0 * alpha * math.cos(theta) / g - alpha * c / g**2
+
+        t0 = crit.argmax_theta
+        root = brentq(n_of, t0 - 0.01, min(t0 + 0.01, 0.5 * PI), xtol=1e-15)
+        g = g_func(root, beta)
+        gamma_root = PI - 2.0 * math.atan(math.sin(root) / (math.cos(root) + alpha / g))
+        theta_gaps.append(abs(root - t0))
+        gamma_gaps.append(abs(gamma_root - crit.gamma_star))
+    assert max(theta_gaps) <= 4e-8
+    assert max(gamma_gaps) <= 1e-15
