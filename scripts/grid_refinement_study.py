@@ -7,7 +7,9 @@ log-polar coordinates, and each n resolves n/16 decades of radius (the
 angle is graded toward both edges as well), so the table lists decades
 beside n.  The excess over the constant falls algebraically in n; the
 `order` column is the observed exponent p in excess ~ n^-p between
-consecutive rows, and `solves` the linear solves of the eigen-solve.  A
+consecutive rows, `bound` the relative residual bound eta of the
+eigen-solve (some eigenvalue of the discrete problem lies in
+[lambda/(1 + eta), lambda/(1 - eta)]), and `solves` its linear solves.  A
 uniform lattice, which resolves only about log10(n) decades, approaches
 the constant only like 1/log^2(1/h).
 
@@ -36,7 +38,7 @@ def main() -> int:
     print(f"opening {args.beta} pi, exact constant {exact:.6f}")
     print(
         f"{'n':>6s} {'decades r':>9s} {'decades th':>10s} {'nodes':>8s} "
-        f"{'lambda':>10s} {'excess':>10s} {'order':>6s} {'solves':>6s} {'seconds':>8s}"
+        f"{'lambda':>10s} {'excess':>10s} {'order':>6s} {'bound':>8s} {'solves':>6s} {'seconds':>8s}"
     )
     previous = None
     for n in args.sizes:
@@ -53,7 +55,8 @@ def main() -> int:
             order = f"{math.log(previous[1] / excess) / math.log(n / previous[0]):6.2f}"
         print(
             f"{n:6d} {radial:9.1f} {angular:10.1f} {grid.interior_count:8d} "
-            f"{est.lam:10.5f} {excess:10.5f} {order:>6s} {est.iterations:6d} {dt:8.1f}"
+            f"{est.lam:10.5f} {excess:10.5f} {order:>6s} {est.residual_bound:8.1e} "
+            f"{est.iterations:6d} {dt:8.1f}"
         )
         previous = (n, excess)
     return 0

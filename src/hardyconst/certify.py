@@ -436,39 +436,36 @@ def boundary_form_samples(
         raise ValueError(f"opening angle {beta} outside [pi, 2pi]")
     alpha = solve_c_beta(max(beta, beta_critical())).alpha  # 1/2 up to beta_cr
 
-    def g_or_limit(t: float) -> float:
-        return alpha if t < 1e-9 else g_func(t, beta)
+    def g_or_limit(t: np.ndarray) -> np.ndarray:
+        g = np.full(t.shape, alpha)
+        far = t >= 1e-9
+        g[far] = g_func(t[far], beta)
+        return g
 
     if kind == "line_segment":
         if not -0.5 * PI < gamma <= PI + 1e-12:
             raise ValueError(f"gamma={gamma} outside (-pi/2, pi] for the segment form")
         _check_range(kind, theta, 0.0, 0.5 * PI)
-        vals = [
-            g_or_limit(t) * math.cos(t + 0.5 * gamma) + alpha * math.cos(0.5 * gamma)
-            for t in theta
-        ]
+        vals = g_or_limit(theta) * np.cos(theta + 0.5 * gamma) + alpha * math.cos(0.5 * gamma)
     elif kind == "parabola":
         if beta <= PI:
             raise ValueError("parabola form needs a reflex opening beta > pi")
         hi = min(beta - 0.5 * PI, 1.5 * PI - gamma)
         _check_range(kind, theta, 0.5 * PI, hi)
         sol = solve_c_beta(beta)
-        vals = [
-            f_func(min(t, beta - 0.5 * PI), sol) * math.cos(t + gamma)
-            + alpha * (1.0 + math.sin(t + gamma))
-            for t in theta
-        ]
+        vals = (
+            f_func(np.minimum(theta, beta - 0.5 * PI), sol) * np.cos(theta + gamma)
+            + alpha * (1.0 + np.sin(theta + gamma))
+        )
     elif kind == "two_sided":
         if not 0.5 * PI - 1e-12 <= gamma <= PI + 1e-12:
             raise ValueError(f"gamma={gamma} outside [pi/2, pi] for the two-sided form")
         _check_range(kind, theta, 0.0, 0.5 * PI)
-        vals = []
-        for t in theta:
-            t1 = theta1_two_sided(t, gamma)
-            vals.append(
-                g_or_limit(t) * math.cos(t + 0.5 * gamma)
-                + g_or_limit(t1) * math.cos(t1 - 0.5 * gamma)
-            )
+        t1 = np.array([theta1_two_sided(t, gamma) for t in theta])
+        vals = (
+            g_or_limit(theta) * np.cos(theta + 0.5 * gamma)
+            + g_or_limit(t1) * np.cos(t1 - 0.5 * gamma)
+        )
     else:  # gamma3
         if beta <= PI:
             raise ValueError("halfline form needs a reflex opening beta > pi")
@@ -479,11 +476,9 @@ def boundary_form_samples(
         hi = 0.5 * (beta + PI - gamma) - 1e-9
         _check_range(kind, theta, beta - 0.5 * PI, hi)
         sol = solve_c_beta(beta)
-        vals = []
-        for t in theta:
-            t1 = theta1_gamma3(t, beta, gamma)
-            vals.append(
-                f_func(t, sol) * math.sin(0.5 * (beta - gamma) - t)
-                + f_func(t1, sol) * math.sin(0.5 * (beta + gamma) - t1)
-            )
-    return list(zip((float(t) for t in theta), (float(v) for v in vals)))
+        t1 = np.array([theta1_gamma3(t, beta, gamma) for t in theta])
+        vals = (
+            f_func(theta, sol) * np.sin(0.5 * (beta - gamma) - theta)
+            + f_func(t1, sol) * np.sin(0.5 * (beta + gamma) - t1)
+        )
+    return list(zip(theta.tolist(), vals.tolist()))

@@ -308,8 +308,8 @@ def _cmd_validate(args) -> int:
         "estimate": est.to_dict(),
     }
     print(
-        f"lambda_min = {est.lam:.6g}  (n={args.n}, {grid.kind} grid, h={est.h:.4g}, "
-        f"{est.iterations} iterations, {grid.interior_count} nodes)"
+        f"lambda_min = {est.lam:.6g}  (residual bound {est.residual_bound:.2g}, n={args.n}, "
+        f"{grid.kind} grid, h={est.h:.4g}, {est.iterations} solves, {grid.interior_count} nodes)"
     )
     _emit(doc, None, args.output, "json" if args.format == "csv" else args.format)
     return 0

@@ -135,17 +135,17 @@ def equation_residual(beta: float, c: float) -> float:
 
 @lru_cache(maxsize=4096)
 def solve_c_beta(beta: float) -> HardySolution:
-    """Hardy constant of the sector of opening beta, pi < beta <= 2pi.
+    """Hardy constant of the sector of opening beta, pi <= beta <= 2pi.
 
-    Openings up to beta_cr return c = 1/4 exactly, so this needs no seam
-    slack: both sides of beta_cr - SEAM_SLACK get the same answer.  Beyond
-    beta_cr the equation is solved for s = 2 alpha - 1 = sqrt(1 - 4c) in
-    [0, 1) to full precision.  s grows linearly with beta - beta_cr, and c
+    Openings up to beta_cr return c = 1/4 exactly, the half-plane beta = pi
+    included, so this needs no seam slack: both sides of beta_cr -
+    SEAM_SLACK get the same answer.  Beyond beta_cr the equation is solved
+    for s = 2 alpha - 1 = sqrt(1 - 4c) in [0, 1) to full precision.  s grows linearly with beta - beta_cr, and c
     = (1 - s^2)/4 only quadratically, so just above beta_cr a root in c
     would round to 1/4 and lose alpha's digits.
     """
-    if not PI < beta <= 2.0 * PI + 1e-12:
-        raise ValueError(f"opening angle {beta} outside (pi, 2pi]")
+    if not PI - 1e-12 <= beta <= 2.0 * PI + 1e-12:
+        raise ValueError(f"opening angle {beta} outside [pi, 2pi]")
     if beta <= beta_critical():
         return HardySolution(beta=beta, c=0.25, alpha=0.5, method="closed-form", residual=0.0)
     s = brentq(
@@ -270,27 +270,38 @@ def _f_hyper(theta, alpha: float):
     return 0.5 * (alpha / t2 - (1.0 - alpha) * t2) + 0.5 * np.sin(theta) * df_val / f_val
 
 
-def f_func(theta: float, sol: HardySolution) -> float:
+def f_func(theta, sol: HardySolution):
     """Logarithmic derivative psi'/psi on (0, beta).
 
     Middle region [pi/2, beta - pi/2]: sqrt(c) tan(sqrt(c)(beta/2 - theta)).
     Left region: hypergeometric branch for supercritical openings (power
     series start below theta = 1e-3), backward-Riccati values otherwise.
     Right region by the mirror antisymmetry f(beta - theta) = -f(theta).
+
+    theta is a float or an array, and the result is of the same kind; each
+    entry equals the call on that angle alone.
     """
     beta = sol.beta
-    if not 0.0 < theta < beta:
-        raise ValueError(f"theta={theta} outside (0, beta)")
-    if 0.5 * PI <= theta <= beta - 0.5 * PI:
-        rc = math.sqrt(sol.c)
-        return rc * math.tan(rc * (0.5 * beta - theta))
-    if theta > beta - 0.5 * PI:
-        return -f_func(beta - theta, sol)
-    if is_subcritical(sol.beta):
-        return g_func(theta, sol.beta) / math.sin(theta)
-    if theta < _SERIES_SWITCH:
-        return sol.alpha / theta + 2.0 * series_a2(sol.alpha) * theta
-    return float(_f_hyper(theta, sol.alpha))
+    t = np.asarray(theta, dtype=float)
+    inside = (t > 0.0) & (t < beta)
+    if not inside.all():
+        raise ValueError(f"theta={t[~inside].flat[0]} outside (0, beta)")
+    mirrored = t > beta - 0.5 * PI
+    t = np.where(mirrored, beta - t, t)
+    middle = (t >= 0.5 * PI) & (t <= beta - 0.5 * PI)
+    left = ~middle
+    f = np.empty(t.shape)
+    rc = math.sqrt(sol.c)
+    f[middle] = rc * np.tan(rc * (0.5 * beta - t[middle]))
+    if left.any() and is_subcritical(beta):
+        f[left] = g_func(t[left], beta) / np.sin(t[left])
+    elif left.any():
+        series = left & (t < _SERIES_SWITCH)
+        hyper = left & ~series
+        f[series] = sol.alpha / t[series] + 2.0 * series_a2(sol.alpha) * t[series]
+        f[hyper] = _f_hyper(t[hyper], sol.alpha)
+    f = np.where(mirrored, -f, f)
+    return f if np.ndim(theta) else float(f)
 
 
 @lru_cache(maxsize=1)
@@ -385,7 +396,8 @@ def g_func(theta, beta: float):
         middle = t == 0.5 * PI
         series = t < _SERIES_SWITCH
         hyper = ~(middle | series)
-        f[middle] = f_func(0.5 * PI, sol)
+        if middle.any():
+            f[middle] = f_func(0.5 * PI, sol)
         f[series] = sol.alpha / t[series] + 2.0 * series_a2(sol.alpha) * t[series]
         f[hyper] = _f_hyper(t[hyper], sol.alpha)
         g = f * np.sin(t)

@@ -79,12 +79,18 @@ def _solve(rhs, t0: float, t1: float, y0: np.ndarray, rtol: float, atol: float, 
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """Outcome of the eigenvalue shooting solve for one opening angle."""
+    """Outcome of the eigenvalue shooting solve for one opening angle.
+
+    steps counts the accepted steps of the terminal run at c_estimate; nfev
+    the right-hand-side evaluations of every solve_ivp run the solve made
+    (the scan, the brentq iterations and the terminal run).
+    """
 
     beta: float
     c_estimate: float
     terminal_derivative: float
     steps: int
+    nfev: int
 
 
 def _shoot(beta: float, cs: np.ndarray, rtol: float, atol: float, dense_output: bool = False):
@@ -119,11 +125,15 @@ def _shoot(beta: float, cs: np.ndarray, rtol: float, atol: float, dense_output: 
     return pieces
 
 
-def _shoot_terminal(beta: float, cs, rtol: float, atol: float) -> tuple[np.ndarray, int]:
-    """psi'(beta/2) per trial constant, and the accepted steps of the run."""
+def _shoot_terminal(beta: float, cs, rtol: float, atol: float) -> tuple[np.ndarray, int, int]:
+    """psi'(beta/2) per trial constant, the accepted steps and the rhs evaluations of the run."""
     cs = np.atleast_1d(np.asarray(cs, dtype=float))
     pieces = _shoot(beta, cs, rtol, atol)
-    return pieces[-1].y[len(cs):, -1], sum(p.t.size - 1 for p in pieces)
+    return (
+        pieces[-1].y[len(cs):, -1],
+        sum(p.t.size - 1 for p in pieces),
+        sum(p.nfev for p in pieces),
+    )
 
 
 def shoot_c(beta: float, rtol: float = 1e-10, atol: float = 1e-12) -> ShootingResult:
@@ -137,21 +147,28 @@ def shoot_c(beta: float, rtol: float = 1e-10, atol: float = 1e-12) -> ShootingRe
     """
     if not PI < beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside (pi, 2pi]")
+    nfev = 0
+
+    def terminal(c):
+        nonlocal nfev
+        d_vals, steps, evals = _shoot_terminal(beta, c, rtol, atol)
+        nfev += evals
+        return d_vals, steps
+
     cs = np.linspace(1e-6, 0.25, 18)
-    d_vals, _ = _shoot_terminal(beta, cs, rtol, atol)
+    d_vals, _ = terminal(cs)
     cells = np.flatnonzero(d_vals[:-1] * d_vals[1:] <= 0.0)
     if cells.size == 0:
         raise BracketError(f"terminal derivative has no sign change in (0, 1/4] at beta={beta}")
     i = cells[-1]
-    c_root = brentq(
-        lambda c: _shoot_terminal(beta, c, rtol, atol)[0][0], cs[i], cs[i + 1], xtol=1e-15
-    )
-    d_fin, steps = _shoot_terminal(beta, c_root, rtol, atol)
+    c_root = brentq(lambda c: terminal(c)[0][0], cs[i], cs[i + 1], xtol=1e-15)
+    d_fin, steps = terminal(c_root)
     return ShootingResult(
         beta=beta,
         c_estimate=float(c_root),
         terminal_derivative=float(d_fin[0]),
         steps=steps,
+        nfev=nfev,
     )
 
 

@@ -123,14 +123,27 @@ class GridProblem:
 
 @dataclass(frozen=True)
 class RayleighEstimate:
-    """Smallest generalized eigenvalue of (A, M) and the work it took."""
+    """Smallest generalized eigenvalue of (A, M), how well it is known and the work it took.
+
+    lam is the Rayleigh quotient of the returned vector.  residual_bound is
+    the relative Krylov-Weinstein bound eta: some eigenvalue of the pencil
+    lies in [lam/(1 + eta), lam/(1 - eta)].  iterations counts the linear
+    solves, the one that measures eta included; h is the grid's smallest
+    mesh width.
+    """
 
     lam: float
+    residual_bound: float
     iterations: int
     h: float
 
     def to_dict(self) -> dict:
-        return {"lambda": self.lam, "iterations": self.iterations, "h": self.h}
+        return {
+            "lambda": self.lam,
+            "residual_bound": self.residual_bound,
+            "iterations": self.iterations,
+            "h": self.h,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -920,6 +933,14 @@ def strip_proxy(n: int, length: float = 3.0) -> GridProblem:
 
 _NCV = 8  # Lanczos vectors, most of the solve's added peak memory (slit n=256: 7 MB; 20: 12 MB)
 
+# Ritz residual tolerance of the Lanczos solve.  The grid's discretization
+# excess over the constant is at least 1e-3, and the Rayleigh quotient's
+# error is about the square of the vector's, so 1e-6 leaves lam good to
+# about 1e-9 or better.  A tighter tolerance only converges the vector
+# inside clusters of nearly equal eigenvalues (the L-shape's lowest lie
+# within 0.4% of each other), which lam does not need.
+_LANCZOS_TOL = 1e-6
+
 
 def _cg(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     """Lattice solve by conjugate gradients to relative residual 1e-8."""
@@ -929,13 +950,22 @@ def _cg(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
-def estimate_constant(grid: GridProblem, tol: float = 1e-9, return_vector: bool = False):
+def estimate_constant(grid: GridProblem, return_vector: bool = False):
     """Smallest eigenvalue of the pencil (A, M) by shift-invert Lanczos (eigsh at shift 0).
 
-    Runs on the grid's own solve of A from grid.start to relative accuracy
-    tol; iterations counts the solves.  lam is the Rayleigh quotient of the
-    returned vector, an upper bound of the discrete minimum even where a
-    solve is inexact.  Deterministic for a fixed grid.
+    Runs on the grid's own solve of A from grid.start, to a relative Ritz
+    residual of _LANCZOS_TOL.  lam is the Rayleigh quotient of the returned
+    vector x, an upper bound of the discrete minimum even where a solve is
+    inexact.  One more solve measures the residual r = Ax - lam Mx in the
+    A^-1 norm, which gives the relative Krylov-Weinstein bound
+    residual_bound = |r|_{A^-1} / |x|_A: some eigenvalue of the pencil lies
+    in [lam/(1 + eta), lam/(1 - eta)] (Parlett, The Symmetric Eigenvalue
+    Problem, ch. 10-11).  The bound is only as exact as grid.solve, which
+    is conjugate gradients to relative residual 1e-8 on lattices and an
+    ill-conditioned capacitance solve on polygons that do not fill their
+    bounding box; on the L-shape at n = 256 that solve, not Lanczos, sets
+    the bound near 1.6e-5.  iterations counts every solve, this one
+    included.  Deterministic for a fixed grid.
     """
     a, m = grid.matrix, grid.mass
     solves = 0
@@ -947,10 +977,16 @@ def estimate_constant(grid: GridProblem, tol: float = 1e-9, return_vector: bool 
 
     op = spla.LinearOperator(a.shape, matvec=inverse, dtype=float)
     try:
-        _, vectors = spla.eigsh(a, k=1, M=m, sigma=0.0, OPinv=op, v0=grid.start, ncv=_NCV, tol=tol)
+        _, vectors = spla.eigsh(
+            a, k=1, M=m, sigma=0.0, OPinv=op, v0=grid.start, ncv=_NCV, tol=_LANCZOS_TOL
+        )
     except spla.ArpackNoConvergence as exc:
         raise NumericalError(f"shift-invert Lanczos did not converge: {exc}") from exc
     x = vectors[:, 0]
-    lam = float(x @ (a @ x)) / float(x @ (m @ x))
-    est = RayleighEstimate(lam=lam, iterations=solves, h=grid.h)
+    ax, mx = a @ x, m @ x
+    energy = float(x @ ax)
+    lam = energy / float(x @ mx)
+    r = ax - lam * mx
+    eta = math.sqrt(abs(float(r @ inverse(r))) / energy)
+    est = RayleighEstimate(lam=lam, residual_bound=eta, iterations=solves, h=grid.h)
     return (est, x) if return_vector else est

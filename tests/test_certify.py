@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hardyconst import solve_c_beta
+from hardyconst import beta_critical, f_func, g_func, solve_c_beta
 from hardyconst.certify import (
     CERTIFIED,
     CONDITION_FAILED,
@@ -311,6 +311,51 @@ def test_segment_form_fails_beyond_critical_angle():
     grid = np.linspace(0.0, 0.5 * PI, 400)
     vals = [v for _, v in boundary_form_samples("line_segment", 2.0 * PI, 0.75 * PI, grid)]
     assert min(vals) < 0.0
+
+
+def _form_at(kind, beta, gamma, t):
+    """One form value from scalar g_func / f_func calls, the way a single angle is evaluated."""
+    alpha = solve_c_beta(max(beta, beta_critical())).alpha
+
+    def g(u):
+        return alpha if u < 1e-9 else g_func(u, beta)
+
+    if kind == "line_segment":
+        return g(t) * np.cos(t + 0.5 * gamma) + alpha * math.cos(0.5 * gamma)
+    sol = solve_c_beta(beta)
+    if kind == "parabola":
+        f = f_func(min(t, beta - 0.5 * PI), sol)
+        return f * np.cos(t + gamma) + alpha * (1.0 + np.sin(t + gamma))
+    if kind == "two_sided":
+        t1 = theta1_two_sided(t, gamma)
+        return g(t) * np.cos(t + 0.5 * gamma) + g(t1) * np.cos(t1 - 0.5 * gamma)
+    t1 = theta1_gamma3(t, beta, gamma)
+    return (
+        f_func(t, sol) * np.sin(0.5 * (beta - gamma) - t)
+        + f_func(t1, sol) * np.sin(0.5 * (beta + gamma) - t1)
+    )
+
+
+FORM_CASES = [
+    ("line_segment", 1.2 * PI, 0.3 * PI, 0.0, 0.5 * PI),
+    ("line_segment", 1.8 * PI, 0.5 * PI, 0.0, 0.5 * PI),
+    ("parabola", 1.3 * PI, 0.4 * PI, 0.5 * PI, 0.8 * PI),
+    ("parabola", 1.9 * PI, 0.2 * PI, 0.5 * PI, 1.3 * PI),
+    ("two_sided", 1.2 * PI, 0.9 * PI, 0.0, 0.5 * PI),
+    ("two_sided", 1.8 * PI, 0.75 * PI, 0.0, 0.5 * PI),
+    ("gamma3", 1.3 * PI, 0.65 * PI, 0.8 * PI, 0.825 * PI - 1e-6),
+    ("gamma3", 1.45 * PI, 0.52 * PI, 0.95 * PI, 0.965 * PI - 1e-6),
+]
+
+
+@pytest.mark.parametrize("kind, beta, gamma, lo, hi", FORM_CASES)
+def test_form_array_equals_per_angle_evaluation(kind, beta, gamma, lo, hi):
+    # one g_func / f_func call per form returns, bit for bit, the per-angle
+    # values; the angles just above lo reach g's limit value and its series
+    grid = np.concatenate([np.linspace(lo, hi, 301), lo + np.geomspace(1e-12, 1e-2, 41)])
+    samples = boundary_form_samples(kind, beta, gamma, grid)
+    assert [t for t, _ in samples] == grid.tolist()
+    assert [v for _, v in samples] == [_form_at(kind, beta, gamma, float(t)) for t in grid]
 
 
 def test_form_range_and_kind_errors():

@@ -127,6 +127,17 @@ def test_csv_output(tmp_path):
     assert len(lines) == 4
 
 
+def test_cbeta_full_range_csv_sweep(tmp_path):
+    # the documented sweep starts at the half-plane, beta = pi
+    out = tmp_path / "c.csv"
+    assert run(["cbeta", "--sweep", "pi:2pi:101", "-o", str(out), "--format", "csv"]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert len(lines) == 102
+    first = dict(zip(lines[0].split(","), lines[1].split(",")))
+    assert float(first["beta_pi"]) == 1.0
+    assert float(first["c"]) == 0.25
+
+
 def test_betacr_report(tmp_path):
     out = tmp_path / "bcr.json"
     assert run(["betacr", "-o", str(out)]) == 0
@@ -191,6 +202,7 @@ def test_validate_strip_like_polygon(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["estimate"]["lambda"] > 0.25
     assert doc["estimate"]["iterations"] >= 1
+    assert 0.0 <= doc["estimate"]["residual_bound"] < 1e-3
 
 
 @pytest.mark.parametrize("x_notch, kind", [(0.5, "graded"), (0.437, "lattice")])

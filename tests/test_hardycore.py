@@ -63,9 +63,14 @@ def test_constant_18pi():
     assert solve_c_beta(1.8 * PI).c == pytest.approx(C_18PI, abs=1e-11)
 
 
+def test_constant_half_plane():
+    sol = solve_c_beta(PI)
+    assert (sol.c, sol.alpha, sol.residual) == (0.25, 0.5, 0.0)
+
+
 def test_constant_domain_errors():
     with pytest.raises(ValueError):
-        solve_c_beta(PI)
+        solve_c_beta(PI - 1e-11)
     with pytest.raises(ValueError):
         solve_c_beta(2.1 * PI)
 

@@ -96,6 +96,7 @@ def test_nan_at_launch_raises_instead_of_hanging(monkeypatch):
 def test_shoot_terminal_condition_met(beta_factor):
     res = shoot_c(beta_factor * PI)
     assert abs(res.terminal_derivative) < 1e-9
+    assert res.nfev > 0 and res.nfev >= res.steps
 
 
 def test_shoot_subcritical_has_no_bracket():

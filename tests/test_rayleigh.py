@@ -97,6 +97,28 @@ def test_matches_dense_eigensolver(case):
     assert est.lam == pytest.approx(dense, abs=1e-10)
 
 
+@pytest.mark.parametrize("case", DENSE_CASES)
+def test_residual_bound_contains_dense_eigenvalue(case):
+    # Krylov-Weinstein: some eigenvalue lies in [lam/(1+eta), lam/(1-eta)],
+    # eta = |r|_{A^-1} / |x|_A with r = Ax - lam Mx
+    grid = DENSE_CASES[case]()
+    est, x = estimate_constant(grid, return_vector=True)
+    eta = est.residual_bound
+    assert math.isfinite(eta) and eta >= 0.0
+    a, m = grid.matrix.toarray(), grid.mass.toarray()
+    dense = la.eigh(a, m, eigvals_only=True, subset_by_index=[0, 0])[0]
+    assert est.lam / (1.0 + eta) <= dense <= est.lam / (1.0 - eta)
+    # the grid's solve against a dense one: at most 8.6e-7 apart (strip)
+    r = a @ x - est.lam * (m @ x)
+    exact = math.sqrt(r @ la.solve(a, r, assume_a="pos") / (x @ a @ x))
+    assert eta == pytest.approx(exact, rel=1e-5)
+
+
+def test_lshape_solve_count():
+    # the Lanczos solves at tolerance 1e-6 plus the one that measures the bound
+    assert estimate_constant(build_grid(lshape(), 129)).iterations == 58
+
+
 @pytest.mark.parametrize("failure", ["eigsh", "cg"])
 def test_solver_failure_raises_numerical_error(break_solver, failure):
     grid = build_grid(Ebg(1.5 * PI, 1.5 * PI), 48, radius=8.0)  # a lattice: solves by cg
