@@ -25,7 +25,7 @@ def main() -> int:
     args = ap.parse_args()
 
     bcr = beta_critical()
-    betas = np.linspace(PI + 1e-9, 2.0 * PI, args.count)
+    betas = np.linspace(PI, 2.0 * PI, args.count)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(

@@ -8,7 +8,7 @@ beta without lowering the Hardy constant as long as
 
 so the critical angle gamma*(beta) is pi - 2 arctan of that maximum.
 Replacing g by its quartic upper bound gives the slightly smaller
-gamma**(beta), available without any backward integration.
+gamma**(beta), which evaluates no 2F1.
 
 The maximum is found by a dense scan of 400 angles, evaluated as one array
 call of g, then refined by scipy's bounded Brent minimizer on the cell
@@ -114,8 +114,8 @@ def gamma_star(beta: float) -> CriticalAngles:
 def gamma_star_star(beta: float) -> float:
     """Polynomial-bound variant gamma**(beta) for supercritical openings.
 
-    Uses the quartic upper bound in place of g, so no integration or
-    hypergeometric evaluation is involved; gamma** <= gamma* pointwise.
+    Uses the quartic upper bound in place of g, so no 2F1 is evaluated;
+    gamma** <= gamma* pointwise.
     """
     if not beta_critical() - SEAM_SLACK <= beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside [beta_cr, 2pi]")

@@ -11,6 +11,9 @@ strictly decreasing down to ~0.2054 at beta = 2 pi.  This module solves
 these equations and evaluates the associated angular eigenfunction psi on
 half the sector, its logarithmic derivative f = psi'/psi, and the Riccati
 variable g = f sin(theta) that drives the boundary-form certificates.
+Every value is closed-form: hypergeometric for supercritical openings, and
+for subcritical ones half a member of the explicit alpha = 1/2 family
+critical_family, picked by its value at pi/2.
 
 All angles are radians.  Operations are pure; solutions are cached by
 opening angle, so repeated sweeps are cheap.
@@ -23,10 +26,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .specfun import gamma, hyp2f1, hyp2f1_dz
+from .specfun import family_integral, gamma, hyp2f1, hyp2f1_dz
 
 __all__ = [
     "HardySolution",
@@ -42,6 +44,7 @@ __all__ = [
     "dpsi",
     "f_func",
     "g_func",
+    "critical_family",
     "series_coefficients",
     "series_a2",
     "eigen_profile",
@@ -52,10 +55,6 @@ PI = math.pi
 # f switches from the hypergeometric branch to the power-series start below
 # this angle; keeps the relative error of psi'/psi under ~1e-9 at the seam.
 _SERIES_SWITCH = 1e-3
-
-# Backward Riccati table (subcritical openings): fixed log-spaced grid.
-_G_TABLE_STEPS = 2000
-_G_THETA_MIN = 1e-8
 
 # Openings this close below beta_critical() count as critical.  Every branch
 # choice at the regime seam compares with beta_cr - SEAM_SLACK: which branch
@@ -112,8 +111,8 @@ def beta_critical() -> float:
 def is_subcritical(beta: float) -> bool:
     """True for openings below the regime seam beta_cr - SEAM_SLACK.
 
-    Those are served by the backward-Riccati table of g; every other
-    opening by the closed form.
+    Those take g, and f on (0, pi/2), from the alpha = 1/2 family
+    critical_family; every other opening from the hypergeometric branch.
     """
     return beta < beta_critical() - SEAM_SLACK
 
@@ -275,7 +274,7 @@ def f_func(theta, sol: HardySolution):
 
     Middle region [pi/2, beta - pi/2]: sqrt(c) tan(sqrt(c)(beta/2 - theta)).
     Left region: hypergeometric branch for supercritical openings (power
-    series start below theta = 1e-3), backward-Riccati values otherwise.
+    series start below theta = 1e-3), g_func / sin(theta) otherwise.
     Right region by the mirror antisymmetry f(beta - theta) = -f(theta).
 
     theta is a float or an array, and the result is of the same kind; each
@@ -304,78 +303,51 @@ def f_func(theta, sol: HardySolution):
     return f if np.ndim(theta) else float(f)
 
 
-@lru_cache(maxsize=1)
-def _g_table_steps() -> tuple[np.ndarray, tuple]:
-    """The log-theta grid of the backward table and its RK4 stage data.
+def _family_base(theta):
+    """z = sin^2(theta/2), F = 2F1(1/2, 1/2, 1; z) and the maximal family member h0.
 
-    One entry per step, from theta = pi/2 down: the step h in s = log(theta)
-    and (t, cos t, sin t) at the step's start, midpoint and end.  None of it
-    depends on beta, so every table shares it.
+    h0 = cos(theta) + sin^2(theta) 2F1(3/2, 3/2, 2; z) / (4F).
     """
-    s_grid = np.linspace(math.log(_G_THETA_MIN), math.log(0.5 * PI), _G_TABLE_STEPS + 1)
-    s_grid.flags.writeable = False
-    steps = []
-    for i in range(_G_TABLE_STEPS, 0, -1):
-        h = s_grid[i - 1] - s_grid[i]
-        stages = []
-        for s in (s_grid[i], s_grid[i] + 0.5 * h, s_grid[i] + h):
-            t = math.exp(s)
-            stages.append((t, math.cos(t), math.sin(t)))
-        steps.append((float(h), *stages))
-    return s_grid, tuple(steps)
+    z = np.sin(0.5 * theta) ** 2
+    f = hyp2f1(0.5, 0.5, 1.0, z)
+    return z, f, np.cos(theta) + np.sin(theta) ** 2 * hyp2f1(1.5, 1.5, 2.0, z) / (4.0 * f)
 
 
-@lru_cache(maxsize=256)
-def _g_subcritical_table(beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Backward integration of the Riccati equation for subcritical openings.
+def critical_family(theta, lam: float):
+    """Member h0(theta) - 4 lam / (F^2 (1 + lam J(z))) of the alpha = 1/2 family, lam >= 0.
 
-    g' = -(g^2 - g cos(theta) + 1/4)/sin(theta), integrated from the
-    terminal value g(pi/2) = tan((beta - pi)/4)/2 down to theta = 1e-8
-    with fixed RK4 steps on s = log(theta), where the equation has bounded
-    derivatives.  The forward problem from the singular endpoint is
-    non-unique at this critical exponent; the backward problem selects the
-    branch with g(0+) = 1/2.  beta enters only through the terminal value,
-    so the stage points come precomputed from _g_table_steps.  Returned
-    arrays are cached and shared, and must be treated as immutable.
+    F, h0 and z as in _family_base, and J = specfun.family_integral.  Every
+    member solves the critical Riccati equation
+    h' + (h^2 - 2 cos(theta) h + 1) / (2 sin(theta)) = 0 on (0, pi/2] with
+    h(0+) = 1; they decrease pointwise as lam grows, lam = 0 being the
+    maximal one, h0.  As J(pi/2) = 0, the member with h(pi/2) = v has
+    lam = F(1/2)^2 (h0(pi/2) - v) / 4.  theta is a float or an array in
+    [0, pi/2], and the result is of the same kind.
     """
-    s_grid, steps = _g_table_steps()
-    gv = 0.5 * math.tan(0.25 * (beta - PI))
-    g = [gv]
-    for h, (t1, c1, s1), (t2, c2, s2), (t4, c4, s4) in steps:
-        # dg/ds = -(g^2 - g cos t + 1/4) / sin t * t at the four RK4 stages
-        k1 = -(gv * gv - gv * c1 + 0.25) / s1 * t1
-        y = gv + 0.5 * h * k1
-        k2 = -(y * y - y * c2 + 0.25) / s2 * t2
-        y = gv + 0.5 * h * k2
-        k3 = -(y * y - y * c2 + 0.25) / s2 * t2
-        y = gv + h * k3
-        k4 = -(y * y - y * c4 + 0.25) / s4 * t4
-        gv = gv + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        g.append(gv)
-    table = np.array(g[::-1])
-    table.flags.writeable = False
-    return s_grid, table
-
-
-@lru_cache(maxsize=256)
-def _g_subcritical_spline(beta: float) -> CubicSpline:
-    s_grid, g = _g_subcritical_table(beta)
-    return CubicSpline(s_grid, g)
+    z, f, h0 = _family_base(theta)
+    if lam == 0.0:
+        return h0
+    return h0 - 4.0 * lam / (f * f * (1.0 + lam * family_integral(z)))
 
 
 def g_func(theta, beta: float):
     """Riccati variable g = (psi'/psi) sin(theta) on (0, pi/2], pi <= beta <= 2pi.
 
-    Supercritical openings use the closed-form branch; subcritical ones the
-    cached backward integration.  g(0+) equals alpha, reached quadratically
-    for alpha > 1/2 and only logarithmically at the critical exponent 1/2.
+    Supercritical openings use the hypergeometric branch.  For subcritical
+    ones g is half the critical_family member with 2 g(pi/2) =
+    tan((beta - pi)/4): that terminal value fixes lam, and the member is
+    the one solution of g' = -(g^2 - g cos(theta) + 1/4)/sin(theta) through
+    it (the forward problem from theta = 0 is non-unique at this critical
+    exponent).  g(0+) equals alpha, reached quadratically for alpha > 1/2
+    and only logarithmically at the critical exponent 1/2.  Below
+    theta ~ 1e-154, z = sin^2(theta/2) underflows; once it is 0,
+    subcritical g returns its limit 1/2.
 
     theta is a float or an array, and the result is of the same kind.  Each
-    angle takes f_func's branch: the middle-region value at theta = pi/2,
-    the power series below 1e-3 and the hypergeometric branch otherwise;
-    for subcritical openings, the cached spline on log(theta).  An array
-    costs one pass per branch, and each entry equals the call on that
-    angle alone.
+    supercritical angle takes f_func's branch: the middle-region value at
+    theta = pi/2, the power series below 1e-3 and the hypergeometric branch
+    otherwise.  An array costs one pass per branch, and each entry equals
+    the call on that angle alone.
     """
     if not PI - 1e-12 <= beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside [pi, 2pi]")
@@ -385,11 +357,9 @@ def g_func(theta, beta: float):
         raise ValueError(f"theta={t[~inside].flat[0]} outside (0, pi/2]")
     t = np.minimum(t, 0.5 * PI)
     if is_subcritical(beta):
-        s_grid, table = _g_subcritical_table(beta)
-        s = np.log(t)
-        g = np.full(t.shape, table[0])
-        on_table = s > s_grid[0]
-        g[on_table] = _g_subcritical_spline(beta)(s[on_table])
+        _, f_end, h_end = _family_base(0.5 * PI)
+        lam = 0.25 * f_end * f_end * (h_end - math.tan(0.25 * (beta - PI)))
+        g = 0.5 * critical_family(t, lam)
     else:
         sol = solve_c_beta(min(max(beta, beta_critical()), 2.0 * PI))
         f = np.empty(t.shape)

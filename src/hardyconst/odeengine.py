@@ -14,7 +14,8 @@ potential V and the series start at the vertex.
 
 The critical-exponent case alpha = 1/2 has a one-parameter continuum of
 solutions with an explicit hypergeometric representation; h_family_half
-evaluates it in closed form with quad for the inner integral.
+samples it through hardycore.critical_family, whose one integral has a
+closed form in complete elliptic integrals (specfun.family_integral).
 A quartic upper bound g_upper_bound dominates the Riccati variable g and
 certifies the comparison inequalities without any ODE solve.
 """
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from .hardycore import potential_v, series_a2
-from .specfun import hyp2f1
+from .hardycore import critical_family, potential_v, series_a2
+from .specfun import family_integral, hyp2f1
 
 __all__ = [
     "BracketError",
@@ -241,36 +242,14 @@ def solve_h(
 # ---------------------------------------------------------------------------
 # Critical exponent alpha = 1/2: explicit solution family.
 
-def _f_half(z: float) -> float:
-    return hyp2f1(0.5, 0.5, 1.0, z)
-
-
-def _f_half_2(z: float) -> float:
-    return hyp2f1(1.5, 1.5, 2.0, z)
-
-
-def _kernel(t: float) -> float:
-    return 1.0 / (t * (1.0 - t) * _f_half(t) ** 2)
-
-
-def _j_segment(a: float, b: float, tol: float) -> float:
-    """Integral of the J kernel over [a, b] to absolute tolerance tol."""
-    return quad(_kernel, a, b, epsabs=tol, epsrel=0.0)[0]
-
-
-def _h_half_base(theta: float) -> float:
-    z = math.sin(0.5 * theta) ** 2
-    return math.cos(theta) + math.sin(theta) ** 2 * _f_half_2(z) / (4.0 * _f_half(z))
-
-
-def h_family_half(lam: float, grid: Optional[np.ndarray] = None, quad_tol: float = 1e-12) -> HProfile:
+def h_family_half(lam: float, grid: Optional[np.ndarray] = None) -> HProfile:
     """Explicit alpha = 1/2 solution family, parameterized by lam >= 0.
 
     Members are h0(theta) - 4 lam / (F^2 (1 + lam J(z))) with
     h0 = cos(theta) + sin^2(theta) F2/(4F), F = 2F1(1/2,1/2,1; z),
     F2 = 2F1(3/2,3/2,2; z), z = sin^2(theta/2), and
-    J(z) = int_z^{1/2} dt / (t (1-t) F(t)^2), computed by quad over the
-    grid's segments and accumulated.  All members satisfy h(0+) = 1;
+    J(z) = int_z^{1/2} dt / (t (1-t) F(t)^2) in closed form
+    (hardycore.critical_family).  All members satisfy h(0+) = 1;
     they decrease pointwise as lam grows, lam = 0 being the maximal one.
     """
     if lam < 0.0:
@@ -278,24 +257,13 @@ def h_family_half(lam: float, grid: Optional[np.ndarray] = None, quad_tol: float
     if grid is None:
         grid = _default_grid()
     grid = np.asarray(grid, dtype=float)
-    base = np.array([_h_half_base(t) for t in grid])
-    if lam == 0.0:
-        return HProfile(alpha=0.5, grid=grid, h=base, lam=0.0)
-    z = np.sin(0.5 * grid) ** 2
-    j_vals = np.empty_like(z)
-    acc = _j_segment(z[-1], 0.5, quad_tol) if z[-1] < 0.5 else 0.0
-    j_vals[-1] = acc
-    for k in range(len(z) - 2, -1, -1):
-        acc += _j_segment(z[k], z[k + 1], quad_tol)
-        j_vals[k] = acc
-    f_sq = np.array([_f_half(zz) for zz in z]) ** 2
-    h = base - 4.0 * lam / (f_sq * (1.0 + lam * j_vals))
-    return HProfile(alpha=0.5, grid=grid, h=h, lam=lam)
+    return HProfile(alpha=0.5, grid=grid, h=critical_family(grid, lam), lam=lam)
 
 
-def h_family_half_point(theta: float, lam: float, quad_tol: float = 1e-12) -> tuple[float, float]:
+def h_family_half_point(theta: float, lam: float) -> tuple[float, float]:
     """One family member and its theta-derivative, both analytic.
 
+    The member takes J from specfun.family_integral, like h_family_half.
     The derivative uses F' = F2/4 and F2' = (9/8) 2F1(5/2,5/2,3; z) plus
     dJ/dtheta = -2/(sin(theta) F^2), so no finite differencing enters; the
     pair feeds the residual checks of the defining Riccati equation.
@@ -304,8 +272,8 @@ def h_family_half_point(theta: float, lam: float, quad_tol: float = 1e-12) -> tu
         raise ValueError(f"family parameter lam={lam} must be >= 0")
     z = math.sin(0.5 * theta) ** 2
     zdot = 0.5 * math.sin(theta)
-    f1 = _f_half(z)
-    f2 = _f_half_2(z)
+    f1 = hyp2f1(0.5, 0.5, 1.0, z)
+    f2 = hyp2f1(1.5, 1.5, 2.0, z)
     f3 = hyp2f1(2.5, 2.5, 3.0, z)
     df1 = 0.25 * f2
     df2 = 9.0 / 8.0 * f3
@@ -316,7 +284,7 @@ def h_family_half_point(theta: float, lam: float, quad_tol: float = 1e-12) -> tu
     dh0 = -sin_t + 0.5 * sin_t * cos_t * q + 0.25 * sin_t**2 * dq * zdot
     if lam == 0.0:
         return h0, dh0
-    j = _j_segment(z, 0.5, quad_tol) if z < 0.5 else 0.0
+    j = family_integral(z)
     denom = f1 * f1 * (1.0 + lam * j)
     term = 4.0 * lam / denom
     # d/dtheta [F^2 (1 + lam J)] = 2 F F' zdot (1 + lam J) - 2 lam / sin(theta)

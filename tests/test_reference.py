@@ -7,7 +7,9 @@ relative on every parameter set below (floats and arrays alike), beta_cr
 7.8e-16, c(beta) 5.1e-17 and alpha 1.9e-16 on the supercritical sweep,
 alpha from 1e-9 to 1e-4 above beta_cr 1.7e-16, gamma* there and at 1.8pi
 and 2pi 4.1e-16, beta_for_constant 3.0e-15, and round trips 8.3e-17 in c
-and 5.3e-15 in beta.
+and 5.3e-15 in beta.  For subcritical openings: the family integral J
+6.0e-16 relative to max(1, J), g 2.7e-16 on (1e-8, pi/2] and 1.2e-17 at
+theta = 1e-20, and gamma* 6.9e-16.
 """
 
 import math
@@ -17,8 +19,8 @@ import numpy as np
 import pytest
 
 from hardyconst.angles import gamma_star
-from hardyconst.hardycore import beta_critical, beta_for_constant, solve_c_beta
-from hardyconst.specfun import gamma, hyp2f1
+from hardyconst.hardycore import beta_critical, beta_for_constant, g_func, solve_c_beta
+from hardyconst.specfun import family_integral, gamma, hyp2f1
 
 PI = math.pi
 # The package evaluates 2F1(1/2, 1/2, alpha + 1/2) and its contiguous
@@ -122,10 +124,16 @@ def test_exponent_just_above_the_critical_opening():
     assert worst <= 3.5e-16
 
 
-def _gamma_star_ref(beta: float, theta0: float):
-    """gamma* from the root of the first-order condition near theta0, with mpmath's g."""
-    a = _alpha_ref(beta)
+def _gamma_star_from(a, g, theta0: float):
+    """gamma* from the root near theta0 of the first-order condition, for exponent a and g."""
     c = a * (1 - a)
+    theta = mp.findroot(lambda t: (1 - a) + 2 * a * mp.cos(t) / g(t) - a * c / g(t) ** 2, theta0)
+    return mp.pi - 2 * mp.atan(mp.sin(theta) / (mp.cos(theta) + a / g(theta)))
+
+
+def _gamma_star_ref(beta: float, theta0: float):
+    """gamma* of a supercritical opening, with mpmath's hypergeometric g."""
+    a = _alpha_ref(beta)
 
     def g(t):
         z = mp.sin(t / 2) ** 2
@@ -134,8 +142,26 @@ def _gamma_star_ref(beta: float, theta0: float):
         f = (a / mp.tan(t / 2) - (1 - a) * mp.tan(t / 2)) / 2 + mp.sin(t) * df_val / f_val / 2
         return f * mp.sin(t)
 
-    theta = mp.findroot(lambda t: (1 - a) + 2 * a * mp.cos(t) / g(t) - a * c / g(t) ** 2, theta0)
-    return mp.pi - 2 * mp.atan(mp.sin(theta) / (mp.cos(theta) + a / g(theta)))
+    return _gamma_star_from(a, g, theta0)
+
+
+def _g_subcritical_ref(beta: float, theta):
+    """Subcritical g: half the alpha = 1/2 family member with 2 g(pi/2) = tan((beta - pi)/4).
+
+    K(1 - z) comes from the arithmetic-geometric mean, pi / (2 agm(1, sqrt(z))),
+    so forming 1 - z costs no digits for small z.
+    """
+
+    def base(t):
+        z = mp.sin(t / 2) ** 2
+        f = mp.hyp2f1(0.5, 0.5, 1, z)
+        return z, f, mp.cos(t) + mp.sin(t) ** 2 * mp.hyp2f1(1.5, 1.5, 2, z) / (4 * f)
+
+    _, f_end, h_end = base(mp.pi / 2)
+    lam = f_end**2 * (h_end - mp.tan((mp.mpf(beta) - mp.pi) / 4)) / 4
+    z, f, h0 = base(mp.mpf(theta))
+    j = mp.pi * (mp.pi / (2 * mp.agm(1, mp.sqrt(z))) / mp.ellipk(z) - 1)
+    return (h0 - 4 * lam / (f**2 * (1 + lam * j))) / 2
 
 
 def test_gamma_star_against_reference():
@@ -146,6 +172,51 @@ def test_gamma_star_against_reference():
     worst = max(
         float(abs(crit.gamma_star - _gamma_star_ref(crit.beta, crit.argmax_theta))) for crit in crits
     )
+    assert worst <= 9e-16
+
+
+SUBCRITICAL = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.54, 1.5457)
+
+
+def test_family_integral_against_quadrature():
+    # J(z) = int_z^{1/2} dt / (t (1 - t) F(t)^2) by mpmath quadrature, split
+    # at powers of ten so the 1/t growth near 0 is resolved.  J enters g as
+    # 1 + lam J, so the error is taken relative to max(1, J): J(1/2) = 0.
+    zs = (1e-16, 1e-9, 1e-4, 0.01, 0.1, 0.3, 0.49)
+
+    def kernel(t):
+        return 1 / (t * (1 - t) * mp.hyp2f1(0.5, 0.5, 1, t) ** 2)
+
+    worst = 0.0
+    for z in zs:
+        cuts = [mp.mpf(10) ** k for k in range(math.floor(math.log10(z)) + 1, 0)]
+        ref = mp.quad(kernel, [mp.mpf(z), *cuts, mp.mpf(0.5)])
+        worst = max(worst, float(abs(family_integral(z) - ref) / max(1, ref)))
+    assert worst <= 1.2e-15
+
+
+def test_g_subcritical_against_reference():
+    thetas = np.geomspace(1e-8, 0.5 * PI, 25)
+    worst = max(
+        float(abs(g - _g_subcritical_ref(f * PI, t)))
+        for f in SUBCRITICAL
+        for t, g in zip(thetas, g_func(thetas, f * PI))
+    )
+    assert worst <= 1e-15
+
+
+def test_g_subcritical_at_a_tiny_angle():
+    # z = sin^2(theta/2) is 2.5e-41 here
+    assert float(abs(g_func(1e-20, 1.2 * PI) - _g_subcritical_ref(1.2 * PI, 1e-20))) <= 1e-12
+
+
+def test_gamma_star_subcritical_against_reference():
+    half = mp.mpf(1) / 2
+    worst = 0.0
+    for f in (1.0, 1.2, 1.5, 1.54):
+        crit = gamma_star(f * PI)
+        ref = _gamma_star_from(half, lambda t: _g_subcritical_ref(crit.beta, t), crit.argmax_theta)
+        worst = max(worst, float(abs(crit.gamma_star - ref)))
     assert worst <= 9e-16
 
 
