@@ -30,9 +30,10 @@ PI = math.pi
 
 _WORKER_ENV = "HARDY_WORKERS"
 _MAX_SWEEP_COUNT = 100_000  # a sweep's rows are all held in memory
-# validate --n: grid memory grows like n^2.  Peak RSS of one validate run at
-# n = 512 (x86-64, Python 3.11, numpy 2.4, scipy 1.17): slit disk 190 MB,
-# L-shape 178 MB, Ebg(1.5pi, 1.5pi) 165 MB, a 2pi Dbeta 128 MB.
+# validate --n: grid memory grows like n^2, and the fill of a lattice's
+# sparse LU factors a little faster.  Peak RSS of one validate run at n = 512 (x86-64, Python
+# 3.11, numpy 2.4, scipy 1.17, one BLAS thread): slit disk 189 MB, L-shape
+# 177 MB, Ebg(1.5pi, 1.5pi) 299 MB (in 10 s), a 2pi Dbeta 179 MB.
 _MAX_RESOLUTION = 512
 
 
@@ -311,6 +312,7 @@ def _cmd_validate(args) -> int:
         "input": _domain_to_dict(domain),
         "n": args.n,
         "grid": grid.kind,
+        "radius": grid.radius,
         "estimate": est.to_dict(),
     }
     print(
@@ -363,7 +365,12 @@ def _build_parser() -> argparse.ArgumentParser:
         help="resolution: at most n^2 unknowns (elements per axis on boundary-fitted "
         "grids, nodes per side of the bounding box on lattices)",
     )
-    p.add_argument("--radius", type=float, default=None, help="truncation radius for unbounded domains")
+    p.add_argument(
+        "--radius",
+        type=float,
+        default=None,
+        help="truncation radius for unbounded domains (sector: default 1, ebg: default 8)",
+    )
     common(p)
     p.set_defaults(func=_cmd_validate)
     return parser

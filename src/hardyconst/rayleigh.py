@@ -29,7 +29,9 @@ in n.
 Cartesian lattices, for every other domain (slanted polygon edges,
 two-halfline domains, mixed Dirichlet-Neumann sectors): the 5-point
 finite-difference energy on a square lattice against nodal weights
-1/dist^2, solved by conjugate gradients.  Its mesh width is uniform, so it
+1/dist^2.  The energy is factored once by a sparse LU (SuperLU, minimum
+degree ordering on A^T + A, whose pattern is symmetric), so every solve is
+exact up to rounding.  Its mesh width is uniform, so it
 resolves only about log10(n) decades and converges like 1/log^2(1/h); on a
 few hundred nodes per side the estimate sits a few tenths above the
 constant.  For these domains the validator is a consistency check
@@ -41,7 +43,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,7 +71,7 @@ _ARC_SAMPLES = 256
 
 
 class NumericalError(RuntimeError):
-    """Iterative solve failed to converge within its cap."""
+    """A factorization or solve of the grid's energy failed, or the eigen-solve did not converge."""
 
 
 @dataclass
@@ -89,7 +90,8 @@ class GridProblem:
     over the unknowns, so the estimate is the smallest eigenvalue of the
     pencil (matrix, mass); solve(rhs) applies the inverse of matrix, and
     start is the eigen-solve's start vector.  h is the smallest mesh width,
-    in the domain's own length units.
+    in the domain's own length units.  radius is the truncation radius of
+    an unbounded domain, None for a bounded one.
     """
 
     xs: np.ndarray
@@ -103,6 +105,7 @@ class GridProblem:
     mass: sp.csr_matrix
     solve: Callable[[np.ndarray], np.ndarray]
     start: np.ndarray
+    radius: Optional[float] = None
 
     @property
     def interior_count(self) -> int:
@@ -115,10 +118,6 @@ class GridProblem:
             r = np.exp(u)
             return r * np.cos(v), r * np.sin(v)
         return u, v
-
-    def component_count(self) -> int:
-        ncomp, _ = connected_components(self.matrix, directed=False)
-        return int(ncomp)
 
 
 @dataclass(frozen=True)
@@ -169,19 +168,32 @@ def _polyline_distance(px, py, verts: np.ndarray, closed: bool = True):
     return best
 
 
+# Edge-by-point elements of one chunk of _points_in_polygon: a few work
+# arrays of this many values each.
+_POLYGON_CHUNK = 1 << 18
+
+
 def _points_in_polygon(px, py, verts: np.ndarray):
-    """Even-odd rule, vectorized over points."""
-    inside = np.zeros(np.shape(px), dtype=bool)
-    n = len(verts)
-    for i in range(n):
-        xa, ya = verts[i]
-        xb, yb = verts[(i + 1) % n]
-        if ya == yb:
-            continue
-        cond = (ya > py) != (yb > py)
-        xint = xa + (py - ya) * (xb - xa) / (yb - ya)
-        inside ^= cond & (px < xint)
-    return inside
+    """Even-odd rule: every non-horizontal edge at once, over chunks of points.
+
+    Each edge tests the points whose height it spans for a crossing to their
+    right; the parity of the crossings is an XOR reduction over the edges.
+    Horizontal edges cross nothing and are skipped.
+    """
+    b = np.roll(verts, -1, axis=0)
+    slanted = verts[:, 1] != b[:, 1]
+    xa, ya = verts[slanted, 0, None], verts[slanted, 1, None]
+    xb, yb = b[slanted, 0, None], b[slanted, 1, None]
+    px, py = np.broadcast_arrays(px, py)
+    flat_x, flat_y = px.ravel(), py.ravel()
+    inside = np.empty(flat_x.shape, dtype=bool)
+    step = max(1, _POLYGON_CHUNK // max(1, len(xa)))
+    for s in range(0, len(flat_x), step):
+        x, y = flat_x[s : s + step], flat_y[s : s + step]
+        cond = (ya > y) != (yb > y)
+        xint = xa + (y - ya) * (xb - xa) / (yb - ya)
+        inside[s : s + step] = np.logical_xor.reduce(cond & (x < xint), axis=0)
+    return inside.reshape(px.shape)
 
 
 def _square_box(x0, x1, y0, y1, pad):
@@ -271,10 +283,10 @@ def _assemble(
                 frac = np.full(count, np.nan)
             open_link = (jidx >= 0) & ~blocked
             closed = ~open_link
-            if neumann_side is None:
-                neumann = np.zeros(count, dtype=bool)
-            else:
-                neumann = closed & ~nbr_in & neumann_side(nx_, ny_)
+            neumann = np.zeros(count, dtype=bool)
+            if neumann_side is not None:  # only closed links to outside points can be Neumann
+                outward = closed & ~nbr_in
+                neumann[outward] = neumann_side(nx_[outward], ny_[outward])
             dirichlet = closed & ~neumann
             # locate the wall along each cut link: fraction s in (0, 1]
             s = np.ones(count)
@@ -315,6 +327,13 @@ def _assemble(
         mask = new_mask
     nodes = np.column_stack(ii)
     dist = dist_grid[ii]
+    try:
+        # relax=1 and panel_size=1 keep SuperLU from reallocating its
+        # supernode workspace: with the defaults the factorization peaks
+        # 4.6 MB higher on the Ebg(1.5pi, 1.5pi) lattice at n = 128
+        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+    except RuntimeError as exc:
+        raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
     return GridProblem(
         xs=xs,
         ys=ys,
@@ -325,7 +344,7 @@ def _assemble(
         nodes=nodes,
         matrix=matrix,
         mass=sp.diags(1.0 / dist**2, format="csr"),
-        solve=partial(_cg, matrix),
+        solve=lu.solve,
         start=dist,
     )
 
@@ -872,19 +891,26 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
     lattice with n nodes per side of the square bounding box.  Unbounded
     domains are truncated at `radius` (sector: default 1, scale-free;
     two-halfline domains: default 8 segment lengths) with Dirichlet
-    conditions on the truncation arc.  A radius must be finite and
-    positive, and for two-halfline domains exceed 1/2, so that the arc
-    about the segment's midpoint encloses the segment; ValueError
-    otherwise.  Convex-cap descriptions carry no concrete cap geometry and
-    cannot be gridded.
+    conditions on the truncation arc, and the grid records the radius
+    used.  A radius must be finite and positive, and for two-halfline
+    domains exceed 1/2, so that the arc about the segment's midpoint
+    encloses the segment; a radius for a bounded domain (polygon or mixed
+    problem) has nothing to truncate.  ValueError otherwise.  Convex-cap
+    descriptions carry no concrete cap geometry and cannot be gridded.
     """
     if radius is not None and not 0.0 < radius < math.inf:
         raise ValueError(f"truncation radius {radius} must be finite and positive")
+    if radius is not None and isinstance(domain, (OneReflexPolygon, Dbeta)):
+        raise ValueError(
+            f"a {type(domain).__name__} domain is bounded; a truncation radius does not apply"
+        )
     if isinstance(domain, Sector):
         if not PI < domain.beta <= 2.0 * PI + 1e-12:
             raise ValueError(f"opening angle {domain.beta} outside (pi, 2pi]")
         r = 1.0 if radius is None else float(radius)
-        return _sector_tensor_grid(domain.beta, r, n)
+        grid = _sector_tensor_grid(domain.beta, r, n)
+        grid.radius = r
+        return grid
     if isinstance(domain, OneReflexPolygon):
         verts = ensure_ccw(domain.vertices)
         grid = _polygon_tensor_grid(verts, n)
@@ -904,7 +930,9 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
         x1, y1 = verts.max(axis=0)
         x0, x1, y0, y1 = _square_box(x0, x1, y0, y1, 0.0)
         inside, dist = _polygon_functions(verts)
-        return _assemble(inside, dist, x0, x1, y0, y1, n)
+        grid = _assemble(inside, dist, x0, x1, y0, y1, n)
+        grid.radius = r
+        return grid
     if isinstance(domain, Dbeta):
         inside, dist, neumann_side, link_cut, rmax = _dbeta_functions(domain)
         b = 1.01 * rmax
@@ -949,14 +977,6 @@ _NCV = 8  # Lanczos vectors, most of the solve's added peak memory (slit n=256: 
 _LANCZOS_TOL = 1e-6
 
 
-def _cg(matrix: sp.csr_matrix, rhs: np.ndarray) -> np.ndarray:
-    """Lattice solve by conjugate gradients to relative residual 1e-8."""
-    x, info = spla.cg(matrix, rhs, rtol=1e-8)
-    if info != 0:
-        raise NumericalError(f"conjugate gradients did not converge (info={info})")
-    return x
-
-
 def estimate_constant(grid: GridProblem, return_vector: bool = False):
     """Smallest eigenvalue of the pencil (A, M) by shift-invert Lanczos (eigsh at shift 0).
 
@@ -968,8 +988,8 @@ def estimate_constant(grid: GridProblem, return_vector: bool = False):
     residual_bound = |r|_{A^-1} / |x|_A: some eigenvalue of the pencil lies
     in [lam/(1 + eta), lam/(1 - eta)] (Parlett, The Symmetric Eigenvalue
     Problem, ch. 10-11).  The bound is only as exact as grid.solve, which
-    is conjugate gradients to relative residual 1e-8 on lattices and an
-    ill-conditioned capacitance solve on polygons that do not fill their
+    is exact up to rounding on sector grids and lattices (a sparse LU) and
+    an ill-conditioned capacitance solve on polygons that do not fill their
     bounding box; on the L-shape at n = 256 that solve, not Lanczos, sets
     the bound near 1.6e-5.  iterations counts every solve, this one
     included.  Deterministic for a fixed grid.

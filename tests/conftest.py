@@ -50,17 +50,17 @@ def slitlike_vertices():
 
 @pytest.fixture
 def break_solver(monkeypatch):
-    """Make one scipy solver fail: "eigsh" stops without converging, "cg" reports info 1."""
+    """Make one scipy solver fail: "eigsh" stops without converging, "splu" finds A singular."""
     import numpy as np
     import scipy.sparse.linalg as spla
 
     def eigsh(*args, **kwargs):
         raise spla.ArpackNoConvergence("ARPACK stopped", np.empty(0), np.empty((0, 0)))
 
-    def cg(matrix, rhs, **kwargs):
-        return np.zeros_like(rhs), 1
+    def splu(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
 
     def apply(name):
-        monkeypatch.setattr(spla, name, {"eigsh": eigsh, "cg": cg}[name])
+        monkeypatch.setattr(spla, name, {"eigsh": eigsh, "splu": splu}[name])
 
     return apply

@@ -285,6 +285,69 @@ def test_validate_rejects_bad_radius(tmp_path, capsys, kind, radius):
     assert "truncation radius" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]]},
+        {"type": "dbeta", "beta": 1.5, "r_samples": [[0.0, 1.0], [0.75, 1.0], [1.5, 1.0]]},
+    ],
+    ids=["polygon", "dbeta"],
+)
+@pytest.mark.parametrize("radius", ["5", "1e-3"])
+def test_validate_rejects_radius_for_bounded_domain(tmp_path, capsys, doc, radius):
+    # a bounded domain has nothing to truncate; the radius used to be dropped
+    # without a word, and every radius gave the same lambda
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps(doc))
+    assert run(["validate", str(f), "--n", "32", f"--radius={radius}"]) == 2
+    assert "truncation radius does not apply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc, args, radius",
+    [
+        ({"type": "sector", "beta": 1.5}, [], 1.0),
+        ({"type": "sector", "beta": 1.5}, ["--radius=2.5"], 2.5),
+        ({"type": "ebg", "beta": 1.5, "gamma": 1.5}, [], 8.0),
+        ({"type": "ebg", "beta": 1.5, "gamma": 1.5}, ["--radius=3"], 3.0),
+        ({"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, [], None),
+    ],
+    ids=["sector-default", "sector-given", "ebg-default", "ebg-given", "polygon"],
+)
+def test_validate_records_its_radius(tmp_path, doc, args, radius):
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps(doc))
+    out = tmp_path / "est.json"
+    assert run(["validate", str(f), "--n", "32", "-o", str(out)] + args) == 0
+    assert json.loads(out.read_text())["radius"] == radius
+
+
+def polar_samples(beta, amplitude, n=721):
+    """Vee-shaped profile r = 1 + amplitude (theta - beta/2)^2 in pi-unit angles."""
+    thetas = [beta * k / (n - 1) for k in range(n)]
+    return [[t / PI, 1.0 + amplitude * (t - 0.5 * beta) ** 2] for t in thetas]
+
+
+@pytest.mark.parametrize(
+    "doc, lam",
+    [
+        ({"type": "dbeta", "beta": 2.0, "r_samples": polar_samples(2.0 * PI, 0.1)}, 0.234460404036),
+        ({"type": "ebg", "beta": 1.5, "gamma": 1.5}, 0.348836920356),
+    ],
+    ids=["dbeta", "ebg"],
+)
+def test_validate_lattice_lambda_is_pinned(tmp_path, doc, lam):
+    # the two lattice domains of perfbench's validate-curved workload at its
+    # n = 128: a faster lattice must give the same lambda to 12 digits
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps(doc))
+    out = tmp_path / "est.json"
+    assert run(["validate", str(f), "--n", "128", "-o", str(out)]) == 0
+    got = json.loads(out.read_text())
+    assert got["grid"] == "lattice"
+    assert got["estimate"]["lambda"] == lam
+
+
 def test_validate_resolution_is_bounded(tmp_path, capsys, monkeypatch):
     # checked before any grid is built: n = 100000 would ask for a 9.3 GiB mask
     def reached(*args, **kwargs):
@@ -300,9 +363,9 @@ def test_validate_resolution_is_bounded(tmp_path, capsys, monkeypatch):
     assert "build_grid reached" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("failure", ["eigsh", "cg"])
+@pytest.mark.parametrize("failure", ["eigsh", "splu"])
 def test_validate_exit_code_solver_failure(tmp_path, capsys, break_solver, failure):
-    # the x = 0.437 notch falls back to the lattice, whose solves run through cg
+    # the x = 0.437 notch falls back to the lattice, whose energy splu factors
     vertices = [[0, 0], [1, 0], [1, 0.5], [0.437, 0.5], [0.437, 1], [0, 1]]
     f = tmp_path / "dom.json"
     f.write_text(json.dumps({"type": "polygon", "vertices": vertices}))

@@ -3,10 +3,18 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as la
+from scipy.sparse.csgraph import connected_components
 
-from hardyconst.certify import Dbeta, Ebg, OneReflexPolygon, Sector, SectorCapConvex
+from hardyconst.certify import Dbeta, Ebg, OneReflexPolygon, Sector, SectorCapConvex, ensure_ccw
 from hardyconst.hardycore import solve_c_beta
-from hardyconst.rayleigh import NumericalError, build_grid, estimate_constant, strip_proxy
+from hardyconst.rayleigh import (
+    NumericalError,
+    _ebg_polygon,
+    _points_in_polygon,
+    build_grid,
+    estimate_constant,
+    strip_proxy,
+)
 
 PI = math.pi
 
@@ -43,13 +51,13 @@ def test_lshape_reflex_corner_diagonal_neighbor():
 def test_slit_disk_mask_connected_even_and_odd():
     for n in (64, 65):
         grid = build_grid(Sector(2.0 * PI), n)
-        assert grid.component_count() == 1
+        assert connected_components(grid.matrix, directed=False)[0] == 1
         assert grid.interior_count > 1000
 
 
 def test_ebg_truncated_mask_connected():
     grid = build_grid(Ebg(1.5 * PI, 1.5 * PI), 64, radius=8.0)
-    assert grid.component_count() == 1
+    assert connected_components(grid.matrix, directed=False)[0] == 1
 
 
 def test_resolution_error():
@@ -85,7 +93,7 @@ DENSE_CASES = {
 @pytest.mark.parametrize("case", DENSE_CASES)
 def test_matches_dense_eigensolver(case):
     # every solve path: log-polar, graded with and without capacitance
-    # correction, and the lattice's conjugate gradients
+    # correction, and the lattice's sparse LU
     grid = DENSE_CASES[case]()
     est = estimate_constant(grid)
     dense = la.eigh(
@@ -119,12 +127,77 @@ def test_lshape_solve_count():
     assert estimate_constant(build_grid(lshape(), 129)).iterations == 58
 
 
-@pytest.mark.parametrize("failure", ["eigsh", "cg"])
+@pytest.mark.parametrize("failure", ["eigsh", "splu"])
 def test_solver_failure_raises_numerical_error(break_solver, failure):
-    grid = build_grid(Ebg(1.5 * PI, 1.5 * PI), 48, radius=8.0)  # a lattice: solves by cg
+    # a lattice: its energy is factored by splu while the grid is built
     break_solver(failure)
     with pytest.raises(NumericalError):
-        estimate_constant(grid)
+        estimate_constant(build_grid(Ebg(1.5 * PI, 1.5 * PI), 48, radius=8.0))
+
+
+LATTICE_CASES = {
+    "ebg-lattice": DENSE_CASES["ebg-lattice"],
+    "dbeta-lattice": DENSE_CASES["dbeta-lattice"],
+    # a notch at x = 0.437 fits no uniform x spacing: the lattice, not a graded grid
+    "notch-lattice": lambda: build_grid(
+        OneReflexPolygon([(0, 0), (1, 0), (1, 0.5), (0.437, 0.5), (0.437, 1), (0, 1)]), 128
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LATTICE_CASES)
+def test_lattice_solve_is_exact(case):
+    # the lattice's LU solves to rounding
+    grid = LATTICE_CASES[case]()
+    assert grid.kind == "lattice"
+    b = np.random.default_rng(7).standard_normal(grid.interior_count)
+    x = grid.solve(b)
+    assert np.linalg.norm(grid.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def even_odd_by_edge(px, py, verts):
+    """The even-odd rule one edge at a time, the reference for _points_in_polygon."""
+    inside = np.zeros(np.shape(px), dtype=bool)
+    n = len(verts)
+    for i in range(n):
+        xa, ya = verts[i]
+        xb, yb = verts[(i + 1) % n]
+        if ya == yb:
+            continue
+        cond = (ya > py) != (yb > py)
+        xint = xa + (py - ya) * (xb - xa) / (yb - ya)
+        inside ^= cond & (px < xint)
+    return inside
+
+
+def polygon_probe_points(verts, n):
+    """Lattice nodes and link midpoints of the bounding square, vertices and points on edges."""
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    side = float(np.max(hi - lo))
+    xs = lo[0] + side * np.linspace(0.0, 1.0, n)
+    ys = lo[1] + side * np.linspace(0.0, 1.0, n)
+    h = xs[1] - xs[0]
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    b = np.roll(verts, -1, axis=0)
+    t = np.linspace(0.0, 1.0, 7)[:, None, None]
+    on_edges = verts + t * (b - verts)
+    px = np.concatenate([gx.ravel(), (gx + 0.5 * h).ravel(), verts[:, 0], on_edges[..., 0].ravel()])
+    py = np.concatenate([gy.ravel(), (gy + 0.5 * h).ravel(), verts[:, 1], on_edges[..., 1].ravel()])
+    return px, py
+
+
+@pytest.mark.parametrize(
+    "verts",
+    [_ebg_polygon(1.5 * PI, 1.5 * PI, 8.0), ensure_ccw(lshape().vertices)],
+    ids=["ebg-arc", "L-shape"],
+)
+def test_points_in_polygon_matches_edge_loop(verts):
+    px, py = polygon_probe_points(verts, 129)
+    got = _points_in_polygon(px, py, verts)
+    assert np.array_equal(got, even_odd_by_edge(px, py, verts))
+    # and on a 2-D block whose points need several chunks
+    gx, gy = px[: 129 * 129].reshape(129, 129), py[: 129 * 129].reshape(129, 129)
+    assert np.array_equal(_points_in_polygon(gx, gy, verts), even_odd_by_edge(gx, gy, verts))
 
 
 def test_deterministic_repeat():
@@ -212,7 +285,7 @@ def test_ebg_symmetric_eigenvector():
 def test_dbeta_neumann_smoke():
     # mixed problem on a 3/4 disk: Dirichlet radii, Neumann arc
     grid = build_grid(Dbeta.from_function(1.5 * PI, lambda t: 1.0), 81)
-    assert grid.component_count() == 1
+    assert connected_components(grid.matrix, directed=False)[0] == 1
     est = estimate_constant(grid)
     assert 0.2 < est.lam < 0.7
 
