@@ -1,20 +1,22 @@
 #!/usr/bin/env python3
-"""Refinement study of the grid validator on a truncated sector.
+"""Refinement study of the grid validator on an infinite sector.
 
 Prints the discrete minimum against the exact constant c(beta) (~0.205358
 for the slit disk) for a sequence of resolutions n.  Sectors are gridded in
 log-polar coordinates, and each n resolves n/16 decades of radius (the
 angle is graded toward both edges as well), so the table lists decades
-beside n.  The excess over the constant falls algebraically in n; the
-`order` column is the observed exponent p in excess ~ n^-p between
-consecutive rows, `bound` the relative residual bound eta of the
-eigen-solve (some eigenvalue of the discrete problem lies in
-[lambda/(1 + eta), lambda/(1 - eta)]), and `solves` its linear solves.  A
-uniform lattice, which resolves only about log10(n) decades, approaches
+beside n.  The weight depends on the angle alone, so the grid is the 1-D
+pencil of its lowest radial mode, and `nodes` counts that pencil's
+unknowns, one per interior angle node.  The excess over the constant falls
+algebraically in n; the `order` column is the observed exponent p in
+excess ~ n^-p between consecutive rows, `bound` the relative residual
+bound eta of the eigen-solve (some eigenvalue of the discrete problem lies
+in [lambda/(1 + eta), lambda/(1 - eta)]), and `solves` its linear solves.
+A uniform lattice, which resolves only about log10(n) decades, approaches
 the constant only like 1/log^2(1/h).
 
 Example:
-  python scripts/grid_refinement_study.py --sizes 32 64 128 256
+  python scripts/grid_refinement_study.py --sizes 32 64 128 256 512
 """
 
 import argparse
@@ -56,7 +58,7 @@ def main() -> int:
         print(
             f"{n:6d} {radial:9.1f} {angular:10.1f} {grid.interior_count:8d} "
             f"{est.lam:10.5f} {excess:10.5f} {order:>6s} {est.residual_bound:8.1e} "
-            f"{est.iterations:6d} {dt:8.1f}"
+            f"{est.iterations:6d} {dt:8.3f}"
         )
         previous = (n, excess)
     return 0

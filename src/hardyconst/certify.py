@@ -43,6 +43,7 @@ __all__ = [
     "check_sector_cap",
     "check_ebg",
     "check_dbeta",
+    "dbeta_samples",
     "certify_domain",
     "boundary_form_samples",
     "theta1_two_sided",
@@ -322,6 +323,25 @@ def check_ebg(e: Ebg) -> CertificateReport:
     )
 
 
+def dbeta_samples(d: Dbeta) -> np.ndarray:
+    """The (theta, r) samples of a polar-graph domain, sorted by angle.
+
+    ValueError unless the opening is in (pi, 2pi], there are at least 2
+    samples, r stays positive and the samples cover [0, beta].
+    """
+    if not PI < d.beta <= 2.0 * PI + 1e-12:
+        raise ValueError(f"opening angle {d.beta} outside (pi, 2pi]")
+    if len(d.r_samples) < 2:
+        raise ValueError("a polar graph needs at least 2 samples")
+    samples = np.asarray(sorted(d.r_samples), dtype=float)
+    thetas, r = samples[:, 0], samples[:, 1]
+    if np.any(r <= 0.0):
+        raise ValueError("polar graph r(theta) must stay positive")
+    if thetas[0] > 1e-9 or thetas[-1] < d.beta - 1e-9:
+        raise ValueError("samples must cover [0, beta]")
+    return samples
+
+
 def check_dbeta(d: Dbeta) -> CertificateReport:
     """Certify the mixed Dirichlet-Neumann inequality for a polar-graph domain.
 
@@ -329,14 +349,8 @@ def check_dbeta(d: Dbeta) -> CertificateReport:
     [beta/2, beta] (difference quotients, 1e-9 slack for flat stretches).
     An oscillating profile is inconclusive, not a different constant.
     """
-    if not PI < d.beta <= 2.0 * PI + 1e-12:
-        raise ValueError(f"opening angle {d.beta} outside (pi, 2pi]")
-    samples = np.asarray(sorted(d.r_samples), dtype=float)
+    samples = dbeta_samples(d)
     thetas, r = samples[:, 0], samples[:, 1]
-    if np.any(r <= 0.0):
-        raise ValueError("polar graph r(theta) must stay positive")
-    if thetas[0] > 1e-9 or thetas[-1] < d.beta - 1e-9:
-        raise ValueError("samples must cover [0, beta]")
     mids = 0.5 * (thetas[:-1] + thetas[1:])
     lower = mids <= 0.5 * d.beta
     if np.count_nonzero(lower) < 2 or np.count_nonzero(~lower) < 2:

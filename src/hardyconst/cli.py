@@ -30,10 +30,12 @@ PI = math.pi
 
 _WORKER_ENV = "HARDY_WORKERS"
 _MAX_SWEEP_COUNT = 100_000  # a sweep's rows are all held in memory
-# validate --n: grid memory grows like n^2, and the fill of a lattice's
-# sparse LU factors a little faster.  Peak RSS of one validate run at n = 512 (x86-64, Python
-# 3.11, numpy 2.4, scipy 1.17, one BLAS thread): slit disk 189 MB, L-shape
-# 177 MB, Ebg(1.5pi, 1.5pi) 299 MB (in 10 s), a 2pi Dbeta 179 MB.
+# validate --n: 2-D grid memory grows like n^2, and the fill of a lattice's
+# sparse LU factors a little faster; a sector's pencil has only n/2 - 1
+# unknowns.  Peak RSS of one validate run at n = 512 (x86-64, Python 3.11,
+# numpy 2.4, scipy 1.17, one BLAS thread): slit disk 86 MB (the import
+# floor, in 0.01 s), L-shape 177 MB, Ebg(1.5pi, 1.5pi) 299 MB (in 10 s), a
+# 2pi Dbeta 179 MB.
 _MAX_RESOLUTION = 512
 
 
@@ -369,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--radius",
         type=float,
         default=None,
-        help="truncation radius for unbounded domains (sector: default 1, ebg: default 8)",
+        help="truncation radius of an ebg domain (default 8); no other domain takes one",
     )
     common(p)
     p.set_defaults(func=_cmd_validate)

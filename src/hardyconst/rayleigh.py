@@ -15,10 +15,14 @@ graded toward every horizontal edge line).  A is assembled exactly; M is
 the consistent Q1 mass against the weight, integrated by tensor Gauss
 rules.  A Q1 function that vanishes on the boundary is admissible in the
 Hardy quotient, so by Rayleigh-Ritz the discrete minimum is an upper
-estimate of the constant.  The solve is exact: a sine transform along the
-uniform axis leaves one tridiagonal system per mode along the graded one,
-and a polygon that does not fill its bounding box adds a capacitance
-correction on the excluded nodes next to it.
+estimate of the constant.  Where the weight depends on the graded axis
+alone (the infinite sector's r^2/d^2 on the angle, the strip's on y), the
+lowest sine mode of the uniform axis separates exactly, and the grid is
+that mode's 1-D pencil along the graded axis, factored by a sparse LU.  On
+a polygon a sine transform along the uniform axis leaves one tridiagonal
+system per mode along the graded one, and a polygon that does not fill its
+bounding box adds a capacitance correction on the excluded nodes next to
+it; both solves are exact.
 
 Minimizing sequences of Hardy quotients spread over exponentially many
 length scales, and the excess of a grid's minimum is set by how many
@@ -53,7 +57,8 @@ import scipy.sparse.linalg as spla
 from scipy.fft import dst
 from scipy.sparse.csgraph import connected_components
 
-from .certify import Dbeta, DomainSpec, Ebg, OneReflexPolygon, Sector, SectorCapConvex, ensure_ccw
+from .certify import Dbeta, DomainSpec, Ebg, OneReflexPolygon, Sector, SectorCapConvex
+from .certify import dbeta_samples, ensure_ccw
 
 __all__ = [
     "GridProblem",
@@ -76,22 +81,25 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class GridProblem:
-    """Assembled discrete Hardy quotient on a lattice of nodes.
+    """Assembled discrete Hardy quotient on a grid of nodes.
 
-    kind names the discretization: "log-polar" (sector tensor grid),
-    "graded" (Cartesian tensor grid with a graded y axis) or "lattice"
-    (uniform square lattice).  xs and ys are the node positions along the
-    two lattice axes, boundary nodes included: x and y, or t = log r and
-    the angle on a log-polar grid.
-    mask marks the unknowns on that lattice and nodes lists their (i, j)
-    indices; dist holds each unknown's distance to the weighted boundary
-    part (all of the boundary, or the Dirichlet part only for mixed
-    problems).  matrix is the Dirichlet energy and mass the weighted mass
-    over the unknowns, so the estimate is the smallest eigenvalue of the
-    pencil (matrix, mass); solve(rhs) applies the inverse of matrix, and
-    start is the eigen-solve's start vector.  h is the smallest mesh width,
-    in the domain's own length units.  radius is the truncation radius of
-    an unbounded domain, None for a bounded one.
+    kind names the discretization: "log-polar" (sector pencil), "graded"
+    (Cartesian tensor grid with a graded y axis, or the strip's pencil) or
+    "lattice" (uniform square lattice).  xs and ys are the node positions
+    along the two grid axes, boundary nodes included: x and y, or t = log r
+    and the angle.  On a 2-D grid mask marks the unknowns on the xs-by-ys
+    lattice and nodes lists their (i, j) indices.  A pencil keeps only the
+    lowest sine mode along the uniform axis xs: its unknowns are that mode's
+    values at the interior nodes of ys, mask is one-dimensional over ys and
+    nodes holds their indices j as one column.  dist holds each unknown's
+    distance to the weighted boundary part (all of the boundary, or the
+    Dirichlet part only for mixed problems; at r = 1 on a sector).  matrix
+    is the Dirichlet energy and mass the weighted mass over the unknowns, so
+    the estimate is the smallest eigenvalue of the pencil (matrix, mass);
+    solve(rhs) applies the inverse of matrix, and start is the eigen-solve's
+    start vector.  h is the smallest mesh width in the domain's own length
+    units (at r = 1 on a sector).  radius is the truncation radius of a
+    two-halfline domain, None otherwise.
     """
 
     xs: np.ndarray
@@ -110,14 +118,6 @@ class GridProblem:
     @property
     def interior_count(self) -> int:
         return len(self.dist)
-
-    def node_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physical (x, y) of the unknowns."""
-        u, v = self.xs[self.nodes[:, 0]], self.ys[self.nodes[:, 1]]
-        if self.kind == "log-polar":
-            r = np.exp(u)
-            return r * np.cos(v), r * np.sin(v)
-        return u, v
 
 
 @dataclass(frozen=True)
@@ -196,17 +196,27 @@ def _points_in_polygon(px, py, verts: np.ndarray):
     return inside.reshape(px.shape)
 
 
-def _square_box(x0, x1, y0, y1, pad):
-    """Expand to a square box (uniform spacing needs equal side lengths)."""
-    x0, x1 = x0 - pad, x1 + pad
-    y0, y1 = y0 - pad, y1 + pad
-    side = max(x1 - x0, y1 - y0)
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    return cx - 0.5 * side, cx + 0.5 * side, cy - 0.5 * side, cy + 0.5 * side
-
-
 # ---------------------------------------------------------------------------
 # Core assembly.
+
+def _factor(matrix: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
+    """Solve with a sparse LU of the energy matrix; NumericalError if it fails."""
+    try:
+        # relax=1 and panel_size=1 keep SuperLU from reallocating its
+        # supernode workspace: with the defaults the factorization peaks
+        # 4.6 MB higher on the Ebg(1.5pi, 1.5pi) lattice at n = 128
+        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+    except RuntimeError as exc:
+        raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
+    return lu.solve
+
+
+def _check_resolution(count: int) -> None:
+    if count < _MIN_INTERIOR_NODES:
+        raise ValueError(
+            f"only {count} interior nodes; raise the resolution (need >= {_MIN_INTERIOR_NODES})"
+        )
+
 
 def _assemble(
     inside: Callable,
@@ -257,10 +267,7 @@ def _assemble(
         idx = -np.ones((n, n), dtype=np.int64)
         ii = np.where(mask)
         count = len(ii[0])
-        if count < _MIN_INTERIOR_NODES:
-            raise ValueError(
-                f"only {count} interior nodes; raise the resolution (need >= {_MIN_INTERIOR_NODES})"
-            )
+        _check_resolution(count)
         idx[ii] = np.arange(count)
         rows, cols, vals = [], [], []
         diag = np.zeros(count)
@@ -327,13 +334,6 @@ def _assemble(
         mask = new_mask
     nodes = np.column_stack(ii)
     dist = dist_grid[ii]
-    try:
-        # relax=1 and panel_size=1 keep SuperLU from reallocating its
-        # supernode workspace: with the defaults the factorization peaks
-        # 4.6 MB higher on the Ebg(1.5pi, 1.5pi) lattice at n = 128
-        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
-    except RuntimeError as exc:
-        raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
     return GridProblem(
         xs=xs,
         ys=ys,
@@ -344,7 +344,7 @@ def _assemble(
         nodes=nodes,
         matrix=matrix,
         mass=sp.diags(1.0 / dist**2, format="csr"),
-        solve=lu.solve,
+        solve=_factor(matrix),
         start=dist,
     )
 
@@ -598,28 +598,16 @@ class _TensorSolver:
 
 
 def _tensor_grid(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    weight: Callable,
-    dist: Callable,
-    elem_in: Optional[np.ndarray] = None,
-    kind: str = "graded",
+    xs: np.ndarray, ys: np.ndarray, weight: Callable, dist: Callable, elem_in: np.ndarray
 ) -> GridProblem:
-    """Q1 pencil on the tensor grid xs by ys (xs uniform).
+    """Q1 pencil on the Cartesian tensor grid xs by ys (xs uniform).
 
-    weight(u, v) is the Hardy weight in the grid's coordinates and dist(u, v)
-    the physical distance to the boundary; elem_in marks the elements inside
-    the domain (default: all).  The unknowns are the nodes whose four
-    elements are all inside.
+    weight(x, y) is the Hardy weight and dist(x, y) the distance to the
+    boundary; elem_in marks the elements inside the domain.  The unknowns
+    are the nodes whose four elements are all inside.
     """
-    if elem_in is None:
-        elem_in = np.ones((len(xs) - 1, len(ys) - 1), dtype=bool)
     keep = elem_in[1:, 1:] & elem_in[:-1, 1:] & elem_in[1:, :-1] & elem_in[:-1, :-1]
-    count = int(keep.sum())
-    if count < _MIN_INTERIOR_NODES:
-        raise ValueError(
-            f"only {count} interior nodes; raise the resolution (need >= {_MIN_INTERIOR_NODES})"
-        )
+    _check_resolution(int(keep.sum()))
     hx = xs[1] - xs[0]
     dy = np.diff(ys)
     line_y = _q1_line(dy)
@@ -648,59 +636,82 @@ def _tensor_grid(
     mask = np.zeros((len(xs), len(ys)), dtype=bool)
     mask[1:-1, 1:-1] = keep
     nodes = np.column_stack(np.nonzero(mask))
-    if kind == "log-polar":  # innermost ring: radial step or smallest arc step
-        h = math.exp(xs[0]) * min(math.expm1(hx), float(dy.min()))
-    else:
-        h = min(hx, float(dy.min()))
     u, v = xs[nodes[:, 0]], ys[nodes[:, 1]]
     return GridProblem(
         xs=xs,
         ys=ys,
-        kind=kind,
-        h=h,
+        kind="graded",
+        h=min(hx, float(dy.min())),
         mask=mask,
         dist=dist(u, v),
         nodes=nodes,
         matrix=matrix,
         mass=mass,
         solve=solve,
-        # the distance profile in the grid's own metric (weight^-1/2: d, or
-        # d/r in log-polar) times the lowest sine mode of the uniform axis,
-        # so the many near-degenerate modes along that axis (wiggles where
-        # they cost little) start out nearly absent
+        # the distance profile (weight^-1/2) times the lowest sine mode of
+        # the uniform axis, so the many near-degenerate modes along that
+        # axis (wiggles where they cost little) start out nearly absent
         start=weight(u, v) ** -0.5 * np.sin(PI * (u - xs[0]) / (xs[-1] - xs[0])),
     )
 
 
-def _sector_tensor_grid(beta: float, radius: float, n: int) -> GridProblem:
-    """Log-polar grid of the sector truncated at radius: n elements per axis.
+def _pencil(xs: np.ndarray, ys: np.ndarray, dist: Callable, h: float, kind: str) -> GridProblem:
+    """1-D pencil of the Q1 tensor grid xs by ys, whose weight dist(y)^-2 depends on y alone.
 
-    t = log r is uniform over the decades given by n, with Dirichlet
-    conditions at both ends; the angle is graded toward both edges.
+    xs is uniform with m elements of width hx and Dirichlet ends.  On the
+    tensor grid the energy is Kx (x) My + Mx (x) Ky and the mass Mx (x) Wy,
+    and the sine modes of the uniform axis solve Kx v = mu_k Mx v with
+    mu_k = 6(1 - cos(k pi/m)) / (hx^2 (2 + cos(k pi/m))), increasing in k.
+    So the smallest eigenvalue of the 2-D pencil is that of the lowest
+    mode's (Ky + mu_1 My, Wy) over the interior nodes of ys.  Wy is
+    integrated by the same Gauss rule as the 2-D mass (_mass_bands).  The
+    resolution check counts the unknowns of the 2-D grid.
     """
-    log_r = math.log(radius)
-    decades = n / _RADIAL_ELEMENTS_PER_DECADE
-    ts = log_r + np.linspace(-decades * math.log(10.0), 0.0, n + 1)
-    thetas = _graded_axis(np.array([0.0, beta]), n // 2)
-
-    def scaled_dist(t, theta):  # distance to the boundary over r
-        s = np.ones(np.shape(theta))
-        # angles to the edge rays at 0 and beta, each from either side; the
-        # sums keep full precision next to the rays, also in the slit case
-        for angle in (
-            np.minimum(theta, 2.0 * PI - theta),
-            np.minimum(beta - theta, (2.0 * PI - beta) + theta),
-        ):
-            s = np.minimum(s, np.where(angle < 0.5 * PI, np.sin(angle), 1.0))
-        return np.minimum(s, np.expm1(log_r - t))
-
-    return _tensor_grid(
-        ts,
-        thetas,
-        weight=lambda t, theta: scaled_dist(t, theta) ** -2.0,
-        dist=lambda t, theta: np.exp(t) * scaled_dist(t, theta),
-        kind="log-polar",
+    m = len(xs) - 1
+    _check_resolution((m - 1) * (len(ys) - 2))
+    hx = xs[1] - xs[0]
+    c = math.cos(PI / m)
+    mu = 6.0 * (1.0 - c) / (hx * hx * (2.0 + c))
+    dy = np.diff(ys)
+    ky_d, ky_o, my_d, my_o = _q1_line(dy)
+    w_d, w_o = np.zeros(len(ys)), np.zeros(len(dy))
+    for eta, wy in zip(*_gauss(_GAUSS_GRADED)):
+        w = dist(ys[:-1] + eta * dy) ** -2.0 * (wy * dy)
+        w_d[:-1] += (1 - eta) * (1 - eta) * w
+        w_d[1:] += eta * eta * w
+        w_o += (1 - eta) * eta * w
+    off = ky_o + mu * my_o
+    matrix = sp.diags([off, ky_d + mu * my_d, off], [-1, 0, 1], format="csr")
+    mass = sp.diags([w_o[1:-1], w_d[1:-1], w_o[1:-1]], [-1, 0, 1], format="csr")
+    mask = np.zeros(len(ys), dtype=bool)
+    mask[1:-1] = True
+    d = dist(ys[1:-1])
+    return GridProblem(
+        xs=xs,
+        ys=ys,
+        kind=kind,
+        h=h,
+        mask=mask,
+        dist=d,
+        nodes=np.flatnonzero(mask)[:, None],
+        matrix=matrix,
+        mass=mass,
+        solve=_factor(matrix),
+        start=d,
     )
+
+
+def _edge_distance(theta, beta: float):
+    """Distance at r = 1 to the edge rays at angles 0 and beta of a sector."""
+    s = np.ones(np.shape(theta))
+    # angles to the edge rays at 0 and beta, each from either side; the
+    # sums keep full precision next to the rays, also in the slit case
+    for angle in (
+        np.minimum(theta, 2.0 * PI - theta),
+        np.minimum(beta - theta, (2.0 * PI - beta) + theta),
+    ):
+        s = np.minimum(s, np.where(angle < 0.5 * PI, np.sin(angle), 1.0))
+    return s
 
 
 def _box_distance(px, py, verts: np.ndarray):
@@ -794,14 +805,17 @@ def _ray_link_cut(directions, lengths=None):
     return link_cut
 
 
-def _polygon_functions(verts: np.ndarray):
-    def inside(px, py):
-        return _points_in_polygon(px, py, verts)
-
-    def dist(px, py):
-        return _polyline_distance(px, py, verts, closed=True)
-
-    return inside, dist
+def _polygon_lattice(verts: np.ndarray, n: int) -> GridProblem:
+    """Cartesian lattice of a polygon over its square bounding box (uniform spacing)."""
+    (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
+    side = max(x1 - x0, y1 - y0)
+    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+    half = 0.5 * side
+    return _assemble(
+        lambda px, py: _points_in_polygon(px, py, verts),
+        lambda px, py: _polyline_distance(px, py, verts),
+        cx - half, cx + half, cy - half, cy + half, n,
+    )
 
 
 def _ebg_polygon(beta: float, gamma: float, radius: float) -> np.ndarray:
@@ -846,10 +860,8 @@ def _ebg_polygon(beta: float, gamma: float, radius: float) -> np.ndarray:
 
 
 def _dbeta_functions(d: Dbeta):
-    samples = np.asarray(sorted(d.r_samples), dtype=float)
+    samples = dbeta_samples(d)
     thetas, rvals = samples[:, 0], samples[:, 1]
-    if np.any(rvals <= 0.0):
-        raise ValueError("polar graph r(theta) must stay positive")
     beta = d.beta
     gamma0_a = np.array([rvals[0], 0.0])
     gamma0_b = rvals[-1] * np.array([math.cos(beta), math.sin(beta)])
@@ -883,54 +895,45 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
     """Grid, weights and energy matrix for a domain description.
 
     n sets the resolution; every grid has at most n^2 unknowns.  Sectors
-    get a log-polar grid of n elements per axis, resolving n/16 decades of
-    radius.  Polygons whose edges are all horizontal or vertical get a
-    boundary-fitted grid of at most n elements per axis, when a uniform x
+    get the 1-D pencil of a log-polar grid of n elements per axis: t = log r
+    uniform over the n/16 decades below r = 1 with Dirichlet ends, the angle
+    graded toward both edges, and the infinite sector's weight r^2/d^2 with
+    no truncation arc, so lambda is a Rayleigh-Ritz upper estimate of
+    c(beta) itself.  Polygons whose edges are all horizontal or vertical get
+    a boundary-fitted grid of at most n elements per axis, when a uniform x
     spacing of at least n/2 elements puts every vertex on a node; other
     polygons, two-halfline domains and mixed problems get the Cartesian
-    lattice with n nodes per side of the square bounding box.  Unbounded
-    domains are truncated at `radius` (sector: default 1, scale-free;
-    two-halfline domains: default 8 segment lengths) with Dirichlet
-    conditions on the truncation arc, and the grid records the radius
-    used.  A radius must be finite and positive, and for two-halfline
-    domains exceed 1/2, so that the arc about the segment's midpoint
-    encloses the segment; a radius for a bounded domain (polygon or mixed
-    problem) has nothing to truncate.  ValueError otherwise.  Convex-cap
-    descriptions carry no concrete cap geometry and cannot be gridded.
+    lattice with n nodes per side of the square bounding box.  Two-halfline
+    domains are truncated at `radius` (default 8 segment lengths) with
+    Dirichlet conditions on the truncation arc, and the grid records the
+    radius used.  That radius must be finite and exceed 1/2, so that the arc
+    about the segment's midpoint encloses the segment; no other domain
+    takes one (a sector is scale-invariant, the rest bounded).  ValueError
+    otherwise.  Convex-cap descriptions carry no concrete cap geometry and
+    cannot be gridded.
     """
-    if radius is not None and not 0.0 < radius < math.inf:
-        raise ValueError(f"truncation radius {radius} must be finite and positive")
-    if radius is not None and isinstance(domain, (OneReflexPolygon, Dbeta)):
-        raise ValueError(
-            f"a {type(domain).__name__} domain is bounded; a truncation radius does not apply"
-        )
+    if radius is not None and not isinstance(domain, Ebg):
+        raise ValueError(f"a truncation radius does not apply to a {type(domain).__name__} domain")
     if isinstance(domain, Sector):
-        if not PI < domain.beta <= 2.0 * PI + 1e-12:
-            raise ValueError(f"opening angle {domain.beta} outside (pi, 2pi]")
-        r = 1.0 if radius is None else float(radius)
-        grid = _sector_tensor_grid(domain.beta, r, n)
-        grid.radius = r
-        return grid
+        beta = domain.beta
+        if not PI < beta <= 2.0 * PI + 1e-12:
+            raise ValueError(f"opening angle {beta} outside (pi, 2pi]")
+        ts = np.linspace(-n / _RADIAL_ELEMENTS_PER_DECADE * math.log(10.0), 0.0, n + 1)
+        thetas = _graded_axis(np.array([0.0, beta]), n // 2)
+        # innermost ring at r = 1: radial step or smallest arc step
+        h = math.exp(ts[0]) * min(math.expm1(ts[1] - ts[0]), float(np.diff(thetas).min()))
+        return _pencil(ts, thetas, lambda theta: _edge_distance(theta, beta), h, "log-polar")
     if isinstance(domain, OneReflexPolygon):
         verts = ensure_ccw(domain.vertices)
         grid = _polygon_tensor_grid(verts, n)
-        if grid is not None:
-            return grid
-        x0, y0 = verts.min(axis=0)
-        x1, y1 = verts.max(axis=0)
-        x0, x1, y0, y1 = _square_box(x0, x1, y0, y1, 0.0)
-        inside, dist = _polygon_functions(verts)
-        return _assemble(inside, dist, x0, x1, y0, y1, n)
+        return _polygon_lattice(verts, n) if grid is None else grid
     if isinstance(domain, Ebg):
         r = 8.0 if radius is None else float(radius)
-        if not r > 0.5:
-            raise ValueError(f"truncation radius {r} must exceed 1/2 to enclose the unit segment")
-        verts = _ebg_polygon(domain.beta, domain.gamma, r)
-        x0, y0 = verts.min(axis=0)
-        x1, y1 = verts.max(axis=0)
-        x0, x1, y0, y1 = _square_box(x0, x1, y0, y1, 0.0)
-        inside, dist = _polygon_functions(verts)
-        grid = _assemble(inside, dist, x0, x1, y0, y1, n)
+        if not 0.5 < r < math.inf:
+            raise ValueError(
+                f"truncation radius {r} must be finite and exceed 1/2 to enclose the unit segment"
+            )
+        grid = _polygon_lattice(_ebg_polygon(domain.beta, domain.gamma, r), n)
         grid.radius = r
         return grid
     if isinstance(domain, Dbeta):
@@ -951,16 +954,13 @@ def strip_proxy(n: int, length: float = 3.0) -> GridProblem:
 
     The rectangle is length x 1 with Dirichlet conditions on all four
     sides; only the distance to the bottom side, y, enters the weight.  x
-    is uniform and y graded toward the bottom side, n elements each.
+    is uniform and y graded toward the bottom side, n elements each.  The
+    weight depends on y alone, so the grid is the 1-D pencil of the lowest
+    sine mode in x, with n - 1 unknowns along y.
     """
     xs = np.linspace(0.0, length, n + 1)
     ys = np.concatenate([[0.0], _graded_offsets(1.0, 0.0, n)])  # exact next to y = 0
-    return _tensor_grid(
-        xs,
-        ys,
-        weight=lambda x, y: y**-2.0,
-        dist=lambda x, y: y,
-    )
+    return _pencil(xs, ys, lambda y: y, min(xs[1], float(np.diff(ys).min())), "graded")
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +988,7 @@ def estimate_constant(grid: GridProblem, return_vector: bool = False):
     residual_bound = |r|_{A^-1} / |x|_A: some eigenvalue of the pencil lies
     in [lam/(1 + eta), lam/(1 - eta)] (Parlett, The Symmetric Eigenvalue
     Problem, ch. 10-11).  The bound is only as exact as grid.solve, which
-    is exact up to rounding on sector grids and lattices (a sparse LU) and
+    is exact up to rounding on 1-D pencils and lattices (a sparse LU) and
     an ill-conditioned capacitance solve on polygons that do not fill their
     bounding box; on the L-shape at n = 256 that solve, not Lanczos, sets
     the bound near 1.6e-5.  iterations counts every solve, this one

@@ -2,12 +2,13 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
 appear.  The grid-validation criterion runs the boundary-fitted grids of
-`hardyconst.rayleigh`: log-polar for the slit disk, graded toward the
-horizontal edges for the L-shape and the strip.  Their estimates are
-Rayleigh-Ritz upper estimates that approach the constants algebraically in
-n, which a uniform lattice (converging like 1/log^2(1/h)) cannot; see the
-README section on the validator and tests/test_rayleigh.py for the
-machinery checks.
+`hardyconst.rayleigh`: for the slit disk, the 1-D log-polar pencil of the
+infinite sector of opening 2pi; for the L-shape and the strip, Cartesian
+grids graded toward the horizontal edges, the strip's solved as a 1-D
+pencil too.  Their estimates are Rayleigh-Ritz upper estimates that
+approach the constants algebraically in n, which a uniform lattice
+(converging like 1/log^2(1/h)) cannot; see the README section on the
+validator and tests/test_rayleigh.py for the machinery checks.
 """
 
 import math

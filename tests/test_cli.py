@@ -254,6 +254,10 @@ BAD_DOMAIN_FILES = {
     "flat-vertices": '{"type": "polygon", "vertices": [0, 0, 1, 0, 1, 1, 0, 1]}',
     "vertex-triple": '{"type": "polygon", "vertices": [[0, 0], [1, 0, 2], [1, 1], [0, 1]]}',
     "flat-r_samples": '{"type": "dbeta", "beta": 1.5, "r_samples": [0, 1, 1.5, 1]}',
+    "dbeta-no-samples": '{"type": "dbeta", "beta": 1.5, "r_samples": []}',
+    "dbeta-uncovered": '{"type": "dbeta", "beta": 1.5, "r_samples": [[0, 1], [0.5, 1]]}',
+    "dbeta-convex-opening":
+        '{"type": "dbeta", "beta": 0.9, "r_samples": [[0, 1], [0.3, 1], [0.6, 1], [0.9, 1]]}',
 }
 
 
@@ -290,13 +294,15 @@ def test_validate_rejects_bad_radius(tmp_path, capsys, kind, radius):
     [
         {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]]},
         {"type": "dbeta", "beta": 1.5, "r_samples": [[0.0, 1.0], [0.75, 1.0], [1.5, 1.0]]},
+        {"type": "sector", "beta": 1.5},
     ],
-    ids=["polygon", "dbeta"],
+    ids=["polygon", "dbeta", "sector"],
 )
 @pytest.mark.parametrize("radius", ["5", "1e-3"])
 def test_validate_rejects_radius_for_bounded_domain(tmp_path, capsys, doc, radius):
-    # a bounded domain has nothing to truncate; the radius used to be dropped
-    # without a word, and every radius gave the same lambda
+    # a bounded domain has nothing to truncate, nor has the infinite sector's
+    # pencil; the radius used to be dropped without a word, and every radius
+    # gave the same lambda
     f = tmp_path / "dom.json"
     f.write_text(json.dumps(doc))
     assert run(["validate", str(f), "--n", "32", f"--radius={radius}"]) == 2
@@ -306,13 +312,12 @@ def test_validate_rejects_radius_for_bounded_domain(tmp_path, capsys, doc, radiu
 @pytest.mark.parametrize(
     "doc, args, radius",
     [
-        ({"type": "sector", "beta": 1.5}, [], 1.0),
-        ({"type": "sector", "beta": 1.5}, ["--radius=2.5"], 2.5),
+        ({"type": "sector", "beta": 1.5}, [], None),
         ({"type": "ebg", "beta": 1.5, "gamma": 1.5}, [], 8.0),
         ({"type": "ebg", "beta": 1.5, "gamma": 1.5}, ["--radius=3"], 3.0),
         ({"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, [], None),
     ],
-    ids=["sector-default", "sector-given", "ebg-default", "ebg-given", "polygon"],
+    ids=["sector-default", "ebg-default", "ebg-given", "polygon"],
 )
 def test_validate_records_its_radius(tmp_path, doc, args, radius):
     f = tmp_path / "dom.json"
@@ -365,13 +370,15 @@ def test_validate_resolution_is_bounded(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("failure", ["eigsh", "splu"])
 def test_validate_exit_code_solver_failure(tmp_path, capsys, break_solver, failure):
-    # the x = 0.437 notch falls back to the lattice, whose energy splu factors
+    # the x = 0.437 notch falls back to the lattice, whose energy splu factors,
+    # as it does the sector's pencil
     vertices = [[0, 0], [1, 0], [1, 0.5], [0.437, 0.5], [0.437, 1], [0, 1]]
     f = tmp_path / "dom.json"
-    f.write_text(json.dumps({"type": "polygon", "vertices": vertices}))
     break_solver(failure)
-    assert run(["validate", str(f), "--n", "48"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    for doc in ({"type": "polygon", "vertices": vertices}, {"type": "sector", "beta": 2.0}):
+        f.write_text(json.dumps(doc))
+        assert run(["validate", str(f), "--n", "48"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
 
 def test_mutually_exclusive_inputs():

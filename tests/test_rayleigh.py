@@ -10,7 +10,9 @@ from hardyconst.hardycore import solve_c_beta
 from hardyconst.rayleigh import (
     NumericalError,
     _ebg_polygon,
+    _edge_distance,
     _points_in_polygon,
+    _tensor_grid,
     build_grid,
     estimate_constant,
     strip_proxy,
@@ -41,7 +43,7 @@ def test_lshape_reflex_corner_diagonal_neighbor():
     j = int(np.argmin(np.abs(grid.ys - 0.5)))
     hx = grid.xs[i] - grid.xs[i - 1]
     hy = grid.ys[j] - grid.ys[j - 1]
-    xs, ys = grid.node_coordinates()
+    xs, ys = grid.xs[grid.nodes[:, 0]], grid.ys[grid.nodes[:, 1]]
     target = (0.5 - hx, 0.5 - hy)
     k = int(np.argmin((xs - target[0]) ** 2 + (ys - target[1]) ** 2))
     assert math.hypot(xs[k] - target[0], ys[k] - target[1]) < 1e-12
@@ -49,10 +51,11 @@ def test_lshape_reflex_corner_diagonal_neighbor():
 
 
 def test_slit_disk_mask_connected_even_and_odd():
+    # the sector is a pencil along the angle: one unknown per interior angle node
     for n in (64, 65):
         grid = build_grid(Sector(2.0 * PI), n)
         assert connected_components(grid.matrix, directed=False)[0] == 1
-        assert grid.interior_count > 1000
+        assert grid.interior_count == len(grid.ys) - 2 == np.count_nonzero(grid.mask)
 
 
 def test_ebg_truncated_mask_connected():
@@ -129,10 +132,54 @@ def test_lshape_solve_count():
 
 @pytest.mark.parametrize("failure", ["eigsh", "splu"])
 def test_solver_failure_raises_numerical_error(break_solver, failure):
-    # a lattice: its energy is factored by splu while the grid is built
+    # a lattice and a sector pencil: splu factors their energy while the grid is built
     break_solver(failure)
-    with pytest.raises(NumericalError):
-        estimate_constant(build_grid(Ebg(1.5 * PI, 1.5 * PI), 48, radius=8.0))
+    for domain, n, radius in ((Ebg(1.5 * PI, 1.5 * PI), 48, 8.0), (Sector(1.5 * PI), 64, None)):
+        with pytest.raises(NumericalError):
+            estimate_constant(build_grid(domain, n, radius=radius))
+
+
+def full_tensor_grid(pencil, weight, dist):
+    """The 2-D Q1 grid whose lowest mode a pencil is, over all of its xs-by-ys elements."""
+    elements = np.ones((len(pencil.xs) - 1, len(pencil.ys) - 1), dtype=bool)
+    return _tensor_grid(pencil.xs, pencil.ys, weight, dist, elements)
+
+
+@pytest.mark.parametrize("beta", [1.2 * PI, 1.5 * PI, 2.0 * PI], ids=["1.2pi", "1.5pi", "2pi"])
+@pytest.mark.parametrize("n", [33, 64, 65])
+def test_sector_pencil_matches_tensor_grid(beta, n):
+    # the log-polar Q1 grid with the infinite sector's weight, which depends
+    # on the angle alone: its smallest eigenvalue is the pencil's
+    pencil = build_grid(Sector(beta), n)
+    grid = full_tensor_grid(
+        pencil,
+        weight=lambda t, theta: _edge_distance(theta, beta) ** -2.0,
+        dist=lambda t, theta: np.exp(t) * _edge_distance(theta, beta),
+    )
+    assert grid.interior_count == (len(pencil.xs) - 2) * pencil.interior_count
+    assert estimate_constant(pencil).lam == pytest.approx(estimate_constant(grid).lam, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [33, 49])
+def test_strip_pencil_matches_tensor_grid(n):
+    pencil = strip_proxy(n)
+    grid = full_tensor_grid(pencil, weight=lambda x, y: y**-2.0, dist=lambda x, y: y)
+    assert estimate_constant(pencil).lam == pytest.approx(estimate_constant(grid).lam, abs=1e-12)
+
+
+def test_strip_lambda_is_pinned():
+    assert estimate_constant(strip_proxy(49)).lam == pytest.approx(0.2671146344142, abs=1e-12)
+    assert estimate_constant(strip_proxy(128)).lam == pytest.approx(0.2538394527860, abs=1e-12)
+
+
+def test_sector_sweep_stays_above_its_constant():
+    # 41 openings in (pi, 2pi] at n = 256: the pencil is a Rayleigh-Ritz upper
+    # estimate of the infinite sector's c(beta), no slack, and its excess
+    # measured 2.5e-3 to 7.9e-3
+    for beta in np.linspace(PI, 2.0 * PI, 42)[1:]:
+        lam = estimate_constant(build_grid(Sector(float(beta)), 256)).lam
+        c = solve_c_beta(float(beta)).c
+        assert c <= lam <= c + 7.9e-3, (beta / PI, lam, c)
 
 
 LATTICE_CASES = {
