@@ -327,7 +327,9 @@ def dbeta_samples(d: Dbeta) -> np.ndarray:
     """The (theta, r) samples of a polar-graph domain, sorted by angle.
 
     ValueError unless the opening is in (pi, 2pi], there are at least 2
-    samples, r stays positive and the samples cover [0, beta].
+    samples, no angle repeats, r stays positive and the samples cover
+    [0, beta].  At a repeated angle the slope between its samples is
+    undefined, and the sort would order a radial jump there by r alone.
     """
     if not PI < d.beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {d.beta} outside (pi, 2pi]")
@@ -335,6 +337,8 @@ def dbeta_samples(d: Dbeta) -> np.ndarray:
         raise ValueError("a polar graph needs at least 2 samples")
     samples = np.asarray(sorted(d.r_samples), dtype=float)
     thetas, r = samples[:, 0], samples[:, 1]
+    if np.any(np.diff(thetas) == 0.0):
+        raise ValueError("polar graph angles must not repeat")
     if np.any(r <= 0.0):
         raise ValueError("polar graph r(theta) must stay positive")
     if thetas[0] > 1e-9 or thetas[-1] < d.beta - 1e-9:

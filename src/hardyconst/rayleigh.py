@@ -149,50 +149,128 @@ class RayleighEstimate:
 # Geometry helpers.
 
 def _segment_distance(px, py, ax, ay, bx, by):
+    """Distance from points p to segments a-b, elementwise over broadcast arrays.
+
+    Where the squared length ll is 0 the division uses 1 instead, so a
+    zero-length segment gets t = 0 and the distance |p - a| exactly.  (Where
+    ll underflows to 0 from a nonzero v, |v| < 1e-161 bounds t v.)
+    """
     vx, vy = bx - ax, by - ay
     ll = vx * vx + vy * vy
-    if ll == 0.0:
-        return np.hypot(px - ax, py - ay)
-    t = np.clip(((px - ax) * vx + (py - ay) * vy) / ll, 0.0, 1.0)
+    t = np.clip(((px - ax) * vx + (py - ay) * vy) / np.where(ll == 0.0, 1.0, ll), 0.0, 1.0)
     return np.hypot(px - ax - t * vx, py - ay - t * vy)
 
 
-def _polyline_distance(px, py, verts: np.ndarray, closed: bool = True):
-    n = len(verts)
-    last = n if closed else n - 1
-    best = np.full(np.shape(px), np.inf)
-    for i in range(last):
-        a = verts[i]
-        b = verts[(i + 1) % n]
-        best = np.minimum(best, _segment_distance(px, py, a[0], a[1], b[0], b[1]))
-    return best
-
-
-# Edge-by-point elements of one chunk of _points_in_polygon: a few work
+# Pairs per chunk of _points_in_polygon and _polyline_distance: a few work
 # arrays of this many values each.
-_POLYGON_CHUNK = 1 << 18
+_PAIR_CHUNK = 1 << 13
+# Points per tile of _polyline_distance.
+_TILE_POINTS = 64
+
+
+def _ragged_pairs(counts: np.ndarray):
+    """Offsets 0 .. counts[g] - 1 of every group g in turn, as (group, offset) arrays per chunk."""
+    ends = np.cumsum(counts)
+    begins = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    for s in range(0, total, _PAIR_CHUNK):
+        e = min(s + _PAIR_CHUNK, total)
+        g0, g1 = np.searchsorted(ends, [s, e - 1], "right")
+        span = np.minimum(ends[g0 : g1 + 1], e) - np.maximum(begins[g0 : g1 + 1], s)
+        g = np.repeat(np.arange(g0, g1 + 1), span)
+        yield g, np.arange(s, e) - begins[g]
+
+
+def _tiles(x, y):
+    """Bin finite points into square tiles of about _TILE_POINTS points each.
+
+    Returns (order, first, lo, hi): tile k holds the points
+    order[first[k]:first[k + 1]], and lo[k], hi[k] are their least and
+    greatest (x, y).
+    """
+    x0, y0 = x.min(), y.min()
+    width = max(x.max() - x0, y.max() - y0) * math.sqrt(_TILE_POINTS / len(x)) or 1.0
+    rows = int((y.max() - y0) // width) + 1
+    cell = ((x - x0) // width).astype(np.intp) * rows + ((y - y0) // width).astype(np.intp)
+    order = np.argsort(cell)
+    cell = cell[order]
+    first = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+    points = np.column_stack([x[order], y[order]])
+    return order, first, np.minimum.reduceat(points, first), np.maximum.reduceat(points, first)
+
+
+def _polyline_distance(px, py, verts: np.ndarray, closed: bool = True):
+    """Distance from finite points to a polyline, closed back to its first vertex or open.
+
+    Each point meets only the segments that can be nearest to it.  The
+    points are binned into square tiles of about _TILE_POINTS each.  The
+    distance from a tile's centre plus the tile's half diagonal bounds the
+    distance of every point in the tile, so a segment whose bounding box
+    lies farther than that from the tile's box, with a slack far above
+    rounding, is never nearest.  _segment_distance runs on each tile's
+    points against its remaining segments only, and the minimum over them
+    is the minimum over all segments, bit for bit.
+    """
+    a = verts if closed else verts[:-1]
+    b = np.roll(verts, -1, axis=0)[: len(a)]
+    px, py = np.broadcast_arrays(px, py)
+    x, y = px.ravel(), py.ravel()
+    dist = np.full(len(x), np.inf)
+    if len(a) == 0 or len(x) == 0:
+        return dist.reshape(px.shape)
+    order, first, box_lo, box_hi = _tiles(x, y)
+    centre = 0.5 * (box_lo + box_hi)
+    reach = 0.5 * np.hypot(*(box_hi - box_lo).T)
+    slack = 1e-9 * max(np.abs(verts).max(), np.abs(box_lo).max(), np.abs(box_hi).max())
+    seg_lo, seg_hi = np.minimum(a, b).T, np.maximum(a, b).T
+    # the candidate segments of each tile, a few tiles at a time
+    tiles, segs = [], []
+    step = max(1, _PAIR_CHUNK // len(a))
+    for t0 in range(0, len(first), step):
+        c, lo, hi = (v[t0 : t0 + step, :, None] for v in (centre, box_lo, box_hi))
+        near = _segment_distance(c[:, 0], c[:, 1], a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        bound = (near.min(axis=1) + reach[t0 : t0 + step]) * (1.0 + 1e-9) + slack
+        gap = np.maximum(np.maximum(seg_lo - hi, lo - seg_hi), 0.0)
+        t, s = np.nonzero(np.hypot(gap[:, 0], gap[:, 1]) <= bound[:, None])
+        tiles.append(t0 + t)
+        segs.append(s)
+    segs = np.concatenate(segs)
+    count = np.bincount(np.concatenate(tiles), minlength=len(first))
+    seg_start = np.cumsum(count) - count
+    # each point of a tile against the tile's candidates, point by point
+    for t, off in _ragged_pairs(np.diff(np.r_[first, len(x)]) * count):
+        j = order[first[t] + off // count[t]]
+        s = segs[seg_start[t] + off % count[t]]
+        d = _segment_distance(x[j], y[j], a[s, 0], a[s, 1], b[s, 0], b[s, 1])
+        runs = np.flatnonzero(np.r_[True, j[1:] != j[:-1]])
+        j = j[runs]
+        dist[j] = np.minimum(dist[j], np.minimum.reduceat(d, runs))
+    return dist.reshape(px.shape)
 
 
 def _points_in_polygon(px, py, verts: np.ndarray):
-    """Even-odd rule: every non-horizontal edge at once, over chunks of points.
+    """Even-odd rule, each edge against the points in its height band only.
 
-    Each edge tests the points whose height it spans for a crossing to their
-    right; the parity of the crossings is an XOR reduction over the edges.
-    Horizontal edges cross nothing and are skipped.
+    A non-horizontal edge a-b can cross the rightward ray of a point only if
+    min(ya, yb) <= y < max(ya, yb); horizontal edges cross nothing.  With
+    the points sorted by y, each edge's band is one index range found by two
+    binary searches, the crossing test runs on the (edge, point) pairs of
+    the bands alone, and a point is inside when its crossings are odd.
     """
     b = np.roll(verts, -1, axis=0)
     slanted = verts[:, 1] != b[:, 1]
-    xa, ya = verts[slanted, 0, None], verts[slanted, 1, None]
-    xb, yb = b[slanted, 0, None], b[slanted, 1, None]
+    xa, ya = verts[slanted, 0], verts[slanted, 1]
+    xb, yb = b[slanted, 0], b[slanted, 1]
     px, py = np.broadcast_arrays(px, py)
-    flat_x, flat_y = px.ravel(), py.ravel()
-    inside = np.empty(flat_x.shape, dtype=bool)
-    step = max(1, _POLYGON_CHUNK // max(1, len(xa)))
-    for s in range(0, len(flat_x), step):
-        x, y = flat_x[s : s + step], flat_y[s : s + step]
-        cond = (ya > y) != (yb > y)
-        xint = xa + (y - ya) * (xb - xa) / (yb - ya)
-        inside[s : s + step] = np.logical_xor.reduce(cond & (x < xint), axis=0)
+    x, y = px.ravel(), py.ravel()
+    order = np.argsort(y)
+    start, stop = np.searchsorted(y[order], [np.minimum(ya, yb), np.maximum(ya, yb)], "left")
+    run, rise = xb - xa, yb - ya
+    inside = np.zeros(len(y), dtype=bool)
+    for e, off in _ragged_pairs(stop - start):
+        j = order[start[e] + off]
+        xint = xa[e] + (y[j] - ya[e]) * run[e] / rise[e]
+        np.logical_xor.at(inside, j[x[j] < xint], True)
     return inside.reshape(px.shape)
 
 

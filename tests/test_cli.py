@@ -258,6 +258,10 @@ BAD_DOMAIN_FILES = {
     "dbeta-uncovered": '{"type": "dbeta", "beta": 1.5, "r_samples": [[0, 1], [0.5, 1]]}',
     "dbeta-convex-opening":
         '{"type": "dbeta", "beta": 0.9, "r_samples": [[0, 1], [0.3, 1], [0.6, 1], [0.9, 1]]}',
+    "dbeta-repeated-angle": '{"type": "dbeta", "beta": 2, "r_samples": '
+    '[[0, 1], [0.5, 1], [0.5, 1], [1, 1], [1.5, 1], [2, 1]]}',
+    "dbeta-radial-jump": '{"type": "dbeta", "beta": 2, "r_samples": '
+    '[[0, 1], [0.5, 1], [0.5, 0.8], [1, 1], [1.5, 1], [2, 1]]}',
 }
 
 
@@ -334,23 +338,37 @@ def polar_samples(beta, amplitude, n=721):
 
 
 @pytest.mark.parametrize(
-    "doc, lam",
+    "doc, estimate",
     [
-        ({"type": "dbeta", "beta": 2.0, "r_samples": polar_samples(2.0 * PI, 0.1)}, 0.234460404036),
-        ({"type": "ebg", "beta": 1.5, "gamma": 1.5}, 0.348836920356),
+        (
+            {"type": "dbeta", "beta": 2.0, "r_samples": polar_samples(2.0 * PI, 0.1)},
+            {"h": 0.0316036227482, "iterations": 14, "lambda": 0.234460404036,
+             "residual_bound": 2.73500927239e-09},
+        ),
+        (
+            {"type": "ebg", "beta": 1.5, "gamma": 1.5},
+            {"h": 0.125980972589, "iterations": 18, "lambda": 0.348836920356,
+             "residual_bound": 4.72605827429e-08},
+        ),
+        (
+            {"type": "ebg", "beta": 1.3, "gamma": 0.8},
+            {"h": 0.115278984376, "iterations": 18, "lambda": 0.488531798646,
+             "residual_bound": 4.56092705982e-07},
+        ),
     ],
-    ids=["dbeta", "ebg"],
+    ids=["dbeta", "ebg", "ebg-asymmetric"],
 )
-def test_validate_lattice_lambda_is_pinned(tmp_path, doc, lam):
+def test_validate_lattice_lambda_is_pinned(tmp_path, doc, estimate):
     # the two lattice domains of perfbench's validate-curved workload at its
-    # n = 128: a faster lattice must give the same lambda to 12 digits
+    # n = 128, and an asymmetric two-halfline domain: a faster lattice must
+    # write the same estimate block, solve count and residual bound included
     f = tmp_path / "dom.json"
     f.write_text(json.dumps(doc))
     out = tmp_path / "est.json"
     assert run(["validate", str(f), "--n", "128", "-o", str(out)]) == 0
     got = json.loads(out.read_text())
     assert got["grid"] == "lattice"
-    assert got["estimate"]["lambda"] == lam
+    assert got["estimate"] == estimate
 
 
 def test_validate_resolution_is_bounded(tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from hardyconst.rayleigh import (
     _ebg_polygon,
     _edge_distance,
     _points_in_polygon,
+    _polyline_distance,
     _tensor_grid,
     build_grid,
     estimate_constant,
@@ -233,11 +234,14 @@ def polygon_probe_points(verts, n):
     return px, py
 
 
-@pytest.mark.parametrize(
-    "verts",
-    [_ebg_polygon(1.5 * PI, 1.5 * PI, 8.0), ensure_ccw(lshape().vertices)],
-    ids=["ebg-arc", "L-shape"],
-)
+POLYGONS = {
+    "ebg-arc": _ebg_polygon(1.5 * PI, 1.5 * PI, 8.0),
+    "ebg-asymmetric": _ebg_polygon(1.3 * PI, 0.8 * PI, 8.0),
+    "L-shape": ensure_ccw(lshape().vertices),
+}
+
+
+@pytest.mark.parametrize("verts", POLYGONS.values(), ids=POLYGONS.keys())
 def test_points_in_polygon_matches_edge_loop(verts):
     px, py = polygon_probe_points(verts, 129)
     got = _points_in_polygon(px, py, verts)
@@ -245,6 +249,62 @@ def test_points_in_polygon_matches_edge_loop(verts):
     # and on a 2-D block whose points need several chunks
     gx, gy = px[: 129 * 129].reshape(129, 129), py[: 129 * 129].reshape(129, 129)
     assert np.array_equal(_points_in_polygon(gx, gy, verts), even_odd_by_edge(gx, gy, verts))
+    # points at exactly every vertex's height, where the edges' bands end
+    lo, hi = verts[:, 0].min() - 1.0, verts[:, 0].max() + 1.0
+    hx, hy = np.meshgrid(np.linspace(lo, hi, 257), verts[:, 1])
+    assert np.array_equal(_points_in_polygon(hx, hy, verts), even_odd_by_edge(hx, hy, verts))
+    assert _points_in_polygon(np.empty(0), np.empty(0), verts).shape == (0,)
+
+
+def distance_by_segment(px, py, verts, closed=True):
+    """The distance one segment at a time, the reference for _polyline_distance."""
+    best = np.full(np.shape(px), np.inf)
+    n = len(verts)
+    for i in range(n if closed else n - 1):
+        (ax, ay), (bx, by) = verts[i], verts[(i + 1) % n]
+        vx, vy = bx - ax, by - ay
+        ll = vx * vx + vy * vy
+        if ll == 0.0:
+            d = np.hypot(px - ax, py - ay)
+        else:
+            t = np.clip(((px - ax) * vx + (py - ay) * vy) / ll, 0.0, 1.0)
+            d = np.hypot(px - ax - t * vx, py - ay - t * vy)
+        best = np.minimum(best, d)
+    return best
+
+
+def dbeta_graph():
+    """The open 721-sample polar graph of a Dbeta domain, r = 1 + 0.1 (theta - pi)^2."""
+    thetas = np.linspace(0.0, 2.0 * PI, 721)
+    r = 1.0 + 0.1 * (thetas - PI) ** 2
+    return np.column_stack([r * np.cos(thetas), r * np.sin(thetas)])
+
+
+POLYLINES = {
+    "ebg-arc": (POLYGONS["ebg-arc"], True),
+    "ebg-asymmetric": (POLYGONS["ebg-asymmetric"], True),
+    "dbeta-graph": (dbeta_graph(), False),
+    # repeated vertices, the closing segment among them, make zero-length segments
+    "zero-length-closed": (np.array([[0, 0], [1, 0], [1, 0], [1, 1], [0.5, 1.5], [0, 0]]), True),
+    "zero-length-open": (np.array([[0, 0], [0, 0], [1, 0], [1, 1], [1, 1]], dtype=float), False),
+}
+
+
+@pytest.mark.parametrize("verts, closed", POLYLINES.values(), ids=POLYLINES.keys())
+def test_polyline_distance_matches_segment_loop(verts, closed):
+    px, py = polygon_probe_points(verts, 129)
+    # and points far outside, in every direction
+    far = np.random.default_rng(3).uniform(-50.0, 50.0, (2, 2000))
+    px, py = np.concatenate([px, far[0]]), np.concatenate([py, far[1]])
+    got = _polyline_distance(px, py, verts, closed)
+    assert np.array_equal(got, distance_by_segment(px, py, verts, closed))
+    gx, gy = px[: 129 * 129].reshape(129, 129), py[: 129 * 129].reshape(129, 129)
+    got = _polyline_distance(gx, gy, verts, closed)
+    assert np.array_equal(got, distance_by_segment(gx, gy, verts, closed))
+    # a single point, and no points at all
+    one = _polyline_distance(px[:1], py[:1], verts, closed)
+    assert np.array_equal(one, distance_by_segment(px[:1], py[:1], verts, closed))
+    assert _polyline_distance(np.empty(0), np.empty(0), verts, closed).shape == (0,)
 
 
 def test_deterministic_repeat():
