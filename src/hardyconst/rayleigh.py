@@ -1070,7 +1070,9 @@ def estimate_constant(grid: GridProblem, return_vector: bool = False):
     an ill-conditioned capacitance solve on polygons that do not fill their
     bounding box; on the L-shape at n = 256 that solve, not Lanczos, sets
     the bound near 1.6e-5.  iterations counts every solve, this one
-    included.  Deterministic for a fixed grid.
+    included.  Deterministic for a fixed grid and BLAS thread count; the
+    thread count moves the vector's last bits, and with them the trailing
+    digits of residual_bound.
     """
     a, m = grid.matrix, grid.mass
     solves = 0
