@@ -1,10 +1,10 @@
 """Command-line surface: constants, angle tables, certification, validation.
 
 Angles are written as multiples of pi ("1.5pi") or as plain radians;
-tables carry both units.  Output documents are JSON (default) or CSV with
-floats fixed to 12 significant digits, so identical invocations produce
-byte-identical files.  Exit codes: 0 success, 2 input or domain error,
-3 numerical failure.
+tables carry both units.  Output documents are JSON (default) or, for the
+tables of cbeta, betacr and gamma-star, CSV, with floats fixed to 12
+significant digits, so identical invocations produce byte-identical files.
+Exit codes: 0 success, 2 input or domain error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -34,9 +34,9 @@ _MAX_SWEEP_COUNT = 100_000  # a sweep's rows are all held in memory
 # sparse LU factors a little faster; a sector's pencil has only n/2 - 1
 # unknowns.  Peak RSS of one validate run at n = 512 (x86-64, Python 3.11,
 # numpy 2.4, scipy 1.17, one BLAS thread): slit disk 86 MB (the import
-# floor, in 0.01 s), L-shape 177 MB, Ebg(1.5pi, 1.5pi) 303 MB (in 1.7 s of
+# floor, in 0.01 s), L-shape 177 MB, Ebg(1.5pi, 1.5pi) 293 MB (in 1.7 s of
 # CPU, half of it the LU factorization and the eigen-solve), a 2pi Dbeta
-# 181 MB.
+# 176 MB.
 _MAX_RESOLUTION = 512
 
 
@@ -86,8 +86,6 @@ def _emit(document: dict, rows: Optional[list], out: Optional[str], fmt: str) ->
     if fmt == "json":
         payload = json.dumps(document, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
-        if rows is None:
-            raise ValueError("this command has no tabular output; use JSON")
         buf = io.StringIO()
         rows = _round_tree(rows)
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
@@ -300,7 +298,7 @@ def _cmd_certify(args) -> int:
         print(f"constant: {report.constant:.10g}  ({report.constant_source})")
     for chk in report.checks:
         print(f"  [{'ok' if chk.satisfied else 'FAIL'}] {chk.name}  margin={chk.margin:.6g}")
-    _emit(doc, None, args.output, "json" if args.format == "csv" else args.format)
+    _emit(doc, None, args.output, "json")
     return 0
 
 
@@ -322,7 +320,7 @@ def _cmd_validate(args) -> int:
         f"lambda_min = {est.lam:.6g}  (residual bound {est.residual_bound:.2g}, n={args.n}, "
         f"{grid.kind} grid, h={est.h:.4g}, {est.iterations} solves, {grid.interior_count} nodes)"
     )
-    _emit(doc, None, args.output, "json" if args.format == "csv" else args.format)
+    _emit(doc, None, args.output, "json")
     return 0
 
 
@@ -333,9 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, tabular=True):
         p.add_argument("--output", "-o", default=None, help="write a document to this path")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if tabular:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("cbeta", help="Hardy constant of a sector")
     p.add_argument("--beta", default=None, help="opening angle, e.g. 1.5pi")
@@ -356,7 +355,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify a domain description file")
     p.add_argument("file")
-    common(p)
+    common(p, tabular=False)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("validate", help="variational grid estimate for a domain file")
@@ -374,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="truncation radius of an ebg domain (default 8); no other domain takes one",
     )
-    common(p)
+    common(p, tabular=False)
     p.set_defaults(func=_cmd_validate)
     return parser
 

@@ -343,11 +343,10 @@ def g_func(theta, beta: float):
     theta ~ 1e-154, z = sin^2(theta/2) underflows; once it is 0,
     subcritical g returns its limit 1/2.
 
-    theta is a float or an array, and the result is of the same kind.  Each
-    supercritical angle takes f_func's branch: the middle-region value at
-    theta = pi/2, the power series below 1e-3 and the hypergeometric branch
-    otherwise.  An array costs one pass per branch, and each entry equals
-    the call on that angle alone.
+    theta is a float or an array, and the result is of the same kind.
+    Supercritical g is f_func times sin(theta), so each angle takes
+    f_func's branch, and each entry of an array equals the call on that
+    angle alone.
     """
     if not PI - 1e-12 <= beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside [pi, 2pi]")
@@ -362,15 +361,7 @@ def g_func(theta, beta: float):
         g = 0.5 * critical_family(t, lam)
     else:
         sol = solve_c_beta(min(max(beta, beta_critical()), 2.0 * PI))
-        f = np.empty(t.shape)
-        middle = t == 0.5 * PI
-        series = t < _SERIES_SWITCH
-        hyper = ~(middle | series)
-        if middle.any():
-            f[middle] = f_func(0.5 * PI, sol)
-        f[series] = sol.alpha / t[series] + 2.0 * series_a2(sol.alpha) * t[series]
-        f[hyper] = _f_hyper(t[hyper], sol.alpha)
-        g = f * np.sin(t)
+        g = f_func(t, sol) * np.sin(t)
     return g if np.ndim(theta) else float(g)
 
 

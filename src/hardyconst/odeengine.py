@@ -50,6 +50,9 @@ PI = math.pi
 
 _LAUNCH_BVP = 1e-6  # series start of the shooting integration
 _LAUNCH_IVP = 1e-4  # series start of the singular IVP
+# DOP853 tolerances of every integration
+_RTOL = 1e-10
+_ATOL = 1e-12
 
 
 class BracketError(RuntimeError):
@@ -57,10 +60,10 @@ class BracketError(RuntimeError):
 
 
 class IntegrationError(RuntimeError):
-    """The integrator failed (step size collapsed) or the tolerance is unreachable."""
+    """The integrator failed, or the right-hand side is not finite at the launch point."""
 
 
-def _solve(rhs, t0: float, t1: float, y0: np.ndarray, rtol: float, atol: float, **kwargs):
+def _solve(rhs, t0: float, t1: float, y0: np.ndarray, **kwargs):
     """One DOP853 run of y' = rhs(t, y) from t0 to t1; IntegrationError if it fails.
 
     A right-hand side that is not finite at the launch point raises at once:
@@ -69,7 +72,7 @@ def _solve(rhs, t0: float, t1: float, y0: np.ndarray, rtol: float, atol: float, 
     """
     if not np.all(np.isfinite(rhs(t0, y0))):
         raise IntegrationError(f"right-hand side not finite at the launch point t={t0}")
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=rtol, atol=atol, **kwargs)
+    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=_RTOL, atol=_ATOL, **kwargs)
     if sol.status < 0:
         raise IntegrationError(f"integration failed on [{t0}, {t1}]: {sol.message}")
     return sol
@@ -94,7 +97,7 @@ class ShootingResult:
     nfev: int
 
 
-def _shoot(beta: float, cs: np.ndarray, rtol: float, atol: float, dense_output: bool = False):
+def _shoot(beta: float, cs: np.ndarray, dense_output: bool = False):
     """Integrate -psi'' = c V psi for a batch of trial constants.
 
     Launches at theta = 1e-6 from the three-term series
@@ -121,15 +124,15 @@ def _shoot(beta: float, cs: np.ndarray, rtol: float, atol: float, dense_output: 
 
     pieces = []
     for t0, t1 in ((th0, 0.5 * PI), (0.5 * PI, 0.5 * beta)):
-        pieces.append(_solve(rhs, t0, t1, y, rtol, atol, dense_output=dense_output))
+        pieces.append(_solve(rhs, t0, t1, y, dense_output=dense_output))
         y = pieces[-1].y[:, -1]
     return pieces
 
 
-def _shoot_terminal(beta: float, cs, rtol: float, atol: float) -> tuple[np.ndarray, int, int]:
+def _shoot_terminal(beta: float, cs) -> tuple[np.ndarray, int, int]:
     """psi'(beta/2) per trial constant, the accepted steps and the rhs evaluations of the run."""
     cs = np.atleast_1d(np.asarray(cs, dtype=float))
-    pieces = _shoot(beta, cs, rtol, atol)
+    pieces = _shoot(beta, cs)
     return (
         pieces[-1].y[len(cs):, -1],
         sum(p.t.size - 1 for p in pieces),
@@ -137,7 +140,7 @@ def _shoot_terminal(beta: float, cs, rtol: float, atol: float) -> tuple[np.ndarr
     )
 
 
-def shoot_c(beta: float, rtol: float = 1e-10, atol: float = 1e-12) -> ShootingResult:
+def shoot_c(beta: float) -> ShootingResult:
     """Largest c in (0, 1/4] for which the shot satisfies psi'(beta/2) = 0.
 
     One batched scan of 18 trial constants (integrated together) finds the
@@ -152,7 +155,7 @@ def shoot_c(beta: float, rtol: float = 1e-10, atol: float = 1e-12) -> ShootingRe
 
     def terminal(c):
         nonlocal nfev
-        d_vals, steps, evals = _shoot_terminal(beta, c, rtol, atol)
+        d_vals, steps, evals = _shoot_terminal(beta, c)
         nfev += evals
         return d_vals, steps
 
@@ -176,7 +179,7 @@ def shoot_c(beta: float, rtol: float = 1e-10, atol: float = 1e-12) -> ShootingRe
 def shot_profile(beta: float, c: float, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sampled (psi, psi') of the shot at a fixed trial constant."""
     grid = np.asarray(grid, dtype=float)
-    first, second = _shoot(beta, np.array([c]), 1e-10, 1e-12, dense_output=True)
+    first, second = _shoot(beta, np.array([c]), dense_output=True)
     samples = np.where(grid <= 0.5 * PI, first.sol(grid), second.sol(grid))
     return samples[0], samples[1]
 
@@ -202,29 +205,16 @@ def _default_grid() -> np.ndarray:
     return np.linspace(_LAUNCH_IVP, 0.5 * PI, 200)
 
 
-def solve_h(
-    alpha: float,
-    grid: Optional[np.ndarray] = None,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> HProfile:
+def solve_h(alpha: float, grid: Optional[np.ndarray] = None) -> HProfile:
     """Unique solution of the singular IVP for alpha in (1/2, 1).
 
     Launch at theta = 1e-4 from the local expansion
     h = 1 - theta^2 / (2 (2 alpha + 1)) + O(theta^4); the forward direction
     contracts perturbations like theta^(2 alpha - 1), so the launch error is
-    damped.  The grid must lie in [1e-4, pi/2].  Tolerances below ~1e-13
-    cannot be met against the 1/sin singularity at the launch and raise
-    IntegrationError.
+    damped.  The grid must lie in [1e-4, pi/2].
     """
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (1/2, 1)")
-    if rtol < 1e-13 or atol < 1e-16:
-        # below this the step size collapses near the singular launch;
-        # refuse instead of looping
-        raise IntegrationError(
-            f"tolerance rtol={rtol}, atol={atol} collapses the step near theta = 0"
-        )
     if grid is None:
         grid = _default_grid()
     grid = np.asarray(grid, dtype=float)
@@ -235,7 +225,7 @@ def solve_h(
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return -(alpha * y * y - math.cos(t) * y + 1.0 - alpha) / math.sin(t)
 
-    sol = _solve(rhs, _LAUNCH_IVP, 0.5 * PI, np.array([h0]), rtol, atol, t_eval=grid)
+    sol = _solve(rhs, _LAUNCH_IVP, 0.5 * PI, np.array([h0]), t_eval=grid)
     return HProfile(alpha=alpha, grid=grid, h=sol.y[0], lam=None)
 
 

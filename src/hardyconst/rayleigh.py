@@ -33,12 +33,13 @@ in n.
 Cartesian lattices, for every other domain (slanted polygon edges,
 two-halfline domains, mixed Dirichlet-Neumann sectors): the 5-point
 finite-difference energy on a square lattice against nodal weights
-1/dist^2.  The energy is factored once by a sparse LU (SuperLU, minimum
-degree ordering on A^T + A, whose pattern is symmetric), so every solve is
-exact up to rounding.  Its mesh width is uniform, so it
-resolves only about log10(n) decades and converges like 1/log^2(1/h); on a
-few hundred nodes per side the estimate sits a few tenths above the
-constant.  For these domains the validator is a consistency check
+1/dist^2, assembled in one pass from one inside test per node and
+restricted to its largest connected component.  The energy is factored
+once by a sparse LU (SuperLU, minimum degree ordering on A^T + A, whose
+pattern is symmetric), so every solve is exact up to rounding.  Its mesh
+width is uniform, so it resolves only about log10(n) decades and converges
+like 1/log^2(1/h); on a few hundred nodes per side the estimate sits a few
+tenths above the constant.  For these domains the validator is a consistency check
 (estimates stay above certified constants and shrink toward them), not a
 precision instrument.
 """
@@ -88,18 +89,18 @@ class GridProblem:
     "lattice" (uniform square lattice).  xs and ys are the node positions
     along the two grid axes, boundary nodes included: x and y, or t = log r
     and the angle.  On a 2-D grid mask marks the unknowns on the xs-by-ys
-    lattice and nodes lists their (i, j) indices.  A pencil keeps only the
-    lowest sine mode along the uniform axis xs: its unknowns are that mode's
-    values at the interior nodes of ys, mask is one-dimensional over ys and
-    nodes holds their indices j as one column.  dist holds each unknown's
-    distance to the weighted boundary part (all of the boundary, or the
-    Dirichlet part only for mixed problems; at r = 1 on a sector).  matrix
-    is the Dirichlet energy and mass the weighted mass over the unknowns, so
-    the estimate is the smallest eigenvalue of the pencil (matrix, mass);
-    solve(rhs) applies the inverse of matrix, and start is the eigen-solve's
-    start vector.  h is the smallest mesh width in the domain's own length
-    units (at r = 1 on a sector).  radius is the truncation radius of a
-    two-halfline domain, None otherwise.
+    lattice, numbered in the order of np.nonzero(mask).  A pencil keeps only
+    the lowest sine mode along the uniform axis xs: its unknowns are that
+    mode's values at the interior nodes of ys, and mask is one-dimensional
+    over ys.  dist holds each unknown's distance to the weighted boundary
+    part (all of the boundary, or the Dirichlet part only for mixed
+    problems; at r = 1 on a sector).  matrix is the Dirichlet energy and
+    mass the weighted mass over the unknowns, so the estimate is the
+    smallest eigenvalue of the pencil (matrix, mass); solve(rhs) applies the
+    inverse of matrix, and start is the eigen-solve's start vector.  h is
+    the smallest mesh width in the domain's own length units (at r = 1 on a
+    sector).  radius is the truncation radius of a two-halfline domain, None
+    otherwise.
     """
 
     xs: np.ndarray
@@ -108,7 +109,6 @@ class GridProblem:
     h: float
     mask: np.ndarray
     dist: np.ndarray
-    nodes: np.ndarray
     matrix: sp.csr_matrix
     mass: sp.csr_matrix
     solve: Callable[[np.ndarray], np.ndarray]
@@ -309,10 +309,15 @@ def _assemble(
 ) -> GridProblem:
     """Build mask, weights and the 5-point energy on an n-by-n lattice.
 
-    inside and weight_dist take vectorized coordinates.  A link to an
-    out-of-mask neighbor is a Dirichlet half-link unless the neighbor point
-    lies outside the domain and neumann_side says the crossing is through
-    the Neumann part, in which case the link is dropped entirely.
+    inside and weight_dist take vectorized coordinates.  inside classifies
+    each node once and weight_dist measures the inside nodes only; the
+    unknowns are the inside nodes at least h/2 from the weighted boundary
+    part.  Each link reads its neighbor's inside flag and unknown index from
+    that classification, padded by one ring of outside nodes that are not
+    unknowns.  A link to an out-of-mask neighbor is a Dirichlet half-link
+    unless the neighbor lies outside the domain and neumann_side says the
+    crossing is through the Neumann part, in which case the link is dropped
+    entirely.
 
     Dirichlet half-links carry the cut-link correction: the boundary
     crossing is located at fraction s of the link and the diagonal
@@ -327,6 +332,11 @@ def _assemble(
     near-degenerate wedges have (near) measure-zero cross sections that
     point sampling misses in floating point, so those domains supply an
     analytic segment-crossing predicate.
+
+    Splinters, unknowns that no chain of open links joins to the rest, are
+    dropped by restricting the assembly to its largest connected component.
+    A dropped unknown shares no open link with a kept one, so every kept
+    row is the one an assembly without the splinters would build.
     """
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
@@ -335,83 +345,77 @@ def _assemble(
     if abs(h - hy) > 1e-9 * max(h, hy):
         raise ValueError("lattice spacing must be square")
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    mask = inside(gx, gy)
-    dist_grid = np.where(mask, weight_dist(gx, gy), np.inf)
-    # keep the nodal weight bounded: interior nodes sit at least h/2 from
-    # the weighted boundary part
-    mask &= dist_grid >= 0.5 * h * (1.0 - 1e-9)
-
-    for _ in range(4):  # peel to the largest component if splinters remain
-        idx = -np.ones((n, n), dtype=np.int64)
-        ii = np.where(mask)
-        count = len(ii[0])
-        _check_resolution(count)
-        idx[ii] = np.arange(count)
-        rows, cols, vals = [], [], []
-        diag = np.zeros(count)
-        px, py = gx[ii], gy[ii]
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            ji = ii[0] + dx
-            jj = ii[1] + dy
-            in_lattice = (ji >= 0) & (ji < n) & (jj >= 0) & (jj < n)
-            jidx = np.full(count, -1, dtype=np.int64)
-            jidx[in_lattice] = idx[ji[in_lattice], jj[in_lattice]]
-            nx_, ny_ = px + dx * h, py + dy * h
-            # endpoint average is bit-identical from either side of the link,
-            # so open/closed decisions cannot come out asymmetric
-            mid_in = inside(0.5 * (px + nx_), 0.5 * (py + ny_))
-            nbr_in = inside(nx_, ny_)
-            if link_cut is not None:
-                blocked, frac = link_cut(px, py, nx_, ny_)
-            else:
-                blocked = ~mid_in
-                frac = np.full(count, np.nan)
-            open_link = (jidx >= 0) & ~blocked
-            closed = ~open_link
-            neumann = np.zeros(count, dtype=bool)
-            if neumann_side is not None:  # only closed links to outside points can be Neumann
-                outward = closed & ~nbr_in
-                neumann[outward] = neumann_side(nx_[outward], ny_[outward])
-            dirichlet = closed & ~neumann
-            # locate the wall along each cut link: fraction s in (0, 1]
-            s = np.ones(count)
-            analytic = dirichlet & blocked & np.isfinite(frac)
-            s[analytic] = frac[analytic]
-            needs_bisect = dirichlet & ~analytic & ~(nbr_in & ~blocked)
-            if np.any(needs_bisect):
-                lo_c = np.zeros(int(needs_bisect.sum()))
-                hi_c = np.ones_like(lo_c)
-                mid_ok = mid_in[needs_bisect]
-                lo_c[mid_ok] = 0.5
-                hi_c[~mid_ok] = 0.5
-                bx, by = px[needs_bisect], py[needs_bisect]
-                for _bisect in range(20):
-                    mid = 0.5 * (lo_c + hi_c)
-                    inside_mid = inside(bx + mid * dx * h, by + mid * dy * h)
-                    lo_c = np.where(inside_mid, mid, lo_c)
-                    hi_c = np.where(inside_mid, hi_c, mid)
-                s[needs_bisect] = 0.5 * (lo_c + hi_c)
-            s = np.maximum(s, 0.05)
-            diag += np.where(dirichlet, 1.0 / s, np.where(neumann, 0.0, 1.0))
-            sel = np.where(open_link)[0]
-            rows.append(sel)
-            cols.append(jidx[sel])
-            vals.append(-np.ones(len(sel)))
-        matrix = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(count, count),
-        )
-        matrix = (matrix + sp.diags(diag)) / (h * h)
-        ncomp, labels = connected_components(matrix, directed=False)
-        if ncomp == 1:
-            break
-        largest = np.argmax(np.bincount(labels))
-        drop = labels != largest
-        new_mask = mask.copy()
-        new_mask[ii[0][drop], ii[1][drop]] = False
-        mask = new_mask
-    nodes = np.column_stack(ii)
-    dist = dist_grid[ii]
+    node_in = np.zeros((n + 2, n + 2), dtype=bool)
+    node_in[1:-1, 1:-1] = inside(gx, gy)
+    mask = node_in[1:-1, 1:-1].copy()
+    dist = weight_dist(gx[mask], gy[mask])
+    # keep the nodal weight bounded: unknowns sit at least h/2 from the
+    # weighted boundary part
+    far = dist >= 0.5 * h * (1.0 - 1e-9)
+    mask[mask] = far
+    dist = dist[far]
+    count = len(dist)
+    _check_resolution(count)
+    index = np.full((n + 2, n + 2), -1, dtype=np.int64)
+    index[1:-1, 1:-1][mask] = np.arange(count)
+    rows, cols, vals = [], [], []
+    diag = np.zeros(count)
+    px, py = gx[mask], gy[mask]
+    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        jidx = index[1 + dx : n + 1 + dx, 1 + dy : n + 1 + dy][mask]
+        nbr_in = node_in[1 + dx : n + 1 + dx, 1 + dy : n + 1 + dy][mask]
+        nx_, ny_ = px + dx * h, py + dy * h
+        # endpoint average is bit-identical from either side of the link,
+        # so open/closed decisions cannot come out asymmetric
+        mid_in = inside(0.5 * (px + nx_), 0.5 * (py + ny_))
+        if link_cut is not None:
+            blocked, frac = link_cut(px, py, nx_, ny_)
+        else:
+            blocked = ~mid_in
+            frac = np.full(count, np.nan)
+        open_link = (jidx >= 0) & ~blocked
+        closed = ~open_link
+        neumann = np.zeros(count, dtype=bool)
+        if neumann_side is not None:  # only closed links to outside points can be Neumann
+            outward = closed & ~nbr_in
+            neumann[outward] = neumann_side(nx_[outward], ny_[outward])
+        dirichlet = closed & ~neumann
+        # locate the wall along each cut link: fraction s in (0, 1]
+        s = np.ones(count)
+        analytic = dirichlet & blocked & np.isfinite(frac)
+        s[analytic] = frac[analytic]
+        needs_bisect = dirichlet & ~analytic & ~(nbr_in & ~blocked)
+        if np.any(needs_bisect):
+            lo_c = np.zeros(int(needs_bisect.sum()))
+            hi_c = np.ones_like(lo_c)
+            mid_ok = mid_in[needs_bisect]
+            lo_c[mid_ok] = 0.5
+            hi_c[~mid_ok] = 0.5
+            bx, by = px[needs_bisect], py[needs_bisect]
+            for _bisect in range(20):
+                mid = 0.5 * (lo_c + hi_c)
+                inside_mid = inside(bx + mid * dx * h, by + mid * dy * h)
+                lo_c = np.where(inside_mid, mid, lo_c)
+                hi_c = np.where(inside_mid, hi_c, mid)
+            s[needs_bisect] = 0.5 * (lo_c + hi_c)
+        s = np.maximum(s, 0.05)
+        diag += np.where(dirichlet, 1.0 / s, np.where(neumann, 0.0, 1.0))
+        sel = np.where(open_link)[0]
+        rows.append(sel)
+        cols.append(jidx[sel])
+        vals.append(-np.ones(len(sel)))
+    matrix = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(count, count),
+    )
+    matrix = (matrix + sp.diags(diag)) / (h * h)
+    ncomp, labels = connected_components(matrix, directed=False)
+    if ncomp > 1:  # drop the splinters
+        largest = labels == np.argmax(np.bincount(labels))
+        _check_resolution(int(largest.sum()))
+        matrix = matrix[largest][:, largest]
+        mask[mask] = largest
+        dist = dist[largest]
     return GridProblem(
         xs=xs,
         ys=ys,
@@ -419,7 +423,6 @@ def _assemble(
         h=h,
         mask=mask,
         dist=dist,
-        nodes=nodes,
         matrix=matrix,
         mass=sp.diags(1.0 / dist**2, format="csr"),
         solve=_factor(matrix),
@@ -713,8 +716,8 @@ def _tensor_grid(
     )
     mask = np.zeros((len(xs), len(ys)), dtype=bool)
     mask[1:-1, 1:-1] = keep
-    nodes = np.column_stack(np.nonzero(mask))
-    u, v = xs[nodes[:, 0]], ys[nodes[:, 1]]
+    i, j = np.nonzero(mask)
+    u, v = xs[i], ys[j]
     return GridProblem(
         xs=xs,
         ys=ys,
@@ -722,7 +725,6 @@ def _tensor_grid(
         h=min(hx, float(dy.min())),
         mask=mask,
         dist=dist(u, v),
-        nodes=nodes,
         matrix=matrix,
         mass=mass,
         solve=solve,
@@ -771,7 +773,6 @@ def _pencil(xs: np.ndarray, ys: np.ndarray, dist: Callable, h: float, kind: str)
         h=h,
         mask=mask,
         dist=d,
-        nodes=np.flatnonzero(mask)[:, None],
         matrix=matrix,
         mass=mass,
         solve=_factor(matrix),
@@ -1027,16 +1028,20 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
     raise TypeError(f"unknown domain description {type(domain).__name__}")
 
 
-def strip_proxy(n: int, length: float = 3.0) -> GridProblem:
+# Length of the strip proxy's rectangle; its height is 1.
+_STRIP_LENGTH = 3.0
+
+
+def strip_proxy(n: int) -> GridProblem:
     """Thin-rectangle proxy for the half-plane: weight measures the bottom side only.
 
-    The rectangle is length x 1 with Dirichlet conditions on all four
+    The rectangle is _STRIP_LENGTH x 1 with Dirichlet conditions on all four
     sides; only the distance to the bottom side, y, enters the weight.  x
     is uniform and y graded toward the bottom side, n elements each.  The
     weight depends on y alone, so the grid is the 1-D pencil of the lowest
     sine mode in x, with n - 1 unknowns along y.
     """
-    xs = np.linspace(0.0, length, n + 1)
+    xs = np.linspace(0.0, _STRIP_LENGTH, n + 1)
     ys = np.concatenate([[0.0], _graded_offsets(1.0, 0.0, n)])  # exact next to y = 0
     return _pencil(xs, ys, lambda y: y, min(xs[1], float(np.diff(ys).min())), "graded")
 

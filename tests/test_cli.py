@@ -135,6 +135,19 @@ def test_csv_output(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("command", ["certify", "validate"])
+def test_documents_refuse_csv(tmp_path, capsys, command):
+    # certify and validate write one JSON document and have no table to write as CSV
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps({"type": "sector", "beta": 1.5}))
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        run([command, str(f), "--format", "csv", "-o", str(out)])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cbeta_full_range_csv_sweep(tmp_path):
     # the documented sweep starts at the half-plane, beta = pi
     out = tmp_path / "c.csv"

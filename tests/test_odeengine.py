@@ -155,11 +155,6 @@ def test_h_rejects_bad_alpha():
             solve_h(alpha)
 
 
-def test_h_step_collapse_at_absurd_tolerance():
-    with pytest.raises(IntegrationError):
-        solve_h(0.7, rtol=1e-16, atol=1e-18)
-
-
 def test_h_matches_riccati_variable():
     # alpha h(alpha, theta) equals g(beta, theta) when alpha(1-alpha) = c(beta)
     for alpha in (0.6, 0.7112860085935853):

@@ -44,7 +44,8 @@ def test_lshape_reflex_corner_diagonal_neighbor():
     j = int(np.argmin(np.abs(grid.ys - 0.5)))
     hx = grid.xs[i] - grid.xs[i - 1]
     hy = grid.ys[j] - grid.ys[j - 1]
-    xs, ys = grid.xs[grid.nodes[:, 0]], grid.ys[grid.nodes[:, 1]]
+    nodes_i, nodes_j = np.nonzero(grid.mask)
+    xs, ys = grid.xs[nodes_i], grid.ys[nodes_j]
     target = (0.5 - hx, 0.5 - hy)
     k = int(np.argmin((xs - target[0]) ** 2 + (ys - target[1]) ** 2))
     assert math.hypot(xs[k] - target[0], ys[k] - target[1]) < 1e-12
@@ -183,6 +184,14 @@ def test_sector_sweep_stays_above_its_constant():
         assert c <= lam <= c + 7.9e-3, (beta / PI, lam, c)
 
 
+def dumbbell(left, right):
+    """Boxes [0, left] and [right, 1] by [0, 1] joined by a slanted corridor 0.004 high."""
+    return OneReflexPolygon(
+        [(0, 0), (left, 0), (left, 0.498), (right, 0.499), (right, 0), (1, 0), (1, 1),
+         (right, 1), (right, 0.503), (left, 0.502), (left, 1), (0, 1)]
+    )
+
+
 LATTICE_CASES = {
     "ebg-lattice": DENSE_CASES["ebg-lattice"],
     "dbeta-lattice": DENSE_CASES["dbeta-lattice"],
@@ -190,6 +199,7 @@ LATTICE_CASES = {
     "notch-lattice": lambda: build_grid(
         OneReflexPolygon([(0, 0), (1, 0), (1, 0.5), (0.437, 0.5), (0.437, 1), (0, 1)]), 128
     ),
+    "dumbbell-lattice": lambda: build_grid(dumbbell(0.45, 0.55), 64),
 }
 
 
@@ -201,6 +211,39 @@ def test_lattice_solve_is_exact(case):
     b = np.random.default_rng(7).standard_normal(grid.interior_count)
     x = grid.solve(b)
     assert np.linalg.norm(grid.matrix @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
+def lattice_candidates(grid, domain):
+    """Lattice nodes inside a polygon and at least h/2 from its boundary."""
+    verts = np.asarray(domain.vertices, dtype=float)
+    gx, gy = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    far = _polyline_distance(gx, gy, verts) >= 0.5 * grid.h * (1.0 - 1e-9)
+    return _points_in_polygon(gx, gy, verts) & far
+
+
+@pytest.mark.parametrize("n, count, lam", [(64, 1674, 0.547278028357), (65, 1764, 0.481358557219)])
+def test_dumbbell_lattice_drops_a_splinter(n, count, lam):
+    # the corridor is narrower than h, so no open link crosses it: the
+    # lattice falls apart into one component per box.  The boxes tie, and
+    # the first component, the left box, is kept
+    domain = dumbbell(0.45, 0.55)
+    grid = build_grid(domain, n)
+    assert grid.kind == "lattice"
+    assert connected_components(grid.matrix, directed=False)[0] == 1
+    assert grid.interior_count == count
+    candidates = lattice_candidates(grid, domain)
+    assert np.array_equal(grid.mask, candidates & (grid.xs[:, None] < 0.45))
+    assert np.count_nonzero(candidates) == 2 * count
+    assert estimate_constant(grid).lam == pytest.approx(lam, abs=1e-12)
+
+
+def test_lattice_keeps_its_largest_component():
+    # the right box is larger, and it is the one kept
+    domain = dumbbell(0.2, 0.3)
+    grid = build_grid(domain, 64)
+    assert connected_components(grid.matrix, directed=False)[0] == 1
+    candidates = lattice_candidates(grid, domain)
+    assert np.array_equal(grid.mask, candidates & (grid.xs[:, None] > 0.3))
 
 
 def even_odd_by_edge(px, py, verts):
