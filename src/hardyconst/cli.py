@@ -331,31 +331,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tabular=True):
+    def common(p):
         p.add_argument("--output", "-o", default=None, help="write a document to this path")
-        if tabular:
-            p.add_argument("--format", choices=("json", "csv"), default="json")
+
+    def tabular(p):
+        common(p)
+        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("cbeta", help="Hardy constant of a sector")
     p.add_argument("--beta", default=None, help="opening angle, e.g. 1.5pi")
     p.add_argument("--sweep", default=None, help="start:stop:count, e.g. pi:2pi:101")
     p.add_argument("--check", action="store_true", help="cross-check each row with the shooting solver")
-    common(p)
+    tabular(p)
     p.set_defaults(func=_cmd_cbeta)
 
     p = sub.add_parser("betacr", help="critical opening angle")
-    common(p)
+    tabular(p)
     p.set_defaults(func=_cmd_betacr)
 
     p = sub.add_parser("gamma-star", help="critical adjacent-angle table")
     p.add_argument("--beta", default=None)
     p.add_argument("--sweep", default=None)
-    common(p)
+    tabular(p)
     p.set_defaults(func=_cmd_gamma_star)
 
     p = sub.add_parser("certify", help="certify a domain description file")
     p.add_argument("file")
-    common(p, tabular=False)
+    common(p)
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("validate", help="variational grid estimate for a domain file")
@@ -373,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="truncation radius of an ebg domain (default 8); no other domain takes one",
     )
-    common(p, tabular=False)
+    common(p)
     p.set_defaults(func=_cmd_validate)
     return parser
 

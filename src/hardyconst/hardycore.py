@@ -295,12 +295,19 @@ def f_func(theta, sol: HardySolution):
     if left.any() and is_subcritical(beta):
         f[left] = g_func(t[left], beta) / np.sin(t[left])
     elif left.any():
-        series = left & (t < _SERIES_SWITCH)
-        hyper = left & ~series
-        f[series] = sol.alpha / t[series] + 2.0 * series_a2(sol.alpha) * t[series]
-        f[hyper] = _f_hyper(t[hyper], sol.alpha)
+        f[left] = _f_left(t[left], sol)
     f = np.where(mirrored, -f, f)
     return f if np.ndim(theta) else float(f)
+
+
+def _f_left(t: np.ndarray, sol: HardySolution) -> np.ndarray:
+    """f_func of a supercritical opening on (0, pi/2): the power series
+    below _SERIES_SWITCH, the hypergeometric branch above."""
+    f = np.empty(t.shape)
+    series = t < _SERIES_SWITCH
+    f[series] = sol.alpha / t[series] + 2.0 * series_a2(sol.alpha) * t[series]
+    f[~series] = _f_hyper(t[~series], sol.alpha)
+    return f
 
 
 def _family_base(theta):
@@ -344,9 +351,10 @@ def g_func(theta, beta: float):
     subcritical g returns its limit 1/2.
 
     theta is a float or an array, and the result is of the same kind.
-    Supercritical g is f_func times sin(theta), so each angle takes
-    f_func's branch, and each entry of an array equals the call on that
-    angle alone.
+    Supercritical g is f_func times sin(theta), taken from f_func's own
+    branches (_f_left below pi/2, the middle region at pi/2) without its
+    range check and mirror, and each entry of an array equals the call on
+    that angle alone.
     """
     if not PI - 1e-12 <= beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside [pi, 2pi]")
@@ -361,7 +369,12 @@ def g_func(theta, beta: float):
         g = 0.5 * critical_family(t, lam)
     else:
         sol = solve_c_beta(min(max(beta, beta_critical()), 2.0 * PI))
-        g = f_func(t, sol) * np.sin(t)
+        left = t < 0.5 * PI
+        f = np.empty(t.shape)
+        f[left] = _f_left(t[left], sol)
+        if not left.all():  # pi/2 lies in f_func's middle region
+            f[~left] = f_func(0.5 * PI, sol)
+        g = f * np.sin(t)
     return g if np.ndim(theta) else float(g)
 
 

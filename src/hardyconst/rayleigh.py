@@ -938,16 +938,31 @@ def _ebg_polygon(beta: float, gamma: float, radius: float) -> np.ndarray:
     return np.vstack([o, p, a1, arc, a3])
 
 
+# Widest angle between two vertices of a polar graph's Neumann polyline.
+_GRAPH_STEP = PI / 64
+
+
 def _dbeta_functions(d: Dbeta):
     samples = dbeta_samples(d)
     thetas, rvals = samples[:, 0], samples[:, 1]
     beta = d.beta
     gamma0_a = np.array([rvals[0], 0.0])
     gamma0_b = rvals[-1] * np.array([math.cos(beta), math.sin(beta)])
-    graph = np.column_stack([rvals * np.cos(thetas), rvals * np.sin(thetas)])
 
     def r_of(ang):
         return np.interp(ang, thetas, rvals)
+
+    # The Neumann part is the curve r = r_of(theta) that `inside` tests, not
+    # the chords between samples: a chord over a wide gap cuts toward the
+    # origin, and on a 2pi opening sampled at 0, pi and 2pi it runs along the
+    # Dirichlet slit.  Gaps wider than _GRAPH_STEP get vertices on the curve.
+    pieces = np.ceil(np.diff(thetas) / _GRAPH_STEP).astype(int)
+    fine = np.concatenate(
+        [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(thetas, thetas[1:], pieces)]
+        + [thetas[-1:]]
+    )
+    rfine = r_of(fine)
+    graph = np.column_stack([rfine * np.cos(fine), rfine * np.sin(fine)])
 
     def inside(px, py):
         r = np.hypot(px, py)

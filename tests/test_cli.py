@@ -9,6 +9,7 @@ import pytest
 
 from hardyconst import cli
 from hardyconst.cli import main, parse_angle
+from hardyconst.hardycore import solve_c_beta
 
 PI = math.pi
 
@@ -401,6 +402,19 @@ def test_validate_lattice_lambda_is_pinned(tmp_path, doc, estimate):
     got = json.loads(out.read_text())
     assert got["grid"] == "lattice"
     assert got["estimate"] == estimate
+
+
+@pytest.mark.parametrize("n", ["49", "65"])
+def test_validate_sparse_slit_disk_stays_above_the_constant(tmp_path, n):
+    # a three-sample polar graph passes validate's input checks; its
+    # estimate is an upper one, like that of a densely sampled graph
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps({"type": "dbeta", "beta": 2.0,
+                             "r_samples": [[0, 1], [1, 1], [2, 1]]}))
+    out = tmp_path / "est.json"
+    assert run(["validate", str(f), "--n", n, "-o", str(out)]) == 0
+    lam = json.loads(out.read_text())["estimate"]["lambda"]
+    assert lam >= solve_c_beta(2.0 * PI).c
 
 
 def test_validate_resolution_is_bounded(tmp_path, capsys, monkeypatch):

@@ -440,6 +440,18 @@ def test_dbeta_neumann_smoke():
     assert 0.2 < est.lam < 0.7
 
 
+@pytest.mark.parametrize("n", [49, 65])
+def test_sparse_polar_graph_takes_its_curve(n):
+    # three samples of r = 1 on a 2pi opening describe the slit unit disk, as
+    # 721 do: the chords between them would run along the slit, and links
+    # onto slit nodes (odd n puts nodes on it) would become Neumann links
+    sparse = build_grid(Dbeta(2.0 * PI, [(0.0, 1.0), (PI, 1.0), (2.0 * PI, 1.0)]), n)
+    dense = build_grid(Dbeta.from_function(2.0 * PI, lambda t: 1.0), n)
+    assert np.array_equal(sparse.mask, dense.mask)
+    assert np.array_equal(sparse.dist, dense.dist)
+    assert (sparse.matrix != dense.matrix).nnz == 0
+
+
 def test_positive_weights_and_symmetry():
     grid = build_grid(lshape(), 49)
     assert np.all(grid.dist > 0)
