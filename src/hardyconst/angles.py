@@ -11,8 +11,8 @@ Replacing g by its quartic upper bound gives the slightly smaller
 gamma**(beta), which evaluates no 2F1.
 
 The maximum is found by a dense scan of 400 angles, evaluated as one array
-call of g, then refined by scipy's bounded Brent minimizer on the cell
-around the best scan point.
+call of g, then refined by brentq on the first-order condition in the cell
+around the best scan point, so the argmax is known to a few ulp.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq
 
 from .hardycore import SEAM_SLACK, beta_critical, g_func, is_subcritical, solve_c_beta
-from .odeengine import g_upper_bound
+from .odeengine import g_upper_bound, g_upper_bound_derivative
 
 __all__ = ["CriticalAngles", "gamma_star", "gamma_star_star"]
 
@@ -34,28 +34,25 @@ PI = math.pi
 _SCAN_POINTS = 400
 
 
-def _maximize(f: Callable):
-    """Dense scan of [0, pi/2] refined by bounded Brent around the best cell.
+def _maximize(f: Callable, slope: Callable):
+    """Dense scan of [0, pi/2] refined by brentq on slope in the best cell.
 
-    f takes a float or an array of angles: the scan is one array call, the
-    refinement scalar calls.  The scan point is kept if it is the larger.
+    f takes a float or an array of angles: the scan is one array call.
+    slope(theta) has the sign of f'; its root in the cell around the best
+    scan point is the maximum.  The scan point is kept if slope does not
+    change sign across the cell or if it is the larger.
     """
     grid = np.linspace(0.0, 0.5 * PI, _SCAN_POINTS)
     vals = f(grid)
     i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, _SCAN_POINTS - 1)]
-    res = minimize_scalar(
-        lambda t: -f(t), bounds=(lo, hi), method="bounded", options={"xatol": 1e-10}
-    )
-    if vals[i] > -res.fun:
-        return float(grid[i]), float(vals[i])
-    return float(res.x), float(-res.fun)
-
-
-def _alpha_for(beta: float) -> float:
-    """Exponent alpha of the opening: 1/2 up to beta_cr, so no seam slack is needed."""
-    return solve_c_beta(max(beta, beta_critical())).alpha
+    lo = float(grid[max(i - 1, 0)])
+    hi = float(grid[min(i + 1, _SCAN_POINTS - 1)])
+    if slope(lo) > 0.0 > slope(hi):
+        theta = brentq(slope, lo, hi, xtol=1e-15)
+        value = f(theta)
+        if value >= vals[i]:
+            return theta, value
+    return float(grid[i]), float(vals[i])
 
 
 def _objective(alpha: float, g_of_theta: Callable) -> Callable:
@@ -103,9 +100,16 @@ def gamma_star(beta: float) -> CriticalAngles:
     if not PI - 1e-12 <= beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside [pi, 2pi]")
     beta = min(max(beta, PI), 2.0 * PI)
-    alpha = _alpha_for(beta)
-    obj = _objective(alpha, lambda t: g_func(t, beta))
-    argmax, m = _maximize(obj)
+    sol = solve_c_beta(beta)
+    alpha, c = sol.alpha, sol.c
+
+    def slope(theta):
+        # g' = -(g^2 - g cos(theta) + c)/sin(theta) turns the numerator of
+        # the objective's derivative into this
+        g = g_func(theta, beta)
+        return (1.0 - alpha) + 2.0 * alpha * math.cos(theta) / g - alpha * c / (g * g)
+
+    argmax, m = _maximize(_objective(alpha, lambda t: g_func(t, beta)), slope)
     gs = PI - 2.0 * math.atan(m)
     gss = None if is_subcritical(beta) else gamma_star_star(beta)
     return CriticalAngles(beta=beta, gamma_star=gs, gamma_star_star=gss, argmax_theta=argmax)
@@ -119,7 +123,13 @@ def gamma_star_star(beta: float) -> float:
     """
     if not beta_critical() - SEAM_SLACK <= beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside [beta_cr, 2pi]")
-    alpha = _alpha_for(min(beta, 2.0 * PI))
+    alpha = solve_c_beta(min(beta, 2.0 * PI)).alpha
+
+    def slope(theta):
+        g = g_upper_bound(theta, alpha)
+        dg = g_upper_bound_derivative(theta, alpha)
+        return 1.0 + alpha * math.cos(theta) / g + alpha * math.sin(theta) * dg / (g * g)
+
     obj = _objective(alpha, lambda t: g_upper_bound(np.minimum(t, 0.5 * PI), alpha))
-    _, m = _maximize(obj)
+    _, m = _maximize(obj, slope)
     return PI - 2.0 * math.atan(m)

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .angles import gamma_star
-from .hardycore import beta_critical, f_func, g_func, solve_c_beta
+from .hardycore import f_func, g_func, solve_c_beta
 
 __all__ = [
     "ShapeError",
@@ -452,7 +452,7 @@ def boundary_form_samples(
     theta = np.asarray(theta_grid, dtype=float)
     if not PI - 1e-12 <= beta <= 2.0 * PI + 1e-12:
         raise ValueError(f"opening angle {beta} outside [pi, 2pi]")
-    alpha = solve_c_beta(max(beta, beta_critical())).alpha  # 1/2 up to beta_cr
+    alpha = solve_c_beta(beta).alpha
 
     def g_or_limit(t: np.ndarray) -> np.ndarray:
         g = np.full(t.shape, alpha)

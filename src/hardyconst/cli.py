@@ -1,9 +1,10 @@
 """Command-line surface: constants, angle tables, certification, validation.
 
 Angles are written as multiples of pi ("1.5pi") or as plain radians;
-tables carry both units.  Output documents are JSON (default) or, for the
-tables of cbeta, betacr and gamma-star, CSV, with floats fixed to 12
-significant digits, so identical invocations produce byte-identical files.
+tables carry both units and hold one row per opening, computed in order
+in this process.  Output documents are JSON (default) or, for the tables
+of cbeta, betacr and gamma-star, CSV, with floats fixed to 12 significant
+digits, so identical invocations produce byte-identical files.
 Exit codes: 0 success, 2 input or domain error, 3 numerical failure.
 """
 
@@ -14,9 +15,7 @@ import csv
 import io
 import json
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Optional
 
 from . import angles as angles_mod
@@ -28,7 +27,6 @@ __all__ = ["main", "parse_angle", "parse_domain_file"]
 
 PI = math.pi
 
-_WORKER_ENV = "HARDY_WORKERS"
 _MAX_SWEEP_COUNT = 100_000  # a sweep's rows are all held in memory
 # validate --n: 2-D grid memory grows like n^2, and the fill of a lattice's
 # sparse LU factors a little faster; a sector's pencil has only n/2 - 1
@@ -112,17 +110,7 @@ def _print_table(rows: list) -> None:
         print("  ".join(cells))
 
 
-def _workers(count: int) -> int:
-    """Worker processes for count items: HARDY_WORKERS, capped by the CPUs and by count."""
-    try:
-        wanted = int(os.environ.get(_WORKER_ENV, "1"))
-    except ValueError:
-        wanted = 1
-    return max(1, min(wanted, os.cpu_count() or 1, count))
-
-
-def _cbeta_row(args) -> dict:
-    beta, check = args
+def _cbeta_row(beta: float, check: bool) -> dict:
     sol = hardycore.solve_c_beta(beta)
     row = {
         "beta_rad": beta,
@@ -148,14 +136,6 @@ def _gamma_row(beta: float) -> dict:
         "gamma_star_star_pi": None if crit.gamma_star_star is None else crit.gamma_star_star / PI,
         "argmax_theta": crit.argmax_theta,
     }
-
-
-def _map_ordered(fn, items):
-    workers = _workers(len(items))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def _finite(text: str) -> float:
@@ -242,11 +222,16 @@ def _domain_to_dict(domain) -> dict:
     raise TypeError(type(domain).__name__)
 
 
-def _cmd_cbeta(args) -> int:
+def _betas(args) -> list:
+    """The openings of --beta or --sweep; exactly one of them must be given."""
     if (args.beta is None) == (args.sweep is None):
         raise ValueError("provide exactly one of --beta or --sweep")
-    betas = [parse_angle(args.beta)] if args.beta else _parse_sweep(args.sweep)
-    rows = _map_ordered(_cbeta_row, [(b, args.check) for b in betas])
+    return [parse_angle(args.beta)] if args.beta else _parse_sweep(args.sweep)
+
+
+def _cmd_cbeta(args) -> int:
+    betas = _betas(args)
+    rows = [_cbeta_row(b, args.check) for b in betas]
     params = {"betas_pi": [b / PI for b in betas], "check": args.check}
     _print_table(rows)
     _emit({"command": "cbeta", "params": params, "rows": rows}, rows, args.output, args.format)
@@ -271,10 +256,8 @@ def _cmd_betacr(args) -> int:
 
 
 def _cmd_gamma_star(args) -> int:
-    if (args.beta is None) == (args.sweep is None):
-        raise ValueError("provide exactly one of --beta or --sweep")
-    betas = [parse_angle(args.beta)] if args.beta else _parse_sweep(args.sweep)
-    rows = _map_ordered(_gamma_row, betas)
+    betas = _betas(args)
+    rows = [_gamma_row(b) for b in betas]
     _print_table(rows)
     _emit(
         {"command": "gamma-star", "params": {"betas_pi": [b / PI for b in betas]}, "rows": rows},
@@ -318,7 +301,8 @@ def _cmd_validate(args) -> int:
     }
     print(
         f"lambda_min = {est.lam:.6g}  (residual bound {est.residual_bound:.2g}, n={args.n}, "
-        f"{grid.kind} grid, h={est.h:.4g}, {est.iterations} solves, {grid.interior_count} nodes)"
+        f"{grid.kind} grid, h={est.h:.4g}, {est.iterations} solves, {grid.interior_count} nodes, "
+        f"{grid.dropped} dropped)"
     )
     _emit(doc, None, args.output, "json")
     return 0

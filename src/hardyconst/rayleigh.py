@@ -100,7 +100,8 @@ class GridProblem:
     inverse of matrix, and start is the eigen-solve's start vector.  h is
     the smallest mesh width in the domain's own length units (at r = 1 on a
     sector).  radius is the truncation radius of a two-halfline domain, None
-    otherwise.
+    otherwise.  dropped counts the unknowns a lattice left out because no
+    open link joins them to its largest component (0 on other grids).
     """
 
     xs: np.ndarray
@@ -114,6 +115,7 @@ class GridProblem:
     solve: Callable[[np.ndarray], np.ndarray]
     start: np.ndarray
     radius: Optional[float] = None
+    dropped: int = 0
 
     @property
     def interior_count(self) -> int:
@@ -299,16 +301,16 @@ def _check_resolution(count: int) -> None:
 def _assemble(
     inside: Callable,
     weight_dist: Callable,
-    x0: float,
-    x1: float,
-    y0: float,
-    y1: float,
+    cx: float,
+    cy: float,
+    half: float,
     n: int,
     neumann_side: Optional[Callable] = None,
     link_cut: Optional[Callable] = None,
 ) -> GridProblem:
     """Build mask, weights and the 5-point energy on an n-by-n lattice.
 
+    The lattice spans the square of centre (cx, cy) and half-side half.
     inside and weight_dist take vectorized coordinates.  inside classifies
     each node once and weight_dist measures the inside nodes only; the
     unknowns are the inside nodes at least h/2 from the weighted boundary
@@ -335,15 +337,15 @@ def _assemble(
 
     Splinters, unknowns that no chain of open links joins to the rest, are
     dropped by restricting the assembly to its largest connected component.
-    A dropped unknown shares no open link with a kept one, so every kept
-    row is the one an assembly without the splinters would build.
+    Of components that tie for largest, the lowest label wins; labels
+    follow each component's first unknown in np.nonzero order.  A dropped
+    unknown shares no open link with a kept one, so every kept row is the
+    one an assembly without the splinters would build.  The grid records
+    how many unknowns were dropped.
     """
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
+    xs = np.linspace(cx - half, cx + half, n)
+    ys = np.linspace(cy - half, cy + half, n)
     h = xs[1] - xs[0]
-    hy = ys[1] - ys[0]
-    if abs(h - hy) > 1e-9 * max(h, hy):
-        raise ValueError("lattice spacing must be square")
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     node_in = np.zeros((n + 2, n + 2), dtype=bool)
     node_in[1:-1, 1:-1] = inside(gx, gy)
@@ -410,9 +412,11 @@ def _assemble(
     )
     matrix = (matrix + sp.diags(diag)) / (h * h)
     ncomp, labels = connected_components(matrix, directed=False)
+    dropped = 0
     if ncomp > 1:  # drop the splinters
         largest = labels == np.argmax(np.bincount(labels))
-        _check_resolution(int(largest.sum()))
+        dropped = count - int(largest.sum())
+        _check_resolution(count - dropped)
         matrix = matrix[largest][:, largest]
         mask[mask] = largest
         dist = dist[largest]
@@ -427,6 +431,7 @@ def _assemble(
         mass=sp.diags(1.0 / dist**2, format="csr"),
         solve=_factor(matrix),
         start=dist,
+        dropped=dropped,
     )
 
 
@@ -887,13 +892,10 @@ def _ray_link_cut(directions, lengths=None):
 def _polygon_lattice(verts: np.ndarray, n: int) -> GridProblem:
     """Cartesian lattice of a polygon over its square bounding box (uniform spacing)."""
     (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
-    side = max(x1 - x0, y1 - y0)
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    half = 0.5 * side
     return _assemble(
         lambda px, py: _points_in_polygon(px, py, verts),
         lambda px, py: _polyline_distance(px, py, verts),
-        cx - half, cx + half, cy - half, cy + half, n,
+        0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * max(x1 - x0, y1 - y0), n,
     )
 
 
@@ -1032,9 +1034,8 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
         return grid
     if isinstance(domain, Dbeta):
         inside, dist, neumann_side, link_cut, rmax = _dbeta_functions(domain)
-        b = 1.01 * rmax
         return _assemble(
-            inside, dist, -b, b, -b, b, n, neumann_side=neumann_side, link_cut=link_cut
+            inside, dist, 0.0, 0.0, 1.01 * rmax, n, neumann_side=neumann_side, link_cut=link_cut
         )
     if isinstance(domain, SectorCapConvex):
         raise ValueError(

@@ -6,7 +6,7 @@ from scipy.optimize import brentq
 
 from hardyconst import angles, g_func, solve_c_beta
 from hardyconst.angles import gamma_star, gamma_star_star
-from hardyconst.odeengine import g_upper_bound
+from hardyconst.odeengine import g_upper_bound, g_upper_bound_derivative
 
 PI = math.pi
 
@@ -60,7 +60,6 @@ def test_defining_inequality_certificate():
     # beyond it: it fails exactly at the recorded argmax
     for beta in (1.2 * PI, 2.0 * PI):
         crit = gamma_star(beta)
-        alpha = 0.5 if beta <= crit.beta and solve_c_beta(beta).c == 0.25 else solve_c_beta(beta).alpha
         alpha = solve_c_beta(beta).alpha
         grid = np.linspace(1e-9, 0.5 * PI, 400)
 
@@ -100,7 +99,7 @@ def test_scan_matches_scalar_objective(beta_factor):
     # the dense scan is one array call; it must see the scalar path's floats
     beta = beta_factor * PI
     grid = np.linspace(0.0, 0.5 * PI, 400)
-    alpha = angles._alpha_for(beta)
+    alpha = solve_c_beta(beta).alpha
     objectives = [angles._objective(alpha, lambda t: g_func(t, beta))]
     if beta_factor > 1.5:
         objectives.append(
@@ -110,7 +109,7 @@ def test_scan_matches_scalar_objective(beta_factor):
         assert np.array_equal(obj(grid), [obj(float(t)) for t in grid])
 
 
-def test_argmax_meets_the_first_order_condition(bcr):
+def test_argmax_meets_the_first_order_condition():
     # with g' = -(g^2 - g cos(theta) + c)/sin(theta), the derivative of
     # sin(theta)/(cos(theta) + alpha/g) vanishes where
     # N(theta) = (1 - alpha) + 2 alpha cos(theta)/g - alpha c/g^2 = 0
@@ -118,7 +117,7 @@ def test_argmax_meets_the_first_order_condition(bcr):
     for beta in np.linspace(PI, 2.0 * PI, 61):
         beta = float(beta)
         crit = gamma_star(beta)
-        sol = solve_c_beta(max(beta, bcr))
+        sol = solve_c_beta(beta)
         alpha, c = sol.alpha, sol.c
 
         def n_of(theta):
@@ -131,5 +130,29 @@ def test_argmax_meets_the_first_order_condition(bcr):
         gamma_root = PI - 2.0 * math.atan(math.sin(root) / (math.cos(root) + alpha / g))
         theta_gaps.append(abs(root - t0))
         gamma_gaps.append(abs(gamma_root - crit.gamma_star))
-    assert max(theta_gaps) <= 4e-8
+    assert max(theta_gaps) <= 1e-15
     assert max(gamma_gaps) <= 1e-15
+
+
+def test_polynomial_bound_meets_its_first_order_condition(bcr):
+    # with the quartic gbar in place of g, the derivative of
+    # sin(theta)/(cos(theta) + alpha/gbar) vanishes where
+    # 1 + alpha cos(theta)/gbar + alpha sin(theta) gbar'/gbar^2 = 0
+    gaps = []
+    for beta in np.linspace(bcr, 2.0 * PI, 21):
+        beta = float(beta)
+        alpha = solve_c_beta(beta).alpha
+
+        def obj(theta):
+            return math.sin(theta) / (math.cos(theta) + alpha / g_upper_bound(theta, alpha))
+
+        def n_of(theta):
+            gb = g_upper_bound(theta, alpha)
+            dgb = g_upper_bound_derivative(theta, alpha)
+            return 1.0 + alpha * math.cos(theta) / gb + alpha * math.sin(theta) * dgb / gb**2
+
+        grid = np.linspace(0.0, 0.5 * PI, 4001)
+        t0 = grid[int(np.argmax([obj(float(t)) for t in grid]))]
+        root = brentq(n_of, t0 - 1e-3, min(t0 + 1e-3, 0.5 * PI), xtol=1e-15)
+        gaps.append(abs(PI - 2.0 * math.atan(obj(root)) - gamma_star_star(beta)))
+    assert max(gaps) <= 1e-15

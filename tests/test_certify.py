@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hardyconst import beta_critical, f_func, g_func, solve_c_beta
+from hardyconst import f_func, g_func, solve_c_beta
 from hardyconst.certify import (
     CERTIFIED,
     CONDITION_FAILED,
@@ -315,7 +315,7 @@ def test_segment_form_fails_beyond_critical_angle():
 
 def _form_at(kind, beta, gamma, t):
     """One form value from scalar g_func / f_func calls, the way a single angle is evaluated."""
-    alpha = solve_c_beta(max(beta, beta_critical())).alpha
+    alpha = solve_c_beta(beta).alpha
 
     def g(u):
         return alpha if u < 1e-9 else g_func(u, beta)

@@ -72,48 +72,6 @@ def test_output_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_worker_fanout_matches_serial(tmp_path, monkeypatch):
-    serial, parallel = tmp_path / "serial.json", tmp_path / "par.json"
-    run(["cbeta", "--sweep", "1.6pi:2pi:4", "-o", str(serial)])
-    monkeypatch.setenv("HARDY_WORKERS", "2")
-    run(["cbeta", "--sweep", "1.6pi:2pi:4", "-o", str(parallel)])
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
-def test_worker_count_is_capped(monkeypatch):
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("HARDY_WORKERS", "100000")
-    assert cli._workers(1000) == 4
-    assert cli._workers(3) == 3
-    assert cli._workers(1) == 1
-    monkeypatch.setenv("HARDY_WORKERS", "not a number")
-    assert cli._workers(1000) == 1
-    monkeypatch.setenv("HARDY_WORKERS", "-3")
-    assert cli._workers(1000) == 1
-
-    class RecordingPool:
-        # stands in for the process pool so no worker is started
-        sizes = []
-
-        def __init__(self, max_workers):
-            self.sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setenv("HARDY_WORKERS", "100000")
-    assert cli._map_ordered(abs, list(range(-10, 0))) == list(range(10, 0, -1))
-    assert cli._map_ordered(abs, [-2, -1]) == [2, 1]
-    assert RecordingPool.sizes == [4, 2]
-
-
 def test_sweep_count_is_bounded(capsys):
     assert run(["cbeta", "--sweep", "1.6pi:2pi:100001"]) == 2
     assert run(["gamma-star", "--sweep", "1.6pi:2pi:1000000000000"]) == 2
@@ -238,6 +196,23 @@ def test_validate_names_its_grid(tmp_path, capsys, x_notch, kind):
     assert run(["validate", str(f), "--n", "48", "-o", str(out)]) == 0
     assert json.loads(out.read_text())["grid"] == kind
     assert f"{kind} grid" in capsys.readouterr().out
+
+
+def test_validate_reports_dropped_unknowns(tmp_path, capsys):
+    # the dumbbell's corridor is narrower than h at n = 64: the lattice
+    # keeps the left box and drops the right one, which ties with it.  The
+    # count is printed; the byte-stable document does not carry it
+    vertices = [[0, 0], [0.45, 0], [0.45, 0.498], [0.55, 0.499], [0.55, 0], [1, 0], [1, 1],
+                [0.55, 1], [0.55, 0.503], [0.45, 0.502], [0.45, 1], [0, 1]]
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps({"type": "polygon", "vertices": vertices}))
+    out = tmp_path / "est.json"
+    assert run(["validate", str(f), "--n", "64", "-o", str(out)]) == 0
+    assert "1674 nodes, 1674 dropped)" in capsys.readouterr().out
+    assert "dropped" not in out.read_text()
+    f.write_text(json.dumps({"type": "sector", "beta": 2.0}))
+    assert run(["validate", str(f), "--n", "64"]) == 0
+    assert "0 dropped)" in capsys.readouterr().out
 
 
 def test_exit_code_domain_error(capsys):
@@ -446,5 +421,6 @@ def test_validate_exit_code_solver_failure(tmp_path, capsys, break_solver, failu
 
 
 def test_mutually_exclusive_inputs():
-    assert run(["cbeta"]) == 2
-    assert run(["cbeta", "--beta", "1.5pi", "--sweep", "pi:2pi:3"]) == 2
+    for command in ("cbeta", "gamma-star"):
+        assert run([command]) == 2
+        assert run([command, "--beta", "1.5pi", "--sweep", "pi:2pi:3"]) == 2

@@ -225,12 +225,13 @@ def lattice_candidates(grid, domain):
 def test_dumbbell_lattice_drops_a_splinter(n, count, lam):
     # the corridor is narrower than h, so no open link crosses it: the
     # lattice falls apart into one component per box.  The boxes tie, and
-    # the first component, the left box, is kept
+    # the lowest label, the left box, is kept
     domain = dumbbell(0.45, 0.55)
     grid = build_grid(domain, n)
     assert grid.kind == "lattice"
     assert connected_components(grid.matrix, directed=False)[0] == 1
     assert grid.interior_count == count
+    assert grid.dropped == count
     candidates = lattice_candidates(grid, domain)
     assert np.array_equal(grid.mask, candidates & (grid.xs[:, None] < 0.45))
     assert np.count_nonzero(candidates) == 2 * count
@@ -244,6 +245,7 @@ def test_lattice_keeps_its_largest_component():
     assert connected_components(grid.matrix, directed=False)[0] == 1
     candidates = lattice_candidates(grid, domain)
     assert np.array_equal(grid.mask, candidates & (grid.xs[:, None] > 0.3))
+    assert grid.dropped == np.count_nonzero(candidates & (grid.xs[:, None] < 0.2))
 
 
 def even_odd_by_edge(px, py, verts):
