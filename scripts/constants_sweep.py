@@ -26,6 +26,10 @@ def main() -> int:
 
     bcr = beta_critical()
     betas = np.linspace(PI, 2.0 * PI, args.count)
+    shots = {}
+    if args.check:
+        checked = betas[betas > bcr]
+        shots = dict(zip(checked.tolist(), shoot_c(checked).c_estimate.tolist()))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -35,9 +39,7 @@ def main() -> int:
             beta = float(beta)
             sol = solve_c_beta(beta)
             crit = gamma_star(beta)
-            shoot = ""
-            if args.check and beta > bcr:
-                shoot = f"{shoot_c(beta).c_estimate:.12g}"
+            shoot = f"{shots[beta]:.12g}" if beta in shots else ""
             writer.writerow(
                 [
                     f"{beta / PI:.12g}",

@@ -110,9 +110,9 @@ def _print_table(rows: list) -> None:
         print("  ".join(cells))
 
 
-def _cbeta_row(beta: float, check: bool) -> dict:
+def _cbeta_row(beta: float) -> dict:
     sol = hardycore.solve_c_beta(beta)
-    row = {
+    return {
         "beta_rad": beta,
         "beta_pi": beta / PI,
         "c": sol.c,
@@ -120,9 +120,6 @@ def _cbeta_row(beta: float, check: bool) -> dict:
         "residual": sol.residual,
         "shoot_c": None,
     }
-    if check:
-        row["shoot_c"] = odeengine.shoot_c(beta).c_estimate
-    return row
 
 
 def _gamma_row(beta: float) -> dict:
@@ -231,7 +228,11 @@ def _betas(args) -> list:
 
 def _cmd_cbeta(args) -> int:
     betas = _betas(args)
-    rows = [_cbeta_row(b, args.check) for b in betas]
+    rows = [_cbeta_row(b) for b in betas]
+    if args.check:
+        # one batched shooting solve for the whole sweep
+        for row, shot in zip(rows, odeengine.shoot_c(betas).c_estimate.tolist()):
+            row["shoot_c"] = shot
     params = {"betas_pi": [b / PI for b in betas], "check": args.check}
     _print_table(rows)
     _emit({"command": "cbeta", "params": params, "rows": rows}, rows, args.output, args.format)

@@ -1,11 +1,18 @@
 """Independent ODE layer: shooting oracle and comparison machinery.
 
-Two problems are integrated with scipy's DOP853 (solve_ivp):
+Two problems are integrated with scipy's DOP853 stepper:
 
 * the eigenvalue shooting solve that recovers the sector Hardy constant
   from the angular boundary value problem alone (the anti-bug gate against
-  the closed-form route in hardycore); a batched scan brackets the root
-  and brentq solves the Neumann condition,
+  the closed-form route in hardycore).  shoot_c takes one opening or an
+  array of them and shoots them as one batch: a single run scans 18 trial
+  constants per opening to bracket each root, then a vectorized
+  Chandrupatla solve (scipy.optimize.elementwise.find_root) meets the
+  Neumann condition for every opening at once, one run per iterate.  The
+  second piece [pi/2, beta/2] is rescaled to s in [0, 1], so trials of
+  different openings end together.  ShootingResult.steps and .nfev count
+  the accepted steps and right-hand-side evaluations of every run the
+  whole batch made,
 * the singular initial value problem behind the monotone comparison family
   h(alpha, .) on (0, pi/2].
 
@@ -24,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
+from scipy.integrate import DOP853, OdeSolution
+from scipy.optimize.elementwise import find_root
 
 from .hardycore import critical_family, potential_v, series_a2
 from .specfun import family_integral, hyp2f1
@@ -53,29 +60,53 @@ _LAUNCH_IVP = 1e-4  # series start of the singular IVP
 # DOP853 tolerances of every integration
 _RTOL = 1e-10
 _ATOL = 1e-12
+# Openings shot in one batch, which bounds a long sweep's state to about
+# 2 * 18 * 256 floats per stage.  Over 1000 openings in (beta_cr, 2pi]
+# (x86-64, numpy 2.4, scipy 1.17) chunks of 128, 256 and 1000 shot 430,
+# 535 and 690 openings/s at peak RSS 89, 89 and 96 MB.
+_CHUNK = 256
 
 
 class BracketError(RuntimeError):
-    """No sign change found while bracketing a root."""
+    """No sign change found while bracketing a root, or the bracketed solve failed."""
 
 
 class IntegrationError(RuntimeError):
     """The integrator failed, or the right-hand side is not finite at the launch point."""
 
 
-def _solve(rhs, t0: float, t1: float, y0: np.ndarray, **kwargs):
+class _Run(NamedTuple):
+    """End state of one DOP853 run and the work it took."""
+
+    y: np.ndarray
+    steps: int  # accepted steps
+    nfev: int  # right-hand-side evaluations of the solver
+    sol: Optional[OdeSolution]  # interpolant over the run, when asked for
+
+
+def _solve(rhs, t0: float, t1: float, y0: np.ndarray, dense_output: bool = False) -> _Run:
     """One DOP853 run of y' = rhs(t, y) from t0 to t1; IntegrationError if it fails.
 
-    A right-hand side that is not finite at the launch point raises at once:
-    solve_ivp would start from a NaN step size, reject every step and never
-    return.
+    Keeps only the end state unless dense_output asks for the interpolant
+    (solve_ivp would store the state of every step).  A right-hand side
+    that is not finite at the launch point raises at once: the solver would
+    start from a NaN step size, reject every step and never return.
     """
     if not np.all(np.isfinite(rhs(t0, y0))):
         raise IntegrationError(f"right-hand side not finite at the launch point t={t0}")
-    sol = solve_ivp(rhs, (t0, t1), y0, method="DOP853", rtol=_RTOL, atol=_ATOL, **kwargs)
-    if sol.status < 0:
-        raise IntegrationError(f"integration failed on [{t0}, {t1}]: {sol.message}")
-    return sol
+    solver = DOP853(rhs, t0, y0, t1, rtol=_RTOL, atol=_ATOL)
+    ts, interpolants = [t0], []
+    steps = 0
+    while solver.status == "running":
+        message = solver.step()
+        if solver.status == "failed":
+            raise IntegrationError(f"integration failed on [{t0}, {t1}]: {message}")
+        steps += 1
+        if dense_output:
+            ts.append(solver.t)
+            interpolants.append(solver.dense_output())
+    sol = OdeSolution(ts, interpolants) if dense_output else None
+    return _Run(solver.y, steps, solver.nfev, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -83,29 +114,34 @@ def _solve(rhs, t0: float, t1: float, y0: np.ndarray, **kwargs):
 
 @dataclass(frozen=True)
 class ShootingResult:
-    """Outcome of the eigenvalue shooting solve for one opening angle.
+    """Outcome of the eigenvalue shooting solve for one opening or a batch.
 
-    steps counts the accepted steps of the terminal run at c_estimate; nfev
-    the right-hand-side evaluations of every solve_ivp run the solve made
-    (the scan, the brentq iterations and the terminal run).
+    For a 1-D array of openings, beta, c_estimate and terminal_derivative
+    are arrays in the order given; for a scalar opening they are floats.
+    steps and nfev are totals over the whole batch: the accepted DOP853
+    steps and the right-hand-side evaluations of every run the solve made
+    (the scan and every root iterate, both pieces of each).
     """
 
-    beta: float
-    c_estimate: float
-    terminal_derivative: float
+    beta: Union[float, np.ndarray]
+    c_estimate: Union[float, np.ndarray]
+    terminal_derivative: Union[float, np.ndarray]
     steps: int
     nfev: int
 
 
-def _shoot(beta: float, cs: np.ndarray, dense_output: bool = False):
-    """Integrate -psi'' = c V psi for a batch of trial constants.
+def _shoot(betas: np.ndarray, cs: np.ndarray, dense_output: bool = False) -> list:
+    """Integrate -psi'' = c V psi for a batch of trials, trial k at (betas[k], cs[k]).
 
     Launches at theta = 1e-6 from the three-term series
     psi = theta^alpha (1 + a2 theta^2).  The batch is one flat state
-    [psi_1..psi_m, psi'_1..psi'_m], so a single error norm covers every
-    trial.  The run is split at theta = pi/2, where V changes from
-    1/sin^2(theta) to 1 and its second derivative jumps; one run across the
-    junction loses about two digits of c.  Returns the solve_ivp results of
+    [psi_1..psi_m, psi'_1..psi'_m] (psi' = dpsi/dtheta), so a single error
+    norm covers every trial.  The run is split at theta = pi/2, where V
+    changes from 1/sin^2(theta) to 1 and its second derivative jumps; one
+    run across the junction loses about two digits of c.  Each piece runs
+    in s in [0, 1] with theta = start + s * length; the second piece's
+    length (beta - pi)/2 differs per trial, so trials of different
+    openings end together at s = 1, theta = beta/2.  Returns the _Run of
     both pieces.
     """
     alpha = 0.5 * (1.0 + np.sqrt(1.0 - 4.0 * cs))
@@ -118,69 +154,101 @@ def _shoot(beta: float, cs: np.ndarray, dense_output: bool = False):
         ]
     )
     m = len(cs)
+    runs = []
+    # V = 1/sin^2(theta) on the first piece whatever the opening, so one
+    # scalar call there serves the whole batch
+    pieces = ((th0, 0.5 * PI - th0, float(betas[0])), (0.5 * PI, 0.5 * (betas - PI), betas))
+    for start, length, opening in pieces:
+        scale = -length * cs
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return np.concatenate([y[m:], -cs * potential_v(t, beta) * y[:m]])
+        def rhs(s, y, start=start, length=length, opening=opening, scale=scale):
+            v = potential_v(start + s * length, opening)
+            return np.concatenate([length * y[m:], scale * v * y[:m]])
 
-    pieces = []
-    for t0, t1 in ((th0, 0.5 * PI), (0.5 * PI, 0.5 * beta)):
-        pieces.append(_solve(rhs, t0, t1, y, dense_output=dense_output))
-        y = pieces[-1].y[:, -1]
-    return pieces
-
-
-def _shoot_terminal(beta: float, cs) -> tuple[np.ndarray, int, int]:
-    """psi'(beta/2) per trial constant, the accepted steps and the rhs evaluations of the run."""
-    cs = np.atleast_1d(np.asarray(cs, dtype=float))
-    pieces = _shoot(beta, cs)
-    return (
-        pieces[-1].y[len(cs):, -1],
-        sum(p.t.size - 1 for p in pieces),
-        sum(p.nfev for p in pieces),
-    )
+        runs.append(_solve(rhs, 0.0, 1.0, y, dense_output=dense_output))
+        y = runs[-1].y
+    return runs
 
 
-def shoot_c(beta: float) -> ShootingResult:
+def _shoot_chunk(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
+    """c, psi'(beta/2) at c, accepted steps and rhs evaluations for one chunk of openings."""
+    steps = nfev = 0
+    bracket_ends = {}  # terminal derivatives the scan already has, by trial constants
+
+    def terminal(cs, bs):
+        nonlocal steps, nfev
+        if cs.tobytes() in bracket_ends:
+            return bracket_ends[cs.tobytes()]
+        runs = _shoot(bs, cs)
+        steps += sum(r.steps for r in runs)
+        nfev += sum(r.nfev for r in runs)
+        return runs[-1].y[len(cs):]
+
+    scan = np.linspace(1e-6, 0.25, 18)
+    n = scan.size
+    d_vals = terminal(np.tile(scan, betas.size), np.repeat(betas, n)).reshape(betas.size, n)
+    change = d_vals[:, :-1] * d_vals[:, 1:] <= 0.0
+    missing = ~change.any(axis=1)
+    if missing.any():
+        raise BracketError(
+            f"terminal derivative has no sign change in (0, 1/4] at beta={betas[missing][0]}"
+        )
+    i = n - 2 - np.argmax(change[:, ::-1], axis=1)  # rightmost sign-change cell
+    lo, hi = scan[i], scan[i + 1]
+    # find_root first evaluates both bracket ends: it gets the scan's values,
+    # the very ones whose signs chose each cell
+    rows = np.arange(betas.size)
+    bracket_ends[lo.tobytes()] = d_vals[rows, i]
+    bracket_ends[hi.tobytes()] = d_vals[rows, i + 1]
+    root = find_root(terminal, (lo, hi), args=(betas,), tolerances={"xatol": 1e-15})
+    if not root.success.all():
+        raise BracketError(
+            f"root solve of psi'(beta/2) = 0 failed at beta={betas[~root.success][0]}"
+        )
+    return root.x, root.f_x, steps, nfev
+
+
+def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
     """Largest c in (0, 1/4] for which the shot satisfies psi'(beta/2) = 0.
 
-    One batched scan of 18 trial constants (integrated together) finds the
-    rightmost sign change of the terminal derivative; brentq then solves
-    psi'(beta/2) = 0 inside that cell.  Raises BracketError when the
-    terminal derivative never changes sign, which is the subcritical regime
-    where the series-started shot cannot meet the Neumann condition.
+    beta is one opening or a 1-D array of them; a scalar is the batch of
+    one.  Openings are shot together, _CHUNK at a time.  One scan
+    integrates 18 trial constants of every opening in a single run and
+    finds each opening's rightmost sign change of the terminal derivative;
+    one vectorized Chandrupatla solve (scipy.optimize.elementwise.find_root)
+    then solves psi'(beta/2) = 0 in every opening's cell, each iterate one
+    run over the openings not yet converged.  terminal_derivative is the
+    solver's own value at the root.  Raises ValueError naming an opening
+    outside (pi, 2pi], and BracketError naming an opening whose terminal
+    derivative never changes sign, which is the subcritical regime where
+    the series-started shot cannot meet the Neumann condition.
     """
-    if not PI < beta <= 2.0 * PI + 1e-12:
-        raise ValueError(f"opening angle {beta} outside (pi, 2pi]")
-    nfev = 0
-
-    def terminal(c):
-        nonlocal nfev
-        d_vals, steps, evals = _shoot_terminal(beta, c)
-        nfev += evals
-        return d_vals, steps
-
-    cs = np.linspace(1e-6, 0.25, 18)
-    d_vals, _ = terminal(cs)
-    cells = np.flatnonzero(d_vals[:-1] * d_vals[1:] <= 0.0)
-    if cells.size == 0:
-        raise BracketError(f"terminal derivative has no sign change in (0, 1/4] at beta={beta}")
-    i = cells[-1]
-    c_root = brentq(lambda c: terminal(c)[0][0], cs[i], cs[i + 1], xtol=1e-15)
-    d_fin, steps = terminal(c_root)
-    return ShootingResult(
-        beta=beta,
-        c_estimate=float(c_root),
-        terminal_derivative=float(d_fin[0]),
-        steps=steps,
-        nfev=nfev,
-    )
+    betas = np.array(beta, dtype=float)
+    if betas.ndim > 1:
+        raise ValueError(f"openings must be a scalar or a 1-D array, not shape {betas.shape}")
+    flat = betas.reshape(-1)
+    outside = ~((PI < flat) & (flat <= 2.0 * PI + 1e-12))
+    if outside.any():
+        raise ValueError(f"opening angle {flat[outside][0]} outside (pi, 2pi]")
+    c_est, d_fin = np.empty_like(flat), np.empty_like(flat)
+    steps = nfev = 0
+    for k in range(0, flat.size, _CHUNK):
+        part = slice(k, k + _CHUNK)
+        c_est[part], d_fin[part], chunk_steps, chunk_nfev = _shoot_chunk(flat[part])
+        steps += chunk_steps
+        nfev += chunk_nfev
+    if betas.ndim == 0:
+        return ShootingResult(float(betas), float(c_est[0]), float(d_fin[0]), steps, nfev)
+    return ShootingResult(flat, c_est, d_fin, steps, nfev)
 
 
 def shot_profile(beta: float, c: float, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sampled (psi, psi') of the shot at a fixed trial constant."""
     grid = np.asarray(grid, dtype=float)
-    first, second = _shoot(beta, np.array([c]), dense_output=True)
-    samples = np.where(grid <= 0.5 * PI, first.sol(grid), second.sol(grid))
+    first, second = _shoot(np.array([beta]), np.array([c]), dense_output=True)
+    s_first = (grid - _LAUNCH_BVP) / (0.5 * PI - _LAUNCH_BVP)
+    s_second = (grid - 0.5 * PI) / (0.5 * (beta - PI))
+    samples = np.where(grid <= 0.5 * PI, first.sol(s_first), second.sol(s_second))
     return samples[0], samples[1]
 
 
@@ -225,8 +293,8 @@ def solve_h(alpha: float, grid: Optional[np.ndarray] = None) -> HProfile:
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return -(alpha * y * y - math.cos(t) * y + 1.0 - alpha) / math.sin(t)
 
-    sol = _solve(rhs, _LAUNCH_IVP, 0.5 * PI, np.array([h0]), t_eval=grid)
-    return HProfile(alpha=alpha, grid=grid, h=sol.y[0], lam=None)
+    run = _solve(rhs, _LAUNCH_IVP, 0.5 * PI, np.array([h0]), dense_output=True)
+    return HProfile(alpha=alpha, grid=grid, h=run.sol(grid)[0], lam=None)
 
 
 # ---------------------------------------------------------------------------

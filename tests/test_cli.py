@@ -49,6 +49,26 @@ def test_cbeta_with_shooting_check(tmp_path):
     assert abs(row["shoot_c"] - row["c"]) < 1e-6
 
 
+def test_cbeta_sweep_check_matches_single_openings(tmp_path):
+    # the sweep shoots all its rows in one batch
+    out = tmp_path / "sweep.json"
+    assert run(["cbeta", "--sweep", "1.6pi:2pi:5", "--check", "-o", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert len(rows) == 5
+    for beta, row in zip(cli._parse_sweep("1.6pi:2pi:5"), rows):
+        single = tmp_path / "single.json"
+        assert run(["cbeta", "--beta", repr(beta), "--check", "-o", str(single)]) == 0
+        assert abs(row["shoot_c"] - json.loads(single.read_text())["rows"][0]["shoot_c"]) <= 1e-11
+
+
+def test_cbeta_sweep_check_exit_codes(capsys):
+    # beta = pi is outside shooting's domain; 1.2pi has no bracket
+    assert run(["cbeta", "--sweep", "pi:2pi:5", "--check"]) == 2
+    assert "outside (pi, 2pi]" in capsys.readouterr().err
+    assert run(["cbeta", "--sweep", "1.2pi:2pi:5", "--check"]) == 3
+    assert f"beta={1.2 * PI}" in capsys.readouterr().err
+
+
 def test_cbeta_sweep_monotone(tmp_path):
     out = tmp_path / "sweep.json"
     assert run(["cbeta", "--sweep", "1.01pi:2pi:25", "-o", str(out)]) == 0

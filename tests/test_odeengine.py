@@ -1,4 +1,5 @@
 import math
+import re
 import signal
 
 import numpy as np
@@ -53,6 +54,8 @@ _CLOSED_FORM = ("solve_c_beta", "equation_residual", "beta_for_constant", "beta_
 
 def test_shoot_is_independent_of_closed_form(monkeypatch):
     expected = solve_c_beta(1.8 * PI).c
+    batch = np.array([1.7, 1.8, 2.0]) * PI
+    expected_batch = [solve_c_beta(b).c for b in batch]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("shooting called the closed form")
@@ -60,6 +63,7 @@ def test_shoot_is_independent_of_closed_form(monkeypatch):
     for name in _CLOSED_FORM:
         monkeypatch.setattr(hardycore, name, forbidden)
     assert abs(shoot_c(1.8 * PI).c_estimate - expected) < 1e-10
+    assert np.max(np.abs(shoot_c(batch).c_estimate - expected_batch)) < 1e-10
     assert not set(vars(odeengine)) & set(_CLOSED_FORM)
     assert not any(getattr(hardycore, name) in vars(odeengine).values() for name in _CLOSED_FORM)
 
@@ -108,6 +112,53 @@ def test_shoot_subcritical_has_no_bracket():
 def test_shoot_domain_error():
     with pytest.raises(ValueError):
         shoot_c(0.9 * PI)
+
+
+# the openings of test_shoot_matches_closed_form_tightly
+_TIGHT_BETAS = np.append(np.linspace(1.546, 2.0, 21), [1.55, 1.6, 1.7, 1.8, 1.9]) * PI
+
+
+@pytest.fixture(scope="module")
+def tight_batch():
+    return shoot_c(_TIGHT_BETAS)
+
+
+def test_batch_matches_closed_form_tightly(tight_batch):
+    assert isinstance(tight_batch.c_estimate, np.ndarray)
+    assert np.array_equal(tight_batch.beta, _TIGHT_BETAS)
+    gaps = np.abs(tight_batch.c_estimate - [solve_c_beta(b).c for b in _TIGHT_BETAS])
+    assert gaps.max() <= 1e-10
+    assert np.all(np.abs(tight_batch.terminal_derivative) < 1e-9)
+    assert tight_batch.nfev >= tight_batch.steps > 0
+
+
+def test_batch_matches_single_openings(tight_batch):
+    single = [shoot_c(b) for b in _TIGHT_BETAS]
+    assert all(isinstance(r.c_estimate, float) for r in single)
+    assert np.max(np.abs(tight_batch.c_estimate - [r.c_estimate for r in single])) <= 1e-11
+
+
+def test_chunked_batch_matches_unchunked(monkeypatch, tight_batch):
+    betas = _TIGHT_BETAS[::4]
+    monkeypatch.setattr(odeengine, "_CHUNK", 3)
+    chunked = shoot_c(betas)
+    assert np.max(np.abs(chunked.c_estimate - tight_batch.c_estimate[::4])) <= 1e-11
+
+
+def test_batch_names_its_failing_opening():
+    with pytest.raises(BracketError, match=re.escape(f"beta={1.2 * PI}")):
+        shoot_c(np.array([1.8, 1.2, 2.0]) * PI)
+    with pytest.raises(ValueError, match=re.escape(str(0.9 * PI))):
+        shoot_c(np.array([1.8, 0.9, 2.0]) * PI)
+
+
+def test_shot_profile_meets_neumann_condition():
+    # the profile's second piece is interpolated in the rescaled variable
+    beta = 1.7 * PI
+    res = shoot_c(beta)
+    psi_vals, dpsi_vals = shot_profile(beta, res.c_estimate, np.array([0.5 * PI, 0.5 * beta]))
+    assert abs(dpsi_vals[1]) < 1e-9
+    assert psi_vals[1] > psi_vals[0] > 0.0
 
 
 def test_shot_stays_positive(sol_2pi):
