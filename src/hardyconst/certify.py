@@ -384,9 +384,9 @@ def check_dbeta(d: Dbeta) -> CertificateReport:
 def certify_domain(domain: DomainSpec) -> CertificateReport:
     """Dispatch a domain description to its hypothesis check."""
     if isinstance(domain, Sector):
-        if not PI < domain.beta <= 2.0 * PI + 1e-12:
-            raise ValueError(f"opening angle {domain.beta} outside (pi, 2pi]")
-        checks = (CheckItem("opening angle in (pi, 2pi]", True, 2.0 * PI - domain.beta),)
+        if not PI <= domain.beta <= 2.0 * PI + 1e-12:
+            raise ValueError(f"opening angle {domain.beta} outside [pi, 2pi]")
+        checks = (CheckItem("opening angle in [pi, 2pi]", True, 2.0 * PI - domain.beta),)
         return CertificateReport(CERTIFIED, solve_c_beta(domain.beta).c, "sector constant", checks)
     if isinstance(domain, SectorCapConvex):
         return check_sector_cap(domain)

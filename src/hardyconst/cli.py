@@ -122,17 +122,26 @@ def _cbeta_row(beta: float) -> dict:
     }
 
 
-def _gamma_row(beta: float) -> dict:
-    crit = angles_mod.gamma_star(beta)
-    return {
-        "beta_rad": beta,
-        "beta_pi": beta / PI,
-        "gamma_star_rad": crit.gamma_star,
-        "gamma_star_pi": crit.gamma_star / PI,
-        "gamma_star_star_rad": crit.gamma_star_star,
-        "gamma_star_star_pi": None if crit.gamma_star_star is None else crit.gamma_star_star / PI,
-        "argmax_theta": crit.argmax_theta,
-    }
+def _gamma_rows(betas: list) -> list:
+    """One gamma-star row per opening, from one batched solve of the sweep."""
+    crit = angles_mod.gamma_star(betas)
+    rows = []
+    for beta, gs, gss, argmax in zip(
+        betas, crit.gamma_star.tolist(), crit.gamma_star_star.tolist(), crit.argmax_theta.tolist()
+    ):
+        gss = None if math.isnan(gss) else gss
+        rows.append(
+            {
+                "beta_rad": beta,
+                "beta_pi": beta / PI,
+                "gamma_star_rad": gs,
+                "gamma_star_pi": gs / PI,
+                "gamma_star_star_rad": gss,
+                "gamma_star_star_pi": None if gss is None else gss / PI,
+                "argmax_theta": argmax,
+            }
+        )
+    return rows
 
 
 def _finite(text: str) -> float:
@@ -258,7 +267,7 @@ def _cmd_betacr(args) -> int:
 
 def _cmd_gamma_star(args) -> int:
     betas = _betas(args)
-    rows = [_gamma_row(b) for b in betas]
+    rows = _gamma_rows(betas)
     _print_table(rows)
     _emit(
         {"command": "gamma-star", "params": {"betas_pi": [b / PI for b in betas]}, "rows": rows},

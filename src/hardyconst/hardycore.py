@@ -108,11 +108,12 @@ def beta_critical() -> float:
     )
 
 
-def is_subcritical(beta: float) -> bool:
+def is_subcritical(beta):
     """True for openings below the regime seam beta_cr - SEAM_SLACK.
 
     Those take g, and f on (0, pi/2), from the alpha = 1/2 family
     critical_family; every other opening from the hypergeometric branch.
+    beta is a float, giving a bool, or an array, giving a bool array.
     """
     return beta < beta_critical() - SEAM_SLACK
 
@@ -185,22 +186,23 @@ def potential_v(theta, beta):
     out, on a math-only path, since the shooting right-hand side calls it
     once per evaluation.  Both one-sided limits at the junctions
     theta = pi/2 and beta - pi/2 equal 1, so the junction value is 1.
-    Diverges at the endpoints, which are rejected, as is an opening not
-    above pi.  Written with side = min(theta, beta - theta), the angle to
+    Diverges at the endpoints, which are rejected, as is an opening below
+    pi.  At beta = pi, the half-plane, the middle region is the single
+    angle pi/2.  Written with side = min(theta, beta - theta), the angle to
     the nearer edge: V = 1/sin^2(min(side, pi/2)), since side < pi/2
     exactly off the middle region [pi/2, beta - pi/2].
     """
     if isinstance(theta, float) and isinstance(beta, float):
-        if not beta > PI:
-            raise ValueError(f"opening angle {beta} must exceed pi")
+        if not beta >= PI:
+            raise ValueError(f"opening angle {beta} below pi")
         side = min(theta, beta - theta)
         if not side > 0.0:
             raise ValueError(f"theta={theta} outside (0, {beta})")
         return 1.0 / math.sin(min(side, 0.5 * PI)) ** 2
     theta, beta = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(beta, dtype=float))
-    low = ~(beta > PI)
+    low = ~(beta >= PI)
     if low.any():
-        raise ValueError(f"opening angle {beta[low].flat[0]} must exceed pi")
+        raise ValueError(f"opening angle {beta[low].flat[0]} below pi")
     side = np.minimum(theta, beta - theta)
     outside = ~(side > 0.0)
     if outside.any():
@@ -268,8 +270,11 @@ def dpsi(theta: float, sol: HardySolution) -> float:
     return psi(theta, sol) * float(_f_hyper(theta, sol.alpha))
 
 
-def _f_hyper(theta, alpha: float):
-    """psi'/psi on the hypergeometric branch, fully analytic; theta a float or an array.
+def _f_hyper(theta, alpha):
+    """psi'/psi on the hypergeometric branch, fully analytic.
+
+    theta and the exponent alpha are floats or arrays that broadcast
+    together, entry by entry.
 
     d/dtheta log psi = (alpha cot(theta/2) - (1-alpha) tan(theta/2))/2
                        + (sin theta / 2) F'(z)/F(z),  z = sin^2(theta/2).
@@ -308,18 +313,21 @@ def f_func(theta, sol: HardySolution):
     if left.any() and is_subcritical(beta):
         f[left] = g_func(t[left], beta) / np.sin(t[left])
     elif left.any():
-        f[left] = _f_left(t[left], sol)
+        f[left] = _f_left(t[left], sol.alpha)
     f = np.where(mirrored, -f, f)
     return f if np.ndim(theta) else float(f)
 
 
-def _f_left(t: np.ndarray, sol: HardySolution) -> np.ndarray:
-    """f_func of a supercritical opening on (0, pi/2): the power series
-    below _SERIES_SWITCH, the hypergeometric branch above."""
+def _f_left(t: np.ndarray, alpha) -> np.ndarray:
+    """f_func of supercritical openings on (0, pi/2): the power series
+    below _SERIES_SWITCH, the hypergeometric branch above.  alpha is the
+    exponent, a float or an array of t's shape."""
+    alpha = np.broadcast_to(alpha, t.shape)
     f = np.empty(t.shape)
     series = t < _SERIES_SWITCH
-    f[series] = sol.alpha / t[series] + 2.0 * series_a2(sol.alpha) * t[series]
-    f[~series] = _f_hyper(t[~series], sol.alpha)
+    a = alpha[series]
+    f[series] = a / t[series] + 2.0 * series_a2(a) * t[series]
+    f[~series] = _f_hyper(t[~series], alpha[~series])
     return f
 
 
@@ -333,7 +341,14 @@ def _family_base(theta):
     return z, f, np.cos(theta) + np.sin(theta) ** 2 * hyp2f1(1.5, 1.5, 2.0, z) / (4.0 * f)
 
 
-def critical_family(theta, lam: float):
+@lru_cache(maxsize=1)
+def _family_end() -> tuple[float, float]:
+    """F and h0 of _family_base at pi/2, which place every family member."""
+    _, f_end, h_end = _family_base(0.5 * PI)
+    return f_end, h_end
+
+
+def critical_family(theta, lam):
     """Member h0(theta) - 4 lam / (F^2 (1 + lam J(z))) of the alpha = 1/2 family, lam >= 0.
 
     F, h0 and z as in _family_base, and J = specfun.family_integral.  Every
@@ -341,16 +356,21 @@ def critical_family(theta, lam: float):
     h' + (h^2 - 2 cos(theta) h + 1) / (2 sin(theta)) = 0 on (0, pi/2] with
     h(0+) = 1; they decrease pointwise as lam grows, lam = 0 being the
     maximal one, h0.  As J(pi/2) = 0, the member with h(pi/2) = v has
-    lam = F(1/2)^2 (h0(pi/2) - v) / 4.  theta is a float or an array in
-    [0, pi/2], and the result is of the same kind.
+    lam = F(1/2)^2 (h0(pi/2) - v) / 4.  theta in [0, pi/2] and lam are
+    floats or arrays that broadcast together; the result is a float when
+    both are floats, and each entry is that entry's member at that angle
+    (lam = 0 entries are h0 itself, even at theta = 0 where J = inf).
     """
-    z, f, h0 = _family_base(theta)
-    if lam == 0.0:
-        return h0
-    return h0 - 4.0 * lam / (f * f * (1.0 + lam * family_integral(z)))
+    z, f, h0, lam = np.broadcast_arrays(*_family_base(theta), np.asarray(lam, dtype=float))
+    h = h0.copy()
+    m = lam != 0.0
+    if m.any():
+        lm = lam[m]
+        h[m] -= 4.0 * lm / (f[m] * f[m] * (1.0 + lm * family_integral(z[m])))
+    return h if h.ndim else float(h)
 
 
-def g_func(theta, beta: float):
+def g_func(theta, beta):
     """Riccati variable g = (psi'/psi) sin(theta) on (0, pi/2], pi <= beta <= 2pi.
 
     Supercritical openings use the hypergeometric branch.  For subcritical
@@ -363,32 +383,47 @@ def g_func(theta, beta: float):
     theta ~ 1e-154, z = sin^2(theta/2) underflows; once it is 0,
     subcritical g returns its limit 1/2.
 
-    theta is a float or an array, and the result is of the same kind.
+    theta and beta are floats or arrays that broadcast together, so one
+    call covers many angles of many openings; the result is a float when
+    both are floats.  Each entry equals the call on that angle and opening
+    alone.  Pass the openings unexpanded (say, a column against a row of
+    angles): the closed form is solved once per entry of beta.
     Supercritical g is f_func times sin(theta), taken from f_func's own
     branches (_f_left below pi/2, the middle region at pi/2) without its
-    range check and mirror, and each entry of an array equals the call on
-    that angle alone.
+    range check and mirror.
     """
-    if not PI - 1e-12 <= beta <= 2.0 * PI + 1e-12:
-        raise ValueError(f"opening angle {beta} outside [pi, 2pi]")
-    t = np.asarray(theta, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    t, b = np.broadcast_arrays(np.asarray(theta, dtype=float), beta)
+    outside = ~((PI - 1e-12 <= b) & (b <= 2.0 * PI + 1e-12))
+    if outside.any():
+        raise ValueError(f"opening angle {b[outside].flat[0]} outside [pi, 2pi]")
     inside = (t > 0.0) & (t <= 0.5 * PI + 1e-12)
     if not inside.all():
         raise ValueError(f"theta={t[~inside].flat[0]} outside (0, pi/2]")
     t = np.minimum(t, 0.5 * PI)
-    if is_subcritical(beta):
-        _, f_end, h_end = _family_base(0.5 * PI)
-        lam = 0.25 * f_end * f_end * (h_end - math.tan(0.25 * (beta - PI)))
-        g = 0.5 * critical_family(t, lam)
-    else:
-        sol = solve_c_beta(min(max(beta, beta_critical()), 2.0 * PI))
-        left = t < 0.5 * PI
-        f = np.empty(t.shape)
-        f[left] = _f_left(t[left], sol)
-        if not left.all():  # pi/2 lies in f_func's middle region
-            f[~left] = f_func(0.5 * PI, sol)
-        g = f * np.sin(t)
-    return g if np.ndim(theta) else float(g)
+    g = np.empty(t.shape)
+    sub = is_subcritical(b)
+    if sub.any():
+        # each opening's member, broadcast to its angles
+        f_end, h_end = _family_end()
+        lam = 0.25 * f_end * f_end * (h_end - np.tan(0.25 * (beta - PI)))
+        g[sub] = 0.5 * critical_family(t[sub], np.broadcast_to(lam, t.shape)[sub])
+    sup = ~sub
+    if sup.any():
+        # every closed-form opening is clamped into [beta_cr, 2pi]
+        opening = np.clip(beta, beta_critical(), 2.0 * PI)
+        sols = [solve_c_beta(v) for v in opening.ravel().tolist()]
+        c = np.reshape([s.c for s in sols], opening.shape)
+        alpha = np.reshape([s.alpha for s in sols], opening.shape)
+        ts, c, alpha, opening = (v[sup] for v in np.broadcast_arrays(t, c, alpha, opening))
+        left = ts < 0.5 * PI
+        f = np.empty(ts.shape)
+        f[left] = _f_left(ts[left], alpha[left])
+        # pi/2 lies in f_func's middle region
+        rc = np.sqrt(c[~left])
+        f[~left] = rc * np.tan(rc * (0.5 * opening[~left] - 0.5 * PI))
+        g[sup] = f * np.sin(ts)
+    return g if g.ndim else float(g)
 
 
 def eigen_profile(sol: HardySolution, n: int = 400) -> EigenProfile:

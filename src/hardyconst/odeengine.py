@@ -116,16 +116,22 @@ def _solve(rhs, t0: float, t1: float, y0: np.ndarray, dense_output: bool = False
 class ShootingResult:
     """Outcome of the eigenvalue shooting solve for one opening or a batch.
 
-    For a 1-D array of openings, beta, c_estimate and terminal_derivative
-    are arrays in the order given; for a scalar opening they are floats.
-    steps and nfev are totals over the whole batch: the accepted DOP853
-    steps and the right-hand-side evaluations of every run the solve made
-    (the scan and every root iterate, both pieces of each).
+    For a 1-D array of openings, beta, c_estimate, terminal_derivative and
+    no_sign_change are arrays in the order given; for a scalar opening
+    they are floats and a bool.  no_sign_change marks the openings whose
+    terminal derivative kept one sign over the scan of (0, 1/4]: the shot
+    meets the Neumann condition at no c below 1/4, which is shooting's own
+    verdict that c = 1/4 (the subcritical regime), so c_estimate is 1/4
+    and terminal_derivative is the scan's value there.  steps and nfev are
+    totals over the whole batch: the accepted DOP853 steps and the
+    right-hand-side evaluations of every run the solve made (the scan and
+    every root iterate, both pieces of each).
     """
 
     beta: Union[float, np.ndarray]
     c_estimate: Union[float, np.ndarray]
     terminal_derivative: Union[float, np.ndarray]
+    no_sign_change: Union[bool, np.ndarray]
     steps: int
     nfev: int
 
@@ -170,8 +176,9 @@ def _shoot(betas: np.ndarray, cs: np.ndarray, dense_output: bool = False) -> lis
     return runs
 
 
-def _shoot_chunk(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
-    """c, psi'(beta/2) at c, accepted steps and rhs evaluations for one chunk of openings."""
+def _shoot_chunk(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """c, psi'(beta/2) at c, the no-sign-change mask, accepted steps and rhs
+    evaluations for one chunk of openings."""
     steps = nfev = 0
     bracket_ends = {}  # terminal derivatives the scan already has, by trial constants
 
@@ -188,24 +195,25 @@ def _shoot_chunk(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, int]:
     n = scan.size
     d_vals = terminal(np.tile(scan, betas.size), np.repeat(betas, n)).reshape(betas.size, n)
     change = d_vals[:, :-1] * d_vals[:, 1:] <= 0.0
+    # no sign change in (0, 1/4]: the verdict c = 1/4, at the scan's last trial
     missing = ~change.any(axis=1)
-    if missing.any():
-        raise BracketError(
-            f"terminal derivative has no sign change in (0, 1/4] at beta={betas[missing][0]}"
-        )
-    i = n - 2 - np.argmax(change[:, ::-1], axis=1)  # rightmost sign-change cell
+    c_est, d_fin = np.full(betas.size, 0.25), d_vals[:, -1].copy()
+    if missing.all():
+        return c_est, d_fin, missing, steps, nfev
+    shot = np.flatnonzero(~missing)
+    i = n - 2 - np.argmax(change[shot, ::-1], axis=1)  # rightmost sign-change cell
     lo, hi = scan[i], scan[i + 1]
     # find_root first evaluates both bracket ends: it gets the scan's values,
     # the very ones whose signs chose each cell
-    rows = np.arange(betas.size)
-    bracket_ends[lo.tobytes()] = d_vals[rows, i]
-    bracket_ends[hi.tobytes()] = d_vals[rows, i + 1]
-    root = find_root(terminal, (lo, hi), args=(betas,), tolerances={"xatol": 1e-15})
+    bracket_ends[lo.tobytes()] = d_vals[shot, i]
+    bracket_ends[hi.tobytes()] = d_vals[shot, i + 1]
+    root = find_root(terminal, (lo, hi), args=(betas[shot],), tolerances={"xatol": 1e-15})
     if not root.success.all():
         raise BracketError(
-            f"root solve of psi'(beta/2) = 0 failed at beta={betas[~root.success][0]}"
+            f"root solve of psi'(beta/2) = 0 failed at beta={betas[shot][~root.success][0]}"
         )
-    return root.x, root.f_x, steps, nfev
+    c_est[shot], d_fin[shot] = root.x, root.f_x
+    return c_est, d_fin, missing, steps, nfev
 
 
 def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
@@ -218,28 +226,33 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
     one vectorized Chandrupatla solve (scipy.optimize.elementwise.find_root)
     then solves psi'(beta/2) = 0 in every opening's cell, each iterate one
     run over the openings not yet converged.  terminal_derivative is the
-    solver's own value at the root.  Raises ValueError naming an opening
-    outside (pi, 2pi], and BracketError naming an opening whose terminal
-    derivative never changes sign, which is the subcritical regime where
-    the series-started shot cannot meet the Neumann condition.
+    solver's own value at the root.  An opening whose terminal derivative
+    never changes sign gets shooting's verdict c = 1/4, flagged in
+    no_sign_change: the subcritical regime, where the series-started shot
+    meets the Neumann condition at no smaller c.  At beta = pi the second
+    piece has length 0.  Raises ValueError naming an opening outside
+    [pi, 2pi], and BracketError naming an opening whose root solve failed.
     """
     betas = np.array(beta, dtype=float)
     if betas.ndim > 1:
         raise ValueError(f"openings must be a scalar or a 1-D array, not shape {betas.shape}")
     flat = betas.reshape(-1)
-    outside = ~((PI < flat) & (flat <= 2.0 * PI + 1e-12))
+    outside = ~((PI <= flat) & (flat <= 2.0 * PI + 1e-12))
     if outside.any():
-        raise ValueError(f"opening angle {flat[outside][0]} outside (pi, 2pi]")
+        raise ValueError(f"opening angle {flat[outside][0]} outside [pi, 2pi]")
     c_est, d_fin = np.empty_like(flat), np.empty_like(flat)
+    no_change = np.empty(flat.shape, dtype=bool)
     steps = nfev = 0
     for k in range(0, flat.size, _CHUNK):
         part = slice(k, k + _CHUNK)
-        c_est[part], d_fin[part], chunk_steps, chunk_nfev = _shoot_chunk(flat[part])
+        c_est[part], d_fin[part], no_change[part], chunk_steps, chunk_nfev = _shoot_chunk(flat[part])
         steps += chunk_steps
         nfev += chunk_nfev
     if betas.ndim == 0:
-        return ShootingResult(float(betas), float(c_est[0]), float(d_fin[0]), steps, nfev)
-    return ShootingResult(flat, c_est, d_fin, steps, nfev)
+        return ShootingResult(
+            float(betas), float(c_est[0]), float(d_fin[0]), bool(no_change[0]), steps, nfev
+        )
+    return ShootingResult(flat, c_est, d_fin, no_change, steps, nfev)
 
 
 def shot_profile(beta: float, c: float, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -360,12 +373,15 @@ def g_upper_bound(theta, a):
     gbar = a - a theta^2 / (2(2a+1))
              + a (4a^2 + 2a + 3) theta^4 / (24 (2a+1) (4a^2 + 8a + 3)).
     An upper solution of the Riccati inequality for every a in [1/2, 1).
+    theta and a are floats or arrays that broadcast together.
     """
     theta = np.asarray(theta, dtype=float)
     if np.any(theta < 0.0) or np.any(theta > 0.5 * PI):
         raise ValueError("theta outside [0, pi/2]")
-    if not 0.5 <= a < 1.0:
-        raise ValueError(f"exponent a={a} outside [1/2, 1)")
+    a_arr = np.asarray(a, dtype=float)
+    outside = ~((0.5 <= a_arr) & (a_arr < 1.0))
+    if outside.any():
+        raise ValueError(f"exponent a={a_arr[outside].flat[0]} outside [1/2, 1)")
     t2 = theta * theta
     val = a - a * t2 / (2.0 * (2.0 * a + 1.0)) + a * (4.0 * a * a + 2.0 * a + 3.0) * t2 * t2 / (
         24.0 * (2.0 * a + 1.0) * (4.0 * a * a + 8.0 * a + 3.0)
@@ -374,7 +390,7 @@ def g_upper_bound(theta, a):
 
 
 def g_upper_bound_derivative(theta, a):
-    """theta-derivative of g_upper_bound (a plain polynomial)."""
+    """theta-derivative of g_upper_bound (a plain polynomial); broadcasts like it."""
     theta = np.asarray(theta, dtype=float)
     val = -a * theta / (2.0 * a + 1.0) + a * (4.0 * a * a + 2.0 * a + 3.0) * theta**3 / (
         6.0 * (2.0 * a + 1.0) * (4.0 * a * a + 8.0 * a + 3.0)

@@ -9,8 +9,9 @@ complete elliptic integrals K.  No analytic continuation, no complex
 arguments.
 
 All are scipy.special's, behind the domain checks the callers rely on.
-2F1 and J take a float or an array of z and return the same kind; scipy
-gives the same floats for a value alone as inside an array.
+2F1 and J take a float or an array of z (2F1 also an array of c) and
+return the same kind; scipy gives the same floats for a value alone as
+inside an array.
 """
 
 from __future__ import annotations
@@ -47,28 +48,34 @@ def gamma(x: float) -> float:
     return float(special.gamma(x))
 
 
-def hyp2f1(a: float, b: float, c: float, z):
+def hyp2f1(a: float, b: float, c, z):
     """Gauss hypergeometric function 2F1(a, b, c; z) for z in [0, 1/2].
 
-    z is a float or an array, and the result is of the same kind.  Poles
-    of the series (c a non-positive integer) and z outside [0, 1/2],
-    including NaN, raise ValueError; a non-finite value raises
-    NonConvergenceError, which signals invalid parameters.
+    c and z are floats or arrays that broadcast together; the result is a
+    float when both are floats and an array otherwise, each entry the
+    value of that entry's (c, z) alone.  A pole of the series (an entry of
+    c that is a non-positive integer) and z outside [0, 1/2], including
+    NaN, raise ValueError; a non-finite value raises NonConvergenceError,
+    which signals invalid parameters.
     """
-    if c <= 0.0 and c == round(c):
-        raise ValueError(f"hypergeometric parameter c={c} is a pole of the series")
-    val = special.hyp2f1(a, b, c, _half_interval(z, "hypergeometric"))
+    cs = np.asarray(c, dtype=float)
+    if cs.min(initial=1.0) <= 0.0:  # cheap screen: callers pass c > 0
+        pole = cs[(cs <= 0.0) & (cs == np.round(cs))]
+        if pole.size:
+            raise ValueError(f"hypergeometric parameter c={pole[0]} is a pole of the series")
+    val = special.hyp2f1(a, b, cs, _half_interval(z, "hypergeometric"))
     if not np.isfinite(val).all():
-        raise NonConvergenceError(f"2F1 is not finite at a={a}, b={b}, c={c}")
-    return val if np.ndim(z) else float(val)
+        bad = np.broadcast_to(cs, val.shape)[~np.isfinite(val)]
+        raise NonConvergenceError(f"2F1 is not finite at a={a}, b={b}, c={bad.flat[0]}")
+    return val if np.ndim(val) else float(val)
 
 
-def hyp2f1_dz(a: float, b: float, c: float, z):
+def hyp2f1_dz(a: float, b: float, c, z):
     """d/dz 2F1(a, b, c; z) via the contiguous identity (ab/c) 2F1(a+1, b+1, c+1; z).
 
     Used instead of finite differences: the logarithmic derivative of the
     sector eigenfunction must stay accurate to ~1e-10 near the branch joint.
-    Like hyp2f1, it takes a float or an array z.
+    Like hyp2f1, it takes floats or arrays c and z.
     """
     return a * b / c * hyp2f1(a + 1.0, b + 1.0, c + 1.0, z)
 

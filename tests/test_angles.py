@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from hardyconst import angles, g_func, solve_c_beta
+from hardyconst.hardycore import SEAM_SLACK
 from hardyconst.angles import gamma_star, gamma_star_star
 from hardyconst.odeengine import g_upper_bound, g_upper_bound_derivative
 
@@ -99,14 +101,59 @@ def test_scan_matches_scalar_objective(beta_factor):
     # the dense scan is one array call; it must see the scalar path's floats
     beta = beta_factor * PI
     grid = np.linspace(0.0, 0.5 * PI, 400)
-    alpha = solve_c_beta(beta).alpha
-    objectives = [angles._objective(alpha, lambda t: g_func(t, beta))]
+    sol = solve_c_beta(beta)
+    objectives = [lambda t: angles._exact_objective(t, beta, sol.alpha, sol.c)]
     if beta_factor > 1.5:
-        objectives.append(
-            angles._objective(alpha, lambda t: g_upper_bound(np.minimum(t, 0.5 * PI), alpha))
-        )
+        objectives.append(lambda t: angles._quartic_objective(t, beta, sol.alpha))
     for obj in objectives:
         assert np.array_equal(obj(grid), [obj(float(t)) for t in grid])
+
+
+def _straddling_openings(bcr):
+    # both regimes, the seam slack band and both ends, and a random spread
+    spread = np.random.default_rng(16).uniform(PI, 2.0 * PI, 12)
+    seam = [bcr - 1e-8, bcr - 0.5 * SEAM_SLACK, bcr, bcr + 1e-9]
+    return np.concatenate([[PI, 1.2 * PI, 1.5 * PI], seam, [1.7 * PI, 2.0 * PI], spread])
+
+
+def test_batch_matches_single_openings(bcr):
+    # the scan and find_root work entry by entry: bit for bit equal
+    betas = _straddling_openings(bcr)
+    batch = gamma_star(betas)
+    assert isinstance(batch.gamma_star, np.ndarray)
+    assert np.array_equal(batch.beta, betas)
+    for k, beta in enumerate(betas):
+        single = gamma_star(float(beta))
+        assert isinstance(single.gamma_star, float)
+        assert batch.gamma_star[k] == single.gamma_star
+        assert batch.argmax_theta[k] == single.argmax_theta
+        if single.gamma_star_star is None:
+            assert math.isnan(batch.gamma_star_star[k])
+        else:
+            assert batch.gamma_star_star[k] == single.gamma_star_star
+    sup = ~np.isnan(batch.gamma_star_star)
+    assert np.array_equal(sup, betas >= bcr - SEAM_SLACK)
+    assert np.array_equal(gamma_star_star(betas[sup]), batch.gamma_star_star[sup])
+
+
+def test_chunked_batch_matches_unchunked(monkeypatch, bcr):
+    betas = _straddling_openings(bcr)
+    whole = gamma_star(betas)
+    monkeypatch.setattr(angles, "_CHUNK", 4)
+    chunked = gamma_star(betas)
+    for field in ("gamma_star", "gamma_star_star", "argmax_theta"):
+        assert np.array_equal(getattr(chunked, field), getattr(whole, field), equal_nan=True)
+    sup = betas >= bcr - SEAM_SLACK
+    assert np.array_equal(gamma_star_star(betas[sup]), whole.gamma_star_star[sup])
+
+
+def test_batch_domain_errors():
+    with pytest.raises(ValueError, match=re.escape(f"opening angle {2.2 * PI}")):
+        gamma_star(np.array([1.5, 2.2, 1.8]) * PI)
+    with pytest.raises(ValueError, match=re.escape(f"opening angle {1.2 * PI}")):
+        gamma_star_star(np.array([1.8, 1.2]) * PI)
+    with pytest.raises(ValueError):
+        gamma_star(np.full((2, 2), 1.5 * PI))
 
 
 def test_argmax_meets_the_first_order_condition():

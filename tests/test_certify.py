@@ -233,6 +233,13 @@ def test_certify_dispatch(lshape_vertices):
         certify_domain(Sector(0.9 * PI))
 
 
+def test_certify_half_plane_sector():
+    # beta = pi, the end of every documented sweep: c = 1/4
+    rep = certify_domain(Sector(PI))
+    assert rep.verdict == CERTIFIED and rep.constant == 0.25
+    assert rep.checks[0].name == "opening angle in [pi, 2pi]"
+
+
 def test_certified_reports_have_nonnegative_margins(lshape_vertices):
     reports = [
         certify_domain(Sector(2.0 * PI)),

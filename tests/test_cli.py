@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hardyconst import cli
+from hardyconst import cli, odeengine
 from hardyconst.cli import main, parse_angle
 from hardyconst.hardycore import solve_c_beta
 
@@ -61,12 +61,16 @@ def test_cbeta_sweep_check_matches_single_openings(tmp_path):
         assert abs(row["shoot_c"] - json.loads(single.read_text())["rows"][0]["shoot_c"]) <= 1e-11
 
 
-def test_cbeta_sweep_check_exit_codes(capsys):
-    # beta = pi is outside shooting's domain; 1.2pi has no bracket
-    assert run(["cbeta", "--sweep", "pi:2pi:5", "--check"]) == 2
-    assert "outside (pi, 2pi]" in capsys.readouterr().err
-    assert run(["cbeta", "--sweep", "1.2pi:2pi:5", "--check"]) == 3
-    assert f"beta={1.2 * PI}" in capsys.readouterr().err
+def test_cbeta_sweep_check_exit_codes(tmp_path, capsys):
+    # the whole range passes: beta = pi and the subcritical rows get
+    # shooting's verdict c = 1/4; an opening below pi is an input error
+    out = tmp_path / "c.json"
+    assert run(["cbeta", "--sweep", "pi:2pi:5", "--check", "-o", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["shoot_c"] for r in rows[:3]] == [0.25, 0.25, 0.25]
+    assert all(abs(r["shoot_c"] - r["c"]) <= 1e-11 for r in rows)
+    assert run(["cbeta", "--sweep", "0.9pi:2pi:5", "--check"]) == 2
+    assert "outside [pi, 2pi]" in capsys.readouterr().err
 
 
 def test_cbeta_sweep_monotone(tmp_path):
@@ -156,6 +160,33 @@ def test_gamma_star_table(tmp_path):
     assert row["gamma_star_star_pi"] <= row["gamma_star_pi"]
 
 
+def test_gamma_star_sweep_pinned_rows(tmp_path):
+    # three rows of the documented sweep, at the documents' 12 digits
+    out = tmp_path / "gs.json"
+    assert run(["gamma-star", "--sweep", "pi:2pi:41", "-o", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    pinned = {
+        0: (0.867295124701, None, 0.862827150501),
+        20: (0.718409035985, None, 1.27777748584),
+        40: (0.673176886528, 0.672221645024, 1.427106452),
+    }
+    for k, (gs, gss, argmax) in pinned.items():
+        row = rows[k]
+        assert (row["gamma_star_pi"], row["gamma_star_star_pi"], row["argmax_theta"]) == (gs, gss, argmax)
+
+
+def test_gamma_star_sweep_matches_single_openings(tmp_path):
+    # one batched solve of the sweep writes the rows of one run per opening
+    out = tmp_path / "sweep.json"
+    assert run(["gamma-star", "--sweep", "1.5pi:1.6pi:6", "-o", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [r["gamma_star_star_pi"] is None for r in rows] == [True] * 3 + [False] * 3
+    for beta, row in zip(cli._parse_sweep("1.5pi:1.6pi:6"), rows):
+        single = tmp_path / "single.json"
+        assert run(["gamma-star", "--beta", repr(beta), "-o", str(single)]) == 0
+        assert json.loads(single.read_text())["rows"] == [row]
+
+
 def test_gamma_star_subcritical_has_no_polynomial_column(tmp_path):
     out = tmp_path / "gs.json"
     assert run(["gamma-star", "--beta", "1.2pi", "-o", str(out)]) == 0
@@ -240,10 +271,12 @@ def test_exit_code_domain_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_exit_code_numerical_failure(tmp_path, capsys):
-    # shooting has no bracket below the critical opening
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_exit_code_numerical_failure(tmp_path, capsys, monkeypatch):
+    # an infinite potential beyond theta = 1 makes the shot's step size collapse
+    monkeypatch.setattr(odeengine, "potential_v", lambda theta, beta: math.inf if theta >= 1.0 else 1.0)
     f = tmp_path / "x.json"
-    assert run(["cbeta", "--beta", "1.2pi", "--check", "-o", str(f)]) == 3
+    assert run(["cbeta", "--beta", "1.8pi", "--check", "-o", str(f)]) == 3
     assert "numerical failure" in capsys.readouterr().err
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from hardyconst import hardycore
 from hardyconst.hardycore import (
+    critical_family,
     beta_critical,
     beta_for_constant,
     eigen_profile,
@@ -134,8 +136,17 @@ def test_potential_broadcasts_over_angles_and_openings():
 def test_potential_array_domain_errors():
     with pytest.raises(ValueError, match="outside"):
         potential_v(np.array([0.5, 1.5 * PI, 1.0]), 1.5 * PI)
-    with pytest.raises(ValueError, match="must exceed pi"):
+    with pytest.raises(ValueError, match=re.escape(f"{0.9 * PI} below pi")):
         potential_v(0.5, np.array([1.5 * PI, 0.9 * PI]))
+
+
+def test_potential_half_plane():
+    # beta = pi, where shooting's second piece has length 0: 1/sin^2 up to
+    # pi/2, whose middle region is that single angle
+    assert potential_v(0.5 * PI, PI) == 1.0
+    assert potential_v(0.25 * PI, PI) == pytest.approx(2.0, rel=1e-14)
+    assert np.array_equal(potential_v(np.array([0.25, 0.5]) * PI, np.full(2, PI)),
+                          [potential_v(0.25 * PI, PI), 1.0])
 
 
 def test_potential_domain_errors():
@@ -399,6 +410,35 @@ def test_g_array_out_of_range_rejected(theta, beta_factor):
 def test_g_array_opening_out_of_range_rejected():
     with pytest.raises(ValueError):
         g_func(np.array([0.1, 0.2]), 0.9 * PI)
+    with pytest.raises(ValueError, match=re.escape(f"opening angle {2.1 * PI}")):
+        g_func(0.3, np.array([1.2, 2.1, 1.8]) * PI)
+
+
+def test_g_broadcasts_over_openings(bcr):
+    # one call on angles against openings on both sides of the seam gives
+    # every entry the floats of the call on that angle and opening alone
+    betas = np.array([PI, 1.2 * PI, bcr - 1e-8, bcr - 0.5 * hardycore.SEAM_SLACK, bcr,
+                      bcr + 1e-9, 1.7 * PI, 2.0 * PI])
+    grid = g_func(G_THETAS[:, None], betas[None, :])
+    assert grid.shape == (G_THETAS.size, betas.size)
+    for j, beta in enumerate(betas):
+        # test_g_array_matches_scalar_calls ties the array call to scalar ones
+        assert np.array_equal(grid[:, j], g_func(G_THETAS, float(beta)))
+    # paired entries, as a root finder passes them
+    assert np.array_equal(g_func(G_THETAS[:8], betas), [g_func(float(t), float(b))
+                                                        for t, b in zip(G_THETAS[:8], betas)])
+    assert isinstance(g_func(0.3, 1.8 * PI), float)
+
+
+def test_critical_family_broadcasts_over_members():
+    theta = np.array([0.0, 1e-160, 1e-8, 0.3, 1.0, 0.5 * PI])
+    lams = np.array([0.0, 0.05, 1.0, 7.5])
+    grid = critical_family(theta[:, None], lams[None, :])
+    for j, lam in enumerate(lams):
+        assert np.array_equal(grid[:, j], critical_family(theta, float(lam)))
+        assert np.array_equal(grid[:, j], [critical_family(float(t), float(lam)) for t in theta])
+    assert np.array_equal(grid[:, 0], critical_family(theta, 0.0))  # h0, even at theta = 0
+    assert isinstance(critical_family(0.3, 0.05), float)
 
 
 def _straight_rk4_table(beta: float) -> tuple[np.ndarray, np.ndarray]:

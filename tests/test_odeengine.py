@@ -5,10 +5,10 @@ import signal
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from hardyconst import beta_for_constant, g_func, hardycore, odeengine, solve_c_beta
 from hardyconst.odeengine import (
-    BracketError,
     IntegrationError,
     g_upper_bound,
     g_upper_bound_derivative,
@@ -104,14 +104,43 @@ def test_shoot_terminal_condition_met(beta_factor):
     assert res.nfev > 0 and res.nfev >= res.steps
 
 
-def test_shoot_subcritical_has_no_bracket():
-    with pytest.raises(BracketError):
-        shoot_c(1.2 * PI)
+def test_shoot_subcritical_verdict(monkeypatch):
+    # no sign change of psi'(beta/2) in (0, 1/4] is shooting's own verdict
+    # c = 1/4, reached without the closed form; at beta = pi the second
+    # piece has length 0
+    def forbidden(*args, **kwargs):
+        raise AssertionError("shooting called the closed form")
+
+    for name in _CLOSED_FORM:
+        monkeypatch.setattr(hardycore, name, forbidden)
+    for beta in (PI, 1.2 * PI, 1.5 * PI):
+        res = shoot_c(beta)
+        assert res.no_sign_change is True
+        assert res.c_estimate == 0.25
+        assert res.terminal_derivative > 0.0
+    assert shoot_c(2.0 * PI).no_sign_change is False
+    batch = shoot_c(np.array([1.0, 1.2, 1.8, 2.0]) * PI)
+    assert batch.no_sign_change.tolist() == [True, True, False, False]
+    assert batch.c_estimate[:2].tolist() == [0.25, 0.25]
+    assert np.all(batch.c_estimate[2:] < 0.25)
+
+
+def test_shooting_seam_matches_beta_critical():
+    # the opening where psi'(beta/2) at c = 1/4 changes sign, found from the
+    # shot alone, against the closed-form critical opening; measured gap
+    # 1.46e-10 (DOP853 at rtol 1e-10), gated at 3e-10
+    def terminal_at_quarter(beta):
+        return odeengine._shoot(np.array([beta]), np.array([0.25]))[-1].y[1]
+
+    seam = brentq(terminal_at_quarter, 1.5 * PI, 1.6 * PI, xtol=1e-15)
+    assert abs(seam - hardycore.beta_critical()) <= 3e-10
 
 
 def test_shoot_domain_error():
     with pytest.raises(ValueError):
         shoot_c(0.9 * PI)
+    with pytest.raises(ValueError):
+        shoot_c(PI - 1e-9)
 
 
 # the openings of test_shoot_matches_closed_form_tightly
@@ -146,8 +175,12 @@ def test_chunked_batch_matches_unchunked(monkeypatch, tight_batch):
 
 
 def test_batch_names_its_failing_opening():
-    with pytest.raises(BracketError, match=re.escape(f"beta={1.2 * PI}")):
-        shoot_c(np.array([1.8, 1.2, 2.0]) * PI)
+    # a subcritical opening in a batch gets the verdict and stops nothing
+    batch = shoot_c(np.array([1.8, 1.2, 2.0]) * PI)
+    assert batch.no_sign_change.tolist() == [False, True, False]
+    assert batch.c_estimate[1] == 0.25
+    gaps = np.abs(batch.c_estimate[[0, 2]] - [solve_c_beta(b * PI).c for b in (1.8, 2.0)])
+    assert gaps.max() <= 1e-10
     with pytest.raises(ValueError, match=re.escape(str(0.9 * PI))):
         shoot_c(np.array([1.8, 0.9, 2.0]) * PI)
 

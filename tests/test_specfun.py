@@ -136,3 +136,18 @@ def test_array_out_of_range_rejected(z):
 def test_array_pole_rejected():
     with pytest.raises(ValueError):
         hyp2f1(0.5, 0.5, -2.0, np.array([0.1, 0.2]))
+    with pytest.raises(ValueError, match="c=-1.0 is a pole"):
+        hyp2f1(0.5, 0.5, np.array([1.2, -1.0, 0.6]), 0.3)
+
+
+def test_array_c_matches_scalar_calls():
+    # c is a third array axis: the exponents of a batch of openings
+    z = np.array([0.0, 1e-8, 0.2, 0.5])
+    cs = np.array([1.0, 1.0 + 1e-9, 1.21, 1.5])
+    grid = hyp2f1(0.5, 0.5, cs[:, None], z[None, :])
+    assert grid.shape == (4, 4)
+    for i, c in enumerate(cs):
+        assert np.array_equal(grid[i], [hyp2f1(0.5, 0.5, float(c), float(v)) for v in z])
+    assert np.array_equal(hyp2f1_dz(1.5, 1.5, cs, z),
+                          [hyp2f1_dz(1.5, 1.5, float(c), float(v)) for c, v in zip(cs, z)])
+    assert isinstance(hyp2f1(0.5, 0.5, 1.2, 0.3), float)
