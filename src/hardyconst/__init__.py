@@ -25,12 +25,10 @@ from .certify import (
     check_sector_cap,
 )
 from .hardycore import (
-    EigenProfile,
     HardySolution,
     beta_critical,
     beta_for_constant,
     dpsi,
-    eigen_profile,
     f_func,
     g_func,
     potential_v,
@@ -66,7 +64,6 @@ __all__ = [
     "Dbeta",
     "DomainSpec",
     "Ebg",
-    "EigenProfile",
     "GridProblem",
     "HProfile",
     "HardySolution",
@@ -90,7 +87,6 @@ __all__ = [
     "check_one_reflex_polygon",
     "check_sector_cap",
     "dpsi",
-    "eigen_profile",
     "estimate_constant",
     "f_func",
     "g_func",

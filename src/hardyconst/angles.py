@@ -10,12 +10,13 @@ so the critical angle gamma*(beta) is pi - 2 arctan of that maximum.
 Replacing g by its quartic upper bound gives the slightly smaller
 gamma**(beta), which evaluates no 2F1.
 
-gamma_star and gamma_star_star take one opening or a 1-D array of them
-and solve the openings as one batch, _CHUNK at a time.  The maximum is
-found by a dense scan of 400 angles, one array call of g for every
-opening, then refined by one vectorized Chandrupatla solve
-(scipy.optimize.elementwise.find_root) of the first-order condition in
-the cell around each opening's best scan point, so the argmax is known
+gamma_star and gamma_star_star take one opening or a 1-D array of them,
+admitted by hardycore.admit_openings (gamma_star from pi, gamma_star_star
+from beta_cr - SEAM_SLACK), and solve the openings as one batch, _CHUNK at
+a time.  The maximum is found by a dense scan of 400 angles, one array
+call of g for every opening, then refined by one vectorized Chandrupatla
+solve (scipy.optimize.elementwise.find_root) of the first-order condition
+in the cell around each opening's best scan point, so the argmax is known
 to a few ulp.  Every step works entry by entry: a batch gives each
 opening the floats it gets alone.
 """
@@ -29,7 +30,9 @@ from typing import Callable, Optional, Union
 import numpy as np
 from scipy.optimize.elementwise import find_root
 
-from .hardycore import SEAM_SLACK, beta_critical, g_func, is_subcritical, solve_c_beta
+from .hardycore import admit_openings, g_func, is_subcritical, sector_constants
+# unused, but perfbench's tracer expects them bound here
+from .hardycore import beta_critical, solve_c_beta  # noqa: F401
 from .odeengine import g_upper_bound, g_upper_bound_derivative
 
 __all__ = ["CriticalAngles", "gamma_star", "gamma_star_star"]
@@ -120,22 +123,6 @@ def _quartic_slope(theta, beta, alpha):
     return 1.0 + alpha * np.cos(theta) / g + alpha * np.sin(theta) * dg / (g * g)
 
 
-def _openings(beta, lo: float, lo_name: str) -> tuple[np.ndarray, np.ndarray]:
-    """beta as an array, and its entries flattened with 2pi + 1e-12 clamped to 2pi.
-
-    ValueError for more than one dimension, or naming an entry outside
-    [lo, 2pi + 1e-12].
-    """
-    betas = np.array(beta, dtype=float)
-    if betas.ndim > 1:
-        raise ValueError(f"openings must be a scalar or a 1-D array, not shape {betas.shape}")
-    flat = betas.reshape(-1)
-    outside = ~((lo <= flat) & (flat <= 2.0 * PI + 1e-12))
-    if outside.any():
-        raise ValueError(f"opening angle {flat[outside][0]} outside [{lo_name}, 2pi]")
-    return betas, np.minimum(flat, 2.0 * PI)
-
-
 def _chunked(solve: Callable, flat: np.ndarray, rows: int) -> np.ndarray:
     """solve over flat, _CHUNK openings at a time; one output row per quantity."""
     out = np.empty((rows, flat.size))
@@ -145,16 +132,14 @@ def _chunked(solve: Callable, flat: np.ndarray, rows: int) -> np.ndarray:
 
 
 def _gamma_star_star_chunk(betas: np.ndarray) -> np.ndarray:
-    alpha = np.array([solve_c_beta(float(b)).alpha for b in betas])
+    _, alpha = sector_constants(betas)
     _, m = _maximize(_quartic_objective, _quartic_slope, betas, alpha)
     return PI - 2.0 * np.arctan(m)
 
 
 def _gamma_star_chunk(betas: np.ndarray) -> np.ndarray:
     """gamma*, argmax and gamma** (NaN at subcritical openings) of one chunk."""
-    sols = [solve_c_beta(float(b)) for b in betas]
-    alpha = np.array([s.alpha for s in sols])
-    c = np.array([s.c for s in sols])
+    c, alpha = sector_constants(betas)
     argmax, m = _maximize(_exact_objective, _exact_slope, betas, alpha, c)
     gss = np.full(betas.size, np.nan)
     sup = ~is_subcritical(betas)
@@ -188,10 +173,9 @@ def gamma_star(beta: Union[float, np.ndarray]) -> CriticalAngles:
     one.  Numerically gamma* decreases from ~0.867 pi at beta = pi to
     ~0.673 pi at beta = 2 pi and always stays inside (pi/2, pi).
     """
-    betas, flat = _openings(beta, PI - 1e-12, "pi")
-    flat = np.maximum(flat, PI)
+    flat, scalar = admit_openings(beta)
     gs, argmax, gss = _chunked(_gamma_star_chunk, flat, 3)
-    if betas.ndim == 0:
+    if scalar:
         gss0 = None if math.isnan(gss[0]) else float(gss[0])
         return CriticalAngles(float(flat[0]), float(gs[0]), gss0, float(argmax[0]))
     return CriticalAngles(flat, gs, gss, argmax)
@@ -204,6 +188,6 @@ def gamma_star_star(beta: Union[float, np.ndarray]):
     (an array), in [beta_cr, 2pi].  Uses the quartic upper bound in place
     of g, so no 2F1 is evaluated; gamma** <= gamma* pointwise.
     """
-    betas, flat = _openings(beta, beta_critical() - SEAM_SLACK, "beta_cr")
+    flat, scalar = admit_openings(beta, "[beta_cr")
     gss = _chunked(_gamma_star_star_chunk, flat, 1)[0]
-    return float(gss[0]) if betas.ndim == 0 else gss
+    return float(gss[0]) if scalar else gss

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .angles import gamma_star
-from .hardycore import f_func, g_func, solve_c_beta
+from .hardycore import admit_opening, f_func, g_func, solve_c_beta
 
 __all__ = [
     "ShapeError",
@@ -271,15 +271,14 @@ def check_sector_cap(s: SectorCapConvex) -> CertificateReport:
     Bounded caps need both contact angles below the same bound as polygons;
     an unbounded cap whose boundary avoids the sector's is unconditional.
     """
-    if not PI < s.beta <= 2.0 * PI + 1e-12:
-        raise ValueError(f"opening angle {s.beta} outside (pi, 2pi]")
-    c = solve_c_beta(s.beta).c
+    beta = admit_opening(s.beta, "(pi")
+    c = solve_c_beta(beta).c
     if not s.bounded:
         checks = (
             CheckItem("cap and sector boundaries do not intersect (input assertion)", True, 0.0),
         )
         return CertificateReport(CERTIFIED, c, "unbounded convex cap of a sector", checks)
-    checks = _angle_bound_checks(s.beta, s.gamma_plus, s.gamma_minus)
+    checks = _angle_bound_checks(beta, s.gamma_plus, s.gamma_minus)
     return _verdict_from_checks(checks, c, "bounded convex cap of a sector")
 
 
@@ -291,11 +290,10 @@ def check_ebg(e: Ebg) -> CertificateReport:
     |beta - gamma| <= (2/c) arccos(2 sqrt(c)); outside that condition the
     result is one-directional and the verdict is inconclusive.
     """
-    beta, gam = max(e.beta, e.gamma), min(e.beta, e.gamma)
+    beta = admit_opening(np.maximum(e.beta, e.gamma), "(pi")
+    gam = min(e.beta, e.gamma)
     if not gam > 0.0:
         raise ValueError(f"angle gamma={gam} must be positive")
-    if not PI < beta <= 2.0 * PI + 1e-12:
-        raise ValueError(f"angle beta={beta} outside (pi, 2pi]")
     if beta + gam > 3.0 * PI + 1e-12:
         raise ValueError(f"beta + gamma = {beta + gam} exceeds 3pi (halflines intersect)")
     if gam <= PI + 1e-12:
@@ -331,8 +329,7 @@ def dbeta_samples(d: Dbeta) -> np.ndarray:
     [0, beta].  At a repeated angle the slope between its samples is
     undefined, and the sort would order a radial jump there by r alone.
     """
-    if not PI < d.beta <= 2.0 * PI + 1e-12:
-        raise ValueError(f"opening angle {d.beta} outside (pi, 2pi]")
+    admit_opening(d.beta, "(pi")
     if len(d.r_samples) < 2:
         raise ValueError("a polar graph needs at least 2 samples")
     samples = np.asarray(sorted(d.r_samples), dtype=float)
@@ -384,10 +381,9 @@ def check_dbeta(d: Dbeta) -> CertificateReport:
 def certify_domain(domain: DomainSpec) -> CertificateReport:
     """Dispatch a domain description to its hypothesis check."""
     if isinstance(domain, Sector):
-        if not PI <= domain.beta <= 2.0 * PI + 1e-12:
-            raise ValueError(f"opening angle {domain.beta} outside [pi, 2pi]")
-        checks = (CheckItem("opening angle in [pi, 2pi]", True, 2.0 * PI - domain.beta),)
-        return CertificateReport(CERTIFIED, solve_c_beta(domain.beta).c, "sector constant", checks)
+        beta = admit_opening(domain.beta)
+        checks = (CheckItem("opening angle in [pi, 2pi]", True, 2.0 * PI - beta),)
+        return CertificateReport(CERTIFIED, solve_c_beta(beta).c, "sector constant", checks)
     if isinstance(domain, SectorCapConvex):
         return check_sector_cap(domain)
     if isinstance(domain, OneReflexPolygon):
@@ -450,8 +446,7 @@ def boundary_form_samples(
     if kind not in _FORM_KINDS:
         raise ValueError(f"unknown boundary form kind {kind!r}; expected one of {_FORM_KINDS}")
     theta = np.asarray(theta_grid, dtype=float)
-    if not PI - 1e-12 <= beta <= 2.0 * PI + 1e-12:
-        raise ValueError(f"opening angle {beta} outside [pi, 2pi]")
+    beta = admit_opening(beta)
     alpha = solve_c_beta(beta).alpha
 
     def g_or_limit(t: np.ndarray) -> np.ndarray:

@@ -17,6 +17,9 @@ critical_family, picked by its value at pi/2.
 
 All angles are radians.  Operations are pure; solutions are cached by
 opening angle, so repeated sweeps are cheap.
+
+admit_openings is the one check of an opening angle: every public
+function of every layer that takes an opening passes it through there.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .specfun import family_integral, gamma, hyp2f1, hyp2f1_dz
 
 __all__ = [
     "HardySolution",
-    "EigenProfile",
     "SEAM_SLACK",
     "beta_critical",
     "is_subcritical",
@@ -47,7 +49,6 @@ __all__ = [
     "critical_family",
     "series_coefficients",
     "series_a2",
-    "eigen_profile",
 ]
 
 PI = math.pi
@@ -81,31 +82,43 @@ class HardySolution:
     residual: float
 
 
-@dataclass(frozen=True)
-class EigenProfile:
-    """Sampled eigenfunction data on (0, beta/2]."""
-
-    beta: float
-    grid: np.ndarray
-    psi: np.ndarray
-    dpsi: np.ndarray
-    series_a2: float
-
-
 @lru_cache(maxsize=1)
 def beta_critical() -> float:
     """Largest opening angle with Hardy constant exactly 1/4.
 
-    Unique root of tan((beta - pi)/4) = 4 (Gamma(3/4)/Gamma(1/4))^2 in
-    (pi, 2pi); approximately 1.5457 pi.
+    The root of tan((beta - pi)/4) = 4 (Gamma(3/4)/Gamma(1/4))^2 in
+    (pi, 2pi), in closed form; approximately 1.5457 pi.
     """
-    rhs = 4.0 * (gamma(0.75) / gamma(0.25)) ** 2
-    return brentq(
-        lambda b: math.tan(0.25 * (b - PI)) - rhs,
-        PI + 1e-9,
-        2.0 * PI,
-        xtol=1e-12,
-    )
+    return PI + 4.0 * math.atan(4.0 * (gamma(0.75) / gamma(0.25)) ** 2)
+
+
+def admit_openings(beta, lower: str = "[pi") -> tuple[np.ndarray, bool]:
+    """The openings of beta, one or a 1-D array, admitted and clamped into range.
+
+    lower names the range's lower end: "[pi" admits [pi, 2pi], "(pi" the
+    reflex openings (pi, 2pi] and "[beta_cr" [beta_cr - SEAM_SLACK, 2pi].
+    A closed end and 2pi admit 1e-12 of slack, clamped onto the end.
+    Returns the openings flattened, and whether beta was a scalar.
+    ValueError for more dimensions, or naming the first opening outside.
+    """
+    betas = np.array(beta, dtype=float)
+    if betas.ndim > 1:
+        raise ValueError(f"openings must be a scalar or a 1-D array, not shape {betas.shape}")
+    flat = betas.reshape(-1)
+    lo = beta_critical() - SEAM_SLACK if lower == "[beta_cr" else PI
+    above = lo < flat if lower == "(pi" else lo - 1e-12 <= flat
+    inside = above & (flat <= 2.0 * PI + 1e-12)
+    if not inside.all():
+        raise ValueError(f"opening angle {flat[~inside][0]} outside {lower}, 2pi]")
+    return np.clip(flat, lo, 2.0 * PI), betas.ndim == 0
+
+
+def admit_opening(beta, lower: str = "[pi") -> float:
+    """admit_openings of a caller that takes one opening; ValueError for an array."""
+    flat, scalar = admit_openings(beta, lower)
+    if not scalar:
+        raise ValueError(f"expected one opening angle, not shape {np.shape(beta)}")
+    return float(flat[0])
 
 
 def is_subcritical(beta):
@@ -137,6 +150,7 @@ def equation_residual(beta: float, c: float) -> float:
 def solve_c_beta(beta: float) -> HardySolution:
     """Hardy constant of the sector of opening beta, pi <= beta <= 2pi.
 
+    The solution reports the opening as admit_openings clamps it.
     Openings up to beta_cr return c = 1/4 exactly, the half-plane beta = pi
     included, so this needs no seam slack: both sides of beta_cr -
     SEAM_SLACK get the same answer.  Beyond beta_cr the equation is solved
@@ -144,8 +158,7 @@ def solve_c_beta(beta: float) -> HardySolution:
     = (1 - s^2)/4 only quadratically, so just above beta_cr a root in c
     would round to 1/4 and lose alpha's digits.
     """
-    if not PI - 1e-12 <= beta <= 2.0 * PI + 1e-12:
-        raise ValueError(f"opening angle {beta} outside [pi, 2pi]")
+    beta = admit_opening(beta)
     if beta <= beta_critical():
         return HardySolution(beta=beta, c=0.25, alpha=0.5, method="closed-form", residual=0.0)
     s = brentq(
@@ -161,6 +174,15 @@ def solve_c_beta(beta: float) -> HardySolution:
         alpha=0.5 * (1.0 + s),
         method="closed-form",
         residual=abs(_residual(beta, c, s)),
+    )
+
+
+def sector_constants(openings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """c and alpha of solve_c_beta at every entry of an array of openings, in its shape."""
+    sols = [solve_c_beta(b) for b in openings.ravel().tolist()]
+    return (
+        np.reshape([s.c for s in sols], openings.shape),
+        np.reshape([s.alpha for s in sols], openings.shape),
     )
 
 
@@ -387,16 +409,14 @@ def g_func(theta, beta):
     call covers many angles of many openings; the result is a float when
     both are floats.  Each entry equals the call on that angle and opening
     alone.  Pass the openings unexpanded (say, a column against a row of
-    angles): the closed form is solved once per entry of beta.
+    angles): they are admitted, and the closed form solved, once per entry
+    of beta, which may have any shape.
     Supercritical g is f_func times sin(theta), taken from f_func's own
     branches (_f_left below pi/2, the middle region at pi/2) without its
     range check and mirror.
     """
-    beta = np.asarray(beta, dtype=float)
+    beta = admit_openings(np.ravel(beta))[0].reshape(np.shape(beta))
     t, b = np.broadcast_arrays(np.asarray(theta, dtype=float), beta)
-    outside = ~((PI - 1e-12 <= b) & (b <= 2.0 * PI + 1e-12))
-    if outside.any():
-        raise ValueError(f"opening angle {b[outside].flat[0]} outside [pi, 2pi]")
     inside = (t > 0.0) & (t <= 0.5 * PI + 1e-12)
     if not inside.all():
         raise ValueError(f"theta={t[~inside].flat[0]} outside (0, pi/2]")
@@ -412,9 +432,7 @@ def g_func(theta, beta):
     if sup.any():
         # every closed-form opening is clamped into [beta_cr, 2pi]
         opening = np.clip(beta, beta_critical(), 2.0 * PI)
-        sols = [solve_c_beta(v) for v in opening.ravel().tolist()]
-        c = np.reshape([s.c for s in sols], opening.shape)
-        alpha = np.reshape([s.alpha for s in sols], opening.shape)
+        c, alpha = sector_constants(opening)
         ts, c, alpha, opening = (v[sup] for v in np.broadcast_arrays(t, c, alpha, opening))
         left = ts < 0.5 * PI
         f = np.empty(ts.shape)
@@ -424,17 +442,3 @@ def g_func(theta, beta):
         f[~left] = rc * np.tan(rc * (0.5 * opening[~left] - 0.5 * PI))
         g[sup] = f * np.sin(ts)
     return g if g.ndim else float(g)
-
-
-def eigen_profile(sol: HardySolution, n: int = 400) -> EigenProfile:
-    """Sample psi and psi' on a log-spaced grid of (0, beta/2]."""
-    grid = np.geomspace(1e-6, 0.5 * sol.beta, n)
-    psi_vals = np.array([psi(t, sol) for t in grid])
-    dpsi_vals = np.array([dpsi(t, sol) for t in grid])
-    return EigenProfile(
-        beta=sol.beta,
-        grid=grid,
-        psi=psi_vals,
-        dpsi=dpsi_vals,
-        series_a2=series_a2(sol.alpha),
-    )

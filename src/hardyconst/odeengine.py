@@ -17,7 +17,8 @@ Two problems are integrated with scipy's DOP853 stepper:
   h(alpha, .) on (0, pi/2].
 
 Nothing here calls the closed form for c(beta): the shot sees only the
-potential V and the series start at the vertex.
+potential V and the series start at the vertex; hardycore.admit_openings
+checks its openings against pi and 2pi alone.
 
 The critical-exponent case alpha = 1/2 has a one-parameter continuum of
 solutions with an explicit hypergeometric representation; h_family_half
@@ -37,7 +38,7 @@ import numpy as np
 from scipy.integrate import DOP853, OdeSolution
 from scipy.optimize.elementwise import find_root
 
-from .hardycore import critical_family, potential_v, series_a2
+from .hardycore import admit_openings, critical_family, potential_v, series_a2
 from .specfun import family_integral, hyp2f1
 
 __all__ = [
@@ -230,16 +231,12 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
     never changes sign gets shooting's verdict c = 1/4, flagged in
     no_sign_change: the subcritical regime, where the series-started shot
     meets the Neumann condition at no smaller c.  At beta = pi the second
-    piece has length 0.  Raises ValueError naming an opening outside
-    [pi, 2pi], and BracketError naming an opening whose root solve failed.
+    piece has length 0.  beta reports the openings as
+    hardycore.admit_openings clamps them.  Raises ValueError naming an
+    opening outside [pi, 2pi], and BracketError naming an opening whose
+    root solve failed.
     """
-    betas = np.array(beta, dtype=float)
-    if betas.ndim > 1:
-        raise ValueError(f"openings must be a scalar or a 1-D array, not shape {betas.shape}")
-    flat = betas.reshape(-1)
-    outside = ~((PI <= flat) & (flat <= 2.0 * PI + 1e-12))
-    if outside.any():
-        raise ValueError(f"opening angle {flat[outside][0]} outside [pi, 2pi]")
+    flat, scalar = admit_openings(beta)
     c_est, d_fin = np.empty_like(flat), np.empty_like(flat)
     no_change = np.empty(flat.shape, dtype=bool)
     steps = nfev = 0
@@ -248,9 +245,9 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
         c_est[part], d_fin[part], no_change[part], chunk_steps, chunk_nfev = _shoot_chunk(flat[part])
         steps += chunk_steps
         nfev += chunk_nfev
-    if betas.ndim == 0:
+    if scalar:
         return ShootingResult(
-            float(betas), float(c_est[0]), float(d_fin[0]), bool(no_change[0]), steps, nfev
+            float(flat[0]), float(c_est[0]), float(d_fin[0]), bool(no_change[0]), steps, nfev
         )
     return ShootingResult(flat, c_est, d_fin, no_change, steps, nfev)
 

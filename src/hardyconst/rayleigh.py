@@ -60,6 +60,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .certify import Dbeta, DomainSpec, Ebg, OneReflexPolygon, Sector, SectorCapConvex
 from .certify import dbeta_samples, ensure_ccw
+from .hardycore import admit_opening
 
 __all__ = [
     "GridProblem",
@@ -341,7 +342,7 @@ def _assemble(
     follow each component's first unknown in np.nonzero order.  A dropped
     unknown shares no open link with a kept one, so every kept row is the
     one an assembly without the splinters would build.  The grid records
-    how many unknowns were dropped.
+    how many unknowns were dropped.  Its solve is left to _lattice.
     """
     xs = np.linspace(cx - half, cx + half, n)
     ys = np.linspace(cy - half, cy + half, n)
@@ -429,10 +430,18 @@ def _assemble(
         dist=dist,
         matrix=matrix,
         mass=sp.diags(1.0 / dist**2, format="csr"),
-        solve=_factor(matrix),
+        solve=None,
         start=dist,
         dropped=dropped,
     )
+
+
+def _lattice(*args, **kwargs) -> GridProblem:
+    """_assemble's grid with its energy factored, once the assembly's work
+    arrays (node grids, flags, indices and links) are freed."""
+    grid = _assemble(*args, **kwargs)
+    grid.solve = _factor(grid.matrix)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +901,7 @@ def _ray_link_cut(directions, lengths=None):
 def _polygon_lattice(verts: np.ndarray, n: int) -> GridProblem:
     """Cartesian lattice of a polygon over its square bounding box (uniform spacing)."""
     (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
-    return _assemble(
+    return _lattice(
         lambda px, py: _points_in_polygon(px, py, verts),
         lambda px, py: _polyline_distance(px, py, verts),
         0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * max(x1 - x0, y1 - y0), n,
@@ -1011,9 +1020,7 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
     if radius is not None and not isinstance(domain, Ebg):
         raise ValueError(f"a truncation radius does not apply to a {type(domain).__name__} domain")
     if isinstance(domain, Sector):
-        beta = domain.beta
-        if not PI < beta <= 2.0 * PI + 1e-12:
-            raise ValueError(f"opening angle {beta} outside (pi, 2pi]")
+        beta = admit_opening(domain.beta, "(pi")
         ts = np.linspace(-n / _RADIAL_ELEMENTS_PER_DECADE * math.log(10.0), 0.0, n + 1)
         thetas = _graded_axis(np.array([0.0, beta]), n // 2)
         # innermost ring at r = 1: radial step or smallest arc step
@@ -1034,7 +1041,7 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
         return grid
     if isinstance(domain, Dbeta):
         inside, dist, neumann_side, link_cut, rmax = _dbeta_functions(domain)
-        return _assemble(
+        return _lattice(
             inside, dist, 0.0, 0.0, 1.01 * rmax, n, neumann_side=neumann_side, link_cut=link_cut
         )
     if isinstance(domain, SectorCapConvex):

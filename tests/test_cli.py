@@ -215,6 +215,20 @@ def test_certify_ebg_file(tmp_path):
     assert rep["constant"] == pytest.approx(0.2054, abs=1e-3)
 
 
+def test_openings_within_the_slack_of_pi_pass_every_command(tmp_path):
+    # 3.14159265358979 lies 3.2e-15 below pi, inside the 1e-12 slack
+    out = tmp_path / "c.json"
+    assert run(["cbeta", "--beta", "3.14159265358979", "--check", "-o", str(out)]) == 0
+    row = json.loads(out.read_text())["rows"][0]
+    assert row["c"] == 0.25 and row["shoot_c"] == 0.25
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps({"type": "sector", "beta": 0.99999999999999}))
+    out = tmp_path / "report.json"
+    assert run(["certify", str(f), "-o", str(out)]) == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["verdict"] == "certified" and rep["constant"] == 0.25
+
+
 def test_certify_dbeta_oscillating_inconclusive(tmp_path):
     samples = [[t / 100.0 * 2.0, 1.5 + math.sin(4.0 * math.pi * t / 100.0 * 2.0)] for t in range(101)]
     f = tmp_path / "dom.json"

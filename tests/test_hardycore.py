@@ -11,7 +11,6 @@ from hardyconst.hardycore import (
     critical_family,
     beta_critical,
     beta_for_constant,
-    eigen_profile,
     equation_residual,
     f_func,
     g_func,
@@ -175,9 +174,10 @@ def test_psi_branch_continuity(sol_2pi):
 
 
 def test_psi_positive_on_half_sector(sol_2pi):
-    prof = eigen_profile(sol_2pi, n=300)
-    assert np.all(prof.psi > 0.0)
-    assert prof.psi[-1] == pytest.approx(1.0, abs=1e-14)
+    grid = np.geomspace(1e-6, 0.5 * sol_2pi.beta, 300)
+    vals = np.array([psi(t, sol_2pi) for t in grid])
+    assert np.all(vals > 0.0)
+    assert vals[-1] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_psi_requires_supercritical_opening():
