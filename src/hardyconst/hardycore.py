@@ -201,36 +201,26 @@ def beta_for_constant(c: float) -> float:
     return PI + 2.0 / math.sqrt(c) * math.atan(rhs / math.sqrt(c))
 
 
-def potential_v(theta, beta):
+def potential_v(theta: float, beta: float) -> float:
     """Sector potential: 1/sin^2(theta), 1, 1/sin^2(beta - theta) by region.
 
-    Broadcasts over arrays of angles and openings; floats in give a float
-    out, on a math-only path, since the shooting right-hand side calls it
-    once per evaluation.  Both one-sided limits at the junctions
-    theta = pi/2 and beta - pi/2 equal 1, so the junction value is 1.
-    Diverges at the endpoints, which are rejected, as is an opening below
-    pi.  At beta = pi, the half-plane, the middle region is the single
-    angle pi/2.  Written with side = min(theta, beta - theta), the angle to
-    the nearer edge: V = 1/sin^2(min(side, pi/2)), since side < pi/2
-    exactly off the middle region [pi/2, beta - pi/2].
+    Takes and returns floats, on a math-only path, since the shooting
+    right-hand side calls it once per evaluation; an array of one or more
+    dimensions raises the TypeError of float().  Both one-sided limits at
+    the junctions theta = pi/2 and beta - pi/2 equal 1, so the junction
+    value is 1.  Diverges at the endpoints, which are rejected, as is an
+    opening below pi.  At beta = pi, the half-plane, the middle region is
+    the single angle pi/2.  Written with side = min(theta, beta - theta),
+    the angle to the nearer edge: V = 1/sin^2(min(side, pi/2)), since
+    side < pi/2 exactly off the middle region [pi/2, beta - pi/2].
     """
-    if isinstance(theta, float) and isinstance(beta, float):
-        if not beta >= PI:
-            raise ValueError(f"opening angle {beta} below pi")
-        side = min(theta, beta - theta)
-        if not side > 0.0:
-            raise ValueError(f"theta={theta} outside (0, {beta})")
-        return 1.0 / math.sin(min(side, 0.5 * PI)) ** 2
-    theta, beta = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(beta, dtype=float))
-    low = ~(beta >= PI)
-    if low.any():
-        raise ValueError(f"opening angle {beta[low].flat[0]} below pi")
-    side = np.minimum(theta, beta - theta)
-    outside = ~(side > 0.0)
-    if outside.any():
-        raise ValueError(f"theta={theta[outside].flat[0]} outside (0, {beta[outside].flat[0]})")
-    v = 1.0 / np.sin(np.minimum(side, 0.5 * PI)) ** 2
-    return v if v.ndim else float(v)
+    theta, beta = float(theta), float(beta)
+    if not beta >= PI:
+        raise ValueError(f"opening angle {beta} below pi")
+    side = min(theta, beta - theta)
+    if not side > 0.0:
+        raise ValueError(f"theta={theta} outside (0, {beta})")
+    return 1.0 / math.sin(min(side, 0.5 * PI)) ** 2
 
 
 def series_a2(alpha: float) -> float:

@@ -148,8 +148,12 @@ def _shoot(betas: np.ndarray, cs: np.ndarray, dense_output: bool = False) -> lis
     run across the junction loses about two digits of c.  Each piece runs
     in s in [0, 1] with theta = start + s * length; the second piece's
     length (beta - pi)/2 differs per trial, so trials of different
-    openings end together at s = 1, theta = beta/2.  Returns the _Run of
-    both pieces.
+    openings end together at s = 1, theta = beta/2.  Each right-hand-side
+    evaluation calls potential_v once, with floats: at the first trial's
+    angle and opening, since V is the same for every trial on either
+    piece, 1/sin^2(theta) on the first and 1 on the second, where theta
+    and beta - theta both stay at or above pi/2.  Returns the _Run of both
+    pieces.
     """
     alpha = 0.5 * (1.0 + np.sqrt(1.0 - 4.0 * cs))
     a2 = series_a2(alpha)
@@ -162,14 +166,13 @@ def _shoot(betas: np.ndarray, cs: np.ndarray, dense_output: bool = False) -> lis
     )
     m = len(cs)
     runs = []
-    # V = 1/sin^2(theta) on the first piece whatever the opening, so one
-    # scalar call there serves the whole batch
-    pieces = ((th0, 0.5 * PI - th0, float(betas[0])), (0.5 * PI, 0.5 * (betas - PI), betas))
-    for start, length, opening in pieces:
+    opening = float(betas[0])
+    for start, length in ((th0, 0.5 * PI - th0), (0.5 * PI, 0.5 * (betas - PI))):
         scale = -length * cs
+        first = float(np.ravel(length)[0])  # the first trial's length
 
-        def rhs(s, y, start=start, length=length, opening=opening, scale=scale):
-            v = potential_v(start + s * length, opening)
+        def rhs(s, y, start=start, length=length, first=first, scale=scale):
+            v = potential_v(start + s * first, opening)
             return np.concatenate([length * y[m:], scale * v * y[:m]])
 
         runs.append(_solve(rhs, 0.0, 1.0, y, dense_output=dense_output))

@@ -59,7 +59,7 @@ from scipy.fft import dst
 from scipy.sparse.csgraph import connected_components
 
 from .certify import Dbeta, DomainSpec, Ebg, OneReflexPolygon, Sector, SectorCapConvex
-from .certify import dbeta_samples, ensure_ccw
+from .certify import _require_simple, dbeta_samples, ensure_ccw
 from .hardycore import admit_opening
 
 __all__ = [
@@ -795,16 +795,13 @@ def _pencil(xs: np.ndarray, ys: np.ndarray, dist: Callable, h: float, kind: str)
 
 
 def _edge_distance(theta, beta: float):
-    """Distance at r = 1 to the edge rays at angles 0 and beta of a sector."""
-    s = np.ones(np.shape(theta))
-    # angles to the edge rays at 0 and beta, each from either side; the
-    # sums keep full precision next to the rays, also in the slit case
-    for angle in (
-        np.minimum(theta, 2.0 * PI - theta),
-        np.minimum(beta - theta, (2.0 * PI - beta) + theta),
-    ):
-        s = np.minimum(s, np.where(angle < 0.5 * PI, np.sin(angle), 1.0))
-    return s
+    """Distance at r = 1 to the edge rays of a sector of opening beta in [pi, 2pi].
+
+    sin of the angle to the nearer edge, capped at pi/2, where the nearest
+    boundary point is the vertex; this is potential_v ** -0.5 on arrays of
+    angles theta in [0, beta].
+    """
+    return np.sin(np.minimum(np.minimum(theta, beta - theta), 0.5 * PI))
 
 
 def _box_distance(px, py, verts: np.ndarray):
@@ -1028,6 +1025,7 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
         return _pencil(ts, thetas, lambda theta: _edge_distance(theta, beta), h, "log-polar")
     if isinstance(domain, OneReflexPolygon):
         verts = ensure_ccw(domain.vertices)
+        _require_simple(verts)
         grid = _polygon_tensor_grid(verts, n)
         return _polygon_lattice(verts, n) if grid is None else grid
     if isinstance(domain, Ebg):

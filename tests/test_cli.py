@@ -280,6 +280,15 @@ def test_validate_reports_dropped_unknowns(tmp_path, capsys):
     assert "0 dropped)" in capsys.readouterr().out
 
 
+def test_validate_refuses_non_simple_polygon(tmp_path, capsys):
+    # the same check as certify's: crossing edges are bad input
+    vertices = [[0, 0], [2, 0], [2, 1], [0, 1.5], [2, 2], [0, 2.2]]
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps({"type": "polygon", "vertices": vertices}))
+    assert run(["validate", str(f), "--n", "64"]) == 2
+    assert "not simple" in capsys.readouterr().err
+
+
 def test_exit_code_domain_error(capsys):
     assert run(["cbeta", "--beta", "0.5pi"]) == 2
     assert "error" in capsys.readouterr().err

@@ -108,6 +108,8 @@ def test_potential_branches(beta):
 
 def test_potential_middle_at_pi_for_full_opening():
     assert potential_v(PI, 2.0 * PI) == 1.0
+    assert isinstance(potential_v(0.5 * PI, 2.0 * PI), float)
+    assert isinstance(potential_v(np.float64(0.5 * PI), np.float64(2.0 * PI)), float)
 
 
 def test_potential_junctions_are_one():
@@ -116,43 +118,20 @@ def test_potential_junctions_are_one():
         assert potential_v(beta - 0.5 * PI, beta) == 1.0
 
 
-def test_potential_broadcasts_over_angles_and_openings():
-    betas = np.array([1.4, 1.7, 2.0]) * PI
-    thetas = np.array([0.25, 0.5, 0.7, 1.3]) * PI  # 1.3pi: right region at 1.7pi, middle at 2pi
-    grid = potential_v(thetas[:, None], betas[None, :])
-    assert grid.shape == (4, 3)
-    for i, t in enumerate(thetas):
-        for j, b in enumerate(betas):
-            assert grid[i, j] == pytest.approx(potential_v(float(t), float(b)), rel=1e-15)
-    # both junctions are 1 for every opening
-    assert np.all(potential_v(np.full(3, 0.5 * PI), betas) == 1.0)
-    assert np.all(potential_v(betas - 0.5 * PI, betas) == 1.0)
-    assert potential_v(np.array([0.25, 1.75]) * PI, 2.0 * PI) == pytest.approx([2.0, 2.0], rel=1e-14)
-    assert isinstance(potential_v(0.5 * PI, 2.0 * PI), float)
-    assert isinstance(potential_v(np.float64(0.5 * PI), np.array(2.0 * PI)), float)
-
-
-def test_potential_array_domain_errors():
-    with pytest.raises(ValueError, match="outside"):
-        potential_v(np.array([0.5, 1.5 * PI, 1.0]), 1.5 * PI)
-    with pytest.raises(ValueError, match=re.escape(f"{0.9 * PI} below pi")):
-        potential_v(0.5, np.array([1.5 * PI, 0.9 * PI]))
-
-
 def test_potential_half_plane():
     # beta = pi, where shooting's second piece has length 0: 1/sin^2 up to
     # pi/2, whose middle region is that single angle
     assert potential_v(0.5 * PI, PI) == 1.0
     assert potential_v(0.25 * PI, PI) == pytest.approx(2.0, rel=1e-14)
-    assert np.array_equal(potential_v(np.array([0.25, 0.5]) * PI, np.full(2, PI)),
-                          [potential_v(0.25 * PI, PI), 1.0])
 
 
 def test_potential_domain_errors():
     with pytest.raises(ValueError):
         potential_v(0.0, 1.5 * PI)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside"):
         potential_v(1.5 * PI, 1.5 * PI)
+    with pytest.raises(ValueError, match=re.escape(f"{0.9 * PI} below pi")):
+        potential_v(0.5, 0.9 * PI)
 
 
 # ---------------------------------------------------------------------------

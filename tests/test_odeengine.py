@@ -68,6 +68,25 @@ def test_shoot_is_independent_of_closed_form(monkeypatch):
     assert not any(getattr(hardycore, name) in vars(odeengine).values() for name in _CLOSED_FORM)
 
 
+def test_shoot_calls_potential_with_floats(monkeypatch):
+    # both pieces call V once per evaluation at one angle and opening; on
+    # the second piece theta and beta - theta stay at or above pi/2, so V
+    # is 1 there for every trial of the batch
+    calls = []
+
+    def recording(theta, beta):
+        v = hardycore.potential_v(theta, beta)
+        calls.append((theta, beta, v))
+        return v
+
+    monkeypatch.setattr(odeengine, "potential_v", recording)
+    shoot_c(np.array([1.0, 1.5, 2.0]) * PI)
+    assert calls
+    assert all(isinstance(theta, float) and isinstance(beta, float) for theta, beta, _ in calls)
+    second = [v for theta, _, v in calls if theta >= 0.5 * PI]
+    assert second and all(v == 1.0 for v in second)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_failed_integration_raises(monkeypatch):
     # an infinite potential beyond theta = 1 makes the step size collapse there

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg as la
 from scipy.sparse.csgraph import connected_components
 
-from hardyconst.certify import Dbeta, Ebg, OneReflexPolygon, Sector, SectorCapConvex, ensure_ccw
-from hardyconst.hardycore import solve_c_beta
+from hardyconst.certify import Dbeta, Ebg, OneReflexPolygon, Sector, SectorCapConvex, ShapeError, ensure_ccw
+from hardyconst.hardycore import potential_v, solve_c_beta
 from hardyconst.rayleigh import (
     NumericalError,
     _ebg_polygon,
@@ -78,6 +78,23 @@ def test_cap_description_not_griddable():
 def test_degenerate_ebg_not_griddable():
     with pytest.raises(ValueError):
         build_grid(Ebg(2.0 * PI, 0.5 * PI), 64)
+
+
+def test_non_simple_polygon_not_griddable():
+    # certify refuses both polygons with the same check
+    crossed = OneReflexPolygon([(0, 0), (2, 0), (2, 1), (0, 1.5), (2, 2), (0, 2.2)])
+    with pytest.raises(ShapeError, match="not simple"):
+        build_grid(crossed, 64)
+    with pytest.raises(ShapeError, match="repeated"):
+        build_grid(OneReflexPolygon([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)]), 64)
+
+
+def test_edge_distance_is_the_potential_weight():
+    # the pencil's distance at r = 1 is shooting's V^-1/2, from edge to edge
+    for beta in np.linspace(PI, 2.0 * PI, 11):
+        thetas = np.linspace(0.0, beta, 203)[1:-1]
+        expected = [potential_v(float(theta), float(beta)) ** -0.5 for theta in thetas]
+        np.testing.assert_allclose(_edge_distance(thetas, beta), expected, rtol=1e-15, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
