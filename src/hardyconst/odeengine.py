@@ -5,14 +5,14 @@ Two problems are integrated with scipy's DOP853 stepper:
 * the eigenvalue shooting solve that recovers the sector Hardy constant
   from the angular boundary value problem alone (the anti-bug gate against
   the closed-form route in hardycore).  shoot_c takes one opening or an
-  array of them and shoots them as one batch: a single run scans 18 trial
-  constants per opening to bracket each root, then a vectorized
+  array of them and shoots them as one batch.  Only the singular piece
+  (0, pi/2] is integrated, and it is the same for every opening; the
+  middle [pi/2, beta/2], where V = 1, is crossed exactly.  One run of 18
+  trial constants brackets the root of every opening, then a vectorized
   Chandrupatla solve (scipy.optimize.elementwise.find_root) meets the
-  Neumann condition for every opening at once, one run per iterate.  The
-  second piece [pi/2, beta/2] is rescaled to s in [0, 1], so trials of
-  different openings end together.  ShootingResult.steps and .nfev count
-  the accepted steps and right-hand-side evaluations of every run the
-  whole batch made,
+  Neumann condition for every opening at once, one run per iterate.
+  ShootingResult.steps and .nfev count the accepted steps and
+  right-hand-side evaluations of every run the whole batch made,
 * the singular initial value problem behind the monotone comparison family
   h(alpha, .) on (0, pi/2].
 
@@ -61,10 +61,10 @@ _LAUNCH_IVP = 1e-4  # series start of the singular IVP
 # DOP853 tolerances of every integration
 _RTOL = 1e-10
 _ATOL = 1e-12
-# Openings shot in one batch, which bounds a long sweep's state to about
-# 2 * 18 * 256 floats per stage.  Over 1000 openings in (beta_cr, 2pi]
-# (x86-64, numpy 2.4, scipy 1.17) chunks of 128, 256 and 1000 shot 430,
-# 535 and 690 openings/s at peak RSS 89, 89 and 96 MB.
+# Openings shot in one batch, which bounds a root iterate's state to
+# 2 * 256 floats per stage.  Over 1000 openings in (beta_cr, 2pi], with
+# 18 scan trials per opening (x86-64, numpy 2.4, scipy 1.17), chunks of
+# 128, 256 and 1000 shot 430, 535 and 690 openings/s at 89, 89 and 96 MB.
 _CHUNK = 256
 
 
@@ -126,7 +126,7 @@ class ShootingResult:
     and terminal_derivative is the scan's value there.  steps and nfev are
     totals over the whole batch: the accepted DOP853 steps and the
     right-hand-side evaluations of every run the solve made (the scan and
-    every root iterate, both pieces of each).
+    every root iterate, each over [1e-6, pi/2] alone).
     """
 
     beta: Union[float, np.ndarray]
@@ -137,47 +137,41 @@ class ShootingResult:
     nfev: int
 
 
-def _shoot(betas: np.ndarray, cs: np.ndarray, dense_output: bool = False) -> list:
-    """Integrate -psi'' = c V psi for a batch of trials, trial k at (betas[k], cs[k]).
+def _shoot_left(cs: np.ndarray, dense_output: bool = False) -> _Run:
+    """Integrate -psi'' = c psi / sin^2(theta) over [1e-6, pi/2], trial k at cs[k].
 
-    Launches at theta = 1e-6 from the three-term series
-    psi = theta^alpha (1 + a2 theta^2).  The batch is one flat state
-    [psi_1..psi_m, psi'_1..psi'_m] (psi' = dpsi/dtheta), so a single error
-    norm covers every trial.  The run is split at theta = pi/2, where V
-    changes from 1/sin^2(theta) to 1 and its second derivative jumps; one
-    run across the junction loses about two digits of c.  Each piece runs
-    in s in [0, 1] with theta = start + s * length; the second piece's
-    length (beta - pi)/2 differs per trial, so trials of different
-    openings end together at s = 1, theta = beta/2.  Each right-hand-side
-    evaluation calls potential_v once, with floats: at the first trial's
-    angle and opening, since V is the same for every trial on either
-    piece, 1/sin^2(theta) on the first and 1 on the second, where theta
-    and beta - theta both stay at or above pi/2.  Returns the _Run of both
-    pieces.
+    Launches from the three-term series psi = theta^alpha (1 + a2 theta^2).
+    The batch is one flat state [psi_1..psi_m, psi'_1..psi'_m]
+    (psi' = dpsi/dtheta), so a single error norm covers every trial.  On
+    this piece V is the half-plane's 1/sin^2(theta) for every opening in
+    [pi, 2pi]; each right-hand-side evaluation calls potential_v once,
+    with floats, at opening pi.  The run stops at pi/2, where V turns to 1
+    and its second derivative jumps; one run across the junction loses
+    about two digits of c.
     """
     alpha = 0.5 * (1.0 + np.sqrt(1.0 - 4.0 * cs))
     a2 = series_a2(alpha)
     th0 = _LAUNCH_BVP
-    y = np.concatenate(
+    y0 = np.concatenate(
         [
             th0**alpha * (1.0 + a2 * th0**2),
             th0 ** (alpha - 1.0) * (alpha + (alpha + 2.0) * a2 * th0**2),
         ]
     )
     m = len(cs)
-    runs = []
-    opening = float(betas[0])
-    for start, length in ((th0, 0.5 * PI - th0), (0.5 * PI, 0.5 * (betas - PI))):
-        scale = -length * cs
-        first = float(np.ravel(length)[0])  # the first trial's length
 
-        def rhs(s, y, start=start, length=length, first=first, scale=scale):
-            v = potential_v(start + s * first, opening)
-            return np.concatenate([length * y[m:], scale * v * y[:m]])
+    def rhs(theta, y):
+        return np.concatenate([y[m:], -cs * potential_v(theta, PI) * y[:m]])
 
-        runs.append(_solve(rhs, 0.0, 1.0, y, dense_output=dense_output))
-        y = runs[-1].y
-    return runs
+    return _solve(rhs, th0, 0.5 * PI, y0, dense_output=dense_output)
+
+
+def _across_middle(psi, dpsi, c, length):
+    """(psi, psi') at pi/2 + length from their values at pi/2, exactly: V = 1 on the
+    middle [pi/2, beta - pi/2], where -psi'' = c psi.  The arguments broadcast."""
+    k = np.sqrt(c)
+    cos, sin = np.cos(k * length), np.sin(k * length)
+    return psi * cos + dpsi * sin / k, dpsi * cos - k * psi * sin
 
 
 def _shoot_chunk(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
@@ -186,18 +180,19 @@ def _shoot_chunk(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     steps = nfev = 0
     bracket_ends = {}  # terminal derivatives the scan already has, by trial constants
 
-    def terminal(cs, bs):
+    def terminal(cs, length):
         nonlocal steps, nfev
         if cs.tobytes() in bracket_ends:
             return bracket_ends[cs.tobytes()]
-        runs = _shoot(bs, cs)
-        steps += sum(r.steps for r in runs)
-        nfev += sum(r.nfev for r in runs)
-        return runs[-1].y[len(cs):]
+        run = _shoot_left(cs)
+        steps += run.steps
+        nfev += run.nfev
+        return _across_middle(run.y[: cs.size], run.y[cs.size :], cs, length)[1]
 
+    middle = 0.5 * (betas - PI)  # length of [pi/2, beta/2]
     scan = np.linspace(1e-6, 0.25, 18)
     n = scan.size
-    d_vals = terminal(np.tile(scan, betas.size), np.repeat(betas, n)).reshape(betas.size, n)
+    d_vals = terminal(scan, middle[:, None])  # one run of 18 trials for every opening
     change = d_vals[:, :-1] * d_vals[:, 1:] <= 0.0
     # no sign change in (0, 1/4]: the verdict c = 1/4, at the scan's last trial
     missing = ~change.any(axis=1)
@@ -211,7 +206,7 @@ def _shoot_chunk(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     # the very ones whose signs chose each cell
     bracket_ends[lo.tobytes()] = d_vals[shot, i]
     bracket_ends[hi.tobytes()] = d_vals[shot, i + 1]
-    root = find_root(terminal, (lo, hi), args=(betas[shot],), tolerances={"xatol": 1e-15})
+    root = find_root(terminal, (lo, hi), args=(middle[shot],), tolerances={"xatol": 1e-15})
     if not root.success.all():
         raise BracketError(
             f"root solve of psi'(beta/2) = 0 failed at beta={betas[shot][~root.success][0]}"
@@ -224,17 +219,17 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
     """Largest c in (0, 1/4] for which the shot satisfies psi'(beta/2) = 0.
 
     beta is one opening or a 1-D array of them; a scalar is the batch of
-    one.  Openings are shot together, _CHUNK at a time.  One scan
-    integrates 18 trial constants of every opening in a single run and
-    finds each opening's rightmost sign change of the terminal derivative;
-    one vectorized Chandrupatla solve (scipy.optimize.elementwise.find_root)
+    one.  Openings are shot together, _CHUNK at a time.  One scan integrates
+    18 trial constants over (0, pi/2] in a single run, carries them across
+    each opening's middle and finds its rightmost sign change of the
+    terminal derivative; one vectorized Chandrupatla solve (find_root)
     then solves psi'(beta/2) = 0 in every opening's cell, each iterate one
     run over the openings not yet converged.  terminal_derivative is the
     solver's own value at the root.  An opening whose terminal derivative
     never changes sign gets shooting's verdict c = 1/4, flagged in
     no_sign_change: the subcritical regime, where the series-started shot
-    meets the Neumann condition at no smaller c.  At beta = pi the second
-    piece has length 0.  beta reports the openings as
+    meets the Neumann condition at no smaller c.  At beta = pi the middle
+    has length 0.  beta reports the openings as
     hardycore.admit_openings clamps them.  Raises ValueError naming an
     opening outside [pi, 2pi], and BracketError naming an opening whose
     root solve failed.
@@ -256,12 +251,12 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
 
 
 def shot_profile(beta: float, c: float, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled (psi, psi') of the shot at a fixed trial constant."""
+    """Sampled (psi, psi') of the shot at a fixed trial constant, grid in [1e-6, beta/2]."""
     grid = np.asarray(grid, dtype=float)
-    first, second = _shoot(np.array([beta]), np.array([c]), dense_output=True)
-    s_first = (grid - _LAUNCH_BVP) / (0.5 * PI - _LAUNCH_BVP)
-    s_second = (grid - 0.5 * PI) / (0.5 * (beta - PI))
-    samples = np.where(grid <= 0.5 * PI, first.sol(s_first), second.sol(s_second))
+    run = _shoot_left(np.array([c]), dense_output=True)
+    left = run.sol(np.minimum(grid, 0.5 * PI))
+    middle = _across_middle(run.y[0], run.y[1], c, grid - 0.5 * PI)
+    samples = np.where(grid <= 0.5 * PI, left, middle)
     return samples[0], samples[1]
 
 

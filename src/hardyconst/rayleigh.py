@@ -863,8 +863,8 @@ def _polygon_tensor_grid(verts: np.ndarray, n: int) -> Optional[GridProblem]:
 # ---------------------------------------------------------------------------
 # Domain-specific builders.
 
-def _ray_link_cut(directions, lengths=None):
-    """Segment-vs-ray crossing test for edges through the origin.
+def _ray_link_cut(directions, lengths):
+    """Segment-vs-ray crossing test for edges from the origin, of the given lengths.
 
     Returns a vectorized predicate (blocked, fraction) for links a -> b.
     Slits (full openings) have measure-zero cross sections, so midpoint
@@ -875,7 +875,7 @@ def _ray_link_cut(directions, lengths=None):
     def link_cut(ax, ay, bx, by):
         blocked = np.zeros(np.shape(ax), dtype=bool)
         frac = np.full(np.shape(ax), np.nan)
-        for k, (ux, uy) in enumerate(directions):
+        for (ux, uy), length in zip(directions, lengths):
             c1 = ux * ay - uy * ax
             c2 = ux * by - uy * bx
             flip = (c1 > 0.0) != (c2 > 0.0)
@@ -884,9 +884,7 @@ def _ray_link_cut(directions, lengths=None):
             pxc = ax + tau * (bx - ax)
             pyc = ay + tau * (by - ay)
             along = pxc * ux + pyc * uy
-            hit = flip & (along > 0.0)
-            if lengths is not None:
-                hit &= np.hypot(pxc, pyc) <= lengths[k]
+            hit = flip & (along > 0.0) & (np.hypot(pxc, pyc) <= length)
             better = hit & (~blocked | (tau < frac))
             frac = np.where(better, tau, frac)
             blocked |= hit

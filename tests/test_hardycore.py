@@ -119,8 +119,8 @@ def test_potential_junctions_are_one():
 
 
 def test_potential_half_plane():
-    # beta = pi, where shooting's second piece has length 0: 1/sin^2 up to
-    # pi/2, whose middle region is that single angle
+    # beta = pi, the opening at which shooting evaluates V on (0, pi/2]:
+    # 1/sin^2 up to pi/2, whose middle region is that single angle
     assert potential_v(0.5 * PI, PI) == 1.0
     assert potential_v(0.25 * PI, PI) == pytest.approx(2.0, rel=1e-14)
 

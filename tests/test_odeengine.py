@@ -69,9 +69,8 @@ def test_shoot_is_independent_of_closed_form(monkeypatch):
 
 
 def test_shoot_calls_potential_with_floats(monkeypatch):
-    # both pieces call V once per evaluation at one angle and opening; on
-    # the second piece theta and beta - theta stay at or above pi/2, so V
-    # is 1 there for every trial of the batch
+    # the run covers (0, pi/2] alone and calls V once per evaluation at one
+    # angle and opening; the middle, where V = 1, is crossed without V
     calls = []
 
     def recording(theta, beta):
@@ -83,8 +82,23 @@ def test_shoot_calls_potential_with_floats(monkeypatch):
     shoot_c(np.array([1.0, 1.5, 2.0]) * PI)
     assert calls
     assert all(isinstance(theta, float) and isinstance(beta, float) for theta, beta, _ in calls)
-    second = [v for theta, _, v in calls if theta >= 0.5 * PI]
-    assert second and all(v == 1.0 for v in second)
+    assert not [theta for theta, _, _ in calls if theta > 0.5 * PI]
+
+
+def test_scan_is_shared_across_openings(monkeypatch):
+    # the first run of a batch is the scan: 18 trials, however many openings
+    trials = []
+    solve = odeengine._solve
+
+    def recording(rhs, t0, t1, y0, dense_output=False):
+        trials.append(len(y0) // 2)
+        return solve(rhs, t0, t1, y0, dense_output)
+
+    monkeypatch.setattr(odeengine, "_solve", recording)
+    for betas in (np.array([1.8 * PI]), np.linspace(1.0, 2.0, 40) * PI):
+        trials.clear()
+        shoot_c(betas)
+        assert trials[0] == 18
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -125,8 +139,8 @@ def test_shoot_terminal_condition_met(beta_factor):
 
 def test_shoot_subcritical_verdict(monkeypatch):
     # no sign change of psi'(beta/2) in (0, 1/4] is shooting's own verdict
-    # c = 1/4, reached without the closed form; at beta = pi the second
-    # piece has length 0
+    # c = 1/4, reached without the closed form; at beta = pi the middle
+    # [pi/2, beta/2] has length 0
     def forbidden(*args, **kwargs):
         raise AssertionError("shooting called the closed form")
 
@@ -147,9 +161,12 @@ def test_shoot_subcritical_verdict(monkeypatch):
 def test_shooting_seam_matches_beta_critical():
     # the opening where psi'(beta/2) at c = 1/4 changes sign, found from the
     # shot alone, against the closed-form critical opening; measured gap
-    # 1.46e-10 (DOP853 at rtol 1e-10), gated at 3e-10
+    # 1.48e-10 (DOP853 at rtol 1e-10), gated at 3e-10.  The run over
+    # (0, pi/2] is the same for every opening; the middle is crossed exactly
+    run = odeengine._shoot_left(np.array([0.25]))
+
     def terminal_at_quarter(beta):
-        return odeengine._shoot(np.array([beta]), np.array([0.25]))[-1].y[1]
+        return odeengine._across_middle(run.y[0], run.y[1], 0.25, 0.5 * (beta - PI))[1]
 
     seam = brentq(terminal_at_quarter, 1.5 * PI, 1.6 * PI, xtol=1e-15)
     assert abs(seam - hardycore.beta_critical()) <= 3e-10
@@ -205,7 +222,7 @@ def test_batch_names_its_failing_opening():
 
 
 def test_shot_profile_meets_neumann_condition():
-    # the profile's second piece is interpolated in the rescaled variable
+    # the profile crosses the middle [pi/2, beta/2] in closed form
     beta = 1.7 * PI
     res = shoot_c(beta)
     psi_vals, dpsi_vals = shot_profile(beta, res.c_estimate, np.array([0.5 * PI, 0.5 * beta]))
@@ -217,6 +234,13 @@ def test_shot_stays_positive(sol_2pi):
     res = shoot_c(2.0 * PI)
     grid = np.geomspace(2e-6, PI, 300)
     psi_vals, _ = shot_profile(2.0 * PI, res.c_estimate, grid)
+    assert np.all(psi_vals > 0.0)
+
+
+def test_shot_profile_at_the_half_plane():
+    # at beta = pi the middle has length 0 and the grid ends at pi/2
+    psi_vals, dpsi_vals = shot_profile(PI, 0.25, np.linspace(1e-3, 0.5 * PI, 57))
+    assert np.all(np.isfinite(psi_vals)) and np.all(np.isfinite(dpsi_vals))
     assert np.all(psi_vals > 0.0)
 
 
