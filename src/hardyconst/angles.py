@@ -82,24 +82,16 @@ def _maximize(objective: Callable, slope: Callable, *params: np.ndarray):
 def _objective(theta, alpha, g_of: Callable, g_arg):
     """sin(theta) / (cos(theta) + alpha / g_of(theta, g_arg)), entry by entry.
 
-    theta, alpha and g_arg broadcast together.  0 where theta < 1e-12 (the
-    limit: the numerator tends to 0, the denominator to 2) and where
-    g <= 0.  g_of is called once, on theta and g_arg as given (pi/2
-    stands in for the angles below 1e-12), so it sees the openings
-    unexpanded.
+    theta, alpha and g_arg broadcast together.  0 where g <= 0, and at
+    theta = 0, where sin(0) = 0 and g = alpha.  g_of is called once, on
+    theta and g_arg as given, so it sees the openings unexpanded.
     """
-    away = theta >= 1e-12
-    g = g_of(np.where(away, theta, 0.5 * PI), g_arg)
-    g, theta, alpha = np.broadcast_arrays(g, theta, alpha)
-    pos = (g > 0.0) & away
+    g, theta, alpha = np.broadcast_arrays(g_of(theta, g_arg), theta, alpha)
+    pos = g > 0.0
     vals = np.zeros(g.shape)
     t = theta[pos]
     vals[pos] = np.sin(t) / (np.cos(t) + alpha[pos] / g[pos])
     return vals
-
-
-def _quartic(theta, alpha):
-    return g_upper_bound(np.minimum(theta, 0.5 * PI), alpha)
 
 
 def _exact_objective(theta, beta, alpha, c):
@@ -114,7 +106,7 @@ def _exact_slope(theta, beta, alpha, c):
 
 
 def _quartic_objective(theta, beta, alpha):
-    return _objective(theta, alpha, _quartic, alpha)
+    return _objective(theta, alpha, g_upper_bound, alpha)
 
 
 def _quartic_slope(theta, beta, alpha):

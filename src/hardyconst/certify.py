@@ -42,6 +42,7 @@ __all__ = [
     "check_one_reflex_polygon",
     "check_sector_cap",
     "check_ebg",
+    "ebg_angles",
     "check_dbeta",
     "dbeta_samples",
     "certify_domain",
@@ -268,8 +269,9 @@ def check_one_reflex_polygon(p: OneReflexPolygon) -> CertificateReport:
 def check_sector_cap(s: SectorCapConvex) -> CertificateReport:
     """Certify a sector capped by a convex set.
 
-    Bounded caps need both contact angles below the same bound as polygons;
-    an unbounded cap whose boundary avoids the sector's is unconditional.
+    Bounded caps need both contact angles below the same bound as polygons,
+    and positive (ValueError otherwise); an unbounded cap whose boundary
+    avoids the sector's is unconditional, whatever its angles.
     """
     beta = admit_opening(s.beta, "(pi")
     c = solve_c_beta(beta).c
@@ -278,8 +280,28 @@ def check_sector_cap(s: SectorCapConvex) -> CertificateReport:
             CheckItem("cap and sector boundaries do not intersect (input assertion)", True, 0.0),
         )
         return CertificateReport(CERTIFIED, c, "unbounded convex cap of a sector", checks)
+    if not (s.gamma_plus > 0.0 and s.gamma_minus > 0.0):
+        raise ValueError(
+            f"contact angles gamma_plus={s.gamma_plus}, gamma_minus={s.gamma_minus} must be positive"
+        )
     checks = _angle_bound_checks(beta, s.gamma_plus, s.gamma_minus)
     return _verdict_from_checks(checks, c, "bounded convex cap of a sector")
+
+
+def ebg_angles(e: Ebg) -> tuple[float, float]:
+    """The larger and the smaller interior angle of a two-halfline domain.
+
+    ValueError unless the larger is a reflex opening in (pi, 2pi], the
+    smaller is positive and their sum is at most 3pi: otherwise the
+    halflines meet and bound no two-halfline domain.
+    """
+    beta = admit_opening(np.maximum(e.beta, e.gamma), "(pi")
+    gam = min(e.beta, e.gamma)
+    if not gam > 0.0:
+        raise ValueError(f"angle gamma={gam} must be positive")
+    if beta + gam > 3.0 * PI + 1e-12:
+        raise ValueError(f"beta + gamma = {beta + gam} exceeds 3pi (halflines intersect)")
+    return beta, gam
 
 
 def check_ebg(e: Ebg) -> CertificateReport:
@@ -290,12 +312,7 @@ def check_ebg(e: Ebg) -> CertificateReport:
     |beta - gamma| <= (2/c) arccos(2 sqrt(c)); outside that condition the
     result is one-directional and the verdict is inconclusive.
     """
-    beta = admit_opening(np.maximum(e.beta, e.gamma), "(pi")
-    gam = min(e.beta, e.gamma)
-    if not gam > 0.0:
-        raise ValueError(f"angle gamma={gam} must be positive")
-    if beta + gam > 3.0 * PI + 1e-12:
-        raise ValueError(f"beta + gamma = {beta + gam} exceeds 3pi (halflines intersect)")
+    beta, gam = ebg_angles(e)
     if gam <= PI + 1e-12:
         sol = solve_c_beta(beta)
         checks = (CheckItem("gamma <= pi (one non-convex angle)", True, PI - gam),)
@@ -326,8 +343,9 @@ def dbeta_samples(d: Dbeta) -> np.ndarray:
 
     ValueError unless the opening is in (pi, 2pi], there are at least 2
     samples, no angle repeats, r stays positive and the samples cover
-    [0, beta].  At a repeated angle the slope between its samples is
-    undefined, and the sort would order a radial jump there by r alone.
+    [0, beta] and no more (1e-9 of slack at either end).  At a repeated
+    angle the slope between its samples is undefined, and the sort would
+    order a radial jump there by r alone.
     """
     admit_opening(d.beta, "(pi")
     if len(d.r_samples) < 2:
@@ -340,6 +358,8 @@ def dbeta_samples(d: Dbeta) -> np.ndarray:
         raise ValueError("polar graph r(theta) must stay positive")
     if thetas[0] > 1e-9 or thetas[-1] < d.beta - 1e-9:
         raise ValueError("samples must cover [0, beta]")
+    if thetas[0] < -1e-9 or thetas[-1] > d.beta + 1e-9:
+        raise ValueError("sample angles must lie in [0, beta]")
     return samples
 
 
@@ -441,7 +461,9 @@ def boundary_form_samples(
       on [beta - pi/2, (beta + pi - gamma)/2) with the halfline companion
       angle, for gamma in [pi/2, pi] and beta + gamma < 2pi.
 
-    Returns a list of (theta, value) pairs.
+    g and f are hardycore's g_func and f_func, called on the angles and
+    the companion angles as given; g(0) = alpha.  Returns a list of
+    (theta, value) pairs.
     """
     if kind not in _FORM_KINDS:
         raise ValueError(f"unknown boundary form kind {kind!r}; expected one of {_FORM_KINDS}")
@@ -449,17 +471,11 @@ def boundary_form_samples(
     beta = admit_opening(beta)
     alpha = solve_c_beta(beta).alpha
 
-    def g_or_limit(t: np.ndarray) -> np.ndarray:
-        g = np.full(t.shape, alpha)
-        far = t >= 1e-9
-        g[far] = g_func(t[far], beta)
-        return g
-
     if kind == "line_segment":
         if not -0.5 * PI < gamma <= PI + 1e-12:
             raise ValueError(f"gamma={gamma} outside (-pi/2, pi] for the segment form")
         _check_range(kind, theta, 0.0, 0.5 * PI)
-        vals = g_or_limit(theta) * np.cos(theta + 0.5 * gamma) + alpha * math.cos(0.5 * gamma)
+        vals = g_func(theta, beta) * np.cos(theta + 0.5 * gamma) + alpha * math.cos(0.5 * gamma)
     elif kind == "parabola":
         if beta <= PI:
             raise ValueError("parabola form needs a reflex opening beta > pi")
@@ -476,8 +492,8 @@ def boundary_form_samples(
         _check_range(kind, theta, 0.0, 0.5 * PI)
         t1 = np.array([theta1_two_sided(t, gamma) for t in theta])
         vals = (
-            g_or_limit(theta) * np.cos(theta + 0.5 * gamma)
-            + g_or_limit(t1) * np.cos(t1 - 0.5 * gamma)
+            g_func(theta, beta) * np.cos(theta + 0.5 * gamma)
+            + g_func(t1, beta) * np.cos(t1 - 0.5 * gamma)
         )
     else:  # gamma3
         if beta <= PI:

@@ -11,9 +11,10 @@ strictly decreasing down to ~0.2054 at beta = 2 pi.  This module solves
 these equations and evaluates the associated angular eigenfunction psi on
 half the sector, its logarithmic derivative f = psi'/psi, and the Riccati
 variable g = f sin(theta) that drives the boundary-form certificates.
-Every value is closed-form: hypergeometric for supercritical openings, and
-for subcritical ones half a member of the explicit alpha = 1/2 family
-critical_family, picked by its value at pi/2.
+Every value is closed-form: one hypergeometric formula for g on all of
+[0, pi/2] for supercritical openings, and for subcritical ones half a
+member of the explicit alpha = 1/2 family critical_family, picked by its
+value at pi/2.
 
 All angles are radians.  Operations are pure; solutions are cached by
 opening angle, so repeated sweeps are cheap.
@@ -52,10 +53,6 @@ __all__ = [
 ]
 
 PI = math.pi
-
-# f switches from the hypergeometric branch to the power-series start below
-# this angle; keeps the relative error of psi'/psi under ~1e-9 at the seam.
-_SERIES_SWITCH = 1e-3
 
 # Openings this close below beta_critical() count as critical.  Every branch
 # choice at the regime seam compares with beta_cr - SEAM_SLACK: which branch
@@ -279,33 +276,31 @@ def dpsi(theta: float, sol: HardySolution) -> float:
         raise ValueError(f"theta={theta} outside (0, beta/2]")
     if theta >= 0.5 * PI:
         return math.sqrt(sol.c) * math.sin(math.sqrt(sol.c) * (half - min(theta, half)))
-    return psi(theta, sol) * float(_f_hyper(theta, sol.alpha))
+    return psi(theta, sol) * float(_g_hyper(theta, sol.alpha)) / math.sin(theta)
 
 
-def _f_hyper(theta, alpha):
-    """psi'/psi on the hypergeometric branch, fully analytic.
+def _g_hyper(theta, alpha):
+    """g = (psi'/psi) sin(theta) on the hypergeometric branch, theta in [0, pi/2].
 
-    theta and the exponent alpha are floats or arrays that broadcast
-    together, entry by entry.
+    With z = sin^2(theta/2) and F = 2F1(1/2, 1/2, alpha + 1/2; z),
 
-    d/dtheta log psi = (alpha cot(theta/2) - (1-alpha) tan(theta/2))/2
-                       + (sin theta / 2) F'(z)/F(z),  z = sin^2(theta/2).
+        g = alpha (1 - z) - (1 - alpha) z + (sin^2(theta) / 2) F'(z)/F(z),
+
+    which is alpha exactly at theta = 0 and finite at every angle.  theta
+    and the exponent alpha are floats or arrays that broadcast together,
+    entry by entry.
     """
-    s2 = np.sin(0.5 * theta)
-    z = s2 * s2
-    f_val = hyp2f1(0.5, 0.5, alpha + 0.5, z)
-    df_val = hyp2f1_dz(0.5, 0.5, alpha + 0.5, z)
-    t2 = np.tan(0.5 * theta)
-    return 0.5 * (alpha / t2 - (1.0 - alpha) * t2) + 0.5 * np.sin(theta) * df_val / f_val
+    z = np.sin(0.5 * theta) ** 2
+    ratio = hyp2f1_dz(0.5, 0.5, alpha + 0.5, z) / hyp2f1(0.5, 0.5, alpha + 0.5, z)
+    return alpha * (1.0 - z) - (1.0 - alpha) * z + 0.5 * np.sin(theta) ** 2 * ratio
 
 
 def f_func(theta, sol: HardySolution):
     """Logarithmic derivative psi'/psi on (0, beta).
 
     Middle region [pi/2, beta - pi/2]: sqrt(c) tan(sqrt(c)(beta/2 - theta)).
-    Left region: hypergeometric branch for supercritical openings (power
-    series start below theta = 1e-3), g_func / sin(theta) otherwise.
-    Right region by the mirror antisymmetry f(beta - theta) = -f(theta).
+    Left region: g_func / sin(theta), for every opening.  Right region by
+    the mirror antisymmetry f(beta - theta) = -f(theta).
 
     theta is a float or an array, and the result is of the same kind; each
     entry equals the call on that angle alone.
@@ -322,25 +317,9 @@ def f_func(theta, sol: HardySolution):
     f = np.empty(t.shape)
     rc = math.sqrt(sol.c)
     f[middle] = rc * np.tan(rc * (0.5 * beta - t[middle]))
-    if left.any() and is_subcritical(beta):
-        f[left] = g_func(t[left], beta) / np.sin(t[left])
-    elif left.any():
-        f[left] = _f_left(t[left], sol.alpha)
+    f[left] = g_func(t[left], beta) / np.sin(t[left])
     f = np.where(mirrored, -f, f)
     return f if np.ndim(theta) else float(f)
-
-
-def _f_left(t: np.ndarray, alpha) -> np.ndarray:
-    """f_func of supercritical openings on (0, pi/2): the power series
-    below _SERIES_SWITCH, the hypergeometric branch above.  alpha is the
-    exponent, a float or an array of t's shape."""
-    alpha = np.broadcast_to(alpha, t.shape)
-    f = np.empty(t.shape)
-    series = t < _SERIES_SWITCH
-    a = alpha[series]
-    f[series] = a / t[series] + 2.0 * series_a2(a) * t[series]
-    f[~series] = _f_hyper(t[~series], alpha[~series])
-    return f
 
 
 def _family_base(theta):
@@ -383,17 +362,17 @@ def critical_family(theta, lam):
 
 
 def g_func(theta, beta):
-    """Riccati variable g = (psi'/psi) sin(theta) on (0, pi/2], pi <= beta <= 2pi.
+    """Riccati variable g = (psi'/psi) sin(theta) on [0, pi/2], pi <= beta <= 2pi.
 
-    Supercritical openings use the hypergeometric branch.  For subcritical
-    ones g is half the critical_family member with 2 g(pi/2) =
+    Supercritical openings use the hypergeometric formula of _g_hyper.  For
+    subcritical ones g is half the critical_family member with 2 g(pi/2) =
     tan((beta - pi)/4): that terminal value fixes lam, and the member is
     the one solution of g' = -(g^2 - g cos(theta) + 1/4)/sin(theta) through
     it (the forward problem from theta = 0 is non-unique at this critical
-    exponent).  g(0+) equals alpha, reached quadratically for alpha > 1/2
-    and only logarithmically at the critical exponent 1/2.  Below
-    theta ~ 1e-154, z = sin^2(theta/2) underflows; once it is 0,
-    subcritical g returns its limit 1/2.
+    exponent).  g(0) equals alpha exactly for every opening, and g tends to
+    it quadratically for alpha > 1/2 and only logarithmically at the
+    critical exponent 1/2.  Below theta ~ 1e-154, z = sin^2(theta/2)
+    underflows; once it is 0, g returns alpha.
 
     theta and beta are floats or arrays that broadcast together, so one
     call covers many angles of many openings; the result is a float when
@@ -401,15 +380,12 @@ def g_func(theta, beta):
     alone.  Pass the openings unexpanded (say, a column against a row of
     angles): they are admitted, and the closed form solved, once per entry
     of beta, which may have any shape.
-    Supercritical g is f_func times sin(theta), taken from f_func's own
-    branches (_f_left below pi/2, the middle region at pi/2) without its
-    range check and mirror.
     """
     beta = admit_openings(np.ravel(beta))[0].reshape(np.shape(beta))
     t, b = np.broadcast_arrays(np.asarray(theta, dtype=float), beta)
-    inside = (t > 0.0) & (t <= 0.5 * PI + 1e-12)
+    inside = (t >= 0.0) & (t <= 0.5 * PI + 1e-12)
     if not inside.all():
-        raise ValueError(f"theta={t[~inside].flat[0]} outside (0, pi/2]")
+        raise ValueError(f"theta={t[~inside].flat[0]} outside [0, pi/2]")
     t = np.minimum(t, 0.5 * PI)
     g = np.empty(t.shape)
     sub = is_subcritical(b)
@@ -418,17 +394,8 @@ def g_func(theta, beta):
         f_end, h_end = _family_end()
         lam = 0.25 * f_end * f_end * (h_end - np.tan(0.25 * (beta - PI)))
         g[sub] = 0.5 * critical_family(t[sub], np.broadcast_to(lam, t.shape)[sub])
-    sup = ~sub
-    if sup.any():
+    if not sub.all():
         # every closed-form opening is clamped into [beta_cr, 2pi]
-        opening = np.clip(beta, beta_critical(), 2.0 * PI)
-        c, alpha = sector_constants(opening)
-        ts, c, alpha, opening = (v[sup] for v in np.broadcast_arrays(t, c, alpha, opening))
-        left = ts < 0.5 * PI
-        f = np.empty(ts.shape)
-        f[left] = _f_left(ts[left], alpha[left])
-        # pi/2 lies in f_func's middle region
-        rc = np.sqrt(c[~left])
-        f[~left] = rc * np.tan(rc * (0.5 * opening[~left] - 0.5 * PI))
-        g[sup] = f * np.sin(ts)
+        _, alpha = sector_constants(np.clip(beta, beta_critical(), 2.0 * PI))
+        g[~sub] = _g_hyper(t[~sub], np.broadcast_to(alpha, t.shape)[~sub])
     return g if g.ndim else float(g)

@@ -59,7 +59,7 @@ from scipy.fft import dst
 from scipy.sparse.csgraph import connected_components
 
 from .certify import Dbeta, DomainSpec, Ebg, OneReflexPolygon, Sector, SectorCapConvex
-from .certify import _require_simple, dbeta_samples, ensure_ccw
+from .certify import _require_simple, dbeta_samples, ebg_angles, ensure_ccw
 from .hardycore import admit_opening
 
 __all__ = [
@@ -1008,7 +1008,9 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
     Dirichlet conditions on the truncation arc, and the grid records the
     radius used.  That radius must be finite and exceed 1/2, so that the arc
     about the segment's midpoint encloses the segment; no other domain
-    takes one (a sector is scale-invariant, the rest bounded).  ValueError
+    takes one (a sector is scale-invariant, the rest bounded).  A
+    two-halfline domain's angles and a polar graph's samples pass
+    certify's own input checks, ebg_angles and dbeta_samples.  ValueError
     otherwise.  Convex-cap descriptions carry no concrete cap geometry and
     cannot be gridded.
     """
@@ -1027,6 +1029,7 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
         grid = _polygon_tensor_grid(verts, n)
         return _polygon_lattice(verts, n) if grid is None else grid
     if isinstance(domain, Ebg):
+        ebg_angles(domain)
         r = 8.0 if radius is None else float(radius)
         if not 0.5 < r < math.inf:
             raise ValueError(

@@ -242,7 +242,7 @@ def test_criterion_8_continuity_and_riccati():
     worst_joint = 0.0
     for beta in np.linspace(bcr, 2.0 * PI, 11):
         sol = solve_c_beta(float(beta))
-        left = hardycore._f_hyper(0.5 * PI, sol.alpha)
+        left = g_func(0.5 * PI, sol.beta)  # sin(pi/2) = 1, so g is f there
         right = math.sqrt(sol.c) * math.tan(math.sqrt(sol.c) * 0.5 * (sol.beta - PI))
         worst_joint = max(worst_joint, abs(left - right))
     if worst_joint > 1e-8:

@@ -138,6 +138,13 @@ def test_cap_domain_error():
         check_sector_cap(SectorCapConvex(PI, 0.5 * PI, 0.5 * PI))
 
 
+@pytest.mark.parametrize("gp, gm", [(0.0, 0.5 * PI), (0.5 * PI, -0.1), (-PI, -3.0 * PI)])
+def test_bounded_cap_needs_positive_contact_angles(gp, gm):
+    with pytest.raises(ValueError, match="must be positive"):
+        check_sector_cap(SectorCapConvex(1.5 * PI, gp, gm))
+    assert check_sector_cap(SectorCapConvex(1.5 * PI, gp, gm, bounded=False)).verdict == CERTIFIED
+
+
 # ---------------------------------------------------------------------------
 # Two-halfline domains.
 
@@ -323,19 +330,15 @@ def test_segment_form_fails_beyond_critical_angle():
 def _form_at(kind, beta, gamma, t):
     """One form value from scalar g_func / f_func calls, the way a single angle is evaluated."""
     alpha = solve_c_beta(beta).alpha
-
-    def g(u):
-        return alpha if u < 1e-9 else g_func(u, beta)
-
     if kind == "line_segment":
-        return g(t) * np.cos(t + 0.5 * gamma) + alpha * math.cos(0.5 * gamma)
+        return g_func(t, beta) * np.cos(t + 0.5 * gamma) + alpha * math.cos(0.5 * gamma)
     sol = solve_c_beta(beta)
     if kind == "parabola":
         f = f_func(min(t, beta - 0.5 * PI), sol)
         return f * np.cos(t + gamma) + alpha * (1.0 + np.sin(t + gamma))
     if kind == "two_sided":
         t1 = theta1_two_sided(t, gamma)
-        return g(t) * np.cos(t + 0.5 * gamma) + g(t1) * np.cos(t1 - 0.5 * gamma)
+        return g_func(t, beta) * np.cos(t + 0.5 * gamma) + g_func(t1, beta) * np.cos(t1 - 0.5 * gamma)
     t1 = theta1_gamma3(t, beta, gamma)
     return (
         f_func(t, sol) * np.sin(0.5 * (beta - gamma) - t)
@@ -358,11 +361,22 @@ FORM_CASES = [
 @pytest.mark.parametrize("kind, beta, gamma, lo, hi", FORM_CASES)
 def test_form_array_equals_per_angle_evaluation(kind, beta, gamma, lo, hi):
     # one g_func / f_func call per form returns, bit for bit, the per-angle
-    # values; the angles just above lo reach g's limit value and its series
+    # values; in the g forms the angles just above lo = 0 approach the
+    # vertex, where g = alpha
     grid = np.concatenate([np.linspace(lo, hi, 301), lo + np.geomspace(1e-12, 1e-2, 41)])
     samples = boundary_form_samples(kind, beta, gamma, grid)
     assert [t for t, _ in samples] == grid.tolist()
     assert [v for _, v in samples] == [_form_at(kind, beta, gamma, float(t)) for t in grid]
+
+
+@pytest.mark.parametrize("kind, gamma", [("line_segment", 0.5 * PI), ("two_sided", 0.9 * PI)])
+def test_form_near_the_vertex_uses_g(kind, gamma):
+    # no stand-in for g near theta = 0: a subcritical g is still 0.04 below
+    # its limit alpha = 1/2 at theta = 1e-9
+    thetas = [1e-12, 5e-10, 0.999e-9, 1.001e-9]
+    vals = [v for _, v in boundary_form_samples(kind, 1.2 * PI, gamma, thetas)]
+    assert vals[:2] == [_form_at(kind, 1.2 * PI, gamma, t) for t in thetas[:2]]
+    assert abs(vals[2] - vals[3]) < 1e-4  # a 0.2% step in theta; the stand-in jumped 0.03
 
 
 def test_form_range_and_kind_errors():

@@ -289,6 +289,45 @@ def test_validate_refuses_non_simple_polygon(tmp_path, capsys):
     assert "not simple" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"type": "ebg", "beta": 0.2, "gamma": 0.3},  # the halflines converge
+        {"type": "ebg", "beta": 1.9, "gamma": 1.9},  # beta + gamma > 3pi
+        {"type": "ebg", "beta": -0.5, "gamma": 1.5},
+    ],
+    ids=["converging", "above-3pi", "negative-gamma"],
+)
+def test_validate_refuses_ebg_that_certify_refuses(tmp_path, capsys, doc):
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps(doc))
+    assert run(["certify", str(f)]) == 2
+    refusal = capsys.readouterr().err
+    assert refusal.startswith("error: ")
+    assert run(["validate", str(f), "--n", "64"]) == 2
+    assert capsys.readouterr().err == refusal
+
+
+@pytest.mark.parametrize("extra", [[1.9, 3.0], [-0.4, 3.0]], ids=["beyond-beta", "below-0"])
+def test_dbeta_samples_outside_the_opening_are_refused(tmp_path, capsys, extra):
+    samples = [[0.25 * k, 1.0] for k in range(7)] + [extra]  # cover [0, 1.5pi], and one more
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps({"type": "dbeta", "beta": 1.5, "r_samples": samples}))
+    for argv in (["certify", str(f)], ["validate", str(f), "--n", "96"]):
+        assert run(argv) == 2
+        assert "sample angles must lie in [0, beta]" in capsys.readouterr().err
+
+
+def test_bounded_sector_cap_needs_positive_contact_angles(tmp_path, capsys):
+    f = tmp_path / "dom.json"
+    doc = {"type": "sector_cap", "beta": 1.5, "gamma_plus": -1, "gamma_minus": -3}
+    f.write_text(json.dumps(doc))
+    assert run(["certify", str(f)]) == 2
+    assert "must be positive" in capsys.readouterr().err
+    f.write_text(json.dumps(doc | {"bounded": False}))
+    assert run(["certify", str(f)]) == 0
+
+
 def test_exit_code_domain_error(capsys):
     assert run(["cbeta", "--beta", "0.5pi"]) == 2
     assert "error" in capsys.readouterr().err

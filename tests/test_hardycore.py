@@ -175,7 +175,7 @@ def test_psi_domain_errors(sol_2pi):
 def test_log_derivative_mismatch_at_joint(sol_2pi, bcr):
     for beta in np.linspace(bcr, 2.0 * PI, 11):
         sol = solve_c_beta(float(beta))
-        left = hardycore._f_hyper(0.5 * PI, sol.alpha)
+        left = g_func(0.5 * PI, sol.beta)  # sin(pi/2) = 1, so g is f there
         right = math.sqrt(sol.c) * math.tan(math.sqrt(sol.c) * 0.5 * (sol.beta - PI))
         assert abs(left - right) < 1e-8
 
@@ -290,9 +290,25 @@ def test_g_monotone_in_beta_subcritical(bcr):
         assert np.all(lo < hi)
 
 
+def test_g_at_the_vertex_is_alpha(bcr):
+    # one formula on [0, pi/2]: g(0) is the exponent, bit for bit, alone
+    # and inside an array
+    for beta in (PI, 1.2 * PI, bcr - 0.5 * hardycore.SEAM_SLACK, bcr, 1.8 * PI, 2.0 * PI):
+        alpha = solve_c_beta(beta).alpha
+        assert g_func(0.0, beta) == alpha
+        assert g_func(np.array([0.0, 0.3, 0.5 * PI]), beta)[0] == alpha
+
+
+def test_g_finite_at_subnormal_angles():
+    for beta in (1.8 * PI, 2.0 * PI):
+        alpha = solve_c_beta(beta).alpha
+        for theta in (5e-324, 1e-310):
+            assert g_func(theta, beta) == alpha
+
+
 def test_g_domain_errors():
     with pytest.raises(ValueError):
-        g_func(0.0, 1.5 * PI)
+        g_func(-1e-300, 1.5 * PI)
     with pytest.raises(ValueError):
         g_func(0.3, 0.9 * PI)
     with pytest.raises(ValueError):
@@ -379,7 +395,7 @@ def test_g_array_keeps_shape():
     assert g_func(theta, 1.2 * PI).shape == (2, 2)
 
 
-@pytest.mark.parametrize("theta", [[0.0, 0.3], [-0.1, 0.3], [0.3, 0.5 * PI + 1e-9], [0.3, math.nan]])
+@pytest.mark.parametrize("theta", [[-1e-300, 0.3], [-0.1, 0.3], [0.3, 0.5 * PI + 1e-9], [0.3, math.nan]])
 @pytest.mark.parametrize("beta_factor", [1.2, 1.8])
 def test_g_array_out_of_range_rejected(theta, beta_factor):
     with pytest.raises(ValueError):

@@ -7,7 +7,8 @@ relative on every parameter set below (floats and arrays alike), beta_cr
 7.8e-16, c(beta) 5.1e-17 and alpha 1.9e-16 on the supercritical sweep,
 alpha from 1e-9 to 1e-4 above beta_cr 1.7e-16, gamma* there and at 1.8pi
 and 2pi 4.1e-16, beta_for_constant 3.0e-15, and round trips 8.3e-17 in c
-and 5.3e-15 in beta.  For subcritical openings: the family integral J
+and 5.3e-15 in beta; supercritical g 6.6e-16 relative on [0, pi/2].
+For subcritical openings: the family integral J
 6.0e-16 relative to max(1, J), g 2.7e-16 on (1e-8, pi/2] and 1.2e-17 at
 theta = 1e-20, and gamma* 6.9e-16.
 """
@@ -131,18 +132,22 @@ def _gamma_star_from(a, g, theta0: float):
     return mp.pi - 2 * mp.atan(mp.sin(theta) / (mp.cos(theta) + a / g(theta)))
 
 
+def _g_supercritical_ref(a, t):
+    """Supercritical g = (psi'/psi) sin(t) for exponent a: mpmath's hypergeometric
+    psi'/psi times sin(t) for t > 0, and its limit a at t = 0."""
+    if t == 0:
+        return a
+    z = mp.sin(t / 2) ** 2
+    f_val = mp.hyp2f1(0.5, 0.5, a + 0.5, z)
+    df_val = mp.hyp2f1(1.5, 1.5, a + 1.5, z) / (4 * a + 2)
+    f = (a / mp.tan(t / 2) - (1 - a) * mp.tan(t / 2)) / 2 + mp.sin(t) * df_val / f_val / 2
+    return f * mp.sin(t)
+
+
 def _gamma_star_ref(beta: float, theta0: float):
     """gamma* of a supercritical opening, with mpmath's hypergeometric g."""
     a = _alpha_ref(beta)
-
-    def g(t):
-        z = mp.sin(t / 2) ** 2
-        f_val = mp.hyp2f1(0.5, 0.5, a + 0.5, z)
-        df_val = mp.hyp2f1(1.5, 1.5, a + 1.5, z) / (4 * a + 2)
-        f = (a / mp.tan(t / 2) - (1 - a) * mp.tan(t / 2)) / 2 + mp.sin(t) * df_val / f_val / 2
-        return f * mp.sin(t)
-
-    return _gamma_star_from(a, g, theta0)
+    return _gamma_star_from(a, lambda t: _g_supercritical_ref(a, t), theta0)
 
 
 def _g_subcritical_ref(beta: float, theta):
@@ -173,6 +178,19 @@ def test_gamma_star_against_reference():
         float(abs(crit.gamma_star - _gamma_star_ref(crit.beta, crit.argmax_theta))) for crit in crits
     )
     assert worst <= 9e-16
+
+
+def test_g_supercritical_against_reference():
+    # from the vertex to pi/2, across the former power-series switch at 1e-3;
+    # the reference takes the package's exponent, so this gates g alone
+    thetas = (0.0, 1e-300, 1e-100, 1e-20, 1e-8, 1e-5, 1e-4, 9.9e-4, 1e-3, 1.1e-3,
+              0.01, 0.1, 0.5, 1.0, 1.4, 0.5 * PI)
+    worst = 0.0
+    for f in (1.5458, 1.6, 1.8, 2.0):
+        a = mp.mpf(solve_c_beta(f * PI).alpha)
+        for t in thetas:
+            worst = max(worst, _rel(g_func(t, f * PI), _g_supercritical_ref(a, mp.mpf(t))))
+    assert worst <= 1.5e-15
 
 
 SUBCRITICAL = (1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.54, 1.5457)
