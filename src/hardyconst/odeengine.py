@@ -7,12 +7,15 @@ Two problems are integrated with scipy's DOP853 stepper:
   the closed-form route in hardycore).  shoot_c takes one opening or an
   array of them and shoots them as one batch.  Only the singular piece
   (0, pi/2] is integrated, and it is the same for every opening; the
-  middle [pi/2, beta/2], where V = 1, is crossed exactly.  One run of 18
-  trial constants brackets the root of every opening, then a vectorized
-  Chandrupatla solve (scipy.optimize.elementwise.find_root) meets the
-  Neumann condition for every opening at once, one run per iterate.
-  ShootingResult.steps and .nfev count the accepted steps and
-  right-hand-side evaluations of every run the whole batch made,
+  middle [pi/2, beta/2], where V = 1, is crossed exactly.  The piece is
+  integrated in t = log(theta) for phi = psi / theta^alpha, which is
+  nearly constant near the vertex, so the stepper takes large steps.
+  One run of 18 trial constants brackets the root of every opening, then
+  a vectorized Chandrupatla solve (scipy.optimize.elementwise.find_root)
+  meets the Neumann condition for every opening at once, one run per
+  iterate, down to an absolute tolerance on c of 1e-13, under the shot's
+  own error.  ShootingResult.steps and .nfev count the accepted log-theta
+  steps and right-hand-side evaluations of every run the whole batch made,
 * the singular initial value problem behind the monotone comparison family
   h(alpha, .) on (0, pi/2].
 
@@ -61,10 +64,17 @@ _LAUNCH_IVP = 1e-4  # series start of the singular IVP
 # DOP853 tolerances of every integration
 _RTOL = 1e-10
 _ATOL = 1e-12
+# find_root's absolute tolerance on c, just under the shot's own error:
+# over 401 openings in (beta_cr, 2pi] the worst gap to the closed form is
+# 3.7e-13 shot as one batch and 3.4e-13 for every eighth opening shot
+# alone.  Iterates below it chase integration noise, one run each.
+_ROOT_XATOL = 1e-13
 # Openings shot in one batch, which bounds a root iterate's state to
-# 2 * 256 floats per stage.  Over 1000 openings in (beta_cr, 2pi], with
-# 18 scan trials per opening (x86-64, numpy 2.4, scipy 1.17), chunks of
-# 128, 256 and 1000 shot 430, 535 and 690 openings/s at 89, 89 and 96 MB.
+# 2 * 256 floats per stage.  Over 1000 openings in (beta_cr, 2pi] (best of
+# 3 in process, CPU time, one BLAS thread, x86-64, numpy 2.4, scipy 1.17;
+# ranges over repeated fresh interpreters on a shared 2-vCPU host), chunks
+# of 128, 256 and 1000 shot 1740-3090, 3300-3440 and 8370-9520 openings/s
+# at a peak RSS of 84.4-84.6, 85.1-85.2 and 86.3-86.5 MB.
 _CHUNK = 256
 
 
@@ -126,7 +136,8 @@ class ShootingResult:
     and terminal_derivative is the scan's value there.  steps and nfev are
     totals over the whole batch: the accepted DOP853 steps and the
     right-hand-side evaluations of every run the solve made (the scan and
-    every root iterate, each over [1e-6, pi/2] alone).
+    every root iterate, each over [1e-6, pi/2] alone, stepped in
+    t = log(theta)).
     """
 
     beta: Union[float, np.ndarray]
@@ -137,33 +148,55 @@ class ShootingResult:
     nfev: int
 
 
+def _exponent(cs):
+    """Vertex exponent alpha of the shot at trial constant c: alpha (1 - alpha) = c."""
+    return 0.5 * (1.0 + np.sqrt(1.0 - 4.0 * cs))
+
+
+def _to_angle(theta, alpha, phi, phi_t):
+    """(psi, psi') from the log-angle state: psi = theta^alpha phi and
+    theta psi' = theta^alpha (alpha phi + phi_t).  The arguments broadcast."""
+    scale = theta**alpha
+    return scale * phi, scale * (alpha * phi + phi_t) / theta
+
+
 def _shoot_left(cs: np.ndarray, dense_output: bool = False) -> _Run:
     """Integrate -psi'' = c psi / sin^2(theta) over [1e-6, pi/2], trial k at cs[k].
 
-    Launches from the three-term series psi = theta^alpha (1 + a2 theta^2).
-    The batch is one flat state [psi_1..psi_m, psi'_1..psi'_m]
-    (psi' = dpsi/dtheta), so a single error norm covers every trial.  On
-    this piece V is the half-plane's 1/sin^2(theta) for every opening in
-    [pi, 2pi]; each right-hand-side evaluation calls potential_v once,
-    with floats, at opening pi.  The run stops at pi/2, where V turns to 1
-    and its second derivative jumps; one run across the junction loses
-    about two digits of c.
+    The run is in t = log(theta), where the equation reads
+    psi_tt = psi_t - c theta^2 V(theta) psi.  Near the vertex theta^2 V -> 1,
+    so psi is nearly e^(alpha t); the run carries psi = e^(alpha t) phi
+    with state (phi, phi_t), which solves
+    phi_tt = (1 - 2 alpha) phi_t + c (1 - theta^2 V) phi and is nearly
+    constant there, so DOP853 crosses the six decades above the launch in a
+    few large steps, and its relative error control holds psi's amplitude
+    too.  Launches from the three-term series
+    psi = theta^alpha (1 + a2 theta^2), that is phi = 1 + a2 theta^2.  The
+    batch is one flat state [phi_1..phi_m, phi_t_1..phi_t_m], so a single
+    error norm covers every trial.  On this piece V is the half-plane's
+    1/sin^2(theta) for every opening in [pi, 2pi]; each right-hand-side
+    evaluation calls potential_v once, with floats, at opening pi.  The run
+    stops at pi/2, where V turns to 1 and its second derivative jumps; one
+    run across the junction loses about two digits of c.  y is returned as
+    (psi, psi') at pi/2; sol, when asked for, is the interpolant in t of
+    (phi, phi_t).
     """
-    alpha = 0.5 * (1.0 + np.sqrt(1.0 - 4.0 * cs))
+    alpha = _exponent(cs)
     a2 = series_a2(alpha)
     th0 = _LAUNCH_BVP
-    y0 = np.concatenate(
-        [
-            th0**alpha * (1.0 + a2 * th0**2),
-            th0 ** (alpha - 1.0) * (alpha + (alpha + 2.0) * a2 * th0**2),
-        ]
-    )
+    y0 = np.concatenate([1.0 + a2 * th0**2, 2.0 * a2 * th0**2])
+    damping = 1.0 - 2.0 * alpha
     m = len(cs)
 
-    def rhs(theta, y):
-        return np.concatenate([y[m:], -cs * potential_v(theta, PI) * y[:m]])
+    def rhs(t, y):
+        # a stage time can pass the end of the run by rounding; V is
+        # sampled on (0, pi/2] alone
+        theta = min(math.exp(t), 0.5 * PI)
+        forcing = cs * (1.0 - theta * theta * potential_v(theta, PI))
+        return np.concatenate([y[m:], damping * y[m:] + forcing * y[:m]])
 
-    return _solve(rhs, th0, 0.5 * PI, y0, dense_output=dense_output)
+    run = _solve(rhs, math.log(th0), math.log(0.5 * PI), y0, dense_output=dense_output)
+    return run._replace(y=np.concatenate(_to_angle(0.5 * PI, alpha, run.y[:m], run.y[m:])))
 
 
 def _across_middle(psi, dpsi, c, length):
@@ -206,7 +239,7 @@ def _shoot_chunk(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     # the very ones whose signs chose each cell
     bracket_ends[lo.tobytes()] = d_vals[shot, i]
     bracket_ends[hi.tobytes()] = d_vals[shot, i + 1]
-    root = find_root(terminal, (lo, hi), args=(middle[shot],), tolerances={"xatol": 1e-15})
+    root = find_root(terminal, (lo, hi), args=(middle[shot],), tolerances={"xatol": _ROOT_XATOL})
     if not root.success.all():
         raise BracketError(
             f"root solve of psi'(beta/2) = 0 failed at beta={betas[shot][~root.success][0]}"
@@ -254,7 +287,8 @@ def shot_profile(beta: float, c: float, grid: np.ndarray) -> tuple[np.ndarray, n
     """Sampled (psi, psi') of the shot at a fixed trial constant, grid in [1e-6, beta/2]."""
     grid = np.asarray(grid, dtype=float)
     run = _shoot_left(np.array([c]), dense_output=True)
-    left = run.sol(np.minimum(grid, 0.5 * PI))
+    left_grid = np.minimum(grid, 0.5 * PI)
+    left = _to_angle(left_grid, _exponent(c), *run.sol(np.log(left_grid)))
     middle = _across_middle(run.y[0], run.y[1], c, grid - 0.5 * PI)
     samples = np.where(grid <= 0.5 * PI, left, middle)
     return samples[0], samples[1]

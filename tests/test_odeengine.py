@@ -44,9 +44,11 @@ def test_shoot_cross_oracle_18pi():
 
 
 def test_shoot_matches_closed_form_tightly():
+    # measured worst gap 3.4e-13 (DOP853 at rtol 1e-10 in log theta, root
+    # solve to 1e-13), gated at 1e-12
     factors = np.append(np.linspace(1.546, 2.0, 21), [1.55, 1.6, 1.7, 1.8, 1.9])
     gaps = [abs(shoot_c(f * PI).c_estimate - solve_c_beta(f * PI).c) for f in factors]
-    assert max(gaps) <= 1e-10
+    assert max(gaps) <= 1e-12
 
 
 _CLOSED_FORM = ("solve_c_beta", "equation_residual", "beta_for_constant", "beta_critical")
@@ -99,6 +101,55 @@ def test_scan_is_shared_across_openings(monkeypatch):
         trials.clear()
         shoot_c(betas)
         assert trials[0] == 18
+
+
+def test_shooting_cost(monkeypatch):
+    # in log theta the scan crosses the decades above the launch in large
+    # steps (29 accepted, against 89 when stepped in theta), and the root
+    # solve stops at the shot's own accuracy (8 runs for these twelve
+    # openings, against 16 in theta with xatol 1e-15)
+    runs = []
+    solve = odeengine._solve
+
+    def recording(rhs, t0, t1, y0, dense_output=False):
+        runs.append(solve(rhs, t0, t1, y0, dense_output))
+        return runs[-1]
+
+    monkeypatch.setattr(odeengine, "_solve", recording)
+    shoot_c(1.8 * PI)
+    assert runs[0].steps <= 45
+    runs.clear()
+    shoot_c(np.linspace(1.55, 2.0, 12) * PI)
+    assert len(runs) <= 12
+
+
+@pytest.mark.parametrize("c", [0.1, 0.2, 0.2499])
+def test_log_angle_shot_matches_a_shot_in_the_angle(c):
+    # the same series start integrated in theta itself, at a tighter rtol:
+    # checks the change of variables and the amplitude the log-angle run keeps
+    alpha = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * c))
+    a2 = hardycore.series_a2(alpha)
+    th0 = 1e-6
+    y0 = [
+        th0**alpha * (1.0 + a2 * th0**2),
+        th0 ** (alpha - 1.0) * (alpha + (alpha + 2.0) * a2 * th0**2),
+    ]
+    reference = solve_ivp(
+        lambda theta, y: [y[1], -c * y[0] / math.sin(theta) ** 2],
+        (th0, 0.5 * PI),
+        y0,
+        method="DOP853",
+        rtol=1e-12,
+        atol=1e-30,
+        dense_output=True,
+    )
+    assert reference.success
+    run = odeengine._shoot_left(np.array([c]))
+    np.testing.assert_allclose(run.y, reference.y[:, -1], rtol=1e-9, atol=0.0)
+    grid = np.array([1e-3, 0.7, 0.5 * PI])
+    psi_vals, dpsi_vals = shot_profile(1.8 * PI, c, grid)
+    np.testing.assert_allclose(psi_vals, reference.sol(grid)[0], rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(dpsi_vals, reference.sol(grid)[1], rtol=1e-9, atol=0.0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -161,7 +212,7 @@ def test_shoot_subcritical_verdict(monkeypatch):
 def test_shooting_seam_matches_beta_critical():
     # the opening where psi'(beta/2) at c = 1/4 changes sign, found from the
     # shot alone, against the closed-form critical opening; measured gap
-    # 1.48e-10 (DOP853 at rtol 1e-10), gated at 3e-10.  The run over
+    # 1.0e-11 (DOP853 at rtol 1e-10 in log theta), gated at 3e-11.  The run over
     # (0, pi/2] is the same for every opening; the middle is crossed exactly
     run = odeengine._shoot_left(np.array([0.25]))
 
@@ -169,7 +220,7 @@ def test_shooting_seam_matches_beta_critical():
         return odeengine._across_middle(run.y[0], run.y[1], 0.25, 0.5 * (beta - PI))[1]
 
     seam = brentq(terminal_at_quarter, 1.5 * PI, 1.6 * PI, xtol=1e-15)
-    assert abs(seam - hardycore.beta_critical()) <= 3e-10
+    assert abs(seam - hardycore.beta_critical()) <= 3e-11
 
 
 def test_shoot_domain_error():
@@ -189,10 +240,11 @@ def tight_batch():
 
 
 def test_batch_matches_closed_form_tightly(tight_batch):
+    # measured worst gap 3.3e-13, gated at 1e-12
     assert isinstance(tight_batch.c_estimate, np.ndarray)
     assert np.array_equal(tight_batch.beta, _TIGHT_BETAS)
     gaps = np.abs(tight_batch.c_estimate - [solve_c_beta(b).c for b in _TIGHT_BETAS])
-    assert gaps.max() <= 1e-10
+    assert gaps.max() <= 1e-12
     assert np.all(np.abs(tight_batch.terminal_derivative) < 1e-9)
     assert tight_batch.nfev >= tight_batch.steps > 0
 
