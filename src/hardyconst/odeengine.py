@@ -10,12 +10,16 @@ Two problems are integrated with scipy's DOP853 stepper:
   middle [pi/2, beta/2], where V = 1, is crossed exactly.  The piece is
   integrated in t = log(theta) for phi = psi / theta^alpha, which is
   nearly constant near the vertex, so the stepper takes large steps.
-  One run of 18 trial constants brackets the root of every opening, then
-  a vectorized Chandrupatla solve (scipy.optimize.elementwise.find_root)
-  meets the Neumann condition for every opening at once, one run per
-  iterate, down to an absolute tolerance on c of 1e-13, under the shot's
-  own error.  ShootingResult.steps and .nfev count the accepted log-theta
-  steps and right-hand-side evaluations of every run the whole batch made,
+  One run of 18 trial constants, the Chebyshev-Lobatto nodes in the vertex
+  exponent alpha over [1/2, alpha(1e-6)], brackets the root of every
+  opening and fits (psi, psi') at pi/2 as Chebyshev series in alpha, in
+  which the shot is analytic.  A vectorized Chandrupatla solve
+  (scipy.optimize.elementwise.find_root) meets the Neumann condition for
+  every opening at once on that interpolant, with no run per iterate;
+  one confirming run at the roots then gives the shot's own terminal
+  derivative and refuses a root the shot does not confirm.
+  ShootingResult.steps and .nfev count the accepted log-theta steps and
+  right-hand-side evaluations of the scan and the confirming runs,
 * the singular initial value problem behind the monotone comparison family
   h(alpha, .) on (0, pi/2].
 
@@ -38,6 +42,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebfit, chebval
 from scipy.integrate import DOP853, OdeSolution
 from scipy.optimize.elementwise import find_root
 
@@ -64,26 +69,42 @@ _LAUNCH_IVP = 1e-4  # series start of the singular IVP
 # DOP853 tolerances of every integration
 _RTOL = 1e-10
 _ATOL = 1e-12
-# find_root's absolute tolerance on c, just under the shot's own error:
-# over 401 openings in (beta_cr, 2pi] the worst gap to the closed form is
-# 3.7e-13 shot as one batch and 3.4e-13 for every eighth opening shot
-# alone.  Iterates below it chase integration noise, one run each.
+# find_root's absolute tolerance on alpha, which also bounds the error in
+# c = alpha (1 - alpha).  Over 427 openings in (beta_cr, 2pi] the worst gap
+# to the closed form is 3.1e-13 at this tolerance and 3.0e-13 at 1e-14 down
+# to 0: the rest is the shot's own error, which a tighter solve cannot mend.
 _ROOT_XATOL = 1e-13
-# Openings shot in one batch, which bounds a root iterate's state to
-# 2 * 256 floats per stage.  Over 1000 openings in (beta_cr, 2pi] (best of
-# 3 in process, CPU time, one BLAS thread, x86-64, numpy 2.4, scipy 1.17;
-# ranges over repeated fresh interpreters on a shared 2-vCPU host), chunks
-# of 128, 256 and 1000 shot 1740-3090, 3300-3440 and 8370-9520 openings/s
-# at a peak RSS of 84.4-84.6, 85.1-85.2 and 86.3-86.5 MB.
+# Openings shot in one batch.  The roots are solved on one table for the
+# whole call, so this bounds only the confirming run, whose state is
+# 2 * 256 floats per stage, and a chunk's 256 x 18 scan values.  Over 1000
+# openings in [pi, 2pi] (best of 3 in process, CPU time, one BLAS thread,
+# x86-64, numpy 2.4, scipy 1.17; ranges over 2 fresh interpreters on a
+# shared 2-vCPU host), chunks of 128, 256 and 1000 shot 16,000-24,300,
+# 40,200-44,700 and 47,000-49,100 openings/s at a peak RSS of 85.3-85.6,
+# 85.3 and 85.4-85.5 MB.
 _CHUNK = 256
+# Trial constants of the scan, the nodes of its Chebyshev table.  The
+# table's trailing coefficients are 2.3e-16 of the largest at 18 nodes,
+# 4.6e-14 at 15 and 4.6e-13 at 14.
+_TABLE = 18
+# Largest trailing coefficient the table may keep, relative to its largest.
+_TAIL = 1e-13
+# Largest correction to c that the confirming run may imply at the table's
+# root, |psi'_shot / d_c psi'_table|: measured worst 1.3e-13 over about
+# 23,000 openings in batches of 1 to 20001.
+_CONFIRM = 5e-13
+# Complex step in alpha for the table's slope, exact to rounding.
+_STEP = 1e-20
 
 
 class BracketError(RuntimeError):
-    """No sign change found while bracketing a root, or the bracketed solve failed."""
+    """No sign change found while bracketing a root, the bracketed solve failed,
+    or the confirming shot does not confirm the root."""
 
 
 class IntegrationError(RuntimeError):
-    """The integrator failed, or the right-hand side is not finite at the launch point."""
+    """The integrator failed, the right-hand side is not finite at the launch
+    point, or the scan's Chebyshev table does not resolve the shot."""
 
 
 class _Run(NamedTuple):
@@ -133,11 +154,12 @@ class ShootingResult:
     terminal derivative kept one sign over the scan of (0, 1/4]: the shot
     meets the Neumann condition at no c below 1/4, which is shooting's own
     verdict that c = 1/4 (the subcritical regime), so c_estimate is 1/4
-    and terminal_derivative is the scan's value there.  steps and nfev are
-    totals over the whole batch: the accepted DOP853 steps and the
-    right-hand-side evaluations of every run the solve made (the scan and
-    every root iterate, each over [1e-6, pi/2] alone, stepped in
-    t = log(theta)).
+    and terminal_derivative is the scan's value there.  Otherwise
+    terminal_derivative is the confirming run's psi'(beta/2) at c_estimate.
+    steps and nfev are totals over the whole batch: the accepted DOP853
+    steps and the right-hand-side evaluations of every run the solve made
+    (the scan and one confirming run per chunk, each over [1e-6, pi/2]
+    alone, stepped in t = log(theta)).
     """
 
     beta: Union[float, np.ndarray]
@@ -207,73 +229,119 @@ def _across_middle(psi, dpsi, c, length):
     return psi * cos + dpsi * sin / k, dpsi * cos - k * psi * sin
 
 
-def _shoot_chunk(betas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """c, psi'(beta/2) at c, the no-sign-change mask, accepted steps and rhs
-    evaluations for one chunk of openings."""
-    steps = nfev = 0
-    bracket_ends = {}  # terminal derivatives the scan already has, by trial constants
+class _Table(NamedTuple):
+    """The scan: one run of _TABLE trial constants and the Chebyshev series in
+    the vertex exponent alpha that it fits to (psi, psi') at pi/2."""
 
-    def terminal(cs, length):
-        nonlocal steps, nfev
-        if cs.tobytes() in bracket_ends:
-            return bracket_ends[cs.tobytes()]
-        run = _shoot_left(cs)
-        steps += run.steps
-        nfev += run.nfev
-        return _across_middle(run.y[: cs.size], run.y[cs.size :], cs, length)[1]
+    alpha: np.ndarray  # Chebyshev-Lobatto nodes, decreasing from alpha(1e-6) to 1/2
+    cs: np.ndarray  # trial constants alpha (1 - alpha), increasing to exactly 1/4
+    ends: np.ndarray  # (psi, psi') at pi/2 of every trial, shape (2, _TABLE)
+    coef: np.ndarray  # Chebyshev coefficients of (psi, psi') at pi/2, shape (_TABLE, 2)
+    run: _Run
 
+    def terminal(self, alpha, length):
+        """psi'(pi/2 + length) of the interpolant at exponent alpha; the arguments broadcast."""
+        x = (2.0 * alpha - 1.0) / (self.alpha[0] - 0.5) - 1.0
+        psi, dpsi = chebval(x, self.coef)
+        return _across_middle(psi, dpsi, alpha * (1.0 - alpha), length)[1]
+
+
+def _scan() -> _Table:
+    """Shoot the _TABLE Chebyshev-Lobatto nodes in alpha over [1/2, alpha(1e-6)] in
+    one run and interpolate (psi, psi') at pi/2 in alpha; IntegrationError when
+    the series' two trailing coefficients pass _TAIL of its largest."""
+    x = np.cos(np.arange(_TABLE) * PI / (_TABLE - 1))  # 1 down to -1
+    alpha = 0.5 + 0.5 * (_exponent(1e-6) - 0.5) * (1.0 + x)
+    cs = alpha * (1.0 - alpha)
+    run = _shoot_left(cs)
+    ends = run.y.reshape(2, _TABLE)
+    coef = chebfit(x, ends.T, _TABLE - 1)
+    tail = (np.abs(coef[-2:]).max(axis=0) / np.abs(coef).max(axis=0)).max()
+    if tail > _TAIL:
+        raise IntegrationError(
+            f"{_TABLE} Chebyshev nodes in alpha do not resolve the shot at pi/2: "
+            f"trailing coefficients {tail:.1e} of the largest"
+        )
+    return _Table(alpha, cs, ends, coef, run)
+
+
+def _shoot_chunk(
+    betas: np.ndarray, table: _Table
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """c, psi'(beta/2) at c, the no-sign-change mask, and the accepted steps and
+    rhs evaluations of the confirming run for one chunk of openings."""
     middle = 0.5 * (betas - PI)  # length of [pi/2, beta/2]
-    scan = np.linspace(1e-6, 0.25, 18)
-    n = scan.size
-    d_vals = terminal(scan, middle[:, None])  # one run of 18 trials for every opening
+    d_vals = _across_middle(table.ends[0], table.ends[1], table.cs, middle[:, None])[1]
     change = d_vals[:, :-1] * d_vals[:, 1:] <= 0.0
     # no sign change in (0, 1/4]: the verdict c = 1/4, at the scan's last trial
     missing = ~change.any(axis=1)
     c_est, d_fin = np.full(betas.size, 0.25), d_vals[:, -1].copy()
     if missing.all():
-        return c_est, d_fin, missing, steps, nfev
+        return c_est, d_fin, missing, 0, 0
     shot = np.flatnonzero(~missing)
-    i = n - 2 - np.argmax(change[shot, ::-1], axis=1)  # rightmost sign-change cell
-    lo, hi = scan[i], scan[i + 1]
-    # find_root first evaluates both bracket ends: it gets the scan's values,
-    # the very ones whose signs chose each cell
-    bracket_ends[lo.tobytes()] = d_vals[shot, i]
-    bracket_ends[hi.tobytes()] = d_vals[shot, i + 1]
-    root = find_root(terminal, (lo, hi), args=(middle[shot],), tolerances={"xatol": _ROOT_XATOL})
+    i = _TABLE - 2 - np.argmax(change[shot, ::-1], axis=1)  # rightmost sign-change cell
+    length = middle[shot]
+    root = find_root(
+        table.terminal,
+        (table.alpha[i + 1], table.alpha[i]),
+        args=(length,),
+        tolerances={"xatol": _ROOT_XATOL},
+    )
     if not root.success.all():
         raise BracketError(
             f"root solve of psi'(beta/2) = 0 failed at beta={betas[shot][~root.success][0]}"
         )
-    c_est[shot], d_fin[shot] = root.x, root.f_x
-    return c_est, d_fin, missing, steps, nfev
+    alpha = root.x
+    cs = alpha * (1.0 - alpha)
+    run = _shoot_left(cs)  # the confirming shot
+    d_shot = _across_middle(run.y[: cs.size], run.y[cs.size :], cs, length)[1]
+    # the table's slope in alpha by a complex step; dc = (1 - 2 alpha) dalpha
+    slope = table.terminal(alpha + 1j * _STEP, length).imag / _STEP
+    correction = np.abs(d_shot * (1.0 - 2.0 * alpha) / slope)
+    off = correction > _CONFIRM
+    if off.any():
+        raise BracketError(
+            f"the shot at the table's root implies a correction of {correction[off][0]:.1e} "
+            f"in c at beta={betas[shot][off][0]}"
+        )
+    c_est[shot], d_fin[shot] = cs, d_shot
+    return c_est, d_fin, missing, run.steps, run.nfev
 
 
 def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
     """Largest c in (0, 1/4] for which the shot satisfies psi'(beta/2) = 0.
 
     beta is one opening or a 1-D array of them; a scalar is the batch of
-    one.  Openings are shot together, _CHUNK at a time.  One scan integrates
-    18 trial constants over (0, pi/2] in a single run, carries them across
-    each opening's middle and finds its rightmost sign change of the
-    terminal derivative; one vectorized Chandrupatla solve (find_root)
-    then solves psi'(beta/2) = 0 in every opening's cell, each iterate one
-    run over the openings not yet converged.  terminal_derivative is the
-    solver's own value at the root.  An opening whose terminal derivative
-    never changes sign gets shooting's verdict c = 1/4, flagged in
+    one.  One scan integrates 18 trial constants over (0, pi/2] in a single
+    run, at the Chebyshev-Lobatto nodes in alpha from alpha(1e-6) down to
+    1/2, so from c near 1e-6 up to exactly 1/4.  It fits (psi, psi') at
+    pi/2 as Chebyshev series in alpha (IntegrationError when their two
+    trailing coefficients pass _TAIL of the largest), carries the trials
+    across each opening's middle and finds the rightmost sign change of the
+    terminal derivative.  Openings are then solved _CHUNK at a time on
+    that one table: a vectorized Chandrupatla solve (find_root) in alpha
+    meets psi'(beta/2) = 0 on the interpolant in every opening's cell, and
+    one confirming run shoots the roots.  terminal_derivative is that run's
+    value at the root.  An opening whose terminal derivative never changes
+    sign over the scan gets shooting's verdict c = 1/4, flagged in
     no_sign_change: the subcritical regime, where the series-started shot
     meets the Neumann condition at no smaller c.  At beta = pi the middle
     has length 0.  beta reports the openings as
     hardycore.admit_openings clamps them.  Raises ValueError naming an
     opening outside [pi, 2pi], and BracketError naming an opening whose
-    root solve failed.
+    root solve failed or whose confirming run implies a correction to c
+    above _CONFIRM.
     """
     flat, scalar = admit_openings(beta)
     c_est, d_fin = np.empty_like(flat), np.empty_like(flat)
     no_change = np.empty(flat.shape, dtype=bool)
-    steps = nfev = 0
+    table = _scan()
+    steps, nfev = table.run.steps, table.run.nfev
     for k in range(0, flat.size, _CHUNK):
         part = slice(k, k + _CHUNK)
-        c_est[part], d_fin[part], no_change[part], chunk_steps, chunk_nfev = _shoot_chunk(flat[part])
+        c_est[part], d_fin[part], no_change[part], chunk_steps, chunk_nfev = _shoot_chunk(
+            flat[part], table
+        )
         steps += chunk_steps
         nfev += chunk_nfev
     if scalar:

@@ -1071,14 +1071,21 @@ def strip_proxy(n: int) -> GridProblem:
 # ---------------------------------------------------------------------------
 # Pencil eigenvalue.
 
-_NCV = 8  # Lanczos vectors, most of the solve's added peak memory (slit n=256: 7 MB; 20: 12 MB)
+# Lanczos vectors, most of the solve's added peak memory (L-shape n=256,
+# 48,641 unknowns: a tracemalloc peak of 7.8 MB at 8, 16.7 MB at 20 and
+# 31.6 MB at 40)
+_NCV = 8
 
 # Ritz residual tolerance of the Lanczos solve.  The grid's discretization
 # excess over the constant is at least 1e-3, and the Rayleigh quotient's
-# error is about the square of the vector's, so 1e-6 leaves lam good to
-# about 1e-9 or better.  A tighter tolerance only converges the vector
-# inside clusters of nearly equal eigenvalues (the L-shape's lowest lie
-# within 0.4% of each other), which lam does not need.
+# error is about the square of the vector's, so with exact solves 1e-6
+# would leave lam good to about 1e-9.  The capacitance solve of a polygon
+# is not exact: on the n = 256 L-shape lam spans 0.26050813135 to
+# 0.26050814231 (4e-8 relative) over ncv 8 to 40 and tolerances 1e-6 to
+# 1e-10, and still 0.26050813175 to 0.26050813977 over ncv at 1e-10.  A
+# tighter tolerance only converges the vector inside clusters of nearly
+# equal eigenvalues (the L-shape's lowest lie within 0.4% of each other),
+# which lam does not need.
 _LANCZOS_TOL = 1e-6
 
 
@@ -1096,7 +1103,9 @@ def estimate_constant(grid: GridProblem, return_vector: bool = False):
     is exact up to rounding on 1-D pencils and lattices (a sparse LU) and
     an ill-conditioned capacitance solve on polygons that do not fill their
     bounding box; on the L-shape at n = 256 that solve, not Lanczos, sets
-    the bound near 1.6e-5.  iterations counts every solve, this one
+    the bound near 1.6e-5, and it holds lam itself to about 4e-8 relative:
+    lam spans 0.26050813135 to 0.26050814231 over ncv 8 to 40 and Ritz
+    tolerances 1e-6 to 1e-10.  iterations counts every solve, this one
     included.  Deterministic for a fixed grid and BLAS thread count; the
     thread count moves the vector's last bits, and with them the trailing
     digits of residual_bound.

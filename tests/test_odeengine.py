@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from hardyconst import beta_for_constant, g_func, hardycore, odeengine, solve_c_beta
 from hardyconst.odeengine import (
+    BracketError,
     IntegrationError,
     g_upper_bound,
     g_upper_bound_derivative,
@@ -44,8 +46,8 @@ def test_shoot_cross_oracle_18pi():
 
 
 def test_shoot_matches_closed_form_tightly():
-    # measured worst gap 3.4e-13 (DOP853 at rtol 1e-10 in log theta, root
-    # solve to 1e-13), gated at 1e-12
+    # measured worst gap 3.0e-13 (DOP853 at rtol 1e-10 in log theta, root
+    # solve on the scan's table to 1e-13 in alpha), gated at 1e-12
     factors = np.append(np.linspace(1.546, 2.0, 21), [1.55, 1.6, 1.7, 1.8, 1.9])
     gaps = [abs(shoot_c(f * PI).c_estimate - solve_c_beta(f * PI).c) for f in factors]
     assert max(gaps) <= 1e-12
@@ -105,9 +107,9 @@ def test_scan_is_shared_across_openings(monkeypatch):
 
 def test_shooting_cost(monkeypatch):
     # in log theta the scan crosses the decades above the launch in large
-    # steps (29 accepted, against 89 when stepped in theta), and the root
-    # solve stops at the shot's own accuracy (8 runs for these twelve
-    # openings, against 16 in theta with xatol 1e-15)
+    # steps (29 accepted, against 89 when stepped in theta), and the roots
+    # are solved on the scan's Chebyshev table, so these twelve openings
+    # take the scan and one confirming run
     runs = []
     solve = odeengine._solve
 
@@ -120,7 +122,51 @@ def test_shooting_cost(monkeypatch):
     assert runs[0].steps <= 45
     runs.clear()
     shoot_c(np.linspace(1.55, 2.0, 12) * PI)
-    assert len(runs) <= 12
+    assert len(runs) <= 2
+
+
+def _reference_roots(betas):
+    """psi'(beta/2) = 0 solved on DOP853 shots alone: a scan of 18 trials
+    evenly spaced in (0, 1/4], then a Chandrupatla solve in c of each
+    opening's rightmost sign-change cell, one shot per iterate."""
+    middle = 0.5 * (betas - PI)
+
+    def terminal(cs, length):
+        run = odeengine._shoot_left(cs)
+        return odeengine._across_middle(run.y[: cs.size], run.y[cs.size :], cs, length)[1]
+
+    scan = np.linspace(1e-6, 0.25, 18)
+    d_vals = terminal(scan, middle[:, None])
+    change = d_vals[:, :-1] * d_vals[:, 1:] <= 0.0
+    assert change.any(axis=1).all()
+    i = scan.size - 2 - np.argmax(change[:, ::-1], axis=1)
+    root = find_root(terminal, (scan[i], scan[i + 1]), args=(middle,), tolerances={"xatol": 1e-13})
+    assert root.success.all()
+    return root.x
+
+
+def test_table_root_matches_the_shots_root():
+    # the root on the scan's Chebyshev interpolant against the root of the
+    # shots themselves; measured worst gap 6.9e-14, gated at 1e-12
+    betas = np.array([1.546, 1.6, 1.7, 1.8, 1.9, 2.0]) * PI
+    gaps = np.abs(shoot_c(betas).c_estimate - _reference_roots(betas))
+    assert gaps.max() <= 1e-12
+
+
+def test_coarse_table_raises(monkeypatch):
+    # 10 nodes leave trailing coefficients of 4e-9 of the largest, far above
+    # the 1e-13 the table must resolve; 18 nodes leave 2e-16
+    monkeypatch.setattr(odeengine, "_TABLE", 10)
+    with pytest.raises(IntegrationError, match="Chebyshev"):
+        shoot_c(1.8 * PI)
+
+
+def test_confirming_shot_names_its_opening(monkeypatch):
+    # the confirming shot at the table's root implies a correction to c;
+    # past _CONFIRM the solve refuses the opening instead of reporting it
+    monkeypatch.setattr(odeengine, "_CONFIRM", 0.0)
+    with pytest.raises(BracketError, match=re.escape(str(1.8 * PI))):
+        shoot_c(np.array([1.2, 1.8, 2.0]) * PI)
 
 
 @pytest.mark.parametrize("c", [0.1, 0.2, 0.2499])
@@ -240,7 +286,7 @@ def tight_batch():
 
 
 def test_batch_matches_closed_form_tightly(tight_batch):
-    # measured worst gap 3.3e-13, gated at 1e-12
+    # measured worst gap 3.0e-13, gated at 1e-12
     assert isinstance(tight_batch.c_estimate, np.ndarray)
     assert np.array_equal(tight_batch.beta, _TIGHT_BETAS)
     gaps = np.abs(tight_batch.c_estimate - [solve_c_beta(b).c for b in _TIGHT_BETAS])
@@ -252,14 +298,16 @@ def test_batch_matches_closed_form_tightly(tight_batch):
 def test_batch_matches_single_openings(tight_batch):
     single = [shoot_c(b) for b in _TIGHT_BETAS]
     assert all(isinstance(r.c_estimate, float) for r in single)
-    assert np.max(np.abs(tight_batch.c_estimate - [r.c_estimate for r in single])) <= 1e-11
+    # one table serves every call, and each opening's root solve is its own
+    assert np.array_equal(tight_batch.c_estimate, [r.c_estimate for r in single])
 
 
 def test_chunked_batch_matches_unchunked(monkeypatch, tight_batch):
     betas = _TIGHT_BETAS[::4]
     monkeypatch.setattr(odeengine, "_CHUNK", 3)
     chunked = shoot_c(betas)
-    assert np.max(np.abs(chunked.c_estimate - tight_batch.c_estimate[::4])) <= 1e-11
+    # every chunk solves its roots on the same table
+    assert np.array_equal(chunked.c_estimate, tight_batch.c_estimate[::4])
 
 
 def test_batch_names_its_failing_opening():
