@@ -459,8 +459,13 @@ def _gauss(points: int):
 _GAUSS_UNIFORM = 3
 _GAUSS_GRADED = 6
 
-# Columns of the capacitance matrix computed per batched solve; the batch
-# bounds the work memory at a few vectors per column.
+# Columns of the capacitance matrix computed per truncated solve, in
+# batch x P x (Q - lo) doubles of work memory.  pttrs sweeps one column at
+# a time, so the batch saves no arithmetic, and one column per solve builds
+# the n = 512 L-shape faster (1.8-1.9 s against 2.3 s).  But at n = 256
+# the Lanczos solves that follow then take about 60,000 more page faults
+# (0.1 s of CPU): the arrays freed here are too small to raise glibc's
+# adaptive mmap threshold above the P*Q vectors of each solve.
 _CAPACITANCE_BATCH = 8
 
 
@@ -613,7 +618,11 @@ class _TensorSolver:
     excluded nodes next to kept ones, chosen so that the box solution
     vanishes on that ring, make it vanish on every excluded node (they see
     no load) and solve the kept system exactly.  The capacitance matrix is
-    the box inverse on the ring, factored once by dense Cholesky.  Ring
+    the box inverse on the ring, factored once by dense Cholesky.  It is
+    built _CAPACITANCE_BATCH columns at a time by the same pttrs solve that
+    the correction applies, on the graded rows from the lowest ring row lo
+    up alone.  So it matches the correction's ring values bit for bit on
+    any LAPACK build, which the ill-conditioned correction needs.  Ring
     loads and ring values pass to and from mode space directly through the
     sine basis, so a corrected solve costs two transforms, like a plain one.
     """
@@ -649,26 +658,44 @@ class _TensorSolver:
         self.ring_sine = math.sqrt(2.0 / (p + 1)) * np.sin(
             PI * np.outer(ring_i + 1, np.arange(1, p + 1)) / (p + 1)
         )
+        # Column m is the box solve of a unit force on ring node m, read on
+        # the ring.  That force loads row ring_j[m] >= lo of every mode, so
+        # pttrs's forward sweep is exactly zero below lo, its back
+        # substitution on rows >= lo reads only higher rows, and the ring is
+        # read only there: the same pttrs solve on rows lo and up of every
+        # mode gives the same bits as the full one.  The factor's zero off
+        # entries between modes stay, so the modes stay uncoupled.
+        lo = int(self.ring_j.min())
+        diag = self.diag.reshape(p, q)[:, lo:].ravel()
+        off = np.append(self.off, 0.0).reshape(p, q)[:, lo:].ravel()[:-1]
+        rows = self.ring_j - lo
+        modes = np.arange(p)[:, None] * (q - lo)
         cap = np.empty((size, size))
         for s in range(0, size, _CAPACITANCE_BATCH):
             cols = np.arange(s, min(s + _CAPACITANCE_BATCH, size))
-            unit = np.zeros((size, len(cols)))
-            unit[cols, np.arange(len(cols))] = 1.0
-            cap[:, cols] = self._ring_values(self._modes(self._ring_load(unit)))
+            unit = np.zeros((p * (q - lo), len(cols)), order="F")
+            unit[modes + rows[cols], np.arange(len(cols))] = self.ring_sine[cols].T
+            cap[:, cols] = self._ring_values(self._modes(unit, diag, off), lo)
         self.ring = ring_i
         self.cap = la.cho_factor(0.5 * (cap + cap.T))
 
-    def _modes(self, b: np.ndarray) -> np.ndarray:
-        """Solve the stacked tridiagonal systems for mode-space loads (P*Q, r)."""
-        z, info = lapack.dpttrs(self.diag, self.off, b)
+    def _modes(self, b: np.ndarray, diag=None, off=None) -> np.ndarray:
+        """Solve the stacked tridiagonal systems for mode-space loads (P*Q, r).
+
+        diag and off, if given, are the factor's rows from some lo up in
+        every mode, and b is (P*(Q - lo), r).
+        """
+        if diag is None:
+            diag, off = self.diag, self.off
+        z, info = lapack.dpttrs(diag, off, b)
         if info != 0:
             raise NumericalError(f"tridiagonal solve failed (info={info})")
         return z
 
-    def _ring_values(self, z: np.ndarray) -> np.ndarray:
-        """Box values at the ring nodes of mode-space vectors (P*Q, r)."""
+    def _ring_values(self, z: np.ndarray, lo: int = 0) -> np.ndarray:
+        """Box values at the ring nodes of mode-space vectors (P*(Q - lo), r)."""
         p, q = self.shape
-        cols = z.reshape(p, q, -1)[:, self.ring_j, :]
+        cols = z.reshape(p, q - lo, -1)[:, self.ring_j - lo, :]
         return np.einsum("mk,kmr->mr", self.ring_sine, cols)
 
     def _ring_load(self, f: np.ndarray) -> np.ndarray:

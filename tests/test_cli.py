@@ -473,10 +473,44 @@ def polar_samples(beta, amplitude, n=721):
 def test_validate_lattice_lambda_is_pinned(tmp_path, doc, estimate):
     # the two lattice domains of perfbench's validate-curved workload at its
     # n = 128, and an asymmetric two-halfline domain: a faster lattice must
-    # write the same estimate block, solve count and residual bound included.
-    # The Lanczos vector's last bits, and so the residual bound's, depend on
-    # the BLAS thread count, so validate runs as perfbench runs it: in a child
-    # process with one BLAS thread
+    # write the same estimate block, solve count and residual bound included
+    got = validate_in_child(tmp_path, doc, 128)
+    assert got["grid"] == "lattice"
+    assert got["estimate"] == estimate
+
+
+@pytest.mark.parametrize(
+    "vertices, estimate",
+    [
+        (
+            [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
+            {"h": 1.40380751468e-07, "iterations": 58, "lambda": 0.280217144421,
+             "residual_bound": 5.63763415997e-07},
+        ),
+        (
+            [[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [0, 2]],
+            {"h": 2.80761502935e-07, "iterations": 58, "lambda": 0.278609949925,
+             "residual_bound": 3.83517910512e-07},
+        ),
+    ],
+    ids=["L-shape", "3x2-with-2x1-notch"],
+)
+def test_validate_graded_lambda_is_pinned(tmp_path, vertices, estimate):
+    # two polygons on the graded grid with its capacitance correction: a
+    # faster build of the grid or its solver must write the same estimate
+    # block, solve count and residual bound included
+    got = validate_in_child(tmp_path, {"type": "polygon", "vertices": vertices}, 129)
+    assert got["grid"] == "graded"
+    assert got["estimate"] == estimate
+
+
+def validate_in_child(tmp_path, doc, n):
+    """The document `validate --n n` writes for doc, run as perfbench runs it.
+
+    The Lanczos vector's last bits, and so the residual bound's, depend on
+    the BLAS thread count, so validate runs in a child process with one BLAS
+    thread.
+    """
     f = tmp_path / "dom.json"
     f.write_text(json.dumps(doc))
     out = tmp_path / "est.json"
@@ -485,13 +519,11 @@ def test_validate_lattice_lambda_is_pinned(tmp_path, doc, estimate):
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     child = subprocess.run(
         [sys.executable, "-c", "import sys; from hardyconst.cli import main; sys.exit(main())",
-         "validate", str(f), "--n", "128", "-o", str(out)],
+         "validate", str(f), "--n", str(n), "-o", str(out)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
-    got = json.loads(out.read_text())
-    assert got["grid"] == "lattice"
-    assert got["estimate"] == estimate
+    return json.loads(out.read_text())
 
 
 @pytest.mark.parametrize("n", ["49", "65"])

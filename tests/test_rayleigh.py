@@ -8,6 +8,7 @@ from scipy.sparse.csgraph import connected_components
 from hardyconst.certify import Dbeta, Ebg, OneReflexPolygon, Sector, SectorCapConvex, ShapeError, ensure_ccw
 from hardyconst.hardycore import potential_v, solve_c_beta
 from hardyconst.rayleigh import (
+    _CAPACITANCE_BATCH,
     NumericalError,
     _ebg_polygon,
     _edge_distance,
@@ -124,7 +125,7 @@ def test_matches_dense_eigensolver(case):
         eigvals_only=True,
         subset_by_index=[0, 0],
     )[0]
-    assert est.lam == pytest.approx(dense, abs=1e-10)
+    assert est.lam == pytest.approx(dense, abs=5e-12)
 
 
 @pytest.mark.parametrize("case", DENSE_CASES)
@@ -142,6 +143,41 @@ def test_residual_bound_contains_dense_eigenvalue(case):
     r = a @ x - est.lam * (m @ x)
     exact = math.sqrt(r @ la.solve(a, r, assume_a="pos") / (x @ a @ x))
     assert eta == pytest.approx(exact, rel=1e-5)
+
+
+CAPACITANCE_CASES = {
+    "L-shape": lambda: build_grid(lshape(), 65),
+    "3x2-with-2x1-notch": DENSE_CASES["3x2-with-2x1-notch"],
+    # the ring's lowest row is in the middle of the box
+    "U-shape": lambda: build_grid(
+        OneReflexPolygon(
+            [(0, 0), (1, 0), (1, 1), (0.75, 1), (0.75, 0.25), (0.25, 0.25), (0.25, 1), (0, 1)]
+        ),
+        65,
+    ),
+    # the ring reaches the box's lowest row
+    "bottom-notched-L": lambda: build_grid(
+        OneReflexPolygon([(0, 0), (0.5, 0), (0.5, 0.5), (1, 0.5), (1, 1), (0, 1)]), 65
+    ),
+}
+
+
+@pytest.mark.parametrize("case", CAPACITANCE_CASES)
+def test_capacitance_matrix_matches_stacked_solves(case):
+    # the capacitance matrix is solved on the rows from the lowest ring row
+    # up; it must equal, bit for bit, the box solve of each unit ring force
+    # through the full stacked pttrs solve that the corrected solve applies
+    grid = CAPACITANCE_CASES[case]()
+    assert grid.kind == "graded"
+    solve = grid.solve
+    size = len(solve.ring)
+    ref = np.empty((size, size))
+    for s in range(0, size, _CAPACITANCE_BATCH):
+        cols = np.arange(s, min(s + _CAPACITANCE_BATCH, size))
+        unit = np.zeros((size, len(cols)))
+        unit[cols, np.arange(len(cols))] = 1.0
+        ref[:, cols] = solve._ring_values(solve._modes(solve._ring_load(unit)))
+    assert np.array_equal(solve.cap[0], la.cho_factor(0.5 * (ref + ref.T))[0])
 
 
 def test_lshape_solve_count():

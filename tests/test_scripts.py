@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -30,3 +31,31 @@ def test_grid_refinement_study_prints_one_row_per_size():
         assert lam > exact and excess > 0.0 and abs(excess - (lam - exact)) <= 1e-5
     assert float(rows[1][5]) < float(rows[0][5])
     assert float(rows[1][6]) > 0.0  # observed order of convergence
+
+
+def test_bench_writes_one_pair_of_runs(tmp_path):
+    # both sides are this tree: one pair of one-second sweep-check runs
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--parent", str(ROOT),
+         "--workload", "sweep-check", "--pairs", "1", "--seconds", "1",
+         "--seed", "1", "--label", "test", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "BENCH_test.json").read_text())
+    assert doc["pairs"] == 1 and doc["seconds"] == 1.0 and doc["seed"] == 1
+    entry = doc["workloads"]["sweep-check"]
+    assert [(r["pair"], r["side"]) for r in entry["runs"]] == [(0, "parent"), (0, "change")]
+    for run in entry["runs"]:
+        assert run["facts"]["workload"] == "sweep-check" and run["facts"]["seconds"] == 1.0
+        assert run["result"]["correct"] and run["result"]["failed"] == 0
+    metrics = entry["metrics"]
+    assert set(metrics) == {"setup_s", "ok_share", "peak_rss_mb", "rows_per_s"}
+    for name, m in metrics.items():
+        assert m["better"] in ("lower", "higher")
+        for side in ("parent", "change"):
+            (value,) = m[side]["values"]
+            assert m[side]["median"] == m[side]["q1"] == m[side]["q3"] == value
+        assert sum(m["wins"].values()) <= 1
+    assert metrics["ok_share"]["parent"]["median"] == 1.0
+    assert metrics["ok_share"]["wins"] == {"parent": 0, "change": 0}
