@@ -193,7 +193,9 @@ def _segments_cross(p1, p2, q1, q2) -> bool:
 
 def _require_simple(v: np.ndarray) -> None:
     n = len(v)
-    if np.any(np.all(np.isclose(v, np.roll(v, -1, axis=0)), axis=1)):
+    # a zero-length edge, where interior_angles reads pi; only exact repeats,
+    # since the constant does not change when the polygon is moved or scaled
+    if np.any(np.all(v == np.roll(v, -1, axis=0), axis=1)):
         raise ShapeError("repeated consecutive vertices")
     for i in range(n):
         for j in range(i + 1, n):

@@ -55,7 +55,10 @@ def _parse_sweep(text: str) -> list:
     if len(parts) != 3:
         raise ValueError(f"sweep {text!r} must look like start:stop:count")
     lo, hi = parse_angle(parts[0]), parse_angle(parts[1])
-    count = int(parts[2])
+    try:
+        count = int(parts[2])
+    except ValueError:
+        raise ValueError(f"sweep {text!r} needs a count that is an integer >= 2")
     if count < 2 or not hi > lo:
         raise ValueError(f"sweep {text!r} needs an increasing range and count >= 2")
     if count > _MAX_SWEEP_COUNT:

@@ -349,15 +349,16 @@ def critical_family(theta, lam):
     maximal one, h0.  As J(pi/2) = 0, the member with h(pi/2) = v has
     lam = F(1/2)^2 (h0(pi/2) - v) / 4.  theta in [0, pi/2] and lam are
     floats or arrays that broadcast together; the result is a float when
-    both are floats, and each entry is that entry's member at that angle
-    (lam = 0 entries are h0 itself, even at theta = 0 where J = inf).
+    both are floats, and each entry is that entry's member at that angle.
+    z, F, h0 and J are evaluated on theta alone, and lam = 0 entries are h0
+    itself, even at theta = 0 where J = inf.
     """
-    z, f, h0, lam = np.broadcast_arrays(*_family_base(theta), np.asarray(lam, dtype=float))
-    h = h0.copy()
-    m = lam != 0.0
-    if m.any():
-        lm = lam[m]
-        h[m] -= 4.0 * lm / (f[m] * f[m] * (1.0 + lm * family_integral(z[m])))
+    z, f, h0 = _family_base(theta)
+    lam = np.asarray(lam, dtype=float)
+    j = family_integral(z)
+    # lam J only where lam is nonzero: 0 J(0) = 0 inf would be NaN
+    lam_j = np.multiply(lam, j, out=np.zeros(np.broadcast(lam, j).shape), where=lam != 0.0)
+    h = h0 - 4.0 * lam / (f * f * (1.0 + lam_j))
     return h if h.ndim else float(h)
 
 
@@ -379,23 +380,20 @@ def g_func(theta, beta):
     both are floats.  Each entry equals the call on that angle and opening
     alone.  Pass the openings unexpanded (say, a column against a row of
     angles): they are admitted, and the closed form solved, once per entry
-    of beta, which may have any shape.
+    of beta, which may have any shape.  Both formulas are evaluated at
+    every entry (the family's with lam = 0 at supercritical openings, the
+    hypergeometric one with alpha = 1/2 below beta_cr), and is_subcritical
+    picks one.
     """
     beta = admit_openings(np.ravel(beta))[0].reshape(np.shape(beta))
-    t, b = np.broadcast_arrays(np.asarray(theta, dtype=float), beta)
+    t = np.asarray(theta, dtype=float)
     inside = (t >= 0.0) & (t <= 0.5 * PI + 1e-12)
     if not inside.all():
         raise ValueError(f"theta={t[~inside].flat[0]} outside [0, pi/2]")
     t = np.minimum(t, 0.5 * PI)
-    g = np.empty(t.shape)
-    sub = is_subcritical(b)
-    if sub.any():
-        # each opening's member, broadcast to its angles
-        f_end, h_end = _family_end()
-        lam = 0.25 * f_end * f_end * (h_end - np.tan(0.25 * (beta - PI)))
-        g[sub] = 0.5 * critical_family(t[sub], np.broadcast_to(lam, t.shape)[sub])
-    if not sub.all():
-        # every closed-form opening is clamped into [beta_cr, 2pi]
-        _, alpha = sector_constants(np.clip(beta, beta_critical(), 2.0 * PI))
-        g[~sub] = _g_hyper(t[~sub], np.broadcast_to(alpha, t.shape)[~sub])
+    sub = is_subcritical(beta)
+    f_end, h_end = _family_end()
+    lam = np.where(sub, 0.25 * f_end * f_end * (h_end - np.tan(0.25 * (beta - PI))), 0.0)
+    _, alpha = sector_constants(np.clip(beta, beta_critical(), 2.0 * PI))
+    g = np.where(sub, 0.5 * critical_family(t, lam), _g_hyper(t, alpha))
     return g if g.ndim else float(g)

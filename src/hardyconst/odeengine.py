@@ -19,7 +19,7 @@ Two problems are integrated with scipy's DOP853 stepper:
   one confirming run at the roots then gives the shot's own terminal
   derivative and refuses a root the shot does not confirm.
   ShootingResult.steps and .nfev count the accepted log-theta steps and
-  right-hand-side evaluations of the scan and the confirming runs,
+  right-hand-side evaluations of the scan and the confirming run,
 * the singular initial value problem behind the monotone comparison family
   h(alpha, .) on (0, pi/2].
 
@@ -74,15 +74,6 @@ _ATOL = 1e-12
 # to the closed form is 3.1e-13 at this tolerance and 3.0e-13 at 1e-14 down
 # to 0: the rest is the shot's own error, which a tighter solve cannot mend.
 _ROOT_XATOL = 1e-13
-# Openings shot in one batch.  The roots are solved on one table for the
-# whole call, so this bounds only the confirming run, whose state is
-# 2 * 256 floats per stage, and a chunk's 256 x 18 scan values.  Over 1000
-# openings in [pi, 2pi] (best of 3 in process, CPU time, one BLAS thread,
-# x86-64, numpy 2.4, scipy 1.17; ranges over 2 fresh interpreters on a
-# shared 2-vCPU host), chunks of 128, 256 and 1000 shot 16,000-24,300,
-# 40,200-44,700 and 47,000-49,100 openings/s at a peak RSS of 85.3-85.6,
-# 85.3 and 85.4-85.5 MB.
-_CHUNK = 256
 # Trial constants of the scan, the nodes of its Chebyshev table.  The
 # table's trailing coefficients are 2.3e-16 of the largest at 18 nodes,
 # 4.6e-14 at 15 and 4.6e-13 at 14.
@@ -158,8 +149,8 @@ class ShootingResult:
     terminal_derivative is the confirming run's psi'(beta/2) at c_estimate.
     steps and nfev are totals over the whole batch: the accepted DOP853
     steps and the right-hand-side evaluations of every run the solve made
-    (the scan and one confirming run per chunk, each over [1e-6, pi/2]
-    alone, stepped in t = log(theta)).
+    (the scan and the one confirming run, each over [1e-6, pi/2] alone,
+    stepped in t = log(theta)).
     """
 
     beta: Union[float, np.ndarray]
@@ -265,49 +256,6 @@ def _scan() -> _Table:
     return _Table(alpha, cs, ends, coef, run)
 
 
-def _shoot_chunk(
-    betas: np.ndarray, table: _Table
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """c, psi'(beta/2) at c, the no-sign-change mask, and the accepted steps and
-    rhs evaluations of the confirming run for one chunk of openings."""
-    middle = 0.5 * (betas - PI)  # length of [pi/2, beta/2]
-    d_vals = _across_middle(table.ends[0], table.ends[1], table.cs, middle[:, None])[1]
-    change = d_vals[:, :-1] * d_vals[:, 1:] <= 0.0
-    # no sign change in (0, 1/4]: the verdict c = 1/4, at the scan's last trial
-    missing = ~change.any(axis=1)
-    c_est, d_fin = np.full(betas.size, 0.25), d_vals[:, -1].copy()
-    if missing.all():
-        return c_est, d_fin, missing, 0, 0
-    shot = np.flatnonzero(~missing)
-    i = _TABLE - 2 - np.argmax(change[shot, ::-1], axis=1)  # rightmost sign-change cell
-    length = middle[shot]
-    root = find_root(
-        table.terminal,
-        (table.alpha[i + 1], table.alpha[i]),
-        args=(length,),
-        tolerances={"xatol": _ROOT_XATOL},
-    )
-    if not root.success.all():
-        raise BracketError(
-            f"root solve of psi'(beta/2) = 0 failed at beta={betas[shot][~root.success][0]}"
-        )
-    alpha = root.x
-    cs = alpha * (1.0 - alpha)
-    run = _shoot_left(cs)  # the confirming shot
-    d_shot = _across_middle(run.y[: cs.size], run.y[cs.size :], cs, length)[1]
-    # the table's slope in alpha by a complex step; dc = (1 - 2 alpha) dalpha
-    slope = table.terminal(alpha + 1j * _STEP, length).imag / _STEP
-    correction = np.abs(d_shot * (1.0 - 2.0 * alpha) / slope)
-    off = correction > _CONFIRM
-    if off.any():
-        raise BracketError(
-            f"the shot at the table's root implies a correction of {correction[off][0]:.1e} "
-            f"in c at beta={betas[shot][off][0]}"
-        )
-    c_est[shot], d_fin[shot] = cs, d_shot
-    return c_est, d_fin, missing, run.steps, run.nfev
-
-
 def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
     """Largest c in (0, 1/4] for which the shot satisfies psi'(beta/2) = 0.
 
@@ -318,37 +266,63 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
     pi/2 as Chebyshev series in alpha (IntegrationError when their two
     trailing coefficients pass _TAIL of the largest), carries the trials
     across each opening's middle and finds the rightmost sign change of the
-    terminal derivative.  Openings are then solved _CHUNK at a time on
-    that one table: a vectorized Chandrupatla solve (find_root) in alpha
-    meets psi'(beta/2) = 0 on the interpolant in every opening's cell, and
-    one confirming run shoots the roots.  terminal_derivative is that run's
-    value at the root.  An opening whose terminal derivative never changes
-    sign over the scan gets shooting's verdict c = 1/4, flagged in
-    no_sign_change: the subcritical regime, where the series-started shot
-    meets the Neumann condition at no smaller c.  At beta = pi the middle
-    has length 0.  beta reports the openings as
+    terminal derivative.  A vectorized Chandrupatla solve (find_root) in
+    alpha then meets psi'(beta/2) = 0 on the interpolant in every opening's
+    cell at once, and one confirming run shoots all the roots.
+    terminal_derivative is that run's value at the root.  An opening whose
+    terminal derivative never changes sign over the scan gets shooting's
+    verdict c = 1/4, flagged in no_sign_change: the subcritical regime,
+    where the series-started shot meets the Neumann condition at no smaller
+    c.  At beta = pi the middle has length 0.  beta reports the openings as
     hardycore.admit_openings clamps them.  Raises ValueError naming an
     opening outside [pi, 2pi], and BracketError naming an opening whose
     root solve failed or whose confirming run implies a correction to c
     above _CONFIRM.
     """
-    flat, scalar = admit_openings(beta)
-    c_est, d_fin = np.empty_like(flat), np.empty_like(flat)
-    no_change = np.empty(flat.shape, dtype=bool)
+    betas, scalar = admit_openings(beta)
     table = _scan()
     steps, nfev = table.run.steps, table.run.nfev
-    for k in range(0, flat.size, _CHUNK):
-        part = slice(k, k + _CHUNK)
-        c_est[part], d_fin[part], no_change[part], chunk_steps, chunk_nfev = _shoot_chunk(
-            flat[part], table
+    middle = 0.5 * (betas - PI)  # length of [pi/2, beta/2]
+    d_vals = _across_middle(table.ends[0], table.ends[1], table.cs, middle[:, None])[1]
+    change = d_vals[:, :-1] * d_vals[:, 1:] <= 0.0
+    # no sign change in (0, 1/4]: the verdict c = 1/4, at the scan's last trial
+    missing = ~change.any(axis=1)
+    c_est, d_fin = np.full(betas.size, 0.25), d_vals[:, -1].copy()
+    if not missing.all():
+        shot = np.flatnonzero(~missing)
+        i = _TABLE - 2 - np.argmax(change[shot, ::-1], axis=1)  # rightmost sign-change cell
+        length = middle[shot]
+        root = find_root(
+            table.terminal,
+            (table.alpha[i + 1], table.alpha[i]),
+            args=(length,),
+            tolerances={"xatol": _ROOT_XATOL},
         )
-        steps += chunk_steps
-        nfev += chunk_nfev
+        if not root.success.all():
+            raise BracketError(
+                f"root solve of psi'(beta/2) = 0 failed at beta={betas[shot][~root.success][0]}"
+            )
+        alpha = root.x
+        cs = alpha * (1.0 - alpha)
+        run = _shoot_left(cs)  # the confirming shot
+        d_shot = _across_middle(run.y[: cs.size], run.y[cs.size :], cs, length)[1]
+        # the table's slope in alpha by a complex step; dc = (1 - 2 alpha) dalpha
+        slope = table.terminal(alpha + 1j * _STEP, length).imag / _STEP
+        correction = np.abs(d_shot * (1.0 - 2.0 * alpha) / slope)
+        off = correction > _CONFIRM
+        if off.any():
+            raise BracketError(
+                f"the shot at the table's root implies a correction of {correction[off][0]:.1e} "
+                f"in c at beta={betas[shot][off][0]}"
+            )
+        c_est[shot], d_fin[shot] = cs, d_shot
+        steps += run.steps
+        nfev += run.nfev
     if scalar:
         return ShootingResult(
-            float(flat[0]), float(c_est[0]), float(d_fin[0]), bool(no_change[0]), steps, nfev
+            float(betas[0]), float(c_est[0]), float(d_fin[0]), bool(missing[0]), steps, nfev
         )
-    return ShootingResult(flat, c_est, d_fin, no_change, steps, nfev)
+    return ShootingResult(betas, c_est, d_fin, missing, steps, nfev)
 
 
 def shot_profile(beta: float, c: float, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

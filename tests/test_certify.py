@@ -68,6 +68,16 @@ def test_lshape_certified(lshape_vertices):
     assert all(c.margin > 0 for c in rep.checks)
 
 
+@pytest.mark.parametrize("shift, scale", [(1e5, 1.0), (0.0, 1e-9)], ids=["shifted", "scaled"])
+def test_moved_lshape_certified(lshape_vertices, shift, scale):
+    # the constant does not change when the polygon is moved or scaled; only
+    # exactly repeated vertices are refused, whatever the coordinates' size
+    moved = [(shift + scale * x, shift + scale * y) for x, y in lshape_vertices]
+    rep = check_one_reflex_polygon(OneReflexPolygon(moved))
+    assert rep.verdict == CERTIFIED
+    assert rep.constant == 0.25
+
+
 def test_slitlike_condition_fails(slitlike_vertices):
     rep = check_one_reflex_polygon(OneReflexPolygon(slitlike_vertices))
     assert rep.verdict == CONDITION_FAILED

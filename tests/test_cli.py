@@ -96,6 +96,12 @@ def test_output_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_sweep_count_must_be_an_integer(capsys):
+    assert run(["cbeta", "--sweep", "pi:2pi:3.5"]) == 2
+    err = capsys.readouterr().err
+    assert "sweep 'pi:2pi:3.5'" in err and "integer >= 2" in err
+
+
 def test_sweep_count_is_bounded(capsys):
     assert run(["cbeta", "--sweep", "1.6pi:2pi:100001"]) == 2
     assert run(["gamma-star", "--sweep", "1.6pi:2pi:1000000000000"]) == 2
@@ -198,6 +204,18 @@ def test_certify_polygon_file(tmp_path):
     doc = {"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]]}
     f = tmp_path / "dom.json"
     f.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    assert run(["certify", str(f), "-o", str(out)]) == 0
+    rep = json.loads(out.read_text())["report"]
+    assert rep["verdict"] == "certified"
+    assert rep["constant"] == 0.25
+
+
+@pytest.mark.parametrize("shift, scale", [(1e5, 1.0), (0.0, 1e-9)], ids=["shifted", "scaled"])
+def test_certify_moved_polygon_file(tmp_path, lshape_vertices, shift, scale):
+    vertices = [[shift + scale * x, shift + scale * y] for x, y in lshape_vertices]
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps({"type": "polygon", "vertices": vertices}))
     out = tmp_path / "report.json"
     assert run(["certify", str(f), "-o", str(out)]) == 0
     rep = json.loads(out.read_text())["report"]

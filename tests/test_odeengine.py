@@ -302,12 +302,21 @@ def test_batch_matches_single_openings(tight_batch):
     assert np.array_equal(tight_batch.c_estimate, [r.c_estimate for r in single])
 
 
-def test_chunked_batch_matches_unchunked(monkeypatch, tight_batch):
-    betas = _TIGHT_BETAS[::4]
-    monkeypatch.setattr(odeengine, "_CHUNK", 3)
-    chunked = shoot_c(betas)
-    # every chunk solves its roots on the same table
-    assert np.array_equal(chunked.c_estimate, tight_batch.c_estimate[::4])
+def test_long_batch_takes_two_runs(monkeypatch):
+    # however many openings, a call makes the scan and one confirming run,
+    # and each opening's root is solved on the same table as in any other batch
+    betas = np.linspace(PI, 2.0 * PI, 600)
+    runs = []
+    solve = odeengine._solve
+
+    def recording(rhs, t0, t1, y0, dense_output=False):
+        runs.append(len(y0) // 2)
+        return solve(rhs, t0, t1, y0, dense_output)
+
+    monkeypatch.setattr(odeengine, "_solve", recording)
+    batch = shoot_c(betas)
+    assert runs == [18, (~batch.no_sign_change).sum()]
+    assert np.array_equal(batch.c_estimate[::7], shoot_c(betas[::7]).c_estimate)
 
 
 def test_batch_names_its_failing_opening():
