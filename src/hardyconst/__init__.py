@@ -33,7 +33,6 @@ from .hardycore import (
     g_func,
     potential_v,
     psi,
-    series_coefficients,
     solve_c_beta,
 )
 from .odeengine import (
@@ -98,7 +97,6 @@ __all__ = [
     "hyp2f1",
     "potential_v",
     "psi",
-    "series_coefficients",
     "shoot_c",
     "solve_c_beta",
     "solve_h",

@@ -51,6 +51,7 @@ __all__ = [
     "theta1_gamma3",
     "interior_angles",
     "ensure_ccw",
+    "polygon_vertices",
 ]
 
 PI = math.pi
@@ -182,27 +183,32 @@ def ensure_ccw(vertices: Sequence[Sequence[float]]) -> np.ndarray:
     return v if area > 0.0 else v[::-1].copy()
 
 
-def _segments_cross(p1, p2, q1, q2) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+def polygon_vertices(p: OneReflexPolygon) -> np.ndarray:
+    """Counterclockwise vertex array of a simple polygon.
 
-    d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
-    d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
-
-
-def _require_simple(v: np.ndarray) -> None:
-    n = len(v)
-    # a zero-length edge, where interior_angles reads pi; only exact repeats,
-    # since the constant does not change when the polygon is moved or scaled
-    if np.any(np.all(v == np.roll(v, -1, axis=0), axis=1)):
+    ShapeError for fewer than 3 vertices, zero area, an exactly repeated
+    consecutive vertex (a zero-length edge, where interior_angles reads pi;
+    only exact repeats, since the constant does not change when the polygon
+    is moved or scaled) or two edges that cross.  Each edge is tested in one
+    array pass against the later edges it shares no endpoint with.
+    """
+    v = ensure_ccw(p.vertices)
+    w = np.roll(v, -1, axis=0)
+    if np.any(np.all(v == w, axis=1)):
         raise ShapeError("repeated consecutive vertices")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue  # adjacent edges share an endpoint
-            if _segments_cross(v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]):
-                raise ShapeError("polygon edges intersect (not simple)")
+    n = len(v)
+    for i in range(n - 2):
+        (p1x, p1y), (p2x, p2y) = v[i], w[i]
+        # edge n - 1 ends where edge 0 starts
+        q1, q2 = v[i + 2 : n - (i == 0)], w[i + 2 : n - (i == 0)]
+        q1x, q1y, q2x, q2y = q1[:, 0], q1[:, 1], q2[:, 0], q2[:, 1]
+        d1 = (q2x - q1x) * (p1y - q1y) - (q2y - q1y) * (p1x - q1x)
+        d2 = (q2x - q1x) * (p2y - q1y) - (q2y - q1y) * (p2x - q1x)
+        d3 = (p2x - p1x) * (q1y - p1y) - (p2y - p1y) * (q1x - p1x)
+        d4 = (p2x - p1x) * (q2y - p1y) - (p2y - p1y) * (q2x - p1x)
+        if np.any(((d1 > 0) != (d2 > 0)) & ((d3 > 0) != (d4 > 0))):
+            raise ShapeError("polygon edges intersect (not simple)")
+    return v
 
 
 def interior_angles(vertices: Sequence[Sequence[float]]) -> np.ndarray:
@@ -223,27 +229,19 @@ def _angle_bound_checks(beta: float, gp: float, gm: float) -> tuple:
     # the 1e-9 classification slack is folded into the margin so that
     # "certified" is equivalent to every margin being non-negative
     bound = min(gamma_star(beta).gamma_star, 0.5 * (3.0 * PI - beta)) + _ANGLE_TOL
-    return (
-        CheckItem(
-            "gamma_plus <= min(gamma*(beta), (3pi - beta)/2)",
-            gp <= bound,
-            bound - gp,
-        ),
-        CheckItem(
-            "gamma_minus <= min(gamma*(beta), (3pi - beta)/2)",
-            gm <= bound,
-            bound - gm,
-        ),
+    return tuple(
+        CheckItem(f"{name} <= min(gamma*(beta), (3pi - beta)/2)", g <= bound, bound - g)
+        for name, g in (("gamma_plus", gp), ("gamma_minus", gm))
     )
 
 
-def _verdict_from_checks(checks, constant, source) -> CertificateReport:
-    bad = [c for c in checks if not c.satisfied]
+def _report(checks, constant, source, failure=CONDITION_FAILED) -> CertificateReport:
+    """The one verdict rule: certified with the constant when every check is
+    satisfied, else `failure` naming the first check that failed."""
+    bad = [c.name for c in checks if not c.satisfied]
     if not bad:
         return CertificateReport(CERTIFIED, constant, source, tuple(checks))
-    return CertificateReport(
-        CONDITION_FAILED, None, source, tuple(checks), failed_condition=bad[0].name
-    )
+    return CertificateReport(failure, None, source, tuple(checks), failed_condition=bad[0])
 
 
 def check_one_reflex_polygon(p: OneReflexPolygon) -> CertificateReport:
@@ -253,8 +251,7 @@ def check_one_reflex_polygon(p: OneReflexPolygon) -> CertificateReport:
     vertex list; the constant c(beta) is certified when both adjacent
     angles stay below min(gamma*(beta), (3pi - beta)/2).
     """
-    v = ensure_ccw(p.vertices)
-    _require_simple(v)
+    v = polygon_vertices(p)
     ang = interior_angles(v)
     reflex = np.where(ang > PI + _ANGLE_TOL)[0]
     if len(reflex) != 1:
@@ -265,7 +262,7 @@ def check_one_reflex_polygon(p: OneReflexPolygon) -> CertificateReport:
     gp = float(ang[(i + 1) % n])
     gm = float(ang[(i - 1) % n])
     checks = _angle_bound_checks(beta, gp, gm)
-    return _verdict_from_checks(checks, solve_c_beta(beta).c, "one-reflex polygon bound")
+    return _report(checks, solve_c_beta(beta).c, "one-reflex polygon bound")
 
 
 def check_sector_cap(s: SectorCapConvex) -> CertificateReport:
@@ -281,13 +278,13 @@ def check_sector_cap(s: SectorCapConvex) -> CertificateReport:
         checks = (
             CheckItem("cap and sector boundaries do not intersect (input assertion)", True, 0.0),
         )
-        return CertificateReport(CERTIFIED, c, "unbounded convex cap of a sector", checks)
+        return _report(checks, c, "unbounded convex cap of a sector")
     if not (s.gamma_plus > 0.0 and s.gamma_minus > 0.0):
         raise ValueError(
             f"contact angles gamma_plus={s.gamma_plus}, gamma_minus={s.gamma_minus} must be positive"
         )
     checks = _angle_bound_checks(beta, s.gamma_plus, s.gamma_minus)
-    return _verdict_from_checks(checks, c, "bounded convex cap of a sector")
+    return _report(checks, c, "bounded convex cap of a sector")
 
 
 def ebg_angles(e: Ebg) -> tuple[float, float]:
@@ -316,10 +313,9 @@ def check_ebg(e: Ebg) -> CertificateReport:
     """
     beta, gam = ebg_angles(e)
     if gam <= PI + 1e-12:
-        sol = solve_c_beta(beta)
         checks = (CheckItem("gamma <= pi (one non-convex angle)", True, PI - gam),)
-        return CertificateReport(
-            CERTIFIED, sol.c, "two-halfline domain, one non-convex angle", checks
+        return _report(
+            checks, solve_c_beta(beta).c, "two-halfline domain, one non-convex angle", INCONCLUSIVE
         )
     sol = solve_c_beta(beta + gam - PI)
     rhs = 2.0 / sol.c * math.acos(min(2.0 * math.sqrt(sol.c), 1.0))
@@ -331,13 +327,7 @@ def check_ebg(e: Ebg) -> CertificateReport:
             margin,
         ),
     )
-    if margin >= 0.0:
-        return CertificateReport(
-            CERTIFIED, sol.c, "two-halfline domain, two non-convex angles", checks
-        )
-    return CertificateReport(
-        INCONCLUSIVE, None, "two-halfline domain, two non-convex angles", checks
-    )
+    return _report(checks, sol.c, "two-halfline domain, two non-convex angles", INCONCLUSIVE)
 
 
 def dbeta_samples(d: Dbeta) -> np.ndarray:
@@ -379,24 +369,13 @@ def check_dbeta(d: Dbeta) -> CertificateReport:
     if np.count_nonzero(lower) < 2 or np.count_nonzero(~lower) < 2:
         raise ValueError("need at least 3 samples per half of [0, beta]")
     dq = np.diff(r) / np.diff(thetas)
-    viol = 0.0
-    if np.any(lower):
-        viol = max(viol, float(np.max(dq[lower])))
-    if np.any(~lower):
-        viol = max(viol, float(np.max(-dq[~lower])))
+    viol = max(0.0, float(np.max(dq[lower])), float(np.max(-dq[~lower])))
     margin = _FLAT_TOL - viol
     checks = (
         CheckItem("r' <= 0 on [0, beta/2] and r' >= 0 on [beta/2, beta]", margin >= 0.0, margin),
     )
-    if margin >= 0.0:
-        return CertificateReport(
-            CERTIFIED,
-            solve_c_beta(d.beta).c,
-            "mixed Dirichlet-Neumann monotone polar graph",
-            checks,
-        )
-    return CertificateReport(
-        INCONCLUSIVE, None, "mixed Dirichlet-Neumann monotone polar graph", checks
+    return _report(
+        checks, solve_c_beta(d.beta).c, "mixed Dirichlet-Neumann monotone polar graph", INCONCLUSIVE
     )
 
 
@@ -405,7 +384,7 @@ def certify_domain(domain: DomainSpec) -> CertificateReport:
     if isinstance(domain, Sector):
         beta = admit_opening(domain.beta)
         checks = (CheckItem("opening angle in [pi, 2pi]", True, 2.0 * PI - beta),)
-        return CertificateReport(CERTIFIED, solve_c_beta(beta).c, "sector constant", checks)
+        return _report(checks, solve_c_beta(beta).c, "sector constant")
     if isinstance(domain, SectorCapConvex):
         return check_sector_cap(domain)
     if isinstance(domain, OneReflexPolygon):

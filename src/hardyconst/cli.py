@@ -81,14 +81,12 @@ def _round_tree(obj):
 
 
 def _emit(document: dict, rows: Optional[list], out: Optional[str], fmt: str) -> None:
-    document = _round_tree(document)
     if out is None:
         return
     if fmt == "json":
-        payload = json.dumps(document, indent=2, sort_keys=True) + "\n"
+        payload = json.dumps(_round_tree(document), indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
-        rows = _round_tree(rows)
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
         writer.writeheader()
         for row in rows:

@@ -48,7 +48,6 @@ __all__ = [
     "f_func",
     "g_func",
     "critical_family",
-    "series_coefficients",
     "series_a2",
 ]
 
@@ -223,11 +222,6 @@ def potential_v(theta: float, beta: float) -> float:
 def series_a2(alpha: float) -> float:
     """Quadratic coefficient of psi(theta) = theta^alpha (1 + a2 theta^2 + ...)."""
     return -alpha * (1.0 - alpha) / (6.0 * (1.0 + 2.0 * alpha))
-
-
-def series_coefficients(sol: HardySolution) -> tuple[float, float, float]:
-    """Leading power-series coefficients (a0, a1, a2) of psi near theta = 0."""
-    return (1.0, 0.0, series_a2(sol.alpha))
 
 
 def _require_closed_form(sol: HardySolution) -> None:

@@ -59,7 +59,7 @@ from scipy.fft import dst
 from scipy.sparse.csgraph import connected_components
 
 from .certify import Dbeta, DomainSpec, Ebg, OneReflexPolygon, Sector, SectorCapConvex
-from .certify import _require_simple, dbeta_samples, ebg_angles, ensure_ccw
+from .certify import dbeta_samples, ebg_angles, polygon_vertices
 from .hardycore import admit_opening
 
 __all__ = [
@@ -975,6 +975,18 @@ def _ebg_polygon(beta: float, gamma: float, radius: float) -> np.ndarray:
 _GRAPH_STEP = PI / 64
 
 
+def _graph_angles(thetas: np.ndarray) -> np.ndarray:
+    """The sample angles, every gap wider than _GRAPH_STEP cut into equal pieces.
+
+    One expression for all gaps: linspace's own multiply-then-add, so the
+    angles equal a per-gap linspace(a, b, pieces, endpoint=False) bit for bit.
+    """
+    pieces = np.ceil(np.diff(thetas) / _GRAPH_STEP).astype(int)
+    gap = np.repeat(np.arange(len(pieces)), pieces)
+    k = np.arange(len(gap)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    return np.append(k * (np.diff(thetas) / pieces)[gap] + thetas[gap], thetas[-1])
+
+
 def _dbeta_functions(d: Dbeta):
     samples = dbeta_samples(d)
     thetas, rvals = samples[:, 0], samples[:, 1]
@@ -989,11 +1001,7 @@ def _dbeta_functions(d: Dbeta):
     # the chords between samples: a chord over a wide gap cuts toward the
     # origin, and on a 2pi opening sampled at 0, pi and 2pi it runs along the
     # Dirichlet slit.  Gaps wider than _GRAPH_STEP get vertices on the curve.
-    pieces = np.ceil(np.diff(thetas) / _GRAPH_STEP).astype(int)
-    fine = np.concatenate(
-        [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(thetas, thetas[1:], pieces)]
-        + [thetas[-1:]]
-    )
+    fine = _graph_angles(thetas)
     rfine = r_of(fine)
     graph = np.column_stack([rfine * np.cos(fine), rfine * np.sin(fine)])
 
@@ -1035,11 +1043,11 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
     Dirichlet conditions on the truncation arc, and the grid records the
     radius used.  That radius must be finite and exceed 1/2, so that the arc
     about the segment's midpoint encloses the segment; no other domain
-    takes one (a sector is scale-invariant, the rest bounded).  A
-    two-halfline domain's angles and a polar graph's samples pass
-    certify's own input checks, ebg_angles and dbeta_samples.  ValueError
-    otherwise.  Convex-cap descriptions carry no concrete cap geometry and
-    cannot be gridded.
+    takes one (a sector is scale-invariant, the rest bounded).  A polygon's
+    vertices, a two-halfline domain's angles and a polar graph's samples
+    pass certify's own input checks, polygon_vertices, ebg_angles and
+    dbeta_samples.  ValueError otherwise.  Convex-cap descriptions carry no
+    concrete cap geometry and cannot be gridded.
     """
     if radius is not None and not isinstance(domain, Ebg):
         raise ValueError(f"a truncation radius does not apply to a {type(domain).__name__} domain")
@@ -1051,8 +1059,7 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
         h = math.exp(ts[0]) * min(math.expm1(ts[1] - ts[0]), float(np.diff(thetas).min()))
         return _pencil(ts, thetas, lambda theta: _edge_distance(theta, beta), h, "log-polar")
     if isinstance(domain, OneReflexPolygon):
-        verts = ensure_ccw(domain.vertices)
-        _require_simple(verts)
+        verts = polygon_vertices(domain)
         grid = _polygon_tensor_grid(verts, n)
         return _polygon_lattice(verts, n) if grid is None else grid
     if isinstance(domain, Ebg):

@@ -48,6 +48,16 @@ def slitlike_vertices():
     return [(0.0, 0.0), a, b] + cap + [(b[0], -b[1]), (a[0], -a[1])]
 
 
+@pytest.fixture(scope="session")
+def notched_disk_vertices():
+    # 5,000 vertices on the unit circle and one notch vertex at (1/2, 0):
+    # one reflex angle of about 1.8 pi, 5,001 vertices in all
+    import numpy as np
+
+    t = np.linspace(0.05 * PI, 1.95 * PI, 5000)
+    return [(0.5, 0.0)] + [(math.cos(a), math.sin(a)) for a in t]
+
+
 @pytest.fixture
 def break_solver(monkeypatch):
     """Make one scipy solver fail: "eigsh" stops without converging, "splu" finds A singular."""

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hardyconst.certify import (
     check_sector_cap,
     ensure_ccw,
     interior_angles,
+    polygon_vertices,
     theta1_gamma3,
     theta1_two_sided,
 )
@@ -56,6 +58,62 @@ def test_self_intersecting_rejected():
     bowtie = [(0, 0), (1, 1), (1, 0), (0, 1)]
     with pytest.raises(ShapeError):
         check_one_reflex_polygon(OneReflexPolygon(bowtie))
+
+
+def _simple_by_pair_loop(vertices) -> bool:
+    """Reference: every pair of non-adjacent edges, one at a time."""
+
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    try:
+        v = ensure_ccw(vertices)
+    except ShapeError:
+        return False
+    n = len(v)
+    if np.any(np.all(v == np.roll(v, -1, axis=0), axis=1)):
+        return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            p1, p2, q1, q2 = v[i], v[(i + 1) % n], v[j], v[(j + 1) % n]
+            d1, d2 = orient(q1, q2, p1), orient(q1, q2, p2)
+            d3, d4 = orient(p1, p2, q1), orient(p1, p2, q2)
+            if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+                return False
+    return True
+
+
+def test_polygon_vertices_matches_pair_loop():
+    rng = np.random.default_rng(20251019)
+    refused = 0
+    for k in range(2000):
+        pts = rng.uniform(-2.0, 2.0, size=(int(rng.integers(3, 10)), 2))
+        if k % 2:
+            pts = np.round(2.0 * pts) / 2.0  # half-unit lattice: touching, collinear edges
+        expected = _simple_by_pair_loop(pts)
+        try:
+            v = polygon_vertices(OneReflexPolygon(pts))
+        except ShapeError:
+            assert not expected, pts
+            refused += 1
+            continue
+        assert expected, pts
+        assert np.array_equal(v, ensure_ccw(pts))
+    assert 200 < refused < 1800
+
+
+def test_polygon_vertices_of_5001_vertices(notched_disk_vertices):
+    poly = OneReflexPolygon(notched_disk_vertices)
+    start = time.perf_counter()
+    v = polygon_vertices(poly)
+    assert time.perf_counter() - start < 5.0
+    assert len(v) == 5001
+    swapped = list(notched_disk_vertices)
+    swapped[2000], swapped[2001] = swapped[2001], swapped[2000]
+    with pytest.raises(ShapeError, match="intersect"):
+        polygon_vertices(OneReflexPolygon(swapped))
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +240,7 @@ def test_ebg_condition_fails_is_inconclusive():
     rep = check_ebg(Ebg(1.4 * PI, 1.1 * PI))
     assert rep.verdict == INCONCLUSIVE
     assert rep.constant is None
+    assert rep.failed_condition == rep.checks[0].name
     assert rep.checks[0].margin < 0
 
 
@@ -228,6 +287,7 @@ def test_dbeta_oscillating_profile_inconclusive():
     rep = check_dbeta(Dbeta.from_function(2.0 * PI, lambda t: 1.5 + math.sin(4.0 * t)))
     assert rep.verdict == INCONCLUSIVE
     assert rep.constant is None
+    assert rep.failed_condition == rep.checks[0].name
 
 
 def test_dbeta_validation_errors():

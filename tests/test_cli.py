@@ -253,7 +253,21 @@ def test_certify_dbeta_oscillating_inconclusive(tmp_path):
     f.write_text(json.dumps({"type": "dbeta", "beta": 2.0, "r_samples": samples}))
     out = tmp_path / "report.json"
     assert run(["certify", str(f), "-o", str(out)]) == 0
-    assert json.loads(out.read_text())["report"]["verdict"] == "inconclusive"
+    report = json.loads(out.read_text())["report"]
+    assert report["verdict"] == "inconclusive"
+    assert report["failed_condition"] == report["checks"][0]["name"]
+
+
+def test_polygon_of_5001_vertices(tmp_path, notched_disk_vertices):
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps({"type": "polygon", "vertices": notched_disk_vertices}))
+    assert run(["certify", str(f), "-o", str(tmp_path / "report.json")]) == 0
+    assert run(["validate", str(f), "--n", "64", "-o", str(tmp_path / "est.json")]) == 0
+    swapped = list(notched_disk_vertices)
+    swapped[2000], swapped[2001] = swapped[2001], swapped[2000]
+    f.write_text(json.dumps({"type": "polygon", "vertices": swapped}))
+    assert run(["certify", str(f)]) == 2
+    assert run(["validate", str(f), "--n", "64"]) == 2
 
 
 def test_validate_strip_like_polygon(tmp_path):

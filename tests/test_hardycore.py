@@ -17,7 +17,7 @@ from hardyconst.hardycore import (
     potential_v,
     psi,
     dpsi,
-    series_coefficients,
+    series_a2,
     solve_c_beta,
 )
 from hardyconst.specfun import gamma
@@ -335,23 +335,16 @@ def test_quadrant_inequality(bcr):
 # ---------------------------------------------------------------------------
 # Series coefficients.
 
-def test_series_coefficients_half():
+def test_series_a2_half():
     sub = solve_c_beta(1.2 * PI)
-    a0, a1, a2 = series_coefficients(sub)
-    assert (a0, a1) == (1.0, 0.0)
-    assert a2 == pytest.approx(-1.0 / 48.0, rel=1e-14)
-
-
-def test_series_a1_vanishes_for_every_alpha(sol_2pi):
-    for beta in (1.3 * PI, 1.6 * PI, 2.0 * PI):
-        assert series_coefficients(solve_c_beta(beta))[1] == 0.0
+    assert series_a2(sub.alpha) == pytest.approx(-1.0 / 48.0, rel=1e-14)
 
 
 def test_series_residual_order(sol_2pi):
     # plugging theta^alpha (1 + a2 theta^2) into the equation leaves O(theta^(alpha+2))
     alpha = sol_2pi.alpha
     c = sol_2pi.c
-    a2 = series_coefficients(sol_2pi)[2]
+    a2 = series_a2(sol_2pi.alpha)
     for theta in (1e-2, 1e-3):
         psi_s = theta**alpha * (1.0 + a2 * theta**2)
         psi_s2 = alpha * (alpha - 1.0) * theta ** (alpha - 2.0) + (alpha + 2.0) * (

@@ -10,8 +10,10 @@ from hardyconst.hardycore import potential_v, solve_c_beta
 from hardyconst.rayleigh import (
     _CAPACITANCE_BATCH,
     NumericalError,
+    _GRAPH_STEP,
     _ebg_polygon,
     _edge_distance,
+    _graph_angles,
     _points_in_polygon,
     _polyline_distance,
     _tensor_grid,
@@ -505,6 +507,20 @@ def test_sparse_polar_graph_takes_its_curve(n):
     assert np.array_equal(sparse.mask, dense.mask)
     assert np.array_equal(sparse.dist, dense.dist)
     assert (sparse.matrix != dense.matrix).nnz == 0
+
+
+def test_graph_angles_match_per_gap_linspace():
+    rng = np.random.default_rng(7)
+    samplings = [np.array([0.0, 1.0, 2.0]), np.linspace(0.0, 2.0 * PI, 721)]
+    samplings += [np.sort(rng.uniform(0.0, 2.0 * PI, int(rng.integers(3, 40)))) for _ in range(100)]
+    for thetas in samplings:
+        pieces = np.ceil(np.diff(thetas) / _GRAPH_STEP).astype(int)
+        expected = np.concatenate(
+            [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(thetas, thetas[1:], pieces)]
+            + [thetas[-1:]]
+        )
+        assert np.array_equal(_graph_angles(thetas), expected)
+    assert len(_graph_angles(samplings[0])) > 3  # the slit's gaps take several pieces
 
 
 def test_positive_weights_and_symmetry():
