@@ -6,6 +6,10 @@ For each named workload the script runs `perfbench/run.py` of each tree
 this tree first in odd ones), and writes BENCH_<label>.json with:
   - every run's last-line metrics and its `facts` line;
   - per metric and side: the values, median and quartiles;
+  - per metric: the change/parent ratio of every pair, with its median and
+    quartiles (a ratio is null where the parent's value is 0, as for a
+    per-layer metric the workload never touches); the host drifts between
+    pairs, and the ratio within a pair cancels most of that drift;
   - per metric: the pairs each side won, by the metric's direction in
     BENCHMARK.json (ties count for neither).
 Bytecode is compiled in both trees first, so that import time and memory
@@ -80,8 +84,17 @@ def summary(values: list) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
+def ratios(parent: list, change: list) -> dict:
+    """change/parent of each pair, null where parent is 0, and the summary of the rest."""
+    values = [c / p if p else None for p, c in zip(parent, change)]
+    known = [r for r in values if r is not None]
+    if not known:
+        return {"values": values, "median": None, "q1": None, "q3": None}
+    return {**summary(known), "values": values}
+
+
 def compare(runs: list, better: dict) -> dict:
-    """Per metric: each side's summary and the pairs each side won."""
+    """Per metric: each side's summary, the pairs each side won and the paired ratios."""
     pairs = max(r["pair"] for r in runs) + 1
     by = {(r["pair"], r["side"]): r["result"]["metrics"] for r in runs}
     out = {}
@@ -99,6 +112,7 @@ def compare(runs: list, better: dict) -> dict:
             "better": better.get(name),
             **{side: summary(vals[side]) for side in SIDES},
             "wins": wins,
+            "ratio": ratios(vals["parent"], vals["change"]),
         }
     return out
 
@@ -152,10 +166,14 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for workload, entry in doc["workloads"].items():
         for name, m in entry["metrics"].items():
+            r = m["ratio"]
+            ratio = ("null" if r["median"] is None else
+                     f"{r['median']:.4g} [{r['q1']:.4g}, {r['q3']:.4g}]")
             print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
                   f"[{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}], change "
                   f"{m['change']['median']:.6g} [{m['change']['q1']:.6g}, "
-                  f"{m['change']['q3']:.6g}], wins {m['wins']['change']} of {args.pairs}")
+                  f"{m['change']['q3']:.6g}], wins {m['wins']['change']} of {args.pairs}, "
+                  f"ratio {ratio}")
     print(f"wrote {path}")
     return 0
 

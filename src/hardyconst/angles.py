@@ -42,7 +42,7 @@ PI = math.pi
 _SCAN_POINTS = 400
 # Openings solved in one batch, which bounds a scan to _CHUNK * _SCAN_POINTS
 # floats per array however long the sweep: gamma_star of 4096 openings
-# peaks at 90 MB in chunks and at 160 MB as one batch (x86-64, one BLAS
+# peaks at 86 MB in chunks and at 142 MB as one batch (x86-64, one BLAS
 # thread, numpy 2.4, scipy 1.17).
 _CHUNK = 256
 
@@ -84,16 +84,16 @@ def _maximize(objective: Callable, slope: Callable, *params: np.ndarray):
 def _objective(theta, alpha, g_of: Callable, g_arg):
     """sin(theta) / (cos(theta) + alpha / g_of(theta, g_arg)), entry by entry.
 
-    theta, alpha and g_arg broadcast together.  0 where g <= 0, and at
-    theta = 0, where sin(0) = 0 and g = alpha.  g_of is called once, on
-    theta and g_arg as given, so it sees the openings unexpanded.
+    theta, alpha and g_arg are floats or arrays that broadcast together,
+    and the result is an array of their shape.  0 where g <= 0, and at
+    theta = 0, where sin(0) = 0 and g = alpha.  Every factor is computed on
+    its arguments as given: g_of once, so it sees the openings unexpanded,
+    and sin and cos once per angle, however many openings share it.
     """
-    g, theta, alpha = np.broadcast_arrays(g_of(theta, g_arg), theta, alpha)
-    pos = g > 0.0
-    vals = np.zeros(g.shape)
-    t = theta[pos]
-    vals[pos] = np.sin(t) / (np.cos(t) + alpha[pos] / g[pos])
-    return vals
+    g = g_of(theta, g_arg)
+    with np.errstate(divide="ignore", invalid="ignore"):  # at g <= 0, overwritten below
+        vals = np.sin(theta) / (np.cos(theta) + np.divide(alpha, g))
+    return np.where(g > 0.0, vals, 0.0)
 
 
 def _exact_objective(theta, beta, alpha, c):

@@ -88,6 +88,16 @@ def beta_critical() -> float:
     return PI + 4.0 * math.atan(4.0 * (gamma(0.75) / gamma(0.25)) ** 2)
 
 
+def _opening_range(beta, lower: str):
+    """The lower end of the range lower names, and whether each opening lies inside.
+
+    beta is a float or an array; both get the same comparisons.
+    """
+    lo = beta_critical() - SEAM_SLACK if lower == "[beta_cr" else PI
+    above = lo < beta if lower == "(pi" else lo - 1e-12 <= beta
+    return lo, above & (beta <= 2.0 * PI + 1e-12)
+
+
 def admit_openings(beta, lower: str = "[pi") -> tuple[np.ndarray, bool]:
     """The openings of beta, one or a 1-D array, admitted and clamped into range.
 
@@ -101,16 +111,22 @@ def admit_openings(beta, lower: str = "[pi") -> tuple[np.ndarray, bool]:
     if betas.ndim > 1:
         raise ValueError(f"openings must be a scalar or a 1-D array, not shape {betas.shape}")
     flat = betas.reshape(-1)
-    lo = beta_critical() - SEAM_SLACK if lower == "[beta_cr" else PI
-    above = lo < flat if lower == "(pi" else lo - 1e-12 <= flat
-    inside = above & (flat <= 2.0 * PI + 1e-12)
+    lo, inside = _opening_range(flat, lower)
     if not inside.all():
         raise ValueError(f"opening angle {flat[~inside][0]} outside {lower}, 2pi]")
     return np.clip(flat, lo, 2.0 * PI), betas.ndim == 0
 
 
 def admit_opening(beta, lower: str = "[pi") -> float:
-    """admit_openings of a caller that takes one opening; ValueError for an array."""
+    """admit_openings of a caller that takes one opening; ValueError for an array.
+
+    A float takes the same range and clamp without building an array.
+    """
+    if isinstance(beta, float):
+        lo, inside = _opening_range(beta, lower)
+        if not inside:
+            raise ValueError(f"opening angle {beta} outside {lower}, 2pi]")
+        return float(min(max(beta, lo), 2.0 * PI))
     flat, scalar = admit_openings(beta, lower)
     if not scalar:
         raise ValueError(f"expected one opening angle, not shape {np.shape(beta)}")
@@ -374,10 +390,11 @@ def g_func(theta, beta):
     both are floats.  Each entry equals the call on that angle and opening
     alone.  Pass the openings unexpanded (say, a column against a row of
     angles): they are admitted, and the closed form solved, once per entry
-    of beta, which may have any shape.  Both formulas are evaluated at
-    every entry (the family's with lam = 0 at supercritical openings, the
-    hypergeometric one with alpha = 1/2 below beta_cr), and is_subcritical
-    picks one.
+    of beta, which may have any shape.  is_subcritical picks the formula
+    of each entry, and each formula runs only where it is picked: the
+    family on the whole batch once any entry is subcritical (its 2F1s
+    depend on theta alone), the hypergeometric one on the supercritical
+    entries, gathered only when the batch mixes the two.
     """
     beta = admit_openings(np.ravel(beta))[0].reshape(np.shape(beta))
     t = np.asarray(theta, dtype=float)
@@ -386,8 +403,14 @@ def g_func(theta, beta):
         raise ValueError(f"theta={t[~inside].flat[0]} outside [0, pi/2]")
     t = np.minimum(t, 0.5 * PI)
     sub = is_subcritical(beta)
-    f_end, h_end = _family_end()
-    lam = np.where(sub, 0.25 * f_end * f_end * (h_end - np.tan(0.25 * (beta - PI))), 0.0)
-    _, alpha = sector_constants(np.clip(beta, beta_critical(), 2.0 * PI))
-    g = np.where(sub, 0.5 * critical_family(t, lam), _g_hyper(t, alpha))
+    if not sub.any():
+        g = _g_hyper(t, sector_constants(beta)[1])
+    else:
+        f_end, h_end = _family_end()
+        lam = np.where(sub, 0.25 * f_end * f_end * (h_end - np.tan(0.25 * (beta - PI))), 0.0)
+        g = np.asarray(0.5 * critical_family(t, lam))
+        sup = ~np.broadcast_to(sub, g.shape)
+        if sup.any():
+            alpha = np.broadcast_to(sector_constants(beta)[1], g.shape)
+            g[sup] = _g_hyper(np.broadcast_to(t, g.shape)[sup], alpha[sup])
     return g if g.ndim else float(g)

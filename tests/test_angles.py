@@ -203,3 +203,20 @@ def test_polynomial_bound_meets_its_first_order_condition(bcr):
         root = brentq(n_of, t0 - 1e-3, min(t0 + 1e-3, 0.5 * PI), xtol=1e-15)
         gaps.append(abs(PI - 2.0 * math.atan(obj(root)) - gamma_star_star(beta)))
     assert max(gaps) <= 1e-15
+
+
+def test_objective_is_zero_where_g_is_not_positive():
+    # g_of returns its second argument, so g is chosen freely; at g = 0 the
+    # division by g must neither raise for floats nor warn for arrays
+    given_g = lambda theta, g: g  # noqa: E731
+    alpha = 0.6
+    for g in (0.0, -0.0, -0.25, -alpha / math.cos(1.0), -math.inf):
+        val = angles._objective(1.0, alpha, given_g, g)
+        assert val.shape == () and val == 0.0 and not np.signbit(val)
+    g = np.array([[0.0, -0.0, 0.3], [-alpha / math.cos(1.0), 2.0, -1e-300]])
+    theta = np.array([1.0, 1.0, 0.4])
+    vals = angles._objective(theta, alpha, given_g, g)
+    assert vals.shape == (2, 3)
+    assert np.array_equal(vals[g <= 0.0], np.zeros(4)) and not np.signbit(vals).any()
+    assert vals[0, 2] == math.sin(0.4) / (math.cos(0.4) + alpha / 0.3)
+    assert vals[1, 1] == math.sin(1.0) / (math.cos(1.0) + alpha / 2.0)

@@ -456,3 +456,36 @@ def test_subcritical_table_matches_straight_rk4(beta_factor):
     s_grid, g_ref = _straight_rk4_table(beta_factor * PI)
     g = g_func(np.minimum(np.exp(s_grid), 0.5 * PI), beta_factor * PI)
     assert np.max(np.abs(g - g_ref)) < 1e-10
+
+
+def _g_both_branches(theta, beta):
+    """g with both formulas evaluated at every entry and np.where picking
+    one: the reference g_func must match bit for bit."""
+    beta = hardycore.admit_openings(np.ravel(beta))[0].reshape(np.shape(beta))
+    t = np.minimum(np.asarray(theta, dtype=float), 0.5 * PI)
+    sub = hardycore.is_subcritical(beta)
+    f_end, h_end = hardycore._family_end()
+    lam = np.where(sub, 0.25 * f_end * f_end * (h_end - np.tan(0.25 * (beta - PI))), 0.0)
+    _, alpha = hardycore.sector_constants(np.clip(beta, beta_critical(), 2.0 * PI))
+    return np.where(sub, 0.5 * critical_family(t, lam), hardycore._g_hyper(t, alpha))
+
+
+def test_g_runs_each_branch_only_where_picked(bcr):
+    # skipping the branch an entry does not take changes no float: every
+    # batch, in every orientation, equals both branches picked by np.where
+    seam = bcr - hardycore.SEAM_SLACK
+    below = [PI, 1.2 * PI, 1.5 * PI, np.nextafter(seam, 0.0), seam - 1e-12]
+    above = [seam, np.nextafter(seam, 2.0 * PI), bcr, bcr + hardycore.SEAM_SLACK, 1.7 * PI, 2.0 * PI]
+    thetas = np.concatenate([[0.0, 1e-300, 1e-160], G_THETAS])
+    for betas in (np.array(below), np.array(above), np.array(below + above)):
+        assert hardycore.is_subcritical(betas).any() == (betas[0] < seam)
+        for theta, beta in ((thetas[None, :], betas[:, None]), (thetas[:, None], betas[None, :])):
+            g = g_func(theta, beta)
+            assert g.shape == np.broadcast(theta, beta).shape
+            assert np.array_equal(g, _g_both_branches(theta, beta))
+        # paired entries, as find_root passes them
+        paired = np.resize(betas, thetas.size)
+        assert np.array_equal(g_func(thetas, paired), _g_both_branches(thetas, paired))
+        for beta in betas:
+            for theta in (0.0, 1e-300, 1e-160, 0.3, 0.5 * PI):
+                assert g_func(theta, float(beta)) == _g_both_branches(theta, float(beta))

@@ -26,7 +26,14 @@ from hardyconst.certify import (
     check_sector_cap,
     dbeta_samples,
 )
-from hardyconst.hardycore import SEAM_SLACK, beta_critical, g_func, solve_c_beta
+from hardyconst.hardycore import (
+    SEAM_SLACK,
+    admit_opening,
+    admit_openings,
+    beta_critical,
+    g_func,
+    solve_c_beta,
+)
 from hardyconst.odeengine import shoot_c
 from hardyconst.rayleigh import build_grid
 
@@ -89,6 +96,30 @@ def test_openings_in_the_slack_are_clamped():
     assert gamma_star(np.array([PI - 5e-13, 2.0 * PI + 5e-13])).beta.tolist() == [PI, 2.0 * PI]
     assert g_func(0.3, PI - 5e-13) == g_func(0.3, PI)
     assert g_func(0.3, 2.0 * PI + 5e-13) == g_func(0.3, 2.0 * PI)
+
+
+@pytest.mark.parametrize("lower", ["[pi", "(pi", "[beta_cr"])
+def test_one_opening_is_admitted_as_the_array_door_admits_it(lower):
+    # a float takes admit_opening's own path; it must return the value, or
+    # raise the message, that admit_openings gives, as np.float64 and 0-d
+    # arrays (which go through admit_openings) do
+    bcr = beta_critical() - SEAM_SLACK
+    ends = [PI, bcr, 2.0 * PI]
+    edges = [x + d for x in ends for d in (-2e-12, -1e-12, 0.0, 1e-12, 2e-12)]
+    for beta in edges + [1.5 * PI, math.nan, math.inf, -math.inf, -0.0]:
+        try:
+            expected = float(admit_openings(np.array([beta]), lower)[0][0])
+        except ValueError as err:
+            expected = str(err)
+        for kind in (float, np.float64, np.array):
+            try:
+                got = admit_opening(kind(beta), lower)
+                assert type(got) is float
+            except ValueError as err:
+                got = str(err)
+            assert got == expected, (kind, beta)
+    with pytest.raises(ValueError, match="expected one opening angle"):
+        admit_opening(np.array([2.0 * PI]), lower)
 
 
 def test_shooting_gives_its_verdict_just_below_pi():

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -59,3 +60,14 @@ def test_bench_writes_one_pair_of_runs(tmp_path):
         assert sum(m["wins"].values()) <= 1
     assert metrics["ok_share"]["parent"]["median"] == 1.0
     assert metrics["ok_share"]["wins"] == {"parent": 0, "change": 0}
+    for name, m in metrics.items():
+        ratio = m["change"]["values"][0] / m["parent"]["values"][0]
+        assert m["ratio"] == {"values": [ratio], "median": ratio, "q1": ratio, "q3": ratio}
+        assert f"sweep-check {name}: " in proc.stdout and f"ratio {ratio:.4g} [" in proc.stdout
+    # a metric the parent never touched (value 0) has a null ratio in that pair
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert bench.ratios([0.0, 2.0, 4.0], [1.0, 3.0, 2.0]) == {
+        "values": [None, 1.5, 0.5], "median": 1.0, "q1": 0.75, "q3": 1.25}
+    assert bench.ratios([0.0], [0.0]) == {"values": [None], "median": None, "q1": None, "q3": None}
