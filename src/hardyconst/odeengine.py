@@ -46,7 +46,14 @@ from numpy.polynomial.chebyshev import chebfit, chebval
 from scipy.integrate import DOP853, OdeSolution
 from scipy.optimize.elementwise import find_root
 
-from .hardycore import admit_openings, critical_family, potential_v, series_a2
+from .hardycore import (
+    admit_angles,
+    admit_opening,
+    admit_openings,
+    critical_family,
+    potential_v,
+    series_a2,
+)
 from .specfun import family_integral, hyp2f1
 
 __all__ = [
@@ -326,8 +333,14 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
 
 
 def shot_profile(beta: float, c: float, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sampled (psi, psi') of the shot at a fixed trial constant, grid in [1e-6, beta/2]."""
-    grid = np.asarray(grid, dtype=float)
+    """Sampled (psi, psi') of the shot at a fixed trial constant c in (0, 1/4].
+
+    beta passes admit_opening and the grid admit_angles on [1e-6, beta/2].
+    """
+    beta = admit_opening(beta)
+    if not 0.0 < c <= 0.25:
+        raise ValueError(f"trial constant c={c} outside (0, 1/4]")
+    grid = np.asarray(admit_angles(grid, _LAUNCH_BVP, 0.5 * beta, "[1e-6, beta/2]"))
     run = _shoot_left(np.array([c]), dense_output=True)
     left_grid = np.minimum(grid, 0.5 * PI)
     left = _to_angle(left_grid, _exponent(c), *run.sol(np.log(left_grid)))
@@ -363,22 +376,20 @@ def solve_h(alpha: float, grid: Optional[np.ndarray] = None) -> HProfile:
     Launch at theta = 1e-4 from the local expansion
     h = 1 - theta^2 / (2 (2 alpha + 1)) + O(theta^4); the forward direction
     contracts perturbations like theta^(2 alpha - 1), so the launch error is
-    damped.  The grid must lie in [1e-4, pi/2].
+    damped.  The grid must lie in [1e-4, pi/2], by admit_angles; the
+    profile keeps it as given.
     """
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (1/2, 1)")
-    if grid is None:
-        grid = _default_grid()
-    grid = np.asarray(grid, dtype=float)
-    if grid[0] < _LAUNCH_IVP - 1e-15:
-        raise ValueError(f"grid starts before the launch point {_LAUNCH_IVP}")
+    grid = _default_grid() if grid is None else np.asarray(grid, dtype=float)
+    at = admit_angles(grid, _LAUNCH_IVP, 0.5 * PI, "[1e-4, pi/2]")
     h0 = 1.0 - _LAUNCH_IVP**2 / (2.0 * (2.0 * alpha + 1.0))
 
     def rhs(t: float, y: np.ndarray) -> np.ndarray:
         return -(alpha * y * y - math.cos(t) * y + 1.0 - alpha) / math.sin(t)
 
     run = _solve(rhs, _LAUNCH_IVP, 0.5 * PI, np.array([h0]), dense_output=True)
-    return HProfile(alpha=alpha, grid=grid, h=run.sol(grid)[0], lam=None)
+    return HProfile(alpha=alpha, grid=grid, h=run.sol(at)[0], lam=None)
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +402,13 @@ def h_family_half(lam: float, grid: Optional[np.ndarray] = None) -> HProfile:
     h0 = cos(theta) + sin^2(theta) F2/(4F), F = 2F1(1/2,1/2,1; z),
     F2 = 2F1(3/2,3/2,2; z), z = sin^2(theta/2), and
     J(z) = int_z^{1/2} dt / (t (1-t) F(t)^2) in closed form
-    (hardycore.critical_family).  All members satisfy h(0+) = 1;
-    they decrease pointwise as lam grows, lam = 0 being the maximal one.
+    (hardycore.critical_family, which admits the grid on [0, pi/2]; the
+    profile keeps it as given).  All members satisfy h(0+) = 1; they
+    decrease pointwise as lam grows, lam = 0 being the maximal one.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"family parameter lam={lam} must be >= 0")
-    if grid is None:
-        grid = _default_grid()
-    grid = np.asarray(grid, dtype=float)
+    grid = _default_grid() if grid is None else np.asarray(grid, dtype=float)
     return HProfile(alpha=0.5, grid=grid, h=critical_family(grid, lam), lam=lam)
 
 
@@ -408,10 +418,12 @@ def h_family_half_point(theta: float, lam: float) -> tuple[float, float]:
     The member takes J from specfun.family_integral, like h_family_half.
     The derivative uses F' = F2/4 and F2' = (9/8) 2F1(5/2,5/2,3; z) plus
     dJ/dtheta = -2/(sin(theta) F^2), so no finite differencing enters; the
-    pair feeds the residual checks of the defining Riccati equation.
+    pair feeds the residual checks of the defining Riccati equation.  theta
+    lies in (0, pi/2]: at 0 the derivative of every member but h0 diverges.
     """
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ValueError(f"family parameter lam={lam} must be >= 0")
+    theta = admit_angles(theta, 0.0, 0.5 * PI, "(0, pi/2]")
     z = math.sin(0.5 * theta) ** 2
     zdot = 0.5 * math.sin(theta)
     f1 = hyp2f1(0.5, 0.5, 1.0, z)
@@ -438,6 +450,16 @@ def h_family_half_point(theta: float, lam: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Quartic upper bound for the Riccati variable.
 
+def _bound_angles(theta, a) -> np.ndarray:
+    """theta, admitted on [0, pi/2], as an array; a must lie in [1/2, 1) (ValueError)."""
+    theta = np.asarray(admit_angles(theta, 0.0, 0.5 * PI, "[0, pi/2]"))
+    a_arr = np.asarray(a, dtype=float)
+    outside = ~((0.5 <= a_arr) & (a_arr < 1.0))
+    if outside.any():
+        raise ValueError(f"exponent a={a_arr[outside].flat[0]} outside [1/2, 1)")
+    return theta
+
+
 def g_upper_bound(theta, a):
     """Quartic dominating g(beta, .) on [0, pi/2), a the exponent of the opening.
 
@@ -446,13 +468,7 @@ def g_upper_bound(theta, a):
     An upper solution of the Riccati inequality for every a in [1/2, 1).
     theta and a are floats or arrays that broadcast together.
     """
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < 0.0) or np.any(theta > 0.5 * PI):
-        raise ValueError("theta outside [0, pi/2]")
-    a_arr = np.asarray(a, dtype=float)
-    outside = ~((0.5 <= a_arr) & (a_arr < 1.0))
-    if outside.any():
-        raise ValueError(f"exponent a={a_arr[outside].flat[0]} outside [1/2, 1)")
+    theta = _bound_angles(theta, a)
     t2 = theta * theta
     val = a - a * t2 / (2.0 * (2.0 * a + 1.0)) + a * (4.0 * a * a + 2.0 * a + 3.0) * t2 * t2 / (
         24.0 * (2.0 * a + 1.0) * (4.0 * a * a + 8.0 * a + 3.0)
@@ -461,8 +477,8 @@ def g_upper_bound(theta, a):
 
 
 def g_upper_bound_derivative(theta, a):
-    """theta-derivative of g_upper_bound (a plain polynomial); broadcasts like it."""
-    theta = np.asarray(theta, dtype=float)
+    """theta-derivative of g_upper_bound (a plain polynomial); admits and broadcasts like it."""
+    theta = _bound_angles(theta, a)
     val = -a * theta / (2.0 * a + 1.0) + a * (4.0 * a * a + 2.0 * a + 3.0) * theta**3 / (
         6.0 * (2.0 * a + 1.0) * (4.0 * a * a + 8.0 * a + 3.0)
     )

@@ -1,3 +1,4 @@
+import json
 import math
 import time
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hardyconst import f_func, g_func, solve_c_beta
+from hardyconst import certify, cli, f_func, g_func, solve_c_beta
 from hardyconst.certify import (
     CERTIFIED,
     CONDITION_FAILED,
@@ -23,6 +24,7 @@ from hardyconst.certify import (
     check_ebg,
     check_one_reflex_polygon,
     check_sector_cap,
+    dbeta_samples,
     ensure_ccw,
     interior_angles,
     polygon_vertices,
@@ -114,6 +116,48 @@ def test_polygon_vertices_of_5001_vertices(notched_disk_vertices):
     swapped[2000], swapped[2001] = swapped[2001], swapped[2000]
     with pytest.raises(ShapeError, match="intersect"):
         polygon_vertices(OneReflexPolygon(swapped))
+
+
+def _notched_disk(count):
+    t = np.linspace(0.05 * PI, 1.95 * PI, count - 1)
+    return [[0.5, 0.0]] + np.column_stack([np.cos(t), np.sin(t)]).tolist()
+
+
+@pytest.mark.parametrize("command", ["certify", "validate"])
+def test_one_vertex_over_the_cap_exits_2_before_the_pair_loop(tmp_path, capsys, command):
+    # two swapped vertices make the notched disk cross itself: the pair loop
+    # would name the crossing, so the cap's message shows it ran first
+    verts = _notched_disk(certify._MAX_VERTICES + 1)
+    verts[2000], verts[2001] = verts[2001], verts[2000]
+    f = tmp_path / "polygon.json"
+    f.write_text(json.dumps({"type": "polygon", "vertices": verts}))
+    argv = [command, str(f)] + (["--n", "16"] if command == "validate" else [])
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{certify._MAX_VERTICES + 1} vertices, more than {certify._MAX_VERTICES}" in err
+
+
+def test_one_sample_over_the_cap_exits_2(tmp_path, capsys):
+    beta = 1.8
+    ts = np.linspace(0.0, beta, certify._MAX_SAMPLES + 1)
+    samples = np.column_stack([ts, 1.0 + (ts - 0.5 * beta) ** 2]).tolist()
+    f = tmp_path / "dbeta.json"
+    f.write_text(json.dumps({"type": "dbeta", "beta": beta, "r_samples": samples}))
+    assert cli.main(["certify", str(f)]) == 2
+    err = capsys.readouterr().err
+    assert f"{certify._MAX_SAMPLES + 1} samples, more than {certify._MAX_SAMPLES}" in err
+
+
+def test_caps_admit_their_own_size(monkeypatch, lshape_vertices):
+    monkeypatch.setattr(certify, "_MAX_VERTICES", len(lshape_vertices))
+    assert len(polygon_vertices(OneReflexPolygon(lshape_vertices))) == 6
+    with pytest.raises(ShapeError, match="7 vertices, more than 6"):
+        polygon_vertices(OneReflexPolygon(_notched_disk(7)))
+    samples = [(t, 1.0) for t in np.linspace(0.0, 1.5 * PI, 8)]
+    monkeypatch.setattr(certify, "_MAX_SAMPLES", 8)
+    assert len(dbeta_samples(Dbeta(1.5 * PI, samples))) == 8
+    with pytest.raises(ValueError, match="9 samples, more than 8"):
+        dbeta_samples(Dbeta(1.5 * PI, samples + [(0.5, 1.0)]))
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,11 @@ from hardyconst.hardycore import (
     admit_opening,
     admit_openings,
     beta_critical,
+    equation_residual,
     g_func,
     solve_c_beta,
 )
-from hardyconst.odeengine import shoot_c
+from hardyconst.odeengine import shoot_c, shot_profile
 from hardyconst.rayleigh import build_grid
 
 PI = math.pi
@@ -53,6 +54,10 @@ CALLERS = {
     "solve_c_beta": (solve_c_beta, PI, True, (TypeError, "unhashable")),
     "g_func": (lambda b: g_func(0.3, b), PI, True, None),
     "shoot_c": (shoot_c, PI, True, (ValueError, "1-D array")),
+    "shot_profile": (lambda b: shot_profile(b, 0.2, [0.3]), PI, True, (ValueError, "1-D array")),
+    "equation_residual": (
+        lambda b: equation_residual(b, 0.2), PI, True, (ValueError, "1-D array"),
+    ),
     "gamma_star": (gamma_star, PI, True, (ValueError, "1-D array")),
     "certify_domain": (lambda b: certify_domain(Sector(b)), PI, True, (ValueError, "1-D array")),
     "boundary_form_samples": (
