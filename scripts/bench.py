@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Compare a parent tree and this tree on perfbench workloads, in alternating pairs.
 
-For each named workload the script runs `perfbench/run.py` of each tree
---pairs times, the two sides alternating (the parent first in even pairs,
-this tree first in odd ones), and writes BENCH_<label>.json with:
+For each named workload and each --seed the script runs
+`perfbench/run.py` of each tree --pairs times, the two sides alternating
+(the parent first in even pairs, this tree first in odd ones), and writes
+BENCH_<label>.json with, per workload and seed:
   - every run's last-line metrics and its `facts` line;
   - per metric and side: the values, median and quartiles;
   - per metric: the change/parent ratio of every pair, with its median and
@@ -12,6 +13,9 @@ this tree first in odd ones), and writes BENCH_<label>.json with:
     pairs, and the ratio within a pair cancels most of that drift;
   - per metric: the pairs each side won, by the metric's direction in
     BENCHMARK.json (ties count for neither).
+With one seed a workload's entry holds its "runs" and "metrics"
+directly and "seed" is that seed; with several, "seed" lists them and the
+entry holds one such record per seed under "seeds", keyed by the seed.
 Bytecode is compiled in both trees first, so that import time and memory
 do not depend on whether a tree has been run before.
 
@@ -20,7 +24,7 @@ a worktree:
 
   git worktree add ../parent HEAD~1
   python scripts/bench.py --parent ../parent --workload validate-lattice \\
-      --pairs 10 --seconds 10 --seed 4242 --label 23
+      --pairs 10 --seconds 10 --seed 4242 --seed 7 --label 23
 """
 
 from __future__ import annotations
@@ -62,10 +66,10 @@ def compile_tree(tree: Path) -> None:
             raise SystemExit(f"error: bytecode compilation failed under {tree / part}")
 
 
-def run_once(tree: Path, workload: str, args) -> dict:
+def run_once(tree: Path, workload: str, seed: int, args) -> dict:
     """One perfbench run in tree: its facts line and its last-line result."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+           "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -124,13 +128,17 @@ def parse_args(argv):
                     help="perfbench workload; repeat for several")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=10.0)
-    ap.add_argument("--seed", type=int, default=4242)
+    ap.add_argument("--seed", type=int, action="append",
+                    help="workload seed; repeat for several (default 4242)")
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
     ap.add_argument("--out-dir", type=Path, default=ROOT)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
+    args.seed = args.seed or [4242]
+    if len(set(args.seed)) < len(args.seed):
+        ap.error("each --seed may be given once")
     return args
 
 
@@ -148,28 +156,36 @@ def main(argv=None) -> int:
         "trees": {side: revision(tree) for side, tree in trees.items()},
         "pairs": args.pairs,
         "seconds": args.seconds,
-        "seed": args.seed,
+        "seed": args.seed[0] if len(args.seed) == 1 else args.seed,
         "trace": args.trace,
         "workloads": {},
     }
+    summaries = []  # (workload, and seed when several; its metrics)
     for workload in args.workload:
-        runs = []
-        for pair in range(args.pairs):
-            order = SIDES if pair % 2 == 0 else SIDES[::-1]
-            for side in order:
-                run = run_once(trees[side], workload, args)
-                runs.append({"pair": pair, "side": side, **run})
-                values = {k: round(v["value"], 6) for k, v in run["result"]["metrics"].items()}
-                print(f"{workload} pair {pair} {side}: {json.dumps(values)}", flush=True)
-        doc["workloads"][workload] = {"runs": runs, "metrics": compare(runs, better)}
+        entries = {}
+        for seed in args.seed:
+            tag = workload if len(args.seed) == 1 else f"{workload} seed {seed}"
+            runs = []
+            for pair in range(args.pairs):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for side in order:
+                    run = run_once(trees[side], workload, seed, args)
+                    runs.append({"pair": pair, "side": side, **run})
+                    values = {k: round(v["value"], 6) for k, v in run["result"]["metrics"].items()}
+                    print(f"{tag} pair {pair} {side}: {json.dumps(values)}", flush=True)
+            entries[str(seed)] = {"runs": runs, "metrics": compare(runs, better)}
+            summaries.append((tag, entries[str(seed)]["metrics"]))
+        doc["workloads"][workload] = (
+            entries[str(args.seed[0])] if len(args.seed) == 1 else {"seeds": entries}
+        )
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-    for workload, entry in doc["workloads"].items():
-        for name, m in entry["metrics"].items():
+    for tag, metrics in summaries:
+        for name, m in metrics.items():
             r = m["ratio"]
             ratio = ("null" if r["median"] is None else
                      f"{r['median']:.4g} [{r['q1']:.4g}, {r['q3']:.4g}]")
-            print(f"{workload} {name}: parent {m['parent']['median']:.6g} "
+            print(f"{tag} {name}: parent {m['parent']['median']:.6g} "
                   f"[{m['parent']['q1']:.6g}, {m['parent']['q3']:.6g}], change "
                   f"{m['change']['median']:.6g} [{m['change']['q1']:.6g}, "
                   f"{m['change']['q3']:.6g}], wins {m['wins']['change']} of {args.pairs}, "

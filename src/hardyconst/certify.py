@@ -415,7 +415,11 @@ def certify_domain(domain: DomainSpec) -> CertificateReport:
 # Boundary-form certificates.
 
 def theta1_two_sided(theta: float, gamma: float) -> float:
-    """Companion polar angle on the bisector segment: cot(t1) = -cos(gamma) cot(theta) + sin(gamma)."""
+    """Companion polar angle on the bisector segment: cot(t1) = -cos(gamma) cot(theta) + sin(gamma).
+
+    theta passes hardycore.admit_angles on [0, pi/2].
+    """
+    theta = admit_angles(float(theta), 0.0, 0.5 * PI, "[0, pi/2]")
     if theta < 1e-300:
         return 0.0
     x = -math.cos(gamma) / math.tan(theta) + math.sin(gamma)

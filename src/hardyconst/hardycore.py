@@ -54,7 +54,6 @@ __all__ = [
     "f_func",
     "g_func",
     "critical_family",
-    "series_a2",
 ]
 
 PI = math.pi
@@ -278,11 +277,6 @@ def potential_v(theta: float, beta: float) -> float:
     if not side > 0.0:
         raise ValueError(f"theta={theta} outside (0, {beta})")
     return 1.0 / math.sin(min(side, 0.5 * PI)) ** 2
-
-
-def series_a2(alpha: float) -> float:
-    """Quadratic coefficient of psi(theta) = theta^alpha (1 + a2 theta^2 + ...)."""
-    return -alpha * (1.0 - alpha) / (6.0 * (1.0 + 2.0 * alpha))
 
 
 def _require_closed_form(sol: HardySolution) -> None:

@@ -7,9 +7,11 @@ Two problems are integrated with scipy's DOP853 stepper:
   the closed-form route in hardycore).  shoot_c takes one opening or an
   array of them and shoots them as one batch.  Only the singular piece
   (0, pi/2] is integrated, and it is the same for every opening; the
-  middle [pi/2, beta/2], where V = 1, is crossed exactly.  The piece is
-  integrated in t = log(theta) for phi = psi / theta^alpha, which is
-  nearly constant near the vertex, so the stepper takes large steps.
+  middle [pi/2, beta/2], where V = 1, is crossed exactly.  Below
+  theta = 1/2 the shot is its Frobenius series at the vertex,
+  psi = theta^alpha sum_m a_2m theta^2m, summed to rounding by one
+  vectorized recurrence over the trials; DOP853 integrates only
+  [1/2, pi/2], in t = log(theta) for phi = psi / theta^alpha.
   One run of 18 trial constants, the Chebyshev-Lobatto nodes in the vertex
   exponent alpha over [1/2, alpha(1e-6)], brackets the root of every
   opening and fits (psi, psi') at pi/2 as Chebyshev series in alpha, in
@@ -24,8 +26,8 @@ Two problems are integrated with scipy's DOP853 stepper:
   h(alpha, .) on (0, pi/2].
 
 Nothing here calls the closed form for c(beta): the shot sees only the
-potential V and the series start at the vertex; hardycore.admit_openings
-checks its openings against pi and 2pi alone.
+potential V and the vertex series of -psi'' = c psi / sin^2(theta);
+hardycore.admit_openings checks its openings against pi and 2pi alone.
 
 The critical-exponent case alpha = 1/2 has a one-parameter continuum of
 solutions with an explicit hypergeometric representation; h_family_half
@@ -43,6 +45,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebval
+from numpy.polynomial.polynomial import polyval
 from scipy.integrate import DOP853, OdeSolution
 from scipy.optimize.elementwise import find_root
 
@@ -52,7 +55,6 @@ from .hardycore import (
     admit_openings,
     critical_family,
     potential_v,
-    series_a2,
 )
 from .specfun import family_integral, hyp2f1
 
@@ -71,25 +73,32 @@ __all__ = [
 
 PI = math.pi
 
-_LAUNCH_BVP = 1e-6  # series start of the shooting integration
+# The shot's vertex series is summed up to _SERIES_END, where DOP853 takes
+# over.  It converges for theta < pi, each term about (1/2pi)^2 of the one
+# before at 1/2, so _SERIES_TERMS = 14 leave the first omitted term below
+# 1e-22 of phi; the launch refuses a series whose last kept term passes
+# _SERIES_TAIL of phi.
+_SERIES_END = 0.5
+_SERIES_TERMS = 14
+_SERIES_TAIL = 1e-16
 _LAUNCH_IVP = 1e-4  # series start of the singular IVP
 # DOP853 tolerances of every integration
 _RTOL = 1e-10
 _ATOL = 1e-12
 # find_root's absolute tolerance on alpha, which also bounds the error in
 # c = alpha (1 - alpha).  Over 427 openings in (beta_cr, 2pi] the worst gap
-# to the closed form is 3.1e-13 at this tolerance and 3.0e-13 at 1e-14 down
+# to the closed form is 2.8e-13 at this tolerance and 2.7e-13 at 1e-14 down
 # to 0: the rest is the shot's own error, which a tighter solve cannot mend.
 _ROOT_XATOL = 1e-13
 # Trial constants of the scan, the nodes of its Chebyshev table.  The
-# table's trailing coefficients are 2.3e-16 of the largest at 18 nodes,
-# 4.6e-14 at 15 and 4.6e-13 at 14.
+# table's trailing coefficients are 1.8e-16 of the largest at 18 nodes,
+# 4.5e-14 at 15 and 4.6e-13 at 14.
 _TABLE = 18
 # Largest trailing coefficient the table may keep, relative to its largest.
 _TAIL = 1e-13
 # Largest correction to c that the confirming run may imply at the table's
-# root, |psi'_shot / d_c psi'_table|: measured worst 1.3e-13 over about
-# 23,000 openings in batches of 1 to 20001.
+# root, |psi'_shot / d_c psi'_table|: measured worst 3.0e-14 over 23,401
+# openings in batches of 1 to 20001.
 _CONFIRM = 5e-13
 # Complex step in alpha for the table's slope, exact to rounding.
 _STEP = 1e-20
@@ -102,7 +111,8 @@ class BracketError(RuntimeError):
 
 class IntegrationError(RuntimeError):
     """The integrator failed, the right-hand side is not finite at the launch
-    point, or the scan's Chebyshev table does not resolve the shot."""
+    point, or the vertex series or the scan's Chebyshev table does not
+    resolve the shot."""
 
 
 class _Run(NamedTuple):
@@ -156,7 +166,7 @@ class ShootingResult:
     terminal_derivative is the confirming run's psi'(beta/2) at c_estimate.
     steps and nfev are totals over the whole batch: the accepted DOP853
     steps and the right-hand-side evaluations of every run the solve made
-    (the scan and the one confirming run, each over [1e-6, pi/2] alone,
+    (the scan and the one confirming run, each over [1/2, pi/2] alone,
     stepped in t = log(theta)).
     """
 
@@ -180,31 +190,71 @@ def _to_angle(theta, alpha, phi, phi_t):
     return scale * phi, scale * (alpha * phi + phi_t) / theta
 
 
-def _shoot_left(cs: np.ndarray, dense_output: bool = False) -> _Run:
-    """Integrate -psi'' = c psi / sin^2(theta) over [1e-6, pi/2], trial k at cs[k].
+def _theta_csc2(terms: int) -> tuple:
+    """Taylor coefficients b_j of theta^2 / sin^2(theta) in theta^2j, j < terms: the
+    inverse of the series sin^2(theta) / theta^2 = sum_j (-1)^j 2^(2j+1) theta^2j / (2j+2)!."""
+    d = [(-1) ** j * 2.0 ** (2 * j + 1) / math.factorial(2 * j + 2) for j in range(terms)]
+    b = [1.0]
+    for m in range(1, terms):
+        b.append(-sum(d[j] * b[m - j] for j in range(1, m + 1)))
+    return tuple(b)
 
-    The run is in t = log(theta), where the equation reads
-    psi_tt = psi_t - c theta^2 V(theta) psi.  Near the vertex theta^2 V -> 1,
-    so psi is nearly e^(alpha t); the run carries psi = e^(alpha t) phi
-    with state (phi, phi_t), which solves
-    phi_tt = (1 - 2 alpha) phi_t + c (1 - theta^2 V) phi and is nearly
-    constant there, so DOP853 crosses the six decades above the launch in a
-    few large steps, and its relative error control holds psi's amplitude
-    too.  Launches from the three-term series
-    psi = theta^alpha (1 + a2 theta^2), that is phi = 1 + a2 theta^2.  The
-    batch is one flat state [phi_1..phi_m, phi_t_1..phi_t_m], so a single
-    error norm covers every trial.  On this piece V is the half-plane's
-    1/sin^2(theta) for every opening in [pi, 2pi]; each right-hand-side
-    evaluation calls potential_v once, with floats, at opening pi.  The run
-    stops at pi/2, where V turns to 1 and its second derivative jumps; one
-    run across the junction loses about two digits of c.  y is returned as
-    (psi, psi') at pi/2; sol, when asked for, is the interpolant in t of
-    (phi, phi_t).
+
+_THETA_CSC2 = _theta_csc2(_SERIES_TERMS)
+
+
+def _vertex_series(cs: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """Coefficients a_2m of phi = psi / theta^alpha = sum_m a_2m theta^2m, m < _SERIES_TERMS,
+    one column per trial constant in cs.
+
+    theta^2 psi'' + c b(theta) psi = 0 with b = theta^2 / sin^2(theta) gives
+    a_0 = 1 and a_2m = -c sum_{j=1..m} b_j a_2m-2j / (2m (2m + 2 alpha - 1)).
+    """
+    b = np.array(_THETA_CSC2)
+    a = np.empty((_SERIES_TERMS, cs.size))
+    a[0] = 1.0
+    for m in range(1, _SERIES_TERMS):
+        a[m] = -cs * (b[1 : m + 1] @ a[m - 1 :: -1]) / (2 * m * (2 * m + 2 * alpha - 1))
+    return a
+
+
+def _series_state(a: np.ndarray, theta):
+    """(phi, phi_t) of the vertex series a at theta, phi_t = theta dphi/dtheta; theta
+    broadcasts against a's columns."""
+    k = np.arange(len(a))[:, None]
+    return polyval(theta * theta, a, tensor=False), polyval(theta * theta, 2 * k * a, tensor=False)
+
+
+def _shoot_left(cs: np.ndarray, dense_output: bool = False) -> _Run:
+    """Integrate -psi'' = c psi / sin^2(theta) over (0, pi/2], trial k at cs[k].
+
+    The shot is psi = theta^alpha phi, and below _SERIES_END = 1/2 phi is
+    its vertex series (_vertex_series), summed at 1/2 for every trial at
+    once; IntegrationError when the series' last kept term passes
+    _SERIES_TAIL of phi there.  From 1/2 DOP853 runs in t = log(theta),
+    where the equation reads psi_tt = psi_t - c theta^2 V(theta) psi, with
+    state (phi, phi_t), which solves
+    phi_tt = (1 - 2 alpha) phi_t + c (1 - theta^2 V) phi.  phi stays near
+    1 up to pi/2, so DOP853 takes a few large steps and its relative error
+    control holds psi's amplitude too.  The batch is one flat state
+    [phi_1..phi_m, phi_t_1..phi_t_m], so a single error norm covers every
+    trial.  On this piece V is the half-plane's 1/sin^2(theta) for every
+    opening in [pi, 2pi]; each right-hand-side evaluation calls
+    potential_v once, with floats, at opening pi.  The run stops at pi/2,
+    where V turns to 1 and its second derivative jumps; one run across the
+    junction loses about two digits of c.  y is returned as (psi, psi') at
+    pi/2; sol, when asked for, is the interpolant in t of (phi, phi_t) over
+    [log 1/2, log pi/2].
     """
     alpha = _exponent(cs)
-    a2 = series_a2(alpha)
-    th0 = _LAUNCH_BVP
-    y0 = np.concatenate([1.0 + a2 * th0**2, 2.0 * a2 * th0**2])
+    a = _vertex_series(cs, alpha)
+    phi, phi_t = _series_state(a, _SERIES_END)
+    tail = (np.abs(a[-1]) * _SERIES_END ** (2 * len(a) - 2) / np.abs(phi)).max()
+    if tail > _SERIES_TAIL:
+        raise IntegrationError(
+            f"{_SERIES_TERMS} terms of the vertex series do not resolve the shot at "
+            f"theta={_SERIES_END}: last term {tail:.1e} of phi"
+        )
     damping = 1.0 - 2.0 * alpha
     m = len(cs)
 
@@ -215,7 +265,8 @@ def _shoot_left(cs: np.ndarray, dense_output: bool = False) -> _Run:
         forcing = cs * (1.0 - theta * theta * potential_v(theta, PI))
         return np.concatenate([y[m:], damping * y[m:] + forcing * y[:m]])
 
-    run = _solve(rhs, math.log(th0), math.log(0.5 * PI), y0, dense_output=dense_output)
+    y0 = np.concatenate([phi, phi_t])
+    run = _solve(rhs, math.log(_SERIES_END), math.log(0.5 * PI), y0, dense_output=dense_output)
     return run._replace(y=np.concatenate(_to_angle(0.5 * PI, alpha, run.y[:m], run.y[m:])))
 
 
@@ -335,15 +386,20 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
 def shot_profile(beta: float, c: float, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sampled (psi, psi') of the shot at a fixed trial constant c in (0, 1/4].
 
-    beta passes admit_opening and the grid admit_angles on [1e-6, beta/2].
+    beta passes admit_opening and the grid admit_angles on (0, beta/2].
+    Below 1/2 the samples are the vertex series the shot launches from.
     """
     beta = admit_opening(beta)
     if not 0.0 < c <= 0.25:
         raise ValueError(f"trial constant c={c} outside (0, 1/4]")
-    grid = np.asarray(admit_angles(grid, _LAUNCH_BVP, 0.5 * beta, "[1e-6, beta/2]"))
-    run = _shoot_left(np.array([c]), dense_output=True)
-    left_grid = np.minimum(grid, 0.5 * PI)
-    left = _to_angle(left_grid, _exponent(c), *run.sol(np.log(left_grid)))
+    grid = np.asarray(admit_angles(grid, 0.0, 0.5 * beta, "(0, beta/2]"))
+    cs = np.array([c])
+    alpha = _exponent(cs)
+    run = _shoot_left(cs, dense_output=True)
+    near = _series_state(_vertex_series(cs, alpha), np.minimum(grid, _SERIES_END))
+    left_grid = np.clip(grid, _SERIES_END, 0.5 * PI)
+    left = np.where(grid < _SERIES_END, near, run.sol(np.log(left_grid)))
+    left = _to_angle(np.minimum(grid, 0.5 * PI), alpha, *left)
     middle = _across_middle(run.y[0], run.y[1], c, grid - 0.5 * PI)
     samples = np.where(grid <= 0.5 * PI, left, middle)
     return samples[0], samples[1]

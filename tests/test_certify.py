@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -422,6 +423,12 @@ def test_companion_angle_lower_bound():
     for gamma in (0.6 * PI, 0.8 * PI, PI):
         margin = min(theta1_two_sided(float(t), gamma) - (t + gamma - PI) for t in thetas)
         assert margin >= -1e-9
+
+
+def test_companion_angle_refuses_an_angle_outside_the_segment():
+    # a negative angle is no point of the segment: refused, not mapped to 0
+    with pytest.raises(ValueError, match=re.escape("theta=-0.5 outside [0, pi/2]")):
+        theta1_two_sided(-0.5, 0.7 * PI)
 
 
 def test_halfline_form_nonnegative():

@@ -17,7 +17,6 @@ from hardyconst.hardycore import (
     potential_v,
     psi,
     dpsi,
-    series_a2,
     solve_c_beta,
 )
 from hardyconst.specfun import gamma
@@ -330,28 +329,6 @@ def test_quadrant_inequality(bcr):
             f_mid = rc * np.tan(rc * (0.5 * beta - thetas))
             form = f_mid * np.cos(thetas + gam) + alpha * (1.0 + np.sin(thetas + gam))
             assert form.min() >= -1e-10
-
-
-# ---------------------------------------------------------------------------
-# Series coefficients.
-
-def test_series_a2_half():
-    sub = solve_c_beta(1.2 * PI)
-    assert series_a2(sub.alpha) == pytest.approx(-1.0 / 48.0, rel=1e-14)
-
-
-def test_series_residual_order(sol_2pi):
-    # plugging theta^alpha (1 + a2 theta^2) into the equation leaves O(theta^(alpha+2))
-    alpha = sol_2pi.alpha
-    c = sol_2pi.c
-    a2 = series_a2(sol_2pi.alpha)
-    for theta in (1e-2, 1e-3):
-        psi_s = theta**alpha * (1.0 + a2 * theta**2)
-        psi_s2 = alpha * (alpha - 1.0) * theta ** (alpha - 2.0) + (alpha + 2.0) * (
-            alpha + 1.0
-        ) * a2 * theta**alpha
-        res = psi_s2 + c / math.sin(theta) ** 2 * psi_s
-        assert abs(res) <= theta ** (alpha + 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ def test_shoot_cross_oracle_18pi():
 
 
 def test_shoot_matches_closed_form_tightly():
-    # measured worst gap 3.0e-13 (DOP853 at rtol 1e-10 in log theta, root
+    # measured worst gap 2.7e-13 (DOP853 at rtol 1e-10 in log theta, root
     # solve on the scan's table to 1e-13 in alpha), gated at 1e-12
     factors = np.append(np.linspace(1.546, 2.0, 21), [1.55, 1.6, 1.7, 1.8, 1.9])
     gaps = [abs(shoot_c(f * PI).c_estimate - solve_c_beta(f * PI).c) for f in factors]
@@ -106,10 +106,10 @@ def test_scan_is_shared_across_openings(monkeypatch):
 
 
 def test_shooting_cost(monkeypatch):
-    # in log theta the scan crosses the decades above the launch in large
-    # steps (29 accepted, against 89 when stepped in theta), and the roots
-    # are solved on the scan's Chebyshev table, so these twelve openings
-    # take the scan and one confirming run
+    # launched from the vertex series at 1/2, the scan steps [1/2, pi/2] in
+    # log theta (9 accepted steps, against 29 from a launch at 1e-6), and the
+    # roots are solved on the scan's Chebyshev table, so these twelve
+    # openings take the scan and one confirming run
     runs = []
     solve = odeengine._solve
 
@@ -119,7 +119,7 @@ def test_shooting_cost(monkeypatch):
 
     monkeypatch.setattr(odeengine, "_solve", recording)
     shoot_c(1.8 * PI)
-    assert runs[0].steps <= 45
+    assert runs[0].steps <= 12
     runs.clear()
     shoot_c(np.linspace(1.55, 2.0, 12) * PI)
     assert len(runs) <= 2
@@ -147,7 +147,7 @@ def _reference_roots(betas):
 
 def test_table_root_matches_the_shots_root():
     # the root on the scan's Chebyshev interpolant against the root of the
-    # shots themselves; measured worst gap 6.9e-14, gated at 1e-12
+    # shots themselves; measured worst gap 1.2e-14, gated at 1e-12
     betas = np.array([1.546, 1.6, 1.7, 1.8, 1.9, 2.0]) * PI
     gaps = np.abs(shoot_c(betas).c_estimate - _reference_roots(betas))
     assert gaps.max() <= 1e-12
@@ -169,12 +169,45 @@ def test_confirming_shot_names_its_opening(monkeypatch):
         shoot_c(np.array([1.2, 1.8, 2.0]) * PI)
 
 
+def test_series_a2_half():
+    # a_2 = -c / (6 (1 + 2 alpha)), which is -1/48 at the critical exponent 1/2
+    cs = np.array([0.25, 0.2, 0.1])
+    alpha = odeengine._exponent(cs)
+    a = odeengine._vertex_series(cs, alpha)
+    assert a[0].tolist() == [1.0, 1.0, 1.0]
+    assert a[1, 0] == pytest.approx(-1.0 / 48.0, rel=1e-14)
+    np.testing.assert_allclose(a[1], -cs / (6.0 * (1.0 + 2.0 * alpha)), rtol=1e-14, atol=0.0)
+
+
+def test_series_residual_order(sol_2pi):
+    # the 14 terms of psi = theta^alpha sum_m a_2m theta^2m leave a residual
+    # of sin^2(theta) psi'' + c psi at rounding level, at the launch 1/2 too;
+    # measured at most 3.5e-16 of c psi
+    alpha, c = sol_2pi.alpha, sol_2pi.c
+    a = odeengine._vertex_series(np.array([c]), np.array([alpha]))[:, 0]
+    assert a.size == 14
+    m = np.arange(a.size)
+    for theta in (0.1, 0.5):
+        psi_s = np.sum(a * theta ** (alpha + 2 * m))
+        psi_s2 = np.sum(a * (alpha + 2 * m) * (alpha + 2 * m - 1) * theta ** (alpha + 2 * m - 2))
+        res = math.sin(theta) ** 2 * psi_s2 + c * psi_s
+        assert abs(res) <= 2e-15 * c * psi_s
+
+
+def test_short_vertex_series_raises(monkeypatch):
+    # 6 terms leave a last term up to 3.6e-10 of phi at 1/2, far above the 1e-16
+    # the launch must resolve; 14 terms leave 2e-23
+    monkeypatch.setattr(odeengine, "_SERIES_TERMS", 6)
+    with pytest.raises(IntegrationError, match="vertex series"):
+        shoot_c(1.8 * PI)
+
+
 @pytest.mark.parametrize("c", [0.1, 0.2, 0.2499])
 def test_log_angle_shot_matches_a_shot_in_the_angle(c):
     # the same series start integrated in theta itself, at a tighter rtol:
     # checks the change of variables and the amplitude the log-angle run keeps
     alpha = 0.5 * (1.0 + math.sqrt(1.0 - 4.0 * c))
-    a2 = hardycore.series_a2(alpha)
+    a2 = -c / (6.0 * (1.0 + 2.0 * alpha))
     th0 = 1e-6
     y0 = [
         th0**alpha * (1.0 + a2 * th0**2),
@@ -258,7 +291,7 @@ def test_shoot_subcritical_verdict(monkeypatch):
 def test_shooting_seam_matches_beta_critical():
     # the opening where psi'(beta/2) at c = 1/4 changes sign, found from the
     # shot alone, against the closed-form critical opening; measured gap
-    # 1.0e-11 (DOP853 at rtol 1e-10 in log theta), gated at 3e-11.  The run over
+    # 7.4e-12 (DOP853 at rtol 1e-10 in log theta), gated at 1e-11.  The run over
     # (0, pi/2] is the same for every opening; the middle is crossed exactly
     run = odeengine._shoot_left(np.array([0.25]))
 
@@ -266,7 +299,7 @@ def test_shooting_seam_matches_beta_critical():
         return odeengine._across_middle(run.y[0], run.y[1], 0.25, 0.5 * (beta - PI))[1]
 
     seam = brentq(terminal_at_quarter, 1.5 * PI, 1.6 * PI, xtol=1e-15)
-    assert abs(seam - hardycore.beta_critical()) <= 3e-11
+    assert abs(seam - hardycore.beta_critical()) <= 1e-11
 
 
 def test_shoot_domain_error():
@@ -286,7 +319,7 @@ def tight_batch():
 
 
 def test_batch_matches_closed_form_tightly(tight_batch):
-    # measured worst gap 3.0e-13, gated at 1e-12
+    # measured worst gap 2.7e-13, gated at 1e-12
     assert isinstance(tight_batch.c_estimate, np.ndarray)
     assert np.array_equal(tight_batch.beta, _TIGHT_BETAS)
     gaps = np.abs(tight_batch.c_estimate - [solve_c_beta(b).c for b in _TIGHT_BETAS])

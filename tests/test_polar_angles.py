@@ -20,7 +20,7 @@ import pytest
 from test_openings import CALLERS
 
 import hardyconst
-from hardyconst.certify import boundary_form_samples
+from hardyconst.certify import boundary_form_samples, theta1_two_sided
 from hardyconst.hardycore import (
     critical_family,
     dpsi,
@@ -71,7 +71,10 @@ ANGLE_TAKERS = {
     ),
     "shot_profile": (
         lambda t: np.stack(shot_profile(1.8 * PI, 0.2, np.atleast_1d(t))),
-        1e-6, 0.5 * (1.8 * PI), "[1e-6, beta/2]", True,
+        0.0, 0.5 * (1.8 * PI), "(0, beta/2]", True,
+    ),
+    "theta1_two_sided": (
+        lambda t: theta1_two_sided(t, 0.7 * PI), 0.0, 0.5 * PI, "[0, pi/2]", False,
     ),
     "boundary_form_samples/line_segment": (
         _form("line_segment", 1.7 * PI, 0.4 * PI), 0.0, 0.5 * PI, "[0, pi/2]", True,
@@ -177,9 +180,6 @@ OPENING_EXCEPTIONS = {
 ANGLE_EXCEPTIONS = {
     "hardycore.admit_angles": "the door itself",
     "hardycore.potential_v": OPENING_EXCEPTIONS["hardycore.potential_v"],
-    "certify.theta1_two_sided": (
-        "the companion-angle formula, evaluated by boundary_form_samples on the angles it admitted"
-    ),
     "certify.theta1_gamma3": OPENING_EXCEPTIONS["certify.theta1_gamma3"],
     "rayleigh.estimate_constant": "its grid is a GridProblem, not polar angles",
 }

@@ -71,3 +71,29 @@ def test_bench_writes_one_pair_of_runs(tmp_path):
     assert bench.ratios([0.0, 2.0, 4.0], [1.0, 3.0, 2.0]) == {
         "values": [None, 1.5, 0.5], "median": 1.0, "q1": 0.75, "q3": 1.25}
     assert bench.ratios([0.0], [0.0]) == {"values": [None], "median": None, "q1": None, "q3": None}
+
+
+def test_bench_keeps_each_seed_apart(tmp_path):
+    # two seeds, one pair of one-second sweep-check runs each; both sides
+    # are this tree
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--parent", str(ROOT),
+         "--workload", "sweep-check", "--pairs", "1", "--seconds", "1",
+         "--seed", "1", "--seed", "2", "--label", "test", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "BENCH_test.json").read_text())
+    assert doc["seed"] == [1, 2]
+    entry = doc["workloads"]["sweep-check"]
+    assert set(entry) == {"seeds"} and set(entry["seeds"]) == {"1", "2"}
+    for seed, per_seed in entry["seeds"].items():
+        runs = per_seed["runs"]
+        assert [(r["pair"], r["side"]) for r in runs] == [(0, "parent"), (0, "change")]
+        assert all(r["facts"]["seed"] == int(seed) for r in runs)
+        metrics = per_seed["metrics"]
+        assert set(metrics) == {"setup_s", "ok_share", "peak_rss_mb", "rows_per_s"}
+        for m in metrics.values():
+            assert [len(m[side]["values"]) for side in ("parent", "change")] == [1, 1]
+            assert sum(m["wins"].values()) <= 1
+        assert f"sweep-check seed {seed} rows_per_s: parent " in proc.stdout
