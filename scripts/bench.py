@@ -5,7 +5,10 @@ For each named workload and each --seed the script runs
 `perfbench/run.py` of each tree --pairs times, the two sides alternating
 (the parent first in even pairs, this tree first in odd ones), and writes
 BENCH_<label>.json with, per workload and seed:
-  - every run's last-line metrics and its `facts` line;
+  - every run's last-line metrics, its `facts` line and, as `accuracy`,
+    the values its `accuracy <name> = <value>` lines report (the worst
+    gap to the oracle on sweep-check, the worst lambda excess on the
+    validate workloads), so that each timing sits next to what it produced;
   - per metric and side: the values, median and quartiles;
   - per metric: the change/parent ratio of every pair, with its median and
     quartiles (a ratio is null where the parent's value is 0, as for a
@@ -67,7 +70,7 @@ def compile_tree(tree: Path) -> None:
 
 
 def run_once(tree: Path, workload: str, seed: int, args) -> dict:
-    """One perfbench run in tree: its facts line and its last-line result."""
+    """One perfbench run in tree: its facts line, its accuracy lines and its last-line result."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(args.seconds), "--trace", str(args.trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
@@ -76,7 +79,10 @@ def run_once(tree: Path, workload: str, seed: int, args) -> dict:
         raise SystemExit(f"error: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
     facts = next((json.loads(line[len("facts "):]) for line in lines if line.startswith("facts ")),
                  None)
-    return {"facts": facts, "result": json.loads(lines[-1])}
+    accuracy = dict(line[len("accuracy "):].split(" = ") for line in lines
+                    if line.startswith("accuracy "))
+    return {"facts": facts, "accuracy": {k: float(v) for k, v in accuracy.items()},
+            "result": json.loads(lines[-1])}
 
 
 def summary(values: list) -> dict:

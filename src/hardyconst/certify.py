@@ -193,10 +193,21 @@ def ensure_ccw(vertices: Sequence[Sequence[float]]) -> np.ndarray:
     return v if area > 0.0 else v[::-1].copy()
 
 
+def _finite_points(points, what: str) -> np.ndarray:
+    """points, a sequence of coordinate pairs, as a float array; ShapeError naming
+    the first point with a coordinate that is not finite."""
+    a = np.asarray(points, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(a.reshape(len(a), -1)).all(axis=1))
+    if bad.size:
+        raise ShapeError(f"{what} {bad[0]} {a[bad[0]].tolist()} is not finite")
+    return a
+
+
 def polygon_vertices(p: OneReflexPolygon) -> np.ndarray:
     """Counterclockwise vertex array of a simple polygon.
 
-    ShapeError for more than _MAX_VERTICES or fewer than 3 vertices, zero
+    ShapeError for more than _MAX_VERTICES or fewer than 3 vertices, a
+    coordinate that is not finite (named before any area is taken), zero
     area, an exactly repeated consecutive vertex (a zero-length edge, where
     interior_angles reads pi; only exact repeats, since the constant does
     not change when the polygon is moved or scaled) or two edges that
@@ -205,7 +216,7 @@ def polygon_vertices(p: OneReflexPolygon) -> np.ndarray:
     """
     if len(p.vertices) > _MAX_VERTICES:
         raise ShapeError(f"polygon has {len(p.vertices)} vertices, more than {_MAX_VERTICES}")
-    v = ensure_ccw(p.vertices)
+    v = ensure_ccw(_finite_points(p.vertices, "polygon vertex"))
     w = np.roll(v, -1, axis=0)
     if np.any(np.all(v == w, axis=1)):
         raise ShapeError("repeated consecutive vertices")
@@ -347,7 +358,8 @@ def dbeta_samples(d: Dbeta) -> np.ndarray:
     """The (theta, r) samples of a polar-graph domain, sorted by angle.
 
     ValueError unless the opening is in (pi, 2pi], there are at least 2
-    and at most _MAX_SAMPLES samples, no angle repeats, r stays positive
+    and at most _MAX_SAMPLES samples, every coordinate is finite (the first
+    that is not is named before the sort), no angle repeats, r stays positive
     and the samples cover [0, beta] and no more (1e-9 of slack at either
     end).  At a repeated angle the slope between its samples is undefined,
     and the sort would order a radial jump there by r alone.
@@ -357,7 +369,8 @@ def dbeta_samples(d: Dbeta) -> np.ndarray:
         raise ValueError("a polar graph needs at least 2 samples")
     if len(d.r_samples) > _MAX_SAMPLES:
         raise ValueError(f"polar graph has {len(d.r_samples)} samples, more than {_MAX_SAMPLES}")
-    samples = np.asarray(sorted(d.r_samples), dtype=float)
+    samples = _finite_points(d.r_samples, "polar graph sample")
+    samples = samples[np.lexsort(samples.T[::-1])]
     thetas, r = samples[:, 0], samples[:, 1]
     if np.any(np.diff(thetas) == 0.0):
         raise ValueError("polar graph angles must not repeat")

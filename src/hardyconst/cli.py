@@ -36,6 +36,11 @@ _MAX_SWEEP_COUNT = 100_000  # a sweep's rows are all held in memory
 # CPU, half of it the LU factorization and the eigen-solve), a 2pi Dbeta
 # 176 MB.
 _MAX_RESOLUTION = 512
+# Most bytes parse_domain_file reads: json.load of a file peaks at about
+# seven times its size.  A file at either shape cap (certify._MAX_SAMPLES
+# samples, certify._MAX_VERTICES vertices) written by json.dumps(indent=2)
+# with 24-character floats, the longest repr, is at most 7.6 MB.
+_MAX_FILE_BYTES = 8 * 1024 * 1024
 
 
 def parse_angle(text: str) -> float:
@@ -177,10 +182,16 @@ def parse_domain_file(path: str):
     """Domain description from a JSON document; angles are in pi-units.
 
     Every number must be finite, bounded a boolean, and vertices and
-    r_samples lists of number pairs.
+    r_samples lists of number pairs.  A file over _MAX_FILE_BYTES is refused
+    before it is parsed; no more than that is read, from a pipe too.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, parse_float=_finite, parse_int=_finite, parse_constant=_non_finite)
+    with open(path, "rb") as fh:
+        data = fh.read(_MAX_FILE_BYTES + 1)
+    if len(data) > _MAX_FILE_BYTES:
+        raise ValueError(f"domain file {path} is larger than {_MAX_FILE_BYTES} bytes")
+    doc = json.loads(
+        data.decode("utf-8"), parse_float=_finite, parse_int=_finite, parse_constant=_non_finite
+    )
     if not isinstance(doc, dict):
         raise ValueError("a domain file holds one JSON object")
     kind = doc.get("type")

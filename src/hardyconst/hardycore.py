@@ -79,7 +79,6 @@ class HardySolution:
     beta: float
     c: float
     alpha: float
-    method: str  # "closed-form" or "shooting"
     residual: float
 
 
@@ -213,7 +212,7 @@ def solve_c_beta(beta: float) -> HardySolution:
     """
     beta = admit_opening(beta)
     if beta <= beta_critical():
-        return HardySolution(beta=beta, c=0.25, alpha=0.5, method="closed-form", residual=0.0)
+        return HardySolution(beta=beta, c=0.25, alpha=0.5, residual=0.0)
     s = brentq(
         lambda ss: _residual(beta, 0.25 * (1.0 - ss) * (1.0 + ss), ss),
         0.0,
@@ -225,7 +224,6 @@ def solve_c_beta(beta: float) -> HardySolution:
         beta=beta,
         c=c,
         alpha=0.5 * (1.0 + s),
-        method="closed-form",
         residual=abs(_residual(beta, c, s)),
     )
 

@@ -1,29 +1,28 @@
 """Independent ODE layer: shooting oracle and comparison machinery.
 
-Two problems are integrated with scipy's DOP853 stepper:
+Both problems are solved from one vertex series, the Frobenius solution
+psi = theta^alpha sum_m a_2m theta^2m of -psi'' = c psi / sin^2(theta) at
+the vertex, which converges for theta < pi.  _vertex sums it, for any
+trials at any angles in (0, pi/2], by one vectorized recurrence:
 
 * the eigenvalue shooting solve that recovers the sector Hardy constant
   from the angular boundary value problem alone (the anti-bug gate against
   the closed-form route in hardycore).  shoot_c takes one opening or an
   array of them and shoots them as one batch.  Only the singular piece
-  (0, pi/2] is integrated, and it is the same for every opening; the
-  middle [pi/2, beta/2], where V = 1, is crossed exactly.  Below
-  theta = 1/2 the shot is its Frobenius series at the vertex,
-  psi = theta^alpha sum_m a_2m theta^2m, summed to rounding by one
-  vectorized recurrence over the trials; DOP853 integrates only
-  [1/2, pi/2], in t = log(theta) for phi = psi / theta^alpha.
-  One run of 18 trial constants, the Chebyshev-Lobatto nodes in the vertex
-  exponent alpha over [1/2, alpha(1e-6)], brackets the root of every
-  opening and fits (psi, psi') at pi/2 as Chebyshev series in alpha, in
-  which the shot is analytic.  A vectorized Chandrupatla solve
+  (0, pi/2] depends on the opening's constant alone; the middle
+  [pi/2, beta/2], where V = 1, is crossed exactly.  The scan sums the
+  series of 18 trial constants at pi/2, the Chebyshev-Lobatto nodes in the
+  vertex exponent alpha over [1/2, alpha(1e-6)]; it brackets the root of
+  every opening and fits (psi, psi') at pi/2 as Chebyshev series in alpha,
+  in which the shot is analytic.  A vectorized Chandrupatla solve
   (scipy.optimize.elementwise.find_root) meets the Neumann condition for
-  every opening at once on that interpolant, with no run per iterate;
-  one confirming run at the roots then gives the shot's own terminal
-  derivative and refuses a root the shot does not confirm.
-  ShootingResult.steps and .nfev count the accepted log-theta steps and
-  right-hand-side evaluations of the scan and the confirming run,
-* the singular initial value problem behind the monotone comparison family
-  h(alpha, .) on (0, pi/2].
+  every opening at once on that interpolant.  One confirming DOP853 run
+  at the roots, over [1/2, pi/2] in t = log(theta) from the series at 1/2,
+  then gives the shot's own terminal derivative and refuses a root the
+  integration does not confirm.  ShootingResult.steps and .nfev count the
+  accepted log-theta steps and right-hand-side evaluations of that run,
+* the comparison family h(alpha, .) on (0, pi/2], the Riccati variable
+  of the series.
 
 Nothing here calls the closed form for c(beta): the shot sees only the
 potential V and the vertex series of -psi'' = c psi / sin^2(theta);
@@ -46,7 +45,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebval
 from numpy.polynomial.polynomial import polyval
-from scipy.integrate import DOP853, OdeSolution
+from scipy.integrate import DOP853
 from scipy.optimize.elementwise import find_root
 
 from .hardycore import (
@@ -73,32 +72,32 @@ __all__ = [
 
 PI = math.pi
 
-# The shot's vertex series is summed up to _SERIES_END, where DOP853 takes
-# over.  It converges for theta < pi, each term about (1/2pi)^2 of the one
-# before at 1/2, so _SERIES_TERMS = 14 leave the first omitted term below
-# 1e-22 of phi; the launch refuses a series whose last kept term passes
-# _SERIES_TAIL of phi.
-_SERIES_END = 0.5
-_SERIES_TERMS = 14
+# The vertex series converges for theta < pi, each term about 1/4 of the one
+# before at pi/2.  _vertex refuses a sum whose last kept term of phi_t, the
+# larger of its two last terms, passes _SERIES_TAIL of phi.  27 terms pass at
+# pi/2 for every c in (0, 1/4] (26 leave 2.3e-16) and match a 40-digit sum of
+# (psi, psi') there to 3.0e-16; 24 would pass a check on phi's term alone and
+# leave psi' 3.4e-15 off.
+_SERIES_TERMS = 27
 _SERIES_TAIL = 1e-16
-_LAUNCH_IVP = 1e-4  # series start of the singular IVP
-# DOP853 tolerances of every integration
-_RTOL = 1e-10
+_SERIES_END = 0.5  # launch of the confirming run
+# DOP853 tolerances of the confirming run
+_RTOL = 1e-11
 _ATOL = 1e-12
 # find_root's absolute tolerance on alpha, which also bounds the error in
 # c = alpha (1 - alpha).  Over 427 openings in (beta_cr, 2pi] the worst gap
-# to the closed form is 2.8e-13 at this tolerance and 2.7e-13 at 1e-14 down
-# to 0: the rest is the shot's own error, which a tighter solve cannot mend.
-_ROOT_XATOL = 1e-13
+# to the closed form is 1.7e-16 at this tolerance and 9.6e-15 at 1e-13: the
+# table is the series to rounding, so the solve's tolerance is the error.
+_ROOT_XATOL = 1e-15
 # Trial constants of the scan, the nodes of its Chebyshev table.  The
-# table's trailing coefficients are 1.8e-16 of the largest at 18 nodes,
-# 4.5e-14 at 15 and 4.6e-13 at 14.
+# table's trailing coefficients are 2.6e-16 of the largest at 18 nodes,
+# 4.6e-14 at 15 and 4.6e-13 at 14.
 _TABLE = 18
 # Largest trailing coefficient the table may keep, relative to its largest.
 _TAIL = 1e-13
 # Largest correction to c that the confirming run may imply at the table's
-# root, |psi'_shot / d_c psi'_table|: measured worst 3.0e-14 over 23,401
-# openings in batches of 1 to 20001.
+# root, |psi'_shot / d_c psi'_table|, which is DOP853's own error: measured
+# worst 7.2e-14 over 23,401 openings in batches of 1 to 20001.
 _CONFIRM = 5e-13
 # Complex step in alpha for the table's slope, exact to rounding.
 _STEP = 1e-20
@@ -121,62 +120,30 @@ class _Run(NamedTuple):
     y: np.ndarray
     steps: int  # accepted steps
     nfev: int  # right-hand-side evaluations of the solver
-    sol: Optional[OdeSolution]  # interpolant over the run, when asked for
 
 
-def _solve(rhs, t0: float, t1: float, y0: np.ndarray, dense_output: bool = False) -> _Run:
+def _solve(rhs, t0: float, t1: float, y0: np.ndarray) -> _Run:
     """One DOP853 run of y' = rhs(t, y) from t0 to t1; IntegrationError if it fails.
 
-    Keeps only the end state unless dense_output asks for the interpolant
-    (solve_ivp would store the state of every step).  A right-hand side
-    that is not finite at the launch point raises at once: the solver would
-    start from a NaN step size, reject every step and never return.
+    Keeps only the end state (solve_ivp would store the state of every
+    step).  A right-hand side that is not finite at the launch point raises
+    at once: the solver would start from a NaN step size, reject every step
+    and never return.
     """
     if not np.all(np.isfinite(rhs(t0, y0))):
         raise IntegrationError(f"right-hand side not finite at the launch point t={t0}")
     solver = DOP853(rhs, t0, y0, t1, rtol=_RTOL, atol=_ATOL)
-    ts, interpolants = [t0], []
     steps = 0
     while solver.status == "running":
         message = solver.step()
         if solver.status == "failed":
             raise IntegrationError(f"integration failed on [{t0}, {t1}]: {message}")
         steps += 1
-        if dense_output:
-            ts.append(solver.t)
-            interpolants.append(solver.dense_output())
-    sol = OdeSolution(ts, interpolants) if dense_output else None
-    return _Run(solver.y, steps, solver.nfev, sol)
+    return _Run(solver.y, steps, solver.nfev)
 
 
 # ---------------------------------------------------------------------------
-# Shooting solve for the sector constant.
-
-@dataclass(frozen=True)
-class ShootingResult:
-    """Outcome of the eigenvalue shooting solve for one opening or a batch.
-
-    For a 1-D array of openings, beta, c_estimate, terminal_derivative and
-    no_sign_change are arrays in the order given; for a scalar opening
-    they are floats and a bool.  no_sign_change marks the openings whose
-    terminal derivative kept one sign over the scan of (0, 1/4]: the shot
-    meets the Neumann condition at no c below 1/4, which is shooting's own
-    verdict that c = 1/4 (the subcritical regime), so c_estimate is 1/4
-    and terminal_derivative is the scan's value there.  Otherwise
-    terminal_derivative is the confirming run's psi'(beta/2) at c_estimate.
-    steps and nfev are totals over the whole batch: the accepted DOP853
-    steps and the right-hand-side evaluations of every run the solve made
-    (the scan and the one confirming run, each over [1/2, pi/2] alone,
-    stepped in t = log(theta)).
-    """
-
-    beta: Union[float, np.ndarray]
-    c_estimate: Union[float, np.ndarray]
-    terminal_derivative: Union[float, np.ndarray]
-    no_sign_change: Union[bool, np.ndarray]
-    steps: int
-    nfev: int
-
+# The vertex series.
 
 def _exponent(cs):
     """Vertex exponent alpha of the shot at trial constant c: alpha (1 - alpha) = c."""
@@ -218,43 +185,77 @@ def _vertex_series(cs: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return a
 
 
-def _series_state(a: np.ndarray, theta):
-    """(phi, phi_t) of the vertex series a at theta, phi_t = theta dphi/dtheta; theta
-    broadcasts against a's columns."""
-    k = np.arange(len(a))[:, None]
-    return polyval(theta * theta, a, tensor=False), polyval(theta * theta, 2 * k * a, tensor=False)
+def _vertex(cs: np.ndarray, alpha: np.ndarray, theta) -> tuple:
+    """The shot of every trial constant in cs, with exponents alpha, summed from its
+    vertex series at theta.
+
+    theta lies in (0, pi/2] and broadcasts against cs.  Returns the
+    log-angle state (phi, phi_t), phi = psi / theta^alpha and phi_t =
+    theta dphi/dtheta, from which _to_angle gives (psi, psi').
+    IntegrationError when the last kept term of phi_t passes _SERIES_TAIL
+    of phi.
+    """
+    a = _vertex_series(cs, alpha)
+    x = np.square(theta)
+    k = 2.0 * np.arange(len(a))[:, None]
+    phi, phi_t = polyval(x, a, tensor=False), polyval(x, k * a, tensor=False)
+    tail = np.max(k[-1] * np.abs(a[-1]) * x ** (len(a) - 1) / np.abs(phi))
+    if tail > _SERIES_TAIL:
+        raise IntegrationError(
+            f"{len(a)} terms of the vertex series do not resolve the shot at "
+            f"theta={np.max(theta)}: last term {tail:.1e} of phi"
+        )
+    return phi, phi_t
 
 
-def _shoot_left(cs: np.ndarray, dense_output: bool = False) -> _Run:
+# ---------------------------------------------------------------------------
+# Shooting solve for the sector constant.
+
+@dataclass(frozen=True)
+class ShootingResult:
+    """Outcome of the eigenvalue shooting solve for one opening or a batch.
+
+    For a 1-D array of openings, beta, c_estimate, terminal_derivative and
+    no_sign_change are arrays in the order given; for a scalar opening
+    they are floats and a bool.  no_sign_change marks the openings whose
+    terminal derivative kept one sign over the scan of (0, 1/4]: the shot
+    meets the Neumann condition at no c below 1/4, which is shooting's own
+    verdict that c = 1/4 (the subcritical regime), so c_estimate is 1/4
+    and terminal_derivative is the scan's series value there.  Otherwise
+    terminal_derivative is the confirming run's psi'(beta/2) at c_estimate.
+    steps and nfev are totals over the whole batch: the accepted DOP853
+    steps and the right-hand-side evaluations of its one confirming run,
+    over [1/2, pi/2] alone, stepped in t = log(theta); both are 0 when
+    every opening is subcritical, as no run is made.
+    """
+
+    beta: Union[float, np.ndarray]
+    c_estimate: Union[float, np.ndarray]
+    terminal_derivative: Union[float, np.ndarray]
+    no_sign_change: Union[bool, np.ndarray]
+    steps: int
+    nfev: int
+
+
+def _shoot_left(cs: np.ndarray) -> _Run:
     """Integrate -psi'' = c psi / sin^2(theta) over (0, pi/2], trial k at cs[k].
 
     The shot is psi = theta^alpha phi, and below _SERIES_END = 1/2 phi is
-    its vertex series (_vertex_series), summed at 1/2 for every trial at
-    once; IntegrationError when the series' last kept term passes
-    _SERIES_TAIL of phi there.  From 1/2 DOP853 runs in t = log(theta),
-    where the equation reads psi_tt = psi_t - c theta^2 V(theta) psi, with
-    state (phi, phi_t), which solves
-    phi_tt = (1 - 2 alpha) phi_t + c (1 - theta^2 V) phi.  phi stays near
-    1 up to pi/2, so DOP853 takes a few large steps and its relative error
-    control holds psi's amplitude too.  The batch is one flat state
+    its vertex series (_vertex), summed at 1/2 for every trial at once.
+    From 1/2 DOP853 runs in t = log(theta), where the equation reads
+    psi_tt = psi_t - c theta^2 V(theta) psi, with state (phi, phi_t), which
+    solves phi_tt = (1 - 2 alpha) phi_t + c (1 - theta^2 V) phi.  phi stays
+    near 1 up to pi/2, so DOP853 takes a few large steps and its relative
+    error control holds psi's amplitude too.  The batch is one flat state
     [phi_1..phi_m, phi_t_1..phi_t_m], so a single error norm covers every
     trial.  On this piece V is the half-plane's 1/sin^2(theta) for every
     opening in [pi, 2pi]; each right-hand-side evaluation calls
     potential_v once, with floats, at opening pi.  The run stops at pi/2,
-    where V turns to 1 and its second derivative jumps; one run across the
-    junction loses about two digits of c.  y is returned as (psi, psi') at
-    pi/2; sol, when asked for, is the interpolant in t of (phi, phi_t) over
-    [log 1/2, log pi/2].
+    where V turns to 1 and its second derivative jumps.  y is returned as
+    (psi, psi') at pi/2.
     """
     alpha = _exponent(cs)
-    a = _vertex_series(cs, alpha)
-    phi, phi_t = _series_state(a, _SERIES_END)
-    tail = (np.abs(a[-1]) * _SERIES_END ** (2 * len(a) - 2) / np.abs(phi)).max()
-    if tail > _SERIES_TAIL:
-        raise IntegrationError(
-            f"{_SERIES_TERMS} terms of the vertex series do not resolve the shot at "
-            f"theta={_SERIES_END}: last term {tail:.1e} of phi"
-        )
+    phi, phi_t = _vertex(cs, alpha, _SERIES_END)
     damping = 1.0 - 2.0 * alpha
     m = len(cs)
 
@@ -266,7 +267,7 @@ def _shoot_left(cs: np.ndarray, dense_output: bool = False) -> _Run:
         return np.concatenate([y[m:], damping * y[m:] + forcing * y[:m]])
 
     y0 = np.concatenate([phi, phi_t])
-    run = _solve(rhs, math.log(_SERIES_END), math.log(0.5 * PI), y0, dense_output=dense_output)
+    run = _solve(rhs, math.log(_SERIES_END), math.log(0.5 * PI), y0)
     return run._replace(y=np.concatenate(_to_angle(0.5 * PI, alpha, run.y[:m], run.y[m:])))
 
 
@@ -279,14 +280,13 @@ def _across_middle(psi, dpsi, c, length):
 
 
 class _Table(NamedTuple):
-    """The scan: one run of _TABLE trial constants and the Chebyshev series in
-    the vertex exponent alpha that it fits to (psi, psi') at pi/2."""
+    """The scan: the vertex series of _TABLE trial constants at pi/2 and the
+    Chebyshev series in the vertex exponent alpha that it fits to (psi, psi')."""
 
     alpha: np.ndarray  # Chebyshev-Lobatto nodes, decreasing from alpha(1e-6) to 1/2
     cs: np.ndarray  # trial constants alpha (1 - alpha), increasing to exactly 1/4
     ends: np.ndarray  # (psi, psi') at pi/2 of every trial, shape (2, _TABLE)
     coef: np.ndarray  # Chebyshev coefficients of (psi, psi') at pi/2, shape (_TABLE, 2)
-    run: _Run
 
     def terminal(self, alpha, length):
         """psi'(pi/2 + length) of the interpolant at exponent alpha; the arguments broadcast."""
@@ -296,14 +296,14 @@ class _Table(NamedTuple):
 
 
 def _scan() -> _Table:
-    """Shoot the _TABLE Chebyshev-Lobatto nodes in alpha over [1/2, alpha(1e-6)] in
-    one run and interpolate (psi, psi') at pi/2 in alpha; IntegrationError when
-    the series' two trailing coefficients pass _TAIL of its largest."""
+    """Sum the vertex series of the _TABLE Chebyshev-Lobatto nodes in alpha over
+    [1/2, alpha(1e-6)] at pi/2 and interpolate (psi, psi') there in alpha;
+    IntegrationError when the series' two trailing coefficients pass _TAIL of
+    its largest."""
     x = np.cos(np.arange(_TABLE) * PI / (_TABLE - 1))  # 1 down to -1
     alpha = 0.5 + 0.5 * (_exponent(1e-6) - 0.5) * (1.0 + x)
     cs = alpha * (1.0 - alpha)
-    run = _shoot_left(cs)
-    ends = run.y.reshape(2, _TABLE)
+    ends = np.array(_to_angle(0.5 * PI, alpha, *_vertex(cs, alpha, 0.5 * PI)))
     coef = chebfit(x, ends.T, _TABLE - 1)
     tail = (np.abs(coef[-2:]).max(axis=0) / np.abs(coef).max(axis=0)).max()
     if tail > _TAIL:
@@ -311,27 +311,28 @@ def _scan() -> _Table:
             f"{_TABLE} Chebyshev nodes in alpha do not resolve the shot at pi/2: "
             f"trailing coefficients {tail:.1e} of the largest"
         )
-    return _Table(alpha, cs, ends, coef, run)
+    return _Table(alpha, cs, ends, coef)
 
 
 def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
     """Largest c in (0, 1/4] for which the shot satisfies psi'(beta/2) = 0.
 
     beta is one opening or a 1-D array of them; a scalar is the batch of
-    one.  One scan integrates 18 trial constants over (0, pi/2] in a single
-    run, at the Chebyshev-Lobatto nodes in alpha from alpha(1e-6) down to
-    1/2, so from c near 1e-6 up to exactly 1/4.  It fits (psi, psi') at
-    pi/2 as Chebyshev series in alpha (IntegrationError when their two
-    trailing coefficients pass _TAIL of the largest), carries the trials
-    across each opening's middle and finds the rightmost sign change of the
-    terminal derivative.  A vectorized Chandrupatla solve (find_root) in
-    alpha then meets psi'(beta/2) = 0 on the interpolant in every opening's
-    cell at once, and one confirming run shoots all the roots.
+    one.  The scan sums the vertex series of 18 trial constants at pi/2, at
+    the Chebyshev-Lobatto nodes in alpha from alpha(1e-6) down to 1/2, so
+    from c near 1e-6 up to exactly 1/4.  It fits (psi, psi') at pi/2 as
+    Chebyshev series in alpha (IntegrationError when their two trailing
+    coefficients pass _TAIL of the largest), carries the trials across each
+    opening's middle and finds the rightmost sign change of the terminal
+    derivative.  A vectorized Chandrupatla solve (find_root) in alpha then
+    meets psi'(beta/2) = 0 on the interpolant in every opening's cell at
+    once, and one confirming DOP853 run shoots all the roots from 1/2.
     terminal_derivative is that run's value at the root.  An opening whose
     terminal derivative never changes sign over the scan gets shooting's
     verdict c = 1/4, flagged in no_sign_change: the subcritical regime,
-    where the series-started shot meets the Neumann condition at no smaller
-    c.  At beta = pi the middle has length 0.  beta reports the openings as
+    where the shot meets the Neumann condition at no smaller c.  A call
+    whose openings are all subcritical makes no run.  At beta = pi the
+    middle has length 0.  beta reports the openings as
     hardycore.admit_openings clamps them.  Raises ValueError naming an
     opening outside [pi, 2pi], and BracketError naming an opening whose
     root solve failed or whose confirming run implies a correction to c
@@ -339,7 +340,7 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
     """
     betas, scalar = admit_openings(beta)
     table = _scan()
-    steps, nfev = table.run.steps, table.run.nfev
+    steps = nfev = 0
     middle = 0.5 * (betas - PI)  # length of [pi/2, beta/2]
     d_vals = _across_middle(table.ends[0], table.ends[1], table.cs, middle[:, None])[1]
     change = d_vals[:, :-1] * d_vals[:, 1:] <= 0.0
@@ -374,8 +375,7 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
                 f"in c at beta={betas[shot][off][0]}"
             )
         c_est[shot], d_fin[shot] = cs, d_shot
-        steps += run.steps
-        nfev += run.nfev
+        steps, nfev = run.steps, run.nfev
     if scalar:
         return ShootingResult(
             float(betas[0]), float(c_est[0]), float(d_fin[0]), bool(missing[0]), steps, nfev
@@ -387,26 +387,22 @@ def shot_profile(beta: float, c: float, grid: np.ndarray) -> tuple[np.ndarray, n
     """Sampled (psi, psi') of the shot at a fixed trial constant c in (0, 1/4].
 
     beta passes admit_opening and the grid admit_angles on (0, beta/2].
-    Below 1/2 the samples are the vertex series the shot launches from.
+    On (0, pi/2] the samples are the vertex series; beyond, the series at
+    pi/2 carried across the middle exactly.
     """
     beta = admit_opening(beta)
     if not 0.0 < c <= 0.25:
         raise ValueError(f"trial constant c={c} outside (0, 1/4]")
     grid = np.asarray(admit_angles(grid, 0.0, 0.5 * beta, "(0, beta/2]"))
+    left = np.minimum(grid, 0.5 * PI)
     cs = np.array([c])
     alpha = _exponent(cs)
-    run = _shoot_left(cs, dense_output=True)
-    near = _series_state(_vertex_series(cs, alpha), np.minimum(grid, _SERIES_END))
-    left_grid = np.clip(grid, _SERIES_END, 0.5 * PI)
-    left = np.where(grid < _SERIES_END, near, run.sol(np.log(left_grid)))
-    left = _to_angle(np.minimum(grid, 0.5 * PI), alpha, *left)
-    middle = _across_middle(run.y[0], run.y[1], c, grid - 0.5 * PI)
-    samples = np.where(grid <= 0.5 * PI, left, middle)
-    return samples[0], samples[1]
+    psi, dpsi = _to_angle(left, alpha, *_vertex(cs, alpha, left))
+    return _across_middle(psi, dpsi, c, grid - left)
 
 
 # ---------------------------------------------------------------------------
-# Singular IVP h' = -(alpha h^2 - cos(theta) h + 1 - alpha)/sin(theta), h(0) = 1.
+# Comparison family: h' = -(alpha h^2 - cos(theta) h + 1 - alpha)/sin(theta), h(0) = 1.
 
 @dataclass(frozen=True)
 class HProfile:
@@ -423,29 +419,26 @@ class HProfile:
 
 
 def _default_grid() -> np.ndarray:
-    return np.linspace(_LAUNCH_IVP, 0.5 * PI, 200)
+    return np.linspace(1e-4, 0.5 * PI, 200)
 
 
 def solve_h(alpha: float, grid: Optional[np.ndarray] = None) -> HProfile:
     """Unique solution of the singular IVP for alpha in (1/2, 1).
 
-    Launch at theta = 1e-4 from the local expansion
-    h = 1 - theta^2 / (2 (2 alpha + 1)) + O(theta^4); the forward direction
-    contracts perturbations like theta^(2 alpha - 1), so the launch error is
-    damped.  The grid must lie in [1e-4, pi/2], by admit_angles; the
-    profile keeps it as given.
+    h = sin(theta) psi' / (alpha psi) is the Riccati variable of the vertex
+    series at c = alpha (1 - alpha), summed at each grid angle: with
+    g = alpha h = sin(theta) psi' / psi the equation is the shot's Riccati
+    equation, and h -> 1 at the vertex, where psi ~ theta^alpha.  The grid
+    must lie in (0, pi/2], by admit_angles; the profile keeps it as given.
     """
     if not 0.5 < alpha < 1.0:
         raise ValueError(f"alpha={alpha} outside (1/2, 1)")
     grid = _default_grid() if grid is None else np.asarray(grid, dtype=float)
-    at = admit_angles(grid, _LAUNCH_IVP, 0.5 * PI, "[1e-4, pi/2]")
-    h0 = 1.0 - _LAUNCH_IVP**2 / (2.0 * (2.0 * alpha + 1.0))
-
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        return -(alpha * y * y - math.cos(t) * y + 1.0 - alpha) / math.sin(t)
-
-    run = _solve(rhs, _LAUNCH_IVP, 0.5 * PI, np.array([h0]), dense_output=True)
-    return HProfile(alpha=alpha, grid=grid, h=run.sol(at)[0], lam=None)
+    at = admit_angles(grid, 0.0, 0.5 * PI, "(0, pi/2]")
+    phi, phi_t = _vertex(np.array([alpha * (1.0 - alpha)]), alpha, at)
+    # theta psi' / psi = alpha + phi_t / phi
+    h = np.sin(at) / at * (1.0 + phi_t / (alpha * phi))
+    return HProfile(alpha=alpha, grid=grid, h=h.reshape(np.shape(at)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hardyconst import certify, cli, f_func, g_func, solve_c_beta
+from hardyconst import certify, cli, f_func, g_func, rayleigh, solve_c_beta
 from hardyconst.certify import (
     CERTIFIED,
     CONDITION_FAILED,
@@ -107,6 +107,21 @@ def test_polygon_vertices_matches_pair_loop():
     assert 200 < refused < 1800
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_polygon_vertices_refuses_a_non_finite_coordinate(lshape_vertices, bad):
+    # named before any area or orientation is taken; a NaN vertex used to
+    # pass, and the lattice then found no interior node
+    for i, j in ((3, 0), (2, 1)):
+        verts = [list(v) for v in lshape_vertices]
+        verts[i][j] = bad
+        with pytest.raises(ShapeError, match=re.escape(f"polygon vertex {i} {verts[i]} is not finite")):
+            polygon_vertices(OneReflexPolygon(verts))
+        with pytest.raises(ShapeError, match="is not finite"):
+            certify_domain(OneReflexPolygon(verts))
+        with pytest.raises(ShapeError, match="is not finite"):
+            rayleigh.build_grid(OneReflexPolygon(verts), 16)
+
+
 def test_polygon_vertices_of_5001_vertices(notched_disk_vertices):
     poly = OneReflexPolygon(notched_disk_vertices)
     start = time.perf_counter()
@@ -159,6 +174,30 @@ def test_caps_admit_their_own_size(monkeypatch, lshape_vertices):
     assert len(dbeta_samples(Dbeta(1.5 * PI, samples))) == 8
     with pytest.raises(ValueError, match="9 samples, more than 8"):
         dbeta_samples(Dbeta(1.5 * PI, samples + [(0.5, 1.0)]))
+
+
+def test_domain_file_over_the_byte_bound_exits_2(tmp_path, capsys, monkeypatch, lshape_vertices):
+    # refused before it is parsed; the bound is lowered here, as the caps are
+    # above, so that no large file is written
+    f = tmp_path / "polygon.json"
+    f.write_text(json.dumps({"type": "polygon", "vertices": lshape_vertices}, indent=2))
+    size = f.stat().st_size
+    monkeypatch.setattr(cli, "_MAX_FILE_BYTES", size)
+    assert cli.main(["certify", str(f)]) == 0
+    monkeypatch.setattr(cli, "_MAX_FILE_BYTES", size - 1)
+    assert cli.main(["certify", str(f)]) == 2
+    assert f"larger than {size - 1} bytes" in capsys.readouterr().err
+
+
+def test_a_domain_file_at_either_cap_fits_the_byte_bound():
+    # json.dumps(indent=2) with the longest float repr, 24 characters
+    w = -2.2250738585072014e-308
+    docs = [
+        {"type": "dbeta", "beta": 1.8, "r_samples": [[w, w]] * certify._MAX_SAMPLES},
+        {"type": "polygon", "vertices": [[w, w]] * certify._MAX_VERTICES},
+    ]
+    for doc in docs:
+        assert len(json.dumps(doc, indent=2).encode()) <= cli._MAX_FILE_BYTES
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +381,15 @@ def test_dbeta_validation_errors():
         check_dbeta(Dbeta(1.5 * PI, [(0.0, 1.0), (1.5 * PI, 1.0)]))  # too few samples
     with pytest.raises(ValueError):
         check_dbeta(Dbeta.from_function(0.9 * PI, lambda t: 1.0))
+    # one NaN radius or angle used to be certified; the first one is named
+    # before the samples are sorted
+    samples = [(t, 1.0) for t in np.linspace(0.0, 1.5 * PI, 8).tolist()]
+    for i, bad in ((3, (samples[3][0], math.nan)), (5, (math.nan, 1.0)), (2, (0.5, math.inf))):
+        broken = samples[:i] + [bad] + samples[i + 1 :]
+        with pytest.raises(ValueError, match=re.escape(f"polar graph sample {i} {list(bad)} is not finite")):
+            dbeta_samples(Dbeta(1.5 * PI, broken))
+        with pytest.raises(ValueError, match="is not finite"):
+            certify_domain(Dbeta(1.5 * PI, broken))
 
 
 # ---------------------------------------------------------------------------

@@ -63,14 +63,12 @@ def test_cbeta_sweep_check_matches_single_openings(tmp_path):
 
 def test_cbeta_full_sweep_check_agrees_with_the_closed_form(tmp_path):
     # the documented sweep: shooting prints the closed form's own 12 digits
-    # in 89 of its 101 rows and misses by at most one unit in the last
-    # digit; gated at 89 rows and 2e-12
+    # in every one of its 101 rows
     out = tmp_path / "sweep.json"
     assert run(["cbeta", "--sweep", "pi:2pi:101", "--check", "-o", str(out)]) == 0
     rows = json.loads(out.read_text())["rows"]
     assert len(rows) == 101
-    assert sum(r["shoot_c"] == r["c"] for r in rows) >= 89
-    assert max(abs(r["shoot_c"] - r["c"]) for r in rows) <= 2e-12
+    assert [r["shoot_c"] for r in rows] == [r["c"] for r in rows]
 
 
 def test_cbeta_sweep_check_exit_codes(tmp_path, capsys):

@@ -46,11 +46,11 @@ def test_shoot_cross_oracle_18pi():
 
 
 def test_shoot_matches_closed_form_tightly():
-    # measured worst gap 2.7e-13 (DOP853 at rtol 1e-10 in log theta, root
-    # solve on the scan's table to 1e-13 in alpha), gated at 1e-12
+    # measured worst gap 1.4e-16 (root solve to 1e-15 in alpha on the table
+    # of the vertex series at pi/2), gated at 5e-16
     factors = np.append(np.linspace(1.546, 2.0, 21), [1.55, 1.6, 1.7, 1.8, 1.9])
     gaps = [abs(shoot_c(f * PI).c_estimate - solve_c_beta(f * PI).c) for f in factors]
-    assert max(gaps) <= 1e-12
+    assert max(gaps) <= 5e-16
 
 
 _CLOSED_FORM = ("solve_c_beta", "equation_residual", "beta_for_constant", "beta_critical")
@@ -90,39 +90,45 @@ def test_shoot_calls_potential_with_floats(monkeypatch):
 
 
 def test_scan_is_shared_across_openings(monkeypatch):
-    # the first run of a batch is the scan: 18 trials, however many openings
+    # the scan is the vertex series at pi/2, the same for every opening; the
+    # one run of a call is the confirming run, which carries the supercritical
+    # openings alone, and a call without one makes no run
     trials = []
     solve = odeengine._solve
 
-    def recording(rhs, t0, t1, y0, dense_output=False):
+    def recording(rhs, t0, t1, y0):
         trials.append(len(y0) // 2)
-        return solve(rhs, t0, t1, y0, dense_output)
+        return solve(rhs, t0, t1, y0)
 
     monkeypatch.setattr(odeengine, "_solve", recording)
-    for betas in (np.array([1.8 * PI]), np.linspace(1.0, 2.0, 40) * PI):
+    for betas in (np.array([1.8 * PI]), np.linspace(1.0, 2.0, 40) * PI, np.array([1.0, 1.5]) * PI):
         trials.clear()
-        shoot_c(betas)
-        assert trials[0] == 18
+        res = shoot_c(betas)
+        supercritical = (~res.no_sign_change).sum()
+        assert trials == ([supercritical] if supercritical else [])
+    assert res.steps == res.nfev == 0
 
 
 def test_shooting_cost(monkeypatch):
-    # launched from the vertex series at 1/2, the scan steps [1/2, pi/2] in
-    # log theta (9 accepted steps, against 29 from a launch at 1e-6), and the
-    # roots are solved on the scan's Chebyshev table, so these twelve
-    # openings take the scan and one confirming run
+    # the roots are solved on the scan's Chebyshev table of the vertex series,
+    # so a call makes one DOP853 run, the confirming one, which steps
+    # [1/2, pi/2] in log theta (11 accepted steps and 182 right-hand-side
+    # evaluations at rtol 1e-11)
     runs = []
     solve = odeengine._solve
 
-    def recording(rhs, t0, t1, y0, dense_output=False):
-        runs.append(solve(rhs, t0, t1, y0, dense_output))
+    def recording(rhs, t0, t1, y0):
+        runs.append(solve(rhs, t0, t1, y0))
         return runs[-1]
 
     monkeypatch.setattr(odeengine, "_solve", recording)
-    shoot_c(1.8 * PI)
-    assert runs[0].steps <= 12
+    res = shoot_c(1.8 * PI)
+    assert len(runs) == 1
+    assert runs[0].steps <= 14
+    assert (res.steps, res.nfev) == (runs[0].steps, runs[0].nfev)
     runs.clear()
     shoot_c(np.linspace(1.55, 2.0, 12) * PI)
-    assert len(runs) <= 2
+    assert len(runs) == 1
 
 
 def _reference_roots(betas):
@@ -155,7 +161,7 @@ def test_table_root_matches_the_shots_root():
 
 def test_coarse_table_raises(monkeypatch):
     # 10 nodes leave trailing coefficients of 4e-9 of the largest, far above
-    # the 1e-13 the table must resolve; 18 nodes leave 2e-16
+    # the 1e-13 the table must resolve; 18 nodes leave 2.6e-16
     monkeypatch.setattr(odeengine, "_TABLE", 10)
     with pytest.raises(IntegrationError, match="Chebyshev"):
         shoot_c(1.8 * PI)
@@ -180,23 +186,24 @@ def test_series_a2_half():
 
 
 def test_series_residual_order(sol_2pi):
-    # the 14 terms of psi = theta^alpha sum_m a_2m theta^2m leave a residual
-    # of sin^2(theta) psi'' + c psi at rounding level, at the launch 1/2 too;
-    # measured at most 3.5e-16 of c psi
+    # the 27 terms of psi = theta^alpha sum_m a_2m theta^2m leave a residual
+    # of sin^2(theta) psi'' + c psi at rounding level up to pi/2; measured at
+    # most 3.5e-16 of c psi at 0.1 and 1/2, and 2.0e-15 at pi/2, where the
+    # terms of psi'' cancel more
     alpha, c = sol_2pi.alpha, sol_2pi.c
     a = odeengine._vertex_series(np.array([c]), np.array([alpha]))[:, 0]
-    assert a.size == 14
+    assert a.size == 27
     m = np.arange(a.size)
-    for theta in (0.1, 0.5):
+    for theta, gate in ((0.1, 2e-15), (0.5, 2e-15), (0.5 * PI, 4e-15)):
         psi_s = np.sum(a * theta ** (alpha + 2 * m))
         psi_s2 = np.sum(a * (alpha + 2 * m) * (alpha + 2 * m - 1) * theta ** (alpha + 2 * m - 2))
         res = math.sin(theta) ** 2 * psi_s2 + c * psi_s
-        assert abs(res) <= 2e-15 * c * psi_s
+        assert abs(res) <= gate * c * psi_s
 
 
 def test_short_vertex_series_raises(monkeypatch):
-    # 6 terms leave a last term up to 3.6e-10 of phi at 1/2, far above the 1e-16
-    # the launch must resolve; 14 terms leave 2e-23
+    # 6 terms leave a last term of phi_t up to 3.5e-4 of phi at pi/2, far above
+    # the 1e-16 the scan must resolve; 27 terms leave 5.8e-17
     monkeypatch.setattr(odeengine, "_SERIES_TERMS", 6)
     with pytest.raises(IntegrationError, match="vertex series"):
         shoot_c(1.8 * PI)
@@ -291,15 +298,18 @@ def test_shoot_subcritical_verdict(monkeypatch):
 def test_shooting_seam_matches_beta_critical():
     # the opening where psi'(beta/2) at c = 1/4 changes sign, found from the
     # shot alone, against the closed-form critical opening; measured gap
-    # 7.4e-12 (DOP853 at rtol 1e-10 in log theta), gated at 1e-11.  The run over
-    # (0, pi/2] is the same for every opening; the middle is crossed exactly
-    run = odeengine._shoot_left(np.array([0.25]))
+    # 8.9e-16, one ulp, gated at 1e-15.  The vertex series at pi/2 is the same
+    # for every opening; the middle is crossed exactly
+    alpha = np.array([0.5])
+    psi, dpsi = odeengine._to_angle(
+        0.5 * PI, alpha, *odeengine._vertex(np.array([0.25]), alpha, 0.5 * PI)
+    )
 
     def terminal_at_quarter(beta):
-        return odeengine._across_middle(run.y[0], run.y[1], 0.25, 0.5 * (beta - PI))[1]
+        return odeengine._across_middle(psi[0], dpsi[0], 0.25, 0.5 * (beta - PI))[1]
 
     seam = brentq(terminal_at_quarter, 1.5 * PI, 1.6 * PI, xtol=1e-15)
-    assert abs(seam - hardycore.beta_critical()) <= 1e-11
+    assert abs(seam - hardycore.beta_critical()) <= 1e-15
 
 
 def test_shoot_domain_error():
@@ -319,11 +329,11 @@ def tight_batch():
 
 
 def test_batch_matches_closed_form_tightly(tight_batch):
-    # measured worst gap 2.7e-13, gated at 1e-12
+    # measured worst gap 1.4e-16, gated at 5e-16
     assert isinstance(tight_batch.c_estimate, np.ndarray)
     assert np.array_equal(tight_batch.beta, _TIGHT_BETAS)
     gaps = np.abs(tight_batch.c_estimate - [solve_c_beta(b).c for b in _TIGHT_BETAS])
-    assert gaps.max() <= 1e-12
+    assert gaps.max() <= 5e-16
     assert np.all(np.abs(tight_batch.terminal_derivative) < 1e-9)
     assert tight_batch.nfev >= tight_batch.steps > 0
 
@@ -335,20 +345,20 @@ def test_batch_matches_single_openings(tight_batch):
     assert np.array_equal(tight_batch.c_estimate, [r.c_estimate for r in single])
 
 
-def test_long_batch_takes_two_runs(monkeypatch):
-    # however many openings, a call makes the scan and one confirming run,
-    # and each opening's root is solved on the same table as in any other batch
+def test_long_batch_takes_one_run(monkeypatch):
+    # however many openings, a call makes one confirming run, and each
+    # opening's root is solved on the same table as in any other batch
     betas = np.linspace(PI, 2.0 * PI, 600)
     runs = []
     solve = odeengine._solve
 
-    def recording(rhs, t0, t1, y0, dense_output=False):
+    def recording(rhs, t0, t1, y0):
         runs.append(len(y0) // 2)
-        return solve(rhs, t0, t1, y0, dense_output)
+        return solve(rhs, t0, t1, y0)
 
     monkeypatch.setattr(odeengine, "_solve", recording)
     batch = shoot_c(betas)
-    assert runs == [18, (~batch.no_sign_change).sum()]
+    assert runs == [(~batch.no_sign_change).sum()]
     assert np.array_equal(batch.c_estimate[::7], shoot_c(betas[::7]).c_estimate)
 
 
@@ -387,17 +397,7 @@ def test_shot_profile_at_the_half_plane():
 
 
 # ---------------------------------------------------------------------------
-# Singular IVP.
-
-def test_h_launch_expansion_satisfies_equation():
-    # residual of the quadratic launch h = 1 - theta^2/(2(2a+1)) at theta = 1e-4
-    for alpha in (0.6, 0.8):
-        theta = 1e-4
-        h = 1.0 - theta**2 / (2.0 * (2.0 * alpha + 1.0))
-        dh = -theta / (2.0 * alpha + 1.0)
-        res = dh + (alpha * h * h - math.cos(theta) * h + 1.0 - alpha) / math.sin(theta)
-        assert abs(res) < 1e-8
-
+# Comparison family.
 
 def test_h_profile_starts_at_launch_value():
     prof = solve_h(0.7)
@@ -425,12 +425,13 @@ def test_h_rejects_bad_alpha():
 
 
 def test_h_matches_riccati_variable():
-    # alpha h(alpha, theta) equals g(beta, theta) when alpha(1-alpha) = c(beta)
+    # alpha h(alpha, theta) equals g(beta, theta) when alpha(1-alpha) = c(beta);
+    # measured worst gap 3.3e-16, gated at 1e-15
     for alpha in (0.6, 0.7112860085935853):
         beta = beta_for_constant(alpha * (1.0 - alpha))
         prof = solve_h(alpha)
         g_vals = np.array([g_func(float(t), beta) for t in prof.grid])
-        assert np.max(np.abs(alpha * prof.h - g_vals)) < 1e-7
+        assert np.max(np.abs(alpha * prof.h - g_vals)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,7 @@ ANGLE_TAKERS = {
         lambda t: g_upper_bound_derivative(t, 0.7), 0.0, 0.5 * PI, "[0, pi/2]", True,
     ),
     "solve_h": (
-        lambda t: solve_h(0.7, grid=np.atleast_1d(t)).h, 1e-4, 0.5 * PI, "[1e-4, pi/2]", True,
+        lambda t: solve_h(0.7, grid=np.atleast_1d(t)).h, 0.0, 0.5 * PI, "(0, pi/2]", True,
     ),
     "h_family_half": (
         lambda t: h_family_half(0.1, np.atleast_1d(t)).h, 0.0, 0.5 * PI, "[0, pi/2]", True,
@@ -134,7 +134,7 @@ def test_angles_are_returned_as_given():
     assert [t for t, _ in pairs] == [0.3, edge]
     end = boundary_form_samples("line_segment", 1.7 * PI, 0.4 * PI, [0.5 * PI])
     assert pairs[1][1] == end[0][1]
-    grid = [1e-4 - 5e-13, 0.3, edge]
+    grid = [1e-4, 0.3, edge]
     prof = solve_h(0.7, grid=grid)
     assert prof.grid.tolist() == grid
     assert np.array_equal(prof.h, solve_h(0.7, grid=[1e-4, 0.3, 0.5 * PI]).h)

@@ -50,6 +50,8 @@ def test_bench_writes_one_pair_of_runs(tmp_path):
     for run in entry["runs"]:
         assert run["facts"]["workload"] == "sweep-check" and run["facts"]["seconds"] == 1.0
         assert run["result"]["correct"] and run["result"]["failed"] == 0
+        # the run's accuracy next to its timings: shoot_c against c as printed
+        assert 0.0 <= run["accuracy"]["oracle_gap_max"] <= 1e-12
     metrics = entry["metrics"]
     assert set(metrics) == {"setup_s", "ok_share", "peak_rss_mb", "rows_per_s"}
     for name, m in metrics.items():
