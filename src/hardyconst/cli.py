@@ -32,9 +32,9 @@ _MAX_SWEEP_COUNT = 100_000  # a sweep's rows are all held in memory
 # sparse LU factors a little faster; a sector's pencil has only n/2 - 1
 # unknowns.  Peak RSS of one validate run at n = 512 (x86-64, Python 3.11,
 # numpy 2.4, scipy 1.17, one BLAS thread): slit disk 86 MB (the import
-# floor, in 0.01 s), L-shape 177 MB, Ebg(1.5pi, 1.5pi) 293 MB (in 1.7 s of
-# CPU, half of it the LU factorization and the eigen-solve), a 2pi Dbeta
-# 176 MB.
+# floor, in 0.01 s), L-shape 186 MB (in 2.6 s of CPU), Ebg(1.5pi, 1.5pi)
+# 293 MB (in 1.7 s of CPU, half of it the LU factorization and the
+# eigen-solve), a 2pi Dbeta 176 MB.
 _MAX_RESOLUTION = 512
 # Most bytes parse_domain_file reads: json.load of a file peaks at about
 # seven times its size.  A file at either shape cap (certify._MAX_SAMPLES

@@ -76,6 +76,15 @@ PI = math.pi
 _MIN_INTERIOR_NODES = 100
 _ARC_SAMPLES = 256
 
+# Lanczos vectors of the eigen-solve, most of its added peak memory: on the
+# n = 256 L-shape (48,641 unknowns) a tracemalloc peak of 8.2 MB at 8
+# vectors and 134 solves, 14.4 MB at 16 and 82 solves (17.5 MB at 20 and
+# 33.1 MB at 40, still 82).  Lattices and 1-D pencils keep _NCV: they
+# converge in 14-22 solves, and 16 vectors would force at least 18.  The
+# 2-D tensor grids keep _TENSOR_NCV (see _tensor_grid).
+_NCV = 8
+_TENSOR_NCV = 16
+
 
 class NumericalError(RuntimeError):
     """A factorization or solve of the grid's energy failed, or the eigen-solve did not converge."""
@@ -98,11 +107,12 @@ class GridProblem:
     problems; at r = 1 on a sector).  matrix is the Dirichlet energy and
     mass the weighted mass over the unknowns, so the estimate is the
     smallest eigenvalue of the pencil (matrix, mass); solve(rhs) applies the
-    inverse of matrix, and start is the eigen-solve's start vector.  h is
-    the smallest mesh width in the domain's own length units (at r = 1 on a
-    sector).  radius is the truncation radius of a two-halfline domain, None
-    otherwise.  dropped counts the unknowns a lattice left out because no
-    open link joins them to its largest component (0 on other grids).
+    inverse of matrix, start is the eigen-solve's start vector and ncv the
+    number of Lanczos vectors it keeps.  h is the smallest mesh width in the
+    domain's own length units (at r = 1 on a sector).  radius is the
+    truncation radius of a two-halfline domain, None otherwise.  dropped
+    counts the unknowns a lattice left out because no open link joins them
+    to its largest component (0 on other grids).
     """
 
     xs: np.ndarray
@@ -115,6 +125,7 @@ class GridProblem:
     mass: sp.csr_matrix
     solve: Callable[[np.ndarray], np.ndarray]
     start: np.ndarray
+    ncv: int = _NCV
     radius: Optional[float] = None
     dropped: int = 0
 
@@ -461,11 +472,11 @@ _GAUSS_GRADED = 6
 
 # Columns of the capacitance matrix computed per truncated solve, in
 # batch x P x (Q - lo) doubles of work memory.  pttrs sweeps one column at
-# a time, so the batch saves no arithmetic, and one column per solve builds
-# the n = 512 L-shape faster (1.8-1.9 s against 2.3 s).  But at n = 256
-# the Lanczos solves that follow then take about 60,000 more page faults
-# (0.1 s of CPU): the arrays freed here are too small to raise glibc's
-# adaptive mmap threshold above the P*Q vectors of each solve.
+# a time, so the batch saves no arithmetic.  One column per solve builds
+# the n = 512 L-shape faster (0.94 s of CPU against 1.23 s) at a 4 MB
+# lower peak, and the Lanczos solves that follow, each working in its
+# solver's one buffer, take about as many page faults (1,150 against 820
+# at n = 256).  8 stays until a benchmark run compares the two.
 _CAPACITANCE_BATCH = 8
 
 
@@ -640,6 +651,7 @@ class _TensorSolver:
             raise NumericalError(f"tridiagonal factorization failed (info={info})")
         self.shape = (p, q)
         self.kept = np.flatnonzero(keep)
+        self.work = np.empty((p * q, 1))  # each solve's box vector, in and out of mode space
         self.ring = None
         if keep.all():
             return
@@ -680,14 +692,15 @@ class _TensorSolver:
         self.cap = la.cho_factor(0.5 * (cap + cap.T))
 
     def _modes(self, b: np.ndarray, diag=None, off=None) -> np.ndarray:
-        """Solve the stacked tridiagonal systems for mode-space loads (P*Q, r).
+        """Solve the stacked tridiagonal systems for mode-space loads b (P*Q, r).
 
         diag and off, if given, are the factor's rows from some lo up in
-        every mode, and b is (P*(Q - lo), r).
+        every mode, and b is (P*(Q - lo), r).  b is a work array: the
+        solution overwrites it.
         """
         if diag is None:
             diag, off = self.diag, self.off
-        z, info = lapack.dpttrs(diag, off, b)
+        z, info = lapack.dpttrs(diag, off, b, overwrite_b=True)
         if info != 0:
             raise NumericalError(f"tridiagonal solve failed (info={info})")
         return z
@@ -706,12 +719,15 @@ class _TensorSolver:
         return load.reshape(q, p, r).transpose(1, 0, 2).reshape(p * q, r)
 
     def _dst(self, v: np.ndarray) -> np.ndarray:
+        """Sine transform along the uniform axis of the P*Q values v, into v's storage."""
         p, q = self.shape
-        return dst(v.reshape(p, q), type=1, axis=0, norm="ortho").reshape(p * q, 1)
+        return dst(v.reshape(p, q), type=1, axis=0, norm="ortho", overwrite_x=True).reshape(p * q, 1)
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        b = np.zeros(self.shape[0] * self.shape[1])
-        b[self.kept] = rhs
+        # every step works in the solver's one buffer; only the kept values leave it
+        b = self.work
+        b.fill(0.0)
+        b[self.kept, 0] = rhs
         z = self._modes(self._dst(b))
         if self.ring is not None:
             force = la.cho_solve(self.cap, self._ring_values(z))
@@ -773,6 +789,10 @@ def _tensor_grid(
         # the uniform axis, so the many near-degenerate modes along that
         # axis (wiggles where they cost little) start out nearly absent
         start=weight(u, v) ** -0.5 * np.sin(PI * (u - xs[0]) / (xs[-1] - xs[0])),
+        # the lowest eigenvalues of a polygon crowd together (the n = 256
+        # L-shape's lowest eight lie within 0.43%), and with _NCV vectors
+        # each implicit restart discards most of that cluster
+        ncv=_TENSOR_NCV,
     )
 
 
@@ -1105,11 +1125,6 @@ def strip_proxy(n: int) -> GridProblem:
 # ---------------------------------------------------------------------------
 # Pencil eigenvalue.
 
-# Lanczos vectors, most of the solve's added peak memory (L-shape n=256,
-# 48,641 unknowns: a tracemalloc peak of 7.8 MB at 8, 16.7 MB at 20 and
-# 31.6 MB at 40)
-_NCV = 8
-
 # Ritz residual tolerance of the Lanczos solve.  The grid's discretization
 # excess over the constant is at least 1e-3, and the Rayleigh quotient's
 # error is about the square of the vector's, so with exact solves 1e-6
@@ -1126,10 +1141,11 @@ _LANCZOS_TOL = 1e-6
 def estimate_constant(grid: GridProblem, return_vector: bool = False):
     """Smallest eigenvalue of the pencil (A, M) by shift-invert Lanczos (eigsh at shift 0).
 
-    Runs on the grid's own solve of A from grid.start, to a relative Ritz
-    residual of _LANCZOS_TOL.  lam is the Rayleigh quotient of the returned
-    vector x, an upper bound of the discrete minimum even where a solve is
-    inexact.  One more solve measures the residual r = Ax - lam Mx in the
+    Runs on the grid's own solve of A from grid.start with grid.ncv Lanczos
+    vectors (16 on 2-D tensor grids, 8 on lattices and 1-D pencils), to a
+    relative Ritz residual of _LANCZOS_TOL.  lam is the Rayleigh quotient
+    of the returned vector x, an upper bound of the discrete minimum even
+    where a solve is inexact.  One more solve measures the residual r = Ax - lam Mx in the
     A^-1 norm, which gives the relative Krylov-Weinstein bound
     residual_bound = |r|_{A^-1} / |x|_A: some eigenvalue of the pencil lies
     in [lam/(1 + eta), lam/(1 - eta)] (Parlett, The Symmetric Eigenvalue
@@ -1137,12 +1153,13 @@ def estimate_constant(grid: GridProblem, return_vector: bool = False):
     is exact up to rounding on 1-D pencils and lattices (a sparse LU) and
     an ill-conditioned capacitance solve on polygons that do not fill their
     bounding box; on the L-shape at n = 256 that solve, not Lanczos, sets
-    the bound near 1.6e-5, and it holds lam itself to about 4e-8 relative:
+    the bound near 1.5e-5, and it holds lam itself to about 4e-8 relative:
     lam spans 0.26050813135 to 0.26050814231 over ncv 8 to 40 and Ritz
     tolerances 1e-6 to 1e-10.  iterations counts every solve, this one
-    included.  Deterministic for a fixed grid and BLAS thread count; the
-    thread count moves the vector's last bits, and with them the trailing
-    digits of residual_bound.
+    included: 82 on that L-shape.
+    Deterministic for a fixed grid and BLAS thread count; the thread count
+    moves the vector's last bits, and with them the trailing digits of
+    residual_bound.
     """
     a, m = grid.matrix, grid.mass
     solves = 0
@@ -1155,7 +1172,7 @@ def estimate_constant(grid: GridProblem, return_vector: bool = False):
     op = spla.LinearOperator(a.shape, matvec=inverse, dtype=float)
     try:
         _, vectors = spla.eigsh(
-            a, k=1, M=m, sigma=0.0, OPinv=op, v0=grid.start, ncv=_NCV, tol=_LANCZOS_TOL
+            a, k=1, M=m, sigma=0.0, OPinv=op, v0=grid.start, ncv=grid.ncv, tol=_LANCZOS_TOL
         )
     except spla.ArpackNoConvergence as exc:
         raise NumericalError(f"shift-invert Lanczos did not converge: {exc}") from exc

@@ -526,13 +526,13 @@ def test_validate_lattice_lambda_is_pinned(tmp_path, doc, estimate):
     [
         (
             [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
-            {"h": 1.40380751468e-07, "iterations": 58, "lambda": 0.280217144421,
-             "residual_bound": 5.63763415997e-07},
+            {"h": 1.40380751468e-07, "iterations": 50, "lambda": 0.28021714442,
+             "residual_bound": 3.61268867315e-07},
         ),
         (
             [[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [0, 2]],
-            {"h": 2.80761502935e-07, "iterations": 58, "lambda": 0.278609949925,
-             "residual_bound": 3.83517910512e-07},
+            {"h": 2.80761502935e-07, "iterations": 50, "lambda": 0.278609949925,
+             "residual_bound": 2.65690090149e-07},
         ),
     ],
     ids=["L-shape", "3x2-with-2x1-notch"],

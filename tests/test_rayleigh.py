@@ -183,8 +183,24 @@ def test_capacitance_matrix_matches_stacked_solves(case):
 
 
 def test_lshape_solve_count():
-    # the Lanczos solves at tolerance 1e-6 plus the one that measures the bound
-    assert estimate_constant(build_grid(lshape(), 129)).iterations == 58
+    # the Lanczos solves at tolerance 1e-6 plus the one that measures the
+    # bound, with the tensor grid's 16 Lanczos vectors
+    for n, solves in ((129, 50), (256, 82)):
+        grid = build_grid(lshape(), n)
+        assert grid.ncv == 16
+        assert estimate_constant(grid).iterations == solves
+
+
+def test_tensor_solve_reuses_its_buffer_without_sharing_results():
+    # two consecutive solves by one solver equal two fresh solvers' bit for
+    # bit, and no result shares memory with another or with the work buffer
+    solve = build_grid(lshape(), 65).solve
+    loads = np.random.default_rng(5).standard_normal((2, len(solve.kept)))
+    results = [solve(load) for load in loads]
+    for load, got in zip(loads, results):
+        assert np.array_equal(got, build_grid(lshape(), 65).solve(load))
+    assert not np.shares_memory(*results)
+    assert not any(np.shares_memory(got, solve.work) for got in results)
 
 
 @pytest.mark.parametrize("failure", ["eigsh", "splu"])
