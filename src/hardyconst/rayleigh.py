@@ -34,14 +34,16 @@ Cartesian lattices, for every other domain (slanted polygon edges,
 two-halfline domains, mixed Dirichlet-Neumann sectors): the 5-point
 finite-difference energy on a square lattice against nodal weights
 1/dist^2, assembled in one pass from one inside test per node and
-restricted to its largest connected component.  The energy is factored
-once by a sparse LU (SuperLU, minimum degree ordering on A^T + A, whose
-pattern is symmetric), so every solve is exact up to rounding.  Its mesh
-width is uniform, so it resolves only about log10(n) decades and converges
-like 1/log^2(1/h); on a few hundred nodes per side the estimate sits a few
-tenths above the constant.  For these domains the validator is a consistency check
-(estimates stay above certified constants and shrink toward them), not a
-precision instrument.
+restricted to its largest connected component.  Each link is decided
+open or closed once, at its lower end, and written by the Q1 grids'
+symmetric stencil writer.  The energy is factored once by a sparse LU
+(SuperLU, minimum degree ordering on A^T + A, whose pattern is
+symmetric), so every solve is exact up to rounding.  Its mesh width is
+uniform, so it resolves only about log10(n) decades and converges like
+1/log^2(1/h); on a few hundred nodes per side the estimate sits a few
+tenths above the constant.  For these domains the validator is a
+consistency check (estimates stay above certified constants and shrink
+toward them), not a precision instrument.
 """
 
 from __future__ import annotations
@@ -326,12 +328,16 @@ def _assemble(
     inside and weight_dist take vectorized coordinates.  inside classifies
     each node once and weight_dist measures the inside nodes only; the
     unknowns are the inside nodes at least h/2 from the weighted boundary
-    part.  Each link reads its neighbor's inside flag and unknown index from
-    that classification, padded by one ring of outside nodes that are not
-    unknowns.  A link to an out-of-mask neighbor is a Dirichlet half-link
-    unless the neighbor lies outside the domain and neumann_side says the
-    crossing is through the Neumann part, in which case the link is dropped
-    entirely.
+    part.  Each link reads its neighbor's inside flag from that
+    classification, padded by one ring of outside nodes that are not
+    unknowns.  A link is open or closed as its lower end decides: the
+    forward passes (1, 0) and (0, 1) store the decision in a band that the
+    backward passes read, their own tests only placing the wall of a closed
+    link, and _stencil_csr writes each link once from those bands, so the
+    energy is symmetric.  A closed link to an out-of-mask neighbor is a
+    Dirichlet half-link unless the neighbor lies outside the domain and
+    neumann_side says the crossing is through the Neumann part, in which
+    case the link is dropped entirely.
 
     Dirichlet half-links carry the cut-link correction: the boundary
     crossing is located at fraction s of the link and the diagonal
@@ -370,25 +376,26 @@ def _assemble(
     dist = dist[far]
     count = len(dist)
     _check_resolution(count)
-    index = np.full((n + 2, n + 2), -1, dtype=np.int64)
-    index[1:-1, 1:-1][mask] = np.arange(count)
-    rows, cols, vals = [], [], []
-    diag = np.zeros(count)
+    unknown = np.pad(mask, 1)
+    # padded bands: the diagonal, and -1 (0) where a forward link is open (closed)
+    bands = {offset: np.zeros((n + 2, n + 2)) for offset in ((0, 0), (1, 0), (0, 1))}
+    diag = bands[0, 0][1:-1, 1:-1]
     px, py = gx[mask], gy[mask]
     for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        jidx = index[1 + dx : n + 1 + dx, 1 + dy : n + 1 + dy][mask]
-        nbr_in = node_in[1 + dx : n + 1 + dx, 1 + dy : n + 1 + dy][mask]
+        near = (slice(1 + dx, n + 1 + dx), slice(1 + dy, n + 1 + dy))
+        nbr_in = node_in[near][mask]
         nx_, ny_ = px + dx * h, py + dy * h
-        # endpoint average is bit-identical from either side of the link,
-        # so open/closed decisions cannot come out asymmetric
         mid_in = inside(0.5 * (px + nx_), 0.5 * (py + ny_))
         if link_cut is not None:
             blocked, frac = link_cut(px, py, nx_, ny_)
         else:
             blocked = ~mid_in
             frac = np.full(count, np.nan)
-        open_link = (jidx >= 0) & ~blocked
-        closed = ~open_link
+        if (dx, dy) in bands:  # the lower end decides the link
+            closed = ~unknown[near][mask] | blocked
+            bands[dx, dy][1:-1, 1:-1][mask] = np.where(closed, 0.0, -1.0)
+        else:  # and the upper end reads its decision
+            closed = bands[-dx, -dy][near][mask] == 0.0
         neumann = np.zeros(count, dtype=bool)
         if neumann_side is not None:  # only closed links to outside points can be Neumann
             outward = closed & ~nbr_in
@@ -400,11 +407,8 @@ def _assemble(
         s[analytic] = frac[analytic]
         needs_bisect = dirichlet & ~analytic & ~(nbr_in & ~blocked)
         if np.any(needs_bisect):
-            lo_c = np.zeros(int(needs_bisect.sum()))
-            hi_c = np.ones_like(lo_c)
             mid_ok = mid_in[needs_bisect]
-            lo_c[mid_ok] = 0.5
-            hi_c[~mid_ok] = 0.5
+            lo_c, hi_c = np.where(mid_ok, 0.5, 0.0), np.where(mid_ok, 1.0, 0.5)
             bx, by = px[needs_bisect], py[needs_bisect]
             for _bisect in range(20):
                 mid = 0.5 * (lo_c + hi_c)
@@ -413,16 +417,10 @@ def _assemble(
                 hi_c = np.where(inside_mid, hi_c, mid)
             s[needs_bisect] = 0.5 * (lo_c + hi_c)
         s = np.maximum(s, 0.05)
-        diag += np.where(dirichlet, 1.0 / s, np.where(neumann, 0.0, 1.0))
-        sel = np.where(open_link)[0]
-        rows.append(sel)
-        cols.append(jidx[sel])
-        vals.append(-np.ones(len(sel)))
-    matrix = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(count, count),
-    )
-    matrix = (matrix + sp.diags(diag)) / (h * h)
+        diag[mask] += np.where(dirichlet, 1.0 / s, np.where(neumann, 0.0, 1.0))
+    matrix = _stencil_csr({o: band[1:-1, 1:-1] for o, band in bands.items()}, mask)
+    matrix *= 1.0 / (h * h)
+    matrix.eliminate_zeros()  # closed links between unknowns; csgraph counts stored zeros
     ncomp, labels = connected_components(matrix, directed=False)
     dropped = 0
     if ncomp > 1:  # drop the splinters
@@ -449,7 +447,7 @@ def _assemble(
 
 def _lattice(*args, **kwargs) -> GridProblem:
     """_assemble's grid with its energy factored, once the assembly's work
-    arrays (node grids, flags, indices and links) are freed."""
+    arrays (node grids, flags and link bands) are freed."""
     grid = _assemble(*args, **kwargs)
     grid.solve = _factor(grid.matrix)
     return grid
@@ -472,11 +470,12 @@ _GAUSS_GRADED = 6
 
 # Columns of the capacitance matrix computed per truncated solve, in
 # batch x P x (Q - lo) doubles of work memory.  pttrs sweeps one column at
-# a time, so the batch saves no arithmetic.  One column per solve builds
-# the n = 512 L-shape faster (0.94 s of CPU against 1.23 s) at a 4 MB
-# lower peak, and the Lanczos solves that follow, each working in its
-# solver's one buffer, take about as many page faults (1,150 against 820
-# at n = 256).  8 stays until a benchmark run compares the two.
+# a time, so the batch saves no arithmetic.  One column per solve writes
+# the same validate documents; on the L-shape (fresh processes, one BLAS
+# thread) it takes validate's peak from 110.1-111.9 to 109.3-112.0 MB at
+# n = 256 (0.44-0.47 s of CPU either way) and from 183.7-184.4 to
+# 180.6-187.4 MB at n = 512 (2.46-2.54 s to 2.20-2.30 s): less than the
+# peak spreads between runs, so 8 stays.
 _CAPACITANCE_BATCH = 8
 
 
@@ -536,37 +535,35 @@ def _q1_line(spacing: np.ndarray):
     )
 
 
-# Offsets (di, dj) of the 9-point stencil in increasing column order for a
-# row-major node numbering; the first four are mirrors of the last four.
-_STENCIL = ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
-
-
 def _stencil_csr(bands: dict, keep: np.ndarray) -> sp.csr_matrix:
     """Symmetric CSR matrix over the kept nodes of a P-by-Q lattice.
 
-    bands maps each forward offset (di, dj) of _STENCIL (the last five) to
-    a P-by-Q array: the entry coupling node (i, j) with (i + di, j + dj).
-    A backward entry reads the same number from its forward partner, so the
-    matrix is exactly symmetric.  Entries are written straight into the
-    final arrays one offset at a time, which keeps the work memory to a few
-    vectors of one value per node.
+    bands maps the diagonal offset (0, 0) and each forward offset (di, dj)
+    (di > 0, or di = 0 and dj > 0) to a P-by-Q array: the entry coupling
+    node (i, j) with (i + di, j + dj).  The stencil is these offsets and
+    their mirrors; sorted, they run in increasing column order.  A backward
+    entry reads the same number from its forward partner, so the matrix is
+    exactly symmetric.  Entries, zeros between kept nodes included, are
+    written straight into the final arrays one offset at a time, which
+    keeps the work memory to a few vectors of one value per node.
     """
     p, q = keep.shape
     count = int(keep.sum())
     index = np.full((p + 2, q + 2), -1, dtype=np.int32)
     index[1:-1, 1:-1][keep] = np.arange(count, dtype=np.int32)
+    stencil = sorted(set(bands) | {(-di, -dj) for di, dj in bands})
 
     def neighbours(di, dj):
         return index[1 + di : p + 1 + di, 1 + dj : q + 1 + dj][keep]
 
     indptr = np.zeros(count + 1, dtype=np.int32)
-    for di, dj in _STENCIL:
+    for di, dj in stencil:
         indptr[1:] += neighbours(di, dj) >= 0
     np.cumsum(indptr, out=indptr)
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=np.int32)
     slot = indptr[:-1].copy()  # next free position in each row
-    for di, dj in _STENCIL:  # increasing columns, so rows come out sorted
+    for di, dj in stencil:  # increasing columns, so rows come out sorted
         if (di, dj) in bands:
             vals = bands[(di, dj)]
         else:  # value at (i, j) is the forward band of (-di, -dj) at (i + di, j + dj)
@@ -1145,21 +1142,22 @@ def estimate_constant(grid: GridProblem, return_vector: bool = False):
     vectors (16 on 2-D tensor grids, 8 on lattices and 1-D pencils), to a
     relative Ritz residual of _LANCZOS_TOL.  lam is the Rayleigh quotient
     of the returned vector x, an upper bound of the discrete minimum even
-    where a solve is inexact.  One more solve measures the residual r = Ax - lam Mx in the
-    A^-1 norm, which gives the relative Krylov-Weinstein bound
-    residual_bound = |r|_{A^-1} / |x|_A: some eigenvalue of the pencil lies
-    in [lam/(1 + eta), lam/(1 - eta)] (Parlett, The Symmetric Eigenvalue
-    Problem, ch. 10-11).  The bound is only as exact as grid.solve, which
-    is exact up to rounding on 1-D pencils and lattices (a sparse LU) and
-    an ill-conditioned capacitance solve on polygons that do not fill their
-    bounding box; on the L-shape at n = 256 that solve, not Lanczos, sets
-    the bound near 1.5e-5, and it holds lam itself to about 4e-8 relative:
-    lam spans 0.26050813135 to 0.26050814231 over ncv 8 to 40 and Ritz
-    tolerances 1e-6 to 1e-10.  iterations counts every solve, this one
-    included: 82 on that L-shape.
-    Deterministic for a fixed grid and BLAS thread count; the thread count
-    moves the vector's last bits, and with them the trailing digits of
-    residual_bound.
+    where a solve is inexact.  One more solve measures the residual
+    r = Ax - lam Mx in the A^-1 norm, which gives the relative
+    Krylov-Weinstein bound residual_bound = |r|_{A^-1} / |x|_A: some
+    eigenvalue of the pencil lies in [lam/(1 + eta), lam/(1 - eta)]
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11).  The bound is
+    only as exact as grid.solve, which is exact up to rounding on 1-D
+    pencils and lattices (a sparse LU) and an ill-conditioned capacitance
+    solve on polygons that do not fill their bounding box; on the L-shape
+    at n = 256 that solve, not Lanczos, sets the bound near 1.5e-5 and
+    holds lam to about 4e-8 relative (see _LANCZOS_TOL).  iterations
+    counts every solve, this one included: 82 on that L-shape.
+    Deterministic for a fixed grid and BLAS thread count, so validate's
+    documents are byte-stable for a fixed count; perfbench and the pinned
+    tests use one thread.  The count moves lam's printed digits, not only
+    residual_bound's: on that L-shape lam is 0.2605081358355 with one
+    OpenBLAS thread and 0.2605081371801 with two (eta 1.504e-5, 1.649e-5).
     """
     a, m = grid.matrix, grid.mass
     solves = 0

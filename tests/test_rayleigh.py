@@ -539,8 +539,26 @@ def test_graph_angles_match_per_gap_linspace():
     assert len(_graph_angles(samplings[0])) > 3  # the slit's gaps take several pieces
 
 
-def test_positive_weights_and_symmetry():
-    grid = build_grid(lshape(), 49)
+@pytest.mark.parametrize("case", DENSE_CASES)
+def test_positive_weights_and_symmetry(case):
+    grid = DENSE_CASES[case]()
     assert np.all(grid.dist > 0)
-    asym = (grid.matrix - grid.matrix.T).toarray()
-    assert np.max(np.abs(asym)) == 0.0
+    for matrix in (grid.matrix, grid.mass):
+        assert (matrix != matrix.T).nnz == 0
+
+
+def test_lattice_links_are_decided_once():
+    # a notch one ulp wide, its walls at the midpoints of the link from
+    # xs[12] to xs[13] as each end computes them: the two ends' midpoint
+    # tests disagree on links across it, but each link is open or closed
+    # as its lower end says, so the energy stays symmetric
+    xs = np.linspace(0.0, 1.0, 40)
+    h = xs[1] - xs[0]
+    m1, m2 = 0.5 * (xs[12] + (xs[12] + h)), 0.5 * (xs[13] + (xs[13] - h))
+    assert (m1, m2) == (0.32051282051282054, 0.3205128205128205)
+    notch = OneReflexPolygon(
+        [(0, 0), (1, 0), (1, 0.9), (0.95, 1), (m1, 1), (m1, 0.5), (m2, 0.5), (m2, 1), (0, 1)]
+    )
+    grid = build_grid(notch, 40)
+    assert grid.kind == "lattice"
+    assert (grid.matrix != grid.matrix.T).nnz == 0
