@@ -33,10 +33,13 @@ in n.
 Cartesian lattices, for every other domain (slanted polygon edges,
 two-halfline domains, mixed Dirichlet-Neumann sectors): the 5-point
 finite-difference energy on a square lattice against nodal weights
-1/dist^2, assembled in one pass from one inside test per node and
-restricted to its largest connected component.  Each link is decided
-open or closed once, at its lower end, and written by the Q1 grids'
-symmetric stencil writer.  The energy is factored once by a sparse LU
+1/dist^2, assembled from one inside test per node and restricted to its
+largest connected component.  Each link is decided open or closed once,
+at its lower end, and written by the Q1 grids' symmetric stencil writer.
+The queries that cost per call rather than per point run once for the
+links of all four directions: one Neumann query, and one bisection of
+the walls that need one; the diagonal then adds the four directions'
+terms in loop order.  The energy is factored once by a sparse LU
 (SuperLU, minimum degree ordering on A^T + A, whose pattern is
 symmetric), so every solve is exact up to rounding.  Its mesh width is
 uniform, so it resolves only about log10(n) decades and converges like
@@ -164,16 +167,14 @@ class RayleighEstimate:
 # ---------------------------------------------------------------------------
 # Geometry helpers.
 
-def _segment_distance(px, py, ax, ay, bx, by):
-    """Distance from points p to segments a-b, elementwise over broadcast arrays.
+def _segment_distance(px, py, ax, ay, vx, vy, ll):
+    """Distance from points p to segments a to a + v, elementwise over broadcast arrays.
 
-    Where the squared length ll is 0 the division uses 1 instead, so a
-    zero-length segment gets t = 0 and the distance |p - a| exactly.  (Where
-    ll underflows to 0 from a nonzero v, |v| < 1e-161 bounds t v.)
+    ll is the squared length vx * vx + vy * vy, with 1 where that is 0, so
+    a zero-length segment gets t = 0 and the distance |p - a| exactly.
+    (Where ll underflows to 0 from a nonzero v, |v| < 1e-161 bounds t v.)
     """
-    vx, vy = bx - ax, by - ay
-    ll = vx * vx + vy * vy
-    t = np.clip(((px - ax) * vx + (py - ay) * vy) / np.where(ll == 0.0, 1.0, ll), 0.0, 1.0)
+    t = np.clip(((px - ax) * vx + (py - ay) * vy) / ll, 0.0, 1.0)
     return np.hypot(px - ax - t * vx, py - ay - t * vy)
 
 
@@ -225,7 +226,9 @@ def _polyline_distance(px, py, verts: np.ndarray, closed: bool = True):
     lies farther than that from the tile's box, with a slack far above
     rounding, is never nearest.  _segment_distance runs on each tile's
     points against its remaining segments only, and the minimum over them
-    is the minimum over all segments, bit for bit.
+    is the minimum over all segments, bit for bit.  Each segment's terms
+    (a, v = b - a and the guarded squared length) are computed once per
+    call and gathered per pair: the same expressions, so the same bits.
     """
     a = verts if closed else verts[:-1]
     b = np.roll(verts, -1, axis=0)[: len(a)]
@@ -239,12 +242,15 @@ def _polyline_distance(px, py, verts: np.ndarray, closed: bool = True):
     reach = 0.5 * np.hypot(*(box_hi - box_lo).T)
     slack = 1e-9 * max(np.abs(verts).max(), np.abs(box_lo).max(), np.abs(box_hi).max())
     seg_lo, seg_hi = np.minimum(a, b).T, np.maximum(a, b).T
+    (ax, ay), (vx, vy) = a.T.copy(), (b - a).T.copy()
+    ll = vx * vx + vy * vy
+    terms = (ax, ay, vx, vy, np.where(ll == 0.0, 1.0, ll))
     # the candidate segments of each tile, a few tiles at a time
     tiles, segs = [], []
     step = max(1, _PAIR_CHUNK // len(a))
     for t0 in range(0, len(first), step):
         c, lo, hi = (v[t0 : t0 + step, :, None] for v in (centre, box_lo, box_hi))
-        near = _segment_distance(c[:, 0], c[:, 1], a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        near = _segment_distance(c[:, 0], c[:, 1], *terms)
         bound = (near.min(axis=1) + reach[t0 : t0 + step]) * (1.0 + 1e-9) + slack
         gap = np.maximum(np.maximum(seg_lo - hi, lo - seg_hi), 0.0)
         t, s = np.nonzero(np.hypot(gap[:, 0], gap[:, 1]) <= bound[:, None])
@@ -257,7 +263,7 @@ def _polyline_distance(px, py, verts: np.ndarray, closed: bool = True):
     for t, off in _ragged_pairs(np.diff(np.r_[first, len(x)]) * count):
         j = order[first[t] + off // count[t]]
         s = segs[seg_start[t] + off % count[t]]
-        d = _segment_distance(x[j], y[j], a[s, 0], a[s, 1], b[s, 0], b[s, 1])
+        d = _segment_distance(x[j], y[j], *(term[s] for term in terms))
         runs = np.flatnonzero(np.r_[True, j[1:] != j[:-1]])
         j = j[runs]
         dist[j] = np.minimum(dist[j], np.minimum.reduceat(d, runs))
@@ -339,6 +345,13 @@ def _assemble(
     neumann_side says the crossing is through the Neumann part, in which
     case the link is dropped entirely.
 
+    The direction loop decides each link; the two queries that cost per
+    call rather than per point run once for all four directions: neumann_side
+    on the far ends of the closed links to outside nodes, and the 20-step
+    wall bisection, one inside call per step.  Both are pointwise, so each
+    link gets the answer a call of its own would give, and the diagonal then
+    adds the directions' terms in loop order, which sets its summation order.
+
     Dirichlet half-links carry the cut-link correction: the boundary
     crossing is located at fraction s of the link and the diagonal
     contribution is 1/s instead of 1.  Without it a wall passing mid-link
@@ -379,45 +392,55 @@ def _assemble(
     unknown = np.pad(mask, 1)
     # padded bands: the diagonal, and -1 (0) where a forward link is open (closed)
     bands = {offset: np.zeros((n + 2, n + 2)) for offset in ((0, 0), (1, 0), (0, 1))}
-    diag = bands[0, 0][1:-1, 1:-1]
     px, py = gx[mask], gy[mask]
-    for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+    units = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    # a row per direction; only closed links to outside points can be Neumann
+    closed, outward, unplaced, mid_in = np.zeros((4, 4, count), dtype=bool)
+    s = np.ones((4, count))
+    for k, (dx, dy) in enumerate(units.tolist()):
         near = (slice(1 + dx, n + 1 + dx), slice(1 + dy, n + 1 + dy))
         nbr_in = node_in[near][mask]
         nx_, ny_ = px + dx * h, py + dy * h
-        mid_in = inside(0.5 * (px + nx_), 0.5 * (py + ny_))
+        mid_in[k] = inside(0.5 * (px + nx_), 0.5 * (py + ny_))
         if link_cut is not None:
             blocked, frac = link_cut(px, py, nx_, ny_)
         else:
-            blocked = ~mid_in
+            blocked = ~mid_in[k]
             frac = np.full(count, np.nan)
         if (dx, dy) in bands:  # the lower end decides the link
-            closed = ~unknown[near][mask] | blocked
-            bands[dx, dy][1:-1, 1:-1][mask] = np.where(closed, 0.0, -1.0)
+            closed[k] = ~unknown[near][mask] | blocked
+            bands[dx, dy][1:-1, 1:-1][mask] = np.where(closed[k], 0.0, -1.0)
         else:  # and the upper end reads its decision
-            closed = bands[-dx, -dy][near][mask] == 0.0
-        neumann = np.zeros(count, dtype=bool)
-        if neumann_side is not None:  # only closed links to outside points can be Neumann
-            outward = closed & ~nbr_in
-            neumann[outward] = neumann_side(nx_[outward], ny_[outward])
-        dirichlet = closed & ~neumann
-        # locate the wall along each cut link: fraction s in (0, 1]
-        s = np.ones(count)
-        analytic = dirichlet & blocked & np.isfinite(frac)
-        s[analytic] = frac[analytic]
-        needs_bisect = dirichlet & ~analytic & ~(nbr_in & ~blocked)
-        if np.any(needs_bisect):
-            mid_ok = mid_in[needs_bisect]
-            lo_c, hi_c = np.where(mid_ok, 0.5, 0.0), np.where(mid_ok, 1.0, 0.5)
-            bx, by = px[needs_bisect], py[needs_bisect]
-            for _bisect in range(20):
-                mid = 0.5 * (lo_c + hi_c)
-                inside_mid = inside(bx + mid * dx * h, by + mid * dy * h)
-                lo_c = np.where(inside_mid, mid, lo_c)
-                hi_c = np.where(inside_mid, hi_c, mid)
-            s[needs_bisect] = 0.5 * (lo_c + hi_c)
-        s = np.maximum(s, 0.05)
-        diag[mask] += np.where(dirichlet, 1.0 / s, np.where(neumann, 0.0, 1.0))
+            closed[k] = bands[-dx, -dy][near][mask] == 0.0
+        outward[k] = closed[k] & ~nbr_in
+        # s, the wall's fraction along the link: link_cut's where it cuts, 1
+        # where an unblocked link reaches an inside node, bisected elsewhere
+        cut = blocked & np.isfinite(frac)
+        s[k, cut] = frac[cut]
+        unplaced[k] = closed[k] & ~cut & ~(nbr_in & ~blocked)
+    neumann = np.zeros_like(closed)
+    if neumann_side is not None:
+        d, j = np.nonzero(outward)
+        neumann[outward] = neumann_side(px[j] + units[d, 0] * h, py[j] + units[d, 1] * h)
+    needs_bisect = unplaced & ~neumann
+    if np.any(needs_bisect):
+        d, j = np.nonzero(needs_bisect)
+        mid_ok = mid_in[needs_bisect]
+        lo_c, hi_c = np.where(mid_ok, 0.5, 0.0), np.where(mid_ok, 1.0, 0.5)
+        bx, by, dx, dy = px[j], py[j], units[d, 0], units[d, 1]
+        for _bisect in range(20):
+            mid = 0.5 * (lo_c + hi_c)
+            inside_mid = inside(bx + mid * dx * h, by + mid * dy * h)
+            lo_c = np.where(inside_mid, mid, lo_c)
+            hi_c = np.where(inside_mid, hi_c, mid)
+        s[needs_bisect] = 0.5 * (lo_c + hi_c)
+    # each link's term, in place of s: 1/s on a Dirichlet link, 0 on a
+    # Neumann link and 1 on an open one
+    np.divide(1.0, np.maximum(s, 0.05, out=s), out=s)
+    np.copyto(s, ~neumann, where=~closed | neumann)
+    diag = bands[0, 0][1:-1, 1:-1]
+    for term in s:  # in loop order, which sets the diagonal's summation order
+        diag[mask] += term
     matrix = _stencil_csr({o: band[1:-1, 1:-1] for o, band in bands.items()}, mask)
     matrix *= 1.0 / (h * h)
     matrix.eliminate_zeros()  # closed links between unknowns; csgraph counts stored zeros
@@ -1027,9 +1050,11 @@ def _dbeta_functions(d: Dbeta):
         ang = np.mod(np.arctan2(py, px), 2.0 * PI)
         return (ang > 0.0) & (ang < beta) & (r > 0.0) & (r < r_of(ang))
 
+    # the two Dirichlet segments from the origin, as _segment_distance's terms
+    walls = [(0.0, 0.0, x, y, (x * x + y * y) or 1.0) for x, y in (gamma0_a, gamma0_b)]
+
     def dirichlet_dist(px, py):
-        d1 = _segment_distance(px, py, 0.0, 0.0, gamma0_a[0], gamma0_a[1])
-        d2 = _segment_distance(px, py, 0.0, 0.0, gamma0_b[0], gamma0_b[1])
+        d1, d2 = (_segment_distance(px, py, *wall) for wall in walls)
         return np.minimum(d1, d2)
 
     def neumann_side(px, py):

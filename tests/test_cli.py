@@ -549,9 +549,10 @@ def test_validate_graded_lambda_is_pinned(tmp_path, vertices, estimate):
 def validate_in_child(tmp_path, doc, n):
     """The document `validate --n n` writes for doc, run as perfbench runs it.
 
-    The Lanczos vector's last bits, and so the residual bound's, depend on
-    the BLAS thread count, so validate runs in a child process with one BLAS
-    thread.
+    The BLAS thread count moves lambda's printed digits, not only the
+    residual bound's (on the n = 256 L-shape lambda is 0.2605081358355 with
+    one OpenBLAS thread and 0.2605081371801 with two), so validate runs in
+    a child process with one BLAS thread.
     """
     f = tmp_path / "dom.json"
     f.write_text(json.dumps(doc))

@@ -6,11 +6,13 @@ import scipy.linalg as la
 from scipy.sparse.csgraph import connected_components
 
 from hardyconst.certify import Dbeta, Ebg, OneReflexPolygon, Sector, SectorCapConvex, ShapeError, ensure_ccw
+from hardyconst.certify import polygon_vertices
 from hardyconst.hardycore import potential_v, solve_c_beta
 from hardyconst.rayleigh import (
     _CAPACITANCE_BATCH,
     NumericalError,
     _GRAPH_STEP,
+    _dbeta_functions,
     _ebg_polygon,
     _edge_distance,
     _graph_angles,
@@ -417,6 +419,16 @@ def test_polyline_distance_matches_segment_loop(verts, closed):
     gx, gy = px[: 129 * 129].reshape(129, 129), py[: 129 * 129].reshape(129, 129)
     got = _polyline_distance(gx, gy, verts, closed)
     assert np.array_equal(got, distance_by_segment(gx, gy, verts, closed))
+    # few points strung along the polyline just off it, in long thin tiles,
+    # as neumann_side asks: each segment's midpoint moved 1e-3 along its
+    # normal to both sides (a zero-length segment's point is its vertex)
+    a = verts if closed else verts[:-1]
+    v = np.roll(verts, -1, axis=0)[: len(a)] - a
+    length = np.hypot(v[:, 0], v[:, 1])
+    normal = np.column_stack([-v[:, 1], v[:, 0]]) / np.where(length == 0.0, 1.0, length)[:, None]
+    ox, oy = np.concatenate([a + 0.5 * v + side * 1e-3 * normal for side in (1.0, -1.0)]).T
+    got = _polyline_distance(ox, oy, verts, closed)
+    assert np.array_equal(got, distance_by_segment(ox, oy, verts, closed))
     # a single point, and no points at all
     one = _polyline_distance(px[:1], py[:1], verts, closed)
     assert np.array_equal(one, distance_by_segment(px[:1], py[:1], verts, closed))
@@ -562,3 +574,106 @@ def test_lattice_links_are_decided_once():
     grid = build_grid(notch, 40)
     assert grid.kind == "lattice"
     assert (grid.matrix != grid.matrix.T).nnz == 0
+
+
+def assemble_link_by_link(grid, inside, weight_dist, neumann_side=None, link_cut=None):
+    """The lattice energy decided one link at a time, the reference for _assemble.
+
+    Each unknown takes its four directions in the loop order (1, 0),
+    (-1, 0), (0, 1), (0, -1).  A link is open when both ends are unknowns
+    and its lower end's midpoint test or link_cut does not block it; the
+    unknown's own test places the wall of a closed link, analytically,
+    by the 20-step bisection or at s = 1, unless neumann_side drops the
+    link.  Returns the dense energy and how many links took each path.
+    """
+    xs, ys, h = grid.xs, grid.ys, grid.h
+    n = len(xs)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    node_in = inside(gx, gy)
+    unknown = grid.mask
+    number = -np.ones((n, n), dtype=int)
+    number[unknown] = np.arange(grid.interior_count)
+
+    def at(f, *coords):
+        return f(*(np.array([c]) for c in coords))
+
+    def blocked(x, y, dx, dy):
+        if link_cut is not None:
+            cut, frac = at(link_cut, x, y, x + dx * h, y + dy * h)
+            return bool(cut[0]), float(frac[0])
+        return not at(inside, 0.5 * (x + (x + dx * h)), 0.5 * (y + (y + dy * h)))[0], math.nan
+
+    def node(i, j):
+        return 0 <= i < n and 0 <= j < n
+
+    energy = np.zeros((grid.interior_count, grid.interior_count))
+    paths = {"open": 0, "analytic": 0, "bisected": 0, "neumann": 0}
+    for i, j in zip(*np.nonzero(unknown)):
+        x, y, diag = xs[i], ys[j], 0.0
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            k, l = i + dx, j + dy
+            nbr_in = node(k, l) and bool(node_in[k, l])
+            nbr_unknown = node(k, l) and bool(unknown[k, l])
+            cut, frac = blocked(x, y, dx, dy)
+            if dx + dy > 0:  # this end is the lower one
+                closed = not nbr_unknown or cut
+            else:
+                closed = not nbr_unknown or blocked(xs[k], ys[l], -dx, -dy)[0]
+            if not closed:
+                energy[number[i, j], number[k, l]] = -1.0
+                paths["open"] += 1
+                diag += 1.0
+                continue
+            if neumann_side is not None and not nbr_in and at(neumann_side, x + dx * h, y + dy * h)[0]:
+                paths["neumann"] += 1
+                continue
+            s = 1.0
+            if cut and math.isfinite(frac):
+                s = frac
+                paths["analytic"] += 1
+            elif not (nbr_in and not cut):
+                mid_in = at(inside, 0.5 * (x + (x + dx * h)), 0.5 * (y + (y + dy * h)))[0]
+                lo, hi = (0.5, 1.0) if mid_in else (0.0, 0.5)
+                for _ in range(20):
+                    mid = 0.5 * (lo + hi)
+                    if at(inside, x + mid * dx * h, y + mid * dy * h)[0]:
+                        lo = mid
+                    else:
+                        hi = mid
+                s = 0.5 * (lo + hi)
+                paths["bisected"] += 1
+            diag += 1.0 / max(s, 0.05)
+        energy[number[i, j], number[i, j]] = diag
+    return energy * (1.0 / (h * h)), paths
+
+
+def test_lattice_assembly_matches_link_by_link_reference():
+    # the assembly batches the Neumann queries and the wall bisections of
+    # all four directions; each link must still get what it would alone
+    slanted = OneReflexPolygon([(0, 0), (1, 0), (1.3, 0.6), (0.5, 0.4), (0.2, 1.1)])
+    ebg = _ebg_polygon(1.3 * PI, 0.8 * PI, 8.0)
+    cases = [
+        (build_grid(slanted, 33), polygon_vertices(slanted)),
+        (build_grid(Ebg(1.3 * PI, 0.8 * PI), 33), ebg),
+    ]
+    for domain in (
+        Dbeta(1.5 * PI, [(0.0, 1.0), (0.75 * PI, 1.3), (1.5 * PI, 1.0)]),
+        Dbeta(2.0 * PI, [(0.0, 1.0), (PI, 1.0), (2.0 * PI, 1.0)]),
+    ):
+        cases.append((build_grid(domain, 33), _dbeta_functions(domain)[:4]))
+    total = dict.fromkeys(("open", "analytic", "bisected", "neumann"), 0)
+    for grid, geometry in cases:
+        if isinstance(geometry, np.ndarray):
+            geometry = (
+                lambda px, py, verts=geometry: _points_in_polygon(px, py, verts),
+                lambda px, py, verts=geometry: _polyline_distance(px, py, verts),
+            )
+        assert grid.kind == "lattice" and grid.dropped == 0
+        energy, paths = assemble_link_by_link(grid, *geometry)
+        got = grid.matrix.toarray()
+        assert np.array_equal(np.diag(got), np.diag(energy))
+        assert np.array_equal(got, energy)
+        for path, links in paths.items():
+            total[path] += links
+    # every path of the assembly was taken
+    assert min(total.values()) > 0, total
