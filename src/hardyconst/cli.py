@@ -41,6 +41,12 @@ _MAX_RESOLUTION = 512
 # samples, certify._MAX_VERTICES vertices) written by json.dumps(indent=2)
 # with 24-character floats, the longest repr, is at most 7.6 MB.
 _MAX_FILE_BYTES = 8 * 1024 * 1024
+# Ancona's lower bound on the Hardy constant of every simply connected planar
+# domain, which every validate domain is.  A grid estimate is an upper
+# estimate of the constant, so one below this bound is a numerical failure,
+# as when a feature narrower than the mesh width defeats the lattice's link
+# tests.
+_ANCONA = 1.0 / 16.0
 
 
 def parse_angle(text: str) -> float:
@@ -313,6 +319,11 @@ def _cmd_validate(args) -> int:
     domain = parse_domain_file(args.file)
     grid = rayleigh.build_grid(domain, args.n, radius=args.radius)
     est = rayleigh.estimate_constant(grid)
+    if est.lam < _ANCONA:
+        raise rayleigh.NumericalError(
+            f"lambda_min = {est.lam:.6g} at n={args.n} lies below Ancona's 1/16 for simply "
+            f"connected domains: the {grid.kind} grid does not resolve the domain"
+        )
     doc = {
         "command": "validate",
         "input": _domain_to_dict(domain),

@@ -14,9 +14,9 @@ trials at any angles in (0, pi/2], by one vectorized recurrence:
   series of 18 trial constants at pi/2, the Chebyshev-Lobatto nodes in the
   vertex exponent alpha over [1/2, alpha(1e-6)]; it brackets the root of
   every opening and fits (psi, psi') at pi/2 as Chebyshev series in alpha,
-  in which the shot is analytic.  A vectorized Chandrupatla solve
-  (scipy.optimize.elementwise.find_root) meets the Neumann condition for
-  every opening at once on that interpolant.  One confirming DOP853 run
+  in which the shot is analytic.  A vectorized Newton iteration in alpha,
+  with the interpolant's slope by a complex step, meets the Neumann
+  condition for every opening at once on it.  One confirming DOP853 run
   at the roots, over [1/2, pi/2] in t = log(theta) from the series at 1/2,
   then gives the shot's own terminal derivative and refuses a root the
   integration does not confirm.  ShootingResult.steps and .nfev count the
@@ -46,7 +46,6 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebfit, chebval
 from numpy.polynomial.polynomial import polyval
 from scipy.integrate import DOP853
-from scipy.optimize.elementwise import find_root
 
 from .hardycore import (
     admit_angles,
@@ -84,11 +83,14 @@ _SERIES_END = 0.5  # launch of the confirming run
 # DOP853 tolerances of the confirming run
 _RTOL = 1e-11
 _ATOL = 1e-12
-# find_root's absolute tolerance on alpha, which also bounds the error in
+# Largest last Newton step in alpha, which also bounds the error in
 # c = alpha (1 - alpha).  Over 427 openings in (beta_cr, 2pi] the worst gap
-# to the closed form is 1.7e-16 at this tolerance and 9.6e-15 at 1e-13: the
-# table is the series to rounding, so the solve's tolerance is the error.
+# to the closed form is 1.7e-16 at this tolerance: the table is the series
+# to rounding, so the solve's tolerance is the error.  Newton from each
+# cell's midpoint reaches it in at most 5 steps.
 _ROOT_XATOL = 1e-15
+# Most Newton steps a root may take to reach _ROOT_XATOL.
+_NEWTON = 8
 # Trial constants of the scan, the nodes of its Chebyshev table.  The
 # table's trailing coefficients are 2.6e-16 of the largest at 18 nodes,
 # 4.6e-14 at 15 and 4.6e-13 at 14.
@@ -104,8 +106,8 @@ _STEP = 1e-20
 
 
 class BracketError(RuntimeError):
-    """No sign change found while bracketing a root, the bracketed solve failed,
-    or the confirming shot does not confirm the root."""
+    """The root solve in a bracketing cell failed, or the confirming shot does
+    not confirm the root."""
 
 
 class IntegrationError(RuntimeError):
@@ -324,9 +326,12 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
     Chebyshev series in alpha (IntegrationError when their two trailing
     coefficients pass _TAIL of the largest), carries the trials across each
     opening's middle and finds the rightmost sign change of the terminal
-    derivative.  A vectorized Chandrupatla solve (find_root) in alpha then
-    meets psi'(beta/2) = 0 on the interpolant in every opening's cell at
-    once, and one confirming DOP853 run shoots all the roots from 1/2.
+    derivative.  A vectorized Newton iteration in alpha then meets
+    psi'(beta/2) = 0 on the interpolant in every opening's cell at once:
+    each opening starts at its cell's midpoint, takes the interpolant's
+    slope by a complex step and stops once its step is at most _ROOT_XATOL,
+    so a batch gives each opening the bits it gets alone.  One confirming
+    DOP853 run shoots all the roots from 1/2.
     terminal_derivative is that run's value at the root.  An opening whose
     terminal derivative never changes sign over the scan gets shooting's
     verdict c = 1/4, flagged in no_sign_change: the subcritical regime,
@@ -335,8 +340,8 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
     middle has length 0.  beta reports the openings as
     hardycore.admit_openings clamps them.  Raises ValueError naming an
     opening outside [pi, 2pi], and BracketError naming an opening whose
-    root solve failed or whose confirming run implies a correction to c
-    above _CONFIRM.
+    root ends outside its cell or takes more than _NEWTON steps, or whose
+    confirming run implies a correction to c above _CONFIRM.
     """
     betas, scalar = admit_openings(beta)
     table = _scan()
@@ -351,17 +356,23 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
         shot = np.flatnonzero(~missing)
         i = _TABLE - 2 - np.argmax(change[shot, ::-1], axis=1)  # rightmost sign-change cell
         length = middle[shot]
-        root = find_root(
-            table.terminal,
-            (table.alpha[i + 1], table.alpha[i]),
-            args=(length,),
-            tolerances={"xatol": _ROOT_XATOL},
-        )
-        if not root.success.all():
+        lo, hi = table.alpha[i + 1], table.alpha[i]
+        alpha = 0.5 * (lo + hi)
+        active = np.ones(alpha.size, dtype=bool)
+        for _ in range(_NEWTON):
+            # the complex step gives the table's value and its slope in alpha at once
+            d = table.terminal(alpha[active] + 1j * _STEP, length[active])
+            step = d.real / (d.imag / _STEP)
+            alpha[active] -= step
+            active[active] = ~(np.abs(step) <= _ROOT_XATOL)  # a NaN step stays active
+            if not active.any():
+                break
+        bad = active | ~((lo <= alpha) & (alpha <= hi))
+        if bad.any():
             raise BracketError(
-                f"root solve of psi'(beta/2) = 0 failed at beta={betas[shot][~root.success][0]}"
+                f"Newton's solve of psi'(beta/2) = 0 did not settle in its cell within "
+                f"{_NEWTON} steps at beta={betas[shot][bad][0]}"
             )
-        alpha = root.x
         cs = alpha * (1.0 - alpha)
         run = _shoot_left(cs)  # the confirming shot
         d_shot = _across_middle(run.y[: cs.size], run.y[cs.size :], cs, length)[1]

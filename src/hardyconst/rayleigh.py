@@ -92,7 +92,8 @@ _TENSOR_NCV = 16
 
 
 class NumericalError(RuntimeError):
-    """A factorization or solve of the grid's energy failed, or the eigen-solve did not converge."""
+    """A factorization or solve of the grid's energy failed, the eigen-solve did not
+    converge, or its estimate lies below what the domain's constant can be."""
 
 
 @dataclass

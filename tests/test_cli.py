@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hardyconst import cli, odeengine
@@ -320,6 +321,24 @@ def test_validate_reports_dropped_unknowns(tmp_path, capsys):
     f.write_text(json.dumps({"type": "sector", "beta": 2.0}))
     assert run(["validate", str(f), "--n", "64"]) == 0
     assert "0 dropped)" in capsys.readouterr().out
+
+
+def test_validate_refuses_an_estimate_below_ancona(tmp_path, capsys):
+    # the one-ulp notch of test_lattice_links_are_decided_once: at n = 40 the
+    # link tests miss it and lambda reads 0.0284, below the 1/16 that bounds
+    # the constant of every simply connected domain; at n = 64 it reads 0.360
+    xs = np.linspace(0.0, 1.0, 40)
+    h = xs[1] - xs[0]
+    m1, m2 = 0.5 * (xs[12] + (xs[12] + h)), 0.5 * (xs[13] + (xs[13] - h))
+    vertices = [[0, 0], [1, 0], [1, 0.9], [0.95, 1], [m1, 1], [m1, 0.5], [m2, 0.5], [m2, 1], [0, 1]]
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps({"type": "polygon", "vertices": vertices}))
+    out = tmp_path / "est.json"
+    assert run(["validate", str(f), "--n", "40", "-o", str(out)]) == 3
+    assert "below Ancona's 1/16" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["validate", str(f), "--n", "64", "-o", str(out)]) == 0
+    assert json.loads(out.read_text())["estimate"]["lambda"] > 0.25
 
 
 def test_validate_refuses_non_simple_polygon(tmp_path, capsys):

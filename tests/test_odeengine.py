@@ -113,22 +113,41 @@ def test_shooting_cost(monkeypatch):
     # the roots are solved on the scan's Chebyshev table of the vertex series,
     # so a call makes one DOP853 run, the confirming one, which steps
     # [1/2, pi/2] in log theta (11 accepted steps and 182 right-hand-side
-    # evaluations at rtol 1e-11)
-    runs = []
-    solve = odeengine._solve
+    # evaluations at rtol 1e-11).  Newton evaluates the table once per step,
+    # at most _NEWTON steps (measured at most 5), and the confirm check once
+    # more for its slope, however many openings share the call
+    runs, tables = [], []
+    solve, terminal = odeengine._solve, odeengine._Table.terminal
 
     def recording(rhs, t0, t1, y0):
         runs.append(solve(rhs, t0, t1, y0))
         return runs[-1]
 
+    def counting(self, alpha, length):
+        tables.append(np.size(alpha))
+        return terminal(self, alpha, length)
+
     monkeypatch.setattr(odeengine, "_solve", recording)
+    monkeypatch.setattr(odeengine._Table, "terminal", counting)
     res = shoot_c(1.8 * PI)
     assert len(runs) == 1
     assert runs[0].steps <= 14
     assert (res.steps, res.nfev) == (runs[0].steps, runs[0].nfev)
-    runs.clear()
-    shoot_c(np.linspace(1.55, 2.0, 12) * PI)
-    assert len(runs) == 1
+    assert len(tables) <= odeengine._NEWTON + 1
+    for betas in (np.linspace(1.55, 2.0, 12) * PI, np.linspace(PI, 2.0 * PI, 600)):
+        runs.clear()
+        tables.clear()
+        shoot_c(betas)
+        assert len(runs) == 1
+        assert len(tables) <= odeengine._NEWTON + 1
+
+
+def test_unconverged_root_names_its_opening(monkeypatch):
+    # one Newton step from the cell's midpoint does not reach _ROOT_XATOL;
+    # the solve refuses the first supercritical opening instead of reporting it
+    monkeypatch.setattr(odeengine, "_NEWTON", 1)
+    with pytest.raises(BracketError, match=re.escape(str(1.8 * PI))):
+        shoot_c(np.array([1.2, 1.8, 2.0]) * PI)
 
 
 def _reference_roots(betas):
@@ -149,6 +168,44 @@ def _reference_roots(betas):
     root = find_root(terminal, (scan[i], scan[i + 1]), args=(middle,), tolerances={"xatol": 1e-13})
     assert root.success.all()
     return root.x
+
+
+def _table_roots(betas):
+    """psi'(beta/2) = 0 solved in alpha on the scan's own table by scipy's
+    Chandrupatla solve (find_root), in each opening's rightmost sign-change cell."""
+    table = odeengine._scan()
+    middle = 0.5 * (betas - PI)
+    d_vals = odeengine._across_middle(table.ends[0], table.ends[1], table.cs, middle[:, None])[1]
+    change = d_vals[:, :-1] * d_vals[:, 1:] <= 0.0
+    assert change.any(axis=1).all()
+    i = table.alpha.size - 2 - np.argmax(change[:, ::-1], axis=1)
+    root = find_root(
+        table.terminal, (table.alpha[i + 1], table.alpha[i]), args=(middle,),
+        tolerances={"xatol": 1e-15},
+    )
+    assert root.success.all()
+    return root.x
+
+
+def test_newton_root_matches_scipys_root_on_the_table(monkeypatch):
+    # shoot_c's Newton iteration against an independent solve of the same
+    # table, over (beta_cr, 2pi] and from 1e-12 to 1e-3 above beta_cr;
+    # measured worst gap in alpha 4.4e-16, gated at 1e-15
+    bcr = hardycore.beta_critical()
+    betas = np.concatenate([bcr + np.logspace(-12, -3, 28), np.linspace(bcr, 2.0 * PI, 401)[1:]])
+    seen = []
+    terminal = odeengine._Table.terminal
+
+    def recording(self, alpha, length):
+        seen.append(np.real(alpha))
+        return terminal(self, alpha, length)
+
+    monkeypatch.setattr(odeengine._Table, "terminal", recording)
+    res = shoot_c(betas)
+    assert not res.no_sign_change.any()
+    alpha = seen[-1]  # the confirm check takes the table's slope at the roots
+    monkeypatch.undo()
+    assert np.abs(alpha - _table_roots(betas)).max() <= 1e-15
 
 
 def test_table_root_matches_the_shots_root():
