@@ -43,9 +43,8 @@ _MAX_RESOLUTION = 512
 _MAX_FILE_BYTES = 8 * 1024 * 1024
 # Ancona's lower bound on the Hardy constant of every simply connected planar
 # domain, which every validate domain is.  A grid estimate is an upper
-# estimate of the constant, so one below this bound is a numerical failure,
-# as when a feature narrower than the mesh width defeats the lattice's link
-# tests.
+# estimate of the constant, so one below this bound is a numerical failure;
+# the check is a safety net for grids that fail to resolve their domain.
 _ANCONA = 1.0 / 16.0
 
 

@@ -34,19 +34,19 @@ Cartesian lattices, for every other domain (slanted polygon edges,
 two-halfline domains, mixed Dirichlet-Neumann sectors): the 5-point
 finite-difference energy on a square lattice against nodal weights
 1/dist^2, assembled from one inside test per node and restricted to its
-largest connected component.  Each link is decided open or closed once,
-at its lower end, and written by the Q1 grids' symmetric stencil writer.
-The queries that cost per call rather than per point run once for the
-links of all four directions: one Neumann query, and one bisection of
-the walls that need one; the diagonal then adds the four directions'
-terms in loop order.  The energy is factored once by a sparse LU
-(SuperLU, minimum degree ordering on A^T + A, whose pattern is
-symmetric), so every solve is exact up to rounding.  Its mesh width is
-uniform, so it resolves only about log10(n) decades and converges like
-1/log^2(1/h); on a few hundred nodes per side the estimate sits a few
-tenths above the constant.  For these domains the validator is a
-consistency check (estimates stay above certified constants and shrink
-toward them), not a precision instrument.
+largest connected component.  Each domain declares the Dirichlet part of
+its boundary as wall segments, a polygon its edges and a polar graph its
+two rays from the origin, and every link is decided by one exact rule:
+its first crossing with a wall, found for the links of all four
+directions in one call.  Each link is decided open or closed once, at
+its lower end, and written by the Q1 grids' symmetric stencil writer.
+The energy is factored once by a sparse LU (SuperLU, minimum degree
+ordering on A^T + A, whose pattern is symmetric), so every solve is exact
+up to rounding.  Its mesh width is uniform, so it resolves only about
+log10(n) decades and converges like 1/log^2(1/h); on a few hundred nodes
+per side the estimate sits a few tenths above the constant.  For these
+domains the validator is a consistency check (estimates stay above
+certified constants and shrink toward them), not a precision instrument.
 """
 
 from __future__ import annotations
@@ -179,8 +179,8 @@ def _segment_distance(px, py, ax, ay, vx, vy, ll):
     return np.hypot(px - ax - t * vx, py - ay - t * vy)
 
 
-# Pairs per chunk of _points_in_polygon and _polyline_distance: a few work
-# arrays of this many values each.
+# Pairs per chunk of _points_in_polygon, _polyline_distance and _wall_cut: a
+# few work arrays of this many values each.
 _PAIR_CHUNK = 1 << 13
 # Points per tile of _polyline_distance.
 _TILE_POINTS = 64
@@ -297,6 +297,56 @@ def _points_in_polygon(px, py, verts: np.ndarray):
     return inside.reshape(px.shape)
 
 
+def _edge_walls(verts: np.ndarray):
+    """The edges of a closed polygon as walls: start x and y, unit direction x and y, length."""
+    v = np.roll(verts, -1, axis=0) - verts
+    length = np.hypot(v[:, 0], v[:, 1])
+    return verts[:, 0], verts[:, 1], v[:, 0] / length, v[:, 1] / length, length
+
+
+def _wall_cut(ax, ay, bx, by, walls):
+    """Fraction along each link a -> b where it first meets a wall; inf where it meets none.
+
+    walls is (wx, wy, ux, uy, length): wall k is the closed segment
+    w + t u, 0 <= t <= length, for a unit vector u.  A link meets a wall
+    where a lies strictly on one side of the wall's line and b on the other
+    side or on the line, at a point with t in [0, length].  The cross
+    products c_a and c_b of u with a - w and b - w place the ends, and the
+    fraction is c_a / (c_a - c_b): exactly 1 where b lies on the line, from
+    either side.  A link that starts on a wall's line (run along it, or
+    leave it at a) does not meet that wall; the lattice's links start at
+    unknowns, which lie off every wall.  Each wall meets only the links
+    whose start's x lies within twice the links' widest x extent of its own
+    x range: the links are sorted by that x, each wall's band is one index
+    range, and the pairs of the bands run _PAIR_CHUNK at a time.  The test
+    is pointwise, so each link gets the fraction a loop over every wall
+    would give.
+    """
+    wx, wy, ux, uy, length = walls
+    s = np.full(len(ax), np.inf)
+    if len(ax) == 0:
+        return s
+    reach = 2.0 * np.max(np.abs(bx - ax))
+    ex = wx + length * ux
+    order = np.argsort(ax)
+    start, stop = np.searchsorted(
+        ax[order], [np.minimum(wx, ex) - reach, np.maximum(wx, ex) + reach]
+    )
+    for w, off in _ragged_pairs(stop - start):
+        j = order[start[w] + off]
+        c_a = ux[w] * (ay[j] - wy[w]) - uy[w] * (ax[j] - wx[w])
+        c_b = ux[w] * (by[j] - wy[w]) - uy[w] * (bx[j] - wx[w])
+        hit = (c_a > 0.0) & (c_b <= 0.0) | (c_a < 0.0) & (c_b >= 0.0)
+        w, j, c_a = w[hit], j[hit], c_a[hit]
+        frac = c_a / (c_a - c_b[hit])
+        x = ax[j] + frac * (bx[j] - ax[j])
+        y = ay[j] + frac * (by[j] - ay[j])
+        t = (x - wx[w]) * ux[w] + (y - wy[w]) * uy[w]
+        on = (t >= 0.0) & (t <= length[w])
+        np.minimum.at(s, j[on], frac[on])
+    return s
+
+
 # ---------------------------------------------------------------------------
 # Core assembly.
 
@@ -322,12 +372,12 @@ def _check_resolution(count: int) -> None:
 def _assemble(
     inside: Callable,
     weight_dist: Callable,
+    walls: tuple,
     cx: float,
     cy: float,
     half: float,
     n: int,
-    neumann_side: Optional[Callable] = None,
-    link_cut: Optional[Callable] = None,
+    neumann: bool = False,
 ) -> GridProblem:
     """Build mask, weights and the 5-point energy on an n-by-n lattice.
 
@@ -335,37 +385,31 @@ def _assemble(
     inside and weight_dist take vectorized coordinates.  inside classifies
     each node once and weight_dist measures the inside nodes only; the
     unknowns are the inside nodes at least h/2 from the weighted boundary
-    part.  Each link reads its neighbor's inside flag from that
-    classification, padded by one ring of outside nodes that are not
-    unknowns.  A link is open or closed as its lower end decides: the
-    forward passes (1, 0) and (0, 1) store the decision in a band that the
-    backward passes read, their own tests only placing the wall of a closed
-    link, and _stencil_csr writes each link once from those bands, so the
-    energy is symmetric.  A closed link to an out-of-mask neighbor is a
-    Dirichlet half-link unless the neighbor lies outside the domain and
-    neumann_side says the crossing is through the Neumann part, in which
-    case the link is dropped entirely.
+    part.  walls are the segments of that part, as _wall_cut takes them, and
+    weight_dist is the distance to them.  When neumann is set, the rest of
+    the boundary is a Neumann part.
 
-    The direction loop decides each link; the two queries that cost per
-    call rather than per point run once for all four directions: neumann_side
-    on the far ends of the closed links to outside nodes, and the 20-step
-    wall bisection, one inside call per step.  Both are pointwise, so each
-    link gets the answer a call of its own would give, and the diagonal then
-    adds the directions' terms in loop order, which sets its summation order.
+    Every link is decided by one rule: its first crossing with a wall,
+    found by _wall_cut from the link's start to its neighbour's own node
+    coordinates.  Only a link whose start lies within h of a wall can meet
+    one, and weight_dist has measured that distance, so only those links are
+    tested, all four directions in one call.  A link is open when both ends
+    are unknowns and it meets no wall, as its lower end decides: the forward
+    passes (1, 0) and (0, 1) store the decision in a band that the backward
+    passes read, and _stencil_csr writes each link once from those bands,
+    so the energy is symmetric.  A closed link is a Dirichlet half-link
+    with the wall at fraction s of it, s = 1 where it meets no wall, except
+    on a Neumann domain: there a closed link to an outside node that meets
+    no wall leaves through the Neumann part and is dropped entirely.  The
+    diagonal adds the directions' terms in loop order, which sets its
+    summation order.
 
-    Dirichlet half-links carry the cut-link correction: the boundary
-    crossing is located at fraction s of the link and the diagonal
+    Dirichlet half-links carry the cut-link correction: the diagonal
     contribution is 1/s instead of 1.  Without it a wall passing mid-link
     is penalized as if it were a full mesh width away while the nodal
     weight uses the true distance, and the quotient can dip below the
     Hardy constant; with it the discrete energy matches the linear
     interpolant cut at the wall and the estimate stays an upper one.
-
-    Crossings are detected by the midpoint-inside test, except for domains
-    that pass link_cut(ax, ay, bx, by) -> (blocked, fraction): slits and
-    near-degenerate wedges have (near) measure-zero cross sections that
-    point sampling misses in floating point, so those domains supply an
-    analytic segment-crossing predicate.
 
     Splinters, unknowns that no chain of open links joins to the rest, are
     dropped by restricting the assembly to its largest connected component.
@@ -393,52 +437,36 @@ def _assemble(
     unknown = np.pad(mask, 1)
     # padded bands: the diagonal, and -1 (0) where a forward link is open (closed)
     bands = {offset: np.zeros((n + 2, n + 2)) for offset in ((0, 0), (1, 0), (0, 1))}
-    px, py = gx[mask], gy[mask]
-    units = np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])
-    # a row per direction; only closed links to outside points can be Neumann
-    closed, outward, unplaced, mid_in = np.zeros((4, 4, count), dtype=bool)
-    s = np.ones((4, count))
-    for k, (dx, dy) in enumerate(units.tolist()):
-        near = (slice(1 + dx, n + 1 + dx), slice(1 + dy, n + 1 + dy))
-        nbr_in = node_in[near][mask]
-        nx_, ny_ = px + dx * h, py + dy * h
-        mid_in[k] = inside(0.5 * (px + nx_), 0.5 * (py + ny_))
-        if link_cut is not None:
-            blocked, frac = link_cut(px, py, nx_, ny_)
-        else:
-            blocked = ~mid_in[k]
-            frac = np.full(count, np.nan)
+    i, j = np.nonzero(mask)
+    # node coordinates, one step past the lattice on each side
+    xp, yp = (np.r_[v[0] - h, v, v[-1] + h] for v in (xs, ys))
+    units = ((1, 0), (-1, 0), (0, 1), (0, -1))
+    # s, each link's wall fraction (a row per direction), inf where it meets none
+    s = np.full((4, count), np.inf)
+    near = np.flatnonzero(dist <= h * (1.0 + 1e-9))
+    s[:, near] = _wall_cut(
+        np.tile(xs[i[near]], 4),
+        np.tile(ys[j[near]], 4),
+        np.concatenate([xp[1 + dx + i[near]] for dx, dy in units]),
+        np.concatenate([yp[1 + dy + j[near]] for dx, dy in units]),
+        walls,
+    ).reshape(4, -1)
+    blocked = np.isfinite(s)
+    closed, neumann_link = np.zeros((2, 4, count), dtype=bool)
+    for k, (dx, dy) in enumerate(units):
+        at = (slice(1 + dx, n + 1 + dx), slice(1 + dy, n + 1 + dy))
         if (dx, dy) in bands:  # the lower end decides the link
-            closed[k] = ~unknown[near][mask] | blocked
+            closed[k] = ~unknown[at][mask] | blocked[k]
             bands[dx, dy][1:-1, 1:-1][mask] = np.where(closed[k], 0.0, -1.0)
         else:  # and the upper end reads its decision
-            closed[k] = bands[-dx, -dy][near][mask] == 0.0
-        outward[k] = closed[k] & ~nbr_in
-        # s, the wall's fraction along the link: link_cut's where it cuts, 1
-        # where an unblocked link reaches an inside node, bisected elsewhere
-        cut = blocked & np.isfinite(frac)
-        s[k, cut] = frac[cut]
-        unplaced[k] = closed[k] & ~cut & ~(nbr_in & ~blocked)
-    neumann = np.zeros_like(closed)
-    if neumann_side is not None:
-        d, j = np.nonzero(outward)
-        neumann[outward] = neumann_side(px[j] + units[d, 0] * h, py[j] + units[d, 1] * h)
-    needs_bisect = unplaced & ~neumann
-    if np.any(needs_bisect):
-        d, j = np.nonzero(needs_bisect)
-        mid_ok = mid_in[needs_bisect]
-        lo_c, hi_c = np.where(mid_ok, 0.5, 0.0), np.where(mid_ok, 1.0, 0.5)
-        bx, by, dx, dy = px[j], py[j], units[d, 0], units[d, 1]
-        for _bisect in range(20):
-            mid = 0.5 * (lo_c + hi_c)
-            inside_mid = inside(bx + mid * dx * h, by + mid * dy * h)
-            lo_c = np.where(inside_mid, mid, lo_c)
-            hi_c = np.where(inside_mid, hi_c, mid)
-        s[needs_bisect] = 0.5 * (lo_c + hi_c)
+            closed[k] = bands[-dx, -dy][at][mask] == 0.0
+        if neumann:
+            neumann_link[k] = closed[k] & ~blocked[k] & ~node_in[at][mask]
     # each link's term, in place of s: 1/s on a Dirichlet link, 0 on a
     # Neumann link and 1 on an open one
+    s[~blocked] = 1.0
     np.divide(1.0, np.maximum(s, 0.05, out=s), out=s)
-    np.copyto(s, ~neumann, where=~closed | neumann)
+    np.copyto(s, ~neumann_link, where=~closed | neumann_link)
     diag = bands[0, 0][1:-1, 1:-1]
     for term in s:  # in loop order, which sets the diagonal's summation order
         diag[mask] += term
@@ -491,17 +519,6 @@ def _gauss(points: int):
 # to the boundary.
 _GAUSS_UNIFORM = 3
 _GAUSS_GRADED = 6
-
-# Columns of the capacitance matrix computed per truncated solve, in
-# batch x P x (Q - lo) doubles of work memory.  pttrs sweeps one column at
-# a time, so the batch saves no arithmetic.  One column per solve writes
-# the same validate documents; on the L-shape (fresh processes, one BLAS
-# thread) it takes validate's peak from 110.1-111.9 to 109.3-112.0 MB at
-# n = 256 (0.44-0.47 s of CPU either way) and from 183.7-184.4 to
-# 180.6-187.4 MB at n = 512 (2.46-2.54 s to 2.20-2.30 s): less than the
-# peak spreads between runs, so 8 stays.
-_CAPACITANCE_BATCH = 8
-
 
 # Elements per decade resolved: a graded half of e elements reaches
 # e / _GRADED_ELEMENTS_PER_DECADE decades below its length (fewer where
@@ -651,12 +668,12 @@ class _TensorSolver:
     vanishes on that ring, make it vanish on every excluded node (they see
     no load) and solve the kept system exactly.  The capacitance matrix is
     the box inverse on the ring, factored once by dense Cholesky.  It is
-    built _CAPACITANCE_BATCH columns at a time by the same pttrs solve that
-    the correction applies, on the graded rows from the lowest ring row lo
-    up alone.  So it matches the correction's ring values bit for bit on
-    any LAPACK build, which the ill-conditioned correction needs.  Ring
-    loads and ring values pass to and from mode space directly through the
-    sine basis, so a corrected solve costs two transforms, like a plain one.
+    built one column per solve by the same pttrs solve that the correction
+    applies, on the graded rows from the lowest ring row lo up alone.  So
+    it matches the correction's ring values bit for bit on any LAPACK
+    build, which the ill-conditioned correction needs.  Ring loads and ring
+    values pass to and from mode space directly through the sine basis, so
+    a corrected solve costs two transforms, like a plain one.
     """
 
     def __init__(self, hx: float, line_y, keep: np.ndarray):
@@ -702,13 +719,13 @@ class _TensorSolver:
         diag = self.diag.reshape(p, q)[:, lo:].ravel()
         off = np.append(self.off, 0.0).reshape(p, q)[:, lo:].ravel()[:-1]
         rows = self.ring_j - lo
-        modes = np.arange(p)[:, None] * (q - lo)
+        modes = np.arange(p) * (q - lo)
         cap = np.empty((size, size))
-        for s in range(0, size, _CAPACITANCE_BATCH):
-            cols = np.arange(s, min(s + _CAPACITANCE_BATCH, size))
-            unit = np.zeros((p * (q - lo), len(cols)), order="F")
-            unit[modes + rows[cols], np.arange(len(cols))] = self.ring_sine[cols].T
-            cap[:, cols] = self._ring_values(self._modes(unit, diag, off), lo)
+        unit = np.empty((p * (q - lo), 1))
+        for m in range(size):
+            unit.fill(0.0)
+            unit[modes + rows[m], 0] = self.ring_sine[m]
+            cap[:, m] = self._ring_values(self._modes(unit, diag, off), lo)[:, 0]
         self.ring = ring_i
         self.cap = la.cho_factor(0.5 * (cap + cap.T))
 
@@ -931,42 +948,13 @@ def _polygon_tensor_grid(verts: np.ndarray, n: int) -> Optional[GridProblem]:
 # ---------------------------------------------------------------------------
 # Domain-specific builders.
 
-def _ray_link_cut(directions, lengths):
-    """Segment-vs-ray crossing test for edges from the origin, of the given lengths.
-
-    Returns a vectorized predicate (blocked, fraction) for links a -> b.
-    Slits (full openings) have measure-zero cross sections, so midpoint
-    sampling cannot detect them reliably; the sign change of the cross
-    product against each edge direction can.
-    """
-
-    def link_cut(ax, ay, bx, by):
-        blocked = np.zeros(np.shape(ax), dtype=bool)
-        frac = np.full(np.shape(ax), np.nan)
-        for (ux, uy), length in zip(directions, lengths):
-            c1 = ux * ay - uy * ax
-            c2 = ux * by - uy * bx
-            flip = (c1 > 0.0) != (c2 > 0.0)
-            denom = np.where(flip, c1 - c2, 1.0)
-            tau = np.where(flip, c1 / denom, np.nan)
-            pxc = ax + tau * (bx - ax)
-            pyc = ay + tau * (by - ay)
-            along = pxc * ux + pyc * uy
-            hit = flip & (along > 0.0) & (np.hypot(pxc, pyc) <= length)
-            better = hit & (~blocked | (tau < frac))
-            frac = np.where(better, tau, frac)
-            blocked |= hit
-        return blocked, frac
-
-    return link_cut
-
-
 def _polygon_lattice(verts: np.ndarray, n: int) -> GridProblem:
     """Cartesian lattice of a polygon over its square bounding box (uniform spacing)."""
     (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
     return _lattice(
         lambda px, py: _points_in_polygon(px, py, verts),
         lambda px, py: _polyline_distance(px, py, verts),
+        _edge_walls(verts),
         0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * max(x1 - x0, y1 - y0), n,
     )
 
@@ -1012,61 +1000,34 @@ def _ebg_polygon(beta: float, gamma: float, radius: float) -> np.ndarray:
     return np.vstack([o, p, a1, arc, a3])
 
 
-# Widest angle between two vertices of a polar graph's Neumann polyline.
-_GRAPH_STEP = PI / 64
-
-
-def _graph_angles(thetas: np.ndarray) -> np.ndarray:
-    """The sample angles, every gap wider than _GRAPH_STEP cut into equal pieces.
-
-    One expression for all gaps: linspace's own multiply-then-add, so the
-    angles equal a per-gap linspace(a, b, pieces, endpoint=False) bit for bit.
-    """
-    pieces = np.ceil(np.diff(thetas) / _GRAPH_STEP).astype(int)
-    gap = np.repeat(np.arange(len(pieces)), pieces)
-    k = np.arange(len(gap)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    return np.append(k * (np.diff(thetas) / pieces)[gap] + thetas[gap], thetas[-1])
-
-
 def _dbeta_functions(d: Dbeta):
+    """Inside test, Dirichlet distance, Dirichlet walls and largest radius of a polar graph domain.
+
+    The domain is 0 < theta < beta, 0 < r < r(theta), with r interpolated
+    linearly in angle between the samples.  Its Dirichlet part is the two
+    segments from the origin to the graph along the angles 0 and beta, its
+    walls; the graph itself is the Neumann part.
+    """
     samples = dbeta_samples(d)
     thetas, rvals = samples[:, 0], samples[:, 1]
     beta = d.beta
-    gamma0_a = np.array([rvals[0], 0.0])
-    gamma0_b = rvals[-1] * np.array([math.cos(beta), math.sin(beta)])
-
-    def r_of(ang):
-        return np.interp(ang, thetas, rvals)
-
-    # The Neumann part is the curve r = r_of(theta) that `inside` tests, not
-    # the chords between samples: a chord over a wide gap cuts toward the
-    # origin, and on a 2pi opening sampled at 0, pi and 2pi it runs along the
-    # Dirichlet slit.  Gaps wider than _GRAPH_STEP get vertices on the curve.
-    fine = _graph_angles(thetas)
-    rfine = r_of(fine)
-    graph = np.column_stack([rfine * np.cos(fine), rfine * np.sin(fine)])
+    ux, uy = np.array([1.0, math.cos(beta)]), np.array([0.0, math.sin(beta)])
+    length = rvals[[0, -1]]
+    walls = (np.zeros(2), np.zeros(2), ux, uy, length)
 
     def inside(px, py):
         r = np.hypot(px, py)
         ang = np.mod(np.arctan2(py, px), 2.0 * PI)
-        return (ang > 0.0) & (ang < beta) & (r > 0.0) & (r < r_of(ang))
+        return (ang > 0.0) & (ang < beta) & (r > 0.0) & (r < np.interp(ang, thetas, rvals))
 
-    # the two Dirichlet segments from the origin, as _segment_distance's terms
-    walls = [(0.0, 0.0, x, y, (x * x + y * y) or 1.0) for x, y in (gamma0_a, gamma0_b)]
+    # the walls as _segment_distance's terms
+    terms = [(0.0, 0.0, x, y, (x * x + y * y) or 1.0) for x, y in zip(ux * length, uy * length)]
 
     def dirichlet_dist(px, py):
-        d1, d2 = (_segment_distance(px, py, *wall) for wall in walls)
+        d1, d2 = (_segment_distance(px, py, *wall) for wall in terms)
         return np.minimum(d1, d2)
 
-    def neumann_side(px, py):
-        dn = _polyline_distance(px, py, graph, closed=False)
-        return dn < dirichlet_dist(px, py)
-
-    link_cut = _ray_link_cut(
-        [(1.0, 0.0), (math.cos(beta), math.sin(beta))],
-        lengths=[float(rvals[0]), float(rvals[-1])],
-    )
-    return inside, dirichlet_dist, neumann_side, link_cut, float(np.max(rvals))
+    return inside, dirichlet_dist, walls, float(np.max(rvals))
 
 
 def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> GridProblem:
@@ -1116,10 +1077,8 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
         grid.radius = r
         return grid
     if isinstance(domain, Dbeta):
-        inside, dist, neumann_side, link_cut, rmax = _dbeta_functions(domain)
-        return _lattice(
-            inside, dist, 0.0, 0.0, 1.01 * rmax, n, neumann_side=neumann_side, link_cut=link_cut
-        )
+        inside, dist, walls, rmax = _dbeta_functions(domain)
+        return _lattice(inside, dist, walls, 0.0, 0.0, 1.01 * rmax, n, neumann=True)
     if isinstance(domain, SectorCapConvex):
         raise ValueError(
             "convex-cap descriptions have no concrete cap geometry; certify them instead"

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardyconst import cli, odeengine
+from hardyconst import cli, odeengine, rayleigh
+from hardyconst.certify import OneReflexPolygon
 from hardyconst.cli import main, parse_angle
 from hardyconst.hardycore import solve_c_beta
 
@@ -323,10 +324,24 @@ def test_validate_reports_dropped_unknowns(tmp_path, capsys):
     assert "0 dropped)" in capsys.readouterr().out
 
 
-def test_validate_refuses_an_estimate_below_ancona(tmp_path, capsys):
-    # the one-ulp notch of test_lattice_links_are_decided_once: at n = 40 the
-    # link tests miss it and lambda reads 0.0284, below the 1/16 that bounds
-    # the constant of every simply connected domain; at n = 64 it reads 0.360
+def test_validate_refuses_an_estimate_below_ancona(tmp_path, capsys, monkeypatch):
+    # every validate domain is simply connected, so its constant is at least
+    # Ancona's 1/16: a grid estimate below it is a numerical failure
+    low = rayleigh.RayleighEstimate(lam=0.05, residual_bound=1e-9, iterations=20, h=0.01)
+    monkeypatch.setattr(rayleigh, "estimate_constant", lambda grid: low)
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps({"type": "sector", "beta": 2.0}))
+    out = tmp_path / "est.json"
+    assert run(["validate", str(f), "--n", "64", "-o", str(out)]) == 3
+    assert "lambda_min = 0.05 at n=64 lies below Ancona's 1/16" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_closes_the_links_across_a_notch_one_ulp_wide(tmp_path):
+    # the notch of test_lattice_links_are_decided_once, cut in from the top
+    # between the lattice columns xs[12] and xs[13] at n = 40, whose nodes
+    # are unknowns; every link across it meets its walls and closes (when
+    # midpoint tests decided the links, lambda read 0.0284)
     xs = np.linspace(0.0, 1.0, 40)
     h = xs[1] - xs[0]
     m1, m2 = 0.5 * (xs[12] + (xs[12] + h)), 0.5 * (xs[13] + (xs[13] - h))
@@ -334,11 +349,17 @@ def test_validate_refuses_an_estimate_below_ancona(tmp_path, capsys):
     f = tmp_path / "dom.json"
     f.write_text(json.dumps({"type": "polygon", "vertices": vertices}))
     out = tmp_path / "est.json"
-    assert run(["validate", str(f), "--n", "40", "-o", str(out)]) == 3
-    assert "below Ancona's 1/16" in capsys.readouterr().err
-    assert not out.exists()
-    assert run(["validate", str(f), "--n", "64", "-o", str(out)]) == 0
-    assert json.loads(out.read_text())["estimate"]["lambda"] > 0.25
+    assert run(["validate", str(f), "--n", "40", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["grid"] == "lattice" and doc["estimate"]["lambda"] > 0.25
+    grid = rayleigh.build_grid(OneReflexPolygon(vertices), 40)
+    number = np.full(grid.mask.shape, -1)
+    number[grid.mask] = np.arange(grid.interior_count)
+    beside = grid.ys > 0.5
+    left, right = number[12, beside], number[13, beside]
+    both = (left >= 0) & (right >= 0)
+    assert np.count_nonzero(both) >= 15
+    assert np.all(grid.matrix[left[both], right[both]] == 0.0)
 
 
 def test_validate_refuses_non_simple_polygon(tmp_path, capsys):
@@ -520,13 +541,13 @@ def polar_samples(beta, amplitude, n=721):
         ),
         (
             {"type": "ebg", "beta": 1.5, "gamma": 1.5},
-            {"h": 0.125980972589, "iterations": 18, "lambda": 0.348836920356,
-             "residual_bound": 4.72605827429e-08},
+            {"h": 0.125980972589, "iterations": 18, "lambda": 0.348836929341,
+             "residual_bound": 4.72605188074e-08},
         ),
         (
             {"type": "ebg", "beta": 1.3, "gamma": 0.8},
-            {"h": 0.115278984376, "iterations": 18, "lambda": 0.488531798646,
-             "residual_bound": 4.56092705982e-07},
+            {"h": 0.115278984376, "iterations": 18, "lambda": 0.488531795242,
+             "residual_bound": 4.56092667958e-07},
         ),
     ],
     ids=["dbeta", "ebg", "ebg-asymmetric"],

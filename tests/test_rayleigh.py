@@ -3,22 +3,23 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as la
+import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from hardyconst.certify import Dbeta, Ebg, OneReflexPolygon, Sector, SectorCapConvex, ShapeError, ensure_ccw
 from hardyconst.certify import polygon_vertices
 from hardyconst.hardycore import potential_v, solve_c_beta
 from hardyconst.rayleigh import (
-    _CAPACITANCE_BATCH,
+    _PAIR_CHUNK,
     NumericalError,
-    _GRAPH_STEP,
     _dbeta_functions,
     _ebg_polygon,
     _edge_distance,
-    _graph_angles,
+    _edge_walls,
     _points_in_polygon,
     _polyline_distance,
     _tensor_grid,
+    _wall_cut,
     build_grid,
     estimate_constant,
     strip_proxy,
@@ -176,11 +177,10 @@ def test_capacitance_matrix_matches_stacked_solves(case):
     solve = grid.solve
     size = len(solve.ring)
     ref = np.empty((size, size))
-    for s in range(0, size, _CAPACITANCE_BATCH):
-        cols = np.arange(s, min(s + _CAPACITANCE_BATCH, size))
-        unit = np.zeros((size, len(cols)))
-        unit[cols, np.arange(len(cols))] = 1.0
-        ref[:, cols] = solve._ring_values(solve._modes(solve._ring_load(unit)))
+    for m in range(size):
+        unit = np.zeros((size, 1))
+        unit[m, 0] = 1.0
+        ref[:, m] = solve._ring_values(solve._modes(solve._ring_load(unit)))[:, 0]
     assert np.array_equal(solve.cap[0], la.cho_factor(0.5 * (ref + ref.T))[0])
 
 
@@ -294,7 +294,7 @@ def lattice_candidates(grid, domain):
     return _points_in_polygon(gx, gy, verts) & far
 
 
-@pytest.mark.parametrize("n, count, lam", [(64, 1674, 0.547278028357), (65, 1764, 0.481358557219)])
+@pytest.mark.parametrize("n, count, lam", [(64, 1674, 0.547278019395), (65, 1764, 0.481358540608)])
 def test_dumbbell_lattice_drops_a_splinter(n, count, lam):
     # the corridor is narrower than h, so no open link crosses it: the
     # lattice falls apart into one component per box.  The boxes tie, and
@@ -419,8 +419,8 @@ def test_polyline_distance_matches_segment_loop(verts, closed):
     gx, gy = px[: 129 * 129].reshape(129, 129), py[: 129 * 129].reshape(129, 129)
     got = _polyline_distance(gx, gy, verts, closed)
     assert np.array_equal(got, distance_by_segment(gx, gy, verts, closed))
-    # few points strung along the polyline just off it, in long thin tiles,
-    # as neumann_side asks: each segment's midpoint moved 1e-3 along its
+    # few points strung along the polyline just off it, in long thin tiles:
+    # each segment's midpoint moved 1e-3 along its
     # normal to both sides (a zero-length segment's point is its vertex)
     a = verts if closed else verts[:-1]
     v = np.roll(verts, -1, axis=0)[: len(a)] - a
@@ -537,20 +537,6 @@ def test_sparse_polar_graph_takes_its_curve(n):
     assert (sparse.matrix != dense.matrix).nnz == 0
 
 
-def test_graph_angles_match_per_gap_linspace():
-    rng = np.random.default_rng(7)
-    samplings = [np.array([0.0, 1.0, 2.0]), np.linspace(0.0, 2.0 * PI, 721)]
-    samplings += [np.sort(rng.uniform(0.0, 2.0 * PI, int(rng.integers(3, 40)))) for _ in range(100)]
-    for thetas in samplings:
-        pieces = np.ceil(np.diff(thetas) / _GRAPH_STEP).astype(int)
-        expected = np.concatenate(
-            [np.linspace(a, b, k, endpoint=False) for a, b, k in zip(thetas, thetas[1:], pieces)]
-            + [thetas[-1:]]
-        )
-        assert np.array_equal(_graph_angles(thetas), expected)
-    assert len(_graph_angles(samplings[0])) > 3  # the slit's gaps take several pieces
-
-
 @pytest.mark.parametrize("case", DENSE_CASES)
 def test_positive_weights_and_symmetry(case):
     grid = DENSE_CASES[case]()
@@ -576,15 +562,83 @@ def test_lattice_links_are_decided_once():
     assert (grid.matrix != grid.matrix.T).nnz == 0
 
 
-def assemble_link_by_link(grid, inside, weight_dist, neumann_side=None, link_cut=None):
+def wall_cut_by_wall(ax, ay, bx, by, walls):
+    """The first wall a link a -> b meets, one wall at a time: the reference for _wall_cut."""
+    best = math.inf
+    for wx, wy, ux, uy, length in zip(*(np.asarray(w).tolist() for w in walls)):
+        c_a = ux * (ay - wy) - uy * (ax - wx)
+        c_b = ux * (by - wy) - uy * (bx - wx)
+        if (c_a > 0.0 and c_b <= 0.0) or (c_a < 0.0 and c_b >= 0.0):
+            frac = c_a / (c_a - c_b)
+            t = (ax + frac * (bx - ax) - wx) * ux + (ay + frac * (by - ay) - wy) * uy
+            if 0.0 <= t <= length:
+                best = min(best, frac)
+    return best
+
+
+def check_wall_cut(links, walls):
+    """_wall_cut's fractions for links (ax, ay, bx, by), checked against the wall-by-wall loop."""
+    ax, ay, bx, by = (np.array(v, dtype=float) for v in zip(*links))
+    got = _wall_cut(ax, ay, bx, by, walls)
+    ref = [wall_cut_by_wall(*link, walls) for link in zip(ax.tolist(), ay.tolist(), bx.tolist(), by.tolist())]
+    assert np.array_equal(got, ref)
+    return got.tolist()
+
+
+def test_wall_cut_matches_wall_by_wall_loop():
+    # one wall from the origin along x, of length 1
+    wall = (np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1), np.ones(1))
+    assert check_wall_cut(
+        [
+            (0.5, 0.25, 0.5, 0.0), (0.5, -0.25, 0.5, 0.0),  # far end on the wall, from either side
+            (0.5, 0.25, 0.5, -0.75),  # a crossing
+            (0.0, -0.5, 0.0, 0.5), (1.0, 0.5, 1.0, -0.5),  # through its start and its end
+            (1.5, 0.0, 2.5, 0.0), (-0.25, 0.0, -1.25, 0.0),  # along its line beyond either end
+            (1.5, 0.0, 1.25, 0.0),  # and toward it, stopping short
+            (0.5, 0.25, 0.5, 0.125), (1.25, 0.5, 1.25, -0.5),  # short of it, and past its end
+        ],
+        wall,
+    ) == [1.0, 1.0, 0.25, 0.5, 0.5] + [math.inf] * 5
+    # the 2pi slit is two walls along x, the second sin(2pi) = -2.4e-16 below
+    # it: a link onto a slit node or the origin meets them at 1, from either
+    # side (from below, the second wall a few ulps short of 1)
+    slit = _dbeta_functions(Dbeta(2.0 * PI, [(0.0, 1.0), (PI, 1.0), (2.0 * PI, 1.0)]))[2]
+    assert check_wall_cut(
+        [
+            (0.5, 0.25, 0.5, 0.0), (0.5, -0.25, 0.5, 0.0), (0.5, 0.25, 0.5, -0.25),
+            (-0.25, 0.0, 0.0, 0.0), (0.0, 0.25, 0.0, 0.0), (0.0, -0.25, 0.0, 0.0),
+            (1.5, 0.25, 1.5, -0.25),
+        ],
+        slit,
+    ) == pytest.approx([1.0, 1.0, 0.5, 1.0, 1.0, 1.0, math.inf], rel=1e-15, abs=0.0)
+    # many short links around a 260-edge polygon, several chunks of pairs:
+    # the nearest of several walls, and the links that meet none
+    verts = _ebg_polygon(1.3 * PI, 0.8 * PI, 8.0)
+    walls = _edge_walls(verts)
+    rng = np.random.default_rng(11)
+    starts = verts[rng.integers(0, len(verts), 4000)] + rng.normal(0.0, 0.1, (4000, 2))
+    ends = starts + 0.126 * np.array([(1, 0), (-1, 0), (0, 1), (0, -1)])[rng.integers(0, 4, 4000)]
+    # and links ending on the vertices, from both sides of their edges
+    on = np.column_stack([verts - (0.0, 0.05), verts, verts + (0.05, 0.0), verts])
+    links = np.vstack([np.column_stack([starts, ends]), on.reshape(-1, 4)])
+    cut = np.array(check_wall_cut(links.tolist(), walls))
+    assert len(links) * len(verts) > 4 * _PAIR_CHUNK
+    assert 1000 < np.count_nonzero(np.isfinite(cut)) < len(links)
+    assert np.count_nonzero(cut == 1.0) >= len(verts)
+
+
+def assemble_link_by_link(grid, inside, weight_dist, walls, neumann=False):
     """The lattice energy decided one link at a time, the reference for _assemble.
 
     Each unknown takes its four directions in the loop order (1, 0),
-    (-1, 0), (0, 1), (0, -1).  A link is open when both ends are unknowns
-    and its lower end's midpoint test or link_cut does not block it; the
-    unknown's own test places the wall of a closed link, analytically,
-    by the 20-step bisection or at s = 1, unless neumann_side drops the
-    link.  Returns the dense energy and how many links took each path.
+    (-1, 0), (0, 1), (0, -1).  Each link runs from the unknown's node to its
+    neighbour's node, and wall_cut_by_wall places its first wall crossing,
+    on every link.  A link is open when both ends are unknowns and its link
+    from the lower end meets no wall.  A closed link is a Dirichlet
+    half-link with its wall at s, 1 where it meets none, unless neumann is
+    set and it meets no wall on its way to an outside node: then it is
+    dropped.  Returns the energy and the far ends of the links that took
+    each path: open, cut (s < 1), at 1 (s = 1) and Neumann.
     """
     xs, ys, h = grid.xs, grid.ys, grid.h
     n = len(xs)
@@ -593,87 +647,91 @@ def assemble_link_by_link(grid, inside, weight_dist, neumann_side=None, link_cut
     unknown = grid.mask
     number = -np.ones((n, n), dtype=int)
     number[unknown] = np.arange(grid.interior_count)
-
-    def at(f, *coords):
-        return f(*(np.array([c]) for c in coords))
-
-    def blocked(x, y, dx, dy):
-        if link_cut is not None:
-            cut, frac = at(link_cut, x, y, x + dx * h, y + dy * h)
-            return bool(cut[0]), float(frac[0])
-        return not at(inside, 0.5 * (x + (x + dx * h)), 0.5 * (y + (y + dy * h)))[0], math.nan
+    xp, yp = [xs[0] - h, *xs, xs[-1] + h], [ys[0] - h, *ys, ys[-1] + h]
 
     def node(i, j):
         return 0 <= i < n and 0 <= j < n
 
-    energy = np.zeros((grid.interior_count, grid.interior_count))
-    paths = {"open": 0, "analytic": 0, "bisected": 0, "neumann": 0}
+    def cut(i, j, dx, dy):
+        return wall_cut_by_wall(xp[1 + i], yp[1 + j], xp[1 + i + dx], yp[1 + j + dy], walls)
+
+    rows, cols, vals = [], [], []
+    paths = {path: [] for path in ("open", "cut", "at 1", "neumann")}
     for i, j in zip(*np.nonzero(unknown)):
-        x, y, diag = xs[i], ys[j], 0.0
+        diag = 0.0
         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
             k, l = i + dx, j + dy
             nbr_in = node(k, l) and bool(node_in[k, l])
             nbr_unknown = node(k, l) and bool(unknown[k, l])
-            cut, frac = blocked(x, y, dx, dy)
-            if dx + dy > 0:  # this end is the lower one
-                closed = not nbr_unknown or cut
-            else:
-                closed = not nbr_unknown or blocked(xs[k], ys[l], -dx, -dy)[0]
-            if not closed:
-                energy[number[i, j], number[k, l]] = -1.0
-                paths["open"] += 1
+            s = cut(i, j, dx, dy)
+            lower = (i, j, dx, dy) if dx + dy > 0 else (k, l, -dx, -dy)
+            if nbr_unknown and cut(*lower) == math.inf:
+                rows.append(number[i, j])
+                cols.append(number[k, l])
+                vals.append(-1.0)
+                path = "open"
                 diag += 1.0
-                continue
-            if neumann_side is not None and not nbr_in and at(neumann_side, x + dx * h, y + dy * h)[0]:
-                paths["neumann"] += 1
-                continue
-            s = 1.0
-            if cut and math.isfinite(frac):
-                s = frac
-                paths["analytic"] += 1
-            elif not (nbr_in and not cut):
-                mid_in = at(inside, 0.5 * (x + (x + dx * h)), 0.5 * (y + (y + dy * h)))[0]
-                lo, hi = (0.5, 1.0) if mid_in else (0.0, 0.5)
-                for _ in range(20):
-                    mid = 0.5 * (lo + hi)
-                    if at(inside, x + mid * dx * h, y + mid * dy * h)[0]:
-                        lo = mid
-                    else:
-                        hi = mid
-                s = 0.5 * (lo + hi)
-                paths["bisected"] += 1
-            diag += 1.0 / max(s, 0.05)
-        energy[number[i, j], number[i, j]] = diag
+            elif neumann and not nbr_in and s == math.inf:
+                path = "neumann"
+            else:
+                s = min(s, 1.0)
+                path = "cut" if s < 1.0 else "at 1"
+                diag += 1.0 / max(s, 0.05)
+            paths[path].append((xp[1 + k], yp[1 + l]))
+        rows.append(number[i, j])
+        cols.append(number[i, j])
+        vals.append(diag)
+    size = grid.interior_count
+    energy = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
     return energy * (1.0 / (h * h)), paths
 
 
+def lattice_geometry(domain):
+    """inside, weight_dist, walls and the Neumann flag of a lattice domain, as build_grid passes them."""
+    if isinstance(domain, Dbeta):
+        return (*_dbeta_functions(domain)[:3], True)
+    verts = _ebg_polygon(domain.beta, domain.gamma, 8.0) if isinstance(domain, Ebg) else polygon_vertices(domain)
+    return (
+        lambda px, py: _points_in_polygon(px, py, verts),
+        lambda px, py: _polyline_distance(px, py, verts),
+        _edge_walls(verts),
+        False,
+    )
+
+
 def test_lattice_assembly_matches_link_by_link_reference():
-    # the assembly batches the Neumann queries and the wall bisections of
-    # all four directions; each link must still get what it would alone
-    slanted = OneReflexPolygon([(0, 0), (1, 0), (1.3, 0.6), (0.5, 0.4), (0.2, 1.1)])
-    ebg = _ebg_polygon(1.3 * PI, 0.8 * PI, 8.0)
-    cases = [
-        (build_grid(slanted, 33), polygon_vertices(slanted)),
-        (build_grid(Ebg(1.3 * PI, 0.8 * PI), 33), ebg),
-    ]
+    # the assembly tests only the links that start within h of a wall, all
+    # four directions in one call; each link must get what it would alone
+    total = dict.fromkeys(("open", "cut", "at 1", "neumann"), 0)
     for domain in (
+        OneReflexPolygon([(0, 0), (1, 0), (1.3, 0.6), (0.5, 0.4), (0.2, 1.1)]),
+        Ebg(1.3 * PI, 0.8 * PI),
         Dbeta(1.5 * PI, [(0.0, 1.0), (0.75 * PI, 1.3), (1.5 * PI, 1.0)]),
         Dbeta(2.0 * PI, [(0.0, 1.0), (PI, 1.0), (2.0 * PI, 1.0)]),
     ):
-        cases.append((build_grid(domain, 33), _dbeta_functions(domain)[:4]))
-    total = dict.fromkeys(("open", "analytic", "bisected", "neumann"), 0)
-    for grid, geometry in cases:
-        if isinstance(geometry, np.ndarray):
-            geometry = (
-                lambda px, py, verts=geometry: _points_in_polygon(px, py, verts),
-                lambda px, py, verts=geometry: _polyline_distance(px, py, verts),
-            )
+        grid = build_grid(domain, 33)
         assert grid.kind == "lattice" and grid.dropped == 0
-        energy, paths = assemble_link_by_link(grid, *geometry)
-        got = grid.matrix.toarray()
-        assert np.array_equal(np.diag(got), np.diag(energy))
-        assert np.array_equal(got, energy)
+        energy, paths = assemble_link_by_link(grid, *lattice_geometry(domain))
+        assert np.array_equal(grid.matrix.diagonal(), energy.diagonal())
+        assert (grid.matrix != energy).nnz == 0
         for path, links in paths.items():
-            total[path] += links
+            total[path] += len(links)
     # every path of the assembly was taken
     assert min(total.values()) > 0, total
+
+
+@pytest.mark.parametrize("n", [33, 49, 65])
+def test_no_link_onto_the_slit_is_neumann(n):
+    # odd n puts nodes on the slit of a 2pi opening, outside the domain: a
+    # link onto one ends on a wall and meets it at s = 1.  As Neumann links
+    # they would free the slit and pull the estimate far below c(2pi)
+    domain = Dbeta(2.0 * PI, [(0.0, 1.0), (PI, 1.0), (2.0 * PI, 1.0)])
+    grid = build_grid(domain, n)
+    energy, paths = assemble_link_by_link(grid, *lattice_geometry(domain))
+    assert (grid.matrix != energy).nnz == 0
+    onto_slit = {path: sum(y == 0.0 and 0.0 <= x <= 1.0 for x, y in ends) for path, ends in paths.items()}
+    # each slit node is reached from above and from below
+    slit_nodes = np.count_nonzero((grid.xs > 0.0) & (grid.xs < 1.0))
+    assert onto_slit["neumann"] == 0 and onto_slit["open"] == 0, onto_slit
+    assert onto_slit["cut"] + onto_slit["at 1"] >= 2 * slit_nodes, onto_slit
+    assert estimate_constant(grid).lam > solve_c_beta(2.0 * PI).c
