@@ -34,19 +34,21 @@ Cartesian lattices, for every other domain (slanted polygon edges,
 two-halfline domains, mixed Dirichlet-Neumann sectors): the 5-point
 finite-difference energy on a square lattice against nodal weights
 1/dist^2, assembled from one inside test per node and restricted to its
-largest connected component.  Each domain declares the Dirichlet part of
-its boundary as wall segments, a polygon its edges and a polar graph its
-two rays from the origin, and every link is decided by one exact rule:
-its first crossing with a wall, found for the links of all four
-directions in one call.  Each link is decided open or closed once, at
-its lower end, and written by the Q1 grids' symmetric stencil writer.
-The energy is factored once by a sparse LU (SuperLU, minimum degree
-ordering on A^T + A, whose pattern is symmetric), so every solve is exact
-up to rounding.  Its mesh width is uniform, so it resolves only about
-log10(n) decades and converges like 1/log^2(1/h); on a few hundred nodes
-per side the estimate sits a few tenths above the constant.  For these
-domains the validator is a consistency check (estimates stay above
-certified constants and shrink toward them), not a precision instrument.
+largest connected component.  Each domain describes the Dirichlet part of
+its boundary once, as wall segments given by their endpoints: a polygon
+its edges, a polar graph its two rays from the origin.  The walls give
+the nodal distance dist, a polygon's inside test reads them as its edges,
+and every link is decided by one exact rule: its first crossing with a
+wall, found for the links of all four directions in one call.  Each link
+is decided open or closed once, at its lower end, and written by the Q1
+grids' symmetric stencil writer.  The energy is factored once by a sparse
+LU (SuperLU, minimum degree ordering on A^T + A, whose pattern is
+symmetric), so every solve is exact up to rounding.  Its mesh width is
+uniform, so it resolves only about log10(n) decades and converges like
+1/log^2(1/h); on a few hundred nodes per side the estimate sits a few
+tenths above the constant.  For these domains the validator is a
+consistency check (estimates stay above certified constants and shrink
+toward them), not a precision instrument.
 """
 
 from __future__ import annotations
@@ -179,10 +181,10 @@ def _segment_distance(px, py, ax, ay, vx, vy, ll):
     return np.hypot(px - ax - t * vx, py - ay - t * vy)
 
 
-# Pairs per chunk of _points_in_polygon, _polyline_distance and _wall_cut: a
-# few work arrays of this many values each.
+# Pairs per chunk of _points_in_polygon, _wall_distance and _wall_cut: a few
+# work arrays of this many values each.
 _PAIR_CHUNK = 1 << 13
-# Points per tile of _polyline_distance.
+# Points per tile of _wall_distance.
 _TILE_POINTS = 64
 
 
@@ -217,38 +219,38 @@ def _tiles(x, y):
     return order, first, np.minimum.reduceat(points, first), np.maximum.reduceat(points, first)
 
 
-def _polyline_distance(px, py, verts: np.ndarray, closed: bool = True):
-    """Distance from finite points to a polyline, closed back to its first vertex or open.
+def _wall_distance(px, py, walls):
+    """Distance from finite points to the nearest of the walls (ax, ay, bx, by).
 
-    Each point meets only the segments that can be nearest to it.  The
-    points are binned into square tiles of about _TILE_POINTS each.  The
-    distance from a tile's centre plus the tile's half diagonal bounds the
-    distance of every point in the tile, so a segment whose bounding box
-    lies farther than that from the tile's box, with a slack far above
-    rounding, is never nearest.  _segment_distance runs on each tile's
-    points against its remaining segments only, and the minimum over them
-    is the minimum over all segments, bit for bit.  Each segment's terms
-    (a, v = b - a and the guarded squared length) are computed once per
-    call and gathered per pair: the same expressions, so the same bits.
+    Each point meets only the walls that can be nearest to it.  The points
+    are binned into square tiles of about _TILE_POINTS each.  The distance
+    from a tile's centre plus the tile's half diagonal bounds the distance
+    of every point in the tile, so a wall whose bounding box lies farther
+    than that from the tile's box, with a slack far above rounding, is never
+    nearest.  _segment_distance runs on each tile's points against its
+    remaining walls only, and the minimum over them is the minimum over all
+    walls, bit for bit.  Each wall's terms (a, v = b - a and the guarded
+    squared length) are computed once per call and gathered per pair: the
+    same expressions, so the same bits.
     """
-    a = verts if closed else verts[:-1]
-    b = np.roll(verts, -1, axis=0)[: len(a)]
+    ax, ay, bx, by = walls
     px, py = np.broadcast_arrays(px, py)
     x, y = px.ravel(), py.ravel()
     dist = np.full(len(x), np.inf)
-    if len(a) == 0 or len(x) == 0:
+    if len(ax) == 0 or len(x) == 0:
         return dist.reshape(px.shape)
     order, first, box_lo, box_hi = _tiles(x, y)
     centre = 0.5 * (box_lo + box_hi)
     reach = 0.5 * np.hypot(*(box_hi - box_lo).T)
-    slack = 1e-9 * max(np.abs(verts).max(), np.abs(box_lo).max(), np.abs(box_hi).max())
-    seg_lo, seg_hi = np.minimum(a, b).T, np.maximum(a, b).T
-    (ax, ay), (vx, vy) = a.T.copy(), (b - a).T.copy()
+    slack = 1e-9 * max(np.abs(walls).max(), np.abs(box_lo).max(), np.abs(box_hi).max())
+    seg_lo = np.array([np.minimum(ax, bx), np.minimum(ay, by)])
+    seg_hi = np.array([np.maximum(ax, bx), np.maximum(ay, by)])
+    vx, vy = bx - ax, by - ay
     ll = vx * vx + vy * vy
     terms = (ax, ay, vx, vy, np.where(ll == 0.0, 1.0, ll))
-    # the candidate segments of each tile, a few tiles at a time
+    # the candidate walls of each tile, a few tiles at a time
     tiles, segs = [], []
-    step = max(1, _PAIR_CHUNK // len(a))
+    step = max(1, _PAIR_CHUNK // len(ax))
     for t0 in range(0, len(first), step):
         c, lo, hi = (v[t0 : t0 + step, :, None] for v in (centre, box_lo, box_hi))
         near = _segment_distance(c[:, 0], c[:, 1], *terms)
@@ -271,8 +273,8 @@ def _polyline_distance(px, py, verts: np.ndarray, closed: bool = True):
     return dist.reshape(px.shape)
 
 
-def _points_in_polygon(px, py, verts: np.ndarray):
-    """Even-odd rule, each edge against the points in its height band only.
+def _points_in_polygon(px, py, walls):
+    """Even-odd rule over a closed polygon's edge walls (ax, ay, bx, by).
 
     A non-horizontal edge a-b can cross the rightward ray of a point only if
     min(ya, yb) <= y < max(ya, yb); horizontal edges cross nothing.  With
@@ -280,10 +282,8 @@ def _points_in_polygon(px, py, verts: np.ndarray):
     binary searches, the crossing test runs on the (edge, point) pairs of
     the bands alone, and a point is inside when its crossings are odd.
     """
-    b = np.roll(verts, -1, axis=0)
-    slanted = verts[:, 1] != b[:, 1]
-    xa, ya = verts[slanted, 0], verts[slanted, 1]
-    xb, yb = b[slanted, 0], b[slanted, 1]
+    slanted = walls[1] != walls[3]
+    xa, ya, xb, yb = (w[slanted] for w in walls)
     px, py = np.broadcast_arrays(px, py)
     x, y = px.ravel(), py.ravel()
     order = np.argsort(y)
@@ -298,36 +298,37 @@ def _points_in_polygon(px, py, verts: np.ndarray):
 
 
 def _edge_walls(verts: np.ndarray):
-    """The edges of a closed polygon as walls: start x and y, unit direction x and y, length."""
-    v = np.roll(verts, -1, axis=0) - verts
-    length = np.hypot(v[:, 0], v[:, 1])
-    return verts[:, 0], verts[:, 1], v[:, 0] / length, v[:, 1] / length, length
+    """The edges of a closed polygon as walls: start x and y, end x and y."""
+    b = np.roll(verts, -1, axis=0)
+    return verts[:, 0], verts[:, 1], b[:, 0], b[:, 1]
 
 
 def _wall_cut(ax, ay, bx, by, walls):
     """Fraction along each link a -> b where it first meets a wall; inf where it meets none.
 
-    walls is (wx, wy, ux, uy, length): wall k is the closed segment
-    w + t u, 0 <= t <= length, for a unit vector u.  A link meets a wall
-    where a lies strictly on one side of the wall's line and b on the other
-    side or on the line, at a point with t in [0, length].  The cross
-    products c_a and c_b of u with a - w and b - w place the ends, and the
-    fraction is c_a / (c_a - c_b): exactly 1 where b lies on the line, from
-    either side.  A link that starts on a wall's line (run along it, or
-    leave it at a) does not meet that wall; the lattice's links start at
-    unknowns, which lie off every wall.  Each wall meets only the links
-    whose start's x lies within twice the links' widest x extent of its own
-    x range: the links are sorted by that x, each wall's band is one index
-    range, and the pairs of the bands run _PAIR_CHUNK at a time.  The test
-    is pointwise, so each link gets the fraction a loop over every wall
-    would give.
+    Wall k runs from (wx, wy) to (ex, ey) in walls = (wx, wy, ex, ey): the
+    closed segment w + t u, 0 <= t <= length, for its unit direction u.  A
+    link meets a wall where a lies strictly on one side of the wall's line
+    and b on the other side or on the line, at a point with t in
+    [0, length].  The cross products c_a and c_b of u with a - w and b - w
+    place the ends, and the fraction is c_a / (c_a - c_b): exactly 1 where b
+    lies on the line, from either side.  A link that starts on a wall's line
+    (run along it, or leave it at a) does not meet that wall; the lattice's
+    links start at unknowns, which lie off every wall.  Each wall meets only
+    the links whose start's x lies within twice the links' widest x extent
+    of its own x range: the links are sorted by that x, each wall's band is
+    one index range, and the pairs of the bands run _PAIR_CHUNK at a time.
+    The test is pointwise, so each link gets the fraction a loop over every
+    wall would give.
     """
-    wx, wy, ux, uy, length = walls
+    wx, wy, ex, ey = walls
+    vx, vy = ex - wx, ey - wy
+    length = np.hypot(vx, vy)
+    ux, uy = vx / length, vy / length
     s = np.full(len(ax), np.inf)
     if len(ax) == 0:
         return s
     reach = 2.0 * np.max(np.abs(bx - ax))
-    ex = wx + length * ux
     order = np.argsort(ax)
     start, stop = np.searchsorted(
         ax[order], [np.minimum(wx, ex) - reach, np.maximum(wx, ex) + reach]
@@ -371,7 +372,6 @@ def _check_resolution(count: int) -> None:
 
 def _assemble(
     inside: Callable,
-    weight_dist: Callable,
     walls: tuple,
     cx: float,
     cy: float,
@@ -382,17 +382,17 @@ def _assemble(
     """Build mask, weights and the 5-point energy on an n-by-n lattice.
 
     The lattice spans the square of centre (cx, cy) and half-side half.
-    inside and weight_dist take vectorized coordinates.  inside classifies
-    each node once and weight_dist measures the inside nodes only; the
-    unknowns are the inside nodes at least h/2 from the weighted boundary
-    part.  walls are the segments of that part, as _wall_cut takes them, and
-    weight_dist is the distance to them.  When neumann is set, the rest of
+    inside takes vectorized coordinates and classifies each node once.
+    walls are the segments (ax, ay, bx, by) of the weighted boundary part,
+    the Dirichlet part: _wall_distance measures the inside nodes' distance
+    to them, the nodal distance of the weight, and the unknowns are the
+    inside nodes at least h/2 from them.  When neumann is set, the rest of
     the boundary is a Neumann part.
 
     Every link is decided by one rule: its first crossing with a wall,
     found by _wall_cut from the link's start to its neighbour's own node
     coordinates.  Only a link whose start lies within h of a wall can meet
-    one, and weight_dist has measured that distance, so only those links are
+    one, and the nodal distance is that distance, so only those links are
     tested, all four directions in one call.  A link is open when both ends
     are unknowns and it meets no wall, as its lower end decides: the forward
     passes (1, 0) and (0, 1) store the decision in a band that the backward
@@ -426,7 +426,7 @@ def _assemble(
     node_in = np.zeros((n + 2, n + 2), dtype=bool)
     node_in[1:-1, 1:-1] = inside(gx, gy)
     mask = node_in[1:-1, 1:-1].copy()
-    dist = weight_dist(gx[mask], gy[mask])
+    dist = _wall_distance(gx[mask], gy[mask], walls)
     # keep the nodal weight bounded: unknowns sit at least h/2 from the
     # weighted boundary part
     far = dist >= 0.5 * h * (1.0 - 1e-9)
@@ -462,10 +462,11 @@ def _assemble(
             closed[k] = bands[-dx, -dy][at][mask] == 0.0
         if neumann:
             neumann_link[k] = closed[k] & ~blocked[k] & ~node_in[at][mask]
-    # each link's term, in place of s: 1/s on a Dirichlet link, 0 on a
-    # Neumann link and 1 on an open one
+    # each link's term, in place of s: 1/s on a Dirichlet link (at most 2,
+    # since unknowns sit at least h/2 from every wall), 0 on a Neumann link
+    # and 1 on an open one
     s[~blocked] = 1.0
-    np.divide(1.0, np.maximum(s, 0.05, out=s), out=s)
+    np.divide(1.0, s, out=s)
     np.copyto(s, ~neumann_link, where=~closed | neumann_link)
     diag = bands[0, 0][1:-1, 1:-1]
     for term in s:  # in loop order, which sets the diagonal's summation order
@@ -889,17 +890,16 @@ def _edge_distance(theta, beta: float):
     return np.sin(np.minimum(np.minimum(theta, beta - theta), 0.5 * PI))
 
 
-def _box_distance(px, py, verts: np.ndarray):
-    """Distance to a closed polygon whose edges are horizontal or vertical.
+def _box_distance(px, py, walls):
+    """Distance to walls (ax, ay, bx, by) that are all horizontal or vertical.
 
-    Per edge, the clamped offsets along both axes are exact in floating
+    Per wall, the clamped offsets along both axes are exact in floating
     point, which keeps the weight exact within hair-thin graded elements.
     """
     best = np.full(np.broadcast(px, py).shape, np.inf)
-    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
-        lo, hi = np.minimum(a, b), np.maximum(a, b)
-        dx = np.maximum(np.maximum(lo[0] - px, px - hi[0]), 0.0)
-        dy = np.maximum(np.maximum(lo[1] - py, py - hi[1]), 0.0)
+    for ax, ay, bx, by in zip(*walls):
+        dx = np.maximum(np.maximum(min(ax, bx) - px, px - max(ax, bx)), 0.0)
+        dy = np.maximum(np.maximum(min(ay, by) - py, py - max(ay, by)), 0.0)
         best = np.minimum(best, np.hypot(dx, dy))
     return best
 
@@ -912,8 +912,8 @@ def _polygon_tensor_grid(verts: np.ndarray, n: int) -> Optional[GridProblem]:
     edge line, n elements shared between the halves of the gaps between
     lines.  None also for polygons with slanted edges.
     """
-    edges = np.roll(verts, -1, axis=0) - verts
-    if not np.all((edges[:, 0] == 0.0) | (edges[:, 1] == 0.0)):
+    walls = _edge_walls(verts)
+    if not np.all((walls[0] == walls[2]) | (walls[1] == walls[3])):
         return None
     x0, x1 = float(verts[:, 0].min()), float(verts[:, 0].max())
     frac = (np.unique(verts[:, 0]) - x0) / (x1 - x0)
@@ -934,13 +934,13 @@ def _polygon_tensor_grid(verts: np.ndarray, n: int) -> Optional[GridProblem]:
     elem_in = _points_in_polygon(
         np.broadcast_to(centres_x, (m, len(ys) - 1)),
         np.broadcast_to(centres_y, (m, len(ys) - 1)),
-        verts,
+        walls,
     )
     return _tensor_grid(
         xs,
         ys,
-        weight=lambda x, y: _box_distance(x, y, verts) ** -2.0,
-        dist=lambda x, y: _box_distance(x, y, verts),
+        weight=lambda x, y: _box_distance(x, y, walls) ** -2.0,
+        dist=lambda x, y: _box_distance(x, y, walls),
         elem_in=elem_in,
     )
 
@@ -951,10 +951,10 @@ def _polygon_tensor_grid(verts: np.ndarray, n: int) -> Optional[GridProblem]:
 def _polygon_lattice(verts: np.ndarray, n: int) -> GridProblem:
     """Cartesian lattice of a polygon over its square bounding box (uniform spacing)."""
     (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
+    walls = _edge_walls(verts)
     return _lattice(
-        lambda px, py: _points_in_polygon(px, py, verts),
-        lambda px, py: _polyline_distance(px, py, verts),
-        _edge_walls(verts),
+        lambda px, py: _points_in_polygon(px, py, walls),
+        walls,
         0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * max(x1 - x0, y1 - y0), n,
     )
 
@@ -1001,7 +1001,7 @@ def _ebg_polygon(beta: float, gamma: float, radius: float) -> np.ndarray:
 
 
 def _dbeta_functions(d: Dbeta):
-    """Inside test, Dirichlet distance, Dirichlet walls and largest radius of a polar graph domain.
+    """Inside test, Dirichlet walls and largest radius of a polar graph domain.
 
     The domain is 0 < theta < beta, 0 < r < r(theta), with r interpolated
     linearly in angle between the samples.  Its Dirichlet part is the two
@@ -1011,23 +1011,16 @@ def _dbeta_functions(d: Dbeta):
     samples = dbeta_samples(d)
     thetas, rvals = samples[:, 0], samples[:, 1]
     beta = d.beta
-    ux, uy = np.array([1.0, math.cos(beta)]), np.array([0.0, math.sin(beta)])
     length = rvals[[0, -1]]
-    walls = (np.zeros(2), np.zeros(2), ux, uy, length)
+    ends = length * np.array([[1.0, math.cos(beta)], [0.0, math.sin(beta)]])
+    walls = (np.zeros(2), np.zeros(2), ends[0], ends[1])
 
     def inside(px, py):
         r = np.hypot(px, py)
         ang = np.mod(np.arctan2(py, px), 2.0 * PI)
         return (ang > 0.0) & (ang < beta) & (r > 0.0) & (r < np.interp(ang, thetas, rvals))
 
-    # the walls as _segment_distance's terms
-    terms = [(0.0, 0.0, x, y, (x * x + y * y) or 1.0) for x, y in zip(ux * length, uy * length)]
-
-    def dirichlet_dist(px, py):
-        d1, d2 = (_segment_distance(px, py, *wall) for wall in terms)
-        return np.minimum(d1, d2)
-
-    return inside, dirichlet_dist, walls, float(np.max(rvals))
+    return inside, walls, float(np.max(rvals))
 
 
 def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> GridProblem:
@@ -1077,8 +1070,8 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
         grid.radius = r
         return grid
     if isinstance(domain, Dbeta):
-        inside, dist, walls, rmax = _dbeta_functions(domain)
-        return _lattice(inside, dist, walls, 0.0, 0.0, 1.01 * rmax, n, neumann=True)
+        inside, walls, rmax = _dbeta_functions(domain)
+        return _lattice(inside, walls, 0.0, 0.0, 1.01 * rmax, n, neumann=True)
     if isinstance(domain, SectorCapConvex):
         raise ValueError(
             "convex-cap descriptions have no concrete cap geometry; certify them instead"

@@ -17,9 +17,9 @@ from hardyconst.rayleigh import (
     _edge_distance,
     _edge_walls,
     _points_in_polygon,
-    _polyline_distance,
     _tensor_grid,
     _wall_cut,
+    _wall_distance,
     build_grid,
     estimate_constant,
     strip_proxy,
@@ -288,10 +288,10 @@ def test_lattice_solve_is_exact(case):
 
 def lattice_candidates(grid, domain):
     """Lattice nodes inside a polygon and at least h/2 from its boundary."""
-    verts = np.asarray(domain.vertices, dtype=float)
+    walls = _edge_walls(np.asarray(domain.vertices, dtype=float))
     gx, gy = np.meshgrid(grid.xs, grid.ys, indexing="ij")
-    far = _polyline_distance(gx, gy, verts) >= 0.5 * grid.h * (1.0 - 1e-9)
-    return _points_in_polygon(gx, gy, verts) & far
+    far = _wall_distance(gx, gy, walls) >= 0.5 * grid.h * (1.0 - 1e-9)
+    return _points_in_polygon(gx, gy, walls) & far
 
 
 @pytest.mark.parametrize("n, count, lam", [(64, 1674, 0.547278019395), (65, 1764, 0.481358540608)])
@@ -336,19 +336,19 @@ def even_odd_by_edge(px, py, verts):
     return inside
 
 
-def polygon_probe_points(verts, n):
-    """Lattice nodes and link midpoints of the bounding square, vertices and points on edges."""
-    lo, hi = verts.min(axis=0), verts.max(axis=0)
+def polygon_probe_points(walls, n):
+    """Lattice nodes and link midpoints of the bounding square, wall starts and points on walls."""
+    a, b = np.column_stack(walls[:2]), np.column_stack(walls[2:])
+    lo, hi = np.minimum(a, b).min(axis=0), np.maximum(a, b).max(axis=0)
     side = float(np.max(hi - lo))
     xs = lo[0] + side * np.linspace(0.0, 1.0, n)
     ys = lo[1] + side * np.linspace(0.0, 1.0, n)
     h = xs[1] - xs[0]
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    b = np.roll(verts, -1, axis=0)
     t = np.linspace(0.0, 1.0, 7)[:, None, None]
-    on_edges = verts + t * (b - verts)
-    px = np.concatenate([gx.ravel(), (gx + 0.5 * h).ravel(), verts[:, 0], on_edges[..., 0].ravel()])
-    py = np.concatenate([gy.ravel(), (gy + 0.5 * h).ravel(), verts[:, 1], on_edges[..., 1].ravel()])
+    on_walls = a + t * (b - a)
+    px = np.concatenate([gx.ravel(), (gx + 0.5 * h).ravel(), a[:, 0], on_walls[..., 0].ravel()])
+    py = np.concatenate([gy.ravel(), (gy + 0.5 * h).ravel(), a[:, 1], on_walls[..., 1].ravel()])
     return px, py
 
 
@@ -361,25 +361,24 @@ POLYGONS = {
 
 @pytest.mark.parametrize("verts", POLYGONS.values(), ids=POLYGONS.keys())
 def test_points_in_polygon_matches_edge_loop(verts):
-    px, py = polygon_probe_points(verts, 129)
-    got = _points_in_polygon(px, py, verts)
+    walls = _edge_walls(verts)
+    px, py = polygon_probe_points(walls, 129)
+    got = _points_in_polygon(px, py, walls)
     assert np.array_equal(got, even_odd_by_edge(px, py, verts))
     # and on a 2-D block whose points need several chunks
     gx, gy = px[: 129 * 129].reshape(129, 129), py[: 129 * 129].reshape(129, 129)
-    assert np.array_equal(_points_in_polygon(gx, gy, verts), even_odd_by_edge(gx, gy, verts))
+    assert np.array_equal(_points_in_polygon(gx, gy, walls), even_odd_by_edge(gx, gy, verts))
     # points at exactly every vertex's height, where the edges' bands end
     lo, hi = verts[:, 0].min() - 1.0, verts[:, 0].max() + 1.0
     hx, hy = np.meshgrid(np.linspace(lo, hi, 257), verts[:, 1])
-    assert np.array_equal(_points_in_polygon(hx, hy, verts), even_odd_by_edge(hx, hy, verts))
-    assert _points_in_polygon(np.empty(0), np.empty(0), verts).shape == (0,)
+    assert np.array_equal(_points_in_polygon(hx, hy, walls), even_odd_by_edge(hx, hy, verts))
+    assert _points_in_polygon(np.empty(0), np.empty(0), walls).shape == (0,)
 
 
-def distance_by_segment(px, py, verts, closed=True):
-    """The distance one segment at a time, the reference for _polyline_distance."""
+def distance_by_segment(px, py, walls):
+    """The distance one wall at a time, the reference for _wall_distance."""
     best = np.full(np.shape(px), np.inf)
-    n = len(verts)
-    for i in range(n if closed else n - 1):
-        (ax, ay), (bx, by) = verts[i], verts[(i + 1) % n]
+    for ax, ay, bx, by in zip(*walls):
         vx, vy = bx - ax, by - ay
         ll = vx * vx + vy * vy
         if ll == 0.0:
@@ -392,47 +391,48 @@ def distance_by_segment(px, py, verts, closed=True):
 
 
 def dbeta_graph():
-    """The open 721-sample polar graph of a Dbeta domain, r = 1 + 0.1 (theta - pi)^2."""
+    """The 721-sample polar graph of a Dbeta domain, r = 1 + 0.1 (theta - pi)^2."""
     thetas = np.linspace(0.0, 2.0 * PI, 721)
     r = 1.0 + 0.1 * (thetas - PI) ** 2
     return np.column_stack([r * np.cos(thetas), r * np.sin(thetas)])
 
 
-POLYLINES = {
-    "ebg-arc": (POLYGONS["ebg-arc"], True),
-    "ebg-asymmetric": (POLYGONS["ebg-asymmetric"], True),
-    "dbeta-graph": (dbeta_graph(), False),
-    # repeated vertices, the closing segment among them, make zero-length segments
-    "zero-length-closed": (np.array([[0, 0], [1, 0], [1, 0], [1, 1], [0.5, 1.5], [0, 0]]), True),
-    "zero-length-open": (np.array([[0, 0], [0, 0], [1, 0], [1, 1], [1, 1]], dtype=float), False),
+WALL_LISTS = {
+    "ebg-arc": _edge_walls(POLYGONS["ebg-arc"]),
+    "ebg-asymmetric": _edge_walls(POLYGONS["ebg-asymmetric"]),
+    # points strung along a long curve; its closing wall is 4.9e-16 long
+    "dbeta-graph": _edge_walls(dbeta_graph()),
+    # the 2pi slit: two walls from the origin, sin(2pi) = -2.4e-16 apart
+    "dbeta-slit": _dbeta_functions(Dbeta(2.0 * PI, [(0.0, 1.0), (PI, 1.0), (2.0 * PI, 1.0)]))[1],
+    # repeated vertices, the closing segment among them, make zero-length walls
+    "zero-length-closed": _edge_walls(np.array([[0, 0], [1, 0], [1, 0], [1, 1], [0.5, 1.5], [0, 0]])),
 }
 
 
-@pytest.mark.parametrize("verts, closed", POLYLINES.values(), ids=POLYLINES.keys())
-def test_polyline_distance_matches_segment_loop(verts, closed):
-    px, py = polygon_probe_points(verts, 129)
+@pytest.mark.parametrize("walls", WALL_LISTS.values(), ids=WALL_LISTS.keys())
+def test_polyline_distance_matches_segment_loop(walls):
+    px, py = polygon_probe_points(walls, 129)
     # and points far outside, in every direction
     far = np.random.default_rng(3).uniform(-50.0, 50.0, (2, 2000))
     px, py = np.concatenate([px, far[0]]), np.concatenate([py, far[1]])
-    got = _polyline_distance(px, py, verts, closed)
-    assert np.array_equal(got, distance_by_segment(px, py, verts, closed))
+    got = _wall_distance(px, py, walls)
+    assert np.array_equal(got, distance_by_segment(px, py, walls))
     gx, gy = px[: 129 * 129].reshape(129, 129), py[: 129 * 129].reshape(129, 129)
-    got = _polyline_distance(gx, gy, verts, closed)
-    assert np.array_equal(got, distance_by_segment(gx, gy, verts, closed))
-    # few points strung along the polyline just off it, in long thin tiles:
-    # each segment's midpoint moved 1e-3 along its
-    # normal to both sides (a zero-length segment's point is its vertex)
-    a = verts if closed else verts[:-1]
-    v = np.roll(verts, -1, axis=0)[: len(a)] - a
+    got = _wall_distance(gx, gy, walls)
+    assert np.array_equal(got, distance_by_segment(gx, gy, walls))
+    # few points strung along the walls just off them, in long thin tiles:
+    # each wall's midpoint moved 1e-3 along its
+    # normal to both sides (a zero-length wall's point is its start)
+    a, v = np.column_stack(walls[:2]), np.column_stack(walls[2:]) - np.column_stack(walls[:2])
     length = np.hypot(v[:, 0], v[:, 1])
     normal = np.column_stack([-v[:, 1], v[:, 0]]) / np.where(length == 0.0, 1.0, length)[:, None]
     ox, oy = np.concatenate([a + 0.5 * v + side * 1e-3 * normal for side in (1.0, -1.0)]).T
-    got = _polyline_distance(ox, oy, verts, closed)
-    assert np.array_equal(got, distance_by_segment(ox, oy, verts, closed))
+    got = _wall_distance(ox, oy, walls)
+    assert np.array_equal(got, distance_by_segment(ox, oy, walls))
     # a single point, and no points at all
-    one = _polyline_distance(px[:1], py[:1], verts, closed)
-    assert np.array_equal(one, distance_by_segment(px[:1], py[:1], verts, closed))
-    assert _polyline_distance(np.empty(0), np.empty(0), verts, closed).shape == (0,)
+    one = _wall_distance(px[:1], py[:1], walls)
+    assert np.array_equal(one, distance_by_segment(px[:1], py[:1], walls))
+    assert _wall_distance(np.empty(0), np.empty(0), walls).shape == (0,)
 
 
 def test_deterministic_repeat():
@@ -564,8 +564,11 @@ def test_lattice_links_are_decided_once():
 
 def wall_cut_by_wall(ax, ay, bx, by, walls):
     """The first wall a link a -> b meets, one wall at a time: the reference for _wall_cut."""
+    wx, wy, ex, ey = (np.asarray(w, dtype=float) for w in walls)
+    vx, vy = ex - wx, ey - wy
+    length = np.hypot(vx, vy)
     best = math.inf
-    for wx, wy, ux, uy, length in zip(*(np.asarray(w).tolist() for w in walls)):
+    for wx, wy, ux, uy, length in zip(*(w.tolist() for w in (wx, wy, vx / length, vy / length, length))):
         c_a = ux * (ay - wy) - uy * (ax - wx)
         c_b = ux * (by - wy) - uy * (bx - wx)
         if (c_a > 0.0 and c_b <= 0.0) or (c_a < 0.0 and c_b >= 0.0):
@@ -587,7 +590,7 @@ def check_wall_cut(links, walls):
 
 def test_wall_cut_matches_wall_by_wall_loop():
     # one wall from the origin along x, of length 1
-    wall = (np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1), np.ones(1))
+    wall = (np.zeros(1), np.zeros(1), np.ones(1), np.zeros(1))
     assert check_wall_cut(
         [
             (0.5, 0.25, 0.5, 0.0), (0.5, -0.25, 0.5, 0.0),  # far end on the wall, from either side
@@ -602,7 +605,7 @@ def test_wall_cut_matches_wall_by_wall_loop():
     # the 2pi slit is two walls along x, the second sin(2pi) = -2.4e-16 below
     # it: a link onto a slit node or the origin meets them at 1, from either
     # side (from below, the second wall a few ulps short of 1)
-    slit = _dbeta_functions(Dbeta(2.0 * PI, [(0.0, 1.0), (PI, 1.0), (2.0 * PI, 1.0)]))[2]
+    slit = _dbeta_functions(Dbeta(2.0 * PI, [(0.0, 1.0), (PI, 1.0), (2.0 * PI, 1.0)]))[1]
     assert check_wall_cut(
         [
             (0.5, 0.25, 0.5, 0.0), (0.5, -0.25, 0.5, 0.0), (0.5, 0.25, 0.5, -0.25),
@@ -627,7 +630,7 @@ def test_wall_cut_matches_wall_by_wall_loop():
     assert np.count_nonzero(cut == 1.0) >= len(verts)
 
 
-def assemble_link_by_link(grid, inside, weight_dist, walls, neumann=False):
+def assemble_link_by_link(grid, inside, walls, neumann=False):
     """The lattice energy decided one link at a time, the reference for _assemble.
 
     Each unknown takes its four directions in the loop order (1, 0),
@@ -637,8 +640,8 @@ def assemble_link_by_link(grid, inside, weight_dist, walls, neumann=False):
     from the lower end meets no wall.  A closed link is a Dirichlet
     half-link with its wall at s, 1 where it meets none, unless neumann is
     set and it meets no wall on its way to an outside node: then it is
-    dropped.  Returns the energy and the far ends of the links that took
-    each path: open, cut (s < 1), at 1 (s = 1) and Neumann.
+    dropped.  Returns the energy and, for the links that took each path
+    (open, cut (s < 1), at 1 (s = 1) and Neumann), their far ends and s.
     """
     xs, ys, h = grid.xs, grid.ys, grid.h
     n = len(xs)
@@ -676,8 +679,8 @@ def assemble_link_by_link(grid, inside, weight_dist, walls, neumann=False):
             else:
                 s = min(s, 1.0)
                 path = "cut" if s < 1.0 else "at 1"
-                diag += 1.0 / max(s, 0.05)
-            paths[path].append((xp[1 + k], yp[1 + l]))
+                diag += 1.0 / s
+            paths[path].append((xp[1 + k], yp[1 + l], s))
         rows.append(number[i, j])
         cols.append(number[i, j])
         vals.append(diag)
@@ -687,16 +690,12 @@ def assemble_link_by_link(grid, inside, weight_dist, walls, neumann=False):
 
 
 def lattice_geometry(domain):
-    """inside, weight_dist, walls and the Neumann flag of a lattice domain, as build_grid passes them."""
+    """inside, walls and the Neumann flag of a lattice domain, as build_grid passes them."""
     if isinstance(domain, Dbeta):
-        return (*_dbeta_functions(domain)[:3], True)
+        return (*_dbeta_functions(domain)[:2], True)
     verts = _ebg_polygon(domain.beta, domain.gamma, 8.0) if isinstance(domain, Ebg) else polygon_vertices(domain)
-    return (
-        lambda px, py: _points_in_polygon(px, py, verts),
-        lambda px, py: _polyline_distance(px, py, verts),
-        _edge_walls(verts),
-        False,
-    )
+    walls = _edge_walls(verts)
+    return lambda px, py: _points_in_polygon(px, py, walls), walls, False
 
 
 def test_lattice_assembly_matches_link_by_link_reference():
@@ -716,6 +715,8 @@ def test_lattice_assembly_matches_link_by_link_reference():
         assert (grid.matrix != energy).nnz == 0
         for path, links in paths.items():
             total[path] += len(links)
+        # unknowns sit at least h/2 from every wall, so no cut link's 1/s exceeds 2
+        assert min(s for _, _, s in paths["cut"]) >= 0.5 * (1.0 - 1e-9)
     # every path of the assembly was taken
     assert min(total.values()) > 0, total
 
@@ -729,7 +730,7 @@ def test_no_link_onto_the_slit_is_neumann(n):
     grid = build_grid(domain, n)
     energy, paths = assemble_link_by_link(grid, *lattice_geometry(domain))
     assert (grid.matrix != energy).nnz == 0
-    onto_slit = {path: sum(y == 0.0 and 0.0 <= x <= 1.0 for x, y in ends) for path, ends in paths.items()}
+    onto_slit = {path: sum(y == 0.0 and 0.0 <= x <= 1.0 for x, y, _ in ends) for path, ends in paths.items()}
     # each slit node is reached from above and from below
     slit_nodes = np.count_nonzero((grid.xs > 0.0) & (grid.xs < 1.0))
     assert onto_slit["neumann"] == 0 and onto_slit["open"] == 0, onto_slit
