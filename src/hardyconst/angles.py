@@ -14,11 +14,13 @@ gamma_star and gamma_star_star take one opening or a 1-D array of them,
 admitted by hardycore.admit_openings (gamma_star from pi, gamma_star_star
 from beta_cr - SEAM_SLACK), and solve the openings as one batch, _CHUNK at
 a time.  The maximum is found by a dense scan of 400 angles, one array
-call of g for every opening, then refined by one vectorized Chandrupatla
-solve (scipy.optimize.elementwise.find_root) of the first-order condition
-in the cell around each opening's best scan point, so the argmax is known
-to a few ulp.  Every step works entry by entry: a batch gives each
-opening the floats it gets alone.
+call of g for every opening, then refined by a vectorized Newton iteration
+on the first-order condition in the cell around each opening's best scan
+point, so the argmax is known to a few ulp.  The condition's derivative
+comes from the same evaluation of g: the Riccati identity
+g' = -(g^2 - g cos(theta) + c)/sin(theta) gives g', and the quartic bound
+is differentiated as a polynomial.  Every step works entry by entry: a
+batch gives each opening the floats it gets alone.
 """
 
 from __future__ import annotations
@@ -28,12 +30,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
 from .hardycore import admit_openings, g_func, is_subcritical, sector_constants
 # unused, but perfbench's tracer expects them bound here
 from .hardycore import beta_critical, solve_c_beta  # noqa: F401
-from .odeengine import g_upper_bound, g_upper_bound_derivative
+from .odeengine import (
+    g_upper_bound,
+    g_upper_bound_derivative,
+    g_upper_bound_second_derivative,
+)
 
 __all__ = ["CriticalAngles", "gamma_star", "gamma_star_star"]
 
@@ -45,6 +50,12 @@ _SCAN_POINTS = 400
 # peaks at 86 MB in chunks and at 142 MB as one batch (x86-64, one BLAS
 # thread, numpy 2.4, scipy 1.17).
 _CHUNK = 256
+# Largest last Newton step in theta, the argmax's tolerance: the
+# first-order condition is met to rounding there.
+_ROOT_XATOL = 1e-15
+# Most Newton steps a root may take to reach _ROOT_XATOL; from the best
+# scan point, 4 have sufficed on every opening in [pi, 2pi] tried.
+_NEWTON = 8
 
 
 def _maximize(objective: Callable, slope: Callable, *params: np.ndarray):
@@ -53,12 +64,17 @@ def _maximize(objective: Callable, slope: Callable, *params: np.ndarray):
     params are 1-D arrays with one entry per opening, the openings first,
     passed on to objective(theta, *params) and slope(theta, *params), both
     entry by entry.  The scan is one call on the 400 angles against every
-    opening.  slope has the sign of the objective's derivative; one
-    find_root solves slope = 0 in the cell around each best scan point
-    where it falls from positive to negative.  An opening keeps its scan
-    point where slope does not fall so across its cell, or where the scan
-    point is the larger of the two.  Returns the argmax and the maximum,
-    one entry per opening.
+    opening.  slope returns a first-order condition with the sign of the
+    objective's derivative, and its own theta-derivative.  Where the
+    condition falls from positive to negative across the cell around an
+    opening's best scan point, Newton's iteration solves it from that scan
+    point, the cell's midpoint; an entry stops once its step is at most
+    _ROOT_XATOL, so it takes the steps it takes alone.  RuntimeError names
+    the first opening whose iterate leaves its cell or has not settled
+    within _NEWTON steps.  An opening keeps its scan point where the
+    condition does not fall so across its cell, or where the scan point
+    is the larger of the two.  Returns the argmax and the maximum, one
+    entry per opening.
     """
     grid = np.linspace(0.0, 0.5 * PI, _SCAN_POINTS)
     vals = objective(grid, *(p[:, None] for p in params))
@@ -66,18 +82,29 @@ def _maximize(objective: Callable, slope: Callable, *params: np.ndarray):
     theta, best = grid[i], vals[np.arange(i.size), i]
     lo = grid[np.maximum(i - 1, 0)]
     hi = grid[np.minimum(i + 1, _SCAN_POINTS - 1)]
-    cell = (slope(lo, *params) > 0.0) & (slope(hi, *params) < 0.0)
+    cell = (slope(lo, *params)[0] > 0.0) & (slope(hi, *params)[0] < 0.0)
     if cell.any():
         args = tuple(p[cell] for p in params)
-        root = find_root(slope, (lo[cell], hi[cell]), args=args, tolerances={"xatol": 1e-15})
-        if not root.success.all():
-            raise RuntimeError(
-                f"first-order condition not solved at beta={args[0][~root.success][0]}"
-            )
-        value = objective(root.x, *args)
+        lo, hi = lo[cell], hi[cell]
+        root = theta[cell]
+        active = np.ones(root.size, dtype=bool)
+        for _ in range(_NEWTON):
+            f, df = slope(root[active], *(a[active] for a in args))
+            step = f / df
+            root[active] -= step
+            inside = (lo <= root) & (root <= hi)
+            # a NaN step stays active; an iterate out of its cell stops, to be reported
+            active[active] = ~(np.abs(step) <= _ROOT_XATOL)
+            active &= inside
+            if not active.any():
+                break
+        bad = active | ~inside
+        if bad.any():
+            raise RuntimeError(f"first-order condition not solved at beta={args[0][bad][0]}")
+        value = objective(root, *args)
         keep = value >= best[cell]
         better = np.flatnonzero(cell)[keep]
-        theta[better], best[better] = root.x[keep], value[keep]
+        theta[better], best[better] = root[keep], value[keep]
     return theta, best
 
 
@@ -101,10 +128,24 @@ def _exact_objective(theta, beta, alpha, c):
 
 
 def _exact_slope(theta, beta, alpha, c):
-    # g' = -(g^2 - g cos(theta) + c)/sin(theta) turns the numerator of the
-    # objective's derivative into this
+    """First-order condition N of the exact objective and dN/dtheta.
+
+    With g' = -(g^2 - g cos(theta) + c)/sin(theta), the numerator of the
+    objective's derivative is N = (1 - alpha) + 2 alpha cos(theta)/g
+    - alpha c/g^2, and dN/dtheta = 2 alpha (g' (c - g cos(theta))/g^3
+    - sin(theta)/g).  Both are computed without a warning where they are
+    not finite: at theta = 0, where g = alpha and c = alpha (1 - alpha),
+    g' is 0/0 up to rounding, and at g = 0 (theta = pi/2 at beta = pi) so
+    are both.  A NaN fails both of _maximize's sign tests, and its Newton
+    step is reported.
+    """
     g = g_func(theta, beta)
-    return (1.0 - alpha) + 2.0 * alpha * np.cos(theta) / g - alpha * c / (g * g)
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dg = -(g * g - g * cos_t + c) / sin_t
+        n = (1.0 - alpha) + 2.0 * alpha * cos_t / g - alpha * c / (g * g)
+        dn = 2.0 * alpha * (dg * (c - g * cos_t) / (g * g * g) - sin_t / g)
+    return n, dn
 
 
 def _quartic_objective(theta, beta, alpha):
@@ -112,9 +153,18 @@ def _quartic_objective(theta, beta, alpha):
 
 
 def _quartic_slope(theta, beta, alpha):
+    """First-order condition of the quartic objective and its theta-derivative.
+
+    N = 1 + alpha cos(theta)/gbar + alpha sin(theta) gbar'/gbar^2, and
+    dN/dtheta = alpha sin(theta) (gbar''/gbar^2 - 2 gbar'^2/gbar^3 - 1/gbar).
+    """
     g = g_upper_bound(theta, alpha)
     dg = g_upper_bound_derivative(theta, alpha)
-    return 1.0 + alpha * np.cos(theta) / g + alpha * np.sin(theta) * dg / (g * g)
+    ddg = g_upper_bound_second_derivative(theta, alpha)
+    sin_t = np.sin(theta)
+    n = 1.0 + alpha * np.cos(theta) / g + alpha * sin_t * dg / (g * g)
+    dn = alpha * sin_t * (ddg / (g * g) - 2.0 * dg * dg / (g * g * g) - 1.0 / g)
+    return n, dn
 
 
 def _chunked(solve: Callable, flat: np.ndarray, rows: int) -> np.ndarray:

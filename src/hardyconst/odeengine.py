@@ -67,6 +67,7 @@ __all__ = [
     "h_family_half_point",
     "g_upper_bound",
     "g_upper_bound_derivative",
+    "g_upper_bound_second_derivative",
 ]
 
 PI = math.pi
@@ -541,5 +542,14 @@ def g_upper_bound_derivative(theta, a):
     theta = _bound_angles(theta, a)
     val = -a * theta / (2.0 * a + 1.0) + a * (4.0 * a * a + 2.0 * a + 3.0) * theta**3 / (
         6.0 * (2.0 * a + 1.0) * (4.0 * a * a + 8.0 * a + 3.0)
+    )
+    return val if val.ndim else float(val)
+
+
+def g_upper_bound_second_derivative(theta, a):
+    """Second theta-derivative of g_upper_bound (a plain polynomial); admits and broadcasts like it."""
+    theta = _bound_angles(theta, a)
+    val = -a / (2.0 * a + 1.0) + a * (4.0 * a * a + 2.0 * a + 3.0) * theta * theta / (
+        2.0 * (2.0 * a + 1.0) * (4.0 * a * a + 8.0 * a + 3.0)
     )
     return val if val.ndim else float(val)

@@ -171,7 +171,7 @@ class RayleighEstimate:
 # Geometry helpers.
 
 def _segment_distance(px, py, ax, ay, vx, vy, ll):
-    """Distance from points p to segments a to a + v, elementwise over broadcast arrays.
+    """Distance from points p to segments a to a + v, entry by entry over broadcast arrays.
 
     ll is the squared length vx * vx + vy * vy, with 1 where that is 0, so
     a zero-length segment gets t = 0 and the distance |p - a| exactly.

@@ -1,12 +1,14 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from hardyconst import angles, g_func, solve_c_beta
-from hardyconst.hardycore import SEAM_SLACK
+from hardyconst.cli import main
+from hardyconst.hardycore import SEAM_SLACK, sector_constants
 from hardyconst.angles import gamma_star, gamma_star_star
 from hardyconst.odeengine import g_upper_bound, g_upper_bound_derivative
 
@@ -117,7 +119,7 @@ def _straddling_openings(bcr):
 
 
 def test_batch_matches_single_openings(bcr):
-    # the scan and find_root work entry by entry: bit for bit equal
+    # the scan and the Newton iteration work entry by entry: bit for bit equal
     betas = _straddling_openings(bcr)
     batch = gamma_star(betas)
     assert isinstance(batch.gamma_star, np.ndarray)
@@ -156,12 +158,17 @@ def test_batch_domain_errors():
         gamma_star(np.full((2, 2), 1.5 * PI))
 
 
-def test_argmax_meets_the_first_order_condition():
+# offsets from beta_cr at which the first-order-condition oracles also run
+_SEAM_OFFSETS = np.logspace(-12, -3, 10)
+
+
+def test_argmax_meets_the_first_order_condition(bcr):
     # with g' = -(g^2 - g cos(theta) + c)/sin(theta), the derivative of
     # sin(theta)/(cos(theta) + alpha/g) vanishes where
     # N(theta) = (1 - alpha) + 2 alpha cos(theta)/g - alpha c/g^2 = 0
     theta_gaps, gamma_gaps = [], []
-    for beta in np.linspace(PI, 2.0 * PI, 61):
+    sweep = np.linspace(PI, 2.0 * PI, 61)
+    for beta in np.concatenate([sweep, bcr - _SEAM_OFFSETS, bcr + _SEAM_OFFSETS]):
         beta = float(beta)
         crit = gamma_star(beta)
         sol = solve_c_beta(beta)
@@ -186,7 +193,7 @@ def test_polynomial_bound_meets_its_first_order_condition(bcr):
     # sin(theta)/(cos(theta) + alpha/gbar) vanishes where
     # 1 + alpha cos(theta)/gbar + alpha sin(theta) gbar'/gbar^2 = 0
     gaps = []
-    for beta in np.linspace(bcr, 2.0 * PI, 21):
+    for beta in np.concatenate([np.linspace(bcr, 2.0 * PI, 21), bcr + _SEAM_OFFSETS]):
         beta = float(beta)
         alpha = solve_c_beta(beta).alpha
 
@@ -220,3 +227,57 @@ def test_objective_is_zero_where_g_is_not_positive():
     assert np.array_equal(vals[g <= 0.0], np.zeros(4)) and not np.signbit(vals).any()
     assert vals[0, 2] == math.sin(0.4) / (math.cos(0.4) + alpha / 0.3)
     assert vals[1, 1] == math.sin(1.0) / (math.cos(1.0) + alpha / 2.0)
+
+
+def test_unsettled_newton_names_the_first_opening(monkeypatch, tmp_path, capsys):
+    # one step settles no opening: the first of the batch is named, and the
+    # command exits as a numerical failure without writing its document
+    monkeypatch.setattr(angles, "_NEWTON", 1)
+    with pytest.raises(RuntimeError, match=re.escape(f"beta={1.2 * PI}")):
+        gamma_star(np.array([1.2, 1.8, 2.0]) * PI)
+    out = tmp_path / "g.json"
+    assert main(["gamma-star", "--beta", "1.8pi", "-o", str(out)]) == 3
+    assert "first-order condition" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("count", [1, 120, 600])
+def test_g_calls_per_chunk_are_bounded(monkeypatch, count):
+    # per chunk: the scan, the two cell edges, at most _NEWTON Newton
+    # iterates and the objective at the roots, whatever the chunk's size
+    calls = []
+
+    def counted(theta, beta):
+        calls.append(np.size(beta))
+        return g_func(theta, beta)
+
+    monkeypatch.setattr(angles, "g_func", counted)
+    betas = np.linspace(1.05 * PI, 2.0 * PI, count)
+    gamma_star(betas if count > 1 else float(betas[0]))
+    chunks = -(-count // angles._CHUNK)
+    assert len(calls) <= chunks * (1 + 2 + angles._NEWTON + 1)
+
+
+def test_slope_derivatives_match_central_differences(bcr):
+    betas = _straddling_openings(bcr)[:, None]
+    c, alpha = sector_constants(betas)
+    theta = np.linspace(0.5, 1.5, 21)
+    h = 1e-6
+    slopes = [
+        lambda t: angles._exact_slope(t, betas, alpha, c),
+        lambda t: angles._quartic_slope(t, betas, alpha),
+    ]
+    for slope in slopes:
+        central = (slope(theta + h)[0] - slope(theta - h)[0]) / (2.0 * h)
+        np.testing.assert_allclose(slope(theta)[1], central, rtol=1e-7, atol=0.0)
+
+
+def test_exact_slope_is_quiet_at_the_cell_ends(bcr):
+    # g' is 0/0 at theta = 0, and g = 0 at theta = pi/2 when beta = pi
+    betas = _straddling_openings(bcr)[:, None]
+    c, alpha = sector_constants(betas)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n, dn = angles._exact_slope(np.array([0.0, 0.5 * PI]), betas, alpha, c)
+    np.testing.assert_allclose(n[:, 0], 2.0, rtol=1e-15)
+    assert np.isfinite(n[1:, 1]).all() and np.isfinite(dn[1:, 1]).all()
