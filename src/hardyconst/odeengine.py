@@ -547,7 +547,10 @@ def g_upper_bound_derivative(theta, a):
 
 
 def g_upper_bound_second_derivative(theta, a):
-    """Second theta-derivative of g_upper_bound (a plain polynomial); admits and broadcasts like it."""
+    """Second theta-derivative of g_upper_bound (a plain polynomial).
+
+    Admits and broadcasts like g_upper_bound.
+    """
     theta = _bound_angles(theta, a)
     val = -a / (2.0 * a + 1.0) + a * (4.0 * a * a + 2.0 * a + 3.0) * theta * theta / (
         2.0 * (2.0 * a + 1.0) * (4.0 * a * a + 8.0 * a + 3.0)

@@ -241,6 +241,19 @@ def test_unsettled_newton_names_the_first_opening(monkeypatch, tmp_path, capsys)
     assert not out.exists()
 
 
+def test_each_opening_of_a_sweep_takes_its_own_newton_steps():
+    # an entry that kept stepping after it settled, until the whole batch
+    # had, would move by an ulp at a few openings of a sweep this long
+    betas = np.linspace(PI, 2.0 * PI, 121)
+    batch = gamma_star(betas)
+    for k, beta in enumerate(betas):
+        single = gamma_star(float(beta))
+        assert batch.gamma_star[k] == single.gamma_star
+        assert batch.argmax_theta[k] == single.argmax_theta
+        gss = math.nan if single.gamma_star_star is None else single.gamma_star_star
+        assert np.array_equal(batch.gamma_star_star[k], gss, equal_nan=True)
+
+
 @pytest.mark.parametrize("count", [1, 120, 600])
 def test_g_calls_per_chunk_are_bounded(monkeypatch, count):
     # per chunk: the scan, the two cell edges, at most _NEWTON Newton
@@ -248,7 +261,7 @@ def test_g_calls_per_chunk_are_bounded(monkeypatch, count):
     calls = []
 
     def counted(theta, beta):
-        calls.append(np.size(beta))
+        calls.append(1)
         return g_func(theta, beta)
 
     monkeypatch.setattr(angles, "g_func", counted)
