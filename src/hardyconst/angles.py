@@ -14,13 +14,14 @@ gamma_star and gamma_star_star take one opening or a 1-D array of them,
 admitted by hardycore.admit_openings (gamma_star from pi, gamma_star_star
 from beta_cr - SEAM_SLACK), and solve the openings as one batch, _CHUNK at
 a time.  The maximum is found by a dense scan of 400 angles, one array
-call of g for every opening, then refined by a vectorized Newton iteration
-on the first-order condition in the cell around each opening's best scan
-point, so the argmax is known to a few ulp.  The condition's derivative
-comes from the same evaluation of g: the Riccati identity
-g' = -(g^2 - g cos(theta) + c)/sin(theta) gives g', and the quartic bound
-is differentiated as a polynomial.  Every step works entry by entry: a
-batch gives each opening the floats it gets alone.
+call of g for every opening, then refined by odeengine._newton on the
+first-order condition in the cell around each opening's best scan point,
+every iterate clamped onto that cell, so the argmax is known to a few ulp.
+The condition's derivative comes from the same evaluation of g: the
+Riccati identity g' = -(g^2 - g cos(theta) + c)/sin(theta) gives g', and
+odeengine._quartic gives the quartic bound with its polynomial
+derivatives.  Every step works entry by entry: a batch gives each opening
+the floats it gets alone.
 """
 
 from __future__ import annotations
@@ -34,11 +35,7 @@ import numpy as np
 from .hardycore import admit_openings, g_func, is_subcritical, sector_constants
 # unused, but perfbench's tracer expects them bound here
 from .hardycore import beta_critical, solve_c_beta  # noqa: F401
-from .odeengine import (
-    g_upper_bound,
-    g_upper_bound_derivative,
-    g_upper_bound_second_derivative,
-)
+from .odeengine import _newton, _quartic, g_upper_bound
 
 __all__ = ["CriticalAngles", "gamma_star", "gamma_star_star"]
 
@@ -50,12 +47,6 @@ _SCAN_POINTS = 400
 # peaks at 86 MB in chunks and at 142 MB as one batch (x86-64, one BLAS
 # thread, numpy 2.4, scipy 1.17).
 _CHUNK = 256
-# Largest last Newton step in theta, the argmax's tolerance: the
-# first-order condition is met to rounding there.
-_ROOT_XATOL = 1e-15
-# Most Newton steps a root may take to reach _ROOT_XATOL; from the best
-# scan point, 4 have sufficed on every opening in [pi, 2pi] tried.
-_NEWTON = 8
 
 
 def _maximize(objective: Callable, slope: Callable, *params: np.ndarray):
@@ -67,14 +58,13 @@ def _maximize(objective: Callable, slope: Callable, *params: np.ndarray):
     opening.  slope returns a first-order condition with the sign of the
     objective's derivative, and its own theta-derivative.  Where the
     condition falls from positive to negative across the cell around an
-    opening's best scan point, Newton's iteration solves it from that scan
-    point, the cell's midpoint; an entry stops once its step is at most
-    _ROOT_XATOL, so it takes the steps it takes alone.  RuntimeError names
-    the first opening whose iterate leaves its cell or has not settled
-    within _NEWTON steps.  An opening keeps its scan point where the
-    condition does not fall so across its cell, or where the scan point
-    is the larger of the two.  Returns the argmax and the maximum, one
-    entry per opening.
+    opening's best scan point, odeengine._newton solves it from that scan
+    point, the cell's midpoint, with every iterate clamped onto the cell,
+    so g is never evaluated outside [0, pi/2].  RuntimeError names the
+    first opening that has not settled within odeengine._NEWTON steps.
+    An opening keeps its scan point where the condition does not fall so
+    across its cell, or where the scan point is the larger of the two.
+    Returns the argmax and the maximum, one entry per opening.
     """
     grid = np.linspace(0.0, 0.5 * PI, _SCAN_POINTS)
     vals = objective(grid, *(p[:, None] for p in params))
@@ -85,20 +75,7 @@ def _maximize(objective: Callable, slope: Callable, *params: np.ndarray):
     cell = (slope(lo, *params)[0] > 0.0) & (slope(hi, *params)[0] < 0.0)
     if cell.any():
         args = tuple(p[cell] for p in params)
-        lo, hi = lo[cell], hi[cell]
-        root = theta[cell]
-        active = np.ones(root.size, dtype=bool)
-        for _ in range(_NEWTON):
-            f, df = slope(root[active], *(a[active] for a in args))
-            step = f / df
-            root[active] -= step
-            inside = (lo <= root) & (root <= hi)
-            # a NaN step stays active; an iterate out of its cell stops, to be reported
-            active[active] = ~(np.abs(step) <= _ROOT_XATOL)
-            active &= inside
-            if not active.any():
-                break
-        bad = active | ~inside
+        root, bad = _newton(slope, theta[cell], lo[cell], hi[cell], *args)
         if bad.any():
             raise RuntimeError(f"first-order condition not solved at beta={args[0][bad][0]}")
         value = objective(root, *args)
@@ -158,9 +135,7 @@ def _quartic_slope(theta, beta, alpha):
     N = 1 + alpha cos(theta)/gbar + alpha sin(theta) gbar'/gbar^2, and
     dN/dtheta = alpha sin(theta) (gbar''/gbar^2 - 2 gbar'^2/gbar^3 - 1/gbar).
     """
-    g = g_upper_bound(theta, alpha)
-    dg = g_upper_bound_derivative(theta, alpha)
-    ddg = g_upper_bound_second_derivative(theta, alpha)
+    g, dg, ddg = _quartic(theta, alpha)
     sin_t = np.sin(theta)
     n = 1.0 + alpha * np.cos(theta) / g + alpha * sin_t * dg / (g * g)
     dn = alpha * sin_t * (ddg / (g * g) - 2.0 * dg * dg / (g * g * g) - 1.0 / g)

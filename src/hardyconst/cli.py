@@ -249,7 +249,7 @@ def _betas(args) -> list:
     """The openings of --beta or --sweep; exactly one of them must be given."""
     if (args.beta is None) == (args.sweep is None):
         raise ValueError("provide exactly one of --beta or --sweep")
-    return [parse_angle(args.beta)] if args.beta else _parse_sweep(args.sweep)
+    return [parse_angle(args.beta)] if args.beta is not None else _parse_sweep(args.sweep)
 
 
 def _cmd_cbeta(args) -> int:

@@ -285,16 +285,6 @@ def _require_closed_form(sol: HardySolution) -> None:
         )
 
 
-@lru_cache(maxsize=4096)
-def _psi_prefactor(c: float, alpha: float, beta: float) -> float:
-    # Forces continuity with the cosine branch at theta = pi/2.
-    return (
-        math.sqrt(2.0)
-        * math.cos(math.sqrt(c) * 0.5 * (beta - PI))
-        / hyp2f1(0.5, 0.5, alpha + 0.5, 0.5)
-    )
-
-
 def psi(theta: float, sol: HardySolution) -> float:
     """Angular eigenfunction on (0, beta/2], normalized to psi(beta/2) = 1.
 
@@ -311,7 +301,13 @@ def psi(theta: float, sol: HardySolution) -> float:
     s2 = math.sin(0.5 * theta)
     c2 = math.cos(0.5 * theta)
     f_val = hyp2f1(0.5, 0.5, sol.alpha + 0.5, s2 * s2)
-    return _psi_prefactor(sol.c, sol.alpha, sol.beta) * s2**sol.alpha * c2 ** (1.0 - sol.alpha) * f_val
+    # continuity with the cosine branch at theta = pi/2
+    prefactor = (
+        math.sqrt(2.0)
+        * math.cos(math.sqrt(sol.c) * 0.5 * (sol.beta - PI))
+        / hyp2f1(0.5, 0.5, sol.alpha + 0.5, 0.5)
+    )
+    return prefactor * s2**sol.alpha * c2 ** (1.0 - sol.alpha) * f_val
 
 
 def dpsi(theta: float, sol: HardySolution) -> float:

@@ -14,9 +14,11 @@ trials at any angles in (0, pi/2], by one vectorized recurrence:
   series of 18 trial constants at pi/2, the Chebyshev-Lobatto nodes in the
   vertex exponent alpha over [1/2, alpha(1e-6)]; it brackets the root of
   every opening and fits (psi, psi') at pi/2 as Chebyshev series in alpha,
-  in which the shot is analytic.  A vectorized Newton iteration in alpha,
-  with the interpolant's slope by a complex step, meets the Neumann
-  condition for every opening at once on it.  One confirming DOP853 run
+  in which the shot is analytic.  _newton, the package's one vectorized
+  Newton iteration (angles maximizes with it too), meets the Neumann
+  condition on it for every opening at once, in alpha, with the
+  interpolant's slope by a complex step and every iterate clamped onto
+  its opening's sign-change cell.  One confirming DOP853 run
   at the roots, over [1/2, pi/2] in t = log(theta) from the series at 1/2,
   then gives the shot's own terminal derivative and refuses a root the
   integration does not confirm.  ShootingResult.steps and .nfev count the
@@ -33,7 +35,8 @@ solutions with an explicit hypergeometric representation; h_family_half
 samples it through hardycore.critical_family, whose one integral has a
 closed form in complete elliptic integrals (specfun.family_integral).
 A quartic upper bound g_upper_bound dominates the Riccati variable g and
-certifies the comparison inequalities without any ODE solve.
+certifies the comparison inequalities without any ODE solve; _quartic
+gives it and its two theta-derivatives in one evaluation.
 """
 
 from __future__ import annotations
@@ -67,7 +70,6 @@ __all__ = [
     "h_family_half_point",
     "g_upper_bound",
     "g_upper_bound_derivative",
-    "g_upper_bound_second_derivative",
 ]
 
 PI = math.pi
@@ -84,13 +86,15 @@ _SERIES_END = 0.5  # launch of the confirming run
 # DOP853 tolerances of the confirming run
 _RTOL = 1e-11
 _ATOL = 1e-12
-# Largest last Newton step in alpha, which also bounds the error in
-# c = alpha (1 - alpha).  Over 427 openings in (beta_cr, 2pi] the worst gap
-# to the closed form is 1.7e-16 at this tolerance: the table is the series
-# to rounding, so the solve's tolerance is the error.  Newton from each
-# cell's midpoint reaches it in at most 5 steps.
+# Largest last step of _newton, one tolerance for the vertex exponent alpha
+# in shooting and for the angle theta in angles' maximization.  In alpha it
+# also bounds the error in c = alpha (1 - alpha): over 20,001 openings in
+# [pi, 2pi] the worst gap to the closed form is 1.9e-16 at this tolerance,
+# as the table is the series to rounding.  In theta it meets the
+# first-order condition to rounding.
 _ROOT_XATOL = 1e-15
-# Most Newton steps a root may take to reach _ROOT_XATOL.
+# Most steps _newton gives an entry to reach _ROOT_XATOL: measured at most 5
+# in alpha from each cell's midpoint and 4 in theta from the best scan point.
 _NEWTON = 8
 # Trial constants of the scan, the nodes of its Chebyshev table.  The
 # table's trailing coefficients are 2.6e-16 of the largest at 18 nodes,
@@ -143,6 +147,29 @@ def _solve(rhs, t0: float, t1: float, y0: np.ndarray) -> _Run:
             raise IntegrationError(f"integration failed on [{t0}, {t1}]: {message}")
         steps += 1
     return _Run(solver.y, steps, solver.nfev)
+
+
+def _newton(fdf, x, lo, hi, *args):
+    """Newton's iteration on fdf(x, *args) = 0, entry by entry, each in its cell [lo, hi].
+
+    x holds the starts; x, lo, hi and every arg are 1-D arrays with one
+    entry per root.  fdf returns the function and its derivative at the
+    unsettled entries, with their args.  Every iterate is clamped onto its
+    cell, so fdf never sees a point outside it, and an entry stops once its
+    step is at most _ROOT_XATOL, so it takes the steps it would take alone.
+    Returns the iterates and a mask of the entries that have not settled
+    within _NEWTON steps; a NaN step never settles.
+    """
+    x = x.copy()
+    active = np.ones(x.size, dtype=bool)
+    for _ in range(_NEWTON):
+        f, df = fdf(x[active], *(a[active] for a in args))
+        step = f / df
+        x[active] = np.clip(x[active] - step, lo[active], hi[active])
+        active[active] = ~(np.abs(step) <= _ROOT_XATOL)
+        if not active.any():
+            break
+    return x, active
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +354,13 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
     Chebyshev series in alpha (IntegrationError when their two trailing
     coefficients pass _TAIL of the largest), carries the trials across each
     opening's middle and finds the rightmost sign change of the terminal
-    derivative.  A vectorized Newton iteration in alpha then meets
-    psi'(beta/2) = 0 on the interpolant in every opening's cell at once:
-    each opening starts at its cell's midpoint, takes the interpolant's
-    slope by a complex step and stops once its step is at most _ROOT_XATOL,
-    so a batch gives each opening the bits it gets alone.  One confirming
-    DOP853 run shoots all the roots from 1/2.
+    derivative.  _newton then meets psi'(beta/2) = 0 on the interpolant
+    in every opening's cell at once: each opening starts at its cell's
+    midpoint, takes the interpolant's slope by a complex step, is clamped
+    onto its cell and stops once its step is at most _ROOT_XATOL, so a
+    batch gives each opening the bits it gets alone.  One confirming
+    DOP853 run shoots all the roots from 1/2, and the confirm check takes
+    the table's slope there from the same complex step.
     terminal_derivative is that run's value at the root.  An opening whose
     terminal derivative never changes sign over the scan gets shooting's
     verdict c = 1/4, flagged in no_sign_change: the subcritical regime,
@@ -341,8 +369,8 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
     middle has length 0.  beta reports the openings as
     hardycore.admit_openings clamps them.  Raises ValueError naming an
     opening outside [pi, 2pi], and BracketError naming an opening whose
-    root ends outside its cell or takes more than _NEWTON steps, or whose
-    confirming run implies a correction to c above _CONFIRM.
+    root does not settle within _NEWTON steps, or whose confirming run
+    implies a correction to c above _CONFIRM.
     """
     betas, scalar = admit_openings(beta)
     table = _scan()
@@ -357,28 +385,23 @@ def shoot_c(beta: Union[float, np.ndarray]) -> ShootingResult:
         shot = np.flatnonzero(~missing)
         i = _TABLE - 2 - np.argmax(change[shot, ::-1], axis=1)  # rightmost sign-change cell
         length = middle[shot]
-        lo, hi = table.alpha[i + 1], table.alpha[i]
-        alpha = 0.5 * (lo + hi)
-        active = np.ones(alpha.size, dtype=bool)
-        for _ in range(_NEWTON):
+
+        def fdf(alpha, length):
             # the complex step gives the table's value and its slope in alpha at once
-            d = table.terminal(alpha[active] + 1j * _STEP, length[active])
-            step = d.real / (d.imag / _STEP)
-            alpha[active] -= step
-            active[active] = ~(np.abs(step) <= _ROOT_XATOL)  # a NaN step stays active
-            if not active.any():
-                break
-        bad = active | ~((lo <= alpha) & (alpha <= hi))
+            d = table.terminal(alpha + 1j * _STEP, length)
+            return d.real, d.imag / _STEP
+
+        lo, hi = table.alpha[i + 1], table.alpha[i]
+        alpha, bad = _newton(fdf, 0.5 * (lo + hi), lo, hi, length)
         if bad.any():
             raise BracketError(
-                f"Newton's solve of psi'(beta/2) = 0 did not settle in its cell within "
+                f"Newton's solve of psi'(beta/2) = 0 did not settle within "
                 f"{_NEWTON} steps at beta={betas[shot][bad][0]}"
             )
         cs = alpha * (1.0 - alpha)
         run = _shoot_left(cs)  # the confirming shot
         d_shot = _across_middle(run.y[: cs.size], run.y[cs.size :], cs, length)[1]
-        # the table's slope in alpha by a complex step; dc = (1 - 2 alpha) dalpha
-        slope = table.terminal(alpha + 1j * _STEP, length).imag / _STEP
+        slope = fdf(alpha, length)[1]  # dc = (1 - 2 alpha) dalpha
         correction = np.abs(d_shot * (1.0 - 2.0 * alpha) / slope)
         off = correction > _CONFIRM
         if off.any():
@@ -521,38 +544,32 @@ def _bound_angles(theta, a) -> np.ndarray:
     return theta
 
 
-def g_upper_bound(theta, a):
-    """Quartic dominating g(beta, .) on [0, pi/2), a the exponent of the opening.
+def _quartic(theta, a) -> tuple:
+    """gbar, gbar' and gbar'' of the quartic bound at angles theta, unadmitted.
 
     gbar = a - a theta^2 / (2(2a+1))
-             + a (4a^2 + 2a + 3) theta^4 / (24 (2a+1) (4a^2 + 8a + 3)).
-    An upper solution of the Riccati inequality for every a in [1/2, 1).
-    theta and a are floats or arrays that broadcast together.
+             + a (4a^2 + 2a + 3) theta^4 / (24 (2a+1) (4a^2 + 8a + 3)),
+    a plain polynomial in theta; theta and a broadcast together.
     """
-    theta = _bound_angles(theta, a)
+    s, ap, q = 2.0 * a + 1.0, a * (4.0 * a * a + 2.0 * a + 3.0), 4.0 * a * a + 8.0 * a + 3.0
     t2 = theta * theta
-    val = a - a * t2 / (2.0 * (2.0 * a + 1.0)) + a * (4.0 * a * a + 2.0 * a + 3.0) * t2 * t2 / (
-        24.0 * (2.0 * a + 1.0) * (4.0 * a * a + 8.0 * a + 3.0)
-    )
+    val = a - a * t2 / (2.0 * s) + ap * t2 * t2 / (24.0 * s * q)
+    der = -a * theta / s + ap * theta**3 / (6.0 * s * q)
+    second = -a / s + ap * theta * theta / (2.0 * s * q)
+    return val, der, second
+
+
+def g_upper_bound(theta, a):
+    """Quartic gbar dominating g(beta, .) on [0, pi/2), a the exponent of the opening.
+
+    An upper solution of the Riccati inequality for every a in [1/2, 1)
+    (_quartic).  theta and a are floats or arrays that broadcast together.
+    """
+    val = _quartic(_bound_angles(theta, a), a)[0]
     return val if val.ndim else float(val)
 
 
 def g_upper_bound_derivative(theta, a):
-    """theta-derivative of g_upper_bound (a plain polynomial); admits and broadcasts like it."""
-    theta = _bound_angles(theta, a)
-    val = -a * theta / (2.0 * a + 1.0) + a * (4.0 * a * a + 2.0 * a + 3.0) * theta**3 / (
-        6.0 * (2.0 * a + 1.0) * (4.0 * a * a + 8.0 * a + 3.0)
-    )
-    return val if val.ndim else float(val)
-
-
-def g_upper_bound_second_derivative(theta, a):
-    """Second theta-derivative of g_upper_bound (a plain polynomial).
-
-    Admits and broadcasts like g_upper_bound.
-    """
-    theta = _bound_angles(theta, a)
-    val = -a / (2.0 * a + 1.0) + a * (4.0 * a * a + 2.0 * a + 3.0) * theta * theta / (
-        2.0 * (2.0 * a + 1.0) * (4.0 * a * a + 8.0 * a + 3.0)
-    )
+    """theta-derivative of g_upper_bound; admits and broadcasts like it."""
+    val = _quartic(_bound_angles(theta, a), a)[1]
     return val if val.ndim else float(val)

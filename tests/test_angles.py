@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from hardyconst import angles, g_func, solve_c_beta
+from hardyconst import angles, g_func, odeengine, solve_c_beta
 from hardyconst.cli import main
 from hardyconst.hardycore import SEAM_SLACK, sector_constants
 from hardyconst.angles import gamma_star, gamma_star_star
@@ -232,7 +232,7 @@ def test_objective_is_zero_where_g_is_not_positive():
 def test_unsettled_newton_names_the_first_opening(monkeypatch, tmp_path, capsys):
     # one step settles no opening: the first of the batch is named, and the
     # command exits as a numerical failure without writing its document
-    monkeypatch.setattr(angles, "_NEWTON", 1)
+    monkeypatch.setattr(odeengine, "_NEWTON", 1)
     with pytest.raises(RuntimeError, match=re.escape(f"beta={1.2 * PI}")):
         gamma_star(np.array([1.2, 1.8, 2.0]) * PI)
     out = tmp_path / "g.json"
@@ -268,7 +268,7 @@ def test_g_calls_per_chunk_are_bounded(monkeypatch, count):
     betas = np.linspace(1.05 * PI, 2.0 * PI, count)
     gamma_star(betas if count > 1 else float(betas[0]))
     chunks = -(-count // angles._CHUNK)
-    assert len(calls) <= chunks * (1 + 2 + angles._NEWTON + 1)
+    assert len(calls) <= chunks * (1 + 2 + odeengine._NEWTON + 1)
 
 
 def test_slope_derivatives_match_central_differences(bcr):

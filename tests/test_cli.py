@@ -120,6 +120,13 @@ def test_sweep_count_is_bounded(capsys):
     assert "more than 100000 rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cbeta", "gamma-star"])
+def test_empty_beta_is_refused_as_bad_input(capsys, command):
+    # an empty --beta is given, so it is parsed, not taken for a missing one
+    assert run([command, "--beta", ""]) == 2
+    assert "cannot parse angle ''" in capsys.readouterr().err
+
+
 def test_json_round_trip(tmp_path):
     out = tmp_path / "c.json"
     run(["cbeta", "--sweep", "1.6pi:2pi:3", "-o", str(out)])

@@ -150,6 +150,55 @@ def test_unconverged_root_names_its_opening(monkeypatch):
         shoot_c(np.array([1.2, 1.8, 2.0]) * PI)
 
 
+def test_newton_clamps_an_overshoot_onto_its_cell():
+    # Newton on arctan from 1.5 steps to -1.69, past the cell's lower edge -1;
+    # the iterate lands on the edge, and from there the iteration settles at 0
+    seen = []
+
+    def fdf(x):
+        seen.extend(x.tolist())
+        return np.arctan(x), 1.0 / (1.0 + x * x)
+
+    root, bad = odeengine._newton(fdf, np.array([1.5]), np.array([-1.0]), np.array([1.5]))
+    assert seen[:2] == [1.5, -1.0]
+    assert all(-1.0 <= x <= 1.5 for x in seen)
+    assert not bad.any() and abs(root[0]) <= 1e-15
+
+
+def test_newton_returns_the_entries_that_do_not_settle():
+    # entry 0 settles at 1/2, entry 1 takes a NaN step and entry 2 a step of
+    # 1 every time, which the cell's edge stops but never settles
+    kind = np.array([0, 1, 2])
+
+    def fdf(x, kind):
+        f = np.where(kind == 0, x - 0.5, np.where(kind == 1, np.nan, 1.0))
+        return f, np.ones_like(x)
+
+    start, lo, hi = np.zeros(3), np.full(3, -2.0), np.full(3, 2.0)
+    root, bad = odeengine._newton(fdf, start, lo, hi, kind)
+    assert bad.tolist() == [False, True, True]
+    assert root[0] == 0.5 and root[2] == -2.0
+    assert start.tolist() == [0.0, 0.0, 0.0]
+
+
+def test_shot_root_that_leaves_its_cell_is_kept(monkeypatch):
+    # at 1.5522 pi Newton's first step in alpha passes the cell's edge; the
+    # iterate is clamped onto it and settles, where stopping it there would
+    # refuse the opening.  Measured gap to the closed form 2.8e-17
+    beta = 1.5522 * PI
+    table, seen = odeengine._scan(), []
+    terminal = odeengine._Table.terminal
+
+    def recording(self, alpha, length):
+        seen.extend(np.real(alpha).tolist())
+        return terminal(self, alpha, length)
+
+    monkeypatch.setattr(odeengine._Table, "terminal", recording)
+    res = shoot_c(beta)
+    assert set(seen) & set(table.alpha.tolist())
+    assert abs(res.c_estimate - solve_c_beta(beta).c) <= 1e-15
+
+
 def _reference_roots(betas):
     """psi'(beta/2) = 0 solved on DOP853 shots alone: a scan of 18 trials
     evenly spaced in (0, 1/4], then a Chandrupatla solve in c of each

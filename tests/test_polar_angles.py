@@ -33,7 +33,6 @@ from hardyconst.hardycore import (
 from hardyconst.odeengine import (
     g_upper_bound,
     g_upper_bound_derivative,
-    g_upper_bound_second_derivative,
     h_family_half,
     h_family_half_point,
     shot_profile,
@@ -60,9 +59,6 @@ ANGLE_TAKERS = {
     "g_upper_bound": (lambda t: g_upper_bound(t, 0.7), 0.0, 0.5 * PI, "[0, pi/2]", True),
     "g_upper_bound_derivative": (
         lambda t: g_upper_bound_derivative(t, 0.7), 0.0, 0.5 * PI, "[0, pi/2]", True,
-    ),
-    "g_upper_bound_second_derivative": (
-        lambda t: g_upper_bound_second_derivative(t, 0.7), 0.0, 0.5 * PI, "[0, pi/2]", True,
     ),
     "solve_h": (
         lambda t: solve_h(0.7, grid=np.atleast_1d(t)).h, 0.0, 0.5 * PI, "(0, pi/2]", True,
