@@ -583,43 +583,41 @@ def _stencil_csr(bands: dict, keep: np.ndarray) -> sp.csr_matrix:
     bands maps the diagonal offset (0, 0) and each forward offset (di, dj)
     (di > 0, or di = 0 and dj > 0) to a P-by-Q array: the entry coupling
     node (i, j) with (i + di, j + dj).  The stencil is these offsets and
-    their mirrors; sorted, they run in increasing column order.  A backward
-    entry reads the same number from its forward partner, so the matrix is
-    exactly symmetric.  Entries, zeros between kept nodes included, are
-    written straight into the final arrays one offset at a time, which
-    keeps the work memory to a few vectors of one value per node.
+    their mirrors; sorted, they run in increasing column order.  An offset
+    links the kept nodes whose neighbour along it is kept too.  A shift
+    keeps the row-major order of nodes, so the forward band read at the
+    lower ends of its links, in that order, is also the backward entries
+    at the upper ends in theirs: each link's number is read once for both
+    of its entries, and the matrix is exactly symmetric.  Entries, zeros
+    between kept nodes included, are written straight into the final
+    arrays one offset at a time, which keeps the work memory to a few
+    vectors of one value per kept node.
     """
     p, q = keep.shape
     count = int(keep.sum())
     index = np.full((p + 2, q + 2), -1, dtype=np.int32)
     index[1:-1, 1:-1][keep] = np.arange(count, dtype=np.int32)
+    kept = np.pad(keep, 1)
     stencil = sorted(set(bands) | {(-di, -dj) for di, dj in bands})
 
-    def neighbours(di, dj):
-        return index[1 + di : p + 1 + di, 1 + dj : q + 1 + dj][keep]
+    def shifted(grid, di, dj):  # grid's value at each node's neighbour (i + di, j + dj)
+        return grid[1 + di : p + 1 + di, 1 + dj : q + 1 + dj]
 
     indptr = np.zeros(count + 1, dtype=np.int32)
     for di, dj in stencil:
-        indptr[1:] += neighbours(di, dj) >= 0
+        indptr[1:] += shifted(kept, di, dj)[keep]
     np.cumsum(indptr, out=indptr)
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=np.int32)
     slot = indptr[:-1].copy()  # next free position in each row
     for di, dj in stencil:  # increasing columns, so rows come out sorted
-        if (di, dj) in bands:
-            vals = bands[(di, dj)]
-        else:  # value at (i, j) is the forward band of (-di, -dj) at (i + di, j + dj)
-            vals = np.zeros((p, q))
-            fwd = bands[(-di, -dj)]
-            vals[max(0, -di) : p - max(0, di), max(0, -dj) : q - max(0, dj)] = fwd[
-                max(0, di) : p - max(0, -di), max(0, dj) : q - max(0, -dj)
-            ]
-        cols = neighbours(di, dj)
-        ok = cols >= 0
-        at = slot[ok]
-        data[at] = vals[keep][ok]
-        indices[at] = cols[ok]
-        slot[ok] += 1
+        linked = shifted(kept, di, dj)
+        rows = linked[keep]
+        at = slot[rows]
+        forward = (di, dj) if (di, dj) in bands else (-di, -dj)
+        data[at] = bands[forward][keep & shifted(kept, *forward)]
+        indices[at] = shifted(index, di, dj)[keep & linked]
+        slot += rows
     return sp.csr_matrix((data, indices, indptr), shape=(count, count))
 
 
@@ -628,29 +626,41 @@ def _mass_bands(xs: np.ndarray, ys: np.ndarray, weight: Callable, elem_in: np.nd
 
     Integrates by a tensor Gauss rule per element.  One quadrature point at
     a time, the weighted element measure is added into the node bands with
-    the products of the four bilinear shape functions there, so the work
-    memory stays a few arrays of one value per element.  Elements outside
-    the domain contribute nothing.
+    the products of the four bilinear shape functions there.  The measure
+    goes into one buffer, zero on the elements outside the domain, which
+    contribute nothing, and each band's terms are summed into two work
+    arrays in the order of the written sum, so the work memory stays three
+    arrays of one value per element or node, allocated once.
     """
     hx = xs[1] - xs[0]
     dy = np.diff(ys)
     shape = (len(xs) - 2, len(ys) - 2)
     bands = {offset: np.zeros(shape) for offset in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))}
+    w = np.zeros(elem_in.shape)  # weighted element measure; outside the domain it stays 0
+    acc, term = np.empty(shape), np.empty(shape)
+    # node (i, j) is corner 0 of element (i, j), 1 of (i-1, j), 2 of (i, j-1)
+    # and 3 of (i-1, j-1)
+    e00, e10, e01, e11 = w[1:, 1:], w[:-1, 1:], w[1:, :-1], w[:-1, :-1]
     for xi, wx in zip(*_gauss(_GAUSS_UNIFORM)):
         u = (xs[:-1] + xi * hx)[:, None]
         for eta, wy in zip(*_gauss(_GAUSS_GRADED)):
             v = (ys[:-1] + eta * dy)[None, :]
-            w = np.where(elem_in, weight(u, v), 0.0) * (wx * wy * hx * dy)
+            np.multiply(weight(u, v), wx * wy * hx * dy, out=w, where=elem_in)
             # shape functions of the element corners (0,0), (1,0), (0,1), (1,1)
             f0, f1, f2, f3 = (1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta
-            # node (i, j) is corner 0 of element (i, j), 1 of (i-1, j),
-            # 2 of (i, j-1) and 3 of (i-1, j-1)
-            e00, e10, e01, e11 = w[1:, 1:], w[:-1, 1:], w[1:, :-1], w[:-1, :-1]
-            bands[(0, 0)] += f0 * f0 * e00 + f1 * f1 * e10 + f2 * f2 * e01 + f3 * f3 * e11
-            bands[(0, 1)] += f0 * f2 * e00 + f1 * f3 * e10
-            bands[(1, -1)] += f2 * f1 * e01
-            bands[(1, 0)] += f0 * f1 * e00 + f2 * f3 * e01
-            bands[(1, 1)] += f0 * f3 * e00
+            for offset, terms in (
+                ((0, 0), ((f0 * f0, e00), (f1 * f1, e10), (f2 * f2, e01), (f3 * f3, e11))),
+                ((0, 1), ((f0 * f2, e00), (f1 * f3, e10))),
+                ((1, -1), ((f2 * f1, e01),)),
+                ((1, 0), ((f0 * f1, e00), (f2 * f3, e01))),
+                ((1, 1), ((f0 * f3, e00),)),
+            ):
+                (c, e), *rest = terms
+                np.multiply(c, e, out=acc)
+                for c, e in rest:  # left to right, as the sum reads
+                    np.multiply(c, e, out=term)
+                    acc += term
+                bands[offset] += acc
     return bands
 
 
@@ -780,8 +790,9 @@ def _tensor_grid(
     """Q1 pencil on the Cartesian tensor grid xs by ys (xs uniform).
 
     weight(x, y) is the Hardy weight and dist(x, y) the distance to the
-    boundary; elem_in marks the elements inside the domain.  The unknowns
-    are the nodes whose four elements are all inside.
+    boundary, both elementwise: they are called with a column of x against
+    a row of y.  elem_in marks the elements inside the domain.  The
+    unknowns are the nodes whose four elements are all inside.
     """
     keep = elem_in[1:, 1:] & elem_in[:-1, 1:] & elem_in[1:, :-1] & elem_in[:-1, :-1]
     _check_resolution(int(keep.sum()))
@@ -812,22 +823,29 @@ def _tensor_grid(
     )
     mask = np.zeros((len(xs), len(ys)), dtype=bool)
     mask[1:-1, 1:-1] = keep
-    i, j = np.nonzero(mask)
-    u, v = xs[i], ys[j]
+    # dist and weight at the unknowns, evaluated over the box of interior
+    # nodes, whose coordinates vary along one axis each, and read at the
+    # kept ones; an excluded node may lie on a wall, where the weight is
+    # infinite and goes unread
+    xb, yb = xs[1:-1, None], ys[None, 1:-1]
+    node_dist = np.broadcast_to(dist(xb, yb), shape)[keep]
+    with np.errstate(divide="ignore"):
+        node_weight = np.broadcast_to(weight(xb, yb), shape)[keep]
+    u = xs[np.nonzero(mask)[0]]
     return GridProblem(
         xs=xs,
         ys=ys,
         kind="graded",
         h=min(hx, float(dy.min())),
         mask=mask,
-        dist=dist(u, v),
+        dist=node_dist,
         matrix=matrix,
         mass=mass,
         solve=solve,
         # the distance profile (weight^-1/2) times the lowest sine mode of
         # the uniform axis, so the many near-degenerate modes along that
         # axis (wiggles where they cost little) start out nearly absent
-        start=weight(u, v) ** -0.5 * np.sin(PI * (u - xs[0]) / (xs[-1] - xs[0])),
+        start=node_weight ** -0.5 * np.sin(PI * (u - xs[0]) / (xs[-1] - xs[0])),
         # the lowest eigenvalues of a polygon crowd together (the n = 256
         # L-shape's lowest eight lie within 0.43%), and with _NCV vectors
         # each implicit restart discards most of that cluster
@@ -890,17 +908,33 @@ def _edge_distance(theta, beta: float):
     return np.sin(np.minimum(np.minimum(theta, beta - theta), 0.5 * PI))
 
 
-def _box_distance(px, py, walls):
+def _box_distance(px, py, walls, work: dict):
     """Distance to walls (ax, ay, bx, by) that are all horizontal or vertical.
 
-    Per wall, the clamped offsets along both axes are exact in floating
-    point, which keeps the weight exact within hair-thin graded elements.
+    Per wall, the clamped offsets dx and dy along both axes are exact in
+    floating point, which keeps the weight exact within hair-thin graded
+    elements.  Their maximum d is the wall's distance hypot(dx, dy) exactly
+    where either offset is 0, and a lower bound of it everywhere else.  So
+    hypot runs only where both offsets are positive and d is below the
+    running minimum: elsewhere the wall's distance is d, or it is at least
+    d, which is not below the minimum, and cannot lower it.  The result is
+    the minimum of hypot over the walls, bit for bit.  work keeps the work
+    arrays by shape from one call to the next.
     """
-    best = np.full(np.broadcast(px, py).shape, np.inf)
+    shape = np.broadcast(px, py).shape
+    if shape not in work:
+        work[shape] = np.empty(shape), np.empty(shape, dtype=bool)
+    d, slant = work[shape]
+    best = np.full(shape, np.inf)
     for ax, ay, bx, by in zip(*walls):
         dx = np.maximum(np.maximum(min(ax, bx) - px, px - max(ax, bx)), 0.0)
         dy = np.maximum(np.maximum(min(ay, by) - py, py - max(ay, by)), 0.0)
-        best = np.minimum(best, np.hypot(dx, dy))
+        np.maximum(dx, dy, out=d)
+        np.less(d, best, out=slant)
+        slant &= dx > 0.0
+        slant &= dy > 0.0
+        np.hypot(dx, dy, out=d, where=slant)
+        np.minimum(best, d, out=best)
     return best
 
 
@@ -936,12 +970,15 @@ def _polygon_tensor_grid(verts: np.ndarray, n: int) -> Optional[GridProblem]:
         np.broadcast_to(centres_y, (m, len(ys) - 1)),
         walls,
     )
+    work = {}  # _box_distance's work arrays, for this build only
+
+    def weight(x, y):
+        w = _box_distance(x, y, walls, work)
+        w **= -2.0
+        return w
+
     return _tensor_grid(
-        xs,
-        ys,
-        weight=lambda x, y: _box_distance(x, y, walls) ** -2.0,
-        dist=lambda x, y: _box_distance(x, y, walls),
-        elem_in=elem_in,
+        xs, ys, weight, lambda x, y: _box_distance(x, y, walls, work), elem_in
     )
 
 

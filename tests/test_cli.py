@@ -569,26 +569,35 @@ def test_validate_lattice_lambda_is_pinned(tmp_path, doc, estimate):
 
 
 @pytest.mark.parametrize(
-    "vertices, estimate",
+    "vertices, n, estimate",
     [
         (
             [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
+            129,
             {"h": 1.40380751468e-07, "iterations": 50, "lambda": 0.28021714442,
              "residual_bound": 3.61268867315e-07},
         ),
         (
             [[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [0, 2]],
+            129,
             {"h": 2.80761502935e-07, "iterations": 50, "lambda": 0.278609949925,
              "residual_bound": 2.65690090149e-07},
         ),
+        (
+            [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
+            256,
+            {"h": 1.37556632751e-13, "iterations": 82, "lambda": 0.260508135835,
+             "residual_bound": 1.50448040735e-05},
+        ),
     ],
-    ids=["L-shape", "3x2-with-2x1-notch"],
+    ids=["L-shape", "3x2-with-2x1-notch", "L-shape-n256"],
 )
-def test_validate_graded_lambda_is_pinned(tmp_path, vertices, estimate):
-    # two polygons on the graded grid with its capacitance correction: a
-    # faster build of the grid or its solver must write the same estimate
-    # block, solve count and residual bound included
-    got = validate_in_child(tmp_path, {"type": "polygon", "vertices": vertices}, 129)
+def test_validate_graded_lambda_is_pinned(tmp_path, vertices, n, estimate):
+    # polygons on the graded grid with its capacitance correction, the
+    # L-shape also at validate-lattice's n = 256: a faster build of the grid
+    # or its solver must write the same estimate block, solve count and
+    # residual bound included
+    got = validate_in_child(tmp_path, {"type": "polygon", "vertices": vertices}, n)
     assert got["grid"] == "graded"
     assert got["estimate"] == estimate
 

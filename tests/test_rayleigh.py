@@ -10,13 +10,20 @@ from hardyconst.certify import Dbeta, Ebg, OneReflexPolygon, Sector, SectorCapCo
 from hardyconst.certify import polygon_vertices
 from hardyconst.hardycore import potential_v, solve_c_beta
 from hardyconst.rayleigh import (
+    _GAUSS_GRADED,
+    _GAUSS_UNIFORM,
     _PAIR_CHUNK,
     NumericalError,
     _dbeta_functions,
     _ebg_polygon,
     _edge_distance,
+    _box_distance,
     _edge_walls,
+    _gauss,
+    _graded_axis,
+    _mass_bands,
     _points_in_polygon,
+    _stencil_csr,
     _tensor_grid,
     _wall_cut,
     _wall_distance,
@@ -736,3 +743,172 @@ def test_no_link_onto_the_slit_is_neumann(n):
     assert onto_slit["neumann"] == 0 and onto_slit["open"] == 0, onto_slit
     assert onto_slit["cut"] + onto_slit["at 1"] >= 2 * slit_nodes, onto_slit
     assert estimate_constant(grid).lam > solve_c_beta(2.0 * PI).c
+
+
+# ---------------------------------------------------------------------------
+# The graded polygon grid's assembly against plain references.
+
+BOX_POLYGONS = {
+    "L-shape": [(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)],
+    "3x2-with-2x1-notch": [(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (0, 2)],
+    "staircase": [(0, 0), (4, 0), (4, 1), (3, 1), (3, 2), (2, 2), (2, 3), (1, 3), (1, 4), (0, 4)],
+}
+
+
+def plain_box_distance(px, py, walls):
+    """The minimum over the walls of hypot of the clamped offsets, wall by wall."""
+    best = np.full(np.broadcast(px, py).shape, np.inf)
+    for ax, ay, bx, by in zip(*walls):
+        dx = np.maximum(np.maximum(min(ax, bx) - px, px - max(ax, bx)), 0.0)
+        dy = np.maximum(np.maximum(min(ay, by) - py, py - max(ay, by)), 0.0)
+        best = np.minimum(best, np.hypot(dx, dy))
+    return best
+
+
+def polygon_axes(verts, n):
+    """The uniform x nodes, graded y nodes and inside elements of a polygon's tensor grid (n elements along x)."""
+    walls = _edge_walls(verts)
+    xs = np.linspace(verts[:, 0].min(), verts[:, 0].max(), n + 1)
+    lines = np.unique(verts[:, 1])
+    ys = _graded_axis(lines, n // (2 * (len(lines) - 1)))
+    cx = np.broadcast_to(0.5 * (xs[:-1] + xs[1:])[:, None], (n, len(ys) - 1))
+    cy = np.broadcast_to(0.5 * (ys[:-1] + ys[1:])[None, :], (n, len(ys) - 1))
+    return walls, xs, ys, _points_in_polygon(cx, cy, walls)
+
+
+def box_points(verts, walls, xs, ys):
+    """(px, py) pairs: Gauss points and nodes of the tensor grid as a column
+    and a row, and 1-D samples on every wall and on the lines through the
+    walls beyond their ends, where walls of both directions tie."""
+    pairs = [(xs[:, None], ys[None, :])]
+    for xi, _ in zip(*_gauss(_GAUSS_UNIFORM)):
+        for eta, _ in zip(*_gauss(_GAUSS_GRADED)):
+            pairs.append(((xs[:-1] + xi * np.diff(xs))[:, None], (ys[:-1] + eta * np.diff(ys))[None, :]))
+    t = np.linspace(-1.5, 2.5, 81)  # past both ends of each wall
+    on = [np.concatenate([a + t * (b - a) for a, b in zip(ends[0], ends[1])]) for ends in
+          ((walls[0], walls[2]), (walls[1], walls[3]))]
+    pairs.append((on[0], on[1]))
+    # the vertices and the midpoints between vertices, along both axes
+    vx, vy = np.unique(verts[:, 0]), np.unique(verts[:, 1])
+    gx = np.union1d(vx, 0.5 * (vx[:-1] + vx[1:]))
+    gy = np.union1d(vy, 0.5 * (vy[:-1] + vy[1:]))
+    pairs.append((gx[:, None], gy[None, :]))
+    return pairs
+
+
+@pytest.mark.parametrize("name", BOX_POLYGONS)
+def test_box_distance_is_the_plain_hypot_minimum_bit_for_bit(name):
+    # hypot is skipped where it cannot lower the running minimum; the
+    # distances must stay those of hypot at every wall, ties and zeros
+    # included, also when one work dict serves calls of several shapes
+    verts = np.array(BOX_POLYGONS[name], dtype=float)
+    walls, xs, ys, _ = polygon_axes(verts, 48)
+    work = {}
+    points = box_points(verts, walls, xs, ys)
+    zeros = ties = 0
+    for px, py in points + points[:2]:
+        got = _box_distance(px, py, walls, work)
+        ref = plain_box_distance(px, py, walls)
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert got.tobytes() == _box_distance(px, py, walls, {}).tobytes()
+        zeros += np.count_nonzero(ref == 0.0)
+        dist = [plain_box_distance(px, py, tuple(w[k : k + 1] for w in walls)) for k in range(len(walls[0]))]
+        ties += np.count_nonzero(np.sum(np.array(dist) == ref, axis=0) >= 2)
+    assert zeros > 0 and ties > 0
+
+
+
+def test_box_distance_runs_hypot_only_where_a_slanted_wall_can_be_nearest(monkeypatch):
+    # hypot is evaluated only where both offsets are positive, and of those
+    # points only where the larger offset is below the running minimum: on
+    # the L-shape's points that is 42% of the slanted (point, wall) pairs
+    verts = np.array(BOX_POLYGONS["L-shape"], dtype=float)
+    walls, xs, ys, _ = polygon_axes(verts, 48)
+    hypot = np.hypot
+    evaluated, slanted = [], []
+
+    def counted(dx, dy, out, where):
+        both = (dx > 0.0) & (dy > 0.0)
+        assert not np.any(where & ~both)
+        evaluated.append(np.count_nonzero(where))
+        slanted.append(np.count_nonzero(np.broadcast_to(both, out.shape)))
+        return hypot(dx, dy, out=out, where=where)
+
+    monkeypatch.setattr(np, "hypot", counted)
+    for px, py in box_points(verts, walls, xs, ys):
+        _box_distance(px, py, walls, {})
+    assert len(evaluated) > 0 and 0 < sum(evaluated) < 0.5 * sum(slanted)
+
+def plain_mass_bands(xs, ys, weight, elem_in):
+    """The Q1 mass bands summed with full-size temporaries, one Gauss point at a time."""
+    hx = xs[1] - xs[0]
+    dy = np.diff(ys)
+    shape = (len(xs) - 2, len(ys) - 2)
+    bands = {offset: np.zeros(shape) for offset in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))}
+    for xi, wx in zip(*_gauss(_GAUSS_UNIFORM)):
+        u = (xs[:-1] + xi * hx)[:, None]
+        for eta, wy in zip(*_gauss(_GAUSS_GRADED)):
+            v = (ys[:-1] + eta * dy)[None, :]
+            w = np.where(elem_in, weight(u, v), 0.0) * (wx * wy * hx * dy)
+            f0, f1, f2, f3 = (1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta
+            e00, e10, e01, e11 = w[1:, 1:], w[:-1, 1:], w[1:, :-1], w[:-1, :-1]
+            bands[(0, 0)] += f0 * f0 * e00 + f1 * f1 * e10 + f2 * f2 * e01 + f3 * f3 * e11
+            bands[(0, 1)] += f0 * f2 * e00 + f1 * f3 * e10
+            bands[(1, -1)] += f2 * f1 * e01
+            bands[(1, 0)] += f0 * f1 * e00 + f2 * f3 * e01
+            bands[(1, 1)] += f0 * f3 * e00
+    return bands
+
+
+@pytest.mark.parametrize("name", ["L-shape", "3x2-with-2x1-notch"])
+def test_mass_bands_match_the_plain_sum_bit_for_bit(name):
+    # the bands are summed in two work arrays in the written order of the
+    # terms; every band must equal the plain sum's at n = 64
+    verts = np.array(BOX_POLYGONS[name], dtype=float)
+    walls, xs, ys, elem_in = polygon_axes(verts, 64)
+    assert not elem_in.all()
+
+    def weight(x, y):
+        return plain_box_distance(x, y, walls) ** -2.0
+
+    got = _mass_bands(xs, ys, weight, elem_in)
+    ref = plain_mass_bands(xs, ys, weight, elem_in)
+    assert got.keys() == ref.keys()
+    for offset in ref:
+        assert got[offset].tobytes() == ref[offset].tobytes(), offset
+
+
+def plain_stencil_csr(bands, keep):
+    """The symmetric stencil matrix through scipy, each backward band a shifted copy of its forward one."""
+    p, q = keep.shape
+    index = np.full((p, q), -1)
+    index[keep] = np.arange(np.count_nonzero(keep))
+    rows, cols, vals = [], [], []
+    for (di, dj), band in bands.items():
+        for sign in ((1,) if (di, dj) == (0, 0) else (1, -1)):
+            for i, j in zip(*np.nonzero(keep)):
+                a, b = i + sign * di, j + sign * dj
+                if 0 <= a < p and 0 <= b < q and keep[a, b]:
+                    rows.append(index[i, j])
+                    cols.append(index[a, b])
+                    vals.append(band[i, j] if sign == 1 else band[a, b])
+    count = int(keep.sum())
+    return sp.csr_matrix((vals, (rows, cols)), shape=(count, count))
+
+
+@pytest.mark.parametrize("offsets", [((0, 0), (1, 0), (0, 1)), ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))],
+                         ids=["lattice", "tensor"])
+def test_stencil_csr_matches_a_plain_assembly(offsets):
+    # kept nodes with holes and ragged edges, stored zeros included: every
+    # entry in its place, and the matrix exactly symmetric
+    rng = np.random.default_rng(17)
+    keep = rng.random((13, 11)) < 0.8
+    keep[4:7, 3:9] = False
+    bands = {offset: rng.standard_normal(keep.shape) for offset in offsets}
+    bands[(1, 0)][::3] = 0.0
+    got = _stencil_csr(bands, keep)
+    ref = plain_stencil_csr(bands, keep)
+    assert got.has_sorted_indices
+    assert np.array_equal(got.indptr, ref.indptr) and np.array_equal(got.indices, ref.indices)
+    assert got.data.tobytes() == ref.data.tobytes()
+    assert (got != got.T).nnz == 0
