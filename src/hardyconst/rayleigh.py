@@ -970,6 +970,10 @@ def _polygon_tensor_grid(verts: np.ndarray, n: int) -> Optional[GridProblem]:
         np.broadcast_to(centres_y, (m, len(ys) - 1)),
         walls,
     )
+    # longest walls first, so that the running minimum tightens early and
+    # fewer (point, wall) pairs are left for hypot
+    order = np.argsort(np.hypot(walls[2] - walls[0], walls[3] - walls[1]), kind="stable")[::-1]
+    walls = tuple(w[order] for w in walls)
     work = {}  # _box_distance's work arrays, for this build only
 
     def weight(x, y):
