@@ -56,7 +56,8 @@ def _maximize(objective: Callable, slope: Callable, *params: np.ndarray):
     passed on to objective(theta, *params) and slope(theta, *params), both
     entry by entry.  The scan is one call on the 400 angles against every
     opening.  slope returns a first-order condition with the sign of the
-    objective's derivative, and its own theta-derivative.  Where the
+    objective's derivative, and its own theta-derivative; one call reads
+    it at both edges of every opening's cell.  Where the
     condition falls from positive to negative across the cell around an
     opening's best scan point, odeengine._newton solves it from that scan
     point, the cell's midpoint, with every iterate clamped onto the cell,
@@ -72,7 +73,8 @@ def _maximize(objective: Callable, slope: Callable, *params: np.ndarray):
     theta, best = grid[i], vals[np.arange(i.size), i]
     lo = grid[np.maximum(i - 1, 0)]
     hi = grid[np.minimum(i + 1, _SCAN_POINTS - 1)]
-    cell = (slope(lo, *params)[0] > 0.0) & (slope(hi, *params)[0] < 0.0)
+    edges = slope(np.concatenate([lo, hi]), *(np.concatenate([p, p]) for p in params))[0]
+    cell = (edges[: i.size] > 0.0) & (edges[i.size :] < 0.0)
     if cell.any():
         args = tuple(p[cell] for p in params)
         root, bad = _newton(slope, theta[cell], lo[cell], hi[cell], *args)

@@ -178,7 +178,17 @@ class CertificateReport:
 # Polygon geometry.
 
 def _signed_area(v: np.ndarray) -> float:
-    x, y = v[:, 0], v[:, 1]
+    """Signed area of the polygon v - v[0], scaled by the power of two that
+    brings its largest coordinate into [1, 2); its sign is v's orientation.
+
+    In absolute coordinates the shoelace sum cancels when a polygon is small
+    against its offset (an L-shape of size 1e-4 at 1e6 summed to zero area,
+    and one of size 1e-6 at 1e4 to the wrong sign).  The scale is exact, and
+    keeps the products from overflowing or underflowing at any size.
+    """
+    d = v - v[0]
+    d = np.ldexp(d, 1 - math.frexp(float(np.max(np.abs(d))))[1])
+    x, y = d[:, 0], d[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 

@@ -16,6 +16,8 @@ import io
 import json
 import math
 import sys
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import angles as angles_mod
@@ -82,19 +84,48 @@ def _round12(x):
     return x
 
 
-def _round_tree(obj):
+@lru_cache(maxsize=None)
+def _flat_encoder(depth: int) -> json.JSONEncoder:
+    """json's C encoder for a list or dict that holds no list or dict, at nesting depth.
+
+    Without indent json encodes in C, and its item separator then carries
+    the newline and the indent of the items' level.
+    """
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _json_text(obj, depth: int = 0) -> str:
+    """obj, its floats rounded by _round12, as json.dumps(obj, indent=2, sort_keys=True) writes it.
+
+    A list (or tuple) or dict that holds no list or dict is encoded in one
+    call of _flat_encoder; only the levels above such containers run here.
+    """
     if isinstance(obj, dict):
-        return {k: _round_tree(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_tree(v) for v in obj]
-    return _round12(obj)
+        values, brackets = obj.values(), "{}"
+    elif isinstance(obj, (list, tuple)):
+        values, brackets = obj, "[]"
+    else:
+        return _flat_encoder(depth).encode(_round12(obj))
+    pad, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth + brackets[1]
+    if not any(isinstance(v, (dict, list, tuple)) for v in values):
+        if brackets == "{}":
+            flat = {k: _round12(v) for k, v in obj.items()}
+        else:
+            flat = [_round12(v) for v in obj]
+        text = _flat_encoder(depth).encode(flat)
+        return brackets[0] + pad + text[1:-1] + close if flat else text
+    if brackets == "{}":
+        parts = [f"{encode_basestring_ascii(k)}: {_json_text(v, depth + 1)}" for k, v in sorted(obj.items())]
+    else:
+        parts = [_json_text(v, depth + 1) for v in obj]
+    return brackets[0] + pad + ("," + pad).join(parts) + close
 
 
 def _emit(document: dict, rows: Optional[list], out: Optional[str], fmt: str) -> None:
     if out is None:
         return
     if fmt == "json":
-        payload = json.dumps(_round_tree(document), indent=2, sort_keys=True) + "\n"
+        payload = _json_text(document) + "\n"
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")

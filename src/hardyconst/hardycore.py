@@ -396,6 +396,18 @@ def critical_family(theta, lam):
     return h if h.ndim else float(h)
 
 
+def _g_family(theta, beta):
+    """g of subcritical openings: half the critical_family member with 2 g(pi/2) = tan((beta - pi)/4)."""
+    f_end, h_end = _family_end()
+    lam = 0.25 * f_end * f_end * (h_end - np.tan(0.25 * (beta - PI)))
+    return 0.5 * critical_family(theta, lam)
+
+
+def _g_super(theta, beta):
+    """g of supercritical openings, by _g_hyper at each opening's exponent."""
+    return _g_hyper(theta, sector_constants(beta)[1])
+
+
 def g_func(theta, beta):
     """Riccati variable g = (psi'/psi) sin(theta) on [0, pi/2], pi <= beta <= 2pi.
 
@@ -415,22 +427,32 @@ def g_func(theta, beta):
     alone.  Pass the openings unexpanded (say, a column against a row of
     angles): they are admitted, and the closed form solved, once per entry
     of beta, which may have any shape.  is_subcritical picks the formula
-    of each entry, and each formula runs only where it is picked: the
-    family on the whole batch once any entry is subcritical (its 2F1s
-    depend on theta alone), the hypergeometric one on the supercritical
-    entries, gathered only when the batch mixes the two.
+    of each opening, and each formula runs only on the openings it is
+    picked for.  A batch that mixes the two is split along the one axis on
+    which its openings vary, taking whole rows of openings (and of theta,
+    where theta varies along that axis too) and writing whole rows of the
+    result, so a column of openings against a row of angles is never
+    broadcast before it is split.  Openings that vary along several axes
+    are broadcast against theta and split as one flat batch of pairs.
     """
     beta = admit_openings(np.ravel(beta))[0].reshape(np.shape(beta))
     t = admit_angles(theta, 0.0, 0.5 * PI, "[0, pi/2]")
     sub = is_subcritical(beta)
-    if not sub.any():
-        g = _g_hyper(t, sector_constants(beta)[1])
-    else:
-        f_end, h_end = _family_end()
-        lam = np.where(sub, 0.25 * f_end * f_end * (h_end - np.tan(0.25 * (beta - PI))), 0.0)
-        g = np.asarray(0.5 * critical_family(t, lam))
-        sup = ~np.broadcast_to(sub, g.shape)
-        if sup.any():
-            alpha = np.broadcast_to(sector_constants(beta)[1], g.shape)
-            g[sup] = _g_hyper(np.broadcast_to(t, g.shape)[sup], alpha[sup])
-    return g if g.ndim else float(g)
+    if sub.all() or not sub.any():
+        g = (_g_family if sub.any() else _g_super)(t, beta)
+        return g if np.ndim(g) else float(g)
+    shape = np.broadcast_shapes(beta.shape, np.shape(t))
+    beta = beta.reshape((1,) * (len(shape) - beta.ndim) + beta.shape)
+    if np.ndim(t):
+        t = t.reshape((1,) * (len(shape) - t.ndim) + t.shape)
+    varying = [k for k, n in enumerate(beta.shape) if n > 1]
+    axis = varying[0]
+    if len(varying) > 1:
+        beta, t, axis = np.broadcast_to(beta, shape).ravel(), np.broadcast_to(t, shape).ravel(), 0
+        sub = is_subcritical(beta)
+    sub = sub.ravel()
+    g = np.empty(np.broadcast_shapes(beta.shape, np.shape(t)))
+    for formula, rows in ((_g_family, sub), (_g_super, ~sub)):
+        at = (slice(None),) * axis + (np.flatnonzero(rows),)
+        g[at] = formula(t[at] if np.ndim(t) and t.shape[axis] > 1 else t, beta[at])
+    return g.reshape(shape)

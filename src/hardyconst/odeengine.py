@@ -36,7 +36,8 @@ samples it through hardycore.critical_family, whose one integral has a
 closed form in complete elliptic integrals (specfun.family_integral).
 A quartic upper bound g_upper_bound dominates the Riccati variable g and
 certifies the comparison inequalities without any ODE solve; _quartic
-gives it and its two theta-derivatives in one evaluation.
+gives it and its two theta-derivatives in one evaluation, _quartic_value
+the bound alone, both from the coefficients of _quartic_coefficients.
 """
 
 from __future__ import annotations
@@ -544,19 +545,30 @@ def _bound_angles(theta, a) -> np.ndarray:
     return theta
 
 
-def _quartic(theta, a) -> tuple:
-    """gbar, gbar' and gbar'' of the quartic bound at angles theta, unadmitted.
+def _quartic_coefficients(a) -> tuple:
+    """2a + 1, a (4a^2 + 2a + 3) and 4a^2 + 8a + 3, the coefficients of the quartic bound."""
+    return 2.0 * a + 1.0, a * (4.0 * a * a + 2.0 * a + 3.0), 4.0 * a * a + 8.0 * a + 3.0
+
+
+def _quartic_value(theta, a):
+    """gbar of the quartic bound at angles theta, unadmitted:
 
     gbar = a - a theta^2 / (2(2a+1))
              + a (4a^2 + 2a + 3) theta^4 / (24 (2a+1) (4a^2 + 8a + 3)),
+
     a plain polynomial in theta; theta and a broadcast together.
     """
-    s, ap, q = 2.0 * a + 1.0, a * (4.0 * a * a + 2.0 * a + 3.0), 4.0 * a * a + 8.0 * a + 3.0
+    s, ap, q = _quartic_coefficients(a)
     t2 = theta * theta
-    val = a - a * t2 / (2.0 * s) + ap * t2 * t2 / (24.0 * s * q)
+    return a - a * t2 / (2.0 * s) + ap * t2 * t2 / (24.0 * s * q)
+
+
+def _quartic(theta, a) -> tuple:
+    """gbar (_quartic_value), gbar' and gbar'' of the quartic bound at angles theta, unadmitted."""
+    s, ap, q = _quartic_coefficients(a)
     der = -a * theta / s + ap * theta**3 / (6.0 * s * q)
     second = -a / s + ap * theta * theta / (2.0 * s * q)
-    return val, der, second
+    return _quartic_value(theta, a), der, second
 
 
 def g_upper_bound(theta, a):
@@ -564,8 +576,9 @@ def g_upper_bound(theta, a):
 
     An upper solution of the Riccati inequality for every a in [1/2, 1)
     (_quartic).  theta and a are floats or arrays that broadcast together.
+    Only the value is evaluated, not its derivatives.
     """
-    val = _quartic(_bound_angles(theta, a), a)[0]
+    val = _quartic_value(_bound_angles(theta, a), a)
     return val if val.ndim else float(val)
 
 

@@ -264,6 +264,22 @@ def test_rigid_motion_and_scaling_invariance(dx, dy, rot, scale):
     assert rep.constant == 0.25
 
 
+@pytest.mark.parametrize("size, offset", [(1.0, 0.0), (1e-4, 1e6), (1e-6, 1e4)])
+def test_small_polygon_far_out_certifies_like_the_lshape(tmp_path, lshape_vertices, size, offset):
+    # the L-shape rotated by 0.3 rad, small against its offset: a shoelace
+    # sum in absolute coordinates read zero area at 1e-4 and 1e6, and the
+    # wrong orientation, so five reflex corners, at 1e-6 and 1e4
+    cos_r, sin_r = math.cos(0.3), math.sin(0.3)
+    moved = [[offset + size * (cos_r * x - sin_r * y), offset + size * (sin_r * x + cos_r * y)]
+             for x, y in lshape_vertices]
+    path, out = tmp_path / "moved.json", tmp_path / "report.json"
+    path.write_text(json.dumps({"type": "polygon", "vertices": moved}))
+    assert cli.main(["certify", str(path), "-o", str(out)]) == 0
+    report = json.loads(out.read_text())["report"]
+    assert (report["verdict"], report["constant"]) == (CERTIFIED, 0.25)
+    assert np.array_equal(ensure_ccw(moved), moved)
+
+
 # ---------------------------------------------------------------------------
 # Sector caps.
 

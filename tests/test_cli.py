@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -603,26 +604,97 @@ def test_validate_graded_lambda_is_pinned(tmp_path, vertices, n, estimate):
 
 
 def validate_in_child(tmp_path, doc, n):
-    """The document `validate --n n` writes for doc, run as perfbench runs it.
+    """The document `validate --n n` writes for doc, run as perfbench runs it."""
+    f = tmp_path / "dom.json"
+    f.write_text(json.dumps(doc))
+    return json.loads(document_in_child(tmp_path, ["validate", str(f), "--n", str(n)]))
+
+
+def document_in_child(tmp_path, argv):
+    """The bytes of the document the command argv writes, run in a child with one BLAS thread.
 
     The BLAS thread count moves lambda's printed digits, not only the
     residual bound's (on the n = 256 L-shape lambda is 0.2605081358355 with
     one OpenBLAS thread and 0.2605081371801 with two), so validate runs in
     a child process with one BLAS thread.
     """
-    f = tmp_path / "dom.json"
-    f.write_text(json.dumps(doc))
-    out = tmp_path / "est.json"
+    out = tmp_path / "out.json"
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     child = subprocess.run(
         [sys.executable, "-c", "import sys; from hardyconst.cli import main; sys.exit(main())",
-         "validate", str(f), "--n", str(n), "-o", str(out)],
+         *argv, "-o", str(out)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
-    return json.loads(out.read_text())
+    return out.read_bytes()
+
+
+LSHAPE_FILE = '{"type": "polygon", "vertices": [[0,0],[1,0],[1,0.5],[0.5,0.5],[0.5,1],[0,1]]}'
+EBG_FILE = '{"type": "ebg", "beta": 1.5, "gamma": 1.5}'
+
+
+@pytest.mark.parametrize(
+    "argv, domain, digest",
+    [
+        (["cbeta", "--sweep", "pi:2pi:101", "--check"], None,
+         "0cdda617529089a510b9992fa167af5566bf5e3b2018aaaa3bab8df57dc9f60d"),
+        (["cbeta", "--sweep", "pi:2pi:101", "--check", "--format", "csv"], None,
+         "7f5cd4992871af287a60f2577e6951c021159fa7492413051464de9582d59d13"),
+        (["gamma-star", "--sweep", "pi:2pi:41"], None,
+         "72c0e8af3a32b035c562bafe6c8320194934ca77fc01500646c0f03e7a646c19"),
+        (["certify"], LSHAPE_FILE,
+         "6c4e2e649ad69ab08f693cdd149ac78e4e7b57c13ebead0cf059b495f22f13e0"),
+        (["validate", "--n", "64"], EBG_FILE,
+         "a1666fe1590824e7dc733d1f54af96162a76f66c4cf9972a8de6273d7e57fc19"),
+    ],
+    ids=["cbeta-check-json", "cbeta-check-csv", "gamma-star-41", "certify-lshape", "validate-ebg-64"],
+)
+def test_documents_are_byte_pinned(tmp_path, argv, domain, digest):
+    # the whole document, as json.dumps(indent=2, sort_keys=True) and the
+    # csv module wrote it (numpy 2.4, scipy 1.17, x86-64): the document
+    # writer and every value it carries must reproduce each byte
+    if domain is not None:
+        f = tmp_path / "domain.json"
+        f.write_text(domain)
+        argv = argv[:1] + [str(f)] + argv[1:]
+    if argv[0] == "validate":
+        written = document_in_child(tmp_path, argv)
+    else:
+        out = tmp_path / "out"
+        assert run(argv + ["-o", str(out)]) == 0
+        written = out.read_bytes()
+    assert hashlib.sha256(written).hexdigest() == digest
+
+
+def _round_tree(obj):
+    """Every float of obj rounded to 12 significant digits, tuples made lists."""
+    if isinstance(obj, dict):
+        return {k: _round_tree(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_round_tree(v) for v in obj]
+    return float(f"{obj:.12g}") if isinstance(obj, float) else obj
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"a": None, "b": np.float64(1.0) / 3.0, "c": [], "d": {}, "e": [[0.1, 0.2], [1.0, -0.0]]},
+        {"rows": [{"x": np.float64(2.0) / 3.0, "y": None, "z": "s"}, {}], "params": {"n": 3, "ok": True}},
+        [np.float64(1e22), math.nan, math.inf, -math.inf, 1e-300, 10**20, "\u00e9\n\""],
+        [[], {}, [[]], [{}], (1.5, (2.5,)), [None]],
+        {"k": {"nested": {"deep": [np.float64(0.1234567890123456)]}}},
+        [],
+        {},
+        np.float64(0.1234567890123456),
+        None,
+    ],
+)
+def test_writer_matches_json_dumps(obj):
+    # the C-encoder writer reproduces json.dumps(indent=2, sort_keys=True)
+    # of the 12-digit rounded document, numpy float64 included
+    assert cli._json_text(obj) == json.dumps(_round_tree(obj), indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("n", ["49", "65"])

@@ -466,3 +466,37 @@ def test_g_runs_each_branch_only_where_picked(bcr):
         for beta in betas:
             for theta in (0.0, 1e-300, 1e-160, 0.3, 0.5 * PI):
                 assert g_func(theta, float(beta)) == _g_both_branches(theta, float(beta))
+
+
+def test_g_mixed_column_against_a_row_equals_one_call_per_opening(bcr, monkeypatch):
+    # the gamma* scan's shape: a column of openings of both kinds, in no
+    # order, against the row of scan angles; split into whole rows, each
+    # row equals the call on its opening alone, and the chunk is never
+    # broadcast to the full column-by-row shape before it is split
+    seam = bcr - hardycore.SEAM_SLACK
+    betas = np.array([1.9 * PI, PI, seam, 1.2 * PI, np.nextafter(seam, 0.0), 2.0 * PI,
+                      1.5 * PI, bcr + 1e-9, 1.05 * PI, 1.7 * PI])
+    grid = np.linspace(0.0, 0.5 * PI, 400)
+    rows = [g_func(grid, float(beta)) for beta in betas]
+    shapes = []
+    family, hyper = hardycore._g_family, hardycore._g_super
+
+    def recorded(formula):
+        def call(theta, beta):
+            shapes.append(np.broadcast_shapes(np.shape(theta), np.shape(beta)))
+            return formula(theta, beta)
+        return call
+
+    monkeypatch.setattr(hardycore, "_g_family", recorded(family))
+    monkeypatch.setattr(hardycore, "_g_super", recorded(hyper))
+    column = g_func(grid, betas[:, None])
+    assert column.shape == (betas.size, grid.size)
+    for row, single in zip(column, rows):
+        assert np.array_equal(row, single)
+    sub = int(hardycore.is_subcritical(betas).sum())
+    assert sorted(shapes) == sorted([(sub, grid.size), (betas.size - sub, grid.size)])
+    # a flat batch of pairs, as the Newton iterates and both cell edges
+    # pass it, is split by the same rule, entry by entry
+    thetas = np.resize(grid[::37], betas.size)
+    paired = g_func(thetas, betas)
+    assert np.array_equal(paired, [g_func(float(t), float(b)) for t, b in zip(thetas, betas)])
