@@ -20,8 +20,11 @@ every iterate clamped onto that cell, so the argmax is known to a few ulp.
 The condition's derivative comes from the same evaluation of g: the
 Riccati identity g' = -(g^2 - g cos(theta) + c)/sin(theta) gives g', and
 odeengine._quartic gives the quartic bound with its polynomial
-derivatives.  Every step works entry by entry: a batch gives each opening
-the floats it gets alone.
+derivatives.  gamma*'s scan evaluates g only where the quartic objective,
+which bounds the exact one from above at supercritical openings, reaches
+a value the exact objective attains: 23 to 29 of the 400 angles, with the
+argmax and maximum of the whole scan.  Every step works entry by entry: a
+batch gives each opening the floats it gets alone.
 """
 
 from __future__ import annotations
@@ -47,15 +50,21 @@ _SCAN_POINTS = 400
 # peaks at 86 MB in chunks and at 142 MB as one batch (x86-64, one BLAS
 # thread, numpy 2.4, scipy 1.17).
 _CHUNK = 256
+# Relative margin below an attained value within which a bounded scan still
+# evaluates an angle: the computed objective and its computed bound each
+# carry a few ulp of rounding, and g_upper_bound may round an ulp below g.
+_BOUND_SLACK = 1e-12
 
 
-def _maximize(objective: Callable, slope: Callable, *params: np.ndarray):
+def _maximize(objective: Callable, slope: Callable, *params: np.ndarray, bound: Optional[Callable] = None):
     """Maximize objective over [0, pi/2] for every opening of a batch.
 
     params are 1-D arrays with one entry per opening, the openings first,
     passed on to objective(theta, *params) and slope(theta, *params), both
     entry by entry.  The scan is one call on the 400 angles against every
-    opening.  slope returns a first-order condition with the sign of the
+    opening, or, given bound(theta, *params), an upper bound of the
+    objective (inf where none is known), _bounded_scan's values with the
+    same argmax and maximum.  slope returns a first-order condition with the sign of the
     objective's derivative, and its own theta-derivative; one call reads
     it at both edges of every opening's cell.  Where the
     condition falls from positive to negative across the cell around an
@@ -68,7 +77,10 @@ def _maximize(objective: Callable, slope: Callable, *params: np.ndarray):
     Returns the argmax and the maximum, one entry per opening.
     """
     grid = np.linspace(0.0, 0.5 * PI, _SCAN_POINTS)
-    vals = objective(grid, *(p[:, None] for p in params))
+    if bound is None:
+        vals = objective(grid, *(p[:, None] for p in params))
+    else:
+        vals = _bounded_scan(objective, bound(grid, *(p[:, None] for p in params)), grid, params)
     i = np.argmax(vals, axis=1)
     theta, best = grid[i], vals[np.arange(i.size), i]
     lo = grid[np.maximum(i - 1, 0)]
@@ -85,6 +97,32 @@ def _maximize(objective: Callable, slope: Callable, *params: np.ndarray):
         better = np.flatnonzero(cell)[keep]
         theta[better], best[better] = root[keep], value[keep]
     return theta, best
+
+
+def _bounded_scan(objective: Callable, upper: np.ndarray, grid: np.ndarray, params: tuple) -> np.ndarray:
+    """The scan's values wherever one can be its row's maximum, and -inf elsewhere.
+
+    upper bounds the objective from above on the grid, one row per opening,
+    and is inf throughout a row with no bound; such rows are evaluated
+    whole, in one call.  In a row with a bound, the objective is evaluated
+    at the bound's argmax, and then, in one call for all rows, at every
+    angle where the bound reaches that value less _BOUND_SLACK of it.  At
+    any other angle the objective lies below a value the row attains, so
+    the row's argmax and maximum are those of the whole row, and so are
+    their floats, each value being computed entry by entry.
+    """
+    vals = np.full(upper.shape, -np.inf)
+    whole = np.isinf(upper).any(axis=1)
+    if whole.any():
+        vals[whole] = objective(grid, *(p[whole, None] for p in params))
+    part = np.flatnonzero(~whole)
+    if part.size:
+        args = tuple(p[part] for p in params)
+        upper = upper[part]
+        floor = objective(grid[np.argmax(upper, axis=1)], *args)
+        rows, cols = np.nonzero(upper >= floor[:, None] * (1.0 - _BOUND_SLACK))
+        vals[part[rows], cols] = objective(grid[cols], *(a[rows] for a in args))
+    return vals
 
 
 def _objective(theta, alpha, g_of: Callable, g_arg):
@@ -131,6 +169,16 @@ def _quartic_objective(theta, beta, alpha):
     return _objective(theta, alpha, g_upper_bound, alpha)
 
 
+def _exact_bound(theta, beta, alpha, c):
+    """An upper bound of the exact objective: the quartic one, inf at subcritical openings.
+
+    The objective grows with g where g > 0, and the quartic bound dominates
+    g at every opening from beta_cr - SEAM_SLACK, where g_upper_bound
+    serves gamma_star_star too; at subcritical openings no bound is used.
+    """
+    return np.where(is_subcritical(beta), np.inf, _quartic_objective(theta, beta, alpha))
+
+
 def _quartic_slope(theta, beta, alpha):
     """First-order condition of the quartic objective and its theta-derivative.
 
@@ -161,7 +209,7 @@ def _gamma_star_star_chunk(betas: np.ndarray) -> np.ndarray:
 def _gamma_star_chunk(betas: np.ndarray) -> np.ndarray:
     """gamma*, argmax and gamma** (NaN at subcritical openings) of one chunk."""
     c, alpha = sector_constants(betas)
-    argmax, m = _maximize(_exact_objective, _exact_slope, betas, alpha, c)
+    argmax, m = _maximize(_exact_objective, _exact_slope, betas, alpha, c, bound=_exact_bound)
     gss = np.full(betas.size, np.nan)
     sup = ~is_subcritical(betas)
     if sup.any():

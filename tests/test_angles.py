@@ -294,3 +294,33 @@ def test_exact_slope_is_quiet_at_the_cell_ends(bcr):
         n, dn = angles._exact_slope(np.array([0.0, 0.5 * PI]), betas, alpha, c)
     np.testing.assert_allclose(n[:, 0], 2.0, rtol=1e-15)
     assert np.isfinite(n[1:, 1]).all() and np.isfinite(dn[1:, 1]).all()
+
+
+def test_bounded_scan_keeps_the_whole_scan(bcr, monkeypatch):
+    # the quartic objective bounds the exact one, so gamma*'s scan skips
+    # angles without moving its argmax or maximum by a bit; g is evaluated
+    # at far fewer supercritical entries than the whole scan's
+    seam = np.linspace(bcr - SEAM_SLACK, bcr + 1e-6, 41)
+    betas = np.concatenate([np.linspace(PI, 2.0 * PI, 215), seam, _straddling_openings(bcr)])
+    c, alpha = sector_constants(betas)
+    grid = np.linspace(0.0, 0.5 * PI, angles._SCAN_POINTS)
+    rows = (betas[:, None], alpha[:, None], c[:, None])
+    full = angles._exact_objective(grid, *rows)
+    whole = angles._maximize(angles._exact_objective, angles._exact_slope, betas, alpha, c)
+    entries = []
+
+    def counted(theta, beta):
+        entries.append(np.broadcast(theta, beta).size)
+        return g_func(theta, beta)
+
+    monkeypatch.setattr(angles, "g_func", counted)
+    upper = angles._exact_bound(grid, *rows)
+    vals = angles._bounded_scan(angles._exact_objective, upper, grid, (betas, alpha, c))
+    i, k = np.argmax(vals, axis=1), np.arange(betas.size)
+    assert np.array_equal(i, np.argmax(full, axis=1)) and np.array_equal(vals[k, i], full[k, i])
+    sub = int(np.isinf(upper).any(axis=1).sum())
+    assert 0 < sub < betas.size
+    assert sum(entries) < (sub + 0.1 * (betas.size - sub)) * grid.size
+    bounded = angles._maximize(angles._exact_objective, angles._exact_slope, betas, alpha, c,
+                               bound=angles._exact_bound)
+    assert np.array_equal(bounded[0], whole[0]) and np.array_equal(bounded[1], whole[1])

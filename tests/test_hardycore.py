@@ -500,3 +500,7 @@ def test_g_mixed_column_against_a_row_equals_one_call_per_opening(bcr, monkeypat
     thetas = np.resize(grid[::37], betas.size)
     paired = g_func(thetas, betas)
     assert np.array_equal(paired, [g_func(float(t), float(b)) for t, b in zip(thetas, betas)])
+    # openings that vary along two axes are split as one flat batch of pairs
+    square = g_func(thetas[:5], betas.reshape(2, 5))
+    assert np.array_equal(square, [[g_func(float(t), float(b)) for t, b in zip(thetas[:5], row)]
+                                   for row in betas.reshape(2, 5)])
