@@ -175,8 +175,13 @@ def _exact_bound(theta, beta, alpha, c):
     The objective grows with g where g > 0, and the quartic bound dominates
     g at every opening from beta_cr - SEAM_SLACK, where g_upper_bound
     serves gamma_star_star too; at subcritical openings no bound is used.
+    beta, alpha and c are columns, one row per opening, as _maximize's scan
+    passes them.
     """
-    return np.where(is_subcritical(beta), np.inf, _quartic_objective(theta, beta, alpha))
+    upper = np.full(np.broadcast_shapes(np.shape(theta), np.shape(beta)), np.inf)
+    sup = ~is_subcritical(beta).ravel()
+    upper[sup] = _quartic_objective(theta, beta[sup], alpha[sup])
+    return upper
 
 
 def _quartic_slope(theta, beta, alpha):
