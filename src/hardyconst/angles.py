@@ -13,8 +13,8 @@ gamma**(beta), which evaluates no 2F1.
 gamma_star and gamma_star_star take one opening or a 1-D array of them,
 admitted by hardycore.admit_openings (gamma_star from pi, gamma_star_star
 from beta_cr - SEAM_SLACK), and solve the openings as one batch, _CHUNK at
-a time.  The maximum is found by a dense scan of 400 angles, one array
-call of g for every opening, then refined by odeengine._newton on the
+a time.  The maximum is found by a dense scan of 400 angles, array calls
+of g on every opening, then refined by odeengine._newton on the
 first-order condition in the cell around each opening's best scan point,
 every iterate clamped onto that cell, so the argmax is known to a few ulp.
 The condition's derivative comes from the same evaluation of g: the
@@ -64,9 +64,9 @@ def _maximize(objective: Callable, slope: Callable, *params: np.ndarray, bound: 
     entry by entry.  The scan is one call on the 400 angles against every
     opening, or, given bound(theta, *params), an upper bound of the
     objective (inf where none is known), _bounded_scan's values with the
-    same argmax and maximum.  slope returns a first-order condition with the sign of the
-    objective's derivative, and its own theta-derivative; one call reads
-    it at both edges of every opening's cell.  Where the
+    same argmax and maximum.  slope returns a first-order condition with
+    the sign of the objective's derivative, and its own theta-derivative;
+    one call reads it at both edges of every opening's cell.  Where the
     condition falls from positive to negative across the cell around an
     opening's best scan point, odeengine._newton solves it from that scan
     point, the cell's midpoint, with every iterate clamped onto the cell,
