@@ -17,6 +17,11 @@ a time.  The maximum is found by a dense scan of 400 angles, array calls
 of g on every opening, then refined by odeengine._newton on the
 first-order condition in the cell around each opening's best scan point,
 every iterate clamped onto that cell, so the argmax is known to a few ulp.
+A chunk takes g from its own exponents: every call is hardycore._g_of on
+the chunk's admitted openings, the alpha of its one sector_constants call
+and angles that _maximize builds inside [0, pi/2], so nothing is admitted
+or looked up again, and each float is the one g_func gives.  Likewise the
+quartic bound is odeengine._quartic_value, the value g_upper_bound gives.
 The condition's derivative comes from the same evaluation of g: the
 Riccati identity g' = -(g^2 - g cos(theta) + c)/sin(theta) gives g', and
 odeengine._quartic gives the quartic bound with its polynomial
@@ -35,10 +40,11 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .hardycore import admit_openings, g_func, is_subcritical, sector_constants
+from .hardycore import _g_of, admit_openings, is_subcritical, sector_constants
+from .odeengine import _newton, _quartic, _quartic_value
 # unused, but perfbench's tracer expects them bound here
-from .hardycore import beta_critical, solve_c_beta  # noqa: F401
-from .odeengine import _newton, _quartic, g_upper_bound
+from .hardycore import beta_critical, g_func, solve_c_beta  # noqa: F401
+from .odeengine import g_upper_bound  # noqa: F401
 
 __all__ = ["CriticalAngles", "gamma_star", "gamma_star_star"]
 
@@ -52,7 +58,7 @@ _SCAN_POINTS = 400
 _CHUNK = 256
 # Relative margin below an attained value within which a bounded scan still
 # evaluates an angle: the computed objective and its computed bound each
-# carry a few ulp of rounding, and g_upper_bound may round an ulp below g.
+# carry a few ulp of rounding, and the quartic bound may round an ulp below g.
 _BOUND_SLACK = 1e-12
 
 
@@ -125,23 +131,23 @@ def _bounded_scan(objective: Callable, upper: np.ndarray, grid: np.ndarray, para
     return vals
 
 
-def _objective(theta, alpha, g_of: Callable, g_arg):
-    """sin(theta) / (cos(theta) + alpha / g_of(theta, g_arg)), entry by entry.
+def _objective(theta, alpha, g_of: Callable, *g_args):
+    """sin(theta) / (cos(theta) + alpha / g_of(theta, *g_args)), entry by entry.
 
-    theta, alpha and g_arg are floats or arrays that broadcast together,
+    theta, alpha and g_args are floats or arrays that broadcast together,
     and the result is an array of their shape.  0 where g <= 0, and at
     theta = 0, where sin(0) = 0 and g = alpha.  Every factor is computed on
     its arguments as given: g_of once, so it sees the openings unexpanded,
     and sin and cos once per angle, however many openings share it.
     """
-    g = g_of(theta, g_arg)
+    g = g_of(theta, *g_args)
     with np.errstate(divide="ignore", invalid="ignore"):  # at g <= 0, overwritten below
         vals = np.sin(theta) / (np.cos(theta) + np.divide(alpha, g))
     return np.where(g > 0.0, vals, 0.0)
 
 
 def _exact_objective(theta, beta, alpha, c):
-    return _objective(theta, alpha, g_func, beta)
+    return _objective(theta, alpha, _g_of, beta, alpha)
 
 
 def _exact_slope(theta, beta, alpha, c):
@@ -156,7 +162,7 @@ def _exact_slope(theta, beta, alpha, c):
     are both.  A NaN fails both of _maximize's sign tests, and its Newton
     step is reported.
     """
-    g = g_func(theta, beta)
+    g = _g_of(theta, beta, alpha)
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     with np.errstate(divide="ignore", invalid="ignore"):
         dg = -(g * g - g * cos_t + c) / sin_t
@@ -166,15 +172,15 @@ def _exact_slope(theta, beta, alpha, c):
 
 
 def _quartic_objective(theta, beta, alpha):
-    return _objective(theta, alpha, g_upper_bound, alpha)
+    return _objective(theta, alpha, _quartic_value, alpha)
 
 
 def _exact_bound(theta, beta, alpha, c):
     """An upper bound of the exact objective: the quartic one, inf at subcritical openings.
 
     The objective grows with g where g > 0, and the quartic bound dominates
-    g at every opening from beta_cr - SEAM_SLACK, where g_upper_bound
-    serves gamma_star_star too; at subcritical openings no bound is used.
+    g at every opening from beta_cr - SEAM_SLACK, where it serves
+    gamma_star_star too; at subcritical openings no bound is used.
     beta, alpha and c are columns, one row per opening, as _maximize's scan
     passes them.
     """

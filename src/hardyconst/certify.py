@@ -177,17 +177,24 @@ class CertificateReport:
 # ---------------------------------------------------------------------------
 # Polygon geometry.
 
-def _signed_area(v: np.ndarray) -> float:
-    """Signed area of the polygon v - v[0], scaled by the power of two that
-    brings its largest coordinate into [1, 2); its sign is v's orientation.
+def _relative(v: np.ndarray) -> np.ndarray:
+    """v - v[0], scaled by the power of two that brings its largest coordinate into [1, 2).
 
-    In absolute coordinates the shoelace sum cancels when a polygon is small
-    against its offset (an L-shape of size 1e-4 at 1e6 summed to zero area,
-    and one of size 1e-6 at 1e4 to the wrong sign).  The scale is exact, and
-    keeps the products from overflowing or underflowing at any size.
+    Polygon admission works in these coordinates.  In absolute ones the
+    shoelace sum cancels when a polygon is small against its offset (an
+    L-shape of size 1e-4 at 1e6 summed to zero area, and one of size 1e-6
+    at 1e4 to the wrong sign), and the cross products of the crossing test
+    and of interior_angles underflow at size 1e-300 and overflow at 1e300.
+    The scale is exact, leaves every angle and sign as it is, and keeps the
+    products finite and normal at any size.
     """
     d = v - v[0]
-    d = np.ldexp(d, 1 - math.frexp(float(np.max(np.abs(d))))[1])
+    return np.ldexp(d, 1 - math.frexp(float(np.max(np.abs(d))))[1])
+
+
+def _signed_area(v: np.ndarray) -> float:
+    """Signed area of the polygon _relative(v); its sign is v's orientation."""
+    d = _relative(v)
     x, y = d[:, 0], d[:, 1]
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
@@ -222,19 +229,20 @@ def polygon_vertices(p: OneReflexPolygon) -> np.ndarray:
     interior_angles reads pi; only exact repeats, since the constant does
     not change when the polygon is moved or scaled) or two edges that
     cross.  Each edge is tested in one array pass against the later edges
-    it shares no endpoint with.
+    it shares no endpoint with, in the coordinates of _relative.
     """
     if len(p.vertices) > _MAX_VERTICES:
         raise ShapeError(f"polygon has {len(p.vertices)} vertices, more than {_MAX_VERTICES}")
     v = ensure_ccw(_finite_points(p.vertices, "polygon vertex"))
-    w = np.roll(v, -1, axis=0)
-    if np.any(np.all(v == w, axis=1)):
+    if np.any(np.all(v == np.roll(v, -1, axis=0), axis=1)):
         raise ShapeError("repeated consecutive vertices")
+    d = _relative(v)
+    w = np.roll(d, -1, axis=0)
     n = len(v)
     for i in range(n - 2):
-        (p1x, p1y), (p2x, p2y) = v[i], w[i]
+        (p1x, p1y), (p2x, p2y) = d[i], w[i]
         # edge n - 1 ends where edge 0 starts
-        q1, q2 = v[i + 2 : n - (i == 0)], w[i + 2 : n - (i == 0)]
+        q1, q2 = d[i + 2 : n - (i == 0)], w[i + 2 : n - (i == 0)]
         q1x, q1y, q2x, q2y = q1[:, 0], q1[:, 1], q2[:, 0], q2[:, 1]
         d1 = (q2x - q1x) * (p1y - q1y) - (q2y - q1y) * (p1x - q1x)
         d2 = (q2x - q1x) * (p2y - q1y) - (q2y - q1y) * (p2x - q1x)
@@ -246,8 +254,9 @@ def polygon_vertices(p: OneReflexPolygon) -> np.ndarray:
 
 
 def interior_angles(vertices: Sequence[Sequence[float]]) -> np.ndarray:
-    """Interior angle at every vertex of a counterclockwise simple polygon."""
-    v = ensure_ccw(vertices)
+    """Interior angle at every vertex of a simple polygon, taken counterclockwise,
+    in the coordinates of _relative."""
+    v = _relative(ensure_ccw(vertices))
     prev = np.roll(v, 1, axis=0)
     nxt = np.roll(v, -1, axis=0)
     u = v - prev

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -84,72 +85,129 @@ def _round12(x):
     return x
 
 
+_CONTAINERS = (dict, list, tuple)
+# Items of a list that _json_chunks encodes per _flat_text call, and rows
+# that _print_table prints per call: one block's rounded copy or printed
+# text is held at a time, not a whole table's.
+_BLOCK = 1024
+
+
 @lru_cache(maxsize=None)
 def _flat_encoder(depth: int) -> json.JSONEncoder:
-    """json's C encoder for a list or dict that holds no list or dict, at nesting depth.
+    """json's C encoder for a container at nesting depth whose items hold no container.
 
     Without indent json encodes in C, and its item separator then carries
-    the newline and the indent of the items' level.
+    the newline and the indent of the items' level (depth + 1).
     """
     return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": "))
 
 
-def _json_text(obj, depth: int = 0) -> str:
-    """obj, its floats rounded by _round12, as json.dumps(obj, indent=2, sort_keys=True) writes it.
+def _json_text(obj) -> str:
+    """obj, its floats rounded by _round12, as json.dumps(obj, indent=2, sort_keys=True) writes it."""
+    return "".join(_json_chunks(obj))
 
-    A list (or tuple) or dict that holds no list or dict is encoded in one
-    call of _flat_encoder; only the levels above such containers run here.
+
+def _json_chunks(obj, depth: int = 0):
+    """The pieces of _json_text(obj) at nesting depth, in order.
+
+    A container that holds no container is one _flat_text call, and so is
+    each block of _BLOCK items of a list whose items are such containers;
+    only the levels above them, and blocks _flat_text refuses, run here.
     """
+    if not isinstance(obj, _CONTAINERS):
+        yield _flat_encoder(depth).encode(_round12(obj))
+        return
+    text = _flat_text([obj], depth) if obj else "{}" if isinstance(obj, dict) else "[]"
+    if text is not None:
+        yield text
+        return
+    pad = "\n" + "  " * (depth + 1)
     if isinstance(obj, dict):
-        values, brackets = obj.values(), "{}"
-    elif isinstance(obj, (list, tuple)):
-        values, brackets = obj, "[]"
+        yield "{"
+        for k, (key, v) in enumerate(sorted(obj.items())):
+            yield ("," if k else "") + pad + encode_basestring_ascii(key) + ": "
+            yield from _json_chunks(v, depth + 1)
+        yield "\n" + "  " * depth + "}"
+        return
+    yield "["
+    for start in range(0, len(obj), _BLOCK):
+        block = obj[start : start + _BLOCK]
+        text = _flat_text(block, depth + 1)
+        if text is not None:
+            yield ("," if start else "") + pad + text
+            continue
+        for k, v in enumerate(block, start):
+            yield ("," if k else "") + pad
+            yield from _json_chunks(v, depth + 1)
+    yield "\n" + "  " * depth + "]"
+
+
+def _flat_text(items, depth: int) -> Optional[str]:
+    """The text of items at nesting depth, joined as the items of a list; None if they are not flat.
+
+    Flat items are all non-empty dicts, or all non-empty lists or tuples,
+    and hold no container.  Their floats are rounded as _round12 rounds
+    them, and one _flat_encoder call encodes them as a list at the items'
+    own depth.  Its one item separator (comma, newline and the indent of
+    the items' entries) then stands between the entries of an item and
+    between items alike.  Between items it is followed by an opening
+    bracket, and within an item by a key or a scalar; json writes no raw
+    newline inside a string, so that sequence marks the item boundaries
+    alone, and a string replacement re-indents them.
+    """
+    dicts = isinstance(items[0], dict)
+    if not all(isinstance(item, dict if dicts else (list, tuple)) and item for item in items):
+        return None
+    values = [item.values() for item in items] if dicts else items
+    if any(issubclass(t, _CONTAINERS) for t in {type(v) for vs in values for v in vs}):
+        return None
+    # _round12 inline: a call per value would cost as much as the encoding
+    if dicts:
+        rounded = [{k: float(f"{v:.12g}") if isinstance(v, float) else v for k, v in item.items()}
+                   for item in items]
     else:
-        return _flat_encoder(depth).encode(_round12(obj))
-    pad, close = "\n" + "  " * (depth + 1), "\n" + "  " * depth + brackets[1]
-    if not any(isinstance(v, (dict, list, tuple)) for v in values):
-        if brackets == "{}":
-            flat = {k: _round12(v) for k, v in obj.items()}
-        else:
-            flat = [_round12(v) for v in obj]
-        text = _flat_encoder(depth).encode(flat)
-        return brackets[0] + pad + text[1:-1] + close if flat else text
-    if brackets == "{}":
-        parts = [f"{encode_basestring_ascii(k)}: {_json_text(v, depth + 1)}" for k, v in sorted(obj.items())]
-    else:
-        parts = [_json_text(v, depth + 1) for v in obj]
-    return brackets[0] + pad + ("," + pad).join(parts) + close
+        rounded = [[float(f"{v:.12g}") if isinstance(v, float) else v for v in item] for item in items]
+    opening, closing = "{}" if dicts else "[]"
+    outer, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+    body = _flat_encoder(depth).encode(rounded)[2:-2]
+    body = body.replace(closing + "," + inner + opening, outer + closing + "," + outer + opening + inner)
+    return opening + inner + body + outer + closing
 
 
 def _emit(document: dict, rows: Optional[list], out: Optional[str], fmt: str) -> None:
     if out is None:
         return
     if fmt == "json":
-        payload = _json_text(document) + "\n"
+        # written piece by piece, so the document's text is never held whole
+        chunks = itertools.chain(_json_chunks(document), ["\n"])
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow({k: ("" if v is None else f"{v:.12g}" if isinstance(v, float) else v) for k, v in row.items()})
-        payload = buf.getvalue()
+        chunks = [buf.getvalue()]
     else:
         raise ValueError(f"unknown output format {fmt!r}")
     with open(out, "w", encoding="utf-8") as fh:
-        fh.write(payload)
+        fh.writelines(chunks)
 
 
 def _print_table(rows: list) -> None:
+    """rows as a table of right-aligned 16-character columns, one print call per _BLOCK rows."""
     if not rows:
         return
     keys = list(rows[0].keys())
-    print("  ".join(f"{k:>16s}" for k in keys))
-    for row in rows:
-        cells = []
-        for k in keys:
-            v = row[k]
-            cells.append(f"{'':>16s}" if v is None else f"{v:>16.10g}" if isinstance(v, float) else f"{str(v):>16s}")
-        print("  ".join(cells))
+    lines = ["  ".join(f"{k:>16s}" for k in keys)]
+    for start in range(0, len(rows), _BLOCK):
+        for row in rows[start : start + _BLOCK]:
+            cells = [row[k] for k in keys]
+            lines.append("  ".join([
+                f"{v:>16.10g}" if isinstance(v, float) else f"{'':>16s}" if v is None else f"{str(v):>16s}"
+                for v in cells
+            ]))
+        print("\n".join(lines))
+        lines = []
 
 
 def _cbeta_row(beta: float) -> dict:

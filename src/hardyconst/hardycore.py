@@ -26,7 +26,9 @@ slack and is clamped onto the end for evaluation, except the end 0, an
 edge of every angle range it bounds, which is exact; an open end is
 strict; NaN lies outside every range.  potential_v alone keeps its own
 float comparisons, since shooting calls it on every right-hand-side
-evaluation.
+evaluation.  The private evaluators _g_of and _family_member take angles
+and openings that a door has already admitted, so that a caller holding
+them (angles' maximization) does not admit them again.
 """
 
 from __future__ import annotations
@@ -387,25 +389,25 @@ def critical_family(theta, lam):
     z, F, h0 and J are evaluated on theta alone, and lam = 0 entries are h0
     itself, even at theta = 0 where J = inf.
     """
-    z, f, h0 = _family_base(admit_angles(theta, 0.0, 0.5 * PI, "[0, pi/2]"))
+    h = _family_member(admit_angles(theta, 0.0, 0.5 * PI, "[0, pi/2]"), lam)
+    return h if h.ndim else float(h)
+
+
+def _family_member(theta, lam):
+    """critical_family at angles already admitted, as an array."""
+    z, f, h0 = _family_base(theta)
     lam = np.asarray(lam, dtype=float)
     j = family_integral(z)
     # lam J only where lam is nonzero: 0 J(0) = 0 inf would be NaN
     lam_j = np.multiply(lam, j, out=np.zeros(np.broadcast(lam, j).shape), where=lam != 0.0)
-    h = h0 - 4.0 * lam / (f * f * (1.0 + lam_j))
-    return h if h.ndim else float(h)
+    return h0 - 4.0 * lam / (f * f * (1.0 + lam_j))
 
 
 def _g_family(theta, beta):
     """g of subcritical openings: half the critical_family member with 2 g(pi/2) = tan((beta - pi)/4)."""
     f_end, h_end = _family_end()
     lam = 0.25 * f_end * f_end * (h_end - np.tan(0.25 * (beta - PI)))
-    return 0.5 * critical_family(theta, lam)
-
-
-def _g_super(theta, beta):
-    """g of supercritical openings, by _g_hyper at each opening's exponent."""
-    return _g_hyper(theta, sector_constants(beta)[1])
+    return 0.5 * _family_member(theta, lam)
 
 
 def g_func(theta, beta):
@@ -425,34 +427,54 @@ def g_func(theta, beta):
     call covers many angles of many openings; the result is a float when
     both are floats.  Each entry equals the call on that angle and opening
     alone.  Pass the openings unexpanded (say, a column against a row of
-    angles): they are admitted, and the closed form solved, once per entry
-    of beta, which may have any shape.  is_subcritical picks the formula
-    of each opening, and each formula runs only on the openings it is
-    picked for.  A batch that mixes the two is split along the one axis on
-    which its openings vary, taking whole rows of openings (and of theta,
-    where theta varies along that axis too) and writing whole rows of the
-    result, so a column of openings against a row of angles is never
-    broadcast before it is split.  Openings that vary along several axes
-    are broadcast against theta and split as one flat batch of pairs.
+    angles): they are admitted, and the closed form solved at the
+    supercritical ones, once per entry of beta, which may have any shape;
+    _g_of then evaluates the formulas.
     """
     beta = admit_openings(np.ravel(beta))[0].reshape(np.shape(beta))
     t = admit_angles(theta, 0.0, 0.5 * PI, "[0, pi/2]")
+    alpha = np.full(beta.shape, 0.5)
+    sup = ~is_subcritical(beta)
+    alpha[sup] = sector_constants(beta[sup])[1]
+    return _g_of(t, beta, alpha)
+
+
+def _g_of(theta, beta, alpha):
+    """g_func at angles and openings already admitted, given each opening's exponent.
+
+    theta lies in [0, pi/2] and beta in [pi, 2pi], as their doors leave
+    them, and alpha, of beta's shape, holds solve_c_beta's exponent at
+    every supercritical opening (it is not read at subcritical ones).
+    Floats or arrays; the result is a float when theta and beta are floats.
+    is_subcritical picks the formula of each opening, _g_family for
+    subcritical ones and _g_hyper at the given exponent for the rest, and
+    each formula runs only on the openings it is picked for.  A batch that
+    mixes the two is split along the one axis on which its openings vary,
+    taking whole rows of openings (and of theta, where theta varies along
+    that axis too) and writing whole rows of the result, so a column of
+    openings against a row of angles is never broadcast before it is
+    split.  Openings that vary along several axes are broadcast against
+    theta and split as one flat batch of pairs.
+    """
+    beta, alpha = np.asarray(beta), np.asarray(alpha)
     sub = is_subcritical(beta)
     if sub.all() or not sub.any():
-        g = (_g_family if sub.any() else _g_super)(t, beta)
+        g = _g_family(theta, beta) if sub.any() else _g_hyper(theta, alpha)
         return g if np.ndim(g) else float(g)
-    shape = np.broadcast_shapes(beta.shape, np.shape(t))
-    beta = beta.reshape((1,) * (len(shape) - beta.ndim) + beta.shape)
-    if np.ndim(t):
-        t = t.reshape((1,) * (len(shape) - t.ndim) + t.shape)
+    shape = np.broadcast_shapes(beta.shape, np.shape(theta))
+    lead = (1,) * (len(shape) - beta.ndim)
+    beta, alpha = beta.reshape(lead + beta.shape), alpha.reshape(lead + alpha.shape)
+    if np.ndim(theta):
+        theta = theta.reshape((1,) * (len(shape) - theta.ndim) + theta.shape)
     varying = [k for k, n in enumerate(beta.shape) if n > 1]
     axis = varying[0]
     if len(varying) > 1:
-        beta, t, axis = np.broadcast_to(beta, shape).ravel(), np.broadcast_to(t, shape).ravel(), 0
-        sub = is_subcritical(beta)
+        beta, alpha, theta = (np.broadcast_to(a, shape).ravel() for a in (beta, alpha, theta))
+        sub, axis = is_subcritical(beta), 0
     sub = sub.ravel()
-    g = np.empty(np.broadcast_shapes(beta.shape, np.shape(t)))
-    for formula, rows in ((_g_family, sub), (_g_super, ~sub)):
+    g = np.empty(np.broadcast_shapes(beta.shape, np.shape(theta)))
+    for family, rows in ((True, sub), (False, ~sub)):
         at = (slice(None),) * axis + (np.flatnonzero(rows),)
-        g[at] = formula(t[at] if np.ndim(t) and t.shape[axis] > 1 else t, beta[at])
+        t = theta[at] if np.ndim(theta) and theta.shape[axis] > 1 else theta
+        g[at] = _g_family(t, beta[at]) if family else _g_hyper(t, alpha[at])
     return g.reshape(shape)

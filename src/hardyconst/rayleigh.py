@@ -177,8 +177,9 @@ def _segment_distance(px, py, ax, ay, vx, vy, ll):
     a zero-length segment gets t = 0 and the distance |p - a| exactly.
     (Where ll underflows to 0 from a nonzero v, |v| < 1e-161 bounds t v.)
     """
-    t = np.clip(((px - ax) * vx + (py - ay) * vy) / ll, 0.0, 1.0)
-    return np.hypot(px - ax - t * vx, py - ay - t * vy)
+    dx, dy = px - ax, py - ay
+    t = np.clip((dx * vx + dy * vy) / ll, 0.0, 1.0)
+    return np.hypot(dx - t * vx, dy - t * vy)
 
 
 # Pairs per chunk of _points_in_polygon, _wall_distance and _wall_cut: a few
@@ -186,6 +187,11 @@ def _segment_distance(px, py, ax, ay, vx, vy, ll):
 _PAIR_CHUNK = 1 << 13
 # Points per tile of _wall_distance.
 _TILE_POINTS = 64
+# Most walls _wall_distance measures every point against directly, without
+# tiles: binning the points costs more than a tile's bound saves against a
+# few walls (a dbeta domain has two).  Direct was faster up to 8 walls at
+# 4,000 to 60,000 points, and tiles from 12 walls (x86-64, one BLAS thread).
+_DIRECT_WALLS = 8
 
 
 def _ragged_pairs(counts: np.ndarray):
@@ -222,12 +228,13 @@ def _tiles(x, y):
 def _wall_distance(px, py, walls):
     """Distance from finite points to the nearest of the walls (ax, ay, bx, by).
 
-    Each point meets only the walls that can be nearest to it.  The points
-    are binned into square tiles of about _TILE_POINTS each.  The distance
-    from a tile's centre plus the tile's half diagonal bounds the distance
-    of every point in the tile, so a wall whose bounding box lies farther
-    than that from the tile's box, with a slack far above rounding, is never
-    nearest.  _segment_distance runs on each tile's points against its
+    With at most _DIRECT_WALLS walls every point is measured against each
+    wall.  With more, each point meets only the walls that can be nearest
+    to it.  The points are binned into square tiles of about _TILE_POINTS
+    each.  The distance from a tile's centre plus the tile's half diagonal
+    bounds the distance of every point in the tile, so a wall whose
+    bounding box lies farther than that from the tile's box, with a slack
+    far above rounding, is never nearest.  _segment_distance runs on each tile's points against its
     remaining walls only, and the minimum over them is the minimum over all
     walls, bit for bit.  Each wall's terms (a, v = b - a and the guarded
     squared length) are computed once per call and gathered per pair: the
@@ -239,15 +246,19 @@ def _wall_distance(px, py, walls):
     dist = np.full(len(x), np.inf)
     if len(ax) == 0 or len(x) == 0:
         return dist.reshape(px.shape)
+    vx, vy = bx - ax, by - ay
+    ll = vx * vx + vy * vy
+    terms = (ax, ay, vx, vy, np.where(ll == 0.0, 1.0, ll))
+    if len(ax) <= _DIRECT_WALLS:
+        for wall in zip(*terms):
+            np.minimum(dist, _segment_distance(x, y, *wall), out=dist)
+        return dist.reshape(px.shape)
     order, first, box_lo, box_hi = _tiles(x, y)
     centre = 0.5 * (box_lo + box_hi)
     reach = 0.5 * np.hypot(*(box_hi - box_lo).T)
     slack = 1e-9 * max(np.abs(walls).max(), np.abs(box_lo).max(), np.abs(box_hi).max())
     seg_lo = np.array([np.minimum(ax, bx), np.minimum(ay, by)])
     seg_hi = np.array([np.maximum(ax, bx), np.maximum(ay, by)])
-    vx, vy = bx - ax, by - ay
-    ll = vx * vx + vy * vy
-    terms = (ax, ay, vx, vy, np.where(ll == 0.0, 1.0, ll))
     # the candidate walls of each tile, a few tiles at a time
     tiles, segs = [], []
     step = max(1, _PAIR_CHUNK // len(ax))
@@ -352,12 +363,17 @@ def _wall_cut(ax, ay, bx, by, walls):
 # Core assembly.
 
 def _factor(matrix: sp.spmatrix) -> Callable[[np.ndarray], np.ndarray]:
-    """Solve with a sparse LU of the energy matrix; NumericalError if it fails."""
+    """Solve with a sparse LU of the energy matrix; NumericalError if it fails.
+
+    The energy is CSR and exactly symmetric, so its transpose, a CSC view
+    of the same arrays, is the matrix itself in the format SuperLU takes,
+    without the copy tocsc() makes.
+    """
     try:
         # relax=1 and panel_size=1 keep SuperLU from reallocating its
         # supernode workspace: with the defaults the factorization peaks
         # 4.6 MB higher on the Ebg(1.5pi, 1.5pi) lattice at n = 128
-        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
+        lu = spla.splu(matrix.T, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=1)
     except RuntimeError as exc:
         raise NumericalError(f"sparse LU factorization failed: {exc}") from exc
     return lu.solve

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from hardyconst import angles, g_func, odeengine, solve_c_beta
+from hardyconst import angles, g_func, hardycore, odeengine, solve_c_beta
 from hardyconst.cli import main
 from hardyconst.hardycore import SEAM_SLACK, sector_constants
 from hardyconst.angles import gamma_star, gamma_star_star
@@ -257,18 +257,47 @@ def test_each_opening_of_a_sweep_takes_its_own_newton_steps():
 @pytest.mark.parametrize("count", [1, 120, 600])
 def test_g_calls_per_chunk_are_bounded(monkeypatch, count):
     # per chunk: the scan, the two cell edges, at most _NEWTON Newton
-    # iterates and the objective at the roots, whatever the chunk's size
+    # iterates and the objective at the roots, whatever the chunk's size;
+    # counted where the chunk evaluates g, at _g_of (g_func it no longer calls)
     calls = []
+    g_of = angles._g_of
 
-    def counted(theta, beta):
+    def counted(theta, beta, alpha):
         calls.append(1)
-        return g_func(theta, beta)
+        return g_of(theta, beta, alpha)
 
-    monkeypatch.setattr(angles, "g_func", counted)
+    monkeypatch.setattr(angles, "_g_of", counted)
     betas = np.linspace(1.05 * PI, 2.0 * PI, count)
     gamma_star(betas if count > 1 else float(betas[0]))
     chunks = -(-count // angles._CHUNK)
     assert len(calls) <= chunks * (1 + 2 + odeengine._NEWTON + 1)
+
+
+def test_a_chunk_admits_each_opening_once(monkeypatch):
+    # with the closed form's cache warm, the only range checks of a
+    # 120-opening gamma_star are its own entry admission and that of the
+    # gamma_star_star it calls: the scan, the cell edges and the Newton
+    # iterates take g and the quartic bound at angles built inside [0, pi/2]
+    betas = np.linspace(1.01 * PI, 1.99 * PI, 120)
+    gamma_star(betas)
+    calls, within = [], []
+    in_range, star_star = hardycore._in_range, angles.gamma_star_star
+
+    def counted(*args):
+        calls.append(args[-1])
+        return in_range(*args)
+
+    def gss(beta):
+        before = len(calls)
+        result = star_star(beta)
+        within.append(len(calls) - before)
+        return result
+
+    monkeypatch.setattr(hardycore, "_in_range", counted)
+    monkeypatch.setattr(angles, "gamma_star_star", gss)
+    gamma_star(betas)
+    assert within == [1]
+    assert calls == ["[pi, 2pi]", "[beta_cr, 2pi]"]
 
 
 def test_slope_derivatives_match_central_differences(bcr):
@@ -308,12 +337,13 @@ def test_bounded_scan_keeps_the_whole_scan(bcr, monkeypatch):
     full = angles._exact_objective(grid, *rows)
     whole = angles._maximize(angles._exact_objective, angles._exact_slope, betas, alpha, c)
     entries = []
+    g_of = angles._g_of
 
-    def counted(theta, beta):
+    def counted(theta, beta, alpha):
         entries.append(np.broadcast(theta, beta).size)
-        return g_func(theta, beta)
+        return g_of(theta, beta, alpha)
 
-    monkeypatch.setattr(angles, "g_func", counted)
+    monkeypatch.setattr(angles, "_g_of", counted)
     upper = angles._exact_bound(grid, *rows)
     vals = angles._bounded_scan(angles._exact_objective, upper, grid, (betas, alpha, c))
     i, k = np.argmax(vals, axis=1), np.arange(betas.size)

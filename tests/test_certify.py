@@ -220,6 +220,19 @@ def test_moved_lshape_certified(lshape_vertices, shift, scale):
     assert rep.constant == 0.25
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e300])
+def test_lshape_at_extreme_scales_certified(lshape_vertices, scale):
+    # the crossing test and interior_angles work on v - v[0] scaled by a
+    # power of two: in absolute coordinates their cross products underflowed
+    # at 1e-300 (no reflex vertex found) and overflowed at 1e300 (a
+    # RuntimeWarning, which the suite turns into an error)
+    scaled = [(scale * x, scale * y) for x, y in lshape_vertices]
+    rep = check_one_reflex_polygon(OneReflexPolygon(scaled))
+    assert (rep.verdict, rep.constant) == (CERTIFIED, 0.25)
+    assert np.array_equal(polygon_vertices(OneReflexPolygon(scaled)), scaled)
+    np.testing.assert_allclose(interior_angles(scaled), interior_angles(lshape_vertices), rtol=1e-15)
+
+
 def test_slitlike_condition_fails(slitlike_vertices):
     rep = check_one_reflex_polygon(OneReflexPolygon(slitlike_vertices))
     assert rep.verdict == CONDITION_FAILED

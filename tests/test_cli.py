@@ -5,9 +5,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hardyconst import cli, odeengine, rayleigh
 from hardyconst.certify import OneReflexPolygon
@@ -633,34 +636,49 @@ def document_in_child(tmp_path, argv):
 
 LSHAPE_FILE = '{"type": "polygon", "vertices": [[0,0],[1,0],[1,0.5],[0.5,0.5],[0.5,1],[0,1]]}'
 EBG_FILE = '{"type": "ebg", "beta": 1.5, "gamma": 1.5}'
+# the slit disk of perfbench's validate-curved: r = 1 + 0.1 (theta - pi)^2 at 721 angles
+DBETA_FILE = json.dumps({"type": "dbeta", "beta": 2.0, "r_samples": [
+    [t / PI, 1.0 + 0.1 * (t - PI) ** 2] for t in (2.0 * PI * k / 720 for k in range(721))]})
 
 
 @pytest.mark.parametrize(
-    "argv, domain, digest",
+    "argv, domain, stream, digest",
     [
-        (["cbeta", "--sweep", "pi:2pi:101", "--check"], None,
+        (["cbeta", "--sweep", "pi:2pi:101", "--check"], None, "document",
          "0cdda617529089a510b9992fa167af5566bf5e3b2018aaaa3bab8df57dc9f60d"),
-        (["cbeta", "--sweep", "pi:2pi:101", "--check", "--format", "csv"], None,
+        (["cbeta", "--sweep", "pi:2pi:101", "--check", "--format", "csv"], None, "document",
          "7f5cd4992871af287a60f2577e6951c021159fa7492413051464de9582d59d13"),
-        (["gamma-star", "--sweep", "pi:2pi:41"], None,
+        (["gamma-star", "--sweep", "pi:2pi:41"], None, "document",
          "72c0e8af3a32b035c562bafe6c8320194934ca77fc01500646c0f03e7a646c19"),
-        (["certify"], LSHAPE_FILE,
+        (["certify"], LSHAPE_FILE, "document",
          "6c4e2e649ad69ab08f693cdd149ac78e4e7b57c13ebead0cf059b495f22f13e0"),
-        (["validate", "--n", "64"], EBG_FILE,
+        (["validate", "--n", "64"], EBG_FILE, "document",
          "a1666fe1590824e7dc733d1f54af96162a76f66c4cf9972a8de6273d7e57fc19"),
+        (["gamma-star", "--sweep", "pi:2pi:41"], None, "stdout",
+         "16370150483d0e2bde0aba71058283545859130f402ea34120ac80fbfe4a6895"),
+        (["cbeta", "--sweep", "pi:2pi:101", "--check"], None, "stdout",
+         "65ee0f40b740282c721c448903840e047e7159bfed290241c5b5233ff42d1740"),
+        (["validate", "--n", "64"], DBETA_FILE, "document",
+         "67cd6496309db2ba86233e56411e980694743d2b23164cf92e120c0540dd62c7"),
     ],
-    ids=["cbeta-check-json", "cbeta-check-csv", "gamma-star-41", "certify-lshape", "validate-ebg-64"],
+    ids=["cbeta-check-json", "cbeta-check-csv", "gamma-star-41", "certify-lshape", "validate-ebg-64",
+         "gamma-star-41-stdout", "cbeta-check-stdout", "validate-dbeta-721-64"],
 )
-def test_documents_are_byte_pinned(tmp_path, argv, domain, digest):
+def test_documents_are_byte_pinned(tmp_path, capsys, argv, domain, stream, digest):
     # the whole document, as json.dumps(indent=2, sort_keys=True) and the
-    # csv module wrote it (numpy 2.4, scipy 1.17, x86-64): the document
-    # writer and every value it carries must reproduce each byte
+    # csv module wrote it (numpy 2.4, scipy 1.17, x86-64), or the table the
+    # command prints: the writers and every value they carry must
+    # reproduce each byte
     if domain is not None:
         f = tmp_path / "domain.json"
         f.write_text(domain)
         argv = argv[:1] + [str(f)] + argv[1:]
     if argv[0] == "validate":
         written = document_in_child(tmp_path, argv)
+    elif stream == "stdout":
+        capsys.readouterr()
+        assert run(argv) == 0
+        written = capsys.readouterr().out.encode()
     else:
         out = tmp_path / "out"
         assert run(argv + ["-o", str(out)]) == 0
@@ -695,6 +713,28 @@ def test_writer_matches_json_dumps(obj):
     # the C-encoder writer reproduces json.dumps(indent=2, sort_keys=True)
     # of the 12-digit rounded document, numpy float64 included
     assert cli._json_text(obj) == json.dumps(_round_tree(obj), indent=2, sort_keys=True)
+
+
+# strings made of the characters a writer that splits json's text could trip on
+_TEXT = st.text(alphabet=st.sampled_from(list('ab{}[],: \n"\\\u00e9')), max_size=6)
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-10**20, 10**20), st.floats(), _TEXT)
+_FLAT = st.one_of(st.lists(_SCALARS, max_size=4), st.dictionaries(_TEXT, _SCALARS, max_size=4))
+_TREES = st.recursive(
+    st.one_of(_SCALARS, _FLAT, st.lists(st.lists(_SCALARS, max_size=3), max_size=5),
+              st.lists(st.dictionaries(_TEXT, _SCALARS, max_size=3), max_size=5)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=40,
+)
+
+
+@given(tree=_TREES, block=st.sampled_from([1, 2, cli._BLOCK]))
+def test_writer_matches_json_dumps_on_any_tree(tree, block):
+    # lists of flat lists and of flat dicts go through the block writer,
+    # whose item boundaries are re-indented by string replacement; NaN,
+    # infinities, empty containers and strings holding brackets, commas and
+    # newlines must come out as json.dumps writes them, block by block
+    with mock.patch.object(cli, "_BLOCK", block):
+        assert cli._json_text(tree) == json.dumps(_round_tree(tree), indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("n", ["49", "65"])

@@ -479,16 +479,16 @@ def test_g_mixed_column_against_a_row_equals_one_call_per_opening(bcr, monkeypat
     grid = np.linspace(0.0, 0.5 * PI, 400)
     rows = [g_func(grid, float(beta)) for beta in betas]
     shapes = []
-    family, hyper = hardycore._g_family, hardycore._g_super
+    family, hyper = hardycore._g_family, hardycore._g_hyper
 
     def recorded(formula):
-        def call(theta, beta):
-            shapes.append(np.broadcast_shapes(np.shape(theta), np.shape(beta)))
-            return formula(theta, beta)
+        def call(theta, beta_or_alpha):
+            shapes.append(np.broadcast_shapes(np.shape(theta), np.shape(beta_or_alpha)))
+            return formula(theta, beta_or_alpha)
         return call
 
     monkeypatch.setattr(hardycore, "_g_family", recorded(family))
-    monkeypatch.setattr(hardycore, "_g_super", recorded(hyper))
+    monkeypatch.setattr(hardycore, "_g_hyper", recorded(hyper))
     column = g_func(grid, betas[:, None])
     assert column.shape == (betas.size, grid.size)
     for row, single in zip(column, rows):

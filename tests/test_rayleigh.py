@@ -9,6 +9,7 @@ from scipy.sparse.csgraph import connected_components
 from hardyconst.certify import Dbeta, Ebg, OneReflexPolygon, Sector, SectorCapConvex, ShapeError, ensure_ccw
 from hardyconst.certify import polygon_vertices
 from hardyconst.hardycore import potential_v, solve_c_beta
+from hardyconst import rayleigh
 from hardyconst.rayleigh import (
     _GAUSS_GRADED,
     _GAUSS_UNIFORM,
@@ -25,6 +26,7 @@ from hardyconst.rayleigh import (
     _points_in_polygon,
     _stencil_csr,
     _tensor_grid,
+    _tiles as tile_points,
     _wall_cut,
     _wall_distance,
     build_grid,
@@ -283,6 +285,24 @@ LATTICE_CASES = {
 }
 
 
+def test_factored_energies_are_their_own_csc_transpose(monkeypatch):
+    # the sparse LU takes the CSR energy's transpose as its CSC form, which
+    # holds only where the energy is exactly symmetric in pattern and value:
+    # every lattice and pencil the suite builds, and sector pencils
+    factored = []
+    factor = rayleigh._factor
+    monkeypatch.setattr(rayleigh, "_factor", lambda matrix: factored.append(matrix) or factor(matrix))
+    sectors = [lambda b=b, n=n: build_grid(Sector(b * PI), n) for b in (1.2, 1.5, 2.0) for n in (32, 65)]
+    for build in [*DENSE_CASES.values(), *LATTICE_CASES.values(), *sectors]:
+        build()
+    # the L-shape and the notched rectangle of DENSE_CASES are graded grids, factored by no LU
+    assert len(factored) == len(DENSE_CASES) - 2 + len(LATTICE_CASES) + len(sectors)
+    for matrix in factored:
+        csc = matrix.tocsc()
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(matrix.T, field), getattr(csc, field))
+
+
 @pytest.mark.parametrize("case", LATTICE_CASES)
 def test_lattice_solve_is_exact(case):
     # the lattice's LU solves to rounding
@@ -440,6 +460,42 @@ def test_polyline_distance_matches_segment_loop(walls):
     one = _wall_distance(px[:1], py[:1], walls)
     assert np.array_equal(one, distance_by_segment(px[:1], py[:1], walls))
     assert _wall_distance(np.empty(0), np.empty(0), walls).shape == (0,)
+
+
+def notched_disk(count):
+    """count - 1 vertices on the unit circle and a notch vertex at (1/2, 0)."""
+    t = np.linspace(0.05 * PI, 1.95 * PI, count - 1)
+    return np.vstack([[0.5, 0.0], np.column_stack([np.cos(t), np.sin(t)])])
+
+
+DISTANCE_WALLS = {
+    "dbeta": _dbeta_functions(Dbeta(1.7 * PI, [(0.0, 1.0), (0.85 * PI, 1.4), (1.7 * PI, 0.8)]))[1],
+    "ebg": _edge_walls(_ebg_polygon(1.5 * PI, 1.5 * PI, 8.0)),
+    "lshape": _edge_walls(np.array(lshape().vertices)),
+    "notched-disk-2000": _edge_walls(notched_disk(2000)),
+}
+
+
+@pytest.mark.parametrize("name", DISTANCE_WALLS)
+def test_wall_distance_is_the_plain_minimum_bit_for_bit(name, monkeypatch):
+    # a few walls are measured directly, without tiles, and many through
+    # them; either way each distance is the minimum over every wall, bit
+    # for bit, at points on the walls, past their ends, at the vertices and
+    # on a lattice over the walls' box
+    walls = DISTANCE_WALLS[name]
+    a, b = np.column_stack(walls[:2]), np.column_stack(walls[2:])
+    t = np.linspace(-0.5, 1.5, 17)
+    along = (a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]).reshape(-1, 2)
+    lo, hi = np.min(np.vstack([a, b]), axis=0), np.max(np.vstack([a, b]), axis=0)
+    gx, gy = np.meshgrid(np.linspace(lo[0] - 0.5, hi[0] + 0.5, 101), np.linspace(lo[1] - 0.5, hi[1] + 0.5, 89))
+    px = np.concatenate([along[:, 0], a[:, 0], b[:, 0], gx.ravel()])
+    py = np.concatenate([along[:, 1], a[:, 1], b[:, 1], gy.ravel()])
+    tiles = []
+    monkeypatch.setattr(rayleigh, "_tiles", lambda x, y: tiles.append(1) or tile_points(x, y))
+    got = _wall_distance(px, py, walls)
+    assert got.tobytes() == distance_by_segment(px, py, walls).tobytes()
+    assert np.count_nonzero(got == 0.0) >= len(a)
+    assert bool(tiles) == (len(walls[0]) > rayleigh._DIRECT_WALLS)
 
 
 def test_deterministic_repeat():
