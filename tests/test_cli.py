@@ -778,6 +778,22 @@ def test_validate_exit_code_solver_failure(tmp_path, capsys, break_solver, failu
         assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["cbeta", "betacr", "gamma-star", "certify", "validate"])
+def test_a_subcommand_built_alone_reads_as_in_the_whole_parser(capsys, command):
+    # main builds only the subcommand its arguments name; its usage, its
+    # help and its errors must read as those of the parser of every one
+    outputs = []
+    for parser in (cli._build_parser(), cli._build_parser(command)):
+        for argv in ([command, "--help"], [command, "--no-such-option"]):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        outputs.append((parser.format_usage(), capsys.readouterr()))
+    assert outputs[0] == outputs[1]
+    argv = [command] + (["domain.json"] if command in ("certify", "validate") else [])
+    handler = getattr(cli, "_cmd_" + command.replace("-", "_"))
+    assert cli._build_parser(command).parse_args(argv).func is handler
+
+
 def test_mutually_exclusive_inputs():
     for command in ("cbeta", "gamma-star"):
         assert run([command]) == 2
