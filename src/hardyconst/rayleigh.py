@@ -234,11 +234,11 @@ def _wall_distance(px, py, walls):
     each.  The distance from a tile's centre plus the tile's half diagonal
     bounds the distance of every point in the tile, so a wall whose
     bounding box lies farther than that from the tile's box, with a slack
-    far above rounding, is never nearest.  _segment_distance runs on each tile's points against its
-    remaining walls only, and the minimum over them is the minimum over all
-    walls, bit for bit.  Each wall's terms (a, v = b - a and the guarded
-    squared length) are computed once per call and gathered per pair: the
-    same expressions, so the same bits.
+    far above rounding, is never nearest.  _segment_distance runs on each
+    tile's points against its remaining walls only, and the minimum over
+    them is the minimum over all walls, bit for bit.  Each wall's terms
+    (a, v = b - a and the guarded squared length) are computed once per
+    call and gathered per pair: the same expressions, so the same bits.
     """
     ax, ay, bx, by = walls
     px, py = np.broadcast_arrays(px, py)
