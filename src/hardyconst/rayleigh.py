@@ -82,6 +82,11 @@ PI = math.pi
 
 _MIN_INTERIOR_NODES = 100
 _ARC_SAMPLES = 256
+# Largest truncation radius of a two-halfline domain.  The lattice squares
+# coordinate differences of up to twice the radius (the arc's r^2, the
+# segment distance's projections), which overflow past about 6.7e153; this
+# keeps three decades clear of that.
+_MAX_RADIUS = 1e150
 
 # Lanczos vectors of the eigen-solve, most of its added peak memory: on the
 # n = 256 L-shape (48,641 unknowns) a tracemalloc peak of 8.2 MB at 8
@@ -185,7 +190,9 @@ def _segment_distance(px, py, ax, ay, vx, vy, ll):
 # Pairs per chunk of _points_in_polygon, _wall_distance and _wall_cut: a few
 # work arrays of this many values each.
 _PAIR_CHUNK = 1 << 13
-# Points per tile of _wall_distance.
+# Points per tile of _wall_distance.  64 measured fastest of 24 to 128 on
+# the Ebg(1.5pi, 1.5pi) lattice and the 2,000-vertex notched disk at n = 128
+# (x86-64, one BLAS thread).
 _TILE_POINTS = 64
 # Most walls _wall_distance measures every point against directly, without
 # tiles: binning the points costs more than a tile's bound saves against a
@@ -216,9 +223,9 @@ def _tiles(x, y):
     """
     x0, y0 = x.min(), y.min()
     width = max(x.max() - x0, y.max() - y0) * math.sqrt(_TILE_POINTS / len(x)) or 1.0
-    rows = int((y.max() - y0) // width) + 1
-    cell = ((x - x0) // width).astype(np.intp) * rows + ((y - y0) // width).astype(np.intp)
-    order = np.argsort(cell)
+    rows = int((y.max() - y0) / width) + 1
+    cell = ((x - x0) / width).astype(np.intp) * rows + ((y - y0) / width).astype(np.intp)
+    order = np.argsort(cell, kind="stable")
     cell = cell[order]
     first = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
     points = np.column_stack([x[order], y[order]])
@@ -231,14 +238,22 @@ def _wall_distance(px, py, walls):
     With at most _DIRECT_WALLS walls every point is measured against each
     wall.  With more, each point meets only the walls that can be nearest
     to it.  The points are binned into square tiles of about _TILE_POINTS
-    each.  The distance from a tile's centre plus the tile's half diagonal
-    bounds the distance of every point in the tile, so a wall whose
-    bounding box lies farther than that from the tile's box, with a slack
-    far above rounding, is never nearest.  _segment_distance runs on each
-    tile's points against its remaining walls only, and the minimum over
-    them is the minimum over all walls, bit for bit.  Each wall's terms
-    (a, v = b - a and the guarded squared length) are computed once per
-    call and gathered per pair: the same expressions, so the same bits.
+    each.  A point p of a tile lies within the tile's half diagonal r of
+    its centre c, so by the triangle inequality a wall w is at least
+    d(c, w) - |p - c| from p, and p's distance is at most the nearest
+    centre distance plus r.  A tile's candidates are the walls within that
+    nearest centre distance plus 2r of c, sorted by d(c, w), and closed by
+    an infinite one.  Each point meets its tile's candidates in that order,
+    all open points one rank at a time, and stops at the first candidate
+    whose d(c, w) - |p - c| exceeds its best distance so far: that wall and
+    every later one lie farther than the best.  Both tests carry a
+    relative and an absolute slack far above rounding.  So each point's
+    value is the minimum of _segment_distance over a set of walls that
+    holds its nearest one, which is the minimum over all walls, bit for
+    bit.  Each wall's terms (a, v = b - a and the guarded squared length)
+    are computed once per call and gathered per pair: the same
+    expressions, so the same bits.  Besides the candidate lists, every
+    work array holds one value per point or a chunk of _PAIR_CHUNK values.
     """
     ax, ay, bx, by = walls
     px, py = np.broadcast_arrays(px, py)
@@ -257,30 +272,42 @@ def _wall_distance(px, py, walls):
     centre = 0.5 * (box_lo + box_hi)
     reach = 0.5 * np.hypot(*(box_hi - box_lo).T)
     slack = 1e-9 * max(np.abs(walls).max(), np.abs(box_lo).max(), np.abs(box_hi).max())
-    seg_lo = np.array([np.minimum(ax, bx), np.minimum(ay, by)])
-    seg_hi = np.array([np.maximum(ax, bx), np.maximum(ay, by)])
-    # the candidate walls of each tile, a few tiles at a time
-    tiles, segs = [], []
+    # each tile's candidates in order of distance from its centre, closed
+    # by an infinite one, a few tiles at a time (wall numbers as int32, to
+    # save memory)
+    segs, near, count = [], [], []
     step = max(1, _PAIR_CHUNK // len(ax))
     for t0 in range(0, len(first), step):
-        c, lo, hi = (v[t0 : t0 + step, :, None] for v in (centre, box_lo, box_hi))
-        near = _segment_distance(c[:, 0], c[:, 1], *terms)
-        bound = (near.min(axis=1) + reach[t0 : t0 + step]) * (1.0 + 1e-9) + slack
-        gap = np.maximum(np.maximum(seg_lo - hi, lo - seg_hi), 0.0)
-        t, s = np.nonzero(np.hypot(gap[:, 0], gap[:, 1]) <= bound[:, None])
-        tiles.append(t0 + t)
-        segs.append(s)
-    segs = np.concatenate(segs)
-    count = np.bincount(np.concatenate(tiles), minlength=len(first))
-    seg_start = np.cumsum(count) - count
-    # each point of a tile against the tile's candidates, point by point
-    for t, off in _ragged_pairs(np.diff(np.r_[first, len(x)]) * count):
-        j = order[first[t] + off // count[t]]
-        s = segs[seg_start[t] + off % count[t]]
-        d = _segment_distance(x[j], y[j], *(term[s] for term in terms))
-        runs = np.flatnonzero(np.r_[True, j[1:] != j[:-1]])
-        j = j[runs]
-        dist[j] = np.minimum(dist[j], np.minimum.reduceat(d, runs))
+        c = centre[t0 : t0 + step, :, None]
+        d = _segment_distance(c[:, 0], c[:, 1], *terms)
+        cap = (d.min(axis=1) + 2.0 * reach[t0 : t0 + step]) * (1.0 + 1e-9) + slack
+        t, s = np.nonzero(d <= cap[:, None])
+        end = np.arange(len(cap))
+        t, s, d = np.r_[t, end], np.r_[s, np.zeros_like(end)], np.r_[d[t, s], np.full(len(cap), np.inf)]
+        rank = np.lexsort((d, t))
+        segs.append(s[rank].astype(np.int32))
+        near.append(d[rank])
+        count.append(np.bincount(t, minlength=len(cap)))
+    segs, near, count = (np.concatenate(v) for v in (segs, near, count))
+    # the open points in tile order: where they stand in their tile's list,
+    # their distance from its centre with the slack, and their best so far
+    size = np.diff(np.r_[first, len(x)])
+    pos = np.repeat(np.cumsum(count) - count, size)
+    xo, yo = x[order], y[order]
+    lim = np.hypot(*(np.column_stack([xo, yo]) - np.repeat(centre, size, axis=0)).T)
+    lim = lim * (1.0 + 1e-9) + slack
+    best = np.full(len(x), np.inf)
+    k = order
+    while len(k):
+        s = segs[pos].astype(np.intp)
+        for a in range(0, len(k), _PAIR_CHUNK):
+            b = slice(a, a + _PAIR_CHUNK)
+            d = _segment_distance(xo[b], yo[b], *(term[s[b]] for term in terms))
+            np.minimum(best[b], d, out=best[b])
+        dist[k] = best
+        pos += 1
+        j = np.flatnonzero(near[pos] <= best * (1.0 + 1e-9) + lim)
+        k, xo, yo, pos, lim, best = (v[j] for v in (k, xo, yo, pos, lim, best))
     return dist.reshape(px.shape)
 
 
@@ -1095,8 +1122,9 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
     lattice with n nodes per side of the square bounding box.  Two-halfline
     domains are truncated at `radius` (default 8 segment lengths) with
     Dirichlet conditions on the truncation arc, and the grid records the
-    radius used.  That radius must be finite and exceed 1/2, so that the arc
-    about the segment's midpoint encloses the segment; no other domain
+    radius used.  That radius must exceed 1/2, so that the arc about the
+    segment's midpoint encloses the segment, and be at most _MAX_RADIUS
+    (1e150), so that the lattice's arithmetic stays finite; no other domain
     takes one (a sector is scale-invariant, the rest bounded).  A polygon's
     vertices, a two-halfline domain's angles and a polar graph's samples
     pass certify's own input checks, polygon_vertices, ebg_angles and
@@ -1119,9 +1147,10 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
     if isinstance(domain, Ebg):
         ebg_angles(domain)
         r = 8.0 if radius is None else float(radius)
-        if not 0.5 < r < math.inf:
+        if not 0.5 < r <= _MAX_RADIUS:
             raise ValueError(
-                f"truncation radius {r} must be finite and exceed 1/2 to enclose the unit segment"
+                f"truncation radius {r} must exceed 1/2 to enclose the unit segment"
+                f" and be at most {_MAX_RADIUS:g}, the largest admitted"
             )
         grid = _polygon_lattice(_ebg_polygon(domain.beta, domain.gamma, r), n)
         grid.radius = r

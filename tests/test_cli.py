@@ -498,6 +498,22 @@ def test_validate_rejects_bad_radius(tmp_path, capsys, kind, radius):
     assert "truncation radius" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+def test_validate_refuses_a_radius_past_the_largest_without_a_warning(tmp_path, capsys):
+    # at 1e200 the arc's r^2 overflowed: numpy warned twice and the command
+    # exited 2 with "only 0 interior nodes"; the largest radius admitted
+    # still builds, and every warning here is an error
+    f = tmp_path / "dom.json"
+    f.write_text(EBG_FILE)
+    assert run(["validate", str(f), "--n", "16", "--radius=1e200"]) == 2
+    err = capsys.readouterr().err
+    assert "truncation radius 1e+200" in err and "at most 1e+150" in err
+    out = tmp_path / "est.json"
+    assert run(["validate", str(f), "--n", "16", "--radius=1e150", "-o", str(out)]) == 0
+    got = json.loads(out.read_text())
+    assert got["radius"] == 1e150 and got["grid"] == "lattice"
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -660,9 +676,13 @@ DBETA_FILE = json.dumps({"type": "dbeta", "beta": 2.0, "r_samples": [
          "65ee0f40b740282c721c448903840e047e7159bfed290241c5b5233ff42d1740"),
         (["validate", "--n", "64"], DBETA_FILE, "document",
          "67cd6496309db2ba86233e56411e980694743d2b23164cf92e120c0540dd62c7"),
+        # perfbench validate-curved's own Ebg operation, whose nodal distance
+        # stops per point
+        (["validate", "--n", "128"], EBG_FILE, "document",
+         "943f826abf3fc0d01750f731590324d1f129fbddf102ed37dbb73c4fa1ebadef"),
     ],
     ids=["cbeta-check-json", "cbeta-check-csv", "gamma-star-41", "certify-lshape", "validate-ebg-64",
-         "gamma-star-41-stdout", "cbeta-check-stdout", "validate-dbeta-721-64"],
+         "gamma-star-41-stdout", "cbeta-check-stdout", "validate-dbeta-721-64", "validate-ebg-128"],
 )
 def test_documents_are_byte_pinned(tmp_path, capsys, argv, domain, stream, digest):
     # the whole document, as json.dumps(indent=2, sort_keys=True) and the

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 import scipy.linalg as la
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
@@ -468,11 +470,16 @@ def notched_disk(count):
     return np.vstack([[0.5, 0.0], np.column_stack([np.cos(t), np.sin(t)])])
 
 
+EBG_WALLS = _edge_walls(_ebg_polygon(1.5 * PI, 1.5 * PI, 8.0))
 DISTANCE_WALLS = {
     "dbeta": _dbeta_functions(Dbeta(1.7 * PI, [(0.0, 1.0), (0.85 * PI, 1.4), (1.7 * PI, 0.8)]))[1],
-    "ebg": _edge_walls(_ebg_polygon(1.5 * PI, 1.5 * PI, 8.0)),
+    "ebg": EBG_WALLS,
+    # coordinates near 1e6, where the absolute slack, 1e-9 of the largest
+    # coordinate, is far above the relative one
+    "ebg-shifted-1e6": tuple(w + 1e6 for w in EBG_WALLS),
     "lshape": _edge_walls(np.array(lshape().vertices)),
     "notched-disk-2000": _edge_walls(notched_disk(2000)),
+    "notched-disk-10000": _edge_walls(notched_disk(10000)),
 }
 
 
@@ -481,21 +488,83 @@ def test_wall_distance_is_the_plain_minimum_bit_for_bit(name, monkeypatch):
     # a few walls are measured directly, without tiles, and many through
     # them; either way each distance is the minimum over every wall, bit
     # for bit, at points on the walls, past their ends, at the vertices and
-    # on a lattice over the walls' box
+    # on a lattice over the walls' box (every 19th point of each kind
+    # against 10,000 walls, where the reference loop is slow)
     walls = DISTANCE_WALLS[name]
     a, b = np.column_stack(walls[:2]), np.column_stack(walls[2:])
     t = np.linspace(-0.5, 1.5, 17)
     along = (a[:, None, :] + t[None, :, None] * (b - a)[:, None, :]).reshape(-1, 2)
     lo, hi = np.min(np.vstack([a, b]), axis=0), np.max(np.vstack([a, b]), axis=0)
     gx, gy = np.meshgrid(np.linspace(lo[0] - 0.5, hi[0] + 0.5, 101), np.linspace(lo[1] - 0.5, hi[1] + 0.5, 89))
-    px = np.concatenate([along[:, 0], a[:, 0], b[:, 0], gx.ravel()])
-    py = np.concatenate([along[:, 1], a[:, 1], b[:, 1], gy.ravel()])
+    step = 19 if len(a) > 5000 else 1
+    points = np.vstack([along[::step], a[::step], b[::step], np.column_stack([gx.ravel(), gy.ravel()])[::step]])
+    px, py = points.T
     tiles = []
     monkeypatch.setattr(rayleigh, "_tiles", lambda x, y: tiles.append(1) or tile_points(x, y))
     got = _wall_distance(px, py, walls)
     assert got.tobytes() == distance_by_segment(px, py, walls).tobytes()
-    assert np.count_nonzero(got == 0.0) >= len(a)
+    assert np.count_nonzero(got == 0.0) >= len(a[::step])
     assert bool(tiles) == (len(walls[0]) > rayleigh._DIRECT_WALLS)
+
+
+def test_wall_distance_of_points_equally_far_from_two_walls():
+    # halfway between parallel walls, the two distances are the same
+    # float; on the bisectors of the Ebg polygon's corners and on its mirror
+    # axis x = 1/2 they agree to rounding.  Either wall may stop a point,
+    # and the value is still the plain minimum's
+    ys = np.arange(12.0)
+    comb = (np.zeros(12), ys, np.full(12, 10.0), ys)
+    mx, my = np.meshgrid(np.linspace(-1.0, 11.0, 97), ys[:-1] + 0.5)
+    got = _wall_distance(mx, my, comb)
+    assert got.tobytes() == distance_by_segment(mx, my, comb).tobytes()
+    assert np.array_equal(got[:, 8:-8], np.full((11, 81), 0.5))
+    a = np.column_stack(EBG_WALLS[:2])
+    u = np.column_stack(EBG_WALLS[2:]) - a
+    u /= np.hypot(*u.T)[:, None]
+    bisector = np.roll(u, 1, axis=0) - u  # at vertex k, from wall k - 1 into wall k
+    s = np.linspace(0.05, 2.0, 40)
+    fan = (a[:, None, :] + s[None, :, None] * bisector[:, None, :]).reshape(-1, 2)
+    axis = np.column_stack([np.full(200, 0.5), np.linspace(-7.9, 7.9, 200)])
+    px, py = np.vstack([fan, axis]).T
+    assert _wall_distance(px, py, EBG_WALLS).tobytes() == distance_by_segment(px, py, EBG_WALLS).tobytes()
+
+
+@given(
+    count=st.integers(9, 300),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-6, 1.0, 1e6]),
+)
+def test_wall_distance_matches_the_segment_loop_on_star_polygons(count, seed, scale):
+    # random star polygons about the origin, at random points, at every
+    # vertex and at points along every edge
+    rng = np.random.default_rng(seed)
+    theta = np.sort(rng.uniform(0.0, 2.0 * PI, count))
+    r = rng.uniform(0.2, 2.0, count) * scale
+    walls = _edge_walls(np.column_stack([r * np.cos(theta), r * np.sin(theta)]))
+    a, b = np.column_stack(walls[:2]), np.column_stack(walls[2:])
+    t = rng.uniform(0.0, 1.0, (count, 1))
+    points = np.vstack([rng.uniform(-2.5, 2.5, (500, 2)) * scale, a, a + t * (b - a)])
+    px, py = points.T
+    assert _wall_distance(px, py, walls).tobytes() == distance_by_segment(px, py, walls).tobytes()
+
+
+def test_wall_distance_meets_few_walls_per_point(monkeypatch):
+    # on the Ebg(1.5pi, 1.5pi) lattice at n = 128 the 12,144 inside nodes
+    # meet about 10 walls each after the tile stage (121,429 pairs); every
+    # node against its tile's whole candidate list was 288,633
+    calls, pairs = [], []
+    monkeypatch.setattr(rayleigh, "_wall_distance", lambda *args: calls.append(args) or _wall_distance(*args))
+    build_grid(Ebg(1.5 * PI, 1.5 * PI), 128)
+    ((px, py, walls),) = calls
+    segment_distance = rayleigh._segment_distance
+    monkeypatch.setattr(
+        rayleigh, "_segment_distance", lambda *args: pairs.append(segment_distance(*args)) or pairs[-1]
+    )
+    got = _wall_distance(px, py, walls)
+    assert got.tobytes() == distance_by_segment(px, py, walls).tobytes()
+    assert len(px) == 12144
+    # the tile stage measures tile centres, in 2-D blocks; the points come in 1-D
+    assert sum(d.size for d in pairs if d.ndim == 1) <= 150_000
 
 
 def test_deterministic_repeat():
