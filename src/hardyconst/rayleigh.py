@@ -289,25 +289,30 @@ def _wall_distance(px, py, walls):
         near.append(d[rank])
         count.append(np.bincount(t, minlength=len(cap)))
     segs, near, count = (np.concatenate(v) for v in (segs, near, count))
-    # the open points in tile order: where they stand in their tile's list,
-    # their distance from its centre with the slack, and their best so far
+    # the points in tile order: their numbers, coordinates, places in their
+    # tile's list, distances from its centre with the slack, and best
+    # distances so far.  Each rank moves the open ones to the front in place:
+    # fresh arrays every rank left a 200,000-node validate's peak RSS 6 MB
+    # higher
     size = np.diff(np.r_[first, len(x)])
     pos = np.repeat(np.cumsum(count) - count, size)
-    xo, yo = x[order], y[order]
+    k, xo, yo = order, x[order], y[order]
     lim = np.hypot(*(np.column_stack([xo, yo]) - np.repeat(centre, size, axis=0)).T)
     lim = lim * (1.0 + 1e-9) + slack
     best = np.full(len(x), np.inf)
-    k = order
-    while len(k):
-        s = segs[pos].astype(np.intp)
-        for a in range(0, len(k), _PAIR_CHUNK):
-            b = slice(a, a + _PAIR_CHUNK)
+    n = len(x)
+    while n:
+        s = segs[pos[:n]].astype(np.intp)
+        for a in range(0, n, _PAIR_CHUNK):
+            b = slice(a, min(a + _PAIR_CHUNK, n))
             d = _segment_distance(xo[b], yo[b], *(term[s[b]] for term in terms))
             np.minimum(best[b], d, out=best[b])
-        dist[k] = best
-        pos += 1
-        j = np.flatnonzero(near[pos] <= best * (1.0 + 1e-9) + lim)
-        k, xo, yo, pos, lim, best = (v[j] for v in (k, xo, yo, pos, lim, best))
+        dist[k[:n]] = best[:n]
+        pos[:n] += 1
+        j = np.flatnonzero(near[pos[:n]] <= best[:n] * (1.0 + 1e-9) + lim[:n])
+        n = len(j)
+        for v in (k, xo, yo, pos, lim, best):
+            v[:n] = v[j]
     return dist.reshape(px.shape)
 
 
