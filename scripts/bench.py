@@ -16,9 +16,9 @@ BENCH_<label>.json with, per workload and seed:
     pairs, and the ratio within a pair cancels most of that drift;
   - per metric: the pairs each side won, by the metric's direction in
     BENCHMARK.json (ties count for neither).
-With one seed a workload's entry holds its "runs" and "metrics"
-directly and "seed" is that seed; with several, "seed" lists them and the
-entry holds one such record per seed under "seeds", keyed by the seed.
+"seeds" lists the seeds, and a workload's entry holds one such record of
+"runs" and "metrics" per seed under "seeds", keyed by the seed, however
+many seeds there are.
 Bytecode is compiled in both trees first, so that import time and memory
 do not depend on whether a tree has been run before.
 
@@ -162,15 +162,15 @@ def main(argv=None) -> int:
         "trees": {side: revision(tree) for side, tree in trees.items()},
         "pairs": args.pairs,
         "seconds": args.seconds,
-        "seed": args.seed[0] if len(args.seed) == 1 else args.seed,
+        "seeds": args.seed,
         "trace": args.trace,
         "workloads": {},
     }
-    summaries = []  # (workload, and seed when several; its metrics)
+    summaries = []  # (workload and seed, its metrics)
     for workload in args.workload:
         entries = {}
         for seed in args.seed:
-            tag = workload if len(args.seed) == 1 else f"{workload} seed {seed}"
+            tag = f"{workload} seed {seed}"
             runs = []
             for pair in range(args.pairs):
                 order = SIDES if pair % 2 == 0 else SIDES[::-1]
@@ -181,9 +181,7 @@ def main(argv=None) -> int:
                     print(f"{tag} pair {pair} {side}: {json.dumps(values)}", flush=True)
             entries[str(seed)] = {"runs": runs, "metrics": compare(runs, better)}
             summaries.append((tag, entries[str(seed)]["metrics"]))
-        doc["workloads"][workload] = (
-            entries[str(args.seed[0])] if len(args.seed) == 1 else {"seeds": entries}
-        )
+        doc["workloads"][workload] = {"seeds": entries}
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     for tag, metrics in summaries:

@@ -504,7 +504,7 @@ def boundary_form_samples(
         vals = g_func(t, beta) * np.cos(t + 0.5 * gamma) + alpha * math.cos(0.5 * gamma)
     elif kind == "parabola":
         if beta <= PI:
-            raise ValueError("parabola form needs a reflex opening beta > pi")
+            raise ValueError(f"beta={beta} is not a reflex opening (> pi), which the parabola form needs")
         hi = min(beta - 0.5 * PI, 1.5 * PI - gamma)
         t = admit_angles(theta, 0.5 * PI, hi, "[pi/2, min(beta - pi/2, 3pi/2 - gamma)]")
         sol = solve_c_beta(beta)
@@ -520,7 +520,7 @@ def boundary_form_samples(
         )
     else:  # gamma3
         if beta <= PI:
-            raise ValueError("halfline form needs a reflex opening beta > pi")
+            raise ValueError(f"beta={beta} is not a reflex opening (> pi), which the halfline form needs")
         if not 0.5 * PI - 1e-12 <= gamma <= PI + 1e-12:
             raise ValueError(f"gamma={gamma} outside [pi/2, pi] for the halfline form")
         if beta + gamma >= 2.0 * PI:

@@ -35,7 +35,7 @@ _MAX_SWEEP_COUNT = 100_000  # a sweep's rows are all held in memory
 # sparse LU factors a little faster; a sector's pencil has only n/2 - 1
 # unknowns.  Peak RSS of one validate run at n = 512 (x86-64, Python 3.11,
 # numpy 2.4, scipy 1.17, one BLAS thread): slit disk 86 MB (the import
-# floor, in 0.01 s), L-shape 186 MB (in 2.6 s of CPU), Ebg(1.5pi, 1.5pi)
+# floor, in 0.01 s), L-shape 240 MB (in 1.6 s of CPU), Ebg(1.5pi, 1.5pi)
 # 293 MB (in 1.7 s of CPU, half of it the LU factorization and the
 # eigen-solve), a 2pi Dbeta 176 MB.
 _MAX_RESOLUTION = 512
@@ -406,7 +406,7 @@ def _cmd_validate(args) -> int:
         raise ValueError(f"--n {args.n} outside [2, {_MAX_RESOLUTION}]")
     domain = parse_domain_file(args.file)
     grid = rayleigh.build_grid(domain, args.n, radius=args.radius)
-    est = rayleigh.estimate_constant(grid)
+    est, vector = rayleigh.estimate_constant(grid, return_vector=True)
     if est.lam < _ANCONA:
         raise rayleigh.NumericalError(
             f"lambda_min = {est.lam:.6g} at n={args.n} lies below Ancona's 1/16 for simply "
@@ -420,10 +420,20 @@ def _cmd_validate(args) -> int:
         "radius": grid.radius,
         "estimate": est.to_dict(),
     }
+    patch = ""
+    if isinstance(domain, OneReflexPolygon):
+        # the sector patch at the widest reflex corner (null on a polygon
+        # without one), and the part whose vector gives lambda
+        doc["attained_by"] = grid.part(vector)
+        doc["patch"] = None
+        if grid.patch is not None:
+            doc["patch"] = {"vertex": list(grid.patch.vertex), "beta": grid.patch.beta / PI}
+            patch = (f" and a {grid.patch.beta / PI:.6g}pi sector patch at {grid.patch.vertex},"
+                     f" lambda on the {doc['attained_by']}")
     print(
         f"lambda_min = {est.lam:.6g}  (residual bound {est.residual_bound:.2g}, n={args.n}, "
-        f"{grid.kind} grid, h={est.h:.4g}, {est.iterations} solves, {grid.interior_count} nodes, "
-        f"{grid.dropped} dropped)"
+        f"{grid.kind} grid{patch}, h={est.h:.4g}, {est.iterations} solves, {grid.interior_count} "
+        f"nodes, {grid.dropped} dropped)"
     )
     _emit(doc, None, args.output, "json")
     return 0

@@ -2,27 +2,25 @@
 
 The estimate is the smallest eigenvalue of a pencil (A, M): A the
 Dirichlet energy and M the Hardy weight's mass over the unknowns of a
-grid, found by shift-invert Lanczos (scipy's eigsh) with the grid's own
-linear solver.  Two kinds of grid provide the pencil.
+grid, found by shift-invert Lanczos (scipy's eigsh) with a sparse LU of
+A, so every solve is exact up to rounding.  Two kinds of grid provide the
+pencil, and a polygon stacks one of each.
 
-Boundary-fitted tensor grids, for sectors, polygons whose edges are all
-horizontal or vertical, and the strip proxy.  Conforming bilinear (Q1)
+Sector pencils, for sectors and the strip proxy.  Conforming bilinear (Q1)
 elements on a tensor grid with one uniform and one geometrically graded
 axis: log-polar for a sector (t = log r uniform, the angle graded toward
 both edges; the energy is conformally invariant and the weight becomes
-r^2/d^2), Cartesian otherwise (x uniform with every vertex on a node, y
-graded toward every horizontal edge line).  A is assembled exactly; M is
-the consistent Q1 mass against the weight, integrated by tensor Gauss
-rules.  A Q1 function that vanishes on the boundary is admissible in the
-Hardy quotient, so by Rayleigh-Ritz the discrete minimum is an upper
-estimate of the constant.  Where the weight depends on the graded axis
-alone (the infinite sector's r^2/d^2 on the angle, the strip's on y), the
-lowest sine mode of the uniform axis separates exactly, and the grid is
-that mode's 1-D pencil along the graded axis, factored by a sparse LU.  On
-a polygon a sine transform along the uniform axis leaves one tridiagonal
-system per mode along the graded one, and a polygon that does not fill its
-bounding box adds a capacitance correction on the excluded nodes next to
-it; both solves are exact.
+r^2/d^2), Cartesian for the strip (x uniform, y graded toward the bottom
+side).  A is assembled exactly; M is the consistent Q1 mass against the
+weight, integrated by a Gauss rule.  A Q1 function that vanishes on the
+boundary is admissible in the Hardy quotient, so by Rayleigh-Ritz the
+discrete minimum is an upper estimate of the constant.  The weight
+depends on the graded axis alone (the infinite sector's r^2/d^2 on the
+angle, the strip's on y), so the lowest sine mode of the uniform axis
+separates exactly, and the grid is that mode's 1-D pencil along the
+graded axis.  The 2-D tensor grid itself, solved by a sine transform along
+the uniform axis and one tridiagonal system per mode, stays as the
+pencils' reference in the tests.
 
 Minimizing sequences of Hardy quotients spread over exponentially many
 length scales, and the excess of a grid's minimum is set by how many
@@ -30,23 +28,32 @@ decades it resolves.  A graded axis resolves a number of decades that grows
 linearly with n, so these estimates approach the constant algebraically
 in n.
 
-Cartesian lattices, for every other domain (slanted polygon edges,
-two-halfline domains, mixed Dirichlet-Neumann sectors): the 5-point
-finite-difference energy on a square lattice against nodal weights
-1/dist^2, assembled from one inside test per node and restricted to its
-largest connected component.  Each domain describes the Dirichlet part of
-its boundary once, as wall segments given by their endpoints: a polygon
-its edges, a polar graph its two rays from the origin.  The walls give
-the nodal distance dist, a polygon's inside test reads them as its edges,
-and every link is decided by one exact rule: its first crossing with a
-wall, found for the links of all four directions in one call.  Each link
-is decided open or closed once, at its lower end, and written by the Q1
-grids' symmetric stencil writer.  The energy is factored once by a sparse
-LU (SuperLU, minimum degree ordering on A^T + A, whose pattern is
-symmetric), so every solve is exact up to rounding.  Its mesh width is
-uniform, so it resolves only about log10(n) decades and converges like
-1/log^2(1/h); on a few hundred nodes per side the estimate sits a few
-tenths above the constant.  For these domains the validator is a
+Cartesian lattices, for polygons, two-halfline domains and mixed
+Dirichlet-Neumann sectors: the 5-point finite-difference energy on a
+square lattice against nodal weights 1/dist^2, assembled from one inside
+test per node and restricted to its largest connected component.  Each
+domain describes the Dirichlet part of its boundary once, as wall
+segments given by their endpoints: a polygon its edges, a polar graph its
+two rays from the origin.  The walls give the nodal distance dist, a
+polygon's inside test reads them as its edges, and every link is decided
+by one exact rule: its first crossing with a wall, found for the links of
+all four directions in one call.  Each link is decided open or closed
+once, at its lower end, and written by the Q1 grids' symmetric stencil
+writer.  The LU is SuperLU's, with minimum degree ordering on A^T + A,
+whose pattern is symmetric.  The lattice's mesh width is uniform, so it
+resolves only about log10(n) decades and converges like 1/log^2(1/h); on
+a few hundred nodes per side the estimate sits a few tenths above the
+constant.
+
+A polygon whose widest interior angle beta exceeds pi gets the sector
+pencil of opening beta stacked after its lattice: one block-diagonal
+pencil with one LU, whose smallest eigenvalue is the smaller of the two
+parts'.  That pencil bounds the polygon's constant from above (see
+build_grid) and resolves the corner's decades, which the lattice does
+not: on the n = 256 L-shape it reads 0.25464 where the lattice alone
+reads 0.33135, against the constant 1/4, in every position and
+orientation of the L-shape.  For two-halfline and mixed domains, and for
+polygons whose lattice attains the minimum, the validator is a
 consistency check (estimates stay above certified constants and shrink
 toward them), not a precision instrument.
 """
@@ -54,11 +61,10 @@ toward them), not a precision instrument.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg as la
 import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -66,7 +72,7 @@ from scipy.fft import dst
 from scipy.sparse.csgraph import connected_components
 
 from .certify import Dbeta, DomainSpec, Ebg, OneReflexPolygon, Sector, SectorCapConvex
-from .certify import dbeta_samples, ebg_angles, polygon_vertices
+from .certify import dbeta_samples, ebg_angles, interior_angles, polygon_vertices
 from .hardycore import admit_opening
 
 __all__ = [
@@ -88,19 +94,29 @@ _ARC_SAMPLES = 256
 # keeps three decades clear of that.
 _MAX_RADIUS = 1e150
 
-# Lanczos vectors of the eigen-solve, most of its added peak memory: on the
-# n = 256 L-shape (48,641 unknowns) a tracemalloc peak of 8.2 MB at 8
-# vectors and 134 solves, 14.4 MB at 16 and 82 solves (17.5 MB at 20 and
-# 33.1 MB at 40, still 82).  Lattices and 1-D pencils keep _NCV: they
-# converge in 14-22 solves, and 16 vectors would force at least 18.  The
-# 2-D tensor grids keep _TENSOR_NCV (see _tensor_grid).
+# Lanczos vectors of the eigen-solve, most of its added peak memory.
+# Lattices and 1-D pencils converge in 14-26 solves with 8, and 16 vectors
+# would force at least 18.
 _NCV = 8
-_TENSOR_NCV = 16
 
 
 class NumericalError(RuntimeError):
     """A factorization or solve of the grid's energy failed, the eigen-solve did not
     converge, or its estimate lies below what the domain's constant can be."""
+
+
+@dataclass(frozen=True)
+class Patch:
+    """The sector pencil of a polygon's widest corner, stacked after its lattice.
+
+    vertex is that corner, in the polygon's own coordinates, and beta its
+    interior angle, the pencil's opening; the pencil's size unknowns are
+    the grid's last.
+    """
+
+    vertex: tuple
+    beta: float
+    size: int
 
 
 @dataclass
@@ -120,12 +136,15 @@ class GridProblem:
     problems; at r = 1 on a sector).  matrix is the Dirichlet energy and
     mass the weighted mass over the unknowns, so the estimate is the
     smallest eigenvalue of the pencil (matrix, mass); solve(rhs) applies the
-    inverse of matrix, start is the eigen-solve's start vector and ncv the
-    number of Lanczos vectors it keeps.  h is the smallest mesh width in the
-    domain's own length units (at r = 1 on a sector).  radius is the
-    truncation radius of a two-halfline domain, None otherwise.  dropped
-    counts the unknowns a lattice left out because no open link joins them
-    to its largest component (0 on other grids).
+    inverse of matrix and start is the eigen-solve's start vector.  h is
+    the smallest mesh width in the domain's own length units (at r = 1 on a
+    sector).  radius is the truncation radius of a two-halfline domain,
+    None otherwise.  dropped counts the unknowns a lattice left out because
+    no open link joins them to its largest component (0 on other grids).
+    A polygon's patch, when it has one, is a sector pencil stacked after
+    the lattice: its unknowns follow the lattice's in dist, matrix, mass
+    and start, while xs, ys, mask, h and dropped describe the lattice
+    alone.
     """
 
     xs: np.ndarray
@@ -138,13 +157,21 @@ class GridProblem:
     mass: sp.csr_matrix
     solve: Callable[[np.ndarray], np.ndarray]
     start: np.ndarray
-    ncv: int = _NCV
     radius: Optional[float] = None
     dropped: int = 0
+    patch: Optional[Patch] = None
 
     @property
     def interior_count(self) -> int:
         return len(self.dist)
+
+    def part(self, x: np.ndarray) -> str:
+        """The part that holds most of the vector x in the mass norm: "patch", or the grid's kind."""
+        if self.patch is None:
+            return self.kind
+        share = x * (self.mass @ x)  # the parts' blocks do not couple
+        k = len(x) - self.patch.size
+        return "patch" if share[k:].sum() > share[:k].sum() else self.kind
 
 
 @dataclass(frozen=True)
@@ -465,7 +492,7 @@ def _assemble(
     follow each component's first unknown in np.nonzero order.  A dropped
     unknown shares no open link with a kept one, so every kept row is the
     one an assembly without the splinters would build.  The grid records
-    how many unknowns were dropped.  Its solve is left to _lattice.
+    how many unknowns were dropped.  Its solve is left to _factored.
     """
     xs = np.linspace(cx - half, cx + half, n)
     ys = np.linspace(cy - half, cy + half, n)
@@ -546,10 +573,10 @@ def _assemble(
     )
 
 
-def _lattice(*args, **kwargs) -> GridProblem:
-    """_assemble's grid with its energy factored, once the assembly's work
-    arrays (node grids, flags and link bands) are freed."""
-    grid = _assemble(*args, **kwargs)
+def _factored(grid: GridProblem) -> GridProblem:
+    """grid with its energy factored by _factor.  build_grid factors last,
+    once the assembly's work arrays (node grids, flags and link bands) are
+    freed."""
     grid.solve = _factor(grid.matrix)
     return grid
 
@@ -713,30 +740,18 @@ def _mass_bands(xs: np.ndarray, ys: np.ndarray, weight: Callable, elem_in: np.nd
 
 
 class _TensorSolver:
-    """Exact solver for the Q1 energy on a tensor grid with a uniform first axis.
+    """Exact solver for the Q1 energy on the box of all interior nodes of a
+    tensor grid with a uniform first axis.
 
-    On the box of all interior nodes the energy is Kx (x) My + Mx (x) Ky.
-    The orthonormal DST-I diagonalizes the uniform axis's Kx and Mx at
-    once, which leaves one SPD tridiagonal system per sine mode along the
-    graded axis.  The systems are stacked into one tridiagonal matrix,
-    uncoupled between modes, and factored once by LAPACK (pttrf).
-
-    When only some box nodes are unknowns (keep), the box solve is
-    corrected by the capacitance matrix method: forces on the ring of
-    excluded nodes next to kept ones, chosen so that the box solution
-    vanishes on that ring, make it vanish on every excluded node (they see
-    no load) and solve the kept system exactly.  The capacitance matrix is
-    the box inverse on the ring, factored once by dense Cholesky.  It is
-    built one column per solve by the same pttrs solve that the correction
-    applies, on the graded rows from the lowest ring row lo up alone.  So
-    it matches the correction's ring values bit for bit on any LAPACK
-    build, which the ill-conditioned correction needs.  Ring loads and ring
-    values pass to and from mode space directly through the sine basis, so
-    a corrected solve costs two transforms, like a plain one.
+    The energy is Kx (x) My + Mx (x) Ky.  The orthonormal DST-I
+    diagonalizes the uniform axis's Kx and Mx at once, which leaves one SPD
+    tridiagonal system per sine mode along the graded axis.  The systems
+    are stacked into one tridiagonal matrix, uncoupled between modes, and
+    factored once by LAPACK (pttrf).
     """
 
-    def __init__(self, hx: float, line_y, keep: np.ndarray):
-        p, q = keep.shape
+    def __init__(self, hx: float, line_y, shape: tuple):
+        p, q = shape
         ky_d, ky_o, my_d, my_o = line_y
         c = np.cos(PI * np.arange(1, p + 1) / (p + 1))
         stiff, mass = 2.0 * (1.0 - c) / hx, hx * (2.0 + c) / 3.0
@@ -747,73 +762,7 @@ class _TensorSolver:
         if info != 0:
             raise NumericalError(f"tridiagonal factorization failed (info={info})")
         self.shape = (p, q)
-        self.kept = np.flatnonzero(keep)
         self.work = np.empty((p * q, 1))  # each solve's box vector, in and out of mode space
-        self.ring = None
-        if keep.all():
-            return
-        near = np.zeros_like(keep)
-        padded = np.pad(keep, 1)
-        for di in range(3):
-            for dj in range(3):
-                near |= padded[di : di + p, dj : dj + q]
-        ring_i, self.ring_j = np.nonzero(near & ~keep)
-        size = len(ring_i)
-        # ring node -> its row along the graded axis, summing shared rows
-        self.ring_rows = sp.csr_matrix(
-            (np.ones(size), (self.ring_j, np.arange(size))), shape=(q, size)
-        )
-        # sine basis at the ring nodes: box value = sum_k sine[., k] * mode value
-        self.ring_sine = math.sqrt(2.0 / (p + 1)) * np.sin(
-            PI * np.outer(ring_i + 1, np.arange(1, p + 1)) / (p + 1)
-        )
-        # Column m is the box solve of a unit force on ring node m, read on
-        # the ring.  That force loads row ring_j[m] >= lo of every mode, so
-        # pttrs's forward sweep is exactly zero below lo, its back
-        # substitution on rows >= lo reads only higher rows, and the ring is
-        # read only there: the same pttrs solve on rows lo and up of every
-        # mode gives the same bits as the full one.  The factor's zero off
-        # entries between modes stay, so the modes stay uncoupled.
-        lo = int(self.ring_j.min())
-        diag = self.diag.reshape(p, q)[:, lo:].ravel()
-        off = np.append(self.off, 0.0).reshape(p, q)[:, lo:].ravel()[:-1]
-        rows = self.ring_j - lo
-        modes = np.arange(p) * (q - lo)
-        cap = np.empty((size, size))
-        unit = np.empty((p * (q - lo), 1))
-        for m in range(size):
-            unit.fill(0.0)
-            unit[modes + rows[m], 0] = self.ring_sine[m]
-            cap[:, m] = self._ring_values(self._modes(unit, diag, off), lo)[:, 0]
-        self.ring = ring_i
-        self.cap = la.cho_factor(0.5 * (cap + cap.T))
-
-    def _modes(self, b: np.ndarray, diag=None, off=None) -> np.ndarray:
-        """Solve the stacked tridiagonal systems for mode-space loads b (P*Q, r).
-
-        diag and off, if given, are the factor's rows from some lo up in
-        every mode, and b is (P*(Q - lo), r).  b is a work array: the
-        solution overwrites it.
-        """
-        if diag is None:
-            diag, off = self.diag, self.off
-        z, info = lapack.dpttrs(diag, off, b, overwrite_b=True)
-        if info != 0:
-            raise NumericalError(f"tridiagonal solve failed (info={info})")
-        return z
-
-    def _ring_values(self, z: np.ndarray, lo: int = 0) -> np.ndarray:
-        """Box values at the ring nodes of mode-space vectors (P*(Q - lo), r)."""
-        p, q = self.shape
-        cols = z.reshape(p, q - lo, -1)[:, self.ring_j - lo, :]
-        return np.einsum("mk,kmr->mr", self.ring_sine, cols)
-
-    def _ring_load(self, f: np.ndarray) -> np.ndarray:
-        """Mode-space load (P*Q, r) of point forces f (ring size, r) on the ring."""
-        p, q = self.shape
-        r = f.shape[1]
-        load = self.ring_rows @ (self.ring_sine[:, :, None] * f[:, None, :]).reshape(-1, p * r)
-        return load.reshape(q, p, r).transpose(1, 0, 2).reshape(p * q, r)
 
     def _dst(self, v: np.ndarray) -> np.ndarray:
         """Sine transform along the uniform axis of the P*Q values v, into v's storage."""
@@ -821,37 +770,33 @@ class _TensorSolver:
         return dst(v.reshape(p, q), type=1, axis=0, norm="ortho", overwrite_x=True).reshape(p * q, 1)
 
     def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        # every step works in the solver's one buffer; only the kept values leave it
+        # every step works in the solver's one buffer; only a copy of the result leaves it
         b = self.work
-        b.fill(0.0)
-        b[self.kept, 0] = rhs
-        z = self._modes(self._dst(b))
-        if self.ring is not None:
-            force = la.cho_solve(self.cap, self._ring_values(z))
-            z -= self._modes(self._ring_load(force))
-        return self._dst(z)[self.kept, 0]
+        b[:, 0] = rhs
+        z, info = lapack.dpttrs(self.diag, self.off, self._dst(b), overwrite_b=True)
+        if info != 0:
+            raise NumericalError(f"tridiagonal solve failed (info={info})")
+        return self._dst(z)[:, 0].copy()
 
 
-def _tensor_grid(
-    xs: np.ndarray, ys: np.ndarray, weight: Callable, dist: Callable, elem_in: np.ndarray
-) -> GridProblem:
-    """Q1 pencil on the Cartesian tensor grid xs by ys (xs uniform).
+def _tensor_grid(xs: np.ndarray, ys: np.ndarray, weight: Callable, dist: Callable) -> GridProblem:
+    """Q1 pencil on all of the Cartesian tensor grid xs by ys (xs uniform).
 
     weight(x, y) is the Hardy weight and dist(x, y) the distance to the
     boundary, both elementwise: they are called with a column of x against
-    a row of y.  elem_in marks the elements inside the domain.  The
-    unknowns are the nodes whose four elements are all inside.
+    a row of y.  Every interior node is an unknown.  The 1-D pencils are
+    the lowest sine mode of such a grid, and the tests compare them with it.
     """
-    keep = elem_in[1:, 1:] & elem_in[:-1, 1:] & elem_in[1:, :-1] & elem_in[:-1, :-1]
-    _check_resolution(int(keep.sum()))
+    shape = (len(xs) - 2, len(ys) - 2)
+    keep = np.ones(shape, dtype=bool)
+    _check_resolution(keep.size)
     hx = xs[1] - xs[0]
     dy = np.diff(ys)
     line_y = _q1_line(dy)
-    solve = _TensorSolver(hx, line_y, keep)
+    elem_in = np.ones((len(xs) - 1, len(ys) - 1), dtype=bool)
     mass = _stencil_csr(_mass_bands(xs, ys, weight, elem_in), keep)
     ky_d, ky_o, my_d, my_o = line_y
     ky_o, my_o = np.append(ky_o, 0.0), np.append(my_o, 0.0)  # past the last node: unused
-    shape = keep.shape
 
     def band(kx, mx, my, ky):
         return np.broadcast_to(kx * my + mx * ky, shape)
@@ -870,34 +815,23 @@ def _tensor_grid(
         keep,
     )
     mask = np.zeros((len(xs), len(ys)), dtype=bool)
-    mask[1:-1, 1:-1] = keep
-    # dist and weight at the unknowns, evaluated over the box of interior
-    # nodes, whose coordinates vary along one axis each, and read at the
-    # kept ones; an excluded node may lie on a wall, where the weight is
-    # infinite and goes unread
+    mask[1:-1, 1:-1] = True
     xb, yb = xs[1:-1, None], ys[None, 1:-1]
-    node_dist = np.broadcast_to(dist(xb, yb), shape)[keep]
-    with np.errstate(divide="ignore"):
-        node_weight = np.broadcast_to(weight(xb, yb), shape)[keep]
-    u = xs[np.nonzero(mask)[0]]
+    mode = np.sin(PI * (xb - xs[0]) / (xs[-1] - xs[0]))
     return GridProblem(
         xs=xs,
         ys=ys,
         kind="graded",
         h=min(hx, float(dy.min())),
         mask=mask,
-        dist=node_dist,
+        dist=np.broadcast_to(dist(xb, yb), shape).ravel(),
         matrix=matrix,
         mass=mass,
-        solve=solve,
+        solve=_TensorSolver(hx, line_y, shape),
         # the distance profile (weight^-1/2) times the lowest sine mode of
         # the uniform axis, so the many near-degenerate modes along that
         # axis (wiggles where they cost little) start out nearly absent
-        start=node_weight ** -0.5 * np.sin(PI * (u - xs[0]) / (xs[-1] - xs[0])),
-        # the lowest eigenvalues of a polygon crowd together (the n = 256
-        # L-shape's lowest eight lie within 0.43%), and with _NCV vectors
-        # each implicit restart discards most of that cluster
-        ncv=_TENSOR_NCV,
+        start=(weight(xb, yb) ** -0.5 * mode).ravel(),
     )
 
 
@@ -941,7 +875,7 @@ def _pencil(xs: np.ndarray, ys: np.ndarray, dist: Callable, h: float, kind: str)
         dist=d,
         matrix=matrix,
         mass=mass,
-        solve=_factor(matrix),
+        solve=None,
         start=d,
     )
 
@@ -956,82 +890,13 @@ def _edge_distance(theta, beta: float):
     return np.sin(np.minimum(np.minimum(theta, beta - theta), 0.5 * PI))
 
 
-def _box_distance(px, py, walls, work: dict):
-    """Distance to walls (ax, ay, bx, by) that are all horizontal or vertical.
-
-    Per wall, the clamped offsets dx and dy along both axes are exact in
-    floating point, which keeps the weight exact within hair-thin graded
-    elements.  Their maximum d is the wall's distance hypot(dx, dy) exactly
-    where either offset is 0, and a lower bound of it everywhere else.  So
-    hypot runs only where both offsets are positive and d is below the
-    running minimum: elsewhere the wall's distance is d, or it is at least
-    d, which is not below the minimum, and cannot lower it.  The result is
-    the minimum of hypot over the walls, bit for bit.  work keeps the work
-    arrays by shape from one call to the next.
-    """
-    shape = np.broadcast(px, py).shape
-    if shape not in work:
-        work[shape] = np.empty(shape), np.empty(shape, dtype=bool)
-    d, slant = work[shape]
-    best = np.full(shape, np.inf)
-    for ax, ay, bx, by in zip(*walls):
-        dx = np.maximum(np.maximum(min(ax, bx) - px, px - max(ax, bx)), 0.0)
-        dy = np.maximum(np.maximum(min(ay, by) - py, py - max(ay, by)), 0.0)
-        np.maximum(dx, dy, out=d)
-        np.less(d, best, out=slant)
-        slant &= dx > 0.0
-        slant &= dy > 0.0
-        np.hypot(dx, dy, out=d, where=slant)
-        np.minimum(best, d, out=best)
-    return best
-
-
-def _polygon_tensor_grid(verts: np.ndarray, n: int) -> Optional[GridProblem]:
-    """Boundary-fitted grid of an axis-aligned polygon, or None if there is none.
-
-    x is uniform with m <= n elements, the largest count that puts every
-    vertex on a node (None below n/2); y is graded toward every horizontal
-    edge line, n elements shared between the halves of the gaps between
-    lines.  None also for polygons with slanted edges.
-    """
-    walls = _edge_walls(verts)
-    if not np.all((walls[0] == walls[2]) | (walls[1] == walls[3])):
-        return None
-    x0, x1 = float(verts[:, 0].min()), float(verts[:, 0].max())
-    frac = (np.unique(verts[:, 0]) - x0) / (x1 - x0)
-    for m in range(n, (n + 1) // 2 - 1, -1):
-        k = frac * m
-        if np.all(np.abs(k - np.round(k)) <= 1e-9 * m):
-            break
-    else:
-        return None
-    lines = np.unique(verts[:, 1])
-    per_half = n // (2 * (len(lines) - 1))
-    if per_half < 2:
-        return None
-    xs = x0 + (x1 - x0) * np.arange(m + 1) / m
-    ys = _graded_axis(lines, per_half)
-    centres_x = 0.5 * (xs[:-1] + xs[1:])[:, None]
-    centres_y = 0.5 * (ys[:-1] + ys[1:])[None, :]
-    elem_in = _points_in_polygon(
-        np.broadcast_to(centres_x, (m, len(ys) - 1)),
-        np.broadcast_to(centres_y, (m, len(ys) - 1)),
-        walls,
-    )
-    # longest walls first, so that the running minimum tightens early and
-    # fewer (point, wall) pairs are left for hypot
-    order = np.argsort(np.hypot(walls[2] - walls[0], walls[3] - walls[1]), kind="stable")[::-1]
-    walls = tuple(w[order] for w in walls)
-    work = {}  # _box_distance's work arrays, for this build only
-
-    def weight(x, y):
-        w = _box_distance(x, y, walls, work)
-        w **= -2.0
-        return w
-
-    return _tensor_grid(
-        xs, ys, weight, lambda x, y: _box_distance(x, y, walls, work), elem_in
-    )
+def _sector_pencil(beta: float, n: int) -> GridProblem:
+    """The log-polar pencil of the infinite sector of admitted opening beta (see build_grid)."""
+    ts = np.linspace(-n / _RADIAL_ELEMENTS_PER_DECADE * math.log(10.0), 0.0, n + 1)
+    thetas = _graded_axis(np.array([0.0, beta]), n // 2)
+    # innermost ring at r = 1: radial step or smallest arc step
+    h = math.exp(ts[0]) * min(math.expm1(ts[1] - ts[0]), float(np.diff(thetas).min()))
+    return _pencil(ts, thetas, lambda theta: _edge_distance(theta, beta), h, "log-polar")
 
 
 # ---------------------------------------------------------------------------
@@ -1041,10 +906,34 @@ def _polygon_lattice(verts: np.ndarray, n: int) -> GridProblem:
     """Cartesian lattice of a polygon over its square bounding box (uniform spacing)."""
     (x0, y0), (x1, y1) = verts.min(axis=0), verts.max(axis=0)
     walls = _edge_walls(verts)
-    return _lattice(
+    return _assemble(
         lambda px, py: _points_in_polygon(px, py, walls),
         walls,
         0.5 * (x0 + x1), 0.5 * (y0 + y1), 0.5 * max(x1 - x0, y1 - y0), n,
+    )
+
+
+def _polygon_grid(verts: np.ndarray, n: int) -> GridProblem:
+    """A polygon's lattice, and the sector pencil of its widest corner when that is reflex.
+
+    The two are stacked as one block-diagonal pencil, the lattice's
+    unknowns first, so the pencil's smallest eigenvalue is the smaller of
+    the two parts' (see build_grid).
+    """
+    grid = _polygon_lattice(verts, n)
+    angles = interior_angles(verts)
+    k = int(np.argmax(angles))
+    beta = float(angles[k])
+    if not beta > PI:
+        return grid
+    patch = _sector_pencil(beta, n)
+    return replace(
+        grid,
+        dist=np.concatenate([grid.dist, patch.dist]),
+        matrix=sp.block_diag([grid.matrix, patch.matrix], format="csr"),
+        mass=sp.block_diag([grid.mass, patch.mass], format="csr"),
+        start=np.concatenate([grid.start, patch.start]),
+        patch=Patch(vertex=(float(verts[k, 0]), float(verts[k, 1])), beta=beta, size=patch.interior_count),
     )
 
 
@@ -1120,35 +1009,36 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
     uniform over the n/16 decades below r = 1 with Dirichlet ends, the angle
     graded toward both edges, and the infinite sector's weight r^2/d^2 with
     no truncation arc, so lambda is a Rayleigh-Ritz upper estimate of
-    c(beta) itself.  Polygons whose edges are all horizontal or vertical get
-    a boundary-fitted grid of at most n elements per axis, when a uniform x
-    spacing of at least n/2 elements puts every vertex on a node; other
-    polygons, two-halfline domains and mixed problems get the Cartesian
-    lattice with n nodes per side of the square bounding box.  Two-halfline
-    domains are truncated at `radius` (default 8 segment lengths) with
-    Dirichlet conditions on the truncation arc, and the grid records the
-    radius used.  That radius must exceed 1/2, so that the arc about the
-    segment's midpoint encloses the segment, and be at most _MAX_RADIUS
-    (1e150), so that the lattice's arithmetic stays finite; no other domain
-    takes one (a sector is scale-invariant, the rest bounded).  A polygon's
-    vertices, a two-halfline domain's angles and a polar graph's samples
-    pass certify's own input checks, polygon_vertices, ebg_angles and
-    dbeta_samples.  ValueError otherwise.  Convex-cap descriptions carry no
-    concrete cap geometry and cannot be gridded.
+    c(beta) itself.  Polygons, two-halfline domains and mixed problems get
+    the Cartesian lattice with n nodes per side of the square bounding box.
+
+    A polygon whose widest interior angle beta exceeds pi also gets the
+    sector pencil of opening beta, stacked after the lattice as one
+    block-diagonal pencil (grid.patch names its vertex and opening).  That
+    pencil bounds the polygon's constant from above at any scale: a simple
+    polygon agrees with the sector S of a vertex v's two edge rays on some
+    disc B(v, 2 rho), so on B(v, rho) its boundary distance is at most
+    S's, and S's quotient does not change when its test functions are
+    shrunk into B(v, rho) about v.  c(beta) falls as beta grows, so the
+    widest corner's pencil is the sharpest.
+
+    Two-halfline domains are truncated at `radius` (default 8 segment
+    lengths) with Dirichlet conditions on the truncation arc, and the grid
+    records the radius used.  That radius must exceed 1/2, so that the arc
+    about the segment's midpoint encloses the segment, and be at most
+    _MAX_RADIUS (1e150), so that the lattice's arithmetic stays finite; no
+    other domain takes one (a sector is scale-invariant, the rest bounded).
+    A polygon's vertices, a two-halfline domain's angles and a polar
+    graph's samples pass certify's own input checks, polygon_vertices,
+    ebg_angles and dbeta_samples.  ValueError otherwise.  Convex-cap
+    descriptions carry no concrete cap geometry and cannot be gridded.
     """
     if radius is not None and not isinstance(domain, Ebg):
         raise ValueError(f"a truncation radius does not apply to a {type(domain).__name__} domain")
     if isinstance(domain, Sector):
-        beta = admit_opening(domain.beta, "(pi")
-        ts = np.linspace(-n / _RADIAL_ELEMENTS_PER_DECADE * math.log(10.0), 0.0, n + 1)
-        thetas = _graded_axis(np.array([0.0, beta]), n // 2)
-        # innermost ring at r = 1: radial step or smallest arc step
-        h = math.exp(ts[0]) * min(math.expm1(ts[1] - ts[0]), float(np.diff(thetas).min()))
-        return _pencil(ts, thetas, lambda theta: _edge_distance(theta, beta), h, "log-polar")
+        return _factored(_sector_pencil(admit_opening(domain.beta, "(pi"), n))
     if isinstance(domain, OneReflexPolygon):
-        verts = polygon_vertices(domain)
-        grid = _polygon_tensor_grid(verts, n)
-        return _polygon_lattice(verts, n) if grid is None else grid
+        return _factored(_polygon_grid(polygon_vertices(domain), n))
     if isinstance(domain, Ebg):
         ebg_angles(domain)
         r = 8.0 if radius is None else float(radius)
@@ -1157,12 +1047,12 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
                 f"truncation radius {r} must exceed 1/2 to enclose the unit segment"
                 f" and be at most {_MAX_RADIUS:g}, the largest admitted"
             )
-        grid = _polygon_lattice(_ebg_polygon(domain.beta, domain.gamma, r), n)
+        grid = _factored(_polygon_lattice(_ebg_polygon(domain.beta, domain.gamma, r), n))
         grid.radius = r
         return grid
     if isinstance(domain, Dbeta):
         inside, walls, rmax = _dbeta_functions(domain)
-        return _lattice(inside, walls, 0.0, 0.0, 1.01 * rmax, n, neumann=True)
+        return _factored(_assemble(inside, walls, 0.0, 0.0, 1.01 * rmax, n, neumann=True))
     if isinstance(domain, SectorCapConvex):
         raise ValueError(
             "convex-cap descriptions have no concrete cap geometry; certify them instead"
@@ -1185,7 +1075,7 @@ def strip_proxy(n: int) -> GridProblem:
     """
     xs = np.linspace(0.0, _STRIP_LENGTH, n + 1)
     ys = np.concatenate([[0.0], _graded_offsets(1.0, 0.0, n)])  # exact next to y = 0
-    return _pencil(xs, ys, lambda y: y, min(xs[1], float(np.diff(ys).min())), "graded")
+    return _factored(_pencil(xs, ys, lambda y: y, min(xs[1], float(np.diff(ys).min())), "graded"))
 
 
 # ---------------------------------------------------------------------------
@@ -1193,40 +1083,36 @@ def strip_proxy(n: int) -> GridProblem:
 
 # Ritz residual tolerance of the Lanczos solve.  The grid's discretization
 # excess over the constant is at least 1e-3, and the Rayleigh quotient's
-# error is about the square of the vector's, so with exact solves 1e-6
-# would leave lam good to about 1e-9.  The capacitance solve of a polygon
-# is not exact: on the n = 256 L-shape lam spans 0.26050813135 to
-# 0.26050814231 (4e-8 relative) over ncv 8 to 40 and tolerances 1e-6 to
-# 1e-10, and still 0.26050813175 to 0.26050813977 over ncv at 1e-10.  A
-# tighter tolerance only converges the vector inside clusters of nearly
-# equal eigenvalues (the L-shape's lowest lie within 0.4% of each other),
-# which lam does not need.
+# error is about the square of the vector's; every solve is exact, so 1e-6
+# leaves lam good to about 1e-12.  On the n = 256 L-shape lam reads
+# 0.2546405648559 in 26 solves, and 0.2546405648557 at 1e-10 (38 solves)
+# or with 40 Lanczos vectors (42).
 _LANCZOS_TOL = 1e-6
 
 
 def estimate_constant(grid: GridProblem, return_vector: bool = False):
     """Smallest eigenvalue of the pencil (A, M) by shift-invert Lanczos (eigsh at shift 0).
 
-    Runs on the grid's own solve of A from grid.start with grid.ncv Lanczos
-    vectors (16 on 2-D tensor grids, 8 on lattices and 1-D pencils), to a
-    relative Ritz residual of _LANCZOS_TOL.  lam is the Rayleigh quotient
-    of the returned vector x, an upper bound of the discrete minimum even
-    where a solve is inexact.  One more solve measures the residual
+    Runs on the grid's own solve of A from grid.start with _NCV Lanczos
+    vectors, to a relative Ritz residual of _LANCZOS_TOL.  lam is the
+    Rayleigh quotient of the returned vector x, an upper bound of the
+    discrete minimum.  One more solve measures the residual
     r = Ax - lam Mx in the A^-1 norm, which gives the relative
     Krylov-Weinstein bound residual_bound = |r|_{A^-1} / |x|_A: some
     eigenvalue of the pencil lies in [lam/(1 + eta), lam/(1 - eta)]
-    (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11).  The bound is
-    only as exact as grid.solve, which is exact up to rounding on 1-D
-    pencils and lattices (a sparse LU) and an ill-conditioned capacitance
-    solve on polygons that do not fill their bounding box; on the L-shape
-    at n = 256 that solve, not Lanczos, sets the bound near 1.5e-5 and
-    holds lam to about 4e-8 relative (see _LANCZOS_TOL).  iterations
-    counts every solve, this one included: 82 on that L-shape.
-    Deterministic for a fixed grid and BLAS thread count, so validate's
-    documents are byte-stable for a fixed count; perfbench and the pinned
-    tests use one thread.  The count moves lam's printed digits, not only
-    residual_bound's: on that L-shape lam is 0.2605081358355 with one
-    OpenBLAS thread and 0.2605081371801 with two (eta 1.504e-5, 1.649e-5).
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11).  grid.solve is
+    exact up to rounding on every grid, so Lanczos alone sets the bound:
+    4.3e-7 on the n = 256 L-shape.  iterations counts every solve, this
+    one included: 26 on that L-shape.  On a polygon with a patch the
+    pencil is block diagonal, so lam is a mean of the two parts' quotients
+    weighted by x's mass in each, and grid.part(x) names the part that
+    holds x.  Deterministic for a fixed grid and BLAS thread count, so
+    validate's documents are byte-stable for a fixed count; perfbench and
+    the pinned tests use one thread.  The count moves residual_bound's
+    printed digits and lam's last bits: on that L-shape eta is
+    4.3200132738e-07 with one OpenBLAS thread and 4.32001326998e-07 with
+    two, and on Ebg(1.5pi, 1.5pi) at n = 128 lam is 0.3488369293412507 and
+    0.3488369293412509.
     """
     a, m = grid.matrix, grid.mass
     solves = 0
@@ -1239,7 +1125,7 @@ def estimate_constant(grid: GridProblem, return_vector: bool = False):
     op = spla.LinearOperator(a.shape, matvec=inverse, dtype=float)
     try:
         _, vectors = spla.eigsh(
-            a, k=1, M=m, sigma=0.0, OPinv=op, v0=grid.start, ncv=grid.ncv, tol=_LANCZOS_TOL
+            a, k=1, M=m, sigma=0.0, OPinv=op, v0=grid.start, ncv=_NCV, tol=_LANCZOS_TOL
         )
     except spla.ArpackNoConvergence as exc:
         raise NumericalError(f"shift-invert Lanczos did not converge: {exc}") from exc

@@ -1,14 +1,15 @@
 """Acceptance gate: one test per criterion, one printed PASS/FAIL line each.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines as they
-appear.  The grid-validation criterion runs the boundary-fitted grids of
+appear.  The grid-validation criterion runs the sector pencils of
 `hardyconst.rayleigh`: for the slit disk, the 1-D log-polar pencil of the
-infinite sector of opening 2pi; for the L-shape and the strip, Cartesian
-grids graded toward the horizontal edges, the strip's solved as a 1-D
-pencil too.  Their estimates are Rayleigh-Ritz upper estimates that
-approach the constants algebraically in n, which a uniform lattice
-(converging like 1/log^2(1/h)) cannot; see the README section on the
-validator and tests/test_rayleigh.py for the machinery checks.
+infinite sector of opening 2pi; for the L-shape, the same pencil at its
+1.5pi corner, stacked after the polygon's lattice; for the strip, a
+Cartesian grid graded toward its bottom side, solved as a 1-D pencil too.
+The pencils' estimates are Rayleigh-Ritz upper estimates that approach
+the constants algebraically in n, which a uniform lattice (converging like
+1/log^2(1/h)) cannot; see the README section on the validator and
+tests/test_rayleigh.py for the machinery checks.
 """
 
 import math

@@ -577,6 +577,22 @@ def test_form_near_the_vertex_uses_g(kind, gamma):
     assert abs(vals[2] - vals[3]) < 1e-4  # a 0.2% step in theta; the stand-in jumped 0.03
 
 
+@pytest.mark.parametrize(
+    "kind, beta, gamma, message",
+    [
+        ("line_segment", 1.5 * PI, -0.6 * PI, f"gamma={-0.6 * PI} outside (-pi/2, pi] for the segment form"),
+        ("parabola", PI, 0.5 * PI, f"beta={PI} is not a reflex opening (> pi), which the parabola form needs"),
+        ("gamma3", PI, 0.6 * PI, f"beta={PI} is not a reflex opening (> pi), which the halfline form needs"),
+        ("gamma3", 1.2 * PI, 0.3 * PI, f"gamma={0.3 * PI} outside [pi/2, pi] for the halfline form"),
+    ],
+    ids=["segment-gamma", "parabola-beta", "halfline-beta", "halfline-gamma"],
+)
+def test_form_refuses_angles_outside_its_hypothesis(kind, beta, gamma, message):
+    # each form's own refusal, before any angle of the grid is read
+    with pytest.raises(ValueError, match=re.escape(message)):
+        boundary_form_samples(kind, beta, gamma, [0.1])
+
+
 def test_form_range_and_kind_errors():
     with pytest.raises(ValueError):
         boundary_form_samples("parabola", 1.8 * PI, 0.3 * PI, [0.4 * PI])

@@ -118,6 +118,20 @@ def test_sweep_count_must_be_an_integer(capsys):
     assert "sweep 'pi:2pi:3.5'" in err and "integer >= 2" in err
 
 
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        ("pi:2pi", "sweep 'pi:2pi' must look like start:stop:count"),
+        ("pi:2pi:3:4", "sweep 'pi:2pi:3:4' must look like start:stop:count"),
+        ("2pi:pi:5", "sweep '2pi:pi:5' needs an increasing range and count >= 2"),
+        ("pi:2pi:1", "sweep 'pi:2pi:1' needs an increasing range and count >= 2"),
+    ],
+)
+def test_malformed_sweep_is_bad_input(capsys, sweep, message):
+    assert run(["cbeta", "--sweep", sweep]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_count_is_bounded(capsys):
     assert run(["cbeta", "--sweep", "1.6pi:2pi:100001"]) == 2
     assert run(["gamma-star", "--sweep", "1.6pi:2pi:1000000000000"]) == 2
@@ -305,30 +319,34 @@ def test_validate_strip_like_polygon(tmp_path):
     assert 0.0 <= doc["estimate"]["residual_bound"] < 1e-3
 
 
-@pytest.mark.parametrize("x_notch, kind", [(0.5, "graded"), (0.437, "lattice")])
+@pytest.mark.parametrize("x_notch, kind", [(0.5, "lattice"), (0.437, "lattice")])
 def test_validate_names_its_grid(tmp_path, capsys, x_notch, kind):
-    # an L-shape is graded; a notch at x = 0.437 fits no uniform x spacing
-    # of n/2..n elements, so it falls back to the lattice
+    # every polygon takes the lattice, wherever its vertices sit, and the
+    # sector pencil of its reflex corner, which holds lambda
     vertices = [[0, 0], [1, 0], [1, 0.5], [x_notch, 0.5], [x_notch, 1], [0, 1]]
     f = tmp_path / "dom.json"
     f.write_text(json.dumps({"type": "polygon", "vertices": vertices}))
     out = tmp_path / "est.json"
     assert run(["validate", str(f), "--n", "48", "-o", str(out)]) == 0
-    assert json.loads(out.read_text())["grid"] == kind
-    assert f"{kind} grid" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["grid"] == kind
+    assert doc["patch"] == {"vertex": [x_notch, 0.5], "beta": 1.5} and doc["attained_by"] == "patch"
+    printed = capsys.readouterr().out
+    assert f"{kind} grid and a 1.5pi sector patch at ({x_notch}, 0.5), lambda on the patch" in printed
 
 
 def test_validate_reports_dropped_unknowns(tmp_path, capsys):
     # the dumbbell's corridor is narrower than h at n = 64: the lattice
     # keeps the left box and drops the right one, which ties with it.  The
-    # count is printed; the byte-stable document does not carry it
+    # count is printed, after the 1,674 lattice unknowns and the 63 of the
+    # widest corner's pencil; the byte-stable document does not carry it
     vertices = [[0, 0], [0.45, 0], [0.45, 0.498], [0.55, 0.499], [0.55, 0], [1, 0], [1, 1],
                 [0.55, 1], [0.55, 0.503], [0.45, 0.502], [0.45, 1], [0, 1]]
     f = tmp_path / "dom.json"
     f.write_text(json.dumps({"type": "polygon", "vertices": vertices}))
     out = tmp_path / "est.json"
     assert run(["validate", str(f), "--n", "64", "-o", str(out)]) == 0
-    assert "1674 nodes, 1674 dropped)" in capsys.readouterr().out
+    assert "1737 nodes, 1674 dropped)" in capsys.readouterr().out
     assert "dropped" not in out.read_text()
     f.write_text(json.dumps({"type": "sector", "beta": 2.0}))
     assert run(["validate", str(f), "--n", "64"]) == 0
@@ -339,7 +357,7 @@ def test_validate_refuses_an_estimate_below_ancona(tmp_path, capsys, monkeypatch
     # every validate domain is simply connected, so its constant is at least
     # Ancona's 1/16: a grid estimate below it is a numerical failure
     low = rayleigh.RayleighEstimate(lam=0.05, residual_bound=1e-9, iterations=20, h=0.01)
-    monkeypatch.setattr(rayleigh, "estimate_constant", lambda grid: low)
+    monkeypatch.setattr(rayleigh, "estimate_constant", lambda grid, return_vector: (low, None))
     f = tmp_path / "dom.json"
     f.write_text(json.dumps({"type": "sector", "beta": 2.0}))
     out = tmp_path / "est.json"
@@ -365,7 +383,7 @@ def test_validate_closes_the_links_across_a_notch_one_ulp_wide(tmp_path):
     assert doc["grid"] == "lattice" and doc["estimate"]["lambda"] > 0.25
     grid = rayleigh.build_grid(OneReflexPolygon(vertices), 40)
     number = np.full(grid.mask.shape, -1)
-    number[grid.mask] = np.arange(grid.interior_count)
+    number[grid.mask] = np.arange(np.count_nonzero(grid.mask))
     beside = grid.ys > 0.5
     left, right = number[12, beside], number[13, beside]
     both = (left >= 0) & (right >= 0)
@@ -594,32 +612,57 @@ def test_validate_lattice_lambda_is_pinned(tmp_path, doc, estimate):
         (
             [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
             129,
-            {"h": 1.40380751468e-07, "iterations": 50, "lambda": 0.28021714442,
-             "residual_bound": 3.61268867315e-07},
+            {"h": 0.0078125, "iterations": 26, "lambda": 0.25717139858,
+             "residual_bound": 3.41225367922e-08},
         ),
         (
             [[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [0, 2]],
             129,
-            {"h": 2.80761502935e-07, "iterations": 50, "lambda": 0.278609949925,
-             "residual_bound": 2.65690090149e-07},
+            {"h": 0.0234375, "iterations": 26, "lambda": 0.25717139858,
+             "residual_bound": 1.28425461396e-07},
         ),
         (
             [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
             256,
-            {"h": 1.37556632751e-13, "iterations": 82, "lambda": 0.260508135835,
-             "residual_bound": 1.50448040735e-05},
+            {"h": 0.00392156862745, "iterations": 26, "lambda": 0.254640564856,
+             "residual_bound": 4.3200132738e-07},
         ),
     ],
     ids=["L-shape", "3x2-with-2x1-notch", "L-shape-n256"],
 )
-def test_validate_graded_lambda_is_pinned(tmp_path, vertices, n, estimate):
-    # polygons on the graded grid with its capacitance correction, the
-    # L-shape also at validate-lattice's n = 256: a faster build of the grid
-    # or its solver must write the same estimate block, solve count and
-    # residual bound included
+def test_validate_polygon_lambda_is_pinned(tmp_path, vertices, n, estimate):
+    # polygons on the lattice with their reflex corner's sector pencil
+    # stacked after it, the L-shape also at validate-lattice's n = 256: a
+    # faster build of either part or of their solve must write the same
+    # estimate block, solve count and residual bound included.  Both
+    # notches are 1.5pi corners, so both read the pencil's lambda
     got = validate_in_child(tmp_path, {"type": "polygon", "vertices": vertices}, n)
-    assert got["grid"] == "graded"
+    assert got["grid"] == "lattice" and got["attained_by"] == "patch"
+    assert got["patch"]["beta"] == 1.5
     assert got["estimate"] == estimate
+
+
+def test_validate_reads_the_same_wherever_the_lshape_sits(tmp_path):
+    # the L-shape at n = 256 shifted by amounts exact in binary and rotated
+    # about the origin: its 1.5pi corner's pencil holds lambda, whose 12
+    # digits do not move.  The graded grid this replaced read 0.276940 at
+    # the 1e6 shift, and the lattice alone 0.33 to 0.43 rotated
+    base = np.array([[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]], dtype=float)
+    moved = [base] + [base + shift for shift in (1.0, 10.0, 1e3, 1e6)]
+    for angle in (1e-12, 0.1, 0.3, 0.25 * PI):
+        c, s = math.cos(angle), math.sin(angle)
+        moved.append(base @ np.array([[c, s], [-s, c]]))
+    argvs = []
+    for k, vertices in enumerate(moved):
+        f = tmp_path / f"dom{k}.json"
+        f.write_text(json.dumps({"type": "polygon", "vertices": vertices.tolist()}))
+        argvs.append(["validate", str(f), "--n", "256", "-o", str(tmp_path / f"est{k}.json")])
+    run_in_child(argvs)
+    docs = [json.loads((tmp_path / f"est{k}.json").read_text()) for k in range(len(moved))]
+    lams = [doc["estimate"]["lambda"] for doc in docs]
+    assert 0.23 <= lams[0] <= 0.27
+    assert lams == [lams[0]] * len(moved), lams
+    assert all(doc["patch"]["beta"] == 1.5 and doc["attained_by"] == "patch" for doc in docs)
 
 
 def validate_in_child(tmp_path, doc, n):
@@ -630,24 +673,31 @@ def validate_in_child(tmp_path, doc, n):
 
 
 def document_in_child(tmp_path, argv):
-    """The bytes of the document the command argv writes, run in a child with one BLAS thread.
-
-    The BLAS thread count moves lambda's printed digits, not only the
-    residual bound's (on the n = 256 L-shape lambda is 0.2605081358355 with
-    one OpenBLAS thread and 0.2605081371801 with two), so validate runs in
-    a child process with one BLAS thread.
-    """
+    """The bytes of the document the command argv writes, run in a child with one BLAS thread."""
     out = tmp_path / "out.json"
+    run_in_child([[*argv, "-o", str(out)]])
+    return out.read_bytes()
+
+
+def run_in_child(argvs):
+    """Run each command of argvs through main, in turn, in one child with one BLAS thread.
+
+    The BLAS thread count moves the printed residual bound (on the n = 256
+    L-shape 4.3200132738e-07 with one OpenBLAS thread, 4.32001326998e-07
+    with two) and the last bits of lambda, so validate runs in a child
+    process with one BLAS thread.
+    """
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = ("import json, sys; from hardyconst.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert main(argv) == 0, argv\n")
     child = subprocess.run(
-        [sys.executable, "-c", "import sys; from hardyconst.cli import main; sys.exit(main())",
-         *argv, "-o", str(out)],
+        [sys.executable, "-c", script, json.dumps(argvs)],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert child.returncode == 0, child.stderr
-    return out.read_bytes()
 
 
 LSHAPE_FILE = '{"type": "polygon", "vertices": [[0,0],[1,0],[1,0.5],[0.5,0.5],[0.5,1],[0,1]]}'

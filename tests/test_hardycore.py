@@ -88,6 +88,12 @@ def test_beta_for_constant_round_trip():
     assert beta_for_constant(0.25) == beta_critical()
 
 
+@pytest.mark.parametrize("c", [0.0, -0.1, 0.25 + 1e-12, math.nan])
+def test_beta_for_constant_refuses_a_constant_outside_its_range(c):
+    with pytest.raises(ValueError, match=re.escape(f"constant {c} outside (0, 1/4]")):
+        beta_for_constant(c)
+
+
 @given(st.floats(min_value=PI + 1e-6, max_value=2.0 * PI))
 def test_alpha_defining_relation(beta):
     sol = solve_c_beta(beta)
