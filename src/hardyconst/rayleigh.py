@@ -913,6 +913,22 @@ def _polygon_lattice(verts: np.ndarray, n: int) -> GridProblem:
     )
 
 
+def _block_diagonal(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """The block-diagonal CSR matrix of a and b, written straight from their arrays.
+
+    scipy's block_diag goes through COO copies, which left the n = 256
+    L-shape's validate peak 0.5 MB higher.
+    """
+    return sp.csr_matrix(
+        (
+            np.concatenate([a.data, b.data]),
+            np.concatenate([a.indices, b.indices + a.shape[1]]),
+            np.concatenate([a.indptr, b.indptr[1:] + a.nnz]),
+        ),
+        shape=(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]),
+    )
+
+
 def _polygon_grid(verts: np.ndarray, n: int) -> GridProblem:
     """A polygon's lattice, and the sector pencil of its widest corner when that is reflex.
 
@@ -930,8 +946,8 @@ def _polygon_grid(verts: np.ndarray, n: int) -> GridProblem:
     return replace(
         grid,
         dist=np.concatenate([grid.dist, patch.dist]),
-        matrix=sp.block_diag([grid.matrix, patch.matrix], format="csr"),
-        mass=sp.block_diag([grid.mass, patch.mass], format="csr"),
+        matrix=_block_diagonal(grid.matrix, patch.matrix),
+        mass=_block_diagonal(grid.mass, patch.mass),
         start=np.concatenate([grid.start, patch.start]),
         patch=Patch(vertex=(float(verts[k, 0]), float(verts[k, 1])), beta=beta, size=patch.interior_count),
     )
