@@ -34,6 +34,35 @@ def test_grid_refinement_study_prints_one_row_per_size():
     assert float(rows[1][6]) > 0.0  # observed order of convergence
 
 
+def test_bench_writes_one_pair_of_runs(tmp_path):
+    # both sides are this tree: one pair of one-second sweep-check runs at
+    # one seed, whose record sits under "seeds" as with any number of seeds
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--parent", str(ROOT),
+         "--workload", "sweep-check", "--pairs", "1", "--seconds", "1",
+         "--seed", "1", "--label", "test", "--out-dir", str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "BENCH_test.json").read_text())
+    assert doc["pairs"] == 1 and doc["seconds"] == 1.0 and doc["seeds"] == [1]
+    entry = doc["workloads"]["sweep-check"]
+    assert set(entry) == {"seeds"} and set(entry["seeds"]) == {"1"}
+    runs = entry["seeds"]["1"]["runs"]
+    assert [(r["pair"], r["side"]) for r in runs] == [(0, "parent"), (0, "change")]
+    for run in runs:
+        assert run["facts"]["workload"] == "sweep-check" and run["facts"]["seconds"] == 1.0
+        assert run["facts"]["seed"] == 1
+        assert run["result"]["correct"] and run["result"]["failed"] == 0
+    metrics = entry["seeds"]["1"]["metrics"]
+    assert set(metrics) == {"setup_s", "ok_share", "peak_rss_mb", "rows_per_s"}
+    for name, m in metrics.items():
+        (value,) = m["parent"]["values"]
+        assert m["parent"]["median"] == value
+        assert sum(m["wins"].values()) <= 1
+        assert f"sweep-check seed 1 {name}: " in proc.stdout
+
+
 def test_bench_keeps_each_seed_apart(tmp_path):
     # both sides are this tree: one pair of one-second sweep-check runs at
     # each of two seeds, each seed's record under "seeds", as with any
