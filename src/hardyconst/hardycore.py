@@ -208,9 +208,10 @@ def solve_c_beta(beta: float) -> HardySolution:
     Openings up to beta_cr return c = 1/4 exactly, the half-plane beta = pi
     included, so this needs no seam slack: both sides of beta_cr -
     SEAM_SLACK get the same answer.  Beyond beta_cr the equation is solved
-    for s = 2 alpha - 1 = sqrt(1 - 4c) in [0, 1) to full precision.  s grows linearly with beta - beta_cr, and c
-    = (1 - s^2)/4 only quadratically, so just above beta_cr a root in c
-    would round to 1/4 and lose alpha's digits.
+    for s = 2 alpha - 1 = sqrt(1 - 4c) in [0, 1) to full precision.  s
+    grows linearly with beta - beta_cr, and c = (1 - s^2)/4 only
+    quadratically, so just above beta_cr a root in c would round to 1/4
+    and lose alpha's digits.
     """
     beta = admit_opening(beta)
     if beta <= beta_critical():

@@ -3,8 +3,9 @@
 The estimate is the smallest eigenvalue of a pencil (A, M): A the
 Dirichlet energy and M the Hardy weight's mass over the unknowns of a
 grid, found by shift-invert Lanczos (scipy's eigsh) with a sparse LU of
-A, so every solve is exact up to rounding.  Two kinds of grid provide the
-pencil, and a polygon stacks one of each.
+A, so every solve is exact up to rounding.  Every grid the package builds
+is solved by that one LU (_factor).  Two kinds of grid provide the pencil,
+and a polygon stacks one of each.
 
 Sector pencils, for sectors and the strip proxy.  Conforming bilinear (Q1)
 elements on a tensor grid with one uniform and one geometrically graded
@@ -18,9 +19,8 @@ discrete minimum is an upper estimate of the constant.  The weight
 depends on the graded axis alone (the infinite sector's r^2/d^2 on the
 angle, the strip's on y), so the lowest sine mode of the uniform axis
 separates exactly, and the grid is that mode's 1-D pencil along the
-graded axis.  The 2-D tensor grid itself, solved by a sine transform along
-the uniform axis and one tridiagonal system per mode, stays as the
-pencils' reference in the tests.
+graded axis.  The package builds only that pencil; the 2-D tensor grid
+whose lowest mode it is lives in the tests, as the pencils' reference.
 
 Minimizing sequences of Hardy quotients spread over exponentially many
 length scales, and the excess of a grid's minimum is set by how many
@@ -38,7 +38,7 @@ two rays from the origin.  The walls give the nodal distance dist, a
 polygon's inside test reads them as its edges, and every link is decided
 by one exact rule: its first crossing with a wall, found for the links of
 all four directions in one call.  Each link is decided open or closed
-once, at its lower end, and written by the Q1 grids' symmetric stencil
+once, at its lower end, and written by the lattice's symmetric stencil
 writer.  The LU is SuperLU's, with minimum degree ordering on A^T + A,
 whose pattern is symmetric.  The lattice's mesh width is uniform, so it
 resolves only about log10(n) decades and converges like 1/log^2(1/h); on
@@ -65,10 +65,8 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg.lapack as lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.fft import dst
 from scipy.sparse.csgraph import connected_components
 
 from .certify import Dbeta, DomainSpec, Ebg, OneReflexPolygon, Sector, SectorCapConvex
@@ -124,7 +122,7 @@ class GridProblem:
     """Assembled discrete Hardy quotient on a grid of nodes.
 
     kind names the discretization: "log-polar" (sector pencil), "graded"
-    (Cartesian tensor grid with a graded y axis, or the strip's pencil) or
+    (the strip's pencil, its y axis graded) or
     "lattice" (uniform square lattice).  xs and ys are the node positions
     along the two grid axes, boundary nodes included: x and y, or t = log r
     and the angle.  On a 2-D grid mask marks the unknowns on the xs-by-ys
@@ -136,7 +134,8 @@ class GridProblem:
     problems; at r = 1 on a sector).  matrix is the Dirichlet energy and
     mass the weighted mass over the unknowns, so the estimate is the
     smallest eigenvalue of the pencil (matrix, mass); solve(rhs) applies the
-    inverse of matrix and start is the eigen-solve's start vector.  h is
+    inverse of matrix by its one sparse LU, whatever the grid, and start is
+    the eigen-solve's start vector.  h is
     the smallest mesh width in the domain's own length units (at r = 1 on a
     sector).  radius is the truncation radius of a two-halfline domain,
     None otherwise.  dropped counts the unknowns a lattice left out because
@@ -582,7 +581,7 @@ def _factored(grid: GridProblem) -> GridProblem:
 
 
 # ---------------------------------------------------------------------------
-# Boundary-fitted tensor grids.
+# Sector and strip pencils, and the lattice's stencil writer.
 
 def _gauss(points: int):
     """Gauss-Legendre nodes and weights on [0, 1]."""
@@ -590,10 +589,8 @@ def _gauss(points: int):
     return 0.5 * (nodes + 1.0), 0.5 * weights
 
 
-# Gauss points per element: few along the uniform axis, more along the
-# graded one, whose elements span a factor of up to a few in the distance
-# to the boundary.
-_GAUSS_UNIFORM = 3
+# Gauss points per element of a pencil's mass along its graded axis, whose
+# elements span a factor of up to a few in the distance to the boundary.
 _GAUSS_GRADED = 6
 
 # Elements per decade resolved: a graded half of e elements reaches
@@ -623,18 +620,14 @@ def _graded_offsets(length: float, scale: float, elements: int) -> np.ndarray:
     return length * 10.0 ** (-decades * (elements - k) / (elements - 1))
 
 
-def _graded_axis(lines: np.ndarray, elements: int) -> np.ndarray:
-    """Nodes through the sorted lines, graded geometrically toward each one.
+def _graded_axis(length: float, elements: int) -> np.ndarray:
+    """Nodes from 0 to length, graded geometrically toward both ends.
 
-    Every gap between neighbouring lines is split at its midpoint into two
-    mirror-image halves of `elements` elements each, each graded toward its
-    own line.
+    The axis is split at its midpoint into two mirror-image halves of
+    `elements` elements each, each graded toward its own end.
     """
-    nodes = [lines[:1]]
-    for a, b in zip(lines[:-1], lines[1:]):
-        offsets = _graded_offsets(0.5 * (b - a), max(abs(a), abs(b)), elements)
-        nodes += [a + offsets, (b - offsets)[-2::-1], [b]]
-    return np.concatenate(nodes)
+    offsets = _graded_offsets(0.5 * length, length, elements)
+    return np.concatenate([[0.0], offsets, (length - offsets)[-2::-1], [length]])
 
 
 def _q1_line(spacing: np.ndarray):
@@ -696,145 +689,6 @@ def _stencil_csr(bands: dict, keep: np.ndarray) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(count, count))
 
 
-def _mass_bands(xs: np.ndarray, ys: np.ndarray, weight: Callable, elem_in: np.ndarray) -> dict:
-    """Forward bands of the consistent Q1 mass against weight(u, v).
-
-    Integrates by a tensor Gauss rule per element.  One quadrature point at
-    a time, the weighted element measure is added into the node bands with
-    the products of the four bilinear shape functions there.  The measure
-    goes into one buffer, zero on the elements outside the domain, which
-    contribute nothing, and each band's terms are summed into two work
-    arrays in the order of the written sum, so the work memory stays three
-    arrays of one value per element or node, allocated once.
-    """
-    hx = xs[1] - xs[0]
-    dy = np.diff(ys)
-    shape = (len(xs) - 2, len(ys) - 2)
-    bands = {offset: np.zeros(shape) for offset in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))}
-    w = np.zeros(elem_in.shape)  # weighted element measure; outside the domain it stays 0
-    acc, term = np.empty(shape), np.empty(shape)
-    # node (i, j) is corner 0 of element (i, j), 1 of (i-1, j), 2 of (i, j-1)
-    # and 3 of (i-1, j-1)
-    e00, e10, e01, e11 = w[1:, 1:], w[:-1, 1:], w[1:, :-1], w[:-1, :-1]
-    for xi, wx in zip(*_gauss(_GAUSS_UNIFORM)):
-        u = (xs[:-1] + xi * hx)[:, None]
-        for eta, wy in zip(*_gauss(_GAUSS_GRADED)):
-            v = (ys[:-1] + eta * dy)[None, :]
-            np.multiply(weight(u, v), wx * wy * hx * dy, out=w, where=elem_in)
-            # shape functions of the element corners (0,0), (1,0), (0,1), (1,1)
-            f0, f1, f2, f3 = (1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta
-            for offset, terms in (
-                ((0, 0), ((f0 * f0, e00), (f1 * f1, e10), (f2 * f2, e01), (f3 * f3, e11))),
-                ((0, 1), ((f0 * f2, e00), (f1 * f3, e10))),
-                ((1, -1), ((f2 * f1, e01),)),
-                ((1, 0), ((f0 * f1, e00), (f2 * f3, e01))),
-                ((1, 1), ((f0 * f3, e00),)),
-            ):
-                (c, e), *rest = terms
-                np.multiply(c, e, out=acc)
-                for c, e in rest:  # left to right, as the sum reads
-                    np.multiply(c, e, out=term)
-                    acc += term
-                bands[offset] += acc
-    return bands
-
-
-class _TensorSolver:
-    """Exact solver for the Q1 energy on the box of all interior nodes of a
-    tensor grid with a uniform first axis.
-
-    The energy is Kx (x) My + Mx (x) Ky.  The orthonormal DST-I
-    diagonalizes the uniform axis's Kx and Mx at once, which leaves one SPD
-    tridiagonal system per sine mode along the graded axis.  The systems
-    are stacked into one tridiagonal matrix, uncoupled between modes, and
-    factored once by LAPACK (pttrf).
-    """
-
-    def __init__(self, hx: float, line_y, shape: tuple):
-        p, q = shape
-        ky_d, ky_o, my_d, my_o = line_y
-        c = np.cos(PI * np.arange(1, p + 1) / (p + 1))
-        stiff, mass = 2.0 * (1.0 - c) / hx, hx * (2.0 + c) / 3.0
-        diag = np.outer(stiff, my_d) + np.outer(mass, ky_d)
-        off = np.zeros((p, q))  # the last column separates consecutive modes
-        off[:, :-1] = np.outer(stiff, my_o) + np.outer(mass, ky_o)
-        self.diag, self.off, info = lapack.dpttrf(diag.ravel(), off.ravel()[:-1])
-        if info != 0:
-            raise NumericalError(f"tridiagonal factorization failed (info={info})")
-        self.shape = (p, q)
-        self.work = np.empty((p * q, 1))  # each solve's box vector, in and out of mode space
-
-    def _dst(self, v: np.ndarray) -> np.ndarray:
-        """Sine transform along the uniform axis of the P*Q values v, into v's storage."""
-        p, q = self.shape
-        return dst(v.reshape(p, q), type=1, axis=0, norm="ortho", overwrite_x=True).reshape(p * q, 1)
-
-    def __call__(self, rhs: np.ndarray) -> np.ndarray:
-        # every step works in the solver's one buffer; only a copy of the result leaves it
-        b = self.work
-        b[:, 0] = rhs
-        z, info = lapack.dpttrs(self.diag, self.off, self._dst(b), overwrite_b=True)
-        if info != 0:
-            raise NumericalError(f"tridiagonal solve failed (info={info})")
-        return self._dst(z)[:, 0].copy()
-
-
-def _tensor_grid(xs: np.ndarray, ys: np.ndarray, weight: Callable, dist: Callable) -> GridProblem:
-    """Q1 pencil on all of the Cartesian tensor grid xs by ys (xs uniform).
-
-    weight(x, y) is the Hardy weight and dist(x, y) the distance to the
-    boundary, both elementwise: they are called with a column of x against
-    a row of y.  Every interior node is an unknown.  The 1-D pencils are
-    the lowest sine mode of such a grid, and the tests compare them with it.
-    """
-    shape = (len(xs) - 2, len(ys) - 2)
-    keep = np.ones(shape, dtype=bool)
-    _check_resolution(keep.size)
-    hx = xs[1] - xs[0]
-    dy = np.diff(ys)
-    line_y = _q1_line(dy)
-    elem_in = np.ones((len(xs) - 1, len(ys) - 1), dtype=bool)
-    mass = _stencil_csr(_mass_bands(xs, ys, weight, elem_in), keep)
-    ky_d, ky_o, my_d, my_o = line_y
-    ky_o, my_o = np.append(ky_o, 0.0), np.append(my_o, 0.0)  # past the last node: unused
-
-    def band(kx, mx, my, ky):
-        return np.broadcast_to(kx * my + mx * ky, shape)
-
-    stiff_0, stiff_1 = 2.0 / hx, -1.0 / hx
-    mass_0, mass_1 = 2.0 * hx / 3.0, hx / 6.0
-    matrix = _stencil_csr(
-        {
-            (0, 0): band(stiff_0, mass_0, my_d, ky_d),
-            (0, 1): band(stiff_0, mass_0, my_o, ky_o),
-            # row j couples to j - 1 here: the link below, shifted up one
-            (1, -1): band(stiff_1, mass_1, np.roll(my_o, 1), np.roll(ky_o, 1)),
-            (1, 0): band(stiff_1, mass_1, my_d, ky_d),
-            (1, 1): band(stiff_1, mass_1, my_o, ky_o),
-        },
-        keep,
-    )
-    mask = np.zeros((len(xs), len(ys)), dtype=bool)
-    mask[1:-1, 1:-1] = True
-    xb, yb = xs[1:-1, None], ys[None, 1:-1]
-    mode = np.sin(PI * (xb - xs[0]) / (xs[-1] - xs[0]))
-    return GridProblem(
-        xs=xs,
-        ys=ys,
-        kind="graded",
-        h=min(hx, float(dy.min())),
-        mask=mask,
-        dist=np.broadcast_to(dist(xb, yb), shape).ravel(),
-        matrix=matrix,
-        mass=mass,
-        solve=_TensorSolver(hx, line_y, shape),
-        # the distance profile (weight^-1/2) times the lowest sine mode of
-        # the uniform axis, so the many near-degenerate modes along that
-        # axis (wiggles where they cost little) start out nearly absent
-        start=(weight(xb, yb) ** -0.5 * mode).ravel(),
-    )
-
-
 def _pencil(xs: np.ndarray, ys: np.ndarray, dist: Callable, h: float, kind: str) -> GridProblem:
     """1-D pencil of the Q1 tensor grid xs by ys, whose weight dist(y)^-2 depends on y alone.
 
@@ -844,8 +698,9 @@ def _pencil(xs: np.ndarray, ys: np.ndarray, dist: Callable, h: float, kind: str)
     mu_k = 6(1 - cos(k pi/m)) / (hx^2 (2 + cos(k pi/m))), increasing in k.
     So the smallest eigenvalue of the 2-D pencil is that of the lowest
     mode's (Ky + mu_1 My, Wy) over the interior nodes of ys.  Wy is
-    integrated by the same Gauss rule as the 2-D mass (_mass_bands).  The
-    resolution check counts the unknowns of the 2-D grid.
+    integrated by a Gauss rule of _GAUSS_GRADED points per element.  The
+    resolution check counts the unknowns of the 2-D grid, which the tests
+    build and solve as the pencil's reference.
     """
     m = len(xs) - 1
     _check_resolution((m - 1) * (len(ys) - 2))
@@ -893,7 +748,7 @@ def _edge_distance(theta, beta: float):
 def _sector_pencil(beta: float, n: int) -> GridProblem:
     """The log-polar pencil of the infinite sector of admitted opening beta (see build_grid)."""
     ts = np.linspace(-n / _RADIAL_ELEMENTS_PER_DECADE * math.log(10.0), 0.0, n + 1)
-    thetas = _graded_axis(np.array([0.0, beta]), n // 2)
+    thetas = _graded_axis(beta, n // 2)
     # innermost ring at r = 1: radial step or smallest arc step
     h = math.exp(ts[0]) * min(math.expm1(ts[1] - ts[0]), float(np.diff(thetas).min()))
     return _pencil(ts, thetas, lambda theta: _edge_distance(theta, beta), h, "log-polar")

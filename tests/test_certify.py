@@ -277,6 +277,34 @@ def test_rigid_motion_and_scaling_invariance(dx, dy, rot, scale):
     assert rep.constant == 0.25
 
 
+@pytest.mark.parametrize("name", ["L-shape", "slit-like"])
+@given(
+    exponent=st.floats(min_value=-60.0, max_value=60.0),
+    rot=st.floats(min_value=0.0, max_value=2.0 * PI),
+    reflect=st.booleans(),
+    shift=st.tuples(st.floats(min_value=-1.0, max_value=1.0), st.floats(min_value=-1.0, max_value=1.0)),
+)
+def test_similarity_maps_keep_the_verdict(lshape_vertices, slitlike_vertices, name, exponent, rot, reflect, shift):
+    # scales 2^-60 to 2^60, any rotation, half of the maps reflected, and
+    # shifts up to min(1e6, 1e10 x the scale): the unmoved polygon's
+    # verdict, constant and failed condition, certified or not
+    base = {"L-shape": lshape_vertices, "slit-like": slitlike_vertices}[name]
+    scale = 2.0**exponent
+    reach = min(1e6, 1e10 * scale)
+    dx, dy = reach * shift[0], reach * shift[1]
+    cos_r, sin_r = math.cos(rot), math.sin(rot)
+    flip = -1.0 if reflect else 1.0
+    moved = [
+        (scale * (cos_r * x - sin_r * flip * y) + dx, scale * (sin_r * x + cos_r * flip * y) + dy)
+        for x, y in base
+    ]
+    unmoved = check_one_reflex_polygon(OneReflexPolygon(base))
+    rep = check_one_reflex_polygon(OneReflexPolygon(moved))
+    assert (rep.verdict, rep.constant, rep.failed_condition) == (
+        unmoved.verdict, unmoved.constant, unmoved.failed_condition
+    )
+
+
 @pytest.mark.parametrize("size, offset", [(1.0, 0.0), (1e-4, 1e6), (1e-6, 1e4)])
 def test_small_polygon_far_out_certifies_like_the_lshape(tmp_path, lshape_vertices, size, offset):
     # the L-shape rotated by 0.3 rad, small against its offset: a shoelace

@@ -702,6 +702,7 @@ def run_in_child(argvs):
 
 LSHAPE_FILE = '{"type": "polygon", "vertices": [[0,0],[1,0],[1,0.5],[0.5,0.5],[0.5,1],[0,1]]}'
 EBG_FILE = '{"type": "ebg", "beta": 1.5, "gamma": 1.5}'
+SECTOR_FILE = '{"type": "sector", "beta": 2}'
 # the slit disk of perfbench's validate-curved: r = 1 + 0.1 (theta - pi)^2 at 721 angles
 DBETA_FILE = json.dumps({"type": "dbeta", "beta": 2.0, "r_samples": [
     [t / PI, 1.0 + 0.1 * (t - PI) ** 2] for t in (2.0 * PI * k / 720 for k in range(721))]})
@@ -730,9 +731,16 @@ DBETA_FILE = json.dumps({"type": "dbeta", "beta": 2.0, "r_samples": [
         # stops per point
         (["validate", "--n", "128"], EBG_FILE, "document",
          "943f826abf3fc0d01750f731590324d1f129fbddf102ed37dbb73c4fa1ebadef"),
+        # perfbench validate-lattice's two operations: the 2pi sector's
+        # pencil, and the L-shape, whose lambda sits in its 1.5pi patch
+        (["validate", "--n", "256"], SECTOR_FILE, "document",
+         "00b5298e64dc56e2ea88b726ef879a89d2e8d137caef114a8472b0750c9c8c0d"),
+        (["validate", "--n", "256"], LSHAPE_FILE, "document",
+         "7b4f4d0bd7bc42ce0801d71a545b7411c05dfaddd814a5e88c8734c584d1206a"),
     ],
     ids=["cbeta-check-json", "cbeta-check-csv", "gamma-star-41", "certify-lshape", "validate-ebg-64",
-         "gamma-star-41-stdout", "cbeta-check-stdout", "validate-dbeta-721-64", "validate-ebg-128"],
+         "gamma-star-41-stdout", "cbeta-check-stdout", "validate-dbeta-721-64", "validate-ebg-128",
+         "validate-sector-2pi-256", "validate-lshape-256"],
 )
 def test_documents_are_byte_pinned(tmp_path, capsys, argv, domain, stream, digest):
     # the whole document, as json.dumps(indent=2, sort_keys=True) and the

@@ -14,19 +14,16 @@ from hardyconst.hardycore import potential_v, solve_c_beta
 from hardyconst import rayleigh
 from hardyconst.rayleigh import (
     _GAUSS_GRADED,
-    _GAUSS_UNIFORM,
     _PAIR_CHUNK,
+    GridProblem,
     NumericalError,
     _dbeta_functions,
     _ebg_polygon,
     _edge_distance,
     _edge_walls,
     _gauss,
-    _graded_axis,
-    _mass_bands,
     _points_in_polygon,
     _stencil_csr,
-    _tensor_grid,
     _tiles as tile_points,
     _wall_cut,
     _wall_distance,
@@ -172,29 +169,6 @@ def test_lshape_solve_count():
         assert grid.part(x) == "patch"
 
 
-def sector_tensor_grid(beta, n):
-    """The 2-D log-polar Q1 grid of a sector pencil, over all of its elements."""
-    pencil = build_grid(Sector(beta), n)
-    grid = full_tensor_grid(
-        pencil,
-        weight=lambda t, theta: _edge_distance(theta, beta) ** -2.0,
-        dist=lambda t, theta: np.exp(t) * _edge_distance(theta, beta),
-    )
-    return pencil, grid
-
-
-def test_tensor_solve_reuses_its_buffer_without_sharing_results():
-    # two consecutive solves by one solver equal two fresh solvers' bit for
-    # bit, and no result shares memory with another or with the work buffer
-    solve = sector_tensor_grid(1.5 * PI, 33)[1].solve
-    loads = np.random.default_rng(5).standard_normal((2, solve.work.shape[0]))
-    results = [solve(load) for load in loads]
-    for load, got in zip(loads, results):
-        assert np.array_equal(got, sector_tensor_grid(1.5 * PI, 33)[1].solve(load))
-    assert not np.shares_memory(*results)
-    assert not any(np.shares_memory(got, solve.work) for got in results)
-
-
 @pytest.mark.parametrize("failure", ["eigsh", "splu"])
 def test_solver_failure_raises_numerical_error(break_solver, failure):
     # a lattice and a sector pencil: splu factors their energy while the grid is built
@@ -204,9 +178,83 @@ def test_solver_failure_raises_numerical_error(break_solver, failure):
             estimate_constant(build_grid(domain, n, radius=radius))
 
 
+def q1_line_matrices(nodes):
+    """1-D linear-element stiffness and mass over the interior nodes, summed element by element."""
+    m = len(nodes) - 1
+    stiffness, mass = np.zeros((m + 1, m + 1)), np.zeros((m + 1, m + 1))
+    for e, h in enumerate(np.diff(nodes)):
+        stiffness[e : e + 2, e : e + 2] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h
+        mass[e : e + 2, e : e + 2] += np.array([[2.0, 1.0], [1.0, 2.0]]) * (h / 6.0)
+    return sp.csr_matrix(stiffness[1:-1, 1:-1]), sp.csr_matrix(mass[1:-1, 1:-1])
+
+
+def plain_mass_bands(xs, ys, weight):
+    """The forward bands of the Q1 mass against weight(x, y) on the tensor grid xs by ys (xs uniform).
+
+    A tensor Gauss rule per element, one point at a time, with full-size
+    temporaries: 3 points along xs, exact for the bilinear products where
+    the weight does not vary along xs (as in every pencil's grid), and the
+    pencils' rule along ys.
+    """
+    hx = xs[1] - xs[0]
+    dy = np.diff(ys)
+    shape = (len(xs) - 2, len(ys) - 2)
+    bands = {offset: np.zeros(shape) for offset in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))}
+    for xi, wx in zip(*_gauss(3)):
+        u = (xs[:-1] + xi * hx)[:, None]
+        for eta, wy in zip(*_gauss(_GAUSS_GRADED)):
+            v = (ys[:-1] + eta * dy)[None, :]
+            w = np.broadcast_to(weight(u, v) * (wx * wy * hx * dy), (len(xs) - 1, len(dy)))
+            f0, f1, f2, f3 = (1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta
+            e00, e10, e01, e11 = w[1:, 1:], w[:-1, 1:], w[1:, :-1], w[:-1, :-1]
+            bands[(0, 0)] += f0 * f0 * e00 + f1 * f1 * e10 + f2 * f2 * e01 + f3 * f3 * e11
+            bands[(0, 1)] += f0 * f2 * e00 + f1 * f3 * e10
+            bands[(1, -1)] += f2 * f1 * e01
+            bands[(1, 0)] += f0 * f1 * e00 + f2 * f3 * e01
+            bands[(1, 1)] += f0 * f3 * e00
+    return bands
+
+
 def full_tensor_grid(pencil, weight, dist):
-    """The 2-D Q1 grid whose lowest mode a pencil is, over all of its xs-by-ys elements."""
-    return _tensor_grid(pencil.xs, pencil.ys, weight, dist)
+    """The 2-D Q1 grid whose lowest mode a pencil is, over all of its xs-by-ys elements.
+
+    weight(x, y) is the Hardy weight and dist(x, y) the distance to the
+    boundary, both elementwise over a column of x against a row of y.
+    Every interior node is an unknown.  The energy is Kx (x) My + Mx (x) Ky,
+    the mass a 2-D Gauss sum, and the solve one sparse LU.  The start
+    vector is the weight^-1/2 profile times the lowest sine mode along xs,
+    so the many near-degenerate modes along that axis start out nearly
+    absent.
+    """
+    xs, ys = pencil.xs, pencil.ys
+    (kx, mx), (ky, my) = q1_line_matrices(xs), q1_line_matrices(ys)
+    matrix = (sp.kron(kx, my) + sp.kron(mx, ky)).tocsr()
+    keep = np.ones((len(xs) - 2, len(ys) - 2), dtype=bool)
+    xb, yb = xs[1:-1, None], ys[None, 1:-1]
+    mode = np.sin(PI * (xb - xs[0]) / (xs[-1] - xs[0]))
+    return GridProblem(
+        xs=xs,
+        ys=ys,
+        kind=pencil.kind,
+        h=min(xs[1] - xs[0], float(np.diff(ys).min())),
+        mask=np.pad(keep, 1),
+        dist=np.broadcast_to(dist(xb, yb), keep.shape).ravel(),
+        matrix=matrix,
+        mass=plain_stencil_csr(plain_mass_bands(xs, ys, weight), keep),
+        solve=rayleigh._factor(matrix),
+        start=(weight(xb, yb) ** -0.5 * mode).ravel(),
+    )
+
+
+def sector_tensor_grid(beta, n):
+    """The 2-D log-polar Q1 grid of a sector pencil, over all of its elements."""
+    pencil = build_grid(Sector(beta), n)
+    grid = full_tensor_grid(
+        pencil,
+        weight=lambda t, theta: _edge_distance(theta, beta) ** -2.0,
+        dist=lambda t, theta: np.exp(t) * _edge_distance(theta, beta),
+    )
+    return pencil, grid
 
 
 @pytest.mark.parametrize("beta", [1.2 * PI, 1.5 * PI, 2.0 * PI], ids=["1.2pi", "1.5pi", "2pi"])
@@ -891,66 +939,6 @@ def test_no_link_onto_the_slit_is_neumann(n):
     assert onto_slit["neumann"] == 0 and onto_slit["open"] == 0, onto_slit
     assert onto_slit["cut"] + onto_slit["at 1"] >= 2 * slit_nodes, onto_slit
     assert estimate_constant(grid).lam > solve_c_beta(2.0 * PI).c
-
-
-# ---------------------------------------------------------------------------
-# The Q1 mass of a tensor grid, graded toward a polygon's horizontal edge
-# lines, against a plain sum.
-
-BOX_POLYGONS = {
-    "L-shape": [(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)],
-    "3x2-with-2x1-notch": [(0, 0), (3, 0), (3, 1), (1, 1), (1, 2), (0, 2)],
-}
-
-
-def polygon_axes(verts, n):
-    """The uniform x nodes, graded y nodes and inside elements of a polygon's tensor grid (n elements along x)."""
-    walls = _edge_walls(verts)
-    xs = np.linspace(verts[:, 0].min(), verts[:, 0].max(), n + 1)
-    lines = np.unique(verts[:, 1])
-    ys = _graded_axis(lines, n // (2 * (len(lines) - 1)))
-    cx = np.broadcast_to(0.5 * (xs[:-1] + xs[1:])[:, None], (n, len(ys) - 1))
-    cy = np.broadcast_to(0.5 * (ys[:-1] + ys[1:])[None, :], (n, len(ys) - 1))
-    return walls, xs, ys, _points_in_polygon(cx, cy, walls)
-
-
-def plain_mass_bands(xs, ys, weight, elem_in):
-    """The Q1 mass bands summed with full-size temporaries, one Gauss point at a time."""
-    hx = xs[1] - xs[0]
-    dy = np.diff(ys)
-    shape = (len(xs) - 2, len(ys) - 2)
-    bands = {offset: np.zeros(shape) for offset in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))}
-    for xi, wx in zip(*_gauss(_GAUSS_UNIFORM)):
-        u = (xs[:-1] + xi * hx)[:, None]
-        for eta, wy in zip(*_gauss(_GAUSS_GRADED)):
-            v = (ys[:-1] + eta * dy)[None, :]
-            w = np.where(elem_in, weight(u, v), 0.0) * (wx * wy * hx * dy)
-            f0, f1, f2, f3 = (1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta, xi * eta
-            e00, e10, e01, e11 = w[1:, 1:], w[:-1, 1:], w[1:, :-1], w[:-1, :-1]
-            bands[(0, 0)] += f0 * f0 * e00 + f1 * f1 * e10 + f2 * f2 * e01 + f3 * f3 * e11
-            bands[(0, 1)] += f0 * f2 * e00 + f1 * f3 * e10
-            bands[(1, -1)] += f2 * f1 * e01
-            bands[(1, 0)] += f0 * f1 * e00 + f2 * f3 * e01
-            bands[(1, 1)] += f0 * f3 * e00
-    return bands
-
-
-@pytest.mark.parametrize("name", ["L-shape", "3x2-with-2x1-notch"])
-def test_mass_bands_match_the_plain_sum_bit_for_bit(name):
-    # the bands are summed in two work arrays in the written order of the
-    # terms; every band must equal the plain sum's at n = 64
-    verts = np.array(BOX_POLYGONS[name], dtype=float)
-    walls, xs, ys, elem_in = polygon_axes(verts, 64)
-    assert not elem_in.all()
-
-    def weight(x, y):
-        return distance_by_segment(x, y, walls) ** -2.0
-
-    got = _mass_bands(xs, ys, weight, elem_in)
-    ref = plain_mass_bands(xs, ys, weight, elem_in)
-    assert got.keys() == ref.keys()
-    for offset in ref:
-        assert got[offset].tobytes() == ref[offset].tobytes(), offset
 
 
 def plain_stencil_csr(bands, keep):
