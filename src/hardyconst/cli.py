@@ -406,7 +406,7 @@ def _cmd_validate(args) -> int:
         raise ValueError(f"--n {args.n} outside [2, {_MAX_RESOLUTION}]")
     domain = parse_domain_file(args.file)
     grid = rayleigh.build_grid(domain, args.n, radius=args.radius)
-    est, vector = rayleigh.estimate_constant(grid, return_vector=True)
+    est = rayleigh.estimate_constant(grid)
     if est.lam < _ANCONA:
         raise rayleigh.NumericalError(
             f"lambda_min = {est.lam:.6g} at n={args.n} lies below Ancona's 1/16 for simply "
@@ -423,8 +423,8 @@ def _cmd_validate(args) -> int:
     patch = ""
     if isinstance(domain, OneReflexPolygon):
         # the sector patch at the widest reflex corner (null on a polygon
-        # without one), and the part whose vector gives lambda
-        doc["attained_by"] = grid.part(vector)
+        # without one), and the part whose pencil gives lambda
+        doc["attained_by"] = est.attained_by
         doc["patch"] = None
         if grid.patch is not None:
             doc["patch"] = {"vertex": list(grid.patch.vertex), "beta": grid.patch.beta / PI}

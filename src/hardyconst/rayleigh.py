@@ -5,7 +5,7 @@ Dirichlet energy and M the Hardy weight's mass over the unknowns of a
 grid, found by shift-invert Lanczos (scipy's eigsh) with a sparse LU of
 A, so every solve is exact up to rounding.  Every grid the package builds
 is solved by that one LU (_factor).  Two kinds of grid provide the pencil,
-and a polygon stacks one of each.
+and a polygon gets one of each, factored and solved apart.
 
 Sector pencils, for sectors and the strip proxy.  Conforming bilinear (Q1)
 elements on a tensor grid with one uniform and one geometrically graded
@@ -45,17 +45,16 @@ resolves only about log10(n) decades and converges like 1/log^2(1/h); on
 a few hundred nodes per side the estimate sits a few tenths above the
 constant.
 
-A polygon whose widest interior angle beta exceeds pi gets the sector
-pencil of opening beta stacked after its lattice: one block-diagonal
-pencil with one LU, whose smallest eigenvalue is the smaller of the two
-parts'.  That pencil bounds the polygon's constant from above (see
-build_grid) and resolves the corner's decades, which the lattice does
-not: on the n = 256 L-shape it reads 0.25464 where the lattice alone
-reads 0.33135, against the constant 1/4, in every position and
-orientation of the L-shape.  For two-halfline and mixed domains, and for
-polygons whose lattice attains the minimum, the validator is a
-consistency check (estimates stay above certified constants and shrink
-toward them), not a precision instrument.
+A polygon whose widest interior angle beta exceeds pi also gets the
+sector pencil of opening beta, its patch, with its own LU, and the
+estimate is the smaller of the two grids' eigenvalues.  That pencil bounds
+the polygon's constant from above (see build_grid) and resolves the
+corner's decades, which the lattice does not: on the n = 256 L-shape it
+reads 0.25464 where the lattice alone reads 0.33135, against the constant
+1/4, in every position and orientation of the L-shape.  For two-halfline
+and mixed domains, and for polygons whose lattice attains the minimum,
+the validator is a consistency check (estimates stay above certified
+constants and shrink toward them), not a precision instrument.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ _ARC_SAMPLES = 256
 _MAX_RADIUS = 1e150
 
 # Lanczos vectors of the eigen-solve, most of its added peak memory.
-# Lattices and 1-D pencils converge in 14-26 solves with 8, and 16 vectors
+# Lattices and 1-D pencils converge in 14-22 solves with 8, and 16 vectors
 # would force at least 18.
 _NCV = 8
 
@@ -105,16 +104,15 @@ class NumericalError(RuntimeError):
 
 @dataclass(frozen=True)
 class Patch:
-    """The sector pencil of a polygon's widest corner, stacked after its lattice.
+    """The sector pencil of a polygon's widest corner, beside its lattice.
 
-    vertex is that corner, in the polygon's own coordinates, and beta its
-    interior angle, the pencil's opening; the pencil's size unknowns are
-    the grid's last.
+    vertex is that corner, in the polygon's own coordinates, beta its
+    interior angle, and pencil the factored log-polar grid of opening beta.
     """
 
     vertex: tuple
     beta: float
-    size: int
+    pencil: GridProblem
 
 
 @dataclass
@@ -140,10 +138,8 @@ class GridProblem:
     sector).  radius is the truncation radius of a two-halfline domain,
     None otherwise.  dropped counts the unknowns a lattice left out because
     no open link joins them to its largest component (0 on other grids).
-    A polygon's patch, when it has one, is a sector pencil stacked after
-    the lattice: its unknowns follow the lattice's in dist, matrix, mass
-    and start, while xs, ys, mask, h and dropped describe the lattice
-    alone.
+    patch is a polygon's reflex-corner pencil, a grid of its own that every
+    other field leaves out; None on every other grid.
     """
 
     xs: np.ndarray
@@ -164,30 +160,25 @@ class GridProblem:
     def interior_count(self) -> int:
         return len(self.dist)
 
-    def part(self, x: np.ndarray) -> str:
-        """The part that holds most of the vector x in the mass norm: "patch", or the grid's kind."""
-        if self.patch is None:
-            return self.kind
-        share = x * (self.mass @ x)  # the parts' blocks do not couple
-        k = len(x) - self.patch.size
-        return "patch" if share[k:].sum() > share[:k].sum() else self.kind
-
 
 @dataclass(frozen=True)
 class RayleighEstimate:
     """Smallest generalized eigenvalue of (A, M), how well it is known and the work it took.
 
-    lam is the Rayleigh quotient of the returned vector.  residual_bound is
-    the relative Krylov-Weinstein bound eta: some eigenvalue of the pencil
-    lies in [lam/(1 + eta), lam/(1 - eta)].  iterations counts the linear
-    solves, the one that measures eta included; h is the grid's smallest
-    mesh width.
+    lam is the Rayleigh quotient of the Lanczos vector of the part that
+    attained it: attained_by, "patch" or the grid's kind.  residual_bound is
+    that part's relative Krylov-Weinstein bound eta: some eigenvalue of its
+    pencil lies in [lam/(1 + eta), lam/(1 - eta)].  iterations counts the
+    linear solves of every part, the ones that measure eta included; h is
+    the grid's smallest mesh width.  The document leaves attained_by out;
+    validate names it for polygons alone.
     """
 
     lam: float
     residual_bound: float
     iterations: int
     h: float
+    attained_by: str
 
     def to_dict(self) -> dict:
         return {
@@ -768,44 +759,19 @@ def _polygon_lattice(verts: np.ndarray, n: int) -> GridProblem:
     )
 
 
-def _block_diagonal(a: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
-    """The block-diagonal CSR matrix of a and b, written straight from their arrays.
-
-    scipy's block_diag goes through COO copies, which left the n = 256
-    L-shape's validate peak 0.5 MB higher.
-    """
-    return sp.csr_matrix(
-        (
-            np.concatenate([a.data, b.data]),
-            np.concatenate([a.indices, b.indices + a.shape[1]]),
-            np.concatenate([a.indptr, b.indptr[1:] + a.nnz]),
-        ),
-        shape=(a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]),
-    )
-
-
 def _polygon_grid(verts: np.ndarray, n: int) -> GridProblem:
-    """A polygon's lattice, and the sector pencil of its widest corner when that is reflex.
+    """A polygon's factored lattice, its patch the factored sector pencil of its widest corner.
 
-    The two are stacked as one block-diagonal pencil, the lattice's
-    unknowns first, so the pencil's smallest eigenvalue is the smaller of
-    the two parts' (see build_grid).
+    The patch is None when that corner is not reflex (see build_grid).
     """
-    grid = _polygon_lattice(verts, n)
+    grid = _factored(_polygon_lattice(verts, n))
     angles = interior_angles(verts)
     k = int(np.argmax(angles))
     beta = float(angles[k])
-    if not beta > PI:
-        return grid
-    patch = _sector_pencil(beta, n)
-    return replace(
-        grid,
-        dist=np.concatenate([grid.dist, patch.dist]),
-        matrix=_block_diagonal(grid.matrix, patch.matrix),
-        mass=_block_diagonal(grid.mass, patch.mass),
-        start=np.concatenate([grid.start, patch.start]),
-        patch=Patch(vertex=(float(verts[k, 0]), float(verts[k, 1])), beta=beta, size=patch.interior_count),
-    )
+    if beta > PI:
+        vertex = (float(verts[k, 0]), float(verts[k, 1]))
+        grid.patch = Patch(vertex=vertex, beta=beta, pencil=_factored(_sector_pencil(beta, n)))
+    return grid
 
 
 def _ebg_polygon(beta: float, gamma: float, radius: float) -> np.ndarray:
@@ -884,14 +850,15 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
     the Cartesian lattice with n nodes per side of the square bounding box.
 
     A polygon whose widest interior angle beta exceeds pi also gets the
-    sector pencil of opening beta, stacked after the lattice as one
-    block-diagonal pencil (grid.patch names its vertex and opening).  That
-    pencil bounds the polygon's constant from above at any scale: a simple
-    polygon agrees with the sector S of a vertex v's two edge rays on some
-    disc B(v, 2 rho), so on B(v, rho) its boundary distance is at most
-    S's, and S's quotient does not change when its test functions are
-    shrunk into B(v, rho) about v.  c(beta) falls as beta grows, so the
-    widest corner's pencil is the sharpest.
+    sector pencil of opening beta, a grid of its own that grid.patch holds
+    with its vertex and opening, and estimate_constant takes the smaller
+    of the two grids' eigenvalues.  That pencil bounds the polygon's
+    constant from above at any scale: a simple polygon agrees with the
+    sector S of a vertex v's two edge rays on some disc B(v, 2 rho), so on
+    B(v, rho) its boundary distance is at most S's, and S's quotient does
+    not change when its test functions are shrunk into B(v, rho) about v.
+    c(beta) falls as beta grows, so the widest corner's pencil is the
+    sharpest.
 
     Two-halfline domains are truncated at `radius` (default 8 segment
     lengths) with Dirichlet conditions on the truncation arc, and the grid
@@ -909,7 +876,7 @@ def build_grid(domain: DomainSpec, n: int, radius: Optional[float] = None) -> Gr
     if isinstance(domain, Sector):
         return _factored(_sector_pencil(admit_opening(domain.beta, "(pi"), n))
     if isinstance(domain, OneReflexPolygon):
-        return _factored(_polygon_grid(polygon_vertices(domain), n))
+        return _polygon_grid(polygon_vertices(domain), n)
     if isinstance(domain, Ebg):
         ebg_angles(domain)
         r = 8.0 if radius is None else float(radius)
@@ -955,36 +922,14 @@ def strip_proxy(n: int) -> GridProblem:
 # Ritz residual tolerance of the Lanczos solve.  The grid's discretization
 # excess over the constant is at least 1e-3, and the Rayleigh quotient's
 # error is about the square of the vector's; every solve is exact, so 1e-6
-# leaves lam good to about 1e-12.  On the n = 256 L-shape lam reads
-# 0.2546405648559 in 26 solves, and 0.2546405648557 at 1e-10 (38 solves)
-# or with 40 Lanczos vectors (42).
+# leaves lam good to about 1e-12.  On the n = 256 L-shape's patch lam reads
+# 0.2546405648557 in 22 solves, as it does at 1e-10 (30 solves) and with
+# 40 Lanczos vectors (42).
 _LANCZOS_TOL = 1e-6
 
 
-def estimate_constant(grid: GridProblem, return_vector: bool = False):
-    """Smallest eigenvalue of the pencil (A, M) by shift-invert Lanczos (eigsh at shift 0).
-
-    Runs on the grid's own solve of A from grid.start with _NCV Lanczos
-    vectors, to a relative Ritz residual of _LANCZOS_TOL.  lam is the
-    Rayleigh quotient of the returned vector x, an upper bound of the
-    discrete minimum.  One more solve measures the residual
-    r = Ax - lam Mx in the A^-1 norm, which gives the relative
-    Krylov-Weinstein bound residual_bound = |r|_{A^-1} / |x|_A: some
-    eigenvalue of the pencil lies in [lam/(1 + eta), lam/(1 - eta)]
-    (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11).  grid.solve is
-    exact up to rounding on every grid, so Lanczos alone sets the bound:
-    4.3e-7 on the n = 256 L-shape.  iterations counts every solve, this
-    one included: 26 on that L-shape.  On a polygon with a patch the
-    pencil is block diagonal, so lam is a mean of the two parts' quotients
-    weighted by x's mass in each, and grid.part(x) names the part that
-    holds x.  Deterministic for a fixed grid and BLAS thread count, so
-    validate's documents are byte-stable for a fixed count; perfbench and
-    the pinned tests use one thread.  The count moves residual_bound's
-    printed digits and lam's last bits: on that L-shape eta is
-    4.3200132738e-07 with one OpenBLAS thread and 4.32001326998e-07 with
-    two, and on Ebg(1.5pi, 1.5pi) at n = 128 lam is 0.3488369293412507 and
-    0.3488369293412509.
-    """
+def _lanczos(grid: GridProblem):
+    """One grid's smallest eigenvalue, as (RayleighEstimate, its vector x); see estimate_constant."""
     a, m = grid.matrix, grid.mass
     solves = 0
 
@@ -1006,5 +951,37 @@ def estimate_constant(grid: GridProblem, return_vector: bool = False):
     lam = energy / float(x @ mx)
     r = ax - lam * mx
     eta = math.sqrt(abs(float(r @ inverse(r))) / energy)
-    est = RayleighEstimate(lam=lam, residual_bound=eta, iterations=solves, h=grid.h)
-    return (est, x) if return_vector else est
+    return RayleighEstimate(lam, eta, solves, grid.h, attained_by=grid.kind), x
+
+
+def estimate_constant(grid: GridProblem) -> RayleighEstimate:
+    """Smallest eigenvalue of the pencil (A, M) by shift-invert Lanczos (eigsh at shift 0).
+
+    Runs on the grid's own solve of A from grid.start with _NCV Lanczos
+    vectors, to a relative Ritz residual of _LANCZOS_TOL.  lam is the
+    Rayleigh quotient of the Lanczos vector x, an upper bound of the
+    discrete minimum.  One more solve measures the residual
+    r = Ax - lam Mx in the A^-1 norm, which gives the relative
+    Krylov-Weinstein bound residual_bound = |r|_{A^-1} / |x|_A: some
+    eigenvalue of the pencil lies in [lam/(1 + eta), lam/(1 - eta)]
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11).  grid.solve is
+    exact up to rounding on every grid, so Lanczos alone sets the bound.
+    A polygon with a patch is solved twice the same way, the lattice and
+    then the patch's pencil, each on its own LU and start; the smaller lam
+    wins, with its own eta, and attained_by names its part.  On the
+    n = 256 L-shape the patch's pencil attains lam with eta 1.97e-7 in 22
+    solves, and iterations counts the solves of both parts: 44.
+    Deterministic for a fixed grid and BLAS thread count, so validate's
+    documents are byte-stable for a fixed count; perfbench and the pinned
+    tests use one thread.  The count moves residual_bound's printed digits
+    and lam's last bits: on Ebg(1.5pi, 1.5pi) at n = 128 eta is
+    4.72605188074e-08 with one OpenBLAS thread and 4.72605188483e-08 with
+    two, and lam is 0.3488369293412507 and 0.3488369293412509.
+    """
+    parts = {grid.kind: grid}
+    if grid.patch is not None:
+        parts["patch"] = grid.patch.pencil
+    found = {name: _lanczos(part)[0] for name, part in parts.items()}
+    best = min(found, key=lambda name: found[name].lam)
+    solves = sum(est.iterations for est in found.values())
+    return replace(found[best], iterations=solves, h=grid.h, attained_by=best)

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -335,18 +336,40 @@ def test_validate_names_its_grid(tmp_path, capsys, x_notch, kind):
     assert f"{kind} grid and a 1.5pi sector patch at ({x_notch}, 0.5), lambda on the patch" in printed
 
 
+def test_validate_names_the_lattice_when_it_attains_lambda(tmp_path, monkeypatch):
+    # no polygon the suite builds has a lattice below its patch: scale the
+    # L-shape's patch mass down tenfold, which raises the pencil's lambda
+    # tenfold, and the lattice's lambda and eta win, after both parts' solves
+    full = rayleigh.build_grid(OneReflexPolygon([(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)]), 48)
+    patch = full.patch
+    heavy = replace(patch, pencil=replace(patch.pencil, mass=0.1 * patch.pencil.mass))
+    grid, lattice = replace(full, patch=heavy), replace(full, patch=None)
+    est = rayleigh.estimate_constant(grid)
+    alone, pencil = rayleigh.estimate_constant(lattice), rayleigh.estimate_constant(heavy.pencil)
+    assert alone.lam < pencil.lam
+    assert (est.lam, est.residual_bound, est.attained_by) == (alone.lam, alone.residual_bound, "lattice")
+    assert est.iterations == alone.iterations + pencil.iterations
+    monkeypatch.setattr(cli.rayleigh, "build_grid", lambda *args, **kwargs: grid)
+    f, out = tmp_path / "dom.json", tmp_path / "est.json"
+    f.write_text(json.dumps({"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]]}))
+    assert run(["validate", str(f), "--n", "48", "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["attained_by"] == "lattice" and doc["patch"] == {"vertex": [0.5, 0.5], "beta": 1.5}
+    assert doc["estimate"]["iterations"] == est.iterations
+
+
 def test_validate_reports_dropped_unknowns(tmp_path, capsys):
     # the dumbbell's corridor is narrower than h at n = 64: the lattice
     # keeps the left box and drops the right one, which ties with it.  The
-    # count is printed, after the 1,674 lattice unknowns and the 63 of the
-    # widest corner's pencil; the byte-stable document does not carry it
+    # count is printed, after the lattice's 1,674 unknowns; the byte-stable
+    # document does not carry it
     vertices = [[0, 0], [0.45, 0], [0.45, 0.498], [0.55, 0.499], [0.55, 0], [1, 0], [1, 1],
                 [0.55, 1], [0.55, 0.503], [0.45, 0.502], [0.45, 1], [0, 1]]
     f = tmp_path / "dom.json"
     f.write_text(json.dumps({"type": "polygon", "vertices": vertices}))
     out = tmp_path / "est.json"
     assert run(["validate", str(f), "--n", "64", "-o", str(out)]) == 0
-    assert "1737 nodes, 1674 dropped)" in capsys.readouterr().out
+    assert "1674 nodes, 1674 dropped)" in capsys.readouterr().out
     assert "dropped" not in out.read_text()
     f.write_text(json.dumps({"type": "sector", "beta": 2.0}))
     assert run(["validate", str(f), "--n", "64"]) == 0
@@ -356,8 +379,8 @@ def test_validate_reports_dropped_unknowns(tmp_path, capsys):
 def test_validate_refuses_an_estimate_below_ancona(tmp_path, capsys, monkeypatch):
     # every validate domain is simply connected, so its constant is at least
     # Ancona's 1/16: a grid estimate below it is a numerical failure
-    low = rayleigh.RayleighEstimate(lam=0.05, residual_bound=1e-9, iterations=20, h=0.01)
-    monkeypatch.setattr(rayleigh, "estimate_constant", lambda grid, return_vector: (low, None))
+    low = rayleigh.RayleighEstimate(lam=0.05, residual_bound=1e-9, iterations=20, h=0.01, attained_by="log-polar")
+    monkeypatch.setattr(rayleigh, "estimate_constant", lambda grid: low)
     f = tmp_path / "dom.json"
     f.write_text(json.dumps({"type": "sector", "beta": 2.0}))
     out = tmp_path / "est.json"
@@ -612,30 +635,30 @@ def test_validate_lattice_lambda_is_pinned(tmp_path, doc, estimate):
         (
             [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
             129,
-            {"h": 0.0078125, "iterations": 26, "lambda": 0.25717139858,
-             "residual_bound": 3.41225367922e-08},
+            {"h": 0.0078125, "iterations": 40, "lambda": 0.25717139858,
+             "residual_bound": 1.95611850291e-07},
         ),
         (
             [[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [0, 2]],
             129,
-            {"h": 0.0234375, "iterations": 26, "lambda": 0.25717139858,
-             "residual_bound": 1.28425461396e-07},
+            {"h": 0.0234375, "iterations": 44, "lambda": 0.25717139858,
+             "residual_bound": 1.95611850291e-07},
         ),
         (
             [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
             256,
-            {"h": 0.00392156862745, "iterations": 26, "lambda": 0.254640564856,
-             "residual_bound": 4.3200132738e-07},
+            {"h": 0.00392156862745, "iterations": 44, "lambda": 0.254640564856,
+             "residual_bound": 1.9680741166e-07},
         ),
     ],
     ids=["L-shape", "3x2-with-2x1-notch", "L-shape-n256"],
 )
 def test_validate_polygon_lambda_is_pinned(tmp_path, vertices, n, estimate):
-    # polygons on the lattice with their reflex corner's sector pencil
-    # stacked after it, the L-shape also at validate-lattice's n = 256: a
-    # faster build of either part or of their solve must write the same
-    # estimate block, solve count and residual bound included.  Both
-    # notches are 1.5pi corners, so both read the pencil's lambda
+    # polygons on the lattice and their reflex corner's sector pencil, the
+    # L-shape also at validate-lattice's n = 256: a faster build of either
+    # part or of their solves must write the same estimate block, solve
+    # count and residual bound included.  Both notches are 1.5pi corners,
+    # so both read the same pencil's lambda and eta
     got = validate_in_child(tmp_path, {"type": "polygon", "vertices": vertices}, n)
     assert got["grid"] == "lattice" and got["attained_by"] == "patch"
     assert got["patch"]["beta"] == 1.5
@@ -682,10 +705,10 @@ def document_in_child(tmp_path, argv):
 def run_in_child(argvs):
     """Run each command of argvs through main, in turn, in one child with one BLAS thread.
 
-    The BLAS thread count moves the printed residual bound (on the n = 256
-    L-shape 4.3200132738e-07 with one OpenBLAS thread, 4.32001326998e-07
-    with two) and the last bits of lambda, so validate runs in a child
-    process with one BLAS thread.
+    The BLAS thread count moves the printed residual bound (on
+    Ebg(1.5pi, 1.5pi) at n = 128 4.72605188074e-08 with one OpenBLAS
+    thread, 4.72605188483e-08 with two) and the last bits of lambda, so
+    validate runs in a child process with one BLAS thread.
     """
     env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -736,7 +759,7 @@ DBETA_FILE = json.dumps({"type": "dbeta", "beta": 2.0, "r_samples": [
         (["validate", "--n", "256"], SECTOR_FILE, "document",
          "00b5298e64dc56e2ea88b726ef879a89d2e8d137caef114a8472b0750c9c8c0d"),
         (["validate", "--n", "256"], LSHAPE_FILE, "document",
-         "7b4f4d0bd7bc42ce0801d71a545b7411c05dfaddd814a5e88c8734c584d1206a"),
+         "851b7c59085ca2a1e5216420ea17ce3edc1c092be23ea617b76ec924ce739aa4"),
     ],
     ids=["cbeta-check-json", "cbeta-check-csv", "gamma-star-41", "certify-lshape", "validate-ebg-64",
          "gamma-star-41-stdout", "cbeta-check-stdout", "validate-dbeta-721-64", "validate-ebg-128",

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,31 +126,41 @@ DENSE_CASES = {
 }
 
 
+def attaining_part(grid, est):
+    """The grid whose pencil gave est: a polygon's patch pencil, or the grid itself."""
+    return grid.patch.pencil if est.attained_by == "patch" else grid
+
+
+def dense_lowest(grid):
+    """The smallest eigenvalue of the grid's own pencil, by a dense solver."""
+    return la.eigh(grid.matrix.toarray(), grid.mass.toarray(), eigvals_only=True, subset_by_index=[0, 0])[0]
+
+
 @pytest.mark.parametrize("case", DENSE_CASES)
 def test_matches_dense_eigensolver(case):
     # every solve path: the sector and strip pencils, the lattice, and a
-    # polygon's lattice with its corner's sector pencil stacked after it,
-    # each through a sparse LU
+    # polygon's lattice and its corner's sector pencil, each through its
+    # own sparse LU; lambda is the attaining part's, the smaller of the two
     grid = DENSE_CASES[case]()
     est = estimate_constant(grid)
-    dense = la.eigh(
-        grid.matrix.toarray(),
-        grid.mass.toarray(),
-        eigvals_only=True,
-        subset_by_index=[0, 0],
-    )[0]
+    dense = dense_lowest(attaining_part(grid, est))
     assert est.lam == pytest.approx(dense, abs=5e-12)
+    if grid.patch is not None:
+        assert est.attained_by == "patch" and dense < dense_lowest(grid)
 
 
 @pytest.mark.parametrize("case", DENSE_CASES)
 def test_residual_bound_contains_dense_eigenvalue(case):
     # Krylov-Weinstein: some eigenvalue lies in [lam/(1+eta), lam/(1-eta)],
-    # eta = |r|_{A^-1} / |x|_A with r = Ax - lam Mx
+    # eta = |r|_{A^-1} / |x|_A with r = Ax - lam Mx, on the attaining part
     grid = DENSE_CASES[case]()
-    est, x = estimate_constant(grid, return_vector=True)
+    whole = estimate_constant(grid)
+    part = attaining_part(grid, whole)
+    est, x = rayleigh._lanczos(part)
+    assert (est.lam, est.residual_bound) == (whole.lam, whole.residual_bound)
     eta = est.residual_bound
     assert math.isfinite(eta) and eta >= 0.0
-    a, m = grid.matrix.toarray(), grid.mass.toarray()
+    a, m = part.matrix.toarray(), part.mass.toarray()
     dense = la.eigh(a, m, eigvals_only=True, subset_by_index=[0, 0])[0]
     assert est.lam / (1.0 + eta) <= dense <= est.lam / (1.0 - eta)
     # the grid's solve against a dense one: at most 8.6e-7 apart (strip)
@@ -160,13 +171,12 @@ def test_residual_bound_contains_dense_eigenvalue(case):
 
 def test_lshape_solve_count():
     # the Lanczos solves at tolerance 1e-6 plus the one that measures the
-    # bound, on the lattice with the reflex corner's sector pencil stacked
-    # after it, whose vector holds lambda
-    for n, solves in ((129, 26), (256, 26)):
-        grid = build_grid(lshape(), n)
-        est, x = estimate_constant(grid, return_vector=True)
+    # bound, on the lattice and on the reflex corner's sector pencil, which
+    # attains lambda: 18 + 22 at n = 129, 22 + 22 at n = 256
+    for n, solves in ((129, 40), (256, 44)):
+        est = estimate_constant(build_grid(lshape(), n))
         assert est.iterations == solves
-        assert grid.part(x) == "patch"
+        assert est.attained_by == "patch"
 
 
 @pytest.mark.parametrize("failure", ["eigsh", "splu"])
@@ -311,14 +321,17 @@ LATTICE_CASES = {
 def test_factored_energies_are_their_own_csc_transpose(monkeypatch):
     # the sparse LU takes the CSR energy's transpose as its CSC form, which
     # holds only where the energy is exactly symmetric in pattern and value:
-    # every lattice and pencil the suite builds, and sector pencils
+    # every lattice and pencil the suite builds, the polygons' patch
+    # pencils among them, and sector pencils
     factored = []
     factor = rayleigh._factor
     monkeypatch.setattr(rayleigh, "_factor", lambda matrix: factored.append(matrix) or factor(matrix))
     sectors = [lambda b=b, n=n: build_grid(Sector(b * PI), n) for b in (1.2, 1.5, 2.0) for n in (32, 65)]
-    for build in [*DENSE_CASES.values(), *LATTICE_CASES.values(), *sectors]:
-        build()
-    assert len(factored) == len(DENSE_CASES) + len(LATTICE_CASES) + len(sectors)
+    grids = [build() for build in [*DENSE_CASES.values(), *LATTICE_CASES.values(), *sectors]]
+    patches = [grid.patch.pencil.matrix for grid in grids if grid.patch is not None]
+    assert len(patches) == 4  # the L-shape, both notches and the dumbbell
+    assert len(factored) == len(grids) + len(patches)
+    assert all(any(matrix is patch for matrix in factored) for patch in patches)
     for matrix in factored:
         csc = matrix.tocsc()
         for field in ("indptr", "indices", "data"):
@@ -342,38 +355,42 @@ def notched_disk(count):
 
 
 def polygon_lattice(domain, n):
-    """A polygon's lattice alone, factored: build_grid's grid without the sector pencil it stacks after it."""
+    """A polygon's lattice alone, factored: build_grid's grid without its patch."""
     return rayleigh._factored(rayleigh._polygon_lattice(polygon_vertices(domain), n))
 
 
-def test_polygon_grid_stacks_its_lattice_and_its_widest_corner_pencil():
+def same_grid(got, want):
+    """Whether two grids without a patch agree field by field, their solves aside."""
+    for field in ("xs", "ys", "mask", "dist", "start"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+    for field in ("matrix", "mass"):
+        assert (getattr(got, field) != getattr(want, field)).nnz == 0, field
+    scalars = ("kind", "h", "radius", "dropped", "patch")
+    assert [getattr(got, f) for f in scalars] == [getattr(want, f) for f in scalars] and got.patch is None
+    return True
+
+
+def test_polygon_grid_keeps_its_lattice_and_its_widest_corner_pencil():
     # two reflex corners, of 1.5pi + atan(1/2) = 1.648pi at (2, 1) and
-    # 1.352pi at (1, 1.5): the grid is the lattice, and the pencil of the
-    # wider corner after it
+    # 1.352pi at (1, 1.5): the grid is the lattice, and its patch the
+    # pencil of the wider corner, each a grid of its own
     domain = OneReflexPolygon([(0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (1, 1.5), (1, 2), (0, 2)])
     grid = build_grid(domain, 48)
     lattice = polygon_lattice(domain, 48)
     beta = float(interior_angles(polygon_vertices(domain))[4])
     assert beta == pytest.approx(1.5 * PI + math.atan(0.5), rel=1e-15)
     pencil = build_grid(Sector(beta), 48)
-    assert grid.patch == rayleigh.Patch(vertex=(2.0, 1.0), beta=beta, size=pencil.interior_count)
-    for field in ("matrix", "mass"):
-        stacked = sp.block_diag([getattr(lattice, field), getattr(pencil, field)], format="csr")
-        assert (getattr(grid, field) != stacked).nnz == 0
-    for field in ("dist", "start"):
-        assert np.array_equal(getattr(grid, field), np.concatenate([getattr(lattice, field), getattr(pencil, field)]))
-    for field in ("xs", "ys", "mask"):
-        assert np.array_equal(getattr(grid, field), getattr(lattice, field))
-    assert (grid.kind, grid.h, grid.dropped) == ("lattice", lattice.h, lattice.dropped)
-    # lambda is the smaller of the two parts', and the part that holds the vector says which
-    est, x = estimate_constant(grid, return_vector=True)
+    assert (grid.patch.vertex, grid.patch.beta) == ((2.0, 1.0), beta)
+    assert same_grid(grid.patch.pencil, pencil)
+    assert same_grid(replace(grid, patch=None), lattice)
+    # lambda is the smaller of the two parts', and attained_by says which
+    est = estimate_constant(grid)
     parts = {"lattice": estimate_constant(lattice).lam, "patch": estimate_constant(pencil).lam}
     assert est.lam == pytest.approx(min(parts.values()), rel=1e-10)
-    assert grid.part(x) == min(parts, key=parts.get) == "patch"
+    assert est.attained_by == min(parts, key=parts.get) == "patch"
     # a convex polygon has no reflex corner, and no patch
     square = build_grid(OneReflexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)]), 32)
-    est, x = estimate_constant(square, return_vector=True)
-    assert square.patch is None and square.part(x) == "lattice"
+    assert square.patch is None and estimate_constant(square).attained_by == "lattice"
 
 
 @pytest.mark.parametrize(
@@ -712,7 +729,7 @@ def test_ebg_symmetric_eigenvector():
     # lattice and mask must be exactly mirror symmetric in the node index
     nx = grid.mask.shape[0]
     assert np.array_equal(grid.mask, grid.mask[::-1, :])
-    est, vec = estimate_constant(grid, return_vector=True)
+    est, vec = rayleigh._lanczos(grid)
     full = np.full(grid.mask.shape, np.nan)
     full[grid.mask] = vec
     mirrored = full[::-1, :]
