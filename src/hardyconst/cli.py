@@ -4,7 +4,8 @@ Angles are written as multiples of pi ("1.5pi") or as plain radians;
 tables carry both units and hold one row per opening, computed in order
 in this process.  Output documents are JSON (default) or, for the tables
 of cbeta, betacr and gamma-star, CSV, with floats fixed to 12 significant
-digits, so identical invocations produce byte-identical files.
+digits (validate's residual bound, rounded up to 3, aside), so identical
+invocations produce byte-identical files.
 Exit codes: 0 success, 2 input or domain error, 3 numerical failure.
 """
 
@@ -431,7 +432,7 @@ def _cmd_validate(args) -> int:
             patch = (f" and a {grid.patch.beta / PI:.6g}pi sector patch at {grid.patch.vertex},"
                      f" lambda on the {doc['attained_by']}")
     print(
-        f"lambda_min = {est.lam:.6g}  (residual bound {est.residual_bound:.2g}, n={args.n}, "
+        f"lambda_min = {est.lam:.6g}  (residual bound {doc['estimate']['residual_bound']:.3g}, n={args.n}, "
         f"{grid.kind} grid{patch}, h={est.h:.4g}, {est.iterations} solves, {grid.interior_count} "
         f"nodes, {grid.dropped} dropped)"
     )

@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from decimal import ROUND_CEILING, Decimal
 from typing import Callable, Optional
 
 import numpy as np
@@ -171,7 +172,9 @@ class RayleighEstimate:
     pencil lies in [lam/(1 + eta), lam/(1 - eta)].  iterations counts the
     linear solves of every part, the ones that measure eta included; h is
     the grid's smallest mesh width.  The document leaves attained_by out;
-    validate names it for polygons alone.
+    validate names it for polygons alone.  It carries residual_bound
+    rounded up to 3 significant digits, so that it stays a bound and does
+    not move with the BLAS thread count, which moves eta's last digits.
     """
 
     lam: float
@@ -183,10 +186,20 @@ class RayleighEstimate:
     def to_dict(self) -> dict:
         return {
             "lambda": self.lam,
-            "residual_bound": self.residual_bound,
+            "residual_bound": _round_up(self.residual_bound),
             "iterations": self.iterations,
             "h": self.h,
         }
+
+
+def _round_up(value: float) -> float:
+    """A float value >= 0 rounded up to 3 significant digits; 0 stays 0.
+
+    The ceiling is taken on value's exact decimal expansion, and the float
+    nearest that ceiling is at least value, itself a float at or below it.
+    """
+    exact = Decimal(value)
+    return float(exact.quantize(Decimal(1).scaleb(exact.adjusted() - 2), rounding=ROUND_CEILING))
 
 
 # ---------------------------------------------------------------------------
@@ -971,12 +984,12 @@ def estimate_constant(grid: GridProblem) -> RayleighEstimate:
     wins, with its own eta, and attained_by names its part.  On the
     n = 256 L-shape the patch's pencil attains lam with eta 1.97e-7 in 22
     solves, and iterations counts the solves of both parts: 44.
-    Deterministic for a fixed grid and BLAS thread count, so validate's
-    documents are byte-stable for a fixed count; perfbench and the pinned
-    tests use one thread.  The count moves residual_bound's printed digits
-    and lam's last bits: on Ebg(1.5pi, 1.5pi) at n = 128 eta is
+    Deterministic for a fixed grid and BLAS thread count.  The count moves
+    the last bits of x, eta and lam: on Ebg(1.5pi, 1.5pi) at n = 128 eta is
     4.72605188074e-08 with one OpenBLAS thread and 4.72605188483e-08 with
-    two, and lam is 0.3488369293412507 and 0.3488369293412509.
+    two, and lam is 0.3488369293412507 and 0.3488369293412509.  The
+    document rounds eta up to 4.73e-08 and lam to 12 digits, so it reads
+    the same at either count.
     """
     parts = {grid.kind: grid}
     if grid.patch is not None:

@@ -605,17 +605,17 @@ def polar_samples(beta, amplitude, n=721):
         (
             {"type": "dbeta", "beta": 2.0, "r_samples": polar_samples(2.0 * PI, 0.1)},
             {"h": 0.0316036227482, "iterations": 14, "lambda": 0.234460404036,
-             "residual_bound": 2.73500927239e-09},
+             "residual_bound": 2.74e-09},
         ),
         (
             {"type": "ebg", "beta": 1.5, "gamma": 1.5},
             {"h": 0.125980972589, "iterations": 18, "lambda": 0.348836929341,
-             "residual_bound": 4.72605188074e-08},
+             "residual_bound": 4.73e-08},
         ),
         (
             {"type": "ebg", "beta": 1.3, "gamma": 0.8},
             {"h": 0.115278984376, "iterations": 18, "lambda": 0.488531795242,
-             "residual_bound": 4.56092667958e-07},
+             "residual_bound": 4.57e-07},
         ),
     ],
     ids=["dbeta", "ebg", "ebg-asymmetric"],
@@ -636,19 +636,19 @@ def test_validate_lattice_lambda_is_pinned(tmp_path, doc, estimate):
             [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
             129,
             {"h": 0.0078125, "iterations": 40, "lambda": 0.25717139858,
-             "residual_bound": 1.95611850291e-07},
+             "residual_bound": 1.96e-07},
         ),
         (
             [[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [0, 2]],
             129,
             {"h": 0.0234375, "iterations": 44, "lambda": 0.25717139858,
-             "residual_bound": 1.95611850291e-07},
+             "residual_bound": 1.96e-07},
         ),
         (
             [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
             256,
             {"h": 0.00392156862745, "iterations": 44, "lambda": 0.254640564856,
-             "residual_bound": 1.9680741166e-07},
+             "residual_bound": 1.97e-07},
         ),
     ],
     ids=["L-shape", "3x2-with-2x1-notch", "L-shape-n256"],
@@ -702,15 +702,15 @@ def document_in_child(tmp_path, argv):
     return out.read_bytes()
 
 
-def run_in_child(argvs):
-    """Run each command of argvs through main, in turn, in one child with one BLAS thread.
+def run_in_child(argvs, threads=1):
+    """Run each command of argvs through main, in turn, in one child with `threads` BLAS threads.
 
-    The BLAS thread count moves the printed residual bound (on
-    Ebg(1.5pi, 1.5pi) at n = 128 4.72605188074e-08 with one OpenBLAS
-    thread, 4.72605188483e-08 with two) and the last bits of lambda, so
-    validate runs in a child process with one BLAS thread.
+    The BLAS thread count moves the last bits of lambda and of the residual
+    bound (on Ebg(1.5pi, 1.5pi) at n = 128 4.72605188074e-08 with one
+    OpenBLAS thread, 4.72605188483e-08 with two), so validate runs in a
+    child process with one BLAS thread unless a test asks for more.
     """
-    env = dict(os.environ, **{var: "1" for var in THREAD_VARS})
+    env = dict(os.environ, **{var: str(threads) for var in THREAD_VARS})
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = ("import json, sys; from hardyconst.cli import main\n"
@@ -731,40 +731,41 @@ DBETA_FILE = json.dumps({"type": "dbeta", "beta": 2.0, "r_samples": [
     [t / PI, 1.0 + 0.1 * (t - PI) ** 2] for t in (2.0 * PI * k / 720 for k in range(721))]})
 
 
-@pytest.mark.parametrize(
-    "argv, domain, stream, digest",
-    [
-        (["cbeta", "--sweep", "pi:2pi:101", "--check"], None, "document",
-         "0cdda617529089a510b9992fa167af5566bf5e3b2018aaaa3bab8df57dc9f60d"),
-        (["cbeta", "--sweep", "pi:2pi:101", "--check", "--format", "csv"], None, "document",
-         "7f5cd4992871af287a60f2577e6951c021159fa7492413051464de9582d59d13"),
-        (["gamma-star", "--sweep", "pi:2pi:41"], None, "document",
-         "72c0e8af3a32b035c562bafe6c8320194934ca77fc01500646c0f03e7a646c19"),
-        (["certify"], LSHAPE_FILE, "document",
-         "6c4e2e649ad69ab08f693cdd149ac78e4e7b57c13ebead0cf059b495f22f13e0"),
-        (["validate", "--n", "64"], EBG_FILE, "document",
-         "a1666fe1590824e7dc733d1f54af96162a76f66c4cf9972a8de6273d7e57fc19"),
-        (["gamma-star", "--sweep", "pi:2pi:41"], None, "stdout",
-         "16370150483d0e2bde0aba71058283545859130f402ea34120ac80fbfe4a6895"),
-        (["cbeta", "--sweep", "pi:2pi:101", "--check"], None, "stdout",
-         "65ee0f40b740282c721c448903840e047e7159bfed290241c5b5233ff42d1740"),
-        (["validate", "--n", "64"], DBETA_FILE, "document",
-         "67cd6496309db2ba86233e56411e980694743d2b23164cf92e120c0540dd62c7"),
-        # perfbench validate-curved's own Ebg operation, whose nodal distance
-        # stops per point
-        (["validate", "--n", "128"], EBG_FILE, "document",
-         "943f826abf3fc0d01750f731590324d1f129fbddf102ed37dbb73c4fa1ebadef"),
-        # perfbench validate-lattice's two operations: the 2pi sector's
-        # pencil, and the L-shape, whose lambda sits in its 1.5pi patch
-        (["validate", "--n", "256"], SECTOR_FILE, "document",
-         "00b5298e64dc56e2ea88b726ef879a89d2e8d137caef114a8472b0750c9c8c0d"),
-        (["validate", "--n", "256"], LSHAPE_FILE, "document",
-         "851b7c59085ca2a1e5216420ea17ce3edc1c092be23ea617b76ec924ce739aa4"),
-    ],
-    ids=["cbeta-check-json", "cbeta-check-csv", "gamma-star-41", "certify-lshape", "validate-ebg-64",
-         "gamma-star-41-stdout", "cbeta-check-stdout", "validate-dbeta-721-64", "validate-ebg-128",
-         "validate-sector-2pi-256", "validate-lshape-256"],
-)
+# (argv, domain file, stream, sha256 digest) of every byte-pinned output
+PINNED = [
+    (["cbeta", "--sweep", "pi:2pi:101", "--check"], None, "document",
+     "0cdda617529089a510b9992fa167af5566bf5e3b2018aaaa3bab8df57dc9f60d"),
+    (["cbeta", "--sweep", "pi:2pi:101", "--check", "--format", "csv"], None, "document",
+     "7f5cd4992871af287a60f2577e6951c021159fa7492413051464de9582d59d13"),
+    (["gamma-star", "--sweep", "pi:2pi:41"], None, "document",
+     "72c0e8af3a32b035c562bafe6c8320194934ca77fc01500646c0f03e7a646c19"),
+    (["certify"], LSHAPE_FILE, "document",
+     "6c4e2e649ad69ab08f693cdd149ac78e4e7b57c13ebead0cf059b495f22f13e0"),
+    (["validate", "--n", "64"], EBG_FILE, "document",
+     "1c197c6eecfb80d702a00637dce3b1369c105e1f65e53f1b34bd0db8df8443dc"),
+    (["gamma-star", "--sweep", "pi:2pi:41"], None, "stdout",
+     "16370150483d0e2bde0aba71058283545859130f402ea34120ac80fbfe4a6895"),
+    (["cbeta", "--sweep", "pi:2pi:101", "--check"], None, "stdout",
+     "65ee0f40b740282c721c448903840e047e7159bfed290241c5b5233ff42d1740"),
+    (["validate", "--n", "64"], DBETA_FILE, "document",
+     "9f363d9860b4c61aec9ba38b0f47baa717c6edbdfb832bd86b98a547e9e433b7"),
+    # perfbench validate-curved's own Ebg operation, whose nodal distance
+    # stops per point
+    (["validate", "--n", "128"], EBG_FILE, "document",
+     "74d5efbd50d7332941b2fb134532983540544755504f6b652f436b47564b7a46"),
+    # perfbench validate-lattice's two operations: the 2pi sector's
+    # pencil, and the L-shape, whose lambda sits in its 1.5pi patch
+    (["validate", "--n", "256"], SECTOR_FILE, "document",
+     "f2c610918842153629c75aae8f62345ef584a2e70d52c2262a5a484fd10ebbac"),
+    (["validate", "--n", "256"], LSHAPE_FILE, "document",
+     "6c8e57ebddb75c0be2712e23c2b2a0f9e218e2fb45c6ae3dd1d37cc49c6d20dd"),
+]
+PINNED_IDS = ["cbeta-check-json", "cbeta-check-csv", "gamma-star-41", "certify-lshape", "validate-ebg-64",
+              "gamma-star-41-stdout", "cbeta-check-stdout", "validate-dbeta-721-64", "validate-ebg-128",
+              "validate-sector-2pi-256", "validate-lshape-256"]
+
+
+@pytest.mark.parametrize("argv, domain, stream, digest", PINNED, ids=PINNED_IDS)
 def test_documents_are_byte_pinned(tmp_path, capsys, argv, domain, stream, digest):
     # the whole document, as json.dumps(indent=2, sort_keys=True) and the
     # csv module wrote it (numpy 2.4, scipy 1.17, x86-64), or the table the
@@ -785,6 +786,45 @@ def test_documents_are_byte_pinned(tmp_path, capsys, argv, domain, stream, diges
         assert run(argv + ["-o", str(out)]) == 0
         written = out.read_bytes()
     assert hashlib.sha256(written).hexdigest() == digest
+
+
+def test_documents_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # every pinned validate document, written by a child with one BLAS
+    # thread and by one with two: the rounded-up residual bound and the
+    # 12-digit lambda must come out byte for byte the same
+    cases = [(name, argv, domain) for name, (argv, domain, _, _) in zip(PINNED_IDS, PINNED) if argv[0] == "validate"]
+    assert len(cases) == 5
+    for name, argv, domain in cases:
+        (tmp_path / f"{name}.json").write_text(domain)
+    for threads in (1, 2):
+        run_in_child([[argv[0], str(tmp_path / f"{name}.json"), *argv[1:], "-o", str(tmp_path / f"{name}-{threads}.out")]
+                      for name, argv, _ in cases], threads)
+    for name, _, _ in cases:
+        assert (tmp_path / f"{name}-1.out").read_bytes() == (tmp_path / f"{name}-2.out").read_bytes(), name
+
+
+@given(st.one_of(st.just(0.0), st.floats(min_value=1e-300, max_value=1e300)))
+def test_residual_bound_is_written_rounded_up(eta):
+    # the document's residual bound has at most 3 significant digits, is
+    # never below eta, and lies within one unit of its third digit of it
+    est = rayleigh.RayleighEstimate(lam=0.25, residual_bound=eta, iterations=1, h=0.1, attained_by="lattice")
+    written = json.loads(cli._json_text(est.to_dict()))["residual_bound"]
+    assert written == float(f"{written:.3g}")
+    assert eta <= written <= eta * 1.0101
+
+
+@pytest.mark.parametrize("text, n", [(LSHAPE_FILE, 129), (EBG_FILE, 64)], ids=["L-shape", "ebg"])
+def test_written_residual_bound_bounds_the_solve(tmp_path, capsys, text, n):
+    # validate's document and printed line carry eta rounded up, never
+    # below the bound the solve measured
+    f, out = tmp_path / "dom.json", tmp_path / "est.json"
+    f.write_text(text)
+    est = rayleigh.estimate_constant(rayleigh.build_grid(cli.parse_domain_file(str(f)), n))
+    capsys.readouterr()
+    assert run(["validate", str(f), "--n", str(n), "-o", str(out)]) == 0
+    written = json.loads(out.read_text())["estimate"]["residual_bound"]
+    assert est.residual_bound < written <= 1.0101 * est.residual_bound
+    assert f"(residual bound {written:.3g}, n={n}," in capsys.readouterr().out
 
 
 def _round_tree(obj):
