@@ -431,6 +431,8 @@ def _cmd_validate(args) -> int:
             doc["patch"] = {"vertex": list(grid.patch.vertex), "beta": grid.patch.beta / PI}
             patch = (f" and a {grid.patch.beta / PI:.6g}pi sector patch at {grid.patch.vertex},"
                      f" lambda on the {doc['attained_by']}")
+            if est.attained_by == "patch":
+                patch += f" of {grid.patch.pencil.interior_count} unknowns"
     print(
         f"lambda_min = {est.lam:.6g}  (residual bound {doc['estimate']['residual_bound']:.3g}, n={args.n}, "
         f"{grid.kind} grid{patch}, h={est.h:.4g}, {est.iterations} solves, {grid.interior_count} "

@@ -940,6 +940,12 @@ def strip_proxy(n: int) -> GridProblem:
 # 40 Lanczos vectors (42).
 _LANCZOS_TOL = 1e-6
 
+# Most steps of inverse iteration a polygon's lattice takes toward a
+# Collatz-Wielandt bound above its patch's lambda before its own Lanczos
+# run.  The bound cleared the patch in 1 to 4 steps on every patched polygon
+# the tests, CI and perfbench build.
+_BOUND_SOLVES = 8
+
 
 def _lanczos(grid: GridProblem):
     """One grid's smallest eigenvalue, as (RayleighEstimate, its vector x); see estimate_constant."""
@@ -967,6 +973,33 @@ def _lanczos(grid: GridProblem):
     return RayleighEstimate(lam, eta, solves, grid.h, attained_by=grid.kind), x
 
 
+def _collatz_wielandt(a: sp.csr_matrix, m: np.ndarray, x: np.ndarray) -> Optional[float]:
+    """A lower bound on the smallest eigenvalue of (a, diag(m)) from x; None unless x > 0.
+
+    Collatz-Wielandt (Perron-Frobenius; Varga, Matrix Iterative Analysis,
+    ch. 2): if a is symmetric with off-diagonals <= 0 (a Z-matrix) and
+    m > 0, every x > 0 gives lambda_1 >= min_i (Ax)_i / (m_i x_i).  For
+    B = M^-1/2 A M^-1/2 and s past B's diagonal, sI - B is nonnegative, so
+    its spectral radius, at least s - lambda_1, is at most
+    max_i ((sI - B)y)_i / y_i at y = M^1/2 x > 0.  A lattice's energy has
+    off-diagonals -1/h^2 or 0 and a positive diagonal, and its mass is the
+    positive diagonal 1/dist^2: both premises hold on every lattice.
+
+    The numerator is lowered by gamma (|A|x)_i to allow for rounding, with
+    |A|x = 2 diag(A) x - Ax on a Z-matrix at x > 0, so |A| is never formed.
+    gamma = 16u, u = 2^-53: a row of at most 5 entries puts the computed
+    (Ax)_i within about 5u (|A|x)_i of the exact one (Higham, Accuracy and
+    Stability of Numerical Algorithms, sec. 3.1), |A|x is formed to within
+    3u more, and the product, the subtraction and the division add at most
+    3u of (|A|x)_i / (m_i x_i), which leaves 5u to spare.
+    """
+    if not np.all(x > 0.0):
+        return None
+    gamma = 8.0 * np.finfo(float).eps
+    ax = a @ x
+    return float(np.min((ax - gamma * (2.0 * a.diagonal() * x - ax)) / (m * x)))
+
+
 def estimate_constant(grid: GridProblem) -> RayleighEstimate:
     """Smallest eigenvalue of the pencil (A, M) by shift-invert Lanczos (eigsh at shift 0).
 
@@ -979,11 +1012,20 @@ def estimate_constant(grid: GridProblem) -> RayleighEstimate:
     eigenvalue of the pencil lies in [lam/(1 + eta), lam/(1 - eta)]
     (Parlett, The Symmetric Eigenvalue Problem, ch. 10-11).  grid.solve is
     exact up to rounding on every grid, so Lanczos alone sets the bound.
-    A polygon with a patch is solved twice the same way, the lattice and
-    then the patch's pencil, each on its own LU and start; the smaller lam
-    wins, with its own eta, and attained_by names its part.  On the
-    n = 256 L-shape the patch's pencil attains lam with eta 1.97e-7 in 22
-    solves, and iterations counts the solves of both parts: 44.
+
+    A polygon with a patch solves the patch's pencil that way first.  Its
+    lattice then takes steps of inverse iteration, x <- A^-1 M x from
+    grid.start on the lattice's own LU, and after each the Collatz-Wielandt
+    bound (_collatz_wielandt), a lower bound on the lattice's smallest
+    eigenvalue.  Once that bound exceeds the patch's lam, the lattice cannot
+    attain lam, and the patch's estimate is returned without the lattice's
+    Lanczos run.  After _BOUND_SOLVES steps, or as soon as x has an entry
+    <= 0, the lattice is solved as above from grid.start; the smaller lam
+    wins, with its own eta.  attained_by names the part ("patch" or the
+    grid's kind), h is that part's smallest mesh width, and iterations
+    counts every solve of both parts, the bound's included.  On the n = 256
+    L-shape the patch's pencil attains lam with eta 1.97e-7 in 22 solves,
+    and the bound clears it after 4 more: 26.
     Deterministic for a fixed grid and BLAS thread count.  The count moves
     the last bits of x, eta and lam: on Ebg(1.5pi, 1.5pi) at n = 128 eta is
     4.72605188074e-08 with one OpenBLAS thread and 4.72605188483e-08 with
@@ -991,10 +1033,19 @@ def estimate_constant(grid: GridProblem) -> RayleighEstimate:
     document rounds eta up to 4.73e-08 and lam to 12 digits, so it reads
     the same at either count.
     """
-    parts = {grid.kind: grid}
-    if grid.patch is not None:
-        parts["patch"] = grid.patch.pencil
-    found = {name: _lanczos(part)[0] for name, part in parts.items()}
-    best = min(found, key=lambda name: found[name].lam)
-    solves = sum(est.iterations for est in found.values())
-    return replace(found[best], iterations=solves, h=grid.h, attained_by=best)
+    if grid.patch is None:
+        return _lanczos(grid)[0]
+    patch = replace(_lanczos(grid.patch.pencil)[0], attained_by="patch")
+    m = grid.mass.diagonal()
+    x, solves = grid.start, 0
+    while solves < _BOUND_SOLVES:
+        x = grid.solve(m * x)
+        solves += 1
+        lower = _collatz_wielandt(grid.matrix, m, x)
+        if lower is None:
+            break
+        if lower > patch.lam:
+            return replace(patch, iterations=patch.iterations + solves)
+    lattice = _lanczos(grid)[0]
+    best = min((lattice, patch), key=lambda est: est.lam)
+    return replace(best, iterations=patch.iterations + solves + lattice.iterations)

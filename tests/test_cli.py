@@ -339,7 +339,9 @@ def test_validate_names_its_grid(tmp_path, capsys, x_notch, kind):
 def test_validate_names_the_lattice_when_it_attains_lambda(tmp_path, monkeypatch):
     # no polygon the suite builds has a lattice below its patch: scale the
     # L-shape's patch mass down tenfold, which raises the pencil's lambda
-    # tenfold, and the lattice's lambda and eta win, after both parts' solves
+    # tenfold.  The lattice's Collatz-Wielandt bound never clears it, and
+    # the lattice's lambda, eta and h win after both parts' solves and the
+    # bound's capped inverse-iteration steps
     full = rayleigh.build_grid(OneReflexPolygon([(0, 0), (1, 0), (1, 0.5), (0.5, 0.5), (0.5, 1), (0, 1)]), 48)
     patch = full.patch
     heavy = replace(patch, pencil=replace(patch.pencil, mass=0.1 * patch.pencil.mass))
@@ -348,7 +350,8 @@ def test_validate_names_the_lattice_when_it_attains_lambda(tmp_path, monkeypatch
     alone, pencil = rayleigh.estimate_constant(lattice), rayleigh.estimate_constant(heavy.pencil)
     assert alone.lam < pencil.lam
     assert (est.lam, est.residual_bound, est.attained_by) == (alone.lam, alone.residual_bound, "lattice")
-    assert est.iterations == alone.iterations + pencil.iterations
+    assert est.h == alone.h == full.h
+    assert est.iterations == alone.iterations + pencil.iterations + rayleigh._BOUND_SOLVES
     monkeypatch.setattr(cli.rayleigh, "build_grid", lambda *args, **kwargs: grid)
     f, out = tmp_path / "dom.json", tmp_path / "est.json"
     f.write_text(json.dumps({"type": "polygon", "vertices": [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]]}))
@@ -635,19 +638,19 @@ def test_validate_lattice_lambda_is_pinned(tmp_path, doc, estimate):
         (
             [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
             129,
-            {"h": 0.0078125, "iterations": 40, "lambda": 0.25717139858,
+            {"h": 1.12293100339e-20, "iterations": 24, "lambda": 0.25717139858,
              "residual_bound": 1.96e-07},
         ),
         (
             [[0, 0], [3, 0], [3, 1], [1, 1], [1, 2], [0, 2]],
             129,
-            {"h": 0.0234375, "iterations": 44, "lambda": 0.25717139858,
+            {"h": 1.12293100339e-20, "iterations": 24, "lambda": 0.25717139858,
              "residual_bound": 1.96e-07},
         ),
         (
             [[0, 0], [1, 0], [1, 0.5], [0.5, 0.5], [0.5, 1], [0, 1]],
             256,
-            {"h": 0.00392156862745, "iterations": 44, "lambda": 0.254640564856,
+            {"h": 2.24384835239e-29, "iterations": 26, "lambda": 0.254640564856,
              "residual_bound": 1.97e-07},
         ),
     ],
@@ -658,7 +661,10 @@ def test_validate_polygon_lambda_is_pinned(tmp_path, vertices, n, estimate):
     # L-shape also at validate-lattice's n = 256: a faster build of either
     # part or of their solves must write the same estimate block, solve
     # count and residual bound included.  Both notches are 1.5pi corners,
-    # so both read the same pencil's lambda and eta
+    # so both read the same pencil's lambda, eta and h, the patch's own
+    # smallest mesh width.  The lattice's inverse iteration puts its
+    # Collatz-Wielandt bound above that lambda in 2 solves at n = 129 and
+    # 4 at n = 256, and its Lanczos run is skipped
     got = validate_in_child(tmp_path, {"type": "polygon", "vertices": vertices}, n)
     assert got["grid"] == "lattice" and got["attained_by"] == "patch"
     assert got["patch"]["beta"] == 1.5
@@ -758,7 +764,7 @@ PINNED = [
     (["validate", "--n", "256"], SECTOR_FILE, "document",
      "f2c610918842153629c75aae8f62345ef584a2e70d52c2262a5a484fd10ebbac"),
     (["validate", "--n", "256"], LSHAPE_FILE, "document",
-     "6c8e57ebddb75c0be2712e23c2b2a0f9e218e2fb45c6ae3dd1d37cc49c6d20dd"),
+     "06e451ff14ccb95e8b95f6ef8d53c89f4e0b2a1b3d9f01b157eea591479a5dea"),
 ]
 PINNED_IDS = ["cbeta-check-json", "cbeta-check-csv", "gamma-star-41", "certify-lshape", "validate-ebg-64",
               "gamma-star-41-stdout", "cbeta-check-stdout", "validate-dbeta-721-64", "validate-ebg-128",

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 import scipy.linalg as la
 import scipy.sparse as sp
@@ -171,9 +171,10 @@ def test_residual_bound_contains_dense_eigenvalue(case):
 
 def test_lshape_solve_count():
     # the Lanczos solves at tolerance 1e-6 plus the one that measures the
-    # bound, on the lattice and on the reflex corner's sector pencil, which
-    # attains lambda: 18 + 22 at n = 129, 22 + 22 at n = 256
-    for n, solves in ((129, 40), (256, 44)):
+    # bound on the reflex corner's sector pencil, which attains lambda, and
+    # the lattice's inverse-iteration steps until its Collatz-Wielandt bound
+    # clears that lambda: 22 + 2 at n = 129, 22 + 4 at n = 256
+    for n, solves in ((129, 24), (256, 26)):
         est = estimate_constant(build_grid(lshape(), n))
         assert est.iterations == solves
         assert est.attained_by == "patch"
@@ -338,6 +339,20 @@ def test_factored_energies_are_their_own_csc_transpose(monkeypatch):
             assert np.array_equal(getattr(matrix.T, field), getattr(csc, field))
 
 
+def test_lattices_are_z_matrices_against_a_positive_diagonal_mass():
+    # the premises of the Collatz-Wielandt bound on every lattice of
+    # DENSE_CASES and LATTICE_CASES: the energy's off-diagonals are <= 0,
+    # its diagonal > 0, and the mass is a positive diagonal
+    grids = [build() for build in {**DENSE_CASES, **LATTICE_CASES}.values()]
+    lattices = [grid for grid in grids if grid.kind == "lattice"]
+    assert len(lattices) == 6
+    for grid in lattices:
+        a = grid.matrix.tocoo()
+        assert np.all(a.data[a.row != a.col] <= 0.0) and np.all(a.diagonal() > 0.0)
+        mass = grid.mass.tocoo()
+        assert np.array_equal(mass.row, mass.col) and np.all(mass.diagonal() > 0.0)
+
+
 @pytest.mark.parametrize("case", LATTICE_CASES)
 def test_lattice_solve_is_exact(case):
     # the lattice's LU solves to rounding
@@ -407,6 +422,99 @@ def test_polygon_estimates_stay_above_their_certified_constants(domain, n):
     # the polygons with a reflex corner that the tests, validate-lattice and
     # CI grid: the patch bounds the constant from above at any scale
     assert estimate_constant(build_grid(domain, n)).lam >= certify_domain(domain).constant
+
+
+TWO_REFLEX = OneReflexPolygon([(0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (1, 1.5), (1, 2), (0, 2)])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [DENSE_CASES["L-shape"], DENSE_CASES["3x2-with-2x1-notch"], lambda: build_grid(dumbbell(0.45, 0.55), 64),
+     lambda: build_grid(TWO_REFLEX, 48)],
+    ids=["L-shape", "3x2-with-2x1-notch", "dumbbell", "two-reflex"],
+)
+def test_collatz_wielandt_bound_stays_below_the_lattice_minimum(build):
+    # every inverse-iteration step's bound on a polygon's lattice, against
+    # the lattice's dense smallest eigenvalue: a lower bound at each step,
+    # and above the patch's lambda by the last
+    grid = build()
+    a, m = grid.matrix, grid.mass.diagonal()
+    dense = dense_lowest(grid)
+    x, bounds = grid.start, []
+    for _ in range(rayleigh._BOUND_SOLVES):
+        x = grid.solve(m * x)
+        bounds.append(rayleigh._collatz_wielandt(a, m, x))
+    assert None not in bounds and max(bounds) <= dense, (bounds, dense)
+    assert bounds[-1] > estimate_constant(grid.patch.pencil).lam
+
+
+def test_collatz_wielandt_bound_needs_a_positive_vector():
+    grid = DENSE_CASES["L-shape"]()
+    a, m = grid.matrix, grid.mass.diagonal()
+    x = grid.solve(m * grid.start)
+    assert rayleigh._collatz_wielandt(a, m, x) is not None
+    for k, value in ((0, 0.0), (-1, -1e-300), (len(x) // 2, -1.0), (1, np.nan)):
+        y = x.copy()
+        y[k] = value
+        assert rayleigh._collatz_wielandt(a, m, y) is None, (k, value)
+
+
+def test_estimate_skips_the_lattice_lanczos_run_once_the_bound_clears_the_patch(monkeypatch):
+    # the L-shape's lattice bound clears its patch, and only the patch's
+    # pencil is solved by Lanczos; with the patch's mass cut tenfold its
+    # lambda rises tenfold, the bound never clears it, and the lattice is
+    # solved after the capped steps; a grid without a patch is solved once
+    solved = []
+    lanczos = rayleigh._lanczos
+    monkeypatch.setattr(rayleigh, "_lanczos", lambda grid: solved.append(id(grid)) or lanczos(grid))
+    grid = build_grid(lshape(), 48)
+    est = estimate_constant(grid)
+    assert solved == [id(grid.patch.pencil)] and est.attained_by == "patch"
+    pencil = lanczos(grid.patch.pencil)[0]
+    assert (est.lam, est.residual_bound, est.h) == (pencil.lam, pencil.residual_bound, pencil.h)
+    assert pencil.iterations < est.iterations <= pencil.iterations + rayleigh._BOUND_SOLVES
+    patch = grid.patch
+    heavy = replace(grid, patch=replace(patch, pencil=replace(patch.pencil, mass=0.1 * patch.pencil.mass)))
+    solved.clear()
+    est = estimate_constant(heavy)
+    assert solved == [id(heavy.patch.pencil), id(heavy)] and est.attained_by == "lattice"
+    sector = build_grid(Sector(1.5 * PI), 48)
+    solved.clear()
+    assert estimate_constant(sector) == lanczos(sector)[0] and solved == [id(sector)]
+
+
+@st.composite
+def darts(draw):
+    """A one-reflex quadrilateral: a triangle inscribed in the unit circle,
+    its arcs at least 1.2 rad long, and a fourth vertex inside it, a mean of
+    its corners with weights in [0.2, 1], between its third and its first."""
+    first = draw(st.floats(1.2, 2.0 * PI - 2.4))
+    second = draw(st.floats(1.2, 2.0 * PI - 1.2 - first))
+    turn = draw(st.floats(0.0, 2.0 * PI))
+    weights = np.array([draw(st.floats(0.2, 1.0)) for _ in range(3)])
+    corners = np.array([[math.cos(t), math.sin(t)] for t in (turn, turn + first, turn + first + second)])
+    return [(float(x), float(y)) for x, y in (*corners, weights @ corners / weights.sum())]
+
+
+@given(darts())
+def test_skipping_the_lattice_never_changes_the_estimate(vertices):
+    # generated one-reflex polygons at n = 48: the estimate's lambda and
+    # attained_by are those of solving both parts by Lanczos, the rule
+    # before the Collatz-Wielandt skip, and lambda stays at or above the
+    # constant wherever certify certifies one
+    domain = OneReflexPolygon(vertices)
+    try:
+        grid = build_grid(domain, 48)
+    except ValueError as exc:  # a dart too thin for 100 lattice nodes at n = 48
+        assume("raise the resolution" not in str(exc))
+        raise
+    est = estimate_constant(grid)
+    parts = {"lattice": rayleigh._lanczos(grid)[0].lam, "patch": rayleigh._lanczos(grid.patch.pencil)[0].lam}
+    best = min(parts, key=parts.get)
+    assert (est.lam, est.attained_by) == (parts[best], best)
+    report = certify_domain(domain)
+    if report.verdict == "certified":
+        assert est.lam >= report.constant
 
 
 def lattice_candidates(grid, domain):
