@@ -51,10 +51,15 @@ estimate is the smaller of the two grids' eigenvalues.  That pencil bounds
 the polygon's constant from above (see build_grid) and resolves the
 corner's decades, which the lattice does not: on the n = 256 L-shape it
 reads 0.25464 where the lattice alone reads 0.33135, against the constant
-1/4, in every position and orientation of the L-shape.  For two-halfline
-and mixed domains, and for polygons whose lattice attains the minimum,
-the validator is a consistency check (estimates stay above certified
-constants and shrink toward them), not a precision instrument.
+1/4, in every position and orientation of the L-shape.  The patch is
+solved first, and the lattice's eigen-solve is skipped once a
+Collatz-Wielandt lower bound on its eigenvalue, from a few steps of inverse
+iteration on its LU, exceeds the patch's (see estimate_constant): the
+n = 256 L-shape takes 26 solves, 22 on its patch and 4 on its lattice.
+For two-halfline and mixed domains, and for polygons whose lattice
+attains the minimum, the validator is a consistency check (estimates stay
+above certified constants and shrink toward them), not a precision
+instrument.
 """
 
 from __future__ import annotations
@@ -94,7 +99,9 @@ _MAX_RADIUS = 1e150
 
 # Lanczos vectors of the eigen-solve, most of its added peak memory.
 # Lattices and 1-D pencils converge in 14-22 solves with 8, and 16 vectors
-# would force at least 18.
+# would force at least 18.  A polygon's lattice whose Collatz-Wielandt bound
+# clears its patch never holds them: only the patch's pencil, of
+# 2 floor(n/2) - 1 unknowns, runs Lanczos.
 _NCV = 8
 
 
@@ -134,9 +141,9 @@ class GridProblem:
     mass the weighted mass over the unknowns, so the estimate is the
     smallest eigenvalue of the pencil (matrix, mass); solve(rhs) applies the
     inverse of matrix by its one sparse LU, whatever the grid, and start is
-    the eigen-solve's start vector.  h is
-    the smallest mesh width in the domain's own length units (at r = 1 on a
-    sector).  radius is the truncation radius of a two-halfline domain,
+    the eigen-solve's start vector, and a polygon lattice's inverse
+    iteration's.  h is the smallest mesh width in the domain's own length
+    units (at r = 1 on a sector).  radius is the truncation radius of a two-halfline domain,
     None otherwise.  dropped counts the unknowns a lattice left out because
     no open link joins them to its largest component (0 on other grids).
     patch is a polygon's reflex-corner pencil, a grid of its own that every
@@ -170,8 +177,10 @@ class RayleighEstimate:
     attained it: attained_by, "patch" or the grid's kind.  residual_bound is
     that part's relative Krylov-Weinstein bound eta: some eigenvalue of its
     pencil lies in [lam/(1 + eta), lam/(1 - eta)].  iterations counts the
-    linear solves of every part, the ones that measure eta included; h is
-    the grid's smallest mesh width.  The document leaves attained_by out;
+    linear solves of every part, the ones that measure eta and the
+    lattice's Collatz-Wielandt bound included: 26 on the n = 256 L-shape,
+    22 on its patch and 4 for the bound.  h is the attaining part's
+    smallest mesh width.  The document leaves attained_by out;
     validate names it for polygons alone.  It carries residual_bound
     rounded up to 3 significant digits, so that it stays a bound and does
     not move with the BLAS thread count, which moves eta's last digits.
